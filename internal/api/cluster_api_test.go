@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -67,11 +71,127 @@ func fetch(t *testing.T, method, url, body string, hdr ...string) (int, http.Hea
 	return resp.StatusCode, resp.Header, data
 }
 
-// TestClusterSingleShardByteIdentity: satellite 1 — a 1-shard cluster
-// behind the API must be indistinguishable on the wire from the plain
-// engine server: same bodies, same ETags, same status codes, across the
-// v1 surface and the legacy aliases.
+// updateGolden rewrites the wire-format golden files instead of comparing
+// against them: go test ./internal/api -run Golden|ByteIdentity -update
+var updateGolden = flag.Bool("update", false, "rewrite the wire-format golden files under testdata/")
+
+// wireProbes is the fixed read script the golden files pin: the v1
+// surface and the legacy aliases, on the Figure 1 corpus.
+var wireProbes = []struct{ method, path, body string }{
+	{"GET", "/api/v1", ""},
+	{"GET", "/api/v1/stats", ""},
+	{"GET", "/api/v1/bloggers/top", ""},
+	{"GET", "/api/v1/bloggers/top?limit=3&offset=1", ""},
+	{"GET", "/api/v1/bloggers/Amery", ""},
+	{"GET", "/api/v1/bloggers/Amery/network", ""},
+	{"GET", "/api/v1/bloggers/Amery/network.svg", ""},
+	{"GET", "/api/v1/domains", ""},
+	{"GET", "/api/v1/domains/" + lexicon.Economics + "/top", ""},
+	{"GET", "/api/v1/trends", ""},
+	{"POST", "/api/v1/query", `{"entity":"bloggers","limit":5}`},
+	{"POST", "/api/v1/query", `{"entity":"posts","orderBy":[{"field":"posted","desc":true}],"limit":10}`},
+	{"POST", "/api/v1/advert", `{"text":"the stock market and monetary policy","k":3}`},
+	{"POST", "/api/v1/profile", `{"text":"basketball playoffs and sneakers","k":3}`},
+	{"GET", "/api/stats", ""},
+	{"GET", "/api/top?k=5", ""},
+	{"GET", "/api/domains", ""},
+	{"GET", "/api/domain/" + lexicon.Economics + "?k=3", ""},
+	{"GET", "/api/blogger/Amery", ""},
+	{"GET", "/api/network/Amery", ""},
+	{"GET", "/api/trends", ""},
+	{"POST", "/api/advert", `{"text":"the stock market","k":2}`},
+}
+
+// wireTranscript drives the golden script against ts and renders every
+// exchange as one record: a "### method path [headers] body" line, then
+// status, ETag and the exact body bytes (length-prefixed, so binary-safe).
+// After the read probes it exercises a conditional GET and a conditional
+// query (both 304), ingests one post, forces a re-analysis through
+// refresh, and repeats a set of reads against the new generation.
+func wireTranscript(t *testing.T, ts *httptest.Server, refresh func() error) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	record := func(method, path, body string, hdr ...string) string {
+		t.Helper()
+		code, h, b := fetch(t, method, ts.URL+path, body, hdr...)
+		fmt.Fprintf(&buf, "### %s %s", method, path)
+		for i := 0; i+1 < len(hdr); i += 2 {
+			fmt.Fprintf(&buf, " [%s: %s]", hdr[i], hdr[i+1])
+		}
+		if body != "" {
+			fmt.Fprintf(&buf, " %s", body)
+		}
+		fmt.Fprintf(&buf, "\nstatus %d\netag %s\nbody %d\n%s\n", code, h.Get("ETag"), len(b), b)
+		return h.Get("ETag")
+	}
+	for _, p := range wireProbes {
+		record(p.method, p.path, p.body)
+	}
+
+	etag := record("GET", "/api/v1/stats", "")
+	record("GET", "/api/v1/stats", "", "If-None-Match", etag)
+	const q = `{"entity":"bloggers","limit":5}`
+	record("POST", "/api/v1/query", q, "If-None-Match", record("POST", "/api/v1/query", q))
+
+	record("POST", "/api/v1/posts", `{"id":"live1","author":"Zoe","title":"hi","body":"a long report on basketball playoffs and sneakers"}`)
+	if err := refresh(); err != nil {
+		t.Fatal(err)
+	}
+	record("GET", "/api/v1/stats", "", "If-None-Match", etag)
+	record("GET", "/api/v1/bloggers/top", "")
+	record("GET", "/api/v1/bloggers/Zoe", "")
+	record("POST", "/api/v1/query", `{"entity":"posts","orderBy":[{"field":"posted","desc":true}],"limit":3}`)
+	record("POST", "/api/v1/profile", `{"text":"basketball playoffs and sneakers","k":3}`)
+	record("GET", "/api/stats", "")
+	return buf.Bytes()
+}
+
+// checkGolden compares a transcript against testdata/name record by
+// record (or rewrites the file under -update).
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record)", err)
+	}
+	if bytes.Equal(got, want) {
+		return
+	}
+	gr, wr := bytes.Split(got, []byte("\n### ")), bytes.Split(want, []byte("\n### "))
+	for i := 0; i < max(len(gr), len(wr)); i++ {
+		var g, w []byte
+		if i < len(gr) {
+			g = gr[i]
+		}
+		if i < len(wr) {
+			w = wr[i]
+		}
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: record %d differs\ngot:  %s\nwant: %s", path, i, g, w)
+		}
+	}
+}
+
+// TestClusterSingleShardByteIdentity pins the 1-shard wire format — status,
+// ETag and body of every probe, the 304s, the ingest ack and the
+// post-refresh reads — against testdata/wire_n1.golden.
 func TestClusterSingleShardByteIdentity(t *testing.T) {
+	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 1})
+	checkGolden(t, "wire_n1.golden", wireTranscript(t, ts, func() error {
+		return cl.Refresh(context.Background())
+	}))
+
+	// The golden file is the unsharded engine's wire format too.
 	e, err := core.NewEngine(blog.Figure1Corpus(), quietEngineOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -79,80 +199,19 @@ func TestClusterSingleShardByteIdentity(t *testing.T) {
 	t.Cleanup(func() { e.Close() })
 	single := httptest.NewServer(NewEngine(e))
 	t.Cleanup(single.Close)
+	checkGolden(t, "wire_n1.golden", wireTranscript(t, single, func() error {
+		return e.Refresh(context.Background())
+	}))
+}
 
-	shardedTS, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 1})
-
-	type probe struct {
-		method, path, body string
-	}
-	probes := []probe{
-		{"GET", "/api/v1", ""},
-		{"GET", "/api/v1/stats", ""},
-		{"GET", "/api/v1/bloggers/top", ""},
-		{"GET", "/api/v1/bloggers/top?limit=3&offset=1", ""},
-		{"GET", "/api/v1/bloggers/Amery", ""},
-		{"GET", "/api/v1/bloggers/Amery/network", ""},
-		{"GET", "/api/v1/bloggers/Amery/network.svg", ""},
-		{"GET", "/api/v1/domains", ""},
-		{"GET", "/api/v1/domains/" + lexicon.Economics + "/top", ""},
-		{"GET", "/api/v1/trends", ""},
-		{"POST", "/api/v1/query", `{"entity":"bloggers","limit":5}`},
-		{"POST", "/api/v1/query", `{"entity":"posts","orderBy":[{"field":"posted","desc":true}],"limit":10}`},
-		{"POST", "/api/v1/advert", `{"text":"the stock market and monetary policy","k":3}`},
-		{"POST", "/api/v1/profile", `{"text":"basketball playoffs and sneakers","k":3}`},
-		{"GET", "/api/stats", ""},
-		{"GET", "/api/top?k=5", ""},
-		{"GET", "/api/domains", ""},
-		{"GET", "/api/domain/" + lexicon.Economics + "?k=3", ""},
-		{"GET", "/api/blogger/Amery", ""},
-		{"GET", "/api/network/Amery", ""},
-		{"GET", "/api/trends", ""},
-		{"POST", "/api/advert", `{"text":"the stock market","k":2}`},
-	}
-	for _, p := range probes {
-		sc, sh, sb := fetch(t, p.method, single.URL+p.path, p.body)
-		cc, ch, cb := fetch(t, p.method, shardedTS.URL+p.path, p.body)
-		if sc != cc {
-			t.Errorf("%s %s: status %d (single) != %d (cluster)", p.method, p.path, sc, cc)
-			continue
-		}
-		if !bytes.Equal(sb, cb) {
-			t.Errorf("%s %s: bodies differ\nsingle:  %s\ncluster: %s", p.method, p.path, sb, cb)
-		}
-		if se, ce := sh.Get("ETag"), ch.Get("ETag"); se != ce {
-			t.Errorf("%s %s: ETag %q (single) != %q (cluster)", p.method, p.path, se, ce)
-		}
-	}
-
-	// Conditional GET parity: the 1-shard vector ETag collapses to the
-	// engine format, so a validator from either server 304s on both.
-	_, hdr, _ := fetch(t, "GET", single.URL+"/api/v1/stats", "")
-	etag := hdr.Get("ETag")
-	if etag == "" {
-		t.Fatal("no ETag on /api/v1/stats")
-	}
-	if code, _, _ := fetch(t, "GET", shardedTS.URL+"/api/v1/stats", "", "If-None-Match", etag); code != http.StatusNotModified {
-		t.Fatalf("cluster conditional GET with engine ETag: status %d, want 304", code)
-	}
-
-	// Ingest ack parity, then post-refresh read parity.
-	post := `{"id":"live1","author":"Zoe","title":"hi","body":"a long report on basketball playoffs and sneakers"}`
-	sc, _, sb := fetch(t, "POST", single.URL+"/api/v1/posts", post)
-	cc, _, cb := fetch(t, "POST", shardedTS.URL+"/api/v1/posts", post)
-	if sc != cc || !bytes.Equal(sb, cb) {
-		t.Fatalf("ingest ack differs: %d %s vs %d %s", sc, sb, cc, cb)
-	}
-	if err := e.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	_, _, sb = fetch(t, "GET", single.URL+"/api/v1/stats", "")
-	_, _, cb = fetch(t, "GET", shardedTS.URL+"/api/v1/stats", "")
-	if !bytes.Equal(sb, cb) {
-		t.Fatalf("post-refresh stats differ:\nsingle:  %s\ncluster: %s", sb, cb)
-	}
+// TestClusterShardedGolden pins the same script on a 3-shard cluster:
+// vector seqs and ETags, the merged rankings, the 501s of the surfaces
+// that cannot merge, against testdata/wire_n3.golden.
+func TestClusterShardedGolden(t *testing.T) {
+	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 3})
+	checkGolden(t, "wire_n3.golden", wireTranscript(t, ts, func() error {
+		return cl.Refresh(context.Background())
+	}))
 }
 
 // wireEnvelope decodes just enough of the v1 envelope for assertions.
