@@ -1,7 +1,7 @@
 // API client tour: drive the versioned /api/v1 surface end to end.
 //
-// The example boots a live engine over the Figure 1 corpus, serves it on
-// a loopback port, and then acts as a well-behaved v1 client: discover
+// The example boots a 1-shard engine cluster over the Figure 1 corpus,
+// serves it on a loopback port, and then acts as a well-behaved v1 client: discover
 // the surface, page through a ranking, poll cheaply with ETag/304,
 // ingest a post, force a re-analysis, and watch the snapshot seq move.
 //
@@ -21,7 +21,7 @@ import (
 
 	"mass/internal/api"
 	"mass/internal/blog"
-	"mass/internal/core"
+	"mass/internal/cluster"
 	"mass/internal/query"
 	"mass/internal/subs"
 )
@@ -65,17 +65,17 @@ func get(base, path, etag string) (int, string, envelope) {
 }
 
 func main() {
-	engine, err := core.NewEngine(blog.Figure1Corpus(), core.EngineOptions{})
+	cl, err := cluster.New(blog.Figure1Corpus(), cluster.Options{Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer engine.Close()
+	defer cl.Close()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := &http.Server{Handler: api.NewEngine(engine)}
+	srv := &http.Server{Handler: api.NewCluster(cl)}
 	go srv.Serve(ln)
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()
@@ -130,7 +130,7 @@ func main() {
 	}
 	resp.Body.Close()
 	fmt.Printf("\ningested one post: HTTP %d\n", resp.StatusCode)
-	if err := engine.Refresh(context.Background()); err != nil {
+	if err := cl.Refresh(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 	code, newTag, env := get(base, "/api/v1/stats", etag)
@@ -176,11 +176,10 @@ func main() {
 		fmt.Printf("  %-8s sports=%.4f gl=%.4f\n", r.ID, r.Score, r.Fields["gl"])
 	}
 
-	// 7. The same contract in Go: the fluent builder against the engine's
-	// current snapshot — the canonical embedded read path. A typo'd AST
-	// never reaches the executor (strict decoding answers 400).
-	snap := engine.Current()
-	qr, err := snap.Query(query.Posts().
+	// 7. The same contract in Go: the fluent builder against a pinned
+	// cluster view — the canonical embedded read path. A typo'd AST never
+	// reaches the executor (strict decoding answers 400).
+	qr, _, err := cl.Query(cl.View(), query.Posts().
 		Where(query.And(
 			query.F(query.FieldComments).Ge(1),
 			query.F(query.FieldNovelty).Gt(0.5),
@@ -248,7 +247,7 @@ func main() {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := engine.Refresh(context.Background()); err != nil {
+	if err := cl.Refresh(context.Background()); err != nil {
 		log.Fatal(err)
 	}
 

@@ -9,13 +9,10 @@
 //
 //	{"data": ..., "meta": {"seq": N, "page": {...}}, "error": null}
 //
-// where meta.seq is the analysis snapshot generation that answered the
-// read, meta.page carries limit/offset/total/count on list endpoints, and
-// errors replace data with a machine-readable {code, message} object (see
-// the ErrCode constants). Each request is answered from exactly one
-// snapshot, the seq doubles as a strong ETag, and a conditional GET with
-// If-None-Match returns 304 until the next re-analysis publishes a new
-// generation.
+// where meta.seq is the analysis generation that answered the read,
+// meta.page carries limit/offset/total/count on list endpoints, and errors
+// replace data with a machine-readable {code, message} object (see the
+// ErrCode constants).
 //
 //	GET  /api/v1                          discovery document (routes, limits)
 //	GET  /api/v1/openapi.json             OpenAPI 3.0 spec, generated from the route table
@@ -50,6 +47,19 @@
 // implementations. v1 request bodies are decoded strictly: unknown JSON
 // fields answer 400 invalid_body instead of being silently ignored.
 //
+// # One read path
+//
+// Every Server fronts a cluster.Cluster (NewCluster is the only
+// constructor; a single engine is a 1-shard cluster). Each read pins one
+// cluster.View — one immutable snapshot per shard — and every route has
+// one handler over that view. At one shard the coordinator is a zero-copy
+// pass-through and the view's ETag is the scalar "mass-seq-N", so the
+// wire format is that of a bare engine. At several shards meta.seqs
+// carries the per-shard generation vector, the ETag becomes the dotted
+// vector, and scattered reads may come back partial (meta.degraded). Either
+// way a conditional GET with If-None-Match returns 304 until a shard
+// publishes a new generation.
+//
 // The pre-v1 routes (/api/stats, /api/top?k=, /api/domain/{name}, ...)
 // remain as deprecated aliases with their original bare response shapes
 // and RFC 8594 lifecycle headers (Deprecation, Sunset, and a successor
@@ -62,7 +72,6 @@ import (
 	"strings"
 
 	"mass/internal/cluster"
-	"mass/internal/core"
 )
 
 // Option configures optional Server behavior.
@@ -88,12 +97,10 @@ func WithRateLimit(rps float64, burst int) Option {
 	return func(o *options) { o.rateRPS = rps; o.rateBurst = burst }
 }
 
-// Server wraps an analyzed snapshot source — static, or the live
-// generations of an Engine — as an http.Handler.
+// Server serves the v1 contract and the legacy aliases over a sharded
+// engine cluster.
 type Server struct {
-	current func() *core.Snapshot
-	engine  *core.Engine     // nil in static (read-only) mode
-	cluster *cluster.Cluster // set by NewCluster; nil otherwise
+	cluster *cluster.Cluster
 	opts    options
 
 	mux     *http.ServeMux
@@ -103,38 +110,17 @@ type Server struct {
 	limiter *rateLimiter
 }
 
-// New builds the API server over a single analyzed system, served as a
-// frozen generation-1 snapshot. The ingestion endpoints respond 503: this
-// is the read-only compatibility mode.
-func New(sys *core.System, opts ...Option) *Server {
-	snap := core.StaticSnapshot(sys)
-	return newServer(func() *core.Snapshot { return snap }, nil, nil, opts)
-}
-
-// NewEngine builds the API server over a live ingestion engine: reads hit
-// the engine's current snapshot and the ingestion endpoints mutate it.
-func NewEngine(e *core.Engine, opts ...Option) *Server {
-	return newServer(e.Current, e, nil, opts)
-}
-
-// NewCluster builds the API server over a sharded engine cluster. Ingest
-// routes through the cluster's consistent-hash ring and reads go through
-// the scatter-gather coordinator. With one shard every path is a
-// pass-through — responses are byte-identical to NewEngine over the same
-// engine. With several, reads pin a per-shard snapshot vector (meta.seqs,
-// dotted into the ETag), scattered reads may come back partial
-// (meta.degraded) when a shard misses its deadline, and the few endpoints
-// whose per-shard analyses cannot be merged (trends, subscriptions)
-// answer 501 unsupported.
-func NewCluster(cl *cluster.Cluster, opts ...Option) *Server {
-	// Resolve the shard-0 engine per call, not at construction: the
-	// supervisor may replace it after a crash, and a server pinned to the
-	// dead engine would serve a frozen snapshot forever.
-	return newServer(func() *core.Snapshot { return cl.Shard(0).Current() }, cl.Shard(0), cl, opts)
-}
-
-func newServer(current func() *core.Snapshot, e *core.Engine, cl *cluster.Cluster, optFns []Option) *Server {
-	s := &Server{current: current, engine: e, cluster: cl, mux: http.NewServeMux()}
+// NewCluster builds the API server over an engine cluster of any size.
+// Ingest routes through the cluster's consistent-hash ring and reads go
+// through the scatter-gather coordinator from one pinned view. With one
+// shard every path is a pass-through, and the whole surface is served:
+// trends, standing subscriptions, and a scalar seq and ETag. With several,
+// meta carries the seq vector (dotted into the ETag), scattered reads may
+// come back partial (meta.degraded) when a shard misses its deadline, and
+// the surfaces whose per-shard analyses cannot be merged (trends,
+// subscriptions) answer 501 unsupported.
+func NewCluster(cl *cluster.Cluster, optFns ...Option) *Server {
+	s := &Server{cluster: cl, mux: http.NewServeMux()}
 	for _, fn := range optFns {
 		fn(&s.opts)
 	}
@@ -150,30 +136,36 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
+// sharded reports whether the cluster has more than one shard: the only
+// deployment fact the handlers branch on (meta.seqs, the engine-status
+// extension fields, the healthz shape, and the 501 surfaces).
+func (s *Server) sharded() bool { return s.cluster.NumShards() > 1 }
+
 // ---------------------------------------------------------- v1 wrappers
 //
-// Handlers never touch the ResponseWriter: they take the one snapshot the
+// Handlers never touch the ResponseWriter: they take the one view the
 // whole request is answered from and return (data, meta, error); the
-// wrappers own snapshot pinning, conditional-GET handling and envelope
-// encoding. That is what makes every v1 read snapshot-consistent — the
-// engine can swap generations mid-request without a reader ever seeing
+// wrappers own view pinning, conditional-GET handling and envelope
+// encoding. That is what makes every v1 read snapshot-consistent — a
+// shard can swap generations mid-request without a reader ever seeing
 // two of them.
 
-// readHandler answers from one pinned snapshot.
-type readHandler func(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError)
+// readHandler answers from one pinned view. It sets meta.page and
+// meta.degraded itself; the wrapper stamps the generation.
+type readHandler func(v *cluster.View, r *http.Request) (any, *Meta, *apiError)
 
-// v1Read wraps a snapshot read: pin the current snapshot and on GET/HEAD
-// serve the seq as a strong ETag. A matching If-None-Match short-circuits
-// with 304 before the handler runs at all — the snapshot fully determines
-// the response for a URL, so a client that holds this generation's
-// validator costs the server nothing.
+// v1Read wraps a read: pin a view and on GET/HEAD serve its seq (vector)
+// as a strong ETag. A matching If-None-Match short-circuits with 304
+// before the handler runs at all — the view fully determines the response
+// for a URL, so a client that holds this generation's validator costs the
+// server nothing.
 func (s *Server) v1Read(h readHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap := s.current()
-		if conditionalGET(w, r, snap) {
+		v := s.cluster.View()
+		if conditionalGET(w, r, v) {
 			return
 		}
-		data, meta, aerr := h(snap, r)
+		data, meta, aerr := h(v, r)
 		if aerr != nil {
 			writeAPIError(w, aerr)
 			return
@@ -181,23 +173,32 @@ func (s *Server) v1Read(h readHandler) http.HandlerFunc {
 		if meta == nil {
 			meta = &Meta{}
 		}
-		meta.Seq = snap.Seq
+		s.stamp(meta, v)
 		writeEnvelope(w, http.StatusOK, Envelope{Data: data, Meta: meta})
+	}
+}
+
+// stamp records the view's generation in meta: the highest shard seq
+// always, the per-shard vector only on a sharded cluster.
+func (s *Server) stamp(meta *Meta, v *cluster.View) {
+	meta.Seq = v.MaxSeq()
+	if s.sharded() {
+		meta.Seqs = v.Seqs()
 	}
 }
 
 // rawHandler produces a non-JSON body (SVG); it returns the bytes and
 // content type so the wrapper can still commit the status exactly once.
-type rawHandler func(snap *core.Snapshot, r *http.Request) (body []byte, contentType string, aerr *apiError)
+type rawHandler func(v *cluster.View, r *http.Request) (body []byte, contentType string, aerr *apiError)
 
 // v1ReadRaw is v1Read for non-envelope responses.
 func (s *Server) v1ReadRaw(h rawHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		snap := s.current()
-		if conditionalGET(w, r, snap) {
+		v := s.cluster.View()
+		if conditionalGET(w, r, v) {
 			return
 		}
-		body, contentType, aerr := h(snap, r)
+		body, contentType, aerr := h(v, r)
 		if aerr != nil {
 			writeAPIError(w, aerr)
 			return
@@ -225,20 +226,29 @@ func (s *Server) v1NoSnapshot(h statusHandler) http.HandlerFunc {
 	}
 }
 
-// conditionalGET applies the snapshot's ETag to a GET/HEAD response: it
+// conditionalGET applies the view's ETag to a GET/HEAD response: it
 // always advertises the validator, and reports true after writing 304 when
 // the client already holds this generation.
-func conditionalGET(w http.ResponseWriter, r *http.Request, snap *core.Snapshot) bool {
+func conditionalGET(w http.ResponseWriter, r *http.Request, v *cluster.View) bool {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		return false
 	}
-	etag := snap.ETag()
+	etag := v.ETag()
 	w.Header().Set("ETag", etag)
 	if !etagMatch(r.Header.Get("If-None-Match"), etag) {
 		return false
 	}
 	w.WriteHeader(http.StatusNotModified)
 	return true
+}
+
+// unsupported answers 501 for a surface whose per-shard analyses cannot
+// be merged.
+func unsupported(what string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		writeAPIError(w, errf(http.StatusNotImplemented, ErrCodeUnsupported,
+			"%s is not available on a sharded cluster (per-shard analyses cannot be merged for it); deploy -shards 1", what))
+	}
 }
 
 // etagMatch implements the weak-comparison subset of If-None-Match we

@@ -10,19 +10,31 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/cluster"
 	"mass/internal/core"
 	"mass/internal/lexicon"
 )
 
-func server(t *testing.T) (*httptest.Server, *core.System) {
+// oneShard boots a 1-shard cluster over the Figure 1 corpus that flushes
+// on manual Refresh only, so tests are deterministic.
+func oneShard(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	sys, err := core.FromCorpus(blog.Figure1Corpus(), core.Options{})
+	cl, err := cluster.New(blog.Figure1Corpus(), cluster.Options{Shards: 1, Engine: quietEngineOpts()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(sys))
+	t.Cleanup(func() { cl.Close() })
+	return cl
+}
+
+// server serves a 1-shard cluster and hands back the analyzed system
+// behind its current snapshot.
+func server(t *testing.T) (*httptest.Server, *core.System) {
+	t.Helper()
+	cl := oneShard(t)
+	ts := httptest.NewServer(NewCluster(cl))
 	t.Cleanup(ts.Close)
-	return ts, sys
+	return ts, cl.Shard(0).Current().System
 }
 
 func getJSON(t *testing.T, url string, v interface{}) int {

@@ -11,7 +11,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -184,23 +186,13 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // TestClusterSingleShardByteIdentity pins the 1-shard wire format — status,
 // ETag and body of every probe, the 304s, the ingest ack and the
-// post-refresh reads — against testdata/wire_n1.golden.
+// post-refresh reads — against testdata/wire_n1.golden, which was
+// recorded while an unsharded engine server still existed and answered
+// byte for byte the same.
 func TestClusterSingleShardByteIdentity(t *testing.T) {
 	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 1})
 	checkGolden(t, "wire_n1.golden", wireTranscript(t, ts, func() error {
 		return cl.Refresh(context.Background())
-	}))
-
-	// The golden file is the unsharded engine's wire format too.
-	e, err := core.NewEngine(blog.Figure1Corpus(), quietEngineOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	single := httptest.NewServer(NewEngine(e))
-	t.Cleanup(single.Close)
-	checkGolden(t, "wire_n1.golden", wireTranscript(t, single, func() error {
-		return e.Refresh(context.Background())
 	}))
 }
 
@@ -412,5 +404,98 @@ func TestClusterDegradedEnvelope(t *testing.T) {
 	env := decodeEnvelope(t, body)
 	if env.Meta == nil || !env.Meta.Degraded {
 		t.Fatalf("meta = %+v, want degraded=true", env.Meta)
+	}
+}
+
+// ownedBy returns a Figure 1 blogger whose owner shard is shard.
+func ownedBy(t *testing.T, cl *cluster.Cluster, shard int) blog.BloggerID {
+	t.Helper()
+	for _, id := range blog.Figure1Corpus().BloggerIDs() {
+		if cl.Owner(id) == shard {
+			return id
+		}
+	}
+	t.Fatalf("no Figure 1 blogger owned by shard %d", shard)
+	return ""
+}
+
+// TestClusterMetaSeqIsMax: on a sharded cluster meta.seq is the highest
+// shard generation on every route that reports one, including the
+// discovery document and healthz, which pin no view for their payload.
+func TestClusterMetaSeqIsMax(t *testing.T) {
+	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 2})
+	author := ownedBy(t, cl, 1)
+	code, _, body := fetch(t, "POST", ts.URL+"/api/v1/posts",
+		`{"id":"seq-max-1","author":"`+string(author)+`","title":"t","body":"a fresh post about basketball"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("ingest status %d: %s", code, body)
+	}
+	if err := cl.Shard(1).Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, body = fetch(t, "GET", ts.URL+"/api/v1/stats", "")
+	env := decodeEnvelope(t, body)
+	if env.Meta == nil || len(env.Meta.Seqs) != 2 {
+		t.Fatalf("stats meta = %+v, want a 2-shard seq vector", env.Meta)
+	}
+	want := max(env.Meta.Seqs[0], env.Meta.Seqs[1])
+	if env.Meta.Seqs[0] == env.Meta.Seqs[1] {
+		t.Fatalf("seqs %v: the refresh did not advance shard 1 alone", env.Meta.Seqs)
+	}
+	for _, path := range []string{"/api/v1", "/api/v1/healthz"} {
+		_, _, body := fetch(t, "GET", ts.URL+path, "")
+		if got := decodeEnvelope(t, body); got.Meta == nil || got.Meta.Seq != want {
+			t.Errorf("%s meta = %+v, want seq %d (max of %v)", path, got.Meta, want, env.Meta.Seqs)
+		}
+	}
+}
+
+// TestClusterScenarioTotalPinned: the scenario endpoints' page.total
+// describes the pinned view, not the live cluster — a flush that adds a
+// blogger while the scatter is in flight must not leak into it.
+func TestClusterScenarioTotalPinned(t *testing.T) {
+	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: 2})
+	defer cl.SetSlowShardHook(nil)
+	for i, tc := range []struct{ path, body string }{
+		{"/api/v1/advert", `{"text":"the stock market and monetary policy","k":3}`},
+		{"/api/v1/profile", `{"text":"basketball playoffs and sneakers","k":3}`},
+	} {
+		before := cl.View()
+		bloggers := cl.Status().Bloggers
+		var once sync.Once
+		cl.SetSlowShardHook(func(int) {
+			once.Do(func() {
+				newcomer := blog.BloggerID(fmt.Sprintf("newcomer-%d", i))
+				if err := cl.AddBatch(core.Batch{Posts: []*blog.Post{{
+					ID: blog.PostID(newcomer + "-p"), Author: newcomer, Title: "hello",
+					Body: "a first post about basketball and the stock market",
+				}}}); err != nil {
+					t.Error(err)
+				}
+				if err := cl.Refresh(context.Background()); err != nil {
+					t.Error(err)
+				}
+			})
+		})
+		code, _, body := fetch(t, "POST", ts.URL+tc.path, tc.body)
+		cl.SetSlowShardHook(nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s status %d: %s", tc.path, code, body)
+		}
+		if got := cl.Status().Bloggers; got != bloggers+1 {
+			t.Fatalf("%s: mid-scatter ingest did not land: %d bloggers, want %d", tc.path, got, bloggers+1)
+		}
+		env := decodeEnvelope(t, body)
+		if env.Meta == nil || env.Meta.Page == nil {
+			t.Fatalf("%s meta = %+v", tc.path, env.Meta)
+		}
+		if !slices.Equal(env.Meta.Seqs, before.Seqs()) {
+			t.Fatalf("%s meta.seqs = %v, want the pinned %v", tc.path, env.Meta.Seqs, before.Seqs())
+		}
+		if env.Meta.Page.Total != bloggers {
+			t.Errorf("%s page.total = %d, want %d (the blogger count at meta.seqs %v)",
+				tc.path, env.Meta.Page.Total, bloggers, env.Meta.Seqs)
+		}
 	}
 }

@@ -7,25 +7,17 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"mass/internal/blog"
 	"mass/internal/core"
 )
 
+// engineServer serves a 1-shard cluster and hands back its engine.
 func engineServer(t *testing.T) (*httptest.Server, *core.Engine) {
 	t.Helper()
-	e, err := core.NewEngine(blog.Figure1Corpus(), core.EngineOptions{
-		FlushEvery:    1 << 20, // manual Refresh only, so tests are deterministic
-		FlushInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	ts := httptest.NewServer(NewEngine(e))
+	cl := oneShard(t)
+	ts := httptest.NewServer(NewCluster(cl))
 	t.Cleanup(ts.Close)
-	return ts, e
+	return ts, cl.Shard(0)
 }
 
 func TestIngestPostVisibleAfterRefresh(t *testing.T) {
@@ -128,27 +120,5 @@ func TestIngestRejectsBadPayload(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("comment on unknown post: status %d", resp.StatusCode)
-	}
-}
-
-func TestStaticServerIsReadOnly(t *testing.T) {
-	ts, _ := server(t)
-	resp, err := http.Post(ts.URL+"/api/posts", "application/json", strings.NewReader(
-		`{"id":"x","author":"Zoe","body":"hello"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("static mutation status %d, want 503", resp.StatusCode)
-	}
-	var status struct {
-		Live bool `json:"live"`
-	}
-	if code := getJSON(t, ts.URL+"/api/engine", &status); code != http.StatusOK {
-		t.Fatalf("engine status %d", code)
-	}
-	if status.Live {
-		t.Fatal("static server claims to be live")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mass/internal/blog"
+	"mass/internal/cluster"
 	"mass/internal/core"
 )
 
@@ -15,21 +16,25 @@ import (
 // recoveredRecords and recoveryTruncatedAt, and they must move as a durable
 // engine ingests.
 func TestV1EngineDurabilityCounters(t *testing.T) {
-	e, err := core.NewEngine(blog.Figure1Corpus(), core.EngineOptions{
-		FlushEvery:    1 << 20,
-		FlushInterval: time.Hour,
-		Durability: core.DurabilityOptions{
-			Dir:          t.TempDir(),
-			SyncEvery:    1,
-			SyncInterval: -1,
+	cl, err := cluster.New(blog.Figure1Corpus(), cluster.Options{
+		Shards:  1,
+		DataDir: t.TempDir(),
+		Engine: core.EngineOptions{
+			FlushEvery:    1 << 20,
+			FlushInterval: time.Hour,
+			Durability: core.DurabilityOptions{
+				SyncEvery:    1,
+				SyncInterval: -1,
+			},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	ts := httptest.NewServer(NewEngine(e))
+	t.Cleanup(func() { cl.Close() })
+	ts := httptest.NewServer(NewCluster(cl))
 	t.Cleanup(ts.Close)
+	e := cl.Shard(0)
 
 	fetch := func() map[string]json.RawMessage {
 		t.Helper()

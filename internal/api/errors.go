@@ -32,8 +32,8 @@ const (
 	// ErrCodeMethodNotAllowed: the path exists but not for this method; the
 	// Allow response header lists the methods that do.
 	ErrCodeMethodNotAllowed = "method_not_allowed"
-	// ErrCodeReadOnly: a mutation was sent to a server built without an
-	// ingestion engine.
+	// ErrCodeReadOnly: the subscription hub is closed (the engine is
+	// shutting down) and accepts no new standing queries.
 	ErrCodeReadOnly = "read_only"
 	// ErrCodeRateLimited: the per-client token bucket is empty; retry after
 	// the Retry-After response header (seconds).
@@ -82,7 +82,7 @@ type Meta struct {
 	Seq uint64 `json:"seq"`
 	// Seqs is the per-shard generation vector on sharded deployments: one
 	// entry per shard, in shard order. The dot-joined vector is the ETag.
-	// Absent on single-engine (and single-shard) servers.
+	// Absent on single-shard servers.
 	Seqs []uint64 `json:"seqs,omitempty"`
 	// Degraded marks a partial result: at least one shard missed its
 	// scatter deadline and the response covers the shards that answered.

@@ -164,18 +164,15 @@ func decodeLinks(r *http.Request, strict bool) (core.Batch, int, *apiError) {
 	return batch, len(reqs), nil
 }
 
-// ingest runs the shared mutation path: require a live engine, decode,
-// apply atomically, and report the acknowledgment.
+// ingest runs the shared mutation path: decode, route the batch through
+// the cluster's ring (a pass-through at one shard), and report the
+// acknowledgment.
 func (s *Server) ingest(dec decodeFunc, r *http.Request, strict bool) (ingestResponse, *apiError) {
-	if s.engine == nil {
-		return ingestResponse{}, errf(http.StatusServiceUnavailable, ErrCodeReadOnly,
-			"read-only: server built without an ingestion engine")
-	}
 	batch, accepted, aerr := dec(r, strict)
 	if aerr != nil {
 		return ingestResponse{}, aerr
 	}
-	if err := s.addBatch(batch); err != nil {
+	if err := s.cluster.AddBatch(batch); err != nil {
 		// A quarantined shard whose spill queue saturated sheds the write:
 		// 429 with a Retry-After hint, so well-behaved clients back off
 		// while the supervisor restarts and drains the shard.
@@ -190,7 +187,7 @@ func (s *Server) ingest(dec decodeFunc, r *http.Request, strict bool) (ingestRes
 		}
 		return ingestResponse{}, errf(http.StatusBadRequest, ErrCodeValidation, "%v", err)
 	}
-	st := s.liveStatus()
+	st := s.cluster.Status()
 	return ingestResponse{Accepted: accepted, Pending: st.Pending, Seq: st.Seq}, nil
 }
 

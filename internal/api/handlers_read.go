@@ -10,10 +10,12 @@ import (
 	"sync"
 
 	"mass/internal/blog"
+	"mass/internal/cluster"
 	"mass/internal/core"
 	"mass/internal/lexicon"
 	"mass/internal/query"
 	"mass/internal/trend"
+	"mass/internal/viz"
 )
 
 // scored is a generic scored-blogger JSON row.
@@ -47,11 +49,11 @@ type topPost struct {
 // the deprecated aliases, so the two surfaces cannot drift: the legacy
 // response body is exactly the v1 envelope's data field.
 //
-// Since the query-engine redesign the ranking and scenario fetchers are
-// thin builders over core.Snapshot.Query — the composable engine is the
-// one read path, and these endpoints are just canned queries against it
-// (the equivalence tests assert the results are byte-identical to the
-// pre-query implementations).
+// The ranking and scenario fetchers are thin builders over the cluster
+// coordinator's Query — the composable engine is the one read path, and
+// these endpoints are just canned queries against it (a pass-through to
+// the shard's memoized executor at one shard, scattered and merged at
+// several).
 
 // rowsToScored converts query rows to the wire rows these endpoints have
 // always served.
@@ -63,33 +65,42 @@ func rowsToScored(rows []query.Row) []scored {
 	return out
 }
 
-// runScored executes a blogger query and adapts it to ([]scored, Page).
-func runScored(snap *core.Snapshot, q *query.Query, limit, offset int) ([]scored, *Page, *apiError) {
-	qr, err := snap.Query(q)
+// fetchScored executes a blogger query against the pinned view and adapts
+// it to scored rows plus the page (and degradation) meta.
+func (s *Server) fetchScored(v *cluster.View, q *query.Query, limit, offset int) ([]scored, *Meta, *apiError) {
+	qr, degraded, err := s.cluster.Query(v, q)
 	if err != nil {
 		// The canned queries are valid by construction; failure here is a
 		// server bug, not client input.
 		return nil, nil, errf(http.StatusInternalServerError, ErrCodeInternal, "query: %v", err)
 	}
 	out := rowsToScored(qr.Rows)
-	return out, &Page{Limit: limit, Offset: offset, Total: qr.Total, Count: len(out)}, nil
+	return out, &Meta{Degraded: degraded, Page: &Page{Limit: limit, Offset: offset, Total: qr.Total, Count: len(out)}}, nil
 }
 
-func fetchTop(snap *core.Snapshot, limit, offset int) ([]scored, *Page, *apiError) {
+func (s *Server) fetchTop(v *cluster.View, limit, offset int) ([]scored, *Meta, *apiError) {
 	q := query.Bloggers().
 		OrderBy(query.Desc(query.FieldInfluence)).
 		Limit(limit).Offset(offset).Build()
-	return runScored(snap, q, limit, offset)
+	return s.fetchScored(v, q, limit, offset)
 }
 
-func fetchDomainTop(snap *core.Snapshot, domain string, limit, offset int) ([]scored, *Page, *apiError) {
+func (s *Server) fetchDomainTop(v *cluster.View, domain string, limit, offset int) ([]scored, *Meta, *apiError) {
 	q := query.Bloggers().
 		OrderBy(query.Desc(query.DomainKey(domain))).
 		Limit(limit).Offset(offset).Build()
-	return runScored(snap, q, limit, offset)
+	return s.fetchScored(v, q, limit, offset)
 }
 
-func fetchBlogger(snap *core.Snapshot, id blog.BloggerID) (bloggerDetail, *apiError) {
+// ownerSnapshot is the pinned snapshot of the shard owning a blogger: the
+// one shard holding the blogger's posts, full profile and reply network.
+// Its influence fields reflect that shard's analysis.
+func (s *Server) ownerSnapshot(v *cluster.View, id blog.BloggerID) *core.Snapshot {
+	return v.Snaps[s.cluster.Owner(id)]
+}
+
+func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail, *apiError) {
+	snap := s.ownerSnapshot(v, id)
 	c := snap.Corpus()
 	b, ok := c.Bloggers[id]
 	if !ok {
@@ -124,6 +135,13 @@ func fetchBlogger(snap *core.Snapshot, id blog.BloggerID) (bloggerDetail, *apiEr
 	return detail, nil
 }
 
+// fetchNetwork builds the post-reply network around a blogger from its
+// owner shard: cross-shard edges are link-graph state, not comment edges,
+// so the owner shard is where the blogger's reply neighborhood lives.
+func (s *Server) fetchNetwork(v *cluster.View, id blog.BloggerID, radius int) (*viz.Network, error) {
+	return s.ownerSnapshot(v, id).Network(id, radius, 1)
+}
+
 // advertRequest is the Scenario 1 payload: text or explicit domains.
 type advertRequest struct {
 	Text    string   `json:"text"`
@@ -131,33 +149,33 @@ type advertRequest struct {
 	K       int      `json:"k"`
 }
 
-// interestQuery is the shared scenario shape: mine an interest vector,
-// rank every blogger by the dot product with it — one ordered query. An
-// empty vector (nothing classifiable, or only empty domain selections)
-// is a client-input 400, never a 500 from weight validation.
-func interestQuery(iv map[string]float64, k int) (*query.Query, *apiError) {
+// fetchInterest is the shared scenario shape: rank every blogger by the
+// dot product with a mined interest vector — one ordered query. An empty
+// vector (nothing classifiable, or only empty domain selections) is a
+// client-input 400, never a 500 from weight validation. The page total is
+// the query's own match count, so it describes the pinned view.
+func (s *Server) fetchInterest(v *cluster.View, iv map[string]float64, k int) ([]scored, *Meta, *apiError) {
 	if len(iv) == 0 {
-		return nil, errParam("domains", "no usable interest domains in the request")
+		return nil, nil, errParam("domains", "no usable interest domains in the request")
 	}
-	return query.Bloggers().OrderBy(query.DescInterest(iv)).Limit(k).Build(), nil
+	return s.fetchScored(v, query.Bloggers().OrderBy(query.DescInterest(iv)).Limit(k).Build(), k, 0)
 }
 
-func fetchAdvert(snap *core.Snapshot, req advertRequest) ([]scored, *apiError) {
+// classify mines an interest vector from free text. Classification is
+// corpus-independent given the trained model; shard 0's classifier is the
+// cluster's designated model.
+func classify(v *cluster.View, text string) map[string]float64 {
+	return v.Snaps[0].Classifier().Classify(text)
+}
+
+func (s *Server) fetchAdvert(v *cluster.View, req advertRequest) ([]scored, *Meta, *apiError) {
 	// Option 1 (free text): the ad's interest vector is the classifier
 	// posterior. Option 2 (dropdown): equal weight per selected domain.
 	// Both handlers reject empty text+domains before calling here.
-	var iv map[string]float64
 	if req.Text != "" {
-		iv = snap.Classifier().Classify(req.Text)
-	} else {
-		iv = query.EqualWeights(req.Domains)
+		return s.fetchInterest(v, classify(v, req.Text), req.K)
 	}
-	q, aerr := interestQuery(iv, req.K)
-	if aerr != nil {
-		return nil, aerr
-	}
-	out, _, aerr := runScored(snap, q, req.K, 0)
-	return out, aerr
+	return s.fetchInterest(v, query.EqualWeights(req.Domains), req.K)
 }
 
 // profileRequest is the Scenario 2 payload.
@@ -166,16 +184,11 @@ type profileRequest struct {
 	K    int    `json:"k"`
 }
 
-func fetchProfile(snap *core.Snapshot, req profileRequest) ([]scored, *apiError) {
-	q, aerr := interestQuery(snap.Classifier().Classify(req.Text), req.K)
-	if aerr != nil {
-		return nil, aerr
-	}
-	out, _, aerr := runScored(snap, q, req.K, 0)
-	return out, aerr
+func (s *Server) fetchProfile(v *cluster.View, req profileRequest) ([]scored, *Meta, *apiError) {
+	return s.fetchInterest(v, classify(v, req.Text), req.K)
 }
 
-// snapshotDomains is the domain list the snapshot can actually rank:
+// snapshotDomains is the domain list one snapshot can actually rank:
 // the interned analysis domains, or the full lexicon when the analysis ran
 // without a classifier.
 func snapshotDomains(snap *core.Snapshot) []string {
@@ -183,6 +196,27 @@ func snapshotDomains(snap *core.Snapshot) []string {
 		return d
 	}
 	return lexicon.Domains()
+}
+
+// viewDomains is the domain list the view can rank: one shard's own slot
+// order, or on a sharded cluster the union of every shard's domains,
+// sorted for a stable wire order.
+func viewDomains(v *cluster.View) []string {
+	if len(v.Snaps) == 1 {
+		return snapshotDomains(v.Snaps[0])
+	}
+	set := map[string]struct{}{}
+	for _, snap := range v.Snaps {
+		for _, d := range snapshotDomains(snap) {
+			set[d] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for d := range set {
+		out = append(out, d)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // -------------------------------------------------------- trends, memoized
@@ -241,8 +275,11 @@ func (c *trendCache) computeCount() int64 {
 	return c.computes
 }
 
-// trendReport serves the memoized trend analysis for one snapshot.
-func (s *Server) trendReport(snap *core.Snapshot, buckets, emerging int) (*trend.Report, error) {
+// trendReport serves the memoized trend analysis. Trend reports cannot be
+// merged across shards, so both trends routes answer 501 on a sharded
+// cluster (see routeTable) and this only ever reads the single shard.
+func (s *Server) trendReport(v *cluster.View, buckets, emerging int) (*trend.Report, error) {
+	snap := v.Snaps[0]
 	return s.trends.get(trendKey{seq: snap.Seq, buckets: buckets, emerging: emerging}, func() (*trend.Report, error) {
 		return trend.Analyze(snap.Corpus(), snap.Result(), trend.Config{
 			Buckets:     buckets,
@@ -253,36 +290,32 @@ func (s *Server) trendReport(snap *core.Snapshot, buckets, emerging int) (*trend
 
 // ------------------------------------------------------------ v1 handlers
 
-func (s *Server) handleV1Stats(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
-	return snap.Stats(), nil, nil
+func (s *Server) handleV1Stats(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
+	return s.cluster.Stats(v), nil, nil
 }
 
-func (s *Server) handleV1TopBloggers(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+func (s *Server) handleV1TopBloggers(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	limit, offset, aerr := pageParams(r)
 	if aerr != nil {
 		return nil, nil, aerr
 	}
-	out, page, aerr := fetchTop(snap, limit, offset)
-	if aerr != nil {
-		return nil, nil, aerr
-	}
-	return out, &Meta{Page: page}, nil
+	return s.fetchTop(v, limit, offset)
 }
 
-func (s *Server) handleV1Blogger(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
-	detail, aerr := fetchBlogger(snap, blog.BloggerID(r.PathValue("id")))
+func (s *Server) handleV1Blogger(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
+	detail, aerr := s.fetchBlogger(v, blog.BloggerID(r.PathValue("id")))
 	if aerr != nil {
 		return nil, nil, aerr
 	}
 	return detail, nil, nil
 }
 
-func (s *Server) handleV1Domains(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+func (s *Server) handleV1Domains(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	limit, offset, aerr := pageParams(r)
 	if aerr != nil {
 		return nil, nil, aerr
 	}
-	all := snapshotDomains(snap)
+	all := viewDomains(v)
 	window := []string{}
 	if offset < len(all) {
 		window = all[offset:min(offset+limit, len(all))]
@@ -290,42 +323,44 @@ func (s *Server) handleV1Domains(snap *core.Snapshot, r *http.Request) (any, *Me
 	return window, &Meta{Page: &Page{Limit: limit, Offset: offset, Total: len(all), Count: len(window)}}, nil
 }
 
-func (s *Server) handleV1DomainTop(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+func (s *Server) handleV1DomainTop(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	name := r.PathValue("name")
-	if !slices.Contains(snapshotDomains(snap), name) {
+	if !slices.Contains(viewDomains(v), name) {
 		return nil, nil, errf(http.StatusNotFound, ErrCodeNotFound, "unknown domain %q", name)
 	}
 	limit, offset, aerr := pageParams(r)
 	if aerr != nil {
 		return nil, nil, aerr
 	}
-	out, page, aerr := fetchDomainTop(snap, name, limit, offset)
-	if aerr != nil {
-		return nil, nil, aerr
-	}
-	return out, &Meta{Page: page}, nil
+	return s.fetchDomainTop(v, name, limit, offset)
 }
 
-func (s *Server) handleV1Network(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+// v1Network parses the radius and builds the network both network routes
+// render.
+func (s *Server) v1Network(v *cluster.View, r *http.Request) (*viz.Network, *apiError) {
 	radius, aerr := queryInt(r, "radius", DefaultRadius, 1, MaxRadius)
 	if aerr != nil {
-		return nil, nil, aerr
+		return nil, aerr
 	}
-	net, err := snap.Network(blog.BloggerID(r.PathValue("id")), radius, 1)
+	net, err := s.fetchNetwork(v, blog.BloggerID(r.PathValue("id")), radius)
 	if err != nil {
-		return nil, nil, errf(http.StatusNotFound, ErrCodeNotFound, "%v", err)
+		return nil, errf(http.StatusNotFound, ErrCodeNotFound, "%v", err)
+	}
+	return net, nil
+}
+
+func (s *Server) handleV1Network(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
+	net, aerr := s.v1Network(v, r)
+	if aerr != nil {
+		return nil, nil, aerr
 	}
 	return net, nil, nil
 }
 
-func (s *Server) handleV1NetworkSVG(snap *core.Snapshot, r *http.Request) ([]byte, string, *apiError) {
-	radius, aerr := queryInt(r, "radius", DefaultRadius, 1, MaxRadius)
+func (s *Server) handleV1NetworkSVG(v *cluster.View, r *http.Request) ([]byte, string, *apiError) {
+	net, aerr := s.v1Network(v, r)
 	if aerr != nil {
 		return nil, "", aerr
-	}
-	net, err := snap.Network(blog.BloggerID(r.PathValue("id")), radius, 1)
-	if err != nil {
-		return nil, "", errf(http.StatusNotFound, ErrCodeNotFound, "%v", err)
 	}
 	var buf bytes.Buffer
 	if err := net.WriteSVG(&buf, 1000, 800); err != nil {
@@ -345,7 +380,16 @@ func v1Body[T any](r *http.Request, v *T) *apiError {
 	return strictUnmarshal(data, v)
 }
 
-func (s *Server) handleV1Advert(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+// v1K applies the scenario endpoints' result-count contract: default
+// when absent or non-positive, capped at MaxLimit.
+func v1K(k int) int {
+	if k <= 0 {
+		return DefaultLimit
+	}
+	return min(k, MaxLimit)
+}
+
+func (s *Server) handleV1Advert(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	var req advertRequest
 	if aerr := v1Body(r, &req); aerr != nil {
 		return nil, nil, aerr
@@ -353,20 +397,11 @@ func (s *Server) handleV1Advert(snap *core.Snapshot, r *http.Request) (any, *Met
 	if req.Text == "" && len(req.Domains) == 0 {
 		return nil, nil, errParam("text", "provide text or domains")
 	}
-	if req.K <= 0 {
-		req.K = DefaultLimit
-	}
-	if req.K > MaxLimit {
-		req.K = MaxLimit
-	}
-	out, aerr := fetchAdvert(snap, req)
-	if aerr != nil {
-		return nil, nil, aerr
-	}
-	return out, &Meta{Page: &Page{Limit: req.K, Total: len(snap.Result().BloggerScores), Count: len(out)}}, nil
+	req.K = v1K(req.K)
+	return s.fetchAdvert(v, req)
 }
 
-func (s *Server) handleV1Profile(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+func (s *Server) handleV1Profile(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	var req profileRequest
 	if aerr := v1Body(r, &req); aerr != nil {
 		return nil, nil, aerr
@@ -374,20 +409,11 @@ func (s *Server) handleV1Profile(snap *core.Snapshot, r *http.Request) (any, *Me
 	if req.Text == "" {
 		return nil, nil, errParam("text", "provide profile text")
 	}
-	if req.K <= 0 {
-		req.K = DefaultLimit
-	}
-	if req.K > MaxLimit {
-		req.K = MaxLimit
-	}
-	out, aerr := fetchProfile(snap, req)
-	if aerr != nil {
-		return nil, nil, aerr
-	}
-	return out, &Meta{Page: &Page{Limit: req.K, Total: len(snap.Result().BloggerScores), Count: len(out)}}, nil
+	req.K = v1K(req.K)
+	return s.fetchProfile(v, req)
 }
 
-func (s *Server) handleV1Trends(snap *core.Snapshot, r *http.Request) (any, *Meta, *apiError) {
+func (s *Server) handleV1Trends(v *cluster.View, r *http.Request) (any, *Meta, *apiError) {
 	buckets, aerr := queryInt(r, "buckets", DefaultBuckets, MinBuckets, MaxBuckets)
 	if aerr != nil {
 		return nil, nil, aerr
@@ -399,41 +425,38 @@ func (s *Server) handleV1Trends(snap *core.Snapshot, r *http.Request) (any, *Met
 	// Parameters are already validated, so a failure here is about the
 	// corpus itself (empty, no time span) — not something the client can
 	// fix by changing the query.
-	rep, err := s.trendReport(snap, buckets, emerging)
+	rep, err := s.trendReport(v, buckets, emerging)
 	if err != nil {
 		return nil, nil, errf(http.StatusUnprocessableEntity, ErrCodeNoData, "%v", err)
 	}
 	return rep, nil, nil
 }
 
-// engineResponse is the engine-status payload. Live is false in static
-// mode; the corpus counts are real either way, the ingestion counters
-// (seq, pending, totalMutations, …) are meaningful only when live.
+// engineResponse is the 1-shard engine-status payload: the engine's own
+// counters. Live is always true; the field stays for wire compatibility.
 type engineResponse struct {
 	Live bool `json:"live"`
 	core.EngineStatus
 }
 
-func (s *Server) engineStatus() engineResponse {
-	if s.engine == nil {
-		c := s.current().Corpus()
-		return engineResponse{Live: false, EngineStatus: core.EngineStatus{
-			Seq:      s.current().Seq,
-			Bloggers: len(c.Bloggers),
-			Posts:    len(c.Posts),
-			Links:    len(c.Links),
-		}}
-	}
-	return engineResponse{Live: true, EngineStatus: s.liveEngine().Status()}
+// clusterEngineResponse is the sharded payload: the merged engine
+// counters plus the cluster extension fields (shards, shardSeqs,
+// scatterQueries, degradedQueries, boundaryEdges, mergeFallbacks and the
+// supervision counters).
+type clusterEngineResponse struct {
+	Live bool `json:"live"`
+	cluster.ClusterStatus
 }
 
+// handleV1Engine reports the engine-status payload and the seq it was
+// read at; the legacy alias serves the same payload bare.
 func (s *Server) handleV1Engine(r *http.Request) (any, uint64, *apiError) {
 	if s.sharded() {
-		st := s.clusterEngineStatus()
-		return st, st.Seq, nil
+		st := s.cluster.FullStatus()
+		return clusterEngineResponse{Live: true, ClusterStatus: st}, st.Seq, nil
 	}
-	st := s.engineStatus()
-	return st, st.Seq, nil
+	st := s.cluster.Status()
+	return engineResponse{Live: true, EngineStatus: st}, st.Seq, nil
 }
 
 // -------------------------------------------------- legacy (deprecated)
@@ -441,33 +464,26 @@ func (s *Server) handleV1Engine(r *http.Request) (any, uint64, *apiError) {
 // The pre-v1 aliases keep their original shapes bit-for-bit: bare JSON
 // bodies, plain-text errors, and the tolerant k/radius parsing that
 // silently falls back to defaults. They delegate to the same fetchers as
-// v1, so data cannot drift between the surfaces.
+// v1 over a freshly pinned view, so data cannot drift between the
+// surfaces.
 
-func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
-	if s.sharded() {
-		writeBareJSON(w, s.cluster.Stats(s.cluster.View()))
-		return
-	}
-	writeBareJSON(w, s.current().Stats())
-}
-
-func (s *Server) handleLegacyTop(w http.ResponseWriter, r *http.Request) {
-	k := intParam(r, "k", 3)
-	if s.sharded() {
-		out, _, _, aerr := s.clusterTop(s.cluster.View(), k, 0)
-		if aerr != nil {
-			http.Error(w, aerr.Message, aerr.status)
-			return
-		}
-		writeBareJSON(w, out)
-		return
-	}
-	out, _, aerr := fetchTop(s.current(), k, 0)
+// writeLegacy writes a fetcher's rows as a bare body, or its error as
+// plain text.
+func writeLegacy(w http.ResponseWriter, out []scored, aerr *apiError) {
 	if aerr != nil {
 		http.Error(w, aerr.Message, aerr.status)
 		return
 	}
 	writeBareJSON(w, out)
+}
+
+func (s *Server) handleLegacyStats(w http.ResponseWriter, r *http.Request) {
+	writeBareJSON(w, s.cluster.Stats(s.cluster.View()))
+}
+
+func (s *Server) handleLegacyTop(w http.ResponseWriter, r *http.Request) {
+	out, _, aerr := s.fetchTop(s.cluster.View(), intParam(r, "k", 3), 0)
+	writeLegacy(w, out, aerr)
 }
 
 func (s *Server) handleLegacyDomains(w http.ResponseWriter, r *http.Request) {
@@ -475,22 +491,8 @@ func (s *Server) handleLegacyDomains(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLegacyDomain(w http.ResponseWriter, r *http.Request) {
-	k := intParam(r, "k", 3)
-	if s.sharded() {
-		out, _, _, aerr := s.clusterDomainTop(s.cluster.View(), r.PathValue("name"), k, 0)
-		if aerr != nil {
-			http.Error(w, aerr.Message, aerr.status)
-			return
-		}
-		writeBareJSON(w, out)
-		return
-	}
-	out, _, aerr := fetchDomainTop(s.current(), r.PathValue("name"), k, 0)
-	if aerr != nil {
-		http.Error(w, aerr.Message, aerr.status)
-		return
-	}
-	writeBareJSON(w, out)
+	out, _, aerr := s.fetchDomainTop(s.cluster.View(), r.PathValue("name"), intParam(r, "k", 3), 0)
+	writeLegacy(w, out, aerr)
 }
 
 func (s *Server) handleLegacyDomainMissing(w http.ResponseWriter, r *http.Request) {
@@ -498,16 +500,7 @@ func (s *Server) handleLegacyDomainMissing(w http.ResponseWriter, r *http.Reques
 }
 
 func (s *Server) handleLegacyBlogger(w http.ResponseWriter, r *http.Request) {
-	if s.sharded() {
-		detail, aerr := s.clusterBlogger(s.cluster.View(), blog.BloggerID(r.PathValue("id")))
-		if aerr != nil {
-			http.Error(w, fmt.Sprintf("unknown blogger %q", r.PathValue("id")), aerr.status)
-			return
-		}
-		writeBareJSON(w, detail)
-		return
-	}
-	detail, aerr := fetchBlogger(s.current(), blog.BloggerID(r.PathValue("id")))
+	detail, aerr := s.fetchBlogger(s.cluster.View(), blog.BloggerID(r.PathValue("id")))
 	if aerr != nil {
 		http.Error(w, fmt.Sprintf("unknown blogger %q", r.PathValue("id")), aerr.status)
 		return
@@ -527,21 +520,8 @@ func (s *Server) handleLegacyAdvert(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "provide text or domains", http.StatusBadRequest)
 		return
 	}
-	if s.sharded() {
-		out, _, aerr := s.clusterAdvert(s.cluster.View(), req)
-		if aerr != nil {
-			http.Error(w, aerr.Message, aerr.status)
-			return
-		}
-		writeBareJSON(w, out)
-		return
-	}
-	out, aerr := fetchAdvert(s.current(), req)
-	if aerr != nil {
-		http.Error(w, aerr.Message, aerr.status)
-		return
-	}
-	writeBareJSON(w, out)
+	out, _, aerr := s.fetchAdvert(s.cluster.View(), req)
+	writeLegacy(w, out, aerr)
 }
 
 func (s *Server) handleLegacyProfile(w http.ResponseWriter, r *http.Request) {
@@ -556,21 +536,8 @@ func (s *Server) handleLegacyProfile(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "provide profile text", http.StatusBadRequest)
 		return
 	}
-	if s.sharded() {
-		out, _, aerr := s.clusterProfile(s.cluster.View(), req)
-		if aerr != nil {
-			http.Error(w, aerr.Message, aerr.status)
-			return
-		}
-		writeBareJSON(w, out)
-		return
-	}
-	out, aerr := fetchProfile(s.current(), req)
-	if aerr != nil {
-		http.Error(w, aerr.Message, aerr.status)
-		return
-	}
-	writeBareJSON(w, out)
+	out, _, aerr := s.fetchProfile(s.cluster.View(), req)
+	writeLegacy(w, out, aerr)
 }
 
 func (s *Server) handleLegacyNetwork(w http.ResponseWriter, r *http.Request) {
@@ -579,11 +546,7 @@ func (s *Server) handleLegacyNetwork(w http.ResponseWriter, r *http.Request) {
 	if id, ok := strings.CutSuffix(rest, ".svg"); ok {
 		svg, rest = true, id
 	}
-	snap := s.current()
-	if s.sharded() {
-		snap = s.cluster.View().Snaps[s.cluster.Owner(blog.BloggerID(rest))]
-	}
-	net, err := snap.Network(blog.BloggerID(rest), intParam(r, "radius", 2), 1)
+	net, err := s.fetchNetwork(s.cluster.View(), blog.BloggerID(rest), intParam(r, "radius", 2))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -602,11 +565,7 @@ func (s *Server) handleLegacyNetwork(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLegacyTrends(w http.ResponseWriter, r *http.Request) {
-	if s.sharded() {
-		http.Error(w, "trends are not available on a sharded cluster", http.StatusNotImplemented)
-		return
-	}
-	rep, err := s.trendReport(s.current(), intParam(r, "buckets", 8), intParam(r, "emerging", 5))
+	rep, err := s.trendReport(s.cluster.View(), intParam(r, "buckets", 8), intParam(r, "emerging", 5))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -615,9 +574,6 @@ func (s *Server) handleLegacyTrends(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleLegacyEngine(w http.ResponseWriter, r *http.Request) {
-	if s.sharded() {
-		writeBareJSON(w, s.clusterEngineStatus())
-		return
-	}
-	writeBareJSON(w, s.engineStatus())
+	st, _, _ := s.handleV1Engine(r)
+	writeBareJSON(w, st)
 }

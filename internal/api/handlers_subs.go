@@ -14,9 +14,8 @@ import (
 // Continuous queries: POST /api/v1/subscriptions registers a PR 4 query
 // AST as a standing subscription, GET /api/v1/subscriptions/{id}/events
 // streams its result diffs over SSE, GET /api/v1/subscriptions/{id}
-// serves the resync snapshot, DELETE cancels. The subscription surface
-// requires a live engine; a static server answers 503 read_only, like
-// ingestion.
+// serves the resync snapshot, DELETE cancels. Incremental evaluation is
+// per shard, so the surface is served on a 1-shard cluster only.
 
 // subscriptionResponse is the registration / resync payload: the
 // subscription identity plus the full result the client seeds (or
@@ -33,20 +32,15 @@ type subscriptionResponse struct {
 
 func subEventsPath(id string) string { return "/api/v1/subscriptions/" + id + "/events" }
 
-// hub resolves the live subscription hub, or a read_only error on a
-// static server.
+// hub resolves the single shard's subscription hub. Merging diff streams
+// across shards is future work, so on a sharded cluster the whole surface
+// declares itself out.
 func (s *Server) hub() (*subs.Hub, *apiError) {
-	if s.engine == nil {
-		return nil, errf(http.StatusServiceUnavailable, ErrCodeReadOnly,
-			"subscriptions require a live ingestion engine; this server is read-only")
+	if h := s.cluster.Subscriptions(); h != nil {
+		return h, nil
 	}
-	if s.sharded() {
-		// Incremental evaluation is per shard; merging diff streams across
-		// shards is future work, so the whole surface declares itself out.
-		return nil, errf(http.StatusNotImplemented, ErrCodeUnsupported,
-			"subscriptions are not available on a sharded cluster; deploy -shards 1 for standing queries")
-	}
-	return s.liveEngine().Subscriptions(), nil
+	return nil, errf(http.StatusNotImplemented, ErrCodeUnsupported,
+		"subscriptions are not available on a sharded cluster; deploy -shards 1 for standing queries")
 }
 
 // subErr maps hub errors onto the envelope vocabulary.
@@ -144,7 +138,7 @@ func (s *Server) handleV1SubscriptionDelete(w http.ResponseWriter, r *http.Reque
 	}
 	writeEnvelope(w, http.StatusOK, Envelope{
 		Data: map[string]any{"id": id, "canceled": true},
-		Meta: &Meta{Seq: s.current().Seq},
+		Meta: &Meta{Seq: s.cluster.View().MaxSeq()},
 	})
 }
 

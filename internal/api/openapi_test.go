@@ -13,7 +13,7 @@ import (
 // and every table entry must actually resolve on the mux — so the spec,
 // the discovery document and the registered handlers cannot drift.
 func TestOpenAPIMatchesRouteTable(t *testing.T) {
-	srv := New(mustSystem(t))
+	srv := NewCluster(oneShard(t))
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/api/v1/openapi.json", nil))

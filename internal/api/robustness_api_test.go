@@ -144,18 +144,21 @@ func (f *stickyFile) Sync() error {
 // flips to 503 with durability "failed" so load balancers drain the node.
 func TestHealthzFailStop(t *testing.T) {
 	ffs := &stickyFS{FS: wal.OSFS()}
-	e, err := core.NewEngine(nil, core.EngineOptions{
-		FlushEvery: 1 << 20, FlushInterval: time.Hour,
-		Durability: core.DurabilityOptions{
-			Dir: t.TempDir(), SyncEvery: 1, SyncInterval: -1, FS: ffs,
+	cl, err := cluster.New(nil, cluster.Options{
+		Shards:  1,
+		DataDir: t.TempDir(),
+		Engine: core.EngineOptions{
+			FlushEvery: 1 << 20, FlushInterval: time.Hour,
+			Durability: core.DurabilityOptions{SyncEvery: 1, SyncInterval: -1, FS: ffs},
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { e.Close() })
-	ts := httptest.NewServer(NewEngine(e))
+	t.Cleanup(func() { cl.Close() })
+	ts := httptest.NewServer(NewCluster(cl))
 	t.Cleanup(ts.Close)
+	e := cl.Shard(0)
 
 	sc, _, b := fetch(t, "GET", ts.URL+"/api/v1/healthz", "")
 	if hz := decodeHealthz(t, b); sc != http.StatusOK || hz.Status != "ok" || hz.Durability != "ok" {

@@ -55,44 +55,36 @@ type route struct {
 	bodySchema map[string]any
 }
 
-// pick selects between the single-snapshot handler and its sharded
-// replacement. On single-engine, static and 1-shard servers the single
-// handler serves (keeping 1-shard responses byte-identical to a bare
-// engine); a multi-shard cluster swaps in the scatter-gather variant.
-func (s *Server) pick(single, clustered http.HandlerFunc) http.HandlerFunc {
-	if s.sharded() {
-		return clustered
-	}
-	return single
-}
-
 // routeTable builds the full surface: the v1 contract plus the deprecated
 // legacy aliases.
 func (s *Server) routeTable() []route {
 	k := queryIntDoc("k", "legacy result count (silently defaulted when malformed)", 3, 0)
 	k.Maximum = nil
-	// POST /api/v1/query goes through the coordinator on any cluster-backed
-	// server — at one shard the coordinator is a pass-through, so the
-	// responses (ETag included) stay byte-identical to the engine path.
-	queryHandler := s.handleV1Query
-	if s.cluster != nil {
-		queryHandler = s.handleClusterQuery
+	// Trend reports cannot be merged across shards: on a sharded cluster
+	// both trends routes answer 501 before any view is pinned, so the
+	// error carries no validator.
+	trends, legacyTrends := s.v1Read(s.handleV1Trends), http.HandlerFunc(s.handleLegacyTrends)
+	if s.sharded() {
+		trends = unsupported("trend analysis")
+		legacyTrends = func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "trends are not available on a sharded cluster", http.StatusNotImplemented)
+		}
 	}
 	v1 := []route{
 		{Method: "GET", Pattern: "/api/v1", Summary: "API discovery document: routes, parameter bounds, links", Envelope: true, handler: s.v1NoSnapshot(s.handleV1Discovery)},
 		{Method: "GET", Pattern: "/api/v1/openapi.json", Summary: "OpenAPI 3.0 description of this server, generated from the route table", handler: s.handleV1OpenAPI},
 		{Method: "GET", Pattern: "/api/v1/healthz", Summary: "Liveness/readiness probe for load balancers: per-shard durability state, 503 when every durable shard has fail-stopped", Envelope: true, handler: s.handleV1Healthz},
-		{Method: "POST", Pattern: "/api/v1/query", Summary: "Composable query over bloggers, posts and domains: filter/order/project/paginate/aggregate; body is the query AST (JSON-Schema in the OpenAPI spec), honors If-None-Match", Envelope: true, handler: queryHandler, bodySchema: query.JSONSchema()},
-		{Method: "GET", Pattern: "/api/v1/stats", Summary: "Corpus summary statistics", Envelope: true, handler: s.pick(s.v1Read(s.handleV1Stats), s.clusterRead(s.handleClusterStats))},
-		{Method: "GET", Pattern: "/api/v1/bloggers/top", Summary: "General influence ranking, paginated", Params: pageParamDocs(), Envelope: true, handler: s.pick(s.v1Read(s.handleV1TopBloggers), s.clusterRead(s.handleClusterTop))},
-		{Method: "GET", Pattern: "/api/v1/bloggers/{id}", Summary: "One blogger's influence detail", Params: []paramDoc{pathParam("id", "blogger ID")}, Envelope: true, handler: s.pick(s.v1Read(s.handleV1Blogger), s.clusterRead(s.handleClusterBlogger))},
-		{Method: "GET", Pattern: "/api/v1/bloggers/{id}/network", Summary: "Post-reply network around a blogger as JSON", Params: []paramDoc{pathParam("id", "center blogger ID"), queryIntDoc("radius", "BFS radius", DefaultRadius, MaxRadius)}, Envelope: true, handler: s.pick(s.v1Read(s.handleV1Network), s.clusterRead(s.handleClusterNetwork))},
-		{Method: "GET", Pattern: "/api/v1/bloggers/{id}/network.svg", Summary: "Post-reply network around a blogger as SVG", Params: []paramDoc{pathParam("id", "center blogger ID"), queryIntDoc("radius", "BFS radius", DefaultRadius, MaxRadius)}, handler: s.pick(s.v1ReadRaw(s.handleV1NetworkSVG), s.clusterReadRaw(s.handleClusterNetworkSVG))},
-		{Method: "GET", Pattern: "/api/v1/domains", Summary: "Interest domains, paginated", Params: pageParamDocs(), Envelope: true, handler: s.pick(s.v1Read(s.handleV1Domains), s.clusterRead(s.handleClusterDomains))},
-		{Method: "GET", Pattern: "/api/v1/domains/{name}/top", Summary: "Per-domain influence ranking, paginated", Params: append([]paramDoc{pathParam("name", "domain name")}, pageParamDocs()...), Envelope: true, handler: s.pick(s.v1Read(s.handleV1DomainTop), s.clusterRead(s.handleClusterDomainTop))},
-		{Method: "POST", Pattern: "/api/v1/advert", Summary: "Scenario 1: rank bloggers for an advertisement; body {text} or {domains:[...]}, optional k (capped)", Envelope: true, handler: s.pick(s.v1Read(s.handleV1Advert), s.clusterRead(s.handleClusterAdvert))},
-		{Method: "POST", Pattern: "/api/v1/profile", Summary: "Scenario 2: rank bloggers for a new user's profile; body {text}, optional k (capped)", Envelope: true, handler: s.pick(s.v1Read(s.handleV1Profile), s.clusterRead(s.handleClusterProfile))},
-		{Method: "GET", Pattern: "/api/v1/trends", Summary: "Domain trend report and emerging bloggers (memoized per snapshot)", Params: []paramDoc{queryIntDoc("buckets", "time buckets over the corpus span", DefaultBuckets, MaxBuckets), queryIntDoc("emerging", "emerging-blogger list size", DefaultEmerging, MaxEmerging)}, Envelope: true, handler: s.pick(s.v1Read(s.handleV1Trends), s.clusterUnsupported("trend analysis"))},
+		{Method: "POST", Pattern: "/api/v1/query", Summary: "Composable query over bloggers, posts and domains: filter/order/project/paginate/aggregate; body is the query AST (JSON-Schema in the OpenAPI spec), honors If-None-Match", Envelope: true, handler: s.handleV1Query, bodySchema: query.JSONSchema()},
+		{Method: "GET", Pattern: "/api/v1/stats", Summary: "Corpus summary statistics", Envelope: true, handler: s.v1Read(s.handleV1Stats)},
+		{Method: "GET", Pattern: "/api/v1/bloggers/top", Summary: "General influence ranking, paginated", Params: pageParamDocs(), Envelope: true, handler: s.v1Read(s.handleV1TopBloggers)},
+		{Method: "GET", Pattern: "/api/v1/bloggers/{id}", Summary: "One blogger's influence detail", Params: []paramDoc{pathParam("id", "blogger ID")}, Envelope: true, handler: s.v1Read(s.handleV1Blogger)},
+		{Method: "GET", Pattern: "/api/v1/bloggers/{id}/network", Summary: "Post-reply network around a blogger as JSON", Params: []paramDoc{pathParam("id", "center blogger ID"), queryIntDoc("radius", "BFS radius", DefaultRadius, MaxRadius)}, Envelope: true, handler: s.v1Read(s.handleV1Network)},
+		{Method: "GET", Pattern: "/api/v1/bloggers/{id}/network.svg", Summary: "Post-reply network around a blogger as SVG", Params: []paramDoc{pathParam("id", "center blogger ID"), queryIntDoc("radius", "BFS radius", DefaultRadius, MaxRadius)}, handler: s.v1ReadRaw(s.handleV1NetworkSVG)},
+		{Method: "GET", Pattern: "/api/v1/domains", Summary: "Interest domains, paginated", Params: pageParamDocs(), Envelope: true, handler: s.v1Read(s.handleV1Domains)},
+		{Method: "GET", Pattern: "/api/v1/domains/{name}/top", Summary: "Per-domain influence ranking, paginated", Params: append([]paramDoc{pathParam("name", "domain name")}, pageParamDocs()...), Envelope: true, handler: s.v1Read(s.handleV1DomainTop)},
+		{Method: "POST", Pattern: "/api/v1/advert", Summary: "Scenario 1: rank bloggers for an advertisement; body {text} or {domains:[...]}, optional k (capped)", Envelope: true, handler: s.v1Read(s.handleV1Advert)},
+		{Method: "POST", Pattern: "/api/v1/profile", Summary: "Scenario 2: rank bloggers for a new user's profile; body {text}, optional k (capped)", Envelope: true, handler: s.v1Read(s.handleV1Profile)},
+		{Method: "GET", Pattern: "/api/v1/trends", Summary: "Domain trend report and emerging bloggers (memoized per snapshot)", Params: []paramDoc{queryIntDoc("buckets", "time buckets over the corpus span", DefaultBuckets, MaxBuckets), queryIntDoc("emerging", "emerging-blogger list size", DefaultEmerging, MaxEmerging)}, Envelope: true, handler: trends},
 		{Method: "GET", Pattern: "/api/v1/engine", Summary: "Ingestion/re-analysis status (never cached)", Envelope: true, handler: s.v1NoSnapshot(s.handleV1Engine)},
 		{Method: "POST", Pattern: "/api/v1/subscriptions", Summary: "Register a standing query subscription; body is the query AST; returns the initial full result plus the SSE stream URL", Envelope: true, handler: s.handleV1SubscriptionCreate, bodySchema: query.JSONSchema()},
 		{Method: "GET", Pattern: "/api/v1/subscriptions/{id}", Summary: "Resync snapshot: the subscription's maintained result at its current seq (never cached)", Params: []paramDoc{pathParam("id", "subscription ID")}, Envelope: true, handler: s.handleV1SubscriptionGet},
@@ -112,7 +104,7 @@ func (s *Server) routeTable() []route {
 		{Method: "POST", Pattern: "/api/advert", Summary: "Deprecated alias for /api/v1/advert", handler: s.handleLegacyAdvert},
 		{Method: "POST", Pattern: "/api/profile", Summary: "Deprecated alias for /api/v1/profile", handler: s.handleLegacyProfile},
 		{Method: "GET", Pattern: "/api/network/{rest}", Summary: "Deprecated alias for /api/v1/bloggers/{id}/network[.svg]", Params: []paramDoc{pathParam("rest", "blogger ID, with optional .svg suffix"), queryIntDoc("radius", "BFS radius", DefaultRadius, 0)}, handler: s.handleLegacyNetwork},
-		{Method: "GET", Pattern: "/api/trends", Summary: "Deprecated alias for /api/v1/trends", handler: s.handleLegacyTrends},
+		{Method: "GET", Pattern: "/api/trends", Summary: "Deprecated alias for /api/v1/trends", handler: legacyTrends},
 		{Method: "POST", Pattern: "/api/posts", Summary: "Deprecated alias for /api/v1/posts", handler: s.legacyIngest(decodePosts)},
 		{Method: "POST", Pattern: "/api/comments", Summary: "Deprecated alias for /api/v1/comments", handler: s.legacyIngest(decodeComments)},
 		{Method: "POST", Pattern: "/api/links", Summary: "Deprecated alias for /api/v1/links", handler: s.legacyIngest(decodeLinks)},
@@ -217,7 +209,7 @@ func (s *Server) handleV1Discovery(r *http.Request) (any, uint64, *apiError) {
 		Service: "mass",
 		Version: "v1",
 		OpenAPI: "/api/v1/openapi.json",
-		Live:    s.engine != nil,
+		Live:    true,
 		Limits: limits{
 			DefaultLimit: DefaultLimit,
 			MaxLimit:     MaxLimit,
@@ -225,5 +217,5 @@ func (s *Server) handleV1Discovery(r *http.Request) (any, uint64, *apiError) {
 			MaxBodyBytes: maxBodyBytes,
 		},
 		Routes: s.routes,
-	}, s.current().Seq, nil
+	}, s.cluster.View().MaxSeq(), nil
 }

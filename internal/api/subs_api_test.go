@@ -219,28 +219,6 @@ func TestSubscriptionLifecycle(t *testing.T) {
 	}
 }
 
-// TestSubscriptionsReadOnly: the subscription surface requires a live
-// engine.
-func TestSubscriptionsReadOnly(t *testing.T) {
-	ts, _ := server(t)
-	resp, err := http.Post(ts.URL+"/api/v1/subscriptions", "application/json",
-		strings.NewReader(`{"entity":"bloggers"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var env Envelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	if env.Error == nil || env.Error.Code != ErrCodeReadOnly {
-		t.Fatalf("error %+v", env.Error)
-	}
-}
-
 // TestSubscriptionValidation: bad ASTs and unknown IDs answer with the
 // envelope vocabulary.
 func TestSubscriptionValidation(t *testing.T) {

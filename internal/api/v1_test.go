@@ -18,31 +18,15 @@ import (
 	"time"
 )
 
-func mustSystem(t *testing.T) *core.System {
-	t.Helper()
-	sys, err := core.FromCorpus(blog.Figure1Corpus(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
-}
-
 // v1EngineServer is engineServer but also hands back the *Server for
 // white-box assertions (trend-cache counters).
 func v1EngineServer(t *testing.T, opts ...Option) (*httptest.Server, *core.Engine, *Server) {
 	t.Helper()
-	e, err := core.NewEngine(blog.Figure1Corpus(), core.EngineOptions{
-		FlushEvery:    1 << 20, // manual Refresh only, so tests are deterministic
-		FlushInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	srv := NewEngine(e, opts...)
+	cl := oneShard(t)
+	srv := NewCluster(cl, opts...)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	return ts, e, srv
+	return ts, cl.Shard(0), srv
 }
 
 // envelope mirrors the wire shape for decoding in tests.
@@ -350,8 +334,7 @@ func TestV1ETagConditionalGET(t *testing.T) {
 }
 
 func TestV1RateLimit(t *testing.T) {
-	sys := mustSystem(t)
-	ts := httptest.NewServer(New(sys, WithRateLimit(0.001, 2)))
+	ts := httptest.NewServer(NewCluster(oneShard(t), WithRateLimit(0.001, 2)))
 	defer ts.Close()
 
 	for i := 0; i < 2; i++ {
@@ -499,14 +482,6 @@ func TestV1IngestEnvelope(t *testing.T) {
 	}
 }
 
-func TestV1IngestReadOnly(t *testing.T) {
-	ts, _ := server(t)
-	code, env := postEnvelope(t, ts.URL+"/api/v1/posts", `{"id":"x","author":"Zoe","body":"hi"}`)
-	if code != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != ErrCodeReadOnly {
-		t.Fatalf("status=%d error=%+v", code, env.Error)
-	}
-}
-
 func TestV1Discovery(t *testing.T) {
 	ts, _ := server(t)
 	code, _, env := getEnvelope(t, ts.URL+"/api/v1")
@@ -548,8 +523,7 @@ func TestRequestID(t *testing.T) {
 }
 
 func TestPanicRecovery(t *testing.T) {
-	sys := mustSystem(t)
-	s := New(sys)
+	s := NewCluster(oneShard(t))
 	h := s.withMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
 	}))

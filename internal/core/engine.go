@@ -73,13 +73,6 @@ func (s *Snapshot) ETag() string {
 	return fmt.Sprintf(`"mass-seq-%d"`, s.Seq)
 }
 
-// StaticSnapshot wraps a one-shot System as a frozen generation-1
-// snapshot, so snapshot-oriented consumers (the API server) can serve
-// static and live systems through the same interface.
-func StaticSnapshot(sys *System) *Snapshot {
-	return &Snapshot{System: sys, Seq: 1}
-}
-
 // EngineStatus is a point-in-time health report (the /api/engine payload).
 type EngineStatus struct {
 	Seq              uint64        `json:"seq"`

@@ -20,8 +20,8 @@ type cacheEntry struct {
 
 // DefaultCacheEntries bounds the memo. Unlike the trend cache, whose key
 // space is a pair of capped integers, the query key space is arbitrary
-// client-controlled JSON — without a cap, a static server (whose seq
-// never moves, so stale-seq eviction never fires) could be grown without
+// client-controlled JSON — without a cap, a server taking no writes (whose
+// seq never moves, so stale-seq eviction never fires) could be grown without
 // bound by distinct queries, and a hub full of distinct standing
 // subscriptions would pin one entry per query per generation. At the
 // cap the least-recently-used entry is evicted: this is a memo, losing

@@ -519,7 +519,7 @@ func TestCache(t *testing.T) {
 }
 
 // TestCacheBounded: distinct queries within one generation cannot grow
-// the memo without bound (static servers never advance the seq, so the
+// the memo without bound (a server taking no writes never advances the seq, so the
 // stale-seq eviction alone is not enough).
 func TestCacheBounded(t *testing.T) {
 	f := testFixture(t)
