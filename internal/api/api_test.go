@@ -31,10 +31,8 @@ func oneShard(t *testing.T) *cluster.Cluster {
 // behind its current snapshot.
 func server(t *testing.T) (*httptest.Server, *core.System) {
 	t.Helper()
-	cl := oneShard(t)
-	ts := httptest.NewServer(NewCluster(cl))
-	t.Cleanup(ts.Close)
-	return ts, cl.Shard(0).Current().System
+	ts, e, _ := v1EngineServer(t)
+	return ts, e.Current().System
 }
 
 func getJSON(t *testing.T, url string, v interface{}) int {

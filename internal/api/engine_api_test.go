@@ -14,10 +14,8 @@ import (
 // engineServer serves a 1-shard cluster and hands back its engine.
 func engineServer(t *testing.T) (*httptest.Server, *core.Engine) {
 	t.Helper()
-	cl := oneShard(t)
-	ts := httptest.NewServer(NewCluster(cl))
-	t.Cleanup(ts.Close)
-	return ts, cl.Shard(0)
+	ts, e, _ := v1EngineServer(t)
+	return ts, e
 }
 
 func TestIngestPostVisibleAfterRefresh(t *testing.T) {
