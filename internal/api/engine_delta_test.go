@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/core"
 )
 
 // TestV1EngineDeltaCounters pins the incremental-PageRank counters on the
@@ -49,10 +50,10 @@ func TestV1EngineDeltaCounters(t *testing.T) {
 	// A flush that changes the graph must move exactly one of the path
 	// counters (delta when the push state absorbs it, fallback otherwise —
 	// which one depends on the residual-mass bound, not on the API).
-	if err := e.AddBlogger(&blog.Blogger{ID: "api-delta-newcomer"}); err != nil {
+	if err := e.AddBatch(core.Batch{Bloggers: []*blog.Blogger{{ID: "api-delta-newcomer"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddLink("api-delta-newcomer", "Amery"); err != nil {
+	if err := e.AddBatch(core.Batch{Links: []blog.Link{{From: "api-delta-newcomer", To: "Amery"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {

@@ -77,10 +77,10 @@ func TestV1EngineDurabilityCounters(t *testing.T) {
 		t.Fatalf("pre-ingest walRecords = %d, want 0", got)
 	}
 
-	if err := e.AddPost(&blog.Post{
+	if err := e.AddBatch(core.Batch{Posts: []*blog.Post{{
 		ID: "durable-api-p1", Author: "Amery", Title: "durable",
 		Body: "a post that must hit the log", Posted: time.Unix(1700300000, 0),
-	}); err != nil {
+	}}}); err != nil {
 		t.Fatal(err)
 	}
 	fields = fetch()

@@ -187,8 +187,8 @@ func (s *Server) ingest(dec decodeFunc, r *http.Request, strict bool) (ingestRes
 		}
 		return ingestResponse{}, errf(http.StatusBadRequest, ErrCodeValidation, "%v", err)
 	}
-	st := s.cluster.Status()
-	return ingestResponse{Accepted: accepted, Pending: st.Pending, Seq: st.Seq}, nil
+	pending, seq := s.cluster.Progress()
+	return ingestResponse{Accepted: accepted, Pending: pending, Seq: seq}, nil
 }
 
 // v1Ingest wraps an ingestion endpoint in the v1 envelope: 202 Accepted

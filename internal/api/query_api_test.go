@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/core"
 	"mass/internal/lexicon"
 	"mass/internal/rank"
 )
@@ -134,7 +135,7 @@ func TestQueryEndpointAcrossFlush(t *testing.T) {
 	_, hdr, env := postQuery(t, ts.URL, `{"entity":"bloggers","limit":2}`)
 	etag := hdr.Get("ETag")
 	seq := env.Meta.Seq
-	if err := e.AddPost(&blog.Post{ID: "qflush", Author: "Zoe", Body: "fresh basketball coverage for the playoffs"}); err != nil {
+	if err := e.AddBatch(core.Batch{Posts: []*blog.Post{{ID: "qflush", Author: "Zoe", Body: "fresh basketball coverage for the playoffs"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {

@@ -166,7 +166,7 @@ func TestHealthzFailStop(t *testing.T) {
 	}
 
 	ffs.fail.Store(true)
-	if err := e.AddPost(&blog.Post{ID: "hp1", Author: "Zoe", Body: "x"}); err == nil {
+	if err := e.AddBatch(core.Batch{Posts: []*blog.Post{{ID: "hp1", Author: "Zoe", Body: "x"}}}); err == nil {
 		t.Fatal("write during fsync failure must not be acknowledged")
 	}
 	sc, _, b = fetch(t, "GET", ts.URL+"/api/v1/healthz", "")

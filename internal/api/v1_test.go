@@ -593,11 +593,11 @@ func TestV1ConcurrentReadsAndIngest(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if err := e.AddPost(&blog.Post{
+			if err := e.AddBatch(core.Batch{Posts: []*blog.Post{{
 				ID:     blog.PostID("conc-" + string(rune('a'+i))),
 				Author: "Zoe",
 				Body:   "concurrent ingest payload",
-			}); err != nil {
+			}}}); err != nil {
 				t.Error(err)
 				return
 			}

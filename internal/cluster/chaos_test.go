@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"mass/internal/blog"
+	"mass/internal/blogserver"
 	"mass/internal/core"
 	"mass/internal/linkrank"
 	"mass/internal/query"
@@ -212,6 +214,137 @@ func TestSpillAckAndShedOverload(t *testing.T) {
 	}
 	if got := cl.FullStatus().ReplayedRecords; got < 4 {
 		t.Fatalf("replayedRecords = %d, want >= 4", got)
+	}
+}
+
+// TestShedWriteIsSafeToRetry: a write shed with OverloadError must have
+// applied nothing, so the client's retry after recovery succeeds. Here the
+// batch's own part fits on healthy shard 0, but the stub for its
+// cross-shard link targets shard 1, which is down with a full spill queue.
+func TestShedWriteIsSafeToRetry(t *testing.T) {
+	opts := supervisedOptions(3)
+	opts.SpillLimit = 1
+	cl, err := New(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wedged atomic.Bool
+	wedged.Store(true)
+	cl.SetSlowShardHook(func(si int) {
+		if si == 1 && wedged.Load() {
+			time.Sleep(200 * time.Millisecond) // > ProbeTimeout: stays Recovering
+		}
+	})
+	cl.CrashShard(1)
+	if err := cl.AddBatch(core.Batch{Bloggers: []*blog.Blogger{{ID: ownedID(cl, 1, "filler")}}}); err != nil {
+		t.Fatalf("filler write not spilled: %v", err)
+	}
+
+	a, b := ownedID(cl, 0, "a"), ownedID(cl, 1, "b")
+	when := time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC)
+	batch := func() core.Batch {
+		return core.Batch{
+			Bloggers: []*blog.Blogger{{ID: a, Name: "A"}},
+			Posts:    []*blog.Post{post("shed-p", string(a), when)},
+			Links:    []blog.Link{{From: a, To: b}},
+		}
+	}
+	var ov *OverloadError
+	if err := cl.AddBatch(batch()); !errors.As(err, &ov) {
+		t.Fatalf("write against a full spill queue returned %v, want OverloadError", err)
+	}
+	if _, ok := cl.Shard(0).DetachCorpus().Posts["shed-p"]; ok {
+		t.Fatal("a shed write was partly applied")
+	}
+
+	wedged.Store(false)
+	waitSettled(t, cl, 10*time.Second)
+	if err := cl.AddBatch(batch()); err != nil {
+		t.Fatalf("retry of a shed write: %v", err)
+	}
+	if _, ok := cl.Shard(0).DetachCorpus().Posts["shed-p"]; !ok || cl.BoundaryEdges() != 1 {
+		t.Fatalf("retried write missing: post=%v boundary=%d", ok, cl.BoundaryEdges())
+	}
+}
+
+// chaosPages builds crawled pages over the bloggers of chaosBatches: each
+// enriches a profile (with a friend), re-serves an old post next to a new
+// one, and links out and back across shards.
+func chaosPages(n int, seed int64) []*blogserver.Page {
+	rng := rand.New(rand.NewSource(seed))
+	when := time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
+	out := make([]*blogserver.Page, n)
+	for i := range out {
+		id := fmt.Sprintf("k%04d", i)
+		other := func() blog.BloggerID { return blog.BloggerID(fmt.Sprintf("k%04d", rng.Intn(n))) }
+		out[i] = &blogserver.Page{
+			Blogger: blog.Blogger{ID: blog.BloggerID(id), Name: "B " + id, Profile: "crawled " + id,
+				Friends: []blog.BloggerID{other()}},
+			Posts:     []blog.Post{*post("kp"+id, id, when), *post("pg"+id, id, when.Add(time.Duration(i)*time.Minute))},
+			Links:     []blog.BloggerID{other(), other()},
+			Linkbacks: []blog.BloggerID{other()},
+		}
+	}
+	return out
+}
+
+// TestSpillReplayEqualsLiveApply: the same batches and pages sent to a
+// healthy 3-shard cluster and to one whose shard 1 is down until every
+// write has spilled must leave identical shards behind — the invariant
+// that spill replay (ApplyOps over the spilled ops) reproduces live apply.
+func TestSpillReplayEqualsLiveApply(t *testing.T) {
+	live, err := New(nil, supervisedOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	spilled, err := New(nil, supervisedOptions(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spilled.Close()
+	var wedged atomic.Bool
+	wedged.Store(true)
+	spilled.SetSlowShardHook(func(si int) {
+		if si == 1 && wedged.Load() {
+			time.Sleep(200 * time.Millisecond)
+		}
+	})
+	spilled.CrashShard(1)
+
+	for _, cl := range []*Cluster{live, spilled} {
+		for i, b := range chaosBatches(30, 5) {
+			if err := cl.AddBatch(b); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+		for i, p := range chaosPages(30, 6) {
+			if err := cl.IngestPage(p); err != nil {
+				t.Fatalf("page %d: %v", i, err)
+			}
+		}
+	}
+	if fs := spilled.FullStatus(); fs.SpillPending == 0 || fs.ShardHealth[1] == "healthy" {
+		t.Fatalf("shard 1 did not spill: %+v", fs)
+	}
+	wedged.Store(false)
+	waitSettled(t, spilled, 10*time.Second)
+
+	for s := 0; s < 3; s++ {
+		want, got := live.Shard(s).DetachCorpus(), spilled.Shard(s).DetachCorpus()
+		if !reflect.DeepEqual(got.Bloggers, want.Bloggers) {
+			t.Fatalf("shard %d: bloggers differ after replay", s)
+		}
+		if !reflect.DeepEqual(got.Posts, want.Posts) {
+			t.Fatalf("shard %d: posts differ after replay", s)
+		}
+		if !reflect.DeepEqual(got.Links, want.Links) {
+			t.Fatalf("shard %d: links differ after replay:\n got %v\nwant %v", s, got.Links, want.Links)
+		}
+	}
+	if got, want := spilled.boundarySnapshot(), live.boundarySnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("boundary edges differ: %d vs %d", len(got), len(want))
 	}
 }
 

@@ -272,7 +272,7 @@ func New(c *blog.Corpus, opts Options) (*Cluster, error) {
 	}
 	// Persist preload boundary edges not already recovered from the log.
 	for _, l := range boundary {
-		if err := cl.addBoundary(l.From, l.To); err != nil {
+		if err := cl.addBoundary(l); err != nil {
 			cl.closeShards(len(cl.shards))
 			return nil, err
 		}
@@ -428,30 +428,16 @@ func (cl *Cluster) boundarySnapshot() []blog.Link {
 	return out
 }
 
-// addBoundary admits one cross-shard edge: stub endpoints on their owner
-// shards (so per-shard solves and the merged node union see them), then
-// dedup into the set and append to the boundary WAL.
-func (cl *Cluster) addBoundary(from, to blog.BloggerID) error {
-	for _, id := range [2]blog.BloggerID{from, to} {
-		id := id
-		sh := cl.shards[cl.Owner(id)]
-		err := cl.applyShard(sh,
-			func(e *core.Engine) error { return e.EnsureBlogger(id) },
-			func() []wal.Op {
-				return []wal.Op{{Kind: wal.OpBlogger, Blogger: &blog.Blogger{ID: id}}}
-			})
-		if err != nil {
-			return err
-		}
-	}
-	l := blog.Link{From: from, To: to}
+// addBoundary admits one cross-shard edge: dedup into the set and append
+// to the boundary WAL. Its endpoints' stubs are the caller's to admit.
+func (cl *Cluster) addBoundary(l blog.Link) error {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if _, dup := cl.boundary[l]; dup {
 		return nil
 	}
 	if cl.bwal != nil {
-		if err := cl.bwal.Append(wal.Op{Kind: wal.OpLink, From: from, To: to}); err != nil {
+		if err := cl.bwal.Append(wal.Op{Kind: wal.OpLink, From: l.From, To: l.To}); err != nil {
 			return err
 		}
 	}
@@ -459,131 +445,131 @@ func (cl *Cluster) addBoundary(from, to blog.BloggerID) error {
 	return nil
 }
 
-// AddBatch splits one ingest batch along ring ownership and applies the
-// per-shard sub-batches. Atomicity is per shard, not global: a sub-batch
-// that fails on one shard does not undo sub-batches already applied on
-// others (the error still reports the failure). Cross-shard links go to
-// the boundary set with stub endpoints admitted on their owner shards.
-func (cl *Cluster) AddBatch(b core.Batch) error {
-	if len(cl.shards) == 1 {
-		sh := cl.shards[0]
-		return cl.applyShard(sh,
-			func(e *core.Engine) error { return e.AddBatch(b) },
-			func() []wal.Op { return batchOps(b) })
+// AddBatch routes one ingest batch across the shards (see write).
+func (cl *Cluster) AddBatch(b core.Batch) error { return cl.write(core.BatchWrite, b.Ops()) }
+
+// IngestPage routes one crawled page across the shards (see write).
+// Implements crawler.Sink, so a streaming crawl can feed the cluster
+// directly.
+func (cl *Cluster) IngestPage(page *blogserver.Page) error {
+	if page == nil {
+		return fmt.Errorf("cluster: nil page")
 	}
-	parts := make([]core.Batch, len(cl.shards))
-	for _, bl := range b.Bloggers {
-		s := cl.Owner(bl.ID)
-		parts[s].Bloggers = append(parts[s].Bloggers, bl)
+	return cl.write(core.PageWrite, core.PageOps(page))
+}
+
+// write routes one write's ops once (see route) and applies each shard's
+// part, then the stubs for cross-shard links, then the links themselves.
+// Atomicity is per shard, not global: a part one shard rejects does not
+// undo parts already applied on others (the error still reports it). A
+// write is shed with OverloadError only before any of it is applied: every
+// target shard's spill capacity is checked against the plan first, and
+// once one part has landed the rest spill past SpillLimit if they must —
+// so a shed write is always safe to retry.
+func (cl *Cluster) write(mode core.WriteMode, ops []wal.Op) error {
+	parts, stubs, cross, err := cl.route(ops)
+	if err != nil {
+		return err
 	}
-	batchPosts := make(map[blog.PostID]int)
-	for _, p := range b.Posts {
-		s := cl.Owner(p.Author)
-		parts[s].Posts = append(parts[s].Posts, p)
-		batchPosts[p.ID] = s
-	}
-	cl.mu.Lock()
-	for _, bc := range b.Comments {
-		s, ok := batchPosts[bc.Post]
-		if !ok {
-			if s, ok = cl.postOwner[bc.Post]; !ok {
-				cl.mu.Unlock()
-				return fmt.Errorf("cluster: comment on unknown post %q", bc.Post)
-			}
-		}
-		parts[s].Comments = append(parts[s].Comments, bc)
-	}
-	cl.mu.Unlock()
-	var crossLinks []blog.Link
-	for _, l := range b.Links {
-		sf, st := cl.Owner(l.From), cl.Owner(l.To)
-		if sf == st {
-			parts[sf].Links = append(parts[sf].Links, l)
-		} else {
-			if l.From == "" || l.To == "" {
-				return fmt.Errorf("cluster: link endpoints must be non-empty")
-			}
-			crossLinks = append(crossLinks, l)
+	for s, sh := range cl.shards {
+		sh.mu.Lock()
+		full := sh.breakerOpen() && len(parts[s])+len(stubs[s]) > 0 &&
+			len(sh.spill.pending())+len(parts[s])+len(stubs[s]) > cl.opts.SpillLimit
+		sh.mu.Unlock()
+		if full {
+			return cl.partErr(s, cl.shed(sh))
 		}
 	}
-	for s, part := range parts {
-		if part.Size() == 0 {
-			continue
+	landed := false
+	apply := func(s int, mode core.WriteMode, ops []wal.Op) error {
+		if len(ops) == 0 {
+			return nil
 		}
-		part := part
-		err := cl.applyShard(cl.shards[s],
-			func(e *core.Engine) error { return e.AddBatch(part) },
-			func() []wal.Op { return batchOps(part) })
-		if err != nil {
-			return fmt.Errorf("cluster: shard %d: %w", s, err)
+		if err := cl.applyShard(cl.shards[s], mode, ops, landed); err != nil {
+			return cl.partErr(s, err)
 		}
-	}
-	if len(batchPosts) > 0 {
+		landed = true
 		cl.mu.Lock()
-		for pid, s := range batchPosts {
-			cl.postOwner[pid] = s
+		for _, op := range ops {
+			if op.Kind == wal.OpPost && op.Post != nil {
+				cl.postOwner[op.Post.ID] = s
+			}
 		}
 		cl.mu.Unlock()
+		return nil
 	}
-	for _, l := range crossLinks {
-		if err := cl.addBoundary(l.From, l.To); err != nil {
+	for s := range cl.shards {
+		if err := apply(s, mode, parts[s]); err != nil {
+			return err
+		}
+	}
+	for s := range cl.shards {
+		if err := apply(s, core.StubWrite, stubs[s]); err != nil {
+			return err
+		}
+	}
+	for _, l := range cross {
+		if err := cl.addBoundary(l); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// IngestPage routes one crawled page to the blogger's owner shard,
-// diverting cross-shard link edges to the boundary set. Implements
-// crawler.Sink, so a streaming crawl can feed the cluster directly.
-func (cl *Cluster) IngestPage(page *blogserver.Page) error {
-	if page == nil {
-		return fmt.Errorf("cluster: nil page")
+// route splits a write's ops along ring ownership: bloggers and
+// intra-shard links to their owner, posts to their author's shard,
+// comments to their post's. A cross-shard link goes to the boundary set,
+// with a stub for each endpoint on its owner shard so the merged node set
+// stays exactly the global one. At one shard every op routes to shard 0.
+// Only a comment on a post the cluster has never seen cannot be routed.
+func (cl *Cluster) route(ops []wal.Op) (parts, stubs [][]wal.Op, cross []blog.Link, err error) {
+	parts, stubs = make([][]wal.Op, len(cl.shards)), make([][]wal.Op, len(cl.shards))
+	stub := func(s int, id blog.BloggerID) {
+		stubs[s] = append(stubs[s], wal.Op{Kind: wal.OpBlogger, Blogger: &blog.Blogger{ID: id}})
 	}
+	posts := make(map[blog.PostID]int)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for _, op := range ops {
+		s := 0
+		switch {
+		case op.Kind == wal.OpBlogger && op.Blogger != nil:
+			s = cl.Owner(op.Blogger.ID)
+		case op.Kind == wal.OpPost && op.Post != nil:
+			s = cl.Owner(op.Post.Author)
+			posts[op.Post.ID] = s
+		case op.Kind == wal.OpComment:
+			var ok bool
+			if s, ok = posts[op.PostID]; !ok {
+				if s, ok = cl.postOwner[op.PostID]; !ok {
+					return nil, nil, nil, fmt.Errorf("core: comment on unknown post %q", op.PostID)
+				}
+			}
+		case op.Kind == wal.OpLink:
+			s = cl.Owner(op.From)
+			if t := cl.Owner(op.To); t != s {
+				if op.From == "" || op.To == "" {
+					return nil, nil, nil, fmt.Errorf("cluster: link endpoints must be non-empty")
+				}
+				stub(s, op.From)
+				stub(t, op.To)
+				cross = append(cross, blog.Link{From: op.From, To: op.To})
+				continue
+			}
+		}
+		parts[s] = append(parts[s], op)
+	}
+	return parts, stubs, cross, nil
+}
+
+// partErr attributes shard s's rejection of its part of a write. A
+// one-shard cluster is a bare engine, so the engine's error passes through
+// unchanged.
+func (cl *Cluster) partErr(s int, err error) error {
 	if len(cl.shards) == 1 {
-		sh := cl.shards[0]
-		return cl.applyShard(sh,
-			func(e *core.Engine) error { return e.IngestPage(page) },
-			func() []wal.Op { return pageOps(page) })
-	}
-	s := cl.Owner(page.Blogger.ID)
-	local := *page
-	local.Links = nil
-	local.Linkbacks = nil
-	var cross []blog.Link
-	for _, target := range page.Links {
-		if target != page.Blogger.ID && cl.Owner(target) != s {
-			cross = append(cross, blog.Link{From: page.Blogger.ID, To: target})
-		} else {
-			local.Links = append(local.Links, target)
-		}
-	}
-	for _, source := range page.Linkbacks {
-		if source != page.Blogger.ID && cl.Owner(source) != s {
-			cross = append(cross, blog.Link{From: source, To: page.Blogger.ID})
-		} else {
-			local.Linkbacks = append(local.Linkbacks, source)
-		}
-	}
-	err := cl.applyShard(cl.shards[s],
-		func(e *core.Engine) error { return e.IngestPage(&local) },
-		func() []wal.Op { return pageOps(&local) })
-	if err != nil {
 		return err
 	}
-	if len(page.Posts) > 0 {
-		cl.mu.Lock()
-		for i := range page.Posts {
-			cl.postOwner[page.Posts[i].ID] = s
-		}
-		cl.mu.Unlock()
-	}
-	for _, l := range cross {
-		if err := cl.addBoundary(l.From, l.To); err != nil {
-			return err
-		}
-	}
-	return nil
+	return fmt.Errorf("cluster: shard %d: %w", s, err)
 }
 
 // Subscriptions exposes the shard-0 hub in single-shard mode (where the
@@ -698,6 +684,18 @@ func (cl *Cluster) Status() core.EngineStatus {
 	}
 	out.Links += cl.BoundaryEdges()
 	return out
+}
+
+// Progress reports what an ingest acknowledgment carries — mutations
+// pending across the shards and the highest published generation, the
+// Pending and Seq of Status — without Status's per-blogger ownership scan.
+func (cl *Cluster) Progress() (pending int, seq uint64) {
+	for _, sh := range cl.shards {
+		e := sh.eng.Load()
+		pending += e.Pending()
+		seq = max(seq, e.Current().Seq)
+	}
+	return pending, seq
 }
 
 // ClusterStatus is Status plus the cluster-only counters (the

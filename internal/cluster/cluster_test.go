@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -218,5 +221,90 @@ func TestStatusCountsOwnedBloggersOnce(t *testing.T) {
 	}
 	if st.Links != intra+cl.BoundaryEdges() {
 		t.Fatalf("merged links = %d, want %d intra + %d boundary", st.Links, intra, cl.BoundaryEdges())
+	}
+}
+
+// TestConcurrentWritesMatchSequential: writers on disjoint bloggers racing
+// through the router must leave every shard, the boundary set and the
+// mutation counts exactly as the same writes sent one at a time do.
+func TestConcurrentWritesMatchSequential(t *testing.T) {
+	const writers, perWriter = 4, 25
+	when := time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC)
+	batches := func(w int) []core.Batch {
+		out := make([]core.Batch, perWriter)
+		for i := range out {
+			id := fmt.Sprintf("w%d-%03d", w, i)
+			out[i] = core.Batch{
+				Bloggers: []*blog.Blogger{{ID: blog.BloggerID(id), Name: id}},
+				Posts:    []*blog.Post{post("p"+id, id, when.Add(time.Duration(i)*time.Minute))},
+			}
+			if i > 0 {
+				prev := fmt.Sprintf("w%d-%03d", w, (i*7+3)%i)
+				out[i].Links = []blog.Link{{From: blog.BloggerID(id), To: blog.BloggerID(prev)}}
+				out[i].Comments = []core.BatchComment{{Post: blog.PostID("p" + prev),
+					Comment: blog.Comment{Commenter: blog.BloggerID(id), Text: "re " + prev, Posted: when}}}
+			}
+		}
+		return out
+	}
+	shape := func(c *blog.Corpus) (bloggers map[blog.BloggerID]string, comments map[blog.PostID]int, links []string) {
+		bloggers, comments = map[blog.BloggerID]string{}, map[blog.PostID]int{}
+		for id, b := range c.Bloggers {
+			bloggers[id] = b.Name
+		}
+		for id, p := range c.Posts {
+			comments[id] = len(p.Comments)
+		}
+		for _, l := range c.Links {
+			links = append(links, string(l.From)+">"+string(l.To))
+		}
+		sort.Strings(links)
+		return bloggers, comments, links
+	}
+
+	seq, err := New(nil, Options{Shards: 3, Engine: quietEngine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seq.Close()
+	conc, err := New(nil, Options{Shards: 3, Engine: quietEngine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conc.Close()
+	for w := 0; w < writers; w++ {
+		for _, b := range batches(w) {
+			if err := seq.AddBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, b := range batches(w) {
+				if err := conc.AddBatch(b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	for s := 0; s < 3; s++ {
+		wb, wc, wl := shape(seq.Shard(s).DetachCorpus())
+		gb, gc, gl := shape(conc.Shard(s).DetachCorpus())
+		if !reflect.DeepEqual(gb, wb) || !reflect.DeepEqual(gc, wc) || !reflect.DeepEqual(gl, wl) {
+			t.Fatalf("shard %d differs from the sequential run", s)
+		}
+	}
+	if got, want := conc.boundarySnapshot(), seq.boundarySnapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("boundary edges differ: %d vs %d", len(got), len(want))
+	}
+	if got, want := conc.Status().TotalMutations, seq.Status().TotalMutations; got != want {
+		t.Fatalf("concurrent writes counted %d mutations, sequential %d", got, want)
 	}
 }

@@ -62,8 +62,9 @@ func newSpillQueue(limit int, dir string, fs wal.FS) (*spillQueue, error) {
 // enqueue buffers ops, durably when the queue is WAL-backed. All-or-
 // nothing against the limit: a batch that would overflow is rejected
 // whole, so replay order never interleaves halves of one ingest call.
-func (q *spillQueue) enqueue(ops []wal.Op) error {
-	if len(q.ops)+len(ops) > q.limit {
+// force admits it past the limit anyway (the rest of its write has landed).
+func (q *spillQueue) enqueue(ops []wal.Op, force bool) error {
+	if !force && len(q.ops)+len(ops) > q.limit {
 		return errSpillFull
 	}
 	if q.log != nil {

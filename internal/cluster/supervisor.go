@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mass/internal/blog"
-	"mass/internal/blogserver"
 	"mass/internal/core"
 	"mass/internal/wal"
 )
@@ -124,16 +123,16 @@ func (sh *shardSlot) forceQuarantine(cl *Cluster) {
 	}
 }
 
-// guardedCall runs one engine call with panic isolation: a panicking shard
-// becomes a transient, quarantinable error instead of taking the whole
-// process down.
-func guardedCall(e *core.Engine, fn func(*core.Engine) error) (err error) {
+// guardedWrite runs one engine write with panic isolation: a panicking
+// shard becomes a transient, quarantinable error instead of taking the
+// whole process down.
+func guardedWrite(e *core.Engine, mode core.WriteMode, ops []wal.Op) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: %v", errShardPanic, r)
 		}
 	}()
-	return fn(e)
+	return e.Write(mode, ops)
 }
 
 // transientShardErr classifies an ingest failure: closed engine (mid
@@ -149,21 +148,22 @@ func (sh *shardSlot) transientShardErr(err error) bool {
 
 // ---------------------------------------------------------------- ingest
 
-// applyShard is the supervised write path for one shard: a live engine
-// call with panic isolation and bounded capped-backoff retries; a shard
-// with its breaker open (or one that exhausts the retries) spills the ops
-// to its queue instead, acknowledging the write for later in-order replay.
-// A saturated spill queue sheds with OverloadError.
-func (cl *Cluster) applyShard(sh *shardSlot, call func(*core.Engine) error, ops func() []wal.Op) error {
+// applyShard is the supervised write path for one shard's ops: a live
+// engine write with panic isolation and bounded capped-backoff retries; a
+// shard with its breaker open (or one that exhausts the retries) spills
+// the ops to its queue instead, acknowledging them for later in-order
+// replay. A saturated spill queue sheds with OverloadError unless force is
+// set — another part of the same write has already landed.
+func (cl *Cluster) applyShard(sh *shardSlot, mode core.WriteMode, ops []wal.Op, force bool) error {
 	var delay time.Duration
 	for attempt := 0; ; attempt++ {
 		sh.mu.Lock()
 		if sh.breakerOpen() {
-			err := cl.spillLocked(sh, ops())
+			err := cl.spillLocked(sh, ops, force)
 			sh.mu.Unlock()
 			return err
 		}
-		err := guardedCall(sh.eng.Load(), call)
+		err := guardedWrite(sh.eng.Load(), mode, ops)
 		sh.mu.Unlock()
 		if err == nil {
 			sh.recordSuccess()
@@ -190,19 +190,23 @@ func (cl *Cluster) applyShard(sh *shardSlot, call func(*core.Engine) error, ops 
 }
 
 // spillLocked buffers ops for replay, counting the acknowledgement; at
-// capacity (or when the spill WAL itself cannot make the ack durable) it
-// sheds with OverloadError. Caller holds sh.mu with the breaker open, so
-// the queue cannot be drained-and-closed between the check and the append.
-func (cl *Cluster) spillLocked(sh *shardSlot, ops []wal.Op) error {
-	if len(ops) == 0 {
-		return nil
-	}
-	if err := sh.spill.enqueue(ops); err != nil {
-		cl.shedRequests.Add(1)
-		return &OverloadError{Shard: sh.idx, RetryAfter: cl.opts.ProbeInterval}
+// capacity (unless force) or when the spill WAL itself cannot make the ack
+// durable, it sheds with OverloadError. Caller holds sh.mu with the
+// breaker open, so the queue cannot be drained-and-closed between the
+// check and the append.
+func (cl *Cluster) spillLocked(sh *shardSlot, ops []wal.Op, force bool) error {
+	if err := sh.spill.enqueue(ops, force); err != nil {
+		return cl.shed(sh)
 	}
 	cl.spilledRecords.Add(uint64(len(ops)))
 	return nil
+}
+
+// shed counts a write rejected because shard sh can neither apply nor
+// buffer it, and tells the caller when to retry.
+func (cl *Cluster) shed(sh *shardSlot) error {
+	cl.shedRequests.Add(1)
+	return &OverloadError{Shard: sh.idx, RetryAfter: cl.opts.ProbeInterval}
 }
 
 // ------------------------------------------------------------ supervisor
@@ -364,50 +368,4 @@ func (cl *Cluster) tryRejoin(sh *shardSlot) {
 	}
 	sh.consec.Store(0)
 	sh.health.Store(int32(HealthHealthy))
-}
-
-// ---------------------------------------------------------- op staging
-
-// batchOps renders a routed batch as WAL ops in engine apply order
-// (bloggers, posts, comments, links) — the exact sequence applyBatch would
-// have logged, so spill replay reproduces the state a live apply would
-// have produced.
-func batchOps(b core.Batch) []wal.Op {
-	ops := make([]wal.Op, 0, len(b.Bloggers)+len(b.Posts)+len(b.Comments)+len(b.Links))
-	for _, bl := range b.Bloggers {
-		ops = append(ops, wal.Op{Kind: wal.OpBlogger, Blogger: bl})
-	}
-	for _, p := range b.Posts {
-		ops = append(ops, wal.Op{Kind: wal.OpPost, Post: p})
-	}
-	for _, bc := range b.Comments {
-		cm := bc.Comment
-		ops = append(ops, wal.Op{Kind: wal.OpComment, PostID: bc.Post, Comment: &cm})
-	}
-	for _, l := range b.Links {
-		ops = append(ops, wal.Op{Kind: wal.OpLink, From: l.From, To: l.To})
-	}
-	return ops
-}
-
-// pageOps renders a crawled page as WAL ops, mirroring Engine.IngestPage:
-// profile upsert, posts (replay drops duplicates), then links and
-// linkbacks with self-links filtered.
-func pageOps(page *blogserver.Page) []wal.Op {
-	b := page.Blogger
-	ops := []wal.Op{{Kind: wal.OpBlogger, Blogger: &b}}
-	for i := range page.Posts {
-		ops = append(ops, wal.Op{Kind: wal.OpPost, Post: &page.Posts[i]})
-	}
-	for _, target := range page.Links {
-		if target != b.ID {
-			ops = append(ops, wal.Op{Kind: wal.OpLink, From: b.ID, To: target})
-		}
-	}
-	for _, source := range page.Linkbacks {
-		if source != b.ID {
-			ops = append(ops, wal.Op{Kind: wal.OpLink, From: source, To: b.ID})
-		}
-	}
-	return ops
 }

@@ -34,7 +34,7 @@ func addFreshLink(t *testing.T, e *Engine, ids []blog.BloggerID, round int) {
 			continue
 		}
 		before := e.Status().Links
-		if err := e.AddLink(from, to); err != nil {
+		if err := e.AddBatch(Batch{Links: []blog.Link{{From: from, To: to}}}); err != nil {
 			t.Fatal(err)
 		}
 		if e.Status().Links > before {
@@ -71,10 +71,10 @@ func TestEngineDeltaCounters(t *testing.T) {
 	pushed := st.PageRankPushed
 
 	// Node-set change: full invalidation, counted as a fallback.
-	if err := e.AddBlogger(&blog.Blogger{ID: "delta-counter-newcomer"}); err != nil {
+	if err := e.AddBatch(Batch{Bloggers: []*blog.Blogger{{ID: "delta-counter-newcomer"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddLink("delta-counter-newcomer", ids[0]); err != nil {
+	if err := e.AddBatch(Batch{Links: []blog.Link{{From: "delta-counter-newcomer", To: ids[0]}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {
@@ -129,7 +129,7 @@ func TestEngineDeltaChurnRace(t *testing.T) {
 				from := base[(g*17+i)%len(base)]
 				to := base[(g*5+i*3+1)%len(base)]
 				if from != to {
-					if err := e.AddLink(from, to); err != nil {
+					if err := e.AddBatch(Batch{Links: []blog.Link{{From: from, To: to}}}); err != nil {
 						errs <- err
 						return
 					}
@@ -138,11 +138,11 @@ func TestEngineDeltaChurnRace(t *testing.T) {
 					// Node-set change: forces the fresh-base path under the
 					// same churn.
 					id := blog.BloggerID(fmt.Sprintf("churn-%d-%d", g, i))
-					if err := e.AddBlogger(&blog.Blogger{ID: id}); err != nil {
+					if err := e.AddBatch(Batch{Bloggers: []*blog.Blogger{{ID: id}}}); err != nil {
 						errs <- err
 						return
 					}
-					if err := e.AddLink(id, base[i%len(base)]); err != nil {
+					if err := e.AddBatch(Batch{Links: []blog.Link{{From: id, To: base[i%len(base)]}}}); err != nil {
 						errs <- err
 						return
 					}

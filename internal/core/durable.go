@@ -90,59 +90,6 @@ func (e *Engine) openDurable(d DurabilityOptions) (*influence.Result, error) {
 	return prev, nil
 }
 
-// applyOp replays one logged mutation through the same helpers the live
-// ingest path uses, so replay reproduces the original state transition
-// exactly. It reports the mutation count the op contributes to the
-// engine's totals (a deduplicated link counts zero, as it did live).
-func applyOp(c *blog.Corpus, op *wal.Op) (int, error) {
-	switch op.Kind {
-	case wal.OpBlogger:
-		b := op.Blogger
-		if err := validateBlogger(b); err != nil {
-			return 0, err
-		}
-		for _, f := range b.Friends {
-			if err := ensureBlogger(c, f); err != nil {
-				return 0, err
-			}
-		}
-		if err := c.UpsertBlogger(b); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	case wal.OpPost:
-		if op.Post != nil {
-			if _, dup := c.Posts[op.Post.ID]; dup {
-				// Logged-iff-applied means this cannot happen for a log the
-				// engine wrote; tolerate it rather than refusing recovery.
-				return 0, nil
-			}
-		}
-		if err := addPost(c, op.Post); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	case wal.OpComment:
-		if op.Comment == nil {
-			return 0, fmt.Errorf("core: comment op without comment")
-		}
-		if _, ok := c.Posts[op.PostID]; !ok {
-			return 0, fmt.Errorf("core: comment on unknown post %q", op.PostID)
-		}
-		if err := ensureBlogger(c, op.Comment.Commenter); err != nil {
-			return 0, err
-		}
-		if err := c.AddComment(op.PostID, *op.Comment); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	case wal.OpLink:
-		return addLinkStubbed(c, op.From, op.To)
-	default:
-		return 0, fmt.Errorf("core: unknown WAL op kind %d", op.Kind)
-	}
-}
-
 // checkpointState assembles the snapshot for the corpus frozen at WAL
 // index idx. Caller holds analyzeSem (the cache is quiescent) and has just
 // published the analysis of frozen, so cache and published result are both

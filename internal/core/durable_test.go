@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mass/internal/blog"
+	"mass/internal/blogserver"
 	"mass/internal/influence"
 	"mass/internal/wal"
 )
@@ -57,20 +58,20 @@ func tailMutations(t *testing.T, e *Engine, bloggers []blog.BloggerID) int {
 		}
 		n++
 	}
-	must(e.AddBlogger(&blog.Blogger{ID: bloggers[0], Name: "Enriched", Profile: "travel and tea"}))
+	must(e.AddBatch(Batch{Bloggers: []*blog.Blogger{{ID: bloggers[0], Name: "Enriched", Profile: "travel and tea"}}}))
 	for i := 0; i < 6; i++ {
-		must(e.AddPost(&blog.Post{
+		must(e.AddBatch(Batch{Posts: []*blog.Post{{
 			ID:     blog.PostID(fmt.Sprintf("tail-p%d", i)),
 			Author: bloggers[i%len(bloggers)],
 			Title:  fmt.Sprintf("tail %d", i),
 			Body:   "travel stories from the coast with markets and food",
 			Posted: time.Unix(int64(1700100000+i*60), 0),
-		}))
+		}}}))
 	}
-	must(e.AddComment("tail-p0", blog.Comment{
+	must(e.AddBatch(Batch{Comments: []BatchComment{{Post: "tail-p0", Comment: blog.Comment{
 		Commenter: bloggers[1], Text: "wonderful trip", Posted: time.Unix(1700100500, 0),
-	}))
-	must(e.AddLink(bloggers[2], bloggers[3]))
+	}}}}))
+	must(e.AddBatch(Batch{Links: []blog.Link{{From: bloggers[2], To: bloggers[3]}}}))
 	return n
 }
 
@@ -227,13 +228,13 @@ func TestDurableRestartReplaysTailAndMatchesColdSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cold.Close()
-	if err := cold.AddPost(tail[0].Post); err != nil {
+	if err := cold.AddBatch(Batch{Posts: []*blog.Post{tail[0].Post}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.AddComment(tail[1].PostID, *tail[1].Comment); err != nil {
+	if err := cold.AddBatch(Batch{Comments: []BatchComment{{Post: tail[1].PostID, Comment: *tail[1].Comment}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cold.AddLink(tail[2].From, tail[2].To); err != nil {
+	if err := cold.AddBatch(Batch{Links: []blog.Link{{From: tail[2].From, To: tail[2].To}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cold.Refresh(context.Background()); err != nil {
@@ -362,7 +363,7 @@ func TestDurableConcurrentIngestVsCheckpoint(t *testing.T) {
 					Body:   "raced ingest",
 					Posted: time.Unix(int64(1700400000+w*1000+i), 0),
 				}
-				if err := e.AddPost(p); err != nil {
+				if err := e.AddBatch(Batch{Posts: []*blog.Post{p}}); err != nil {
 					t.Errorf("AddPost: %v", err)
 					return
 				}
@@ -448,16 +449,105 @@ func TestDurableFsyncFailureFailsStop(t *testing.T) {
 	ffs.mu.Unlock()
 
 	p := &blog.Post{ID: "doomed", Author: bloggers[0], Body: "never durable"}
-	if err := e.AddPost(p); err == nil {
+	if err := e.AddBatch(Batch{Posts: []*blog.Post{p}}); err == nil {
 		t.Fatalf("AddPost acknowledged a mutation the WAL could not make durable")
 	}
 	// Fail-stop is sticky: nothing is acknowledged after a lost fsync.
-	if err := e.AddLink(bloggers[1], bloggers[2]); err == nil {
+	if err := e.AddBatch(Batch{Links: []blog.Link{{From: bloggers[1], To: bloggers[2]}}}); err == nil {
 		t.Fatalf("mutation acknowledged after WAL failure")
 	}
 	if st := e.Status(); st.LastError == "" {
 		t.Fatalf("WAL failure not surfaced in status")
 	}
+}
+
+// TestIngestPageRejectedWhole: a page that fails validation partway — its
+// second post carries a comment with no commenter — must change nothing:
+// no blogger, no post, nothing pending, and a Kill plus recovery brings
+// back exactly what was in memory.
+func TestIngestPageRejectedWhole(t *testing.T) {
+	dir := t.TempDir()
+	e, err := NewEngine(synthCorpus(t, 606, 8, 30), durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := &blogserver.Page{
+		Blogger: blog.Blogger{ID: "rejected-page", Name: "Rejected"},
+		Posts: []blog.Post{
+			{ID: "rejected-p1", Author: "rejected-page", Body: "a fine first post"},
+			{ID: "rejected-p2", Author: "rejected-page", Body: "a bad second post",
+				Comments: []blog.Comment{{Text: "who wrote this?"}}},
+		},
+	}
+	if err := e.IngestPage(page); err == nil {
+		t.Fatal("IngestPage accepted a comment with an empty commenter")
+	}
+	live := e.DetachCorpus()
+	if _, ok := live.Bloggers["rejected-page"]; ok {
+		t.Fatal("rejected page left its blogger behind")
+	}
+	if _, ok := live.Posts["rejected-p1"]; ok {
+		t.Fatal("rejected page left its first post behind")
+	}
+	if st := e.Status(); st.Pending != 0 {
+		t.Fatalf("rejected page left %d mutations pending", st.Pending)
+	}
+	e.Kill()
+	e2, err := NewEngine(nil, durableOptions(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	rec := e2.DetachCorpus()
+	if len(rec.Bloggers) != len(live.Bloggers) || len(rec.Posts) != len(live.Posts) {
+		t.Fatalf("recovered %d bloggers / %d posts, memory held %d / %d",
+			len(rec.Bloggers), len(rec.Posts), len(live.Bloggers), len(live.Posts))
+	}
+}
+
+// TestWriteModesCountAndLog pins how page and stub writes count toward the
+// flush debounce and what they log: a new page counts each op; its
+// re-delivery counts zero but logs the profile upsert again; a stub for a
+// known blogger counts and logs nothing.
+func TestWriteModesCountAndLog(t *testing.T) {
+	e, err := NewEngine(synthCorpus(t, 707, 8, 30), durableOptions(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	base := e.Current().Corpus().BloggerIDs()
+	page := &blogserver.Page{
+		Blogger:   blog.Blogger{ID: "page-new", Name: "New", Profile: "tea and travel"},
+		Posts:     []blog.Post{{ID: "page-p1", Author: "page-new", Body: "first crawled post"}},
+		Links:     []blog.BloggerID{base[0], "page-new"},
+		Linkbacks: []blog.BloggerID{base[1]},
+	}
+	check := func(step string, pending int, records uint64) {
+		t.Helper()
+		if st := e.Status(); st.Pending != pending || st.WALRecords != records {
+			t.Fatalf("%s: pending=%d walRecords=%d, want %d/%d", step, st.Pending, st.WALRecords, pending, records)
+		}
+	}
+	check("boot", 0, 0)
+	if err := e.IngestPage(page); err != nil {
+		t.Fatal(err)
+	}
+	check("new page", 4, 4) // profile, post, link, linkback; the self-link is dropped
+	if err := e.IngestPage(page); err != nil {
+		t.Fatal(err)
+	}
+	check("re-delivered page", 4, 5)
+	stub := func(id blog.BloggerID) []wal.Op {
+		return []wal.Op{{Kind: wal.OpBlogger, Blogger: &blog.Blogger{ID: id}}}
+	}
+	if err := e.Write(StubWrite, stub(base[2])); err != nil {
+		t.Fatal(err)
+	}
+	check("known stub", 4, 5)
+	if err := e.Write(StubWrite, append(stub("stub-new"), stub("stub-new")...)); err != nil {
+		t.Fatal(err)
+	}
+	check("new stub twice", 5, 6)
 }
 
 func copyDataDir(t *testing.T, src, dst string) {

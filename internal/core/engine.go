@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"mass/internal/blog"
-	"mass/internal/blogserver"
 	"mass/internal/classify"
 	"mass/internal/influence"
 	"mass/internal/query"
@@ -138,7 +136,7 @@ type EngineStatus struct {
 //
 // Unknown authors, commenters and link endpoints are admitted as stub
 // bloggers (ID only), mirroring what a live crawl knows about a reference
-// before fetching it; a later AddBlogger/IngestPage enriches the stub.
+// before fetching it; a later profile upsert enriches the stub.
 type Engine struct {
 	opts EngineOptions
 	cl   classify.Classifier
@@ -265,6 +263,13 @@ func (e *Engine) Subscriptions() *subs.Hub { return e.hub }
 // returns nil.
 func (e *Engine) Current() *Snapshot { return e.snap.Load() }
 
+// Pending reports how many mutations await the next re-analysis.
+func (e *Engine) Pending() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.pending
+}
+
 // Status reports the engine's health counters.
 func (e *Engine) Status() EngineStatus {
 	e.mu.Lock()
@@ -313,422 +318,6 @@ func (e *Engine) Status() EngineStatus {
 		st.WALSyncs = ws.Syncs
 	}
 	return st
-}
-
-// --------------------------------------------------------------- mutation
-
-// ErrClosed is returned by every mutation path once the engine has been
-// closed or killed. The cluster supervisor matches it to classify a
-// rejected write as transient (the shard is restarting) rather than bad.
-var ErrClosed = errors.New("core: engine is closed")
-
-// mutate applies fn to the corpus under the write lock. fn reports how
-// many mutations it actually applied (deduplicated re-deliveries count
-// zero, so idempotent re-crawls don't trigger pointless re-analyses);
-// reaching the debounce threshold kicks the flusher.
-//
-// fn stages the ops it applied on w, which is nil (a no-op sink) when
-// durability is off. Successful ops are appended to the WAL before mutate
-// returns, still under the write lock, so log order is exactly apply order
-// and a corpus frozen under the lock matches the WAL prefix at walIdx. An
-// append failure is returned to the caller — the mutation is applied in
-// memory but is NOT durable, and the WAL's sticky fail-stop makes every
-// later mutation fail too, so the divergence cannot silently grow.
-func (e *Engine) mutate(fn func(c *blog.Corpus, w *wal.Batch) (int, error)) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	var w *wal.Batch
-	if e.wal != nil {
-		w = &wal.Batch{}
-	}
-	n, err := fn(e.corpus, w)
-	if err != nil {
-		return err
-	}
-	if w.Len() > 0 {
-		if err := e.wal.Append(w.Ops()...); err != nil {
-			e.lastErr = err
-			return err
-		}
-		e.walIdx += uint64(w.Len())
-	}
-	e.pending += n
-	e.total += uint64(n)
-	if e.pending >= e.opts.FlushEvery {
-		select {
-		case e.kick <- struct{}{}:
-		default:
-		}
-	}
-	return nil
-}
-
-// ensureBlogger admits id as a stub when unknown.
-func ensureBlogger(c *blog.Corpus, id blog.BloggerID) error {
-	if id == "" {
-		return fmt.Errorf("core: empty blogger ID")
-	}
-	if _, ok := c.Bloggers[id]; ok {
-		return nil
-	}
-	return c.AddBlogger(&blog.Blogger{ID: id})
-}
-
-// EnsureBlogger admits id as a stub blogger when unknown and is a no-op
-// when the blogger already exists. The cluster router uses it to pre-admit
-// the endpoints of cross-shard links on their owner shards before the edge
-// itself goes to the boundary set.
-func (e *Engine) EnsureBlogger(id blog.BloggerID) error {
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		if _, ok := c.Bloggers[id]; ok {
-			return 0, nil
-		}
-		if err := ensureBlogger(c, id); err != nil {
-			return 0, err
-		}
-		w.Blogger(&blog.Blogger{ID: id})
-		return 1, nil
-	})
-}
-
-// AddBlogger inserts or enriches a blogger profile.
-func (e *Engine) AddBlogger(b *blog.Blogger) error {
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		if err := validateBlogger(b); err != nil {
-			return 0, err
-		}
-		for _, f := range b.Friends {
-			if err := ensureBlogger(c, f); err != nil {
-				return 0, err
-			}
-		}
-		if err := c.UpsertBlogger(b); err != nil {
-			return 0, err
-		}
-		w.Blogger(b)
-		return 1, nil
-	})
-}
-
-// validateBlogger checks everything that could make the blogger-upsert
-// path fail, before any stub is admitted.
-func validateBlogger(b *blog.Blogger) error {
-	if b == nil || b.ID == "" {
-		return fmt.Errorf("core: blogger must have a non-empty ID")
-	}
-	for _, f := range b.Friends {
-		if f == "" {
-			return fmt.Errorf("core: blogger %q has an empty friend ID", b.ID)
-		}
-	}
-	return nil
-}
-
-// AddPost ingests a new post. The author and commenters are admitted as
-// stubs when unknown; a duplicate post ID is an error.
-func (e *Engine) AddPost(p *blog.Post) error {
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		if err := addPost(c, p); err != nil {
-			return 0, err
-		}
-		w.Post(p)
-		return 1, nil
-	})
-}
-
-// validatePost checks everything that could make addPost fail, before any
-// stub is admitted, so a rejected post leaves no partial state.
-func validatePost(c *blog.Corpus, p *blog.Post) error {
-	if p == nil || p.ID == "" {
-		return fmt.Errorf("core: post must have a non-empty ID")
-	}
-	if p.Author == "" {
-		return fmt.Errorf("core: post %q has an empty author", p.ID)
-	}
-	if _, dup := c.Posts[p.ID]; dup {
-		return fmt.Errorf("core: duplicate post %q", p.ID)
-	}
-	for i, cm := range p.Comments {
-		if cm.Commenter == "" {
-			return fmt.Errorf("core: post %q comment %d has an empty commenter", p.ID, i)
-		}
-	}
-	return nil
-}
-
-func addPost(c *blog.Corpus, p *blog.Post) error {
-	if err := validatePost(c, p); err != nil {
-		return err
-	}
-	if err := ensureBlogger(c, p.Author); err != nil {
-		return err
-	}
-	for _, cm := range p.Comments {
-		if err := ensureBlogger(c, cm.Commenter); err != nil {
-			return err
-		}
-	}
-	return c.AddPost(p)
-}
-
-// AddComment ingests a comment on an existing post, admitting the
-// commenter as a stub when unknown. The post is checked first so a
-// rejected comment leaves no stub behind.
-func (e *Engine) AddComment(pid blog.PostID, cm blog.Comment) error {
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		if _, ok := c.Posts[pid]; !ok {
-			return 0, fmt.Errorf("core: comment on unknown post %q", pid)
-		}
-		if err := ensureBlogger(c, cm.Commenter); err != nil {
-			return 0, err
-		}
-		if err := c.AddComment(pid, cm); err != nil {
-			return 0, err
-		}
-		w.Comment(pid, &cm)
-		return 1, nil
-	})
-}
-
-// AddLink ingests a hyperlink, admitting unknown endpoints as stubs.
-// Re-ingesting an existing link is a no-op (the crawl graph reports most
-// edges from both ends).
-func (e *Engine) AddLink(from, to blog.BloggerID) error {
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		n, err := addLinkStubbed(c, from, to)
-		if n > 0 {
-			// Deduplicated links are dropped entirely, so they are not
-			// logged either — replay reproduces the dedup decision for free.
-			w.Link(from, to)
-		}
-		return n, err
-	})
-}
-
-// addLinkStubbed admits unknown endpoints as stubs and records the edge
-// once, reporting whether it was new. Both endpoints are validated before
-// any stub is admitted.
-func addLinkStubbed(c *blog.Corpus, from, to blog.BloggerID) (int, error) {
-	if from == "" || to == "" {
-		return 0, fmt.Errorf("core: link endpoints must be non-empty")
-	}
-	if from == to {
-		return 0, fmt.Errorf("core: self-link %q rejected", from)
-	}
-	if err := ensureBlogger(c, from); err != nil {
-		return 0, err
-	}
-	if err := ensureBlogger(c, to); err != nil {
-		return 0, err
-	}
-	added, err := c.AddLinkDedup(from, to)
-	if err != nil {
-		return 0, err
-	}
-	if !added {
-		return 0, nil
-	}
-	return 1, nil
-}
-
-// Batch is a bundle of mutations applied atomically under one lock
-// acquisition — the bulk-ingestion variant of the AddX calls.
-type Batch struct {
-	Bloggers []*blog.Blogger
-	Posts    []*blog.Post
-	Comments []BatchComment
-	Links    []blog.Link
-}
-
-// BatchComment targets one post with one comment.
-type BatchComment struct {
-	Post    blog.PostID
-	Comment blog.Comment
-}
-
-func (b Batch) size() int {
-	return len(b.Bloggers) + len(b.Posts) + len(b.Comments) + len(b.Links)
-}
-
-// Size reports how many mutations the batch carries.
-func (b Batch) Size() int { return b.size() }
-
-// AddBatch applies every mutation in the batch atomically: either all of
-// it lands (counting the mutations actually applied toward the debounce),
-// or none does and the first error is returned. Validation is a cheap
-// field-level pass — the apply step cannot fail afterwards, so no corpus
-// copy or rollback is needed.
-func (e *Engine) AddBatch(b Batch) error {
-	if b.size() == 0 {
-		return nil
-	}
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-		if err := validateBatch(c, b); err != nil {
-			return 0, err
-		}
-		return applyBatch(c, b, w)
-	})
-}
-
-// validateBatch checks everything that could make applyBatch fail, without
-// touching the corpus: empty IDs, duplicate posts (against the corpus and
-// within the batch), comments on posts that will not exist, self-links.
-// Unknown bloggers never fail — they are admitted as stubs on apply.
-func validateBatch(c *blog.Corpus, b Batch) error {
-	for _, bl := range b.Bloggers {
-		if err := validateBlogger(bl); err != nil {
-			return err
-		}
-	}
-	batchPosts := make(map[blog.PostID]bool, len(b.Posts))
-	for _, p := range b.Posts {
-		if err := validatePost(c, p); err != nil {
-			return err
-		}
-		if batchPosts[p.ID] {
-			return fmt.Errorf("core: duplicate post %q", p.ID)
-		}
-		batchPosts[p.ID] = true
-	}
-	for _, bc := range b.Comments {
-		if bc.Comment.Commenter == "" {
-			return fmt.Errorf("core: comment on %q has an empty commenter", bc.Post)
-		}
-		if _, ok := c.Posts[bc.Post]; !ok && !batchPosts[bc.Post] {
-			return fmt.Errorf("core: comment on unknown post %q", bc.Post)
-		}
-	}
-	for _, l := range b.Links {
-		if l.From == "" || l.To == "" {
-			return fmt.Errorf("core: link endpoints must be non-empty")
-		}
-		if l.From == l.To {
-			return fmt.Errorf("core: self-link %q rejected", l.From)
-		}
-	}
-	return nil
-}
-
-// applyBatch lands a validated batch, staging each applied op on w, and
-// reports how many mutations it actually applied (deduplicated links count
-// zero).
-func applyBatch(c *blog.Corpus, b Batch, w *wal.Batch) (int, error) {
-	applied := 0
-	for _, bl := range b.Bloggers {
-		for _, f := range bl.Friends {
-			if err := ensureBlogger(c, f); err != nil {
-				return applied, err
-			}
-		}
-		if err := c.UpsertBlogger(bl); err != nil {
-			return applied, err
-		}
-		w.Blogger(bl)
-		applied++
-	}
-	for _, p := range b.Posts {
-		if err := addPost(c, p); err != nil {
-			return applied, err
-		}
-		w.Post(p)
-		applied++
-	}
-	for i := range b.Comments {
-		bc := &b.Comments[i]
-		if err := ensureBlogger(c, bc.Comment.Commenter); err != nil {
-			return applied, err
-		}
-		if err := c.AddComment(bc.Post, bc.Comment); err != nil {
-			return applied, err
-		}
-		w.Comment(bc.Post, &bc.Comment)
-		applied++
-	}
-	for _, l := range b.Links {
-		n, err := addLinkStubbed(c, l.From, l.To)
-		if err != nil {
-			return applied, err
-		}
-		if n > 0 {
-			w.Link(l.From, l.To)
-		}
-		applied += n
-	}
-	return applied, nil
-}
-
-// IngestPage folds one crawled space page into the corpus: the blogger
-// profile, its posts (duplicates skipped — re-crawls re-serve old posts),
-// and the link edges in both directions. It implements crawler.Sink, so a
-// streaming crawl can feed the engine directly.
-func (e *Engine) IngestPage(page *blogserver.Page) error {
-	if page == nil {
-		return fmt.Errorf("core: nil page")
-	}
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (applied int, err error) {
-		id := page.Blogger.ID
-		existing, known := c.Bloggers[id]
-		// A new blogger counts; so does enriching a stub (profiles feed the
-		// recommenders). Re-delivering an already-enriched page counts zero.
-		enriches := !known || (existing.Name == "" && existing.Profile == "" &&
-			(page.Blogger.Name != "" || page.Blogger.Profile != ""))
-		b := page.Blogger
-		for _, f := range b.Friends {
-			if err := ensureBlogger(c, f); err != nil {
-				return applied, err
-			}
-		}
-		if err := c.UpsertBlogger(&b); err != nil {
-			return applied, err
-		}
-		// The upsert runs even when it enriches nothing (it may still admit
-		// friend stubs), so it is always logged.
-		w.Blogger(&b)
-		if enriches {
-			applied++
-		}
-		for i := range page.Posts {
-			p := page.Posts[i]
-			if _, dup := c.Posts[p.ID]; dup {
-				continue
-			}
-			if err := addPost(c, &p); err != nil {
-				return applied, err
-			}
-			w.Post(&p)
-			applied++
-		}
-		for _, target := range page.Links {
-			if target == id {
-				continue
-			}
-			n, err := addLinkStubbed(c, id, target)
-			if err != nil {
-				return applied, err
-			}
-			if n > 0 {
-				w.Link(id, target)
-			}
-			applied += n
-		}
-		for _, source := range page.Linkbacks {
-			if source == id {
-				continue
-			}
-			n, err := addLinkStubbed(c, source, id)
-			if err != nil {
-				return applied, err
-			}
-			if n > 0 {
-				w.Link(source, id)
-			}
-			applied += n
-		}
-		return applied, nil
-	})
 }
 
 // --------------------------------------------------------------- analysis
@@ -953,68 +542,3 @@ func (e *Engine) DurabilityErr() error {
 	}
 	return e.wal.Err()
 }
-
-// ApplyOps replays logged ops into the live engine in order — the spill
-// replay path. Each op runs through the same validated mutation helpers as
-// live ingest and is re-logged to this engine's own WAL, so replayed state
-// is exactly as durable as directly ingested state. Replay is idempotent
-// at-least-once: a duplicate post, an identical duplicate comment, or an
-// existing link is skipped silently (counted in dropped), so replaying a
-// prefix twice — e.g. after a crash mid-replay — converges instead of
-// erroring. Ops that fail validation are also dropped (a poison record
-// must not wedge the queue forever); only an engine-level failure (closed,
-// WAL fail-stop) aborts, reporting how far replay got.
-func (e *Engine) ApplyOps(ops []wal.Op) (applied, dropped int, err error) {
-	for i := range ops {
-		op := &ops[i]
-		merr := e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
-			switch op.Kind {
-			case wal.OpPost:
-				if op.Post != nil {
-					if _, dup := c.Posts[op.Post.ID]; dup {
-						return 0, errOpDropped
-					}
-				}
-			case wal.OpComment:
-				if op.Comment != nil {
-					if p, ok := c.Posts[op.PostID]; ok {
-						for _, cm := range p.Comments {
-							if cm.Commenter == op.Comment.Commenter &&
-								cm.Text == op.Comment.Text &&
-								cm.Posted.Equal(op.Comment.Posted) {
-								return 0, errOpDropped
-							}
-						}
-					}
-				}
-			case wal.OpLink:
-				// addLinkStubbed dedups; n == 0 below covers it.
-			}
-			n, err := applyOp(c, op)
-			if err != nil {
-				return 0, err
-			}
-			if n > 0 {
-				w.Append(*op)
-			}
-			return n, nil
-		})
-		switch {
-		case merr == nil:
-			applied++
-		case errors.Is(merr, errOpDropped):
-			dropped++
-		case errors.Is(merr, ErrClosed):
-			return applied, dropped, merr
-		default:
-			if derr := e.DurabilityErr(); derr != nil {
-				return applied, dropped, derr
-			}
-			dropped++
-		}
-	}
-	return applied, dropped, nil
-}
-
-// errOpDropped marks a replayed op recognized as already applied.
-var errOpDropped = errors.New("core: op already applied")

@@ -65,21 +65,21 @@ func TestEngineConcurrentIngestAndQuery(t *testing.T) {
 			for i := 0; i < perIngester; i++ {
 				author := blog.BloggerID(fmt.Sprintf("live-%d", g))
 				pid := blog.PostID(fmt.Sprintf("live-%d-%d", g, i))
-				if err := e.AddPost(&blog.Post{
+				if err := e.AddBatch(Batch{Posts: []*blog.Post{{
 					ID: pid, Author: author,
 					Title: "live post",
 					Body:  fmt.Sprintf("fresh travel notes number %d from goroutine %d", i, g),
-				}); err != nil {
+				}}}); err != nil {
 					errs <- err
 					return
 				}
-				if err := e.AddComment(pid, blog.Comment{
+				if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{
 					Commenter: base[(g+i)%len(base)], Text: "great point, love it",
-				}); err != nil {
+				}}}}); err != nil {
 					errs <- err
 					return
 				}
-				if err := e.AddLink(author, base[i%len(base)]); err != nil {
+				if err := e.AddBatch(Batch{Links: []blog.Link{{From: author, To: base[i%len(base)]}}}); err != nil {
 					errs <- err
 					return
 				}
@@ -166,17 +166,17 @@ func TestEngineWarmMatchesCold(t *testing.T) {
 	base := e.Current().Corpus().BloggerIDs()
 	for i := 0; i < 25; i++ {
 		pid := blog.PostID(fmt.Sprintf("p-new-%d", i))
-		if err := e.AddPost(&blog.Post{
+		if err := e.AddBatch(Batch{Posts: []*blog.Post{{
 			ID: pid, Author: base[i%7],
 			Body: fmt.Sprintf("a brand new dispatch about sports and markets, issue %d", i),
-		}); err != nil {
+		}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.AddComment(pid, blog.Comment{Commenter: base[(i+3)%len(base)], Text: "excellent read"}); err != nil {
+		if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{Commenter: base[(i+3)%len(base)], Text: "excellent read"}}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e.AddLink(base[1], base[2]); err != nil {
+	if err := e.AddBatch(Batch{Links: []blog.Link{{From: base[1], To: base[2]}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {
@@ -229,7 +229,7 @@ func TestEngineStartsEmpty(t *testing.T) {
 	if top := e.Current().TopInfluential(3); len(top) != 0 {
 		t.Fatalf("empty engine ranked %d bloggers", len(top))
 	}
-	if err := e.AddPost(&blog.Post{ID: "p1", Author: "ann", Body: "first ever post here"}); err != nil {
+	if err := e.AddBatch(Batch{Posts: []*blog.Post{{ID: "p1", Author: "ann", Body: "first ever post here"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {
@@ -271,7 +271,7 @@ func TestEngineBatchAtomic(t *testing.T) {
 		t.Fatal("expected error for empty friend ID")
 	}
 	// A comment on an unknown post must not leave the commenter stub.
-	if err := e.AddComment("no-such-post", blog.Comment{Commenter: "newbie"}); err == nil {
+	if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: "no-such-post", Comment: blog.Comment{Commenter: "newbie"}}}}); err == nil {
 		t.Fatal("expected error for unknown post")
 	}
 	if err := e.Refresh(context.Background()); err != nil {
@@ -305,7 +305,7 @@ func TestEngineClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.AddPost(&blog.Post{ID: "p1", Author: "ann", Body: "last words"}); err != nil {
+	if err := e.AddBatch(Batch{Posts: []*blog.Post{{ID: "p1", Author: "ann", Body: "last words"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -314,7 +314,7 @@ func TestEngineClose(t *testing.T) {
 	if got := len(e.Current().Corpus().Posts); got != 1 {
 		t.Fatalf("close lost pending mutation: %d posts", got)
 	}
-	if err := e.AddPost(&blog.Post{ID: "p2", Author: "ann", Body: "too late"}); err == nil {
+	if err := e.AddBatch(Batch{Posts: []*blog.Post{{ID: "p2", Author: "ann", Body: "too late"}}}); err == nil {
 		t.Fatal("write after Close must fail")
 	}
 	if err := e.Close(); err != nil {
@@ -383,13 +383,13 @@ func TestEngineCachedFlushReuse(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		pid := blog.PostID(fmt.Sprintf("reuse-%d", i))
-		if err := e.AddPost(&blog.Post{
+		if err := e.AddBatch(Batch{Posts: []*blog.Post{{
 			ID: pid, Author: base[i%5],
 			Body: fmt.Sprintf("incremental coverage of the art fair, part %d", i),
-		}); err != nil {
+		}}}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.AddComment(pid, blog.Comment{Commenter: base[(i+2)%len(base)], Text: "agree, superb"}); err != nil {
+		if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{Commenter: base[(i+2)%len(base)], Text: "agree, superb"}}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -408,7 +408,7 @@ func TestEngineCachedFlushReuse(t *testing.T) {
 	}
 
 	// A link mutation invalidates the cached GL vector.
-	if err := e.AddLink("reuse-fresh-blogger", base[0]); err != nil {
+	if err := e.AddBatch(Batch{Links: []blog.Link{{From: "reuse-fresh-blogger", To: base[0]}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {
@@ -454,19 +454,19 @@ func TestEngineConcurrentIngestWithCachedFlushes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perIngester; i++ {
 				pid := blog.PostID(fmt.Sprintf("cc-%d-%d", g, i))
-				if err := e.AddPost(&blog.Post{
+				if err := e.AddBatch(Batch{Posts: []*blog.Post{{
 					ID: pid, Author: base[(g*3+i)%len(base)],
 					Body: fmt.Sprintf("goroutine %d files report %d on medicine and travel", g, i),
-				}); err != nil {
+				}}}); err != nil {
 					errs <- err
 					return
 				}
-				if err := e.AddComment(pid, blog.Comment{Commenter: base[(g+i)%len(base)], Text: "love it"}); err != nil {
+				if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{Commenter: base[(g+i)%len(base)], Text: "love it"}}}}); err != nil {
 					errs <- err
 					return
 				}
 				if i%5 == 0 {
-					if err := e.AddLink(base[(g+i)%len(base)], blog.BloggerID(fmt.Sprintf("cc-hub-%d", g))); err != nil {
+					if err := e.AddBatch(Batch{Links: []blog.Link{{From: base[(g+i)%len(base)], To: blog.BloggerID(fmt.Sprintf("cc-hub-%d", g))}}}); err != nil {
 						errs <- err
 						return
 					}
@@ -544,7 +544,7 @@ func TestEngineConcurrentLinkEpochCSR(t *testing.T) {
 			for i := 0; i < perLinker; i++ {
 				from := base[(g*7+i)%len(base)]
 				to := blog.BloggerID(fmt.Sprintf("csr-hub-%d-%d", g, i%6))
-				if err := e.AddLink(from, to); err != nil {
+				if err := e.AddBatch(Batch{Links: []blog.Link{{From: from, To: to}}}); err != nil {
 					errs <- err
 					return
 				}
@@ -646,16 +646,16 @@ func TestEngineSubscriptionChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perIngester; i++ {
 				pid := blog.PostID(fmt.Sprintf("sub-live-%d-%d", g, i))
-				if err := e.AddPost(&blog.Post{
+				if err := e.AddBatch(Batch{Posts: []*blog.Post{{
 					ID: pid, Author: base[(g*5+i)%len(base)],
 					Body: fmt.Sprintf("live sports coverage update %d from feed %d", i, g),
-				}); err != nil {
+				}}}); err != nil {
 					errs <- err
 					return
 				}
-				if err := e.AddComment(pid, blog.Comment{
+				if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{
 					Commenter: base[(g+i+3)%len(base)], Text: "nice write-up",
-				}); err != nil {
+				}}}}); err != nil {
 					errs <- err
 					return
 				}

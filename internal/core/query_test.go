@@ -30,7 +30,7 @@ func TestSnapshotQueryAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := e.AddPost(&blog.Post{ID: "gen2", Author: "Zoe", Body: "a brand new basketball report"}); err != nil {
+	if err := e.AddBatch(Batch{Posts: []*blog.Post{{ID: "gen2", Author: "Zoe", Body: "a brand new basketball report"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Refresh(context.Background()); err != nil {

@@ -58,13 +58,13 @@ func TestDeltaCSRAccessorsMatchModel(t *testing.T) {
 	d := NewDeltaCSR(base)
 
 	ops := []EdgeOp{
-		{From: 0, To: 4},              // overlay insert
-		{From: 1, To: 2, Del: true},   // tombstone a base edge
-		{From: 3, To: 3, Del: true},   // remove a self-loop → node 3 dangling
-		{From: 5, To: 1},              // previously dangling node gains an edge
-		{From: 1, To: 2},              // re-add the tombstoned base edge
-		{From: 0, To: 4, Del: true},   // remove the overlay insert again
-		{From: 2, To: 5},              // plain insert
+		{From: 0, To: 4},            // overlay insert
+		{From: 1, To: 2, Del: true}, // tombstone a base edge
+		{From: 3, To: 3, Del: true}, // remove a self-loop → node 3 dangling
+		{From: 5, To: 1},            // previously dangling node gains an edge
+		{From: 1, To: 2},            // re-add the tombstoned base edge
+		{From: 0, To: 4, Del: true}, // remove the overlay insert again
+		{From: 2, To: 5},            // plain insert
 	}
 	for _, op := range ops {
 		var changed bool
@@ -212,7 +212,7 @@ func TestDeltaCSRRandomizedVsModel(t *testing.T) {
 		}
 		base := buildBase(t, n, edges)
 		d := NewDeltaCSR(base)
-		for k := 0; k < rng.Intn(4 * n); k++ {
+		for k := 0; k < rng.Intn(4*n); k++ {
 			f, to := int32(rng.Intn(n)), int32(rng.Intn(n))
 			if rng.Intn(3) == 0 {
 				d.RemoveEdge(f, to)

@@ -86,18 +86,18 @@ func assertDeltaMatchesCold(t *testing.T, view *graph.DeltaCSR, st *PushState, w
 func TestDeltaPageRankSingleFlush(t *testing.T) {
 	base := buildCSR(t, 7, [][2]int32{
 		{0, 1}, {1, 2}, {2, 0}, // cycle
-		{3, 3},                 // self-link
-		{4, 0},                 // feeder; 5, 6 disconnected
+		{3, 3}, // self-link
+		{4, 0}, // feeder; 5, 6 disconnected
 	})
 	view := graph.NewDeltaCSR(base)
 	cold := coldReference(view, 1)
 	st := NewPushState(view, cold, pushTestOpts)
 
-	view.AddEdge(5, 2)              // island joins the cycle
-	view.AddEdge(6, 6)              // island self-link
-	view.RemoveEdge(3, 3)           // self-link node becomes dangling
-	view.AddEdge(2, 4)              // back edge
-	view.RemoveEdge(4, 0)           // feeder becomes dangling
+	view.AddEdge(5, 2)    // island joins the cycle
+	view.AddEdge(6, 6)    // island self-link
+	view.RemoveEdge(3, 3) // self-link node becomes dangling
+	view.AddEdge(2, 4)    // back edge
+	view.RemoveEdge(4, 0) // feeder becomes dangling
 	res := assertDeltaMatchesCold(t, view, st, 1, "hand-built flush")
 	if res.Seeded == 0 || res.Pushed == 0 {
 		t.Fatalf("flush must seed and push: %+v", res)
