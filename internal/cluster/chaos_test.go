@@ -268,6 +268,55 @@ func TestShedWriteIsSafeToRetry(t *testing.T) {
 	}
 }
 
+// TestForcedSpillFailureIsNotShed: once part of a write has landed, a
+// later part that cannot spill because the spill WAL fails its fsync must
+// not come back as a 429 — a retry would hit the landed part as a
+// duplicate — but as that shard's durability error.
+func TestForcedSpillFailureIsNotShed(t *testing.T) {
+	ffs := &failSyncFS{FS: wal.OSFS(), match: "spill-1"}
+	opts := supervisedOptions(3)
+	opts.DataDir = t.TempDir()
+	opts.ShardFS = func(shard int) wal.FS {
+		if shard == 1 {
+			return ffs
+		}
+		return nil
+	}
+	cl, err := New(nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var wedged atomic.Bool
+	wedged.Store(true)
+	defer wedged.Store(false)
+	cl.SetSlowShardHook(func(si int) {
+		if si == 1 && wedged.Load() {
+			time.Sleep(200 * time.Millisecond) // > ProbeTimeout: stays Recovering
+		}
+	})
+	cl.CrashShard(1)
+	ffs.fail.Store(true)
+	defer ffs.fail.Store(false)
+
+	a, b := ownedID(cl, 0, "a"), ownedID(cl, 1, "b")
+	err = cl.AddBatch(core.Batch{
+		Bloggers: []*blog.Blogger{{ID: a, Name: "A"}},
+		Posts:    []*blog.Post{post("forced-p", string(a), time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC))},
+		Links:    []blog.Link{{From: a, To: b}},
+	})
+	var ov *OverloadError
+	if err == nil || errors.As(err, &ov) {
+		t.Fatalf("spill fsync failure after a landed part returned %v, want a non-overload error", err)
+	}
+	if !strings.HasPrefix(err.Error(), "cluster: shard 1: spill: ") {
+		t.Fatalf("error %q does not name shard 1's spill", err)
+	}
+	if _, ok := cl.Shard(0).DetachCorpus().Posts["forced-p"]; !ok {
+		t.Fatal("shard 0's part did not land first")
+	}
+}
+
 // chaosPages builds crawled pages over the bloggers of chaosBatches: each
 // enriches a profile (with a friend), re-serves an old post next to a new
 // one, and links out and back across shards.

@@ -472,9 +472,13 @@ func (cl *Cluster) write(mode core.WriteMode, ops []wal.Op) error {
 		return err
 	}
 	for s, sh := range cl.shards {
+		// Only a down target can shed; a shard the write does not touch,
+		// or a healthy one, is never locked here.
+		if len(parts[s])+len(stubs[s]) == 0 || !sh.breakerOpen() {
+			continue
+		}
 		sh.mu.Lock()
-		full := sh.breakerOpen() && len(parts[s])+len(stubs[s]) > 0 &&
-			len(sh.spill.pending())+len(parts[s])+len(stubs[s]) > cl.opts.SpillLimit
+		full := sh.breakerOpen() && len(sh.spill.pending())+len(parts[s])+len(stubs[s]) > cl.opts.SpillLimit
 		sh.mu.Unlock()
 		if full {
 			return cl.partErr(s, cl.shed(sh))
@@ -520,8 +524,9 @@ func (cl *Cluster) write(mode core.WriteMode, ops []wal.Op) error {
 // intra-shard links to their owner, posts to their author's shard,
 // comments to their post's. A cross-shard link goes to the boundary set,
 // with a stub for each endpoint on its owner shard so the merged node set
-// stays exactly the global one. At one shard every op routes to shard 0.
-// Only a comment on a post the cluster has never seen cannot be routed.
+// stays exactly the global one. At one shard every op routes to shard 0,
+// so the engine judges the whole write. At several, a comment on a post
+// the cluster has never seen cannot be routed and is rejected here.
 func (cl *Cluster) route(ops []wal.Op) (parts, stubs [][]wal.Op, cross []blog.Link, err error) {
 	parts, stubs = make([][]wal.Op, len(cl.shards)), make([][]wal.Op, len(cl.shards))
 	stub := func(s int, id blog.BloggerID) {
@@ -541,7 +546,7 @@ func (cl *Cluster) route(ops []wal.Op) (parts, stubs [][]wal.Op, cross []blog.Li
 		case op.Kind == wal.OpComment:
 			var ok bool
 			if s, ok = posts[op.PostID]; !ok {
-				if s, ok = cl.postOwner[op.PostID]; !ok {
+				if s, ok = cl.postOwner[op.PostID]; !ok && len(cl.shards) > 1 {
 					return nil, nil, nil, fmt.Errorf("core: comment on unknown post %q", op.PostID)
 				}
 			}

@@ -308,3 +308,62 @@ func TestConcurrentWritesMatchSequential(t *testing.T) {
 		t.Fatalf("concurrent writes counted %d mutations, sequential %d", got, want)
 	}
 }
+
+// TestSingleShardErrorsComeFromEngine: at one shard the engine judges the
+// whole write, so a batch with several faults is rejected with exactly
+// the error a bare engine gives — not the router's view of one of them.
+func TestSingleShardErrorsComeFromEngine(t *testing.T) {
+	cl, err := New(nil, Options{Shards: 1, Engine: quietEngine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	eng, err := core.NewEngine(nil, quietEngine())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	batch := core.Batch{
+		Bloggers: []*blog.Blogger{{ID: ""}},
+		Comments: []core.BatchComment{{Post: "nope", Comment: blog.Comment{Commenter: "x", Text: "hi"}}},
+	}
+	want := eng.AddBatch(batch)
+	if want == nil {
+		t.Fatal("engine accepted a faulty batch")
+	}
+	if got := cl.AddBatch(batch); got == nil || got.Error() != want.Error() {
+		t.Fatalf("one-shard cluster error = %v, engine error = %v", got, want)
+	}
+}
+
+// TestWriteDoesNotWaitOnUntouchedShard: a write owned entirely by one
+// shard must not wait for another shard's slot lock, which a restart or a
+// long spill replay holds.
+func TestWriteDoesNotWaitOnUntouchedShard(t *testing.T) {
+	cl, err := New(nil, Options{Shards: 3, Engine: quietEngine()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	a := ownedID(cl, 0, "a")
+	sh := cl.shards[2]
+	sh.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		done <- cl.AddBatch(core.Batch{
+			Bloggers: []*blog.Blogger{{ID: a, Name: "A"}},
+			Posts:    []*blog.Post{post("own-p", string(a), time.Date(2009, 6, 1, 0, 0, 0, 0, time.UTC))},
+		})
+	}()
+	select {
+	case err := <-done:
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		sh.mu.Unlock()
+		<-done
+		t.Fatal("a write owned by shard 0 waited on shard 2's lock")
+	}
+}

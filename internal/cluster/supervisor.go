@@ -191,11 +191,16 @@ func (cl *Cluster) applyShard(sh *shardSlot, mode core.WriteMode, ops []wal.Op, 
 
 // spillLocked buffers ops for replay, counting the acknowledgement; at
 // capacity (unless force) or when the spill WAL itself cannot make the ack
-// durable, it sheds with OverloadError. Caller holds sh.mu with the
-// breaker open, so the queue cannot be drained-and-closed between the
-// check and the append.
+// durable, it sheds with OverloadError. With force another part of the
+// write has landed, so a retry would not be safe: a spill WAL failure is
+// returned as is instead of shed. Caller holds sh.mu with the breaker
+// open, so the queue cannot be drained-and-closed between the check and
+// the append.
 func (cl *Cluster) spillLocked(sh *shardSlot, ops []wal.Op, force bool) error {
 	if err := sh.spill.enqueue(ops, force); err != nil {
+		if force {
+			return fmt.Errorf("spill: %w", err)
+		}
 		return cl.shed(sh)
 	}
 	cl.spilledRecords.Add(uint64(len(ops)))
