@@ -148,6 +148,72 @@ func TestBreakerFastFailsQuarantinedShard(t *testing.T) {
 	}
 }
 
+// TestRoutedReadSkipsQuarantinedOwner: an author-pinned posts query must
+// not serve a quarantined owner shard's last snapshot as a healthy
+// answer. It must answer exactly like the equivalent unroutable query —
+// the scatter that skips the shard — with the same rows, total and
+// degraded flag, and count in degradedQueries.
+func TestRoutedReadSkipsQuarantinedOwner(t *testing.T) {
+	c := postCorpus(t)
+	cl, err := New(c, supervisedOptions(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	var author blog.BloggerID
+	for _, id := range c.BloggerIDs() {
+		if cl.Owner(id) == 2 && len(c.PostsBy(id)) > 0 {
+			author = id
+			break
+		}
+	}
+	if author == "" {
+		t.Fatal("no author with posts on shard 2")
+	}
+	var wedged atomic.Bool
+	wedged.Store(true)
+	defer wedged.Store(false)
+	cl.SetSlowShardHook(func(si int) {
+		if si == 2 && wedged.Load() {
+			time.Sleep(200 * time.Millisecond) // > ProbeTimeout: rejoin probes fail
+		}
+	})
+	cl.CrashShard(2)
+
+	is := query.F(query.FieldAuthor).Is(string(author))
+	for name, pair := range map[string][2]*query.Query{
+		"scan": {
+			query.Posts().Where(is).OrderBy(query.Desc(query.FieldPosted)).Limit(50).Build(),
+			query.Posts().Where(query.Or(is, is)).OrderBy(query.Desc(query.FieldPosted)).Limit(50).Build(),
+		},
+		"count": {
+			query.Posts().Where(is).AggregatePerDomain(query.AggCount, "").Limit(50).Build(),
+			query.Posts().Where(query.Or(is, is)).AggregatePerDomain(query.AggCount, "").Limit(50).Build(),
+		},
+	} {
+		before := cl.FullStatus().DegradedQueries
+		routed, routedDeg, err := cl.Query(cl.View(), pair[0])
+		if err != nil {
+			t.Fatalf("%s: routed: %v", name, err)
+		}
+		scattered, scatteredDeg, err := cl.Query(cl.View(), pair[1])
+		if err != nil {
+			t.Fatalf("%s: scattered: %v", name, err)
+		}
+		if !routedDeg || !scatteredDeg {
+			t.Fatalf("%s: degraded routed=%v scattered=%v, want both true (plan %q)",
+				name, routedDeg, scatteredDeg, routed.Plan)
+		}
+		if routed.Total != scattered.Total || !reflect.DeepEqual(routed.Rows, scattered.Rows) {
+			t.Fatalf("%s: routed answer (plan %q, total %d, %d rows) differs from the scatter (total %d, %d rows)",
+				name, routed.Plan, routed.Total, len(routed.Rows), scattered.Total, len(scattered.Rows))
+		}
+		if got := cl.FullStatus().DegradedQueries - before; got != 2 {
+			t.Fatalf("%s: degradedQueries moved by %d, want 2", name, got)
+		}
+	}
+}
+
 // TestSpillAckAndShedOverload: writes against a down shard are
 // acknowledged into the bounded spill queue; once it saturates they shed
 // with a retryable OverloadError; after recovery the spilled writes are

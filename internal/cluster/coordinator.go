@@ -83,7 +83,7 @@ func (cl *Cluster) SetSlowShardHook(fn func(shard int)) {
 // scatterPart is one shard's contribution to a scattered read.
 type scatterPart struct {
 	shard    int
-	val      any
+	val      *query.ShardResult
 	err      error
 	panicked bool
 }
@@ -101,7 +101,7 @@ type scatterPart struct {
 // and are discarded — an uncancelable in-flight sub-query never blocks
 // anything. Per-shard errors fail the whole read (the executor is
 // deterministic, so an error on one shard means the query itself is bad).
-func (cl *Cluster) scatter(v *View, fn func(si int, snap *core.Snapshot) (any, error)) (vals []any, degraded bool, err error) {
+func (cl *Cluster) scatter(v *View, fn func(si int, snap *core.Snapshot) (*query.ShardResult, error)) (vals []*query.ShardResult, degraded bool, err error) {
 	cl.scatterQueries.Add(1)
 	n := len(v.Snaps)
 	ch := make(chan scatterPart, n)
@@ -131,12 +131,12 @@ func (cl *Cluster) scatter(v *View, fn func(si int, snap *core.Snapshot) (any, e
 			ch <- p
 		}(i)
 	}
-	vals = make([]any, n)
+	vals = make([]*query.ShardResult, n)
 	degraded = launched < n
 	answered := make([]bool, n)
 	deadline := time.NewTimer(cl.opts.ShardTimeout)
 	defer deadline.Stop()
-	finish := func() ([]any, bool, error) {
+	finish := func() ([]*query.ShardResult, bool, error) {
 		if degraded {
 			cl.degradedQueries.Add(1)
 		}
@@ -206,10 +206,12 @@ func findAuthorEq(p *query.Predicate) (string, bool) {
 
 // Query executes q against a pinned view. With one shard it is a zero-copy
 // pass-through to the engine's own memoized executor. With several it
-// routes (author-pinned posts queries), or scatters per-shard sub-plans
-// and merges: scans as a k-way ordered merge, per-domain aggregations
-// associatively from (count, sum) partials. degraded reports that at
-// least one shard missed its deadline and the result covers the rest.
+// routes an author-pinned posts query to the author's owner shard while
+// that shard's breaker is closed; otherwise it scatters query.ExecuteShard
+// to every shard and finishes with query.MergeShards, so a quarantined
+// owner is skipped and the answer labelled like any other scatter.
+// degraded reports that at least one shard was skipped or missed its
+// deadline and the result covers the rest.
 func (cl *Cluster) Query(v *View, q *query.Query) (r *query.Result, degraded bool, err error) {
 	if len(v.Snaps) == 1 {
 		r, err = v.Snaps[0].Query(q)
@@ -220,63 +222,32 @@ func (cl *Cluster) Query(v *View, q *query.Query) (r *query.Result, degraded boo
 		return nil, false, err
 	}
 	if author, ok := authorEqTarget(n); ok {
-		shard := cl.ring.Owner(author)
-		routed, err := v.Snaps[shard].Query(n)
-		if err != nil {
-			return nil, false, err
-		}
-		out := *routed
-		out.Plan = "route/" + routed.Plan
-		return &out, false, nil
-	}
-	switch {
-	case n.Entity == query.EntityDomains:
-		vals, degraded, err := cl.scatter(v, func(si int, snap *core.Snapshot) (any, error) {
-			return query.ExecuteDomainsSlab(snap.Corpus(), snap.Result(), n, cl.ownerFilter(si))
-		})
-		if err != nil {
-			return nil, degraded, err
-		}
-		r, err := mergeSlabs(vals, n, query.ExecuteDomainsMerged)
-		return r, degraded, err
-	case n.Aggregate != nil:
-		vals, degraded, err := cl.scatter(v, func(si int, snap *core.Snapshot) (any, error) {
-			own := cl.ownerFilter(si)
-			if n.Entity == query.EntityPosts {
-				own = nil // a post exists only on its author's shard
+		if shard := cl.ring.Owner(author); !cl.shards[shard].breakerOpen() {
+			routed, err := v.Snaps[shard].Query(n)
+			if err != nil {
+				return nil, false, err
 			}
-			return query.ExecuteAggregateSlab(snap.Corpus(), snap.Result(), n, own)
-		})
-		if err != nil {
-			return nil, degraded, err
+			out := *routed
+			out.Plan = "route/" + routed.Plan
+			return &out, false, nil
 		}
-		r, err := mergeSlabs(vals, n, query.ExecuteAggregateMerged)
-		return r, degraded, err
 	}
-	vals, degraded, err := cl.scatter(v, func(si int, snap *core.Snapshot) (any, error) {
+	parts, degraded, err := cl.scatter(v, func(si int, snap *core.Snapshot) (*query.ShardResult, error) {
 		own := cl.ownerFilter(si)
 		if n.Entity == query.EntityPosts {
-			own = nil
+			own = nil // a post exists only on its author's shard
 		}
 		return query.ExecuteShard(snap.Corpus(), snap.Result(), n, own)
 	})
 	if err != nil {
 		return nil, degraded, err
 	}
-	parts := make([]*query.ShardResult, len(vals))
-	for i, val := range vals {
-		if val != nil {
-			parts[i] = val.(*query.ShardResult)
-		}
+	r, err = query.MergeShards(parts, n)
+	if err != nil {
+		return nil, degraded, err
 	}
-	r, err = MergeShardRows(parts, n)
-	return r, degraded, err
-}
-
-// MergeShardRows re-exports the query-package merge for callers holding
-// shard results directly (the bench harness).
-func MergeShardRows(parts []*query.ShardResult, q *query.Query) (*query.Result, error) {
-	return query.MergeShardRows(parts, q)
+	r.Plan = "scatter/" + r.Plan
+	return r, degraded, nil
 }
 
 // Stats computes the exact global corpus summary from a pinned view:
@@ -338,15 +309,4 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 // several shards at once.
 func (cl *Cluster) ownerFilter(si int) func(string) bool {
 	return func(id string) bool { return cl.ring.Owner(id) == si }
-}
-
-func mergeSlabs(vals []any, n *query.Query, finish func([]string, []float64, []float64, *query.Query) (*query.Result, error)) (*query.Result, error) {
-	slabs := make([]*query.AggSlab, len(vals))
-	for i, val := range vals {
-		if val != nil {
-			slabs[i] = val.(*query.AggSlab)
-		}
-	}
-	names, counts, sums := query.MergeAggSlabs(slabs)
-	return finish(names, counts, sums, n)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -96,6 +97,36 @@ func TestScatterPostsMatchSingle(t *testing.T) {
 		}
 		if !strings.HasPrefix(got.Plan, "scatter/") {
 			t.Fatalf("shards=%d: plan %q", shards, got.Plan)
+		}
+		cl.Close()
+	}
+}
+
+// TestScatterEmptyWindowMatchesSingle: a scatter whose window is empty
+// (offset past the last match, or nothing matching) encodes its rows as
+// the single engine does — an empty array, never null.
+func TestScatterEmptyWindowMatchesSingle(t *testing.T) {
+	c := postCorpus(t)
+	for _, shards := range []int{1, 3} {
+		cl, err := New(c, Options{Shards: shards, Engine: quietEngine()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*query.Query{
+			query.Posts().OrderBy(query.Desc(query.FieldPosted)).Limit(5).Offset(len(c.Posts)).Build(),
+			query.Posts().Where(query.F(query.FieldComments).Lt(0)).Limit(5).Build(),
+		} {
+			got, _, err := cl.Query(cl.View(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(data), `"rows":[]`) {
+				t.Fatalf("shards=%d: empty window encodes as %s", shards, data)
+			}
 		}
 		cl.Close()
 	}

@@ -1,5 +1,14 @@
 package query
 
+// The executor. Every query compiles once, through compile, into an
+// Evaluator bound to one analyzed generation; Execute, ExecuteShard and
+// the subscription evaluators (EvalContext.Evaluator) all share it. A
+// single engine answers an unfiltered single-key ranking from the
+// precomputed rankings and everything else as one unrestricted shard
+// part merged by MergeShards (shard.go) — the same per-shard scan and
+// the same merge a cluster runs over N parts, so a cluster's merge is the
+// code every single-engine read already runs.
+
 import (
 	"fmt"
 	"slices"
@@ -37,6 +46,41 @@ type Result struct {
 // decoded — is accepted. The corpus and result must belong to the same
 // snapshot.
 func Execute(c *blog.Corpus, res *influence.Result, q *Query) (*Result, error) {
+	e, err := compile(c, res, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	if strings.HasPrefix(e.plan, "ranked/") {
+		return execRanked(e), nil
+	}
+	return MergeShards([]*ShardResult{e.shard()}, e.n)
+}
+
+// Evaluator is a query compiled against one generation's dense slabs. It
+// is read-only and safe for concurrent use.
+type Evaluator struct {
+	v     *view
+	n     *Query
+	match func(int) bool // nil matches everything
+	keys  []sortKey
+	pr    *projection
+	agg   func(int) float64 // aggregated field; nil sums the domain weights
+	plan  string
+
+	// Probe for single-numeric-comparison predicates (see PredProbe).
+	// probe reads through the view, so Rebind re-targets it for free.
+	probe    func(int) float64
+	probeF   string
+	probeOp  Op
+	probeVal float64
+}
+
+// compile normalizes q and binds it to one generation: the predicate,
+// sort keys and projection of a scan, or the predicate and aggregated
+// field of a per-domain aggregate. A domains query compiles nothing here:
+// its filter, order and projection range over the per-domain (count,
+// sum, mean) rows, which exist only after MergeShards.
+func compile(c *blog.Corpus, res *influence.Result, q *Query, ctx *EvalContext) (*Evaluator, error) {
 	if c == nil || res == nil {
 		return nil, fmt.Errorf("query: corpus and result required")
 	}
@@ -44,17 +88,41 @@ func Execute(c *blog.Corpus, res *influence.Result, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity}
-	switch {
-	case n.Entity == EntityDomains:
-		return execDomains(v, n)
-	case n.Aggregate != nil:
-		return execAggregate(v, n)
+	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity, ctx: ctx}
+	e := &Evaluator{v: v, n: n, plan: v.plan(n)}
+	if n.Entity == EntityDomains {
+		return e, nil
 	}
-	if plan := rankedPlan(v, n); plan != "" {
-		return execRanked(v, n, plan)
+	if e.match, err = compilePredicate(v, n.Where); err != nil {
+		return nil, err
 	}
-	return execScan(v, n)
+	if n.Aggregate != nil {
+		if n.Aggregate.Field != "" {
+			if e.agg, err = v.numGetter(Field{Name: n.Aggregate.Field}); err != nil {
+				return nil, err
+			}
+		}
+		return e, nil
+	}
+	if e.keys, err = compileOrders(v, n.OrderBy); err != nil {
+		return nil, err
+	}
+	if e.pr, err = compileProjection(v, n.Select); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// Top is the bounded top-k scan: it streams the generation's entities
+// through the predicate and returns the dense indices of the k best in
+// the query's total order (sort keys, then ascending ID), plus the match
+// count.
+func (e *Evaluator) Top(k int) (kept []int, total int) {
+	n := e.v.count()
+	less := func(a, b int) bool { return compareIdx(e.keys, a, b) < 0 }
+	kept, total = selectTop(n, min(k, n), e.match, less)
+	slices.SortFunc(kept, func(a, b int) int { return compareIdx(e.keys, a, b) })
+	return kept, total
 }
 
 // ------------------------------------------------------------------ view
@@ -363,6 +431,25 @@ func compareIdx(keys []sortKey, a, b int) int {
 	return a - b
 }
 
+// compareVals ranks two rows by stored sort-key values under orders'
+// directions, ties broken by ascending ID: the total order compareIdx
+// imposes within one generation, since dense entity lists are ID-sorted.
+// It orders rows that no longer have a dense index — merged shard rows
+// and cached subscription candidates.
+func compareVals(orders []Order, aKeys []float64, aID string, bKeys []float64, bID string) int {
+	for j, o := range orders {
+		va, vb := aKeys[j], bKeys[j]
+		if va == vb {
+			continue
+		}
+		if (va > vb) == o.Desc {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(aID, bID)
+}
+
 // selectTop streams indices [0, n) through the filter and keeps the k
 // best under less in a bounded binary heap (worst kept at the root). It
 // reports the kept indices (unsorted) and the total match count. No maps,
@@ -447,34 +534,51 @@ func (pr *projection) fields(i int) map[string]float64 {
 	return out
 }
 
-// rankedPlan reports the precomputed-ranking fast path serving q, or ""
-// when a scan is needed: an unfiltered blogger query ordered by a single
-// descending influence or domain-score key.
-func rankedPlan(v *view, n *Query) string {
-	if v.entity != EntityBloggers || n.Where != nil || len(n.OrderBy) != 1 {
-		return ""
+// plan names the executor answering n against this generation. An
+// unfiltered blogger query ordered by a single descending influence or
+// domain-score key is served from the precomputed rankings; everything
+// else by its shard shape (see shapePlan).
+func (v *view) plan(n *Query) string {
+	if v.entity == EntityBloggers && n.Where == nil && len(n.OrderBy) == 1 {
+		o := n.OrderBy[0]
+		if o.Desc && len(o.Field.Weights) == 0 {
+			if o.Field.Name == FieldInfluence {
+				return "ranked/general"
+			}
+			if strings.HasPrefix(o.Field.Name, "domain:") && len(v.d.Domains) > 0 {
+				return "ranked/domain"
+			}
+		}
 	}
-	o := n.OrderBy[0]
-	if !o.Desc || len(o.Field.Weights) > 0 {
-		return ""
-	}
-	if o.Field.Name == FieldInfluence {
-		return "ranked/general"
-	}
-	if strings.HasPrefix(o.Field.Name, "domain:") && len(v.d.Domains) > 0 {
-		return "ranked/domain"
-	}
-	return ""
+	return shapePlan(n)
 }
 
-func execRanked(v *view, n *Query, plan string) (*Result, error) {
-	pr, err := compileProjection(v, n.Select)
-	if err != nil {
-		return nil, err
+// shapePlan names the shard executor for n's shape. Constant strings,
+// not concatenation: evaluators are compiled per subscription per
+// generation, so this runs hot.
+func shapePlan(n *Query) string {
+	switch {
+	case n.Entity == EntityDomains:
+		return "domains"
+	case n.Aggregate != nil:
+		return "aggregate"
+	case n.Entity == EntityPosts:
+		return "scan/posts"
 	}
+	return "scan/bloggers"
+}
+
+// perDomain reports whether n's rows are per-domain folds over the whole
+// entity set (domains queries and aggregates) rather than entities.
+func perDomain(n *Query) bool {
+	return n.Entity == EntityDomains || n.Aggregate != nil
+}
+
+func execRanked(e *Evaluator) *Result {
+	n, v := e.n, e.v
 	k := n.Offset + n.Limit
 	var entries []rank.Entry
-	if plan == "ranked/general" {
+	if e.plan == "ranked/general" {
 		entries = v.res.TopGeneral(k)
 	} else {
 		name := strings.TrimPrefix(n.OrderBy[0].Field.Name, "domain:")
@@ -482,104 +586,16 @@ func execRanked(v *view, n *Query, plan string) (*Result, error) {
 	}
 	entries = window(entries, n.Offset, n.Limit)
 	rows := make([]Row, 0, len(entries))
-	for _, e := range entries {
-		row := Row{ID: e.ID, Score: e.Score}
-		if pr != nil {
-			if bi, ok := v.res.BloggerIndex(blog.BloggerID(e.ID)); ok {
-				row.Fields = pr.fields(bi)
+	for _, en := range entries {
+		row := Row{ID: en.ID, Score: en.Score}
+		if e.pr != nil {
+			if bi, ok := v.res.BloggerIndex(blog.BloggerID(en.ID)); ok {
+				row.Fields = e.pr.fields(bi)
 			}
 		}
 		rows = append(rows, row)
 	}
-	return &Result{Entity: n.Entity, Rows: rows, Total: len(v.d.Bloggers), Plan: plan}, nil
-}
-
-func execScan(v *view, n *Query) (*Result, error) {
-	match, err := compilePredicate(v, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := compileOrders(v, n.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := compileProjection(v, n.Select)
-	if err != nil {
-		return nil, err
-	}
-	N := v.count()
-	k := n.Offset + n.Limit
-	if k > N {
-		k = N
-	}
-	less := func(a, b int) bool { return compareIdx(keys, a, b) < 0 }
-	kept, total := selectTop(N, k, match, less)
-	slices.SortFunc(kept, func(a, b int) int { return compareIdx(keys, a, b) })
-	kept = window(kept, n.Offset, n.Limit)
-	rows := make([]Row, 0, len(kept))
-	primary := keys[0].get
-	for _, i := range kept {
-		rows = append(rows, Row{ID: v.id(i), Score: primary(i), Fields: pr.fields(i)})
-	}
-	return &Result{Entity: n.Entity, Rows: rows, Total: total, Plan: "scan/" + string(n.Entity)}, nil
-}
-
-func execAggregate(v *view, n *Query) (*Result, error) {
-	match, err := compilePredicate(v, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	var fieldGet func(int) float64
-	if n.Aggregate.Field != "" {
-		if fieldGet, err = v.numGetter(Field{Name: n.Aggregate.Field}); err != nil {
-			return nil, err
-		}
-	}
-	d := v.d
-	nd := len(d.Domains)
-	slab := d.DomainScores
-	if v.entity == EntityPosts {
-		slab = d.PostDomains
-	}
-	counts := make([]float64, nd)
-	sums := make([]float64, nd)
-	N := v.count()
-	for i := 0; i < N; i++ {
-		if match != nil && !match(i) {
-			continue
-		}
-		var fv float64
-		if fieldGet != nil {
-			fv = fieldGet(i)
-		}
-		row := slab[i*nd : (i+1)*nd]
-		for di, w := range row {
-			if w == 0 {
-				continue
-			}
-			counts[di]++
-			if fieldGet != nil {
-				sums[di] += fv
-			} else {
-				sums[di] += w
-			}
-		}
-	}
-	values := make([]float64, nd)
-	for di := range values {
-		switch n.Aggregate.Op {
-		case AggCount:
-			values[di] = counts[di]
-		case AggSum:
-			values[di] = sums[di]
-		default: // mean
-			if counts[di] > 0 {
-				values[di] = sums[di] / counts[di]
-			}
-		}
-	}
-	rows := domainRows(d.Domains, values, n)
-	return &Result{Entity: n.Entity, Rows: rows, Total: nd, Plan: "aggregate"}, nil
+	return &Result{Entity: n.Entity, Rows: rows, Total: len(v.d.Bloggers), Plan: e.plan}
 }
 
 // domainView adapts per-domain value arrays to the predicate compiler.
@@ -599,29 +615,10 @@ func (v *domainView) strGetter(f Field) (func(int) string, error) {
 	return nil, fmt.Errorf("query: field %q has no string accessor", f.Name)
 }
 
-func execDomains(v *view, n *Query) (*Result, error) {
-	d := v.d
-	nd := len(d.Domains)
-	counts := make([]float64, nd)
-	sums := make([]float64, nd)
-	for bi := 0; bi < len(d.Bloggers); bi++ {
-		row := d.DomainScores[bi*nd : (bi+1)*nd]
-		for di, s := range row {
-			if s != 0 {
-				counts[di]++
-				sums[di] += s
-			}
-		}
-	}
-	return domainsResult(d.Domains, counts, sums, n)
-}
-
-// domainsResult is the tail of the domains executor — means from
-// counts/sums, predicate/order/select compiled against the per-domain
-// arrays, filter, sort, paginate. It is shared with the cluster
-// coordinator, which feeds it counts/sums merged across shards (count and
-// sum are associative; mean never is, so it is always derived here, after
-// the merge).
+// domainsResult finishes a per-domain query from merged (count, sum)
+// partials: means derived here (count and sum merge associatively; mean
+// never does), then predicate, order and select compiled against the
+// per-domain arrays, filter, sort (ties by name) and paginate.
 func domainsResult(names []string, counts, sums []float64, n *Query) (*Result, error) {
 	nd := len(names)
 	means := make([]float64, nd)
@@ -654,8 +651,6 @@ func domainsResult(names []string, counts, sums []float64, n *Query) (*Result, e
 		}
 	}
 	total := len(idx)
-	// Domain slots are interning order, not name order, so ties break by
-	// name, not index.
 	slices.SortFunc(idx, func(a, b int) int {
 		if c := compareKeys(keys, a, b); c != 0 {
 			return c
@@ -668,29 +663,5 @@ func domainsResult(names []string, counts, sums []float64, n *Query) (*Result, e
 	for _, di := range idx {
 		rows = append(rows, Row{ID: names[di], Score: primary(di), Fields: pr.fields(di)})
 	}
-	return &Result{Entity: EntityDomains, Rows: rows, Total: total, Plan: "domains"}, nil
-}
-
-// domainRows orders per-domain values descending (name ascending on
-// ties) and paginates — the tail of the aggregate executor.
-func domainRows(names []string, values []float64, n *Query) []Row {
-	idx := make([]int, len(names))
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(a, b int) int {
-		if values[a] != values[b] {
-			if values[a] > values[b] {
-				return -1
-			}
-			return 1
-		}
-		return strings.Compare(names[a], names[b])
-	})
-	idx = window(idx, n.Offset, n.Limit)
-	rows := make([]Row, 0, len(idx))
-	for _, i := range idx {
-		rows = append(rows, Row{ID: names[i], Score: values[i]})
-	}
-	return rows
+	return &Result{Entity: n.Entity, Rows: rows, Total: total, Plan: shapePlan(n)}, nil
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -34,7 +35,10 @@ func fuzzFixture() (*blog.Corpus, *influence.Result) {
 // FuzzDecode is the decoder's robustness contract: any byte soup either
 // decodes into a query that executes cleanly, or fails with an error —
 // it must never panic. (The API layer surfaces those errors as 400
-// invalid_query.)
+// invalid_query.) It is also a differential oracle for the shard
+// executor: every decoded scan runs as three disjoint ownership parts
+// merged by MergeShards, which must reproduce Execute's rows and total
+// exactly.
 func FuzzDecode(f *testing.F) {
 	seeds := []string{
 		``,
@@ -70,8 +74,30 @@ func FuzzDecode(f *testing.F) {
 		// executable: run it to hold the promise (and to catch executor
 		// panics on odd-but-valid input).
 		c, res := fuzzFixture()
-		if _, err := Execute(c, res, q); err != nil {
+		want, err := Execute(c, res, q)
+		if err != nil {
 			t.Fatalf("decoded query failed to execute: %v\nquery: %s", err, data)
+		}
+		if perDomain(q) {
+			return
+		}
+		owners := virtualOwners(3)
+		if q.Entity == EntityPosts {
+			owners = postOwners(c, owners)
+		}
+		parts := make([]*ShardResult, len(owners))
+		for p, own := range owners {
+			if parts[p], err = ExecuteShard(c, res, q, own); err != nil {
+				t.Fatalf("ExecuteShard part %d: %v\nquery: %s", p, err, data)
+			}
+		}
+		got, err := MergeShards(parts, q)
+		if err != nil {
+			t.Fatalf("MergeShards: %v\nquery: %s", err, data)
+		}
+		if got.Total != want.Total || !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Fatalf("3-part merge diverges from Execute\nquery: %s\n got: total %d %+v\nwant: total %d %+v",
+				data, got.Total, got.Rows, want.Total, want.Rows)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"mass/internal/blog"
 	"mass/internal/influence"
@@ -14,14 +15,14 @@ import (
 // entities a flush actually changed, instead of re-executing the query
 // from scratch.
 //
-// An Evaluator binds one normalized query to one analyzed generation and
-// exposes the exact same compiled machinery Execute runs — the same
-// predicate, the same sort keys, the same projection, the same plan
-// selection and the same total order (keys, then ascending ID) — as
-// per-entity primitives. Anything assembled from these primitives under
-// that total order is therefore byte-identical to Execute's output for
-// the same query and generation; the subs package's equivalence tests
-// hold it to exactly that.
+// An Evaluator is the compiled form Execute and ExecuteShard run (see
+// compile in exec.go): the same predicate, the same sort keys, the same
+// projection, the same plan selection, the same bounded top-k scan (Top)
+// and the same total order (keys, then ascending ID). This file exposes
+// it as per-entity primitives. Anything assembled from these primitives
+// under that total order is therefore byte-identical to Execute's output
+// for the same query and generation; the subs package's equivalence
+// tests hold it to exactly that.
 
 // DiffSafe reports whether q's result can be maintained by diffing
 // against a publish delta. Entity scans over bloggers and posts qualify:
@@ -34,7 +35,7 @@ func DiffSafe(q *Query) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return n.Entity != EntityDomains && n.Aggregate == nil, nil
+	return !perDomain(n), nil
 }
 
 // EvalContext shares the per-generation resolved state — today the dense
@@ -74,77 +75,18 @@ func (ctx *EvalContext) posts() []*blog.Post {
 func (ctx *EvalContext) Warm() { ctx.posts() }
 
 // Evaluator compiles q against the context's generation, sharing the
-// context's resolved state. See NewEvaluator for the accepted queries.
+// context's resolved state. Only diff-safe queries (see DiffSafe) are
+// accepted.
 func (ctx *EvalContext) Evaluator(q *Query) (*Evaluator, error) {
-	return newEvaluator(ctx.c, ctx.res, q, ctx)
-}
-
-// Evaluator is a diff-safe query compiled against one generation's dense
-// slabs. It is read-only and safe for concurrent use.
-type Evaluator struct {
-	v     *view
-	n     *Query
-	match func(int) bool // nil matches everything
-	keys  []sortKey
-	desc  []bool
-	pr    *projection
-	plan  string
-
-	// Probe for single-numeric-comparison predicates (see PredProbe).
-	// probe reads through the view, so Rebind re-targets it for free.
-	probe    func(int) float64
-	probeF   string
-	probeOp  Op
-	probeVal float64
-}
-
-// NewEvaluator compiles q against one analyzed generation. Only
-// diff-safe queries (see DiffSafe) are accepted.
-func NewEvaluator(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error) {
-	return newEvaluator(c, res, q, nil)
-}
-
-func newEvaluator(c *blog.Corpus, res *influence.Result, q *Query, ctx *EvalContext) (*Evaluator, error) {
-	if c == nil || res == nil {
-		return nil, fmt.Errorf("query: corpus and result required")
-	}
-	n, err := q.Normalize()
+	e, err := compile(ctx.c, ctx.res, q, ctx)
 	if err != nil {
 		return nil, err
 	}
-	if ok, _ := DiffSafe(n); !ok {
-		return nil, fmt.Errorf("query: %s/aggregate queries are not incrementally evaluable", n.Entity)
+	if perDomain(e.n) {
+		return nil, fmt.Errorf("query: %s/aggregate queries are not incrementally evaluable", e.n.Entity)
 	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity, ctx: ctx}
-	match, err := compilePredicate(v, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := compileOrders(v, n.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := compileProjection(v, n.Select)
-	if err != nil {
-		return nil, err
-	}
-	desc := make([]bool, len(keys))
-	for i, k := range keys {
-		desc[i] = k.desc
-	}
-	plan := rankedPlan(v, n)
-	if plan == "" {
-		// Constant strings, not concatenation: evaluators are compiled
-		// per subscription per generation, so this runs hot.
-		if n.Entity == EntityPosts {
-			plan = "scan/posts"
-		} else {
-			plan = "scan/bloggers"
-		}
-	}
-	e := &Evaluator{v: v, n: n, match: match, keys: keys, desc: desc, pr: pr, plan: plan}
-	if c := singleNumCmp(n.Where); c != nil && len(c.Field.Weights) == 0 {
-		if get, gerr := v.numGetter(c.Field); gerr == nil {
+	if c := singleNumCmp(e.n.Where); c != nil && len(c.Field.Weights) == 0 {
+		if get, gerr := e.v.numGetter(c.Field); gerr == nil {
 			want := c.Num
 			if c.Kind == kindTime {
 				want = timeKey(c.Time.Unix(), c.Time.Nanosecond())
@@ -189,14 +131,7 @@ func (e *Evaluator) Rebind(ctx *EvalContext) bool {
 		return false
 	}
 	e.v.c, e.v.res, e.v.d, e.v.ctx, e.v.postPtrs = ctx.c, ctx.res, d, ctx, nil
-	e.plan = rankedPlan(e.v, e.n)
-	if e.plan == "" {
-		if e.n.Entity == EntityPosts {
-			e.plan = "scan/posts"
-		} else {
-			e.plan = "scan/bloggers"
-		}
-	}
+	e.plan = e.v.plan(e.n)
 	return true
 }
 
@@ -230,9 +165,6 @@ func (e *Evaluator) PredValue(i int) float64 { return e.probe(i) }
 // ties), so the incremental maintainer uses one code path and reports
 // the plan Execute would.
 func (e *Evaluator) Plan() string { return e.plan }
-
-// Count is the number of entities in the generation's dense list.
-func (e *Evaluator) Count() int { return e.v.count() }
 
 // ID returns the entity ID at dense index i.
 func (e *Evaluator) ID(i int) string { return e.v.id(i) }
@@ -287,38 +219,14 @@ func (e *Evaluator) CompareIdxVals(i int, bKeys []float64, bID string) int {
 		}
 		return 1
 	}
-	aID := e.v.id(i)
-	switch {
-	case aID < bID:
-		return -1
-	case aID > bID:
-		return 1
-	}
-	return 0
+	return strings.Compare(e.v.id(i), bID)
 }
 
 // CompareVals ranks two entities by their stored key vectors under the
-// query's sort directions, ties broken by ascending ID — the same total
-// order compareIdx imposes (the dense entity lists are ID-sorted, so
-// ascending index is ascending ID). It lets a maintainer order entries
+// query's sort directions, ties broken by ascending ID — the comparator
+// MergeShards orders shard rows with. It lets a maintainer order entries
 // cached from an older generation against freshly scored ones without
 // resolving dense indices.
 func (e *Evaluator) CompareVals(aKeys []float64, aID string, bKeys []float64, bID string) int {
-	for ki, d := range e.desc {
-		va, vb := aKeys[ki], bKeys[ki]
-		if va == vb {
-			continue
-		}
-		if (va > vb) == d {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case aID < bID:
-		return -1
-	case aID > bID:
-		return 1
-	}
-	return 0
+	return compareVals(e.n.OrderBy, aKeys, aID, bKeys, bID)
 }

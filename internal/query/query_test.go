@@ -586,7 +586,7 @@ func TestScanAllocsBounded(t *testing.T) {
 	if allocsBig > allocsSmall+4 {
 		t.Fatalf("allocations grow with corpus size: %v (50 bloggers) vs %v (400 bloggers)", allocsSmall, allocsBig)
 	}
-	if allocsBig > 60 {
+	if allocsBig > 30 {
 		t.Fatalf("filtered top-k allocates too much: %v allocs/op", allocsBig)
 	}
 }

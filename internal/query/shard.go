@@ -1,22 +1,18 @@
 package query
 
-// Shard-side execution: the pieces of the executor a scatter-gather
-// coordinator needs to run one query as per-shard sub-plans and merge the
-// results exactly. Scans return their top rows with the ORDER BY key
-// values attached (ShardRow.Keys) so the merge can compare rows across
-// shards without re-resolving facets; per-domain aggregations return raw
-// (count, sum) partials (AggSlab) because count and sum merge
-// associatively while mean does not — mean is always derived after the
-// merge.
+// Shard-side execution: one query run as per-part sub-plans and merged
+// back exactly. ExecuteShard takes every query shape. Scans return their
+// top rows with the ORDER BY key values attached (ShardRow.Keys), so the
+// merge compares rows across parts without re-resolving facets.
+// Per-domain queries (domains and aggregates) return raw (count, sum)
+// partials, because count and sum merge associatively while mean does
+// not — mean is always derived after the merge. MergeShards finishes
+// every shape. A cluster runs one part per shard; a single engine runs
+// one unrestricted part (see Execute).
 
 import (
-	"fmt"
 	"slices"
-	"sort"
-	"strings"
-)
 
-import (
 	"mass/internal/blog"
 	"mass/internal/influence"
 )
@@ -28,335 +24,183 @@ type ShardRow struct {
 	Keys []float64 `json:"keys"`
 }
 
-// ShardResult is the shard-local portion of a scan: the top
-// (Offset + Limit) matching rows already in merge order — the query's keys
-// with their desc flags, ties by ascending ID — plus the shard's total
-// match count. Offset windowing is deliberately NOT applied; every shard
-// must contribute its full top-(Offset+Limit) prefix or the merged window
-// could miss rows.
+// ShardResult is one part's share of a query.
+//
+// For a scan, Rows holds the part's top (Offset + Limit) matching rows
+// already in merge order — the query's keys with their desc flags, ties
+// by ascending ID — and Total the part's match count. Offset windowing is
+// deliberately NOT applied; every part must contribute its full
+// top-(Offset+Limit) prefix or the merged window could miss rows.
+//
+// For a per-domain query, Domains is the part's interned domain list
+// (read-only; it aliases the generation's) with a raw (count, sum) pair
+// per slot in Counts and Sums. Parts intern only the domains their own
+// posts touch, so the lists differ across parts; MergeShards unions them
+// by name.
 type ShardResult struct {
-	Entity Entity     `json:"entity"`
-	Rows   []ShardRow `json:"rows"`
-	Total  int        `json:"total"`
-	Plan   string     `json:"plan"`
+	Rows    []ShardRow `json:"rows,omitempty"`
+	Total   int        `json:"total"`
+	Domains []string   `json:"domains,omitempty"`
+	Counts  []float64  `json:"counts,omitempty"`
+	Sums    []float64  `json:"sums,omitempty"`
 }
 
-// ExecuteShard runs the scan portion of q against one shard's snapshot.
-// own, when non-nil, restricts rows and totals to entities the shard owns:
-// shards admit foreign bloggers as link stubs, and per-shard analysis
-// assigns those stubs real scores, so an unfiltered broadcast would return
-// the same blogger ID from several shards. Posts never need the filter (a
-// post lives only on its author's owner shard), so coordinators pass nil
-// there. Domains and aggregate queries have no per-row scan; they go
-// through ExecuteDomainsSlab / ExecuteAggregateSlab instead.
+// ExecuteShard runs q's per-part half against one shard's snapshot.
+// own, when non-nil, restricts rows, totals and partials to entities the
+// shard owns: shards admit foreign bloggers as link stubs, and per-shard
+// analysis assigns those stubs real scores, so an unfiltered broadcast
+// would return the same blogger ID from several shards. Posts never need
+// the filter (a post lives only on its author's owner shard), so
+// coordinators pass nil there.
 func ExecuteShard(c *blog.Corpus, res *influence.Result, q *Query, own func(string) bool) (*ShardResult, error) {
-	if c == nil || res == nil {
-		return nil, fmt.Errorf("query: corpus and result required")
-	}
-	n, err := q.Normalize()
+	e, err := compile(c, res, q, nil)
 	if err != nil {
 		return nil, err
 	}
-	if n.Entity == EntityDomains || n.Aggregate != nil {
-		return nil, fmt.Errorf("query: %s/aggregate queries merge as slabs, not rows", n.Entity)
-	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity}
-	match, err := compilePredicate(v, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	keys, err := compileOrders(v, n.OrderBy)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := compileProjection(v, n.Select)
-	if err != nil {
-		return nil, err
-	}
-	keep := match
 	if own != nil {
-		keep = func(i int) bool {
-			if !own(v.id(i)) {
-				return false
-			}
-			return match == nil || match(i)
-		}
+		match, id := e.match, e.v.id
+		e.match = func(i int) bool { return own(id(i)) && (match == nil || match(i)) }
 	}
-	N := v.count()
-	k := n.Offset + n.Limit
-	if k > N {
-		k = N
-	}
-	less := func(a, b int) bool { return compareIdx(keys, a, b) < 0 }
-	kept, total := selectTop(N, k, keep, less)
-	slices.SortFunc(kept, func(a, b int) int { return compareIdx(keys, a, b) })
-	rows := make([]ShardRow, 0, len(kept))
-	primary := keys[0].get
-	for _, i := range kept {
-		kv := make([]float64, len(keys))
-		for j := range keys {
-			kv[j] = keys[j].get(i)
-		}
-		rows = append(rows, ShardRow{
-			Row:  Row{ID: v.id(i), Score: primary(i), Fields: pr.fields(i)},
-			Keys: kv,
-		})
-	}
-	return &ShardResult{Entity: n.Entity, Rows: rows, Total: total, Plan: "scan/" + string(n.Entity)}, nil
+	return e.shard(), nil
 }
 
-// compareShardRows ranks two rows from (possibly different) shards under
-// the normalized query's key order: key values with their desc flags,
-// ties by ascending ID — the same total order compareIdx yields within one
-// shard, because dense entity lists are ID-sorted.
-func compareShardRows(a, b *ShardRow, desc []bool) int {
-	for j, d := range desc {
-		va, vb := a.Keys[j], b.Keys[j]
-		if va == vb {
-			continue
-		}
-		if (va > vb) == d {
-			return -1
-		}
-		return 1
+// shard runs the compiled query's per-part half over every entity the
+// evaluator's predicate admits.
+func (e *Evaluator) shard() *ShardResult {
+	if perDomain(e.n) {
+		return e.slab()
 	}
-	return strings.Compare(a.ID, b.ID)
+	kept, total := e.Top(e.n.Offset + e.n.Limit)
+	nk := len(e.keys)
+	keys := make([]float64, 0, nk*len(kept))
+	rows := make([]ShardRow, len(kept))
+	for j, i := range kept {
+		keys = e.Keys(i, keys)
+		rows[j] = ShardRow{Row: e.Row(i), Keys: keys[len(keys)-nk:]}
+	}
+	return &ShardResult{Rows: rows, Total: total}
 }
 
-// MergeShardRows k-way-merges per-shard ordered row lists into the global
-// [Offset, Offset+Limit) window. Nil parts (shards that missed their
-// deadline) are skipped — the merge degrades to the shards that answered.
-// Totals sum across the answering shards.
-func MergeShardRows(parts []*ShardResult, q *Query) (*Result, error) {
-	n, err := q.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	desc := make([]bool, len(n.OrderBy))
-	for i, o := range n.OrderBy {
-		desc[i] = o.Desc
-	}
-	live := parts[:0:0]
-	total := 0
-	plan := "scan/" + string(n.Entity)
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		live = append(live, p)
-		total += p.Total
-		plan = p.Plan
-	}
-	cursors := make([]int, len(live))
-	k := n.Offset + n.Limit
-	merged := make([]Row, 0, min(k, total))
-	for len(merged) < k {
-		best := -1
-		for s, p := range live {
-			if cursors[s] >= len(p.Rows) {
-				continue
-			}
-			if best < 0 || compareShardRows(&p.Rows[cursors[s]], &live[best].Rows[cursors[best]], desc) < 0 {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		merged = append(merged, live[best].Rows[cursors[best]].Row)
-		cursors[best]++
-	}
-	merged = window(merged, n.Offset, n.Limit)
-	return &Result{Entity: n.Entity, Rows: merged, Total: total, Plan: "scatter/" + plan}, nil
-}
-
-// ------------------------------------------------------ aggregate slabs
-
-// AggSlab is one shard's per-domain partial aggregate: the shard's
-// interned domain list with a raw (count, sum) pair per slot. Shards
-// intern only the domains their own posts touch, so slabs from different
-// shards carry different name lists; MergeAggSlabs unions them by name.
-type AggSlab struct {
-	Domains []string  `json:"domains"`
-	Counts  []float64 `json:"counts"`
-	Sums    []float64 `json:"sums"`
-}
-
-// ExecuteAggregateSlab runs the filter-and-accumulate half of an aggregate
-// query on one shard, honoring the same ownership filter as ExecuteShard.
-// The op (count/sum/mean) is NOT applied — the coordinator derives values
-// from the merged counts and sums.
-func ExecuteAggregateSlab(c *blog.Corpus, res *influence.Result, q *Query, own func(string) bool) (*AggSlab, error) {
-	if c == nil || res == nil {
-		return nil, fmt.Errorf("query: corpus and result required")
-	}
-	n, err := q.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if n.Aggregate == nil {
-		return nil, fmt.Errorf("query: not an aggregate query")
-	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity}
-	match, err := compilePredicate(v, n.Where)
-	if err != nil {
-		return nil, err
-	}
-	var fieldGet func(int) float64
-	if n.Aggregate.Field != "" {
-		if fieldGet, err = v.numGetter(Field{Name: n.Aggregate.Field}); err != nil {
-			return nil, err
-		}
-	}
-	d := v.d
+// slab accumulates the per-domain (count, sum) partials: for every
+// matching entity and every domain it has nonzero weight in, one count
+// plus either the aggregated field's value or, with no field, the
+// weight itself. A domains query is the fieldless, unfiltered case over
+// bloggers.
+func (e *Evaluator) slab() *ShardResult {
+	d := e.v.d
 	nd := len(d.Domains)
-	slab := d.DomainScores
-	if v.entity == EntityPosts {
-		slab = d.PostDomains
+	weights := d.DomainScores
+	if e.n.Entity == EntityPosts {
+		weights = d.PostDomains
 	}
 	counts := make([]float64, nd)
 	sums := make([]float64, nd)
-	N := v.count()
-	for i := 0; i < N; i++ {
-		if own != nil && !own(v.id(i)) {
-			continue
-		}
-		if match != nil && !match(i) {
+	for i, n := 0, e.v.count(); i < n; i++ {
+		if !e.Match(i) {
 			continue
 		}
 		var fv float64
-		if fieldGet != nil {
-			fv = fieldGet(i)
+		if e.agg != nil {
+			fv = e.agg(i)
 		}
-		row := slab[i*nd : (i+1)*nd]
-		for di, w := range row {
+		for di, w := range weights[i*nd : (i+1)*nd] {
 			if w == 0 {
 				continue
 			}
 			counts[di]++
-			if fieldGet != nil {
+			if e.agg != nil {
 				sums[di] += fv
 			} else {
 				sums[di] += w
 			}
 		}
 	}
-	return &AggSlab{Domains: slices.Clone(d.Domains), Counts: counts, Sums: sums}, nil
+	return &ShardResult{Domains: d.Domains, Counts: counts, Sums: sums}
 }
 
-// ExecuteDomainsSlab computes one shard's per-domain (count, sum) partials
-// for a domains-entity query: counts and sums of nonzero blogger domain
-// scores, restricted to owned bloggers. Filtering, ordering and the mean
-// derivation all happen after the merge (ExecuteDomainsMerged), because
-// count/sum/mean predicates must see cluster-wide values.
-func ExecuteDomainsSlab(c *blog.Corpus, res *influence.Result, q *Query, own func(string) bool) (*AggSlab, error) {
-	if c == nil || res == nil {
-		return nil, fmt.Errorf("query: corpus and result required")
-	}
+// MergeShards finishes q from per-part results. Nil parts (shards that
+// missed their deadline or were skipped) drop out — the merge degrades
+// to the parts that answered. Scans k-way-merge the ordered row lists
+// into the global [Offset, Offset+Limit) window with totals summed;
+// per-domain queries sum their partials by domain name and finish
+// through the single-engine domain tail.
+func MergeShards(parts []*ShardResult, q *Query) (*Result, error) {
 	n, err := q.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if n.Entity != EntityDomains {
-		return nil, fmt.Errorf("query: entity %s is not domains", n.Entity)
+	if perDomain(n) {
+		return mergeDomains(parts, n)
 	}
-	d := res.Dense()
-	nd := len(d.Domains)
-	counts := make([]float64, nd)
-	sums := make([]float64, nd)
-	for bi := 0; bi < len(d.Bloggers); bi++ {
-		if own != nil && !own(string(d.Bloggers[bi])) {
-			continue
+	total := 0
+	for _, p := range parts {
+		if p != nil {
+			total += p.Total
 		}
-		row := d.DomainScores[bi*nd : (bi+1)*nd]
-		for di, s := range row {
-			if s != 0 {
-				counts[di]++
-				sums[di] += s
+	}
+	cursors := make([]int, len(parts))
+	rows := make([]Row, 0, max(0, min(n.Limit, total-n.Offset)))
+	for taken := 0; taken < n.Offset+n.Limit; taken++ {
+		best := -1
+		var top *ShardRow
+		for s, p := range parts {
+			if p == nil || cursors[s] >= len(p.Rows) {
+				continue
+			}
+			r := &p.Rows[cursors[s]]
+			if top == nil || compareVals(n.OrderBy, r.Keys, r.ID, top.Keys, top.ID) < 0 {
+				best, top = s, r
 			}
 		}
+		if top == nil {
+			break
+		}
+		if taken >= n.Offset {
+			rows = append(rows, top.Row)
+		}
+		cursors[best]++
 	}
-	return &AggSlab{Domains: slices.Clone(d.Domains), Counts: counts, Sums: sums}, nil
+	return &Result{Entity: n.Entity, Rows: rows, Total: total, Plan: shapePlan(n)}, nil
 }
 
-// MergeAggSlabs unions per-shard slabs by domain name (sorted) and sums
-// their partials. Nil slabs (degraded shards) are skipped.
-func MergeAggSlabs(slabs []*AggSlab) (names []string, counts, sums []float64) {
+// mergeDomains unions per-part partials by domain name (sorted), sums
+// them and finishes the query. An aggregate's parts already applied its
+// entity filter; its domain rows rank by the aggregate value descending,
+// and each AggOp names the domain column holding that value.
+func mergeDomains(parts []*ShardResult, n *Query) (*Result, error) {
 	idx := make(map[string]int)
-	for _, s := range slabs {
-		if s == nil {
+	var names []string
+	for _, p := range parts {
+		if p == nil {
 			continue
 		}
-		for _, name := range s.Domains {
+		for _, name := range p.Domains {
 			if _, ok := idx[name]; !ok {
 				idx[name] = len(names)
 				names = append(names, name)
 			}
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for i, name := range names {
 		idx[name] = i
 	}
-	counts = make([]float64, len(names))
-	sums = make([]float64, len(names))
-	for _, s := range slabs {
-		if s == nil {
+	counts := make([]float64, len(names))
+	sums := make([]float64, len(names))
+	for _, p := range parts {
+		if p == nil {
 			continue
 		}
-		for di, name := range s.Domains {
-			i := idx[name]
-			counts[i] += s.Counts[di]
-			sums[i] += s.Sums[di]
+		for di, name := range p.Domains {
+			counts[idx[name]] += p.Counts[di]
+			sums[idx[name]] += p.Sums[di]
 		}
 	}
-	return names, counts, sums
-}
-
-// ExecuteAggregateMerged finishes an aggregate query from merged partials:
-// apply the op per domain, order values descending (name ascending on
-// ties) and paginate — the same tail as the single-engine aggregate
-// executor.
-func ExecuteAggregateMerged(names []string, counts, sums []float64, q *Query) (*Result, error) {
-	n, err := q.Normalize()
-	if err != nil {
-		return nil, err
+	if n.Aggregate != nil {
+		agg := *n
+		agg.Where = nil
+		agg.OrderBy = []Order{{Field: Field{Name: string(n.Aggregate.Op)}, Desc: true}}
+		n = &agg
 	}
-	if n.Aggregate == nil {
-		return nil, fmt.Errorf("query: not an aggregate query")
-	}
-	values := make([]float64, len(names))
-	for di := range values {
-		switch n.Aggregate.Op {
-		case AggCount:
-			values[di] = counts[di]
-		case AggSum:
-			values[di] = sums[di]
-		default: // mean
-			if counts[di] > 0 {
-				values[di] = sums[di] / counts[di]
-			}
-		}
-	}
-	rows := domainRows(names, values, n)
-	return &Result{Entity: n.Entity, Rows: rows, Total: len(names), Plan: "scatter/aggregate"}, nil
-}
-
-// ExecuteDomainsMerged finishes a domains-entity query from merged
-// partials via the shared single-engine tail (means, filter, sort,
-// paginate).
-func ExecuteDomainsMerged(names []string, counts, sums []float64, q *Query) (*Result, error) {
-	n, err := q.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	if n.Entity != EntityDomains {
-		return nil, fmt.Errorf("query: entity %s is not domains", n.Entity)
-	}
-	r, err := domainsResult(names, counts, sums, n)
-	if err != nil {
-		return nil, err
-	}
-	r.Plan = "scatter/" + r.Plan
-	return r, nil
+	return domainsResult(names, counts, sums, n)
 }

@@ -59,9 +59,9 @@ func scatterScan(t *testing.T, q *Query, nparts int) *Result {
 			t.Fatalf("ExecuteShard part %d: %v", p, err)
 		}
 	}
-	merged, err := MergeShardRows(parts, q)
+	merged, err := MergeShards(parts, q)
 	if err != nil {
-		t.Fatalf("MergeShardRows: %v", err)
+		t.Fatalf("MergeShards: %v", err)
 	}
 	return merged
 }
@@ -114,13 +114,13 @@ func TestShardScanDegraded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full, err := MergeShardRows(parts, q)
+	full, err := MergeShards(parts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lost := parts[1].Total
 	parts[1] = nil
-	partial, err := MergeShardRows(parts, q)
+	partial, err := MergeShards(parts, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,16 +194,15 @@ func TestShardAggregateMergeExact(t *testing.T) {
 			if q.Entity == EntityPosts {
 				owners = postOwners(f.c, owners)
 			}
-			slabs := make([]*AggSlab, 3)
+			parts := make([]*ShardResult, 3)
 			for p := 0; p < 3; p++ {
 				var err error
-				slabs[p], err = ExecuteAggregateSlab(f.c, f.res, q, owners[p])
+				parts[p], err = ExecuteShard(f.c, f.res, q, owners[p])
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			names, counts, sums := MergeAggSlabs(slabs)
-			got, err := ExecuteAggregateMerged(names, counts, sums, q)
+			got, err := MergeShards(parts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,16 +223,15 @@ func TestShardDomainsMergeExact(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			want := mustExecute(t, q)
 			owners := virtualOwners(4)
-			slabs := make([]*AggSlab, 4)
+			parts := make([]*ShardResult, 4)
 			for p := 0; p < 4; p++ {
 				var err error
-				slabs[p], err = ExecuteDomainsSlab(f.c, f.res, q, owners[p])
+				parts[p], err = ExecuteShard(f.c, f.res, q, owners[p])
 				if err != nil {
 					t.Fatal(err)
 				}
 			}
-			names, counts, sums := MergeAggSlabs(slabs)
-			got, err := ExecuteDomainsMerged(names, counts, sums, q)
+			got, err := MergeShards(parts, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,19 +240,5 @@ func TestShardDomainsMergeExact(t *testing.T) {
 			}
 			rowsAlmostEqual(t, got.Rows, want.Rows)
 		})
-	}
-}
-
-// TestShardRejectsSlabEntities: ExecuteShard must refuse the shapes that
-// merge as slabs.
-func TestShardRejectsSlabEntities(t *testing.T) {
-	f := testFixture(t)
-	for _, q := range []*Query{
-		Domains().Limit(5).Build(),
-		Bloggers().AggregatePerDomain(AggCount, "").Limit(5).Build(),
-	} {
-		if _, err := ExecuteShard(f.c, f.res, q, nil); err == nil {
-			t.Fatalf("ExecuteShard accepted %+v", q)
-		}
 	}
 }

@@ -116,21 +116,13 @@ func (st *evalState) fullEval(gen Generation, ctx *query.EvalContext) error {
 	if err != nil {
 		return err
 	}
+	kept, total := ev.Top(st.capH)
 	nk := len(st.q.OrderBy)
-	var all []candidate
-	total := 0
-	for i, n := 0, ev.Count(); i < n; i++ {
-		if !ev.Match(i) {
-			continue
-		}
-		total++
-		all = append(all, candidate{id: ev.ID(i), keys: ev.Keys(i, make([]float64, 0, nk))})
-	}
-	slices.SortFunc(all, func(a, b candidate) int {
-		return ev.CompareVals(a.keys, a.id, b.keys, b.id)
-	})
-	if len(all) > st.capH {
-		all = all[:st.capH]
+	keys := make([]float64, 0, nk*len(kept))
+	all := make([]candidate, len(kept))
+	for j, i := range kept {
+		keys = ev.Keys(i, keys)
+		all[j] = candidate{id: ev.ID(i), keys: keys[len(keys)-nk:]}
 	}
 	st.evSpare, st.ev = st.ev, ev
 	st.seq, st.plan, st.total, st.cands = gen.Seq, ev.Plan(), total, all
