@@ -37,10 +37,10 @@ func main() {
 	}
 
 	fmt.Println("\nPer-post influence Inf(b,d) (Eq. 4):")
-	for _, pid := range corpus.PostIDs() {
-		p := corpus.Posts[pid]
+	d := res.Dense()
+	for i, pid := range d.Posts {
 		fmt.Printf("  %-6s by %-8s %.4f  (quality=%.3f novelty=%.2f, %d comments)\n",
-			pid, p.Author, res.PostScores[pid], res.Quality[pid], res.Novelty[pid], len(p.Comments))
+			pid, d.Bloggers[d.Author[i]], d.PostScore[i], d.Quality[i], d.Novelty[i], d.Comments[i])
 	}
 
 	fmt.Println("\nAmery's domain-specific influence Inf(Amery, Ct) (Eq. 5):")

@@ -118,7 +118,7 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 	}
 	posts := append([]blog.PostID(nil), c.PostsBy(id)...)
 	sort.Slice(posts, func(i, j int) bool {
-		si, sj := res.PostScores[posts[i]], res.PostScores[posts[j]]
+		si, sj := res.PostScore(posts[i]), res.PostScore(posts[j])
 		if si != sj {
 			return si > sj
 		}
@@ -129,7 +129,7 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 	}
 	for _, pid := range posts {
 		detail.TopPosts = append(detail.TopPosts, topPost{
-			ID: pid, Title: c.Posts[pid].Title, Score: res.PostScores[pid],
+			ID: pid, Title: c.Posts[pid].Title, Score: res.PostScore(pid),
 		})
 	}
 	return detail, nil

@@ -233,7 +233,7 @@ func TestLinkEpochStability(t *testing.T) {
 
 	epochAfter := func(name string, wantBump bool, mutate func() error) {
 		t.Helper()
-		before, beforeRebuild := c.linkEpoch, c.linkRebuild
+		before, beforeLineage := c.linkEpoch, c.journal.Lineage
 		if err := mutate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -241,8 +241,8 @@ func TestLinkEpochStability(t *testing.T) {
 		if bumped != wantBump {
 			t.Fatalf("%s: epoch bump = %v, want %v", name, bumped, wantBump)
 		}
-		if c.linkRebuild != beforeRebuild {
-			t.Fatalf("%s: must never advance the rebuild counter", name)
+		if c.journal.Lineage != beforeLineage {
+			t.Fatalf("%s: must never start a new lineage", name)
 		}
 	}
 
@@ -277,12 +277,12 @@ func TestLinkEpochStability(t *testing.T) {
 		return c.UpsertBlogger(&Blogger{ID: bid(8)})
 	})
 
-	// Reindex bumps both counters: the lineage may no longer be append-only.
-	before, beforeRebuild := c.linkEpoch, c.linkRebuild
+	// Reindex bumps the epoch and starts a new lineage: Links may no longer be append-only.
+	before, beforeLineage := c.linkEpoch, c.journal.Lineage
 	c.Reindex()
-	if c.linkEpoch == before || c.linkRebuild == beforeRebuild {
-		t.Fatalf("Reindex must advance both counters: epoch %d→%d rebuild %d→%d",
-			before, c.linkEpoch, beforeRebuild, c.linkRebuild)
+	if c.linkEpoch == before || c.journal.Lineage == beforeLineage {
+		t.Fatalf("Reindex must advance the epoch and the lineage: epoch %d→%d lineage %d→%d",
+			before, c.linkEpoch, beforeLineage, c.journal.Lineage)
 	}
 
 	// The duplicate-AddLink record is still kept for crawl fidelity even

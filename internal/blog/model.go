@@ -86,11 +86,13 @@ type Corpus struct {
 	// graphs, which lets an incremental analyzer skip re-running PageRank.
 	linkEpoch uint64
 
-	// linkRebuild counts the mutations after which Links may no longer be a
-	// prefix-extension of any earlier state (today: Reindex after bulk
-	// edits). Incremental link views extend across epochs only while this
-	// counter is unchanged; a bump forces the fresh-base fallback.
-	linkRebuild uint64
+	// journal records the mutations (see Journal). Links is a
+	// prefix-extension of every earlier state of the same lineage, so
+	// incremental link views extend across epochs only while the lineage
+	// is unchanged. forked marks a snapshot whose next mutation must open
+	// a new lineage.
+	journal Journal
+	forked  bool
 
 	// linkView caches the incremental link-graph view for the current
 	// linkEpoch (see LinkView). Snapshots inherit the pointer, so across
@@ -105,7 +107,7 @@ type Corpus struct {
 // its snapshots, and the analyzer's solver state simultaneously.
 type LinkView struct {
 	epoch   uint64
-	rebuild uint64
+	lineage uint64
 	nLinks  int
 	delta   *graph.DeltaCSR
 
@@ -182,7 +184,7 @@ func (c *Corpus) LinkView() *LinkView {
 // The result is cached on the corpus per epoch and shared with snapshots.
 // Like LinkCSR, safe concurrently with reads, not with mutations.
 func (c *Corpus) LinkViewFrom(prev *LinkView) *LinkView {
-	if v := c.linkView.Load(); v != nil && v.epoch == c.linkEpoch && v.rebuild == c.linkRebuild {
+	if v := c.linkView.Load(); v != nil && v.epoch == c.linkEpoch && v.lineage == c.journal.Lineage {
 		return v
 	}
 	v := c.buildLinkView(prev)
@@ -191,13 +193,13 @@ func (c *Corpus) LinkViewFrom(prev *LinkView) *LinkView {
 }
 
 // extendableFrom reports whether prev can seed an O(delta) extension for
-// the corpus's current state: same append-only lineage (rebuild counter),
+// the corpus's current state: same append-only lineage,
 // a Links prefix, and an unchanged node count. Node count equality implies
 // node set equality within a lineage, because the corpus API never removes
 // bloggers without a Reindex.
 func (c *Corpus) extendableFrom(prev *LinkView) bool {
 	return prev != nil &&
-		prev.rebuild == c.linkRebuild &&
+		prev.lineage == c.journal.Lineage &&
 		prev.nLinks <= len(c.Links) &&
 		prev.delta.NumNodes() == len(c.Bloggers)
 }
@@ -219,7 +221,7 @@ func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
 		if d.OverlaySize() > linkCompactThreshold(base.NumEdges()) {
 			d = graph.NewDeltaCSR(d.Compact())
 		}
-		return &LinkView{epoch: c.linkEpoch, rebuild: c.linkRebuild, nLinks: len(c.Links), delta: d}
+		return &LinkView{epoch: c.linkEpoch, lineage: c.journal.Lineage, nLinks: len(c.Links), delta: d}
 	}
 
 	bloggers := c.BloggerIDs()
@@ -243,7 +245,7 @@ func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
 	csr := graph.NewCSR(ids, from, to)
 	return &LinkView{
 		epoch:   c.linkEpoch,
-		rebuild: c.linkRebuild,
+		lineage: c.journal.Lineage,
 		nLinks:  len(c.Links),
 		delta:   graph.NewDeltaCSR(csr),
 	}
@@ -264,6 +266,7 @@ func NewCorpus() *Corpus {
 		totalComments: map[BloggerID]int{},
 		outLinks:      map[BloggerID][]BloggerID{},
 		inLinks:       map[BloggerID][]BloggerID{},
+		journal:       Journal{Lineage: lineages.Add(1)},
 	}
 }
 
@@ -275,7 +278,9 @@ func (c *Corpus) AddBlogger(b *Blogger) error {
 	if _, dup := c.Bloggers[b.ID]; dup {
 		return fmt.Errorf("blog: duplicate blogger %q", b.ID)
 	}
+	c.mutating()
 	c.Bloggers[b.ID] = b
+	c.journal.Bloggers = append(c.journal.Bloggers, b.ID)
 	// A new blogger is a new graph node (it changes the CSR node set and
 	// the PageRank teleport denominator), so this bump is never spurious —
 	// but it does force incremental consumers onto the fresh-base path.
@@ -300,7 +305,9 @@ func (c *Corpus) AddPost(p *Post) error {
 			return fmt.Errorf("blog: post %q comment %d has unknown commenter %q", p.ID, i, cm.Commenter)
 		}
 	}
+	c.mutating()
 	c.Posts[p.ID] = p
+	c.journal.Posts = append(c.journal.Posts, p.ID)
 	c.postsByAuthor[p.Author] = append(c.postsByAuthor[p.Author], p.ID)
 	for _, cm := range p.Comments {
 		c.totalComments[cm.Commenter]++
@@ -324,6 +331,7 @@ func (c *Corpus) AddLink(from, to BloggerID) error {
 	// collapse in every CSR view — so it must not bump the epoch and
 	// invalidate cached views (the link record itself is still kept, for
 	// crawl fidelity on save/load). Only an effectively new edge bumps.
+	c.mutating()
 	dup := false
 	for _, existing := range c.outLinks[from] {
 		if existing == to {
@@ -343,22 +351,18 @@ func (c *Corpus) AddLink(from, to BloggerID) error {
 // Reindex rebuilds all derived indexes from Bloggers, Posts and Links.
 // Call it after deserializing or bulk-editing a corpus. Bulk edits may
 // have changed the link graph arbitrarily — including non-append rewrites
-// of Links — so both the link epoch and the rebuild counter advance,
-// forcing incremental link views onto the fresh-base path.
+// of Links — so the link epoch advances and a new journal lineage starts,
+// forcing incremental link views onto the fresh-base path and incremental
+// analysis caches back to journal position 0.
 func (c *Corpus) Reindex() {
 	c.linkEpoch++
-	c.linkRebuild++
+	c.journal, c.forked = Journal{Lineage: lineages.Add(1), Bloggers: c.BloggerIDs(), Posts: c.PostIDs()}, false
 	c.postsByAuthor = map[BloggerID][]PostID{}
 	c.totalComments = map[BloggerID]int{}
 	c.outLinks = map[BloggerID][]BloggerID{}
 	c.inLinks = map[BloggerID][]BloggerID{}
-	ids := make([]string, 0, len(c.Posts))
-	for id := range c.Posts {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		p := c.Posts[PostID(id)]
+	for _, id := range c.journal.Posts {
+		p := c.Posts[id]
 		c.postsByAuthor[p.Author] = append(c.postsByAuthor[p.Author], p.ID)
 		for _, cm := range p.Comments {
 			c.totalComments[cm.Commenter]++

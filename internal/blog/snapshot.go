@@ -1,6 +1,10 @@
 package blog
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // Copy-on-write corpus snapshotting.
 //
@@ -29,7 +33,8 @@ func (c *Corpus) Snapshot() *Corpus {
 		outLinks:      make(map[BloggerID][]BloggerID, len(c.outLinks)),
 		inLinks:       make(map[BloggerID][]BloggerID, len(c.inLinks)),
 		linkEpoch:     c.linkEpoch,
-		linkRebuild:   c.linkRebuild,
+		journal:       c.Journal(),
+		forked:        true,
 	}
 	for id, b := range c.Bloggers {
 		s.Bloggers[id] = b
@@ -67,9 +72,11 @@ func (c *Corpus) AddComment(pid PostID, cm Comment) error {
 	if _, ok := c.Bloggers[cm.Commenter]; !ok {
 		return fmt.Errorf("blog: comment on %q by unknown commenter %q", pid, cm.Commenter)
 	}
+	c.mutating()
 	clone := *p
 	clone.Comments = append(append(make([]Comment, 0, len(p.Comments)+1), p.Comments...), cm)
 	c.Posts[pid] = &clone
+	c.journal.Comments = append(c.journal.Comments, pid)
 	c.totalComments[cm.Commenter]++
 	return nil
 }
@@ -99,9 +106,11 @@ func (c *Corpus) UpsertBlogger(b *Blogger) error {
 	}
 	existing, ok := c.Bloggers[b.ID]
 	if !ok {
+		c.mutating()
 		nb := *b
 		nb.Friends = append([]BloggerID(nil), b.Friends...)
 		c.Bloggers[b.ID] = &nb
+		c.journal.Bloggers = append(c.journal.Bloggers, b.ID)
 		c.linkEpoch++ // new graph node
 		return nil
 	}
@@ -117,4 +126,42 @@ func (c *Corpus) UpsertBlogger(b *Blogger) error {
 	}
 	c.Bloggers[b.ID] = &clone
 	return nil
+}
+
+// Mutation journal. Every corpus records, in mutation order, the bloggers
+// added, the posts added and the post of every comment appended, so an
+// incremental consumer (the influence analysis cache) can remember its
+// position and later read only the entries past it. NewCorpus, Reindex
+// and FromParts start a new lineage; a snapshot shares its origin's
+// journal, capped to its own length, until its own first mutation forks
+// it onto a new lineage.
+
+// lineages hands out lineage tokens; 0 is never issued.
+var lineages atomic.Uint64
+
+// Journal is a read-only view of a corpus's mutation journal. Within one
+// lineage, the shorter of two journals is a prefix of the longer.
+type Journal struct {
+	Lineage uint64
+	// Bloggers and Posts are the IDs added, in order (sorted when Reindex
+	// opened the lineage).
+	Bloggers []BloggerID
+	Posts    []PostID
+	// Comments holds the post of every comment AddComment appended.
+	Comments []PostID
+}
+
+// Journal returns the corpus's journal. The slices are shared and capped;
+// do not modify them.
+func (c *Corpus) Journal() Journal {
+	j := c.journal
+	return Journal{j.Lineage, slices.Clip(j.Bloggers), slices.Clip(j.Posts), slices.Clip(j.Comments)}
+}
+
+// mutating is called before every mutation that the journal or the link
+// graph records: a snapshot's first mutation forks it onto a new lineage.
+func (c *Corpus) mutating() {
+	if c.forked {
+		c.forked, c.journal.Lineage = false, lineages.Add(1)
+	}
 }

@@ -21,7 +21,9 @@ type Stats struct {
 
 // ComputeStats scans the corpus once and returns its summary. wordCount is
 // the token counter to use for post lengths (injected to keep this package
-// free of text-processing dependencies).
+// free of text-processing dependencies); with a nil wordCount the bodies
+// are not tokenized and AvgPostLenWords is left 0 for a caller that
+// already holds the word totals.
 func ComputeStats(c *Corpus, wordCount func(string) int) Stats {
 	s := Stats{
 		Bloggers: len(c.Bloggers),
@@ -31,7 +33,9 @@ func ComputeStats(c *Corpus, wordCount func(string) int) Stats {
 	totalLen := 0
 	for _, p := range c.Posts {
 		s.Comments += len(p.Comments)
-		totalLen += wordCount(p.Body)
+		if wordCount != nil {
+			totalLen += wordCount(p.Body)
+		}
 	}
 	for b := range c.Bloggers {
 		if n := len(c.PostsBy(b)); n > s.MaxPostsPerUser {

@@ -8,7 +8,6 @@ import (
 	"mass/internal/blog"
 	"mass/internal/core"
 	"mass/internal/query"
-	"mass/internal/textutil"
 )
 
 // View pins one immutable snapshot per shard — the cluster-wide analogue
@@ -271,10 +270,10 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 				s.Bloggers++
 			}
 		}
+		totalWords += snap.Result().Words()
 		for _, p := range c.Posts {
 			s.Posts++
 			postsBy[p.Author]++
-			totalWords += textutil.WordCount(p.Body)
 			for _, cm := range p.Comments {
 				s.Comments++
 				commentsBy[cm.Commenter]++

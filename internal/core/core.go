@@ -25,7 +25,6 @@ import (
 	"mass/internal/query"
 	"mass/internal/recommend"
 	"mass/internal/synth"
-	"mass/internal/textutil"
 	"mass/internal/viz"
 	"mass/internal/xmlstore"
 )
@@ -245,5 +244,9 @@ func (s *System) SaveCorpus(path string) error {
 
 // Stats summarizes the corpus.
 func (s *System) Stats() blog.Stats {
-	return blog.ComputeStats(s.corpus, textutil.WordCount)
+	st := blog.ComputeStats(s.corpus, nil)
+	if st.Posts > 0 {
+		st.AvgPostLenWords = float64(s.result.Words()) / float64(st.Posts)
+	}
+	return st
 }

@@ -205,9 +205,10 @@ func TestEngineWarmMatchesCold(t *testing.T) {
 			t.Fatalf("blogger %s: warm %v vs cold %v", b, wr.BloggerScores[b], s)
 		}
 	}
-	for p, s := range cr.PostScores {
-		if math.Abs(wr.PostScores[p]-s) > 1e-9 {
-			t.Fatalf("post %s: warm %v vs cold %v", p, wr.PostScores[p], s)
+	cd := cr.Dense()
+	for i, p := range cd.Posts {
+		if s := cd.PostScore[i]; math.Abs(wr.PostScore(p)-s) > 1e-9 {
+			t.Fatalf("post %s: warm %v vs cold %v", p, wr.PostScore(p), s)
 		}
 	}
 	for b, ds := range cr.DomainScoresMap() {

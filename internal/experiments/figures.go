@@ -28,7 +28,6 @@ import (
 // Figure1Result is the walkthrough of the paper's sample influence graph.
 type Figure1Result struct {
 	BloggerScores map[blog.BloggerID]float64
-	PostScores    map[blog.PostID]float64
 	Top3          []blog.BloggerID
 	AmeryDomains  map[string]float64
 	Converged     bool
@@ -56,7 +55,6 @@ func ExperimentFigure1(cfg Config) (*Figure1Result, error) {
 	}
 	return &Figure1Result{
 		BloggerScores: res.BloggerScores,
-		PostScores:    res.PostScores,
 		Top3:          res.TopKGeneral(3),
 		AmeryDomains:  res.DomainVector("Amery"),
 		Converged:     res.Converged,

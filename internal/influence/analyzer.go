@@ -3,7 +3,6 @@ package influence
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"mass/internal/blog"
@@ -70,7 +69,7 @@ func (a *Analyzer) AnalyzeWarm(c *blog.Corpus, prev *Result) (*Result, error) {
 // corpus lineage and must not be used concurrently; prev may be nil (the
 // facets still reuse, only the solver starts cold, which keeps the result
 // bit-for-bit identical to Analyze). See Cache for the exact reuse and
-// eviction rules.
+// reset rules.
 func (a *Analyzer) AnalyzeCached(c *blog.Corpus, prev *Result, cache *Cache) (*Result, error) {
 	return a.analyze(c, prev, cache)
 }
@@ -79,128 +78,98 @@ func (a *Analyzer) AnalyzeCached(c *blog.Corpus, prev *Result, cache *Cache) (*R
 // cold and incremental paths are literally the same code; only reuse
 // differs (a fresh cache reuses nothing).
 func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result, error) {
-	var warm map[blog.BloggerID]float64
-	if prev != nil {
-		warm = prev.BloggerScores
-	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("influence: invalid corpus: %w", err)
-	}
 	if cache == nil {
 		cache = NewCache()
 	}
-	cache.evictMissing(c)
-
-	bloggers := c.BloggerIDs()
-	posts := c.PostIDs()
-	bIdx := make(map[blog.BloggerID]int, len(bloggers))
-	for i, id := range bloggers {
-		bIdx[id] = i
-	}
-	pIdx := make(map[blog.PostID]int, len(posts))
-	for i, id := range posts {
-		pIdx[id] = i
+	ch := cache
+	fresh, grown, reset, err := ch.sync(c)
+	if err != nil {
+		return nil, fmt.Errorf("influence: invalid corpus: %w", err)
 	}
 
+	// Dense rows: bloggers and posts in sorted-ID order, gathered through
+	// the cache's sorted permutations.
+	nb, np := len(ch.bSorted), len(ch.pSorted)
 	res := &Result{
-		BloggerScores: make(map[blog.BloggerID]float64, len(bloggers)),
-		PostScores:    make(map[blog.PostID]float64, len(posts)),
-		AP:            make(map[blog.BloggerID]float64, len(bloggers)),
-		GL:            make(map[blog.BloggerID]float64, len(bloggers)),
-		Quality:       make(map[blog.PostID]float64, len(posts)),
-		Novelty:       make(map[blog.PostID]float64, len(posts)),
-		bloggers:      bloggers,
-		posts:         posts,
-		bloggerIdx:    bIdx,
-		postIdx:       pIdx,
+		BloggerScores: make(map[blog.BloggerID]float64, nb),
+		AP:            make(map[blog.BloggerID]float64, nb),
+		GL:            make(map[blog.BloggerID]float64, nb),
+		bloggers:      make([]blog.BloggerID, nb),
+		posts:         make([]blog.PostID, np),
+		postInf:       make([]float64, np),
+		postAuthor:    make([]int32, np),
+		postPosted:    make([]float64, np),
+		postComments:  make([]int32, np),
 	}
+	bRow := make([]int32, len(ch.bloggerIDs)) // blogger slot → row
+	for r, s := range ch.bSorted {
+		res.bloggers[r] = ch.bloggerIDs[s]
+		bRow[s] = int32(r)
+	}
+	for r, s := range ch.pSorted {
+		f := &ch.posts[s]
+		res.posts[r] = ch.postIDs[s]
+		res.postAuthor[r] = bRow[f.author]
+		res.postPosted[r] = f.postedKey
+		res.postComments[r] = int32(len(f.commenters))
+	}
+	// Rows of prev holding the same IDs, for the warm start and the
+	// generation-to-generation score pinning.
+	if prev == nil {
+		prev = &Result{}
+	}
+	bPrev, pPrev := rowsIn(res.bloggers, prev.bloggers), rowsIn(res.posts, prev.posts)
+	eps := a.cfg.StabilityEpsilon
 
 	// --- GL facet: PageRank over the hyperlink graph (Eq. 1). ---
-	gl := a.computeGL(c, bloggers, cache, res)
-	if prev != nil {
-		snapScores(gl, bloggers, prev.GL, a.cfg.StabilityEpsilon)
-	}
-	for i, id := range bloggers {
-		res.GL[id] = gl[i]
+	gl := a.computeGL(c, ch, res)
+	snapRows(gl, bPrev, prev.bloggerGL, eps)
+	for r, id := range res.bloggers {
+		res.GL[id] = gl[r]
 	}
 
 	// --- Quality facet: normalized length × novelty (Eq. 2). ---
-	quality, nov, reusedNov := a.computeQuality(c, posts, cache)
-	res.ReusedNovelty = reusedNov
-	for i, pid := range posts {
-		res.Quality[pid] = quality[i]
-		res.Novelty[pid] = nov[i]
-	}
+	quality, nov := a.computeQuality(c, ch, fresh, res)
 
 	// --- Comment facet: sentiment factors (cached per comment), then the
-	// (commenter index, SF/TC) pairs the solver sweeps over. ---
-	sf, reusedSent := a.sentimentFactors(c, posts, cache)
-	res.ReusedSentiments = reusedSent
-	res.postSentiment = make([]float64, len(posts))
-	for i, pid := range posts {
-		n := len(c.Posts[pid].Comments)
-		if n == 0 {
-			continue
-		}
-		if sf == nil {
-			// Sentiment ignored: every comment counts as SF = 1.
-			res.postSentiment[i] = 1
-			continue
-		}
+	// (commenter row, SF/TC) pairs the solver sweeps over, as a CSR in
+	// post-row order. ---
+	res.ReusedSentiments = a.scoreSentiments(c, ch, grown)
+	res.postSentiment = make([]float64, np)
+	off, refs := append(ch.off[:0], 0), ch.refs[:0]
+	for r, s := range ch.pSorted {
+		f := &ch.posts[s]
 		var sum float64
-		for _, s := range sf[i] {
-			sum += s
-		}
-		res.postSentiment[i] = sum / float64(n)
-	}
-	type commentRef struct {
-		commenter int
-		weight    float64 // SF / TC(b_j); with IgnoreCitation, just SF
-	}
-	postComments := make([][]commentRef, len(posts))
-	for i, pid := range posts {
-		p := c.Posts[pid]
-		refs := make([]commentRef, 0, len(p.Comments))
-		for j, cm := range p.Comments {
-			s := 1.0
-			if sf != nil {
-				s = sf[i][j]
+		for j, b := range f.commenters {
+			sf := 1.0 // sentiment ignored: every comment counts as SF = 1
+			if !a.cfg.IgnoreSentiment {
+				sf = a.factorOf(f.sentiments[j])
 			}
-			tc := c.TotalComments(cm.Commenter)
-			if tc == 0 {
-				// Impossible by construction (the commenter wrote this very
-				// comment), but guard against corrupted indexes.
-				continue
-			}
-			w := s / float64(tc)
+			sum += sf
+			w := sf / float64(ch.tc[b])
 			if a.cfg.IgnoreCitation {
-				w = s
+				w = sf
 			}
-			refs = append(refs, commentRef{commenter: bIdx[cm.Commenter], weight: w})
+			refs = append(refs, commentRef{commenter: bRow[b], weight: w})
 		}
-		postComments[i] = refs
+		off = append(off, int32(len(refs)))
+		if n := len(f.commenters); n > 0 {
+			res.postSentiment[r] = sum / float64(n)
+		}
 	}
+	ch.off, ch.refs = off, refs
 
-	// Author index per post, and posts per author index.
-	postAuthor := make([]int, len(posts))
-	authorPosts := make([][]int, len(bloggers))
-	for i, pid := range posts {
-		ai := bIdx[c.Posts[pid].Author]
-		postAuthor[i] = ai
-		authorPosts[ai] = append(authorPosts[ai], i)
-	}
-
-	// --- Fixed-point solve of Eqs. 1 and 4. ---
+	// --- Fixed-point solve of Eqs. 1 and 4. AP sums each author's posts in
+	// row order, so every sum adds the same terms in the same order. ---
 	alpha, beta := a.cfg.Alpha, a.cfg.Beta
-	inf := make([]float64, len(bloggers))
-	newInf := make([]float64, len(bloggers))
-	postInf := make([]float64, len(posts))
+	inf := make([]float64, nb)
+	newInf := make([]float64, nb)
+	ap := make([]float64, nb)
+	postInf := res.postInf
 	copy(inf, gl) // GL is a natural starting point; any start converges.
-	if warm != nil {
-		for i, id := range bloggers {
-			if v, ok := warm[id]; ok {
-				inf[i] = v
-			}
+	for r, pr := range bPrev {
+		if pr >= 0 && int(pr) < len(prev.bloggerInf) {
+			inf[r] = prev.bloggerInf[pr]
 		}
 	}
 
@@ -211,11 +180,11 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 			if ignoreCitation {
 				// Without citation weighting the commenter's own influence
 				// is not consulted; cs is just Σ SF (already in weight).
-				for _, ref := range postComments[i] {
+				for _, ref := range refs[off[i]:off[i+1]] {
 					cs += ref.weight
 				}
 			} else {
-				for _, ref := range postComments[i] {
+				for _, ref := range refs[off[i]:off[i+1]] {
 					cs += inf[ref.commenter] * ref.weight
 				}
 			}
@@ -225,18 +194,11 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 
 	for iter := 1; iter <= a.cfg.MaxIter; iter++ {
 		res.Iterations = iter
-		if a.cfg.Workers > 1 {
-			a.parallelSweep(len(posts), sweepPosts)
-		} else {
-			sweepPosts(0, len(posts))
-		}
+		a.parallelSweep(np, sweepPosts)
+		res.sumAP(ap)
 		var delta float64
-		for bi := range bloggers {
-			ap := 0.0
-			for _, pi := range authorPosts[bi] {
-				ap += postInf[pi]
-			}
-			v := alpha*ap + (1-alpha)*gl[bi]
+		for bi := range inf {
+			v := alpha*ap[bi] + (1-alpha)*gl[bi]
 			if d := v - inf[bi]; d > delta {
 				delta = d
 			} else if -d > delta {
@@ -260,33 +222,19 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 	// change sets proportional to the true perturbation instead of the
 	// whole corpus. Genuinely moved scores (≥ Epsilon) always update, so
 	// drift against the true fixed point stays O(Epsilon).
-	if prev != nil {
-		snapScores(postInf, posts, prev.PostScores, a.cfg.StabilityEpsilon)
-		snapScores(inf, bloggers, prev.BloggerScores, a.cfg.StabilityEpsilon)
-	}
+	snapRows(postInf, pPrev, prev.postInf, eps)
+	snapRows(inf, bPrev, prev.bloggerInf, eps)
+	res.sumAP(ap)
+	snapRows(ap, bPrev, prev.bloggerAP, eps)
 
 	res.bloggerInf = inf
-	res.bloggerAP = make([]float64, len(bloggers))
+	res.bloggerAP = ap
 	res.bloggerGL = gl
-	res.postInf = postInf
 	res.postQuality = quality
 	res.postNovelty = nov
-	for i, id := range bloggers {
-		res.BloggerScores[id] = inf[i]
-		ap := 0.0
-		for _, pi := range authorPosts[i] {
-			ap += postInf[pi]
-		}
-		if prev != nil {
-			if old, ok := prev.AP[id]; ok && math.Abs(ap-old) <= a.cfg.StabilityEpsilon {
-				ap = old
-			}
-		}
-		res.bloggerAP[i] = ap
-		res.AP[id] = ap
-	}
-	for i, pid := range posts {
-		res.PostScores[pid] = postInf[i]
+	for r, id := range res.bloggers {
+		res.BloggerScores[id] = inf[r]
+		res.AP[id] = ap[r]
 	}
 
 	// --- Domain facet: iv posteriors and Eq. 5 aggregation, on the dense
@@ -295,50 +243,44 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 	// cfg.Workers. (Classifier implementations must be safe for concurrent
 	// reads, which holds for every classifier in this repository: they are
 	// immutable after training.)
-	if a.classifier != nil {
-		cache.seedPosteriorsFromPrev(prev)
-		var fresh []int
-		for i, pid := range posts {
-			if f := cache.posts[pid]; f == nil || !f.hasPosterior {
-				fresh = append(fresh, i)
-			}
-		}
-		res.ReusedPosteriors = len(posts) - len(fresh)
-		dists := make([]map[string]float64, len(fresh))
-		a.parallelSweep(len(fresh), func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				dists[k] = a.classifier.Classify(c.Posts[posts[fresh[k]]].Body)
-			}
-		})
-		// Interning mutates the shared index, so the dense conversion runs
-		// serially, in post order, for a deterministic slot layout.
-		for k, i := range fresh {
-			f := cache.facets(posts[i])
-			f.posterior = cache.domains.denseRow(dists[k])
-			f.hasPosterior = true
-		}
-
-		res.domains = cache.domains.clone()
-		res.hasDomains = true
-		nd := res.domains.Len()
-		res.postDomains = make([]float64, len(posts)*nd)
-		for i, pid := range posts {
-			// Rows cached before later domains were interned are shorter;
-			// the prefix copy leaves the new slots at zero, which is exact.
-			copy(res.postDomains[i*nd:(i+1)*nd], cache.posts[pid].posterior)
-		}
-		res.domainScores = make([]float64, len(bloggers)*nd)
-		for i := range posts {
-			row := res.postDomains[i*nd : (i+1)*nd]
-			ds := res.domainScores[postAuthor[i]*nd : (postAuthor[i]+1)*nd]
-			w := postInf[i]
-			for di, p := range row {
-				ds[di] += w * p
-			}
-		}
-	} else {
-		res.domains = newDomainIndex()
+	res.domains = newDomainIndex()
+	if a.classifier == nil {
+		return res, nil
 	}
+	if reset {
+		ch.seedPosteriors(prev, pPrev)
+	}
+	var todo []int32
+	for _, s := range fresh {
+		if ch.posts[s].posterior == nil {
+			todo = append(todo, s)
+		}
+	}
+	res.ReusedPosteriors = np - len(todo)
+	dists := make([]map[string]float64, len(todo))
+	a.parallelSweep(len(todo), func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			dists[k] = a.classifier.Classify(c.Posts[ch.postIDs[todo[k]]].Body)
+		}
+	})
+	// Interning mutates the shared index, so the dense conversion runs
+	// serially, in post ID order (fresh is sorted), for a deterministic
+	// slot layout.
+	for k, s := range todo {
+		f := &ch.posts[s]
+		f.posterior = ch.domains.denseRow(dists[k])
+	}
+
+	res.domains = ch.domains.clone()
+	res.hasDomains = true
+	nd := res.domains.Len()
+	res.postDomains = make([]float64, np*nd)
+	for r, s := range ch.pSorted {
+		// Rows cached before later domains were interned are shorter; the
+		// prefix copy leaves the new slots at zero, which is exact.
+		copy(res.postDomains[r*nd:(r+1)*nd], ch.posts[s].posterior)
+	}
+	res.aggregateDomains()
 	return res, nil
 }
 
@@ -352,26 +294,27 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 //
 // Path selection, cheapest first:
 //
-//   - unchanged graph and blogger set → reuse the cached vector verbatim
-//     (PageRank is deterministic, so this is bit-for-bit a fresh solve);
-//   - a residual push state from the previous solve, same blogger set, and
-//     the new view extends the old one over the same base CSR → the
-//     Gauss–Southwell delta solver (linkrank.DeltaPageRankCSR) advances
-//     the cached vector in O(delta), touching only nodes the new edges
-//     perturbed;
+//   - unchanged graph (same lineage and link epoch) → reuse the cached
+//     vector verbatim (PageRank is deterministic, so this is bit-for-bit a
+//     fresh solve);
+//   - a residual push state from the previous solve, and the new view
+//     extends the old one over the same base CSR (hence the same blogger
+//     set) → the Gauss–Southwell delta solver (linkrank.DeltaPageRankCSR)
+//     advances the cached vector in O(delta), touching only nodes the new
+//     edges perturbed;
 //   - otherwise (cold cache, blogger set changed, base compacted, delta
 //     too large, solver budget blown) → a full sweep, warm-started from
 //     the cached vector, after which the push state is rebuilt so the next
 //     flush can take the delta path again.
 //
 // When the authority facet is disabled the GL vector is all zeros.
-func (a *Analyzer) computeGL(c *blog.Corpus, bloggers []blog.BloggerID, cache *Cache, res *Result) []float64 {
-	gl := make([]float64, len(bloggers))
+func (a *Analyzer) computeGL(c *blog.Corpus, ch *Cache, res *Result) []float64 {
+	gl := make([]float64, len(ch.bSorted))
 	if a.cfg.IgnoreAuthority {
 		return gl
 	}
-	if cache.glMatches(c, bloggers) {
-		copy(gl, cache.gl)
+	if ch.glMatches(c) {
+		ch.glRows(gl)
 		res.PageRankSkipped = true
 		return gl
 	}
@@ -391,213 +334,124 @@ func (a *Analyzer) computeGL(c *blog.Corpus, bloggers []blog.BloggerID, cache *C
 	} else if pushOpts.Epsilon > 0 {
 		pushOpts.Epsilon /= 100
 	}
-	view := c.LinkViewFrom(cache.glView)
-	if cache.push != nil {
-		if bloggersEqual(cache.glBloggers, bloggers) {
-			if dres, ok := linkrank.DeltaPageRankCSR(view.Delta(), cache.push, pushOpts); ok {
-				copy(gl, cache.push.Scores())
-				cache.glView = view
-				cache.extendGL(c.LinkEpoch(), c.Links, gl)
-				res.PageRankDelta = true
-				res.PageRankPushed = dres.Pushed
-				return gl
-			}
+	view := c.LinkViewFrom(ch.glView)
+	if ch.push != nil {
+		if dres, ok := linkrank.DeltaPageRankCSR(view.Delta(), ch.push, pushOpts); ok {
+			copy(gl, ch.push.Scores())
+			ch.glView = view
+			ch.storeGL(c, gl)
+			res.PageRankDelta = true
+			res.PageRankPushed = dres.Pushed
+			return gl
 		}
 		res.PageRankFallback = true
 	}
 	if opts.WarmDense == nil {
-		opts.WarmDense = cache.glWarmDense(bloggers)
+		opts.WarmDense = ch.glRows(make([]float64, len(gl)))
 	}
 	pr := linkrank.PageRankCSR(view.CSR(), opts)
 	copy(gl, pr.Scores)
-	cache.push = linkrank.NewPushState(view.Delta(), pr.Scores, pushOpts)
-	cache.glView = view
-	cache.storeGL(c.LinkEpoch(), c.Links, bloggers, gl)
+	ch.push = linkrank.NewPushState(view.Delta(), pr.Scores, pushOpts)
+	ch.glView = view
+	ch.storeGL(c, gl)
 	return gl
 }
 
-// snapScores pins each value to the previous generation's exact bits when
+// snapRows pins each value to the previous generation's exact bits when
 // the two differ by at most eps — the solver's own convergence threshold,
-// below which the values are indistinguishable. IDs absent from old (new
-// entities) keep their fresh scores.
-func snapScores[K comparable](vals []float64, ids []K, old map[K]float64, eps float64) {
-	for i, id := range ids {
-		if o, ok := old[id]; ok && math.Abs(vals[i]-o) <= eps {
-			vals[i] = o
+// below which the values are indistinguishable. rows maps each value to
+// its row in old (-1 for new entities, which keep their fresh scores).
+func snapRows(vals []float64, rows []int32, old []float64, eps float64) {
+	for i, r := range rows {
+		if r >= 0 && int(r) < len(old) && math.Abs(vals[i]-old[r]) <= eps {
+			vals[i] = old[r]
 		}
 	}
 }
 
-// bloggersEqual reports whether two sorted blogger lists are identical —
-// the O(V) gate for the delta path, which cannot absorb node-set changes.
-func bloggersEqual(a, b []blog.BloggerID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, id := range a {
-		if b[i] != id {
-			return false
-		}
-	}
-	return true
-}
-
-// computeQuality scores every post: token count normalized by the corpus
-// maximum, times the novelty factor. Tokenization (word counts + shingles)
-// dominates quality scoring; cached posts skip it entirely, and fresh posts
-// tokenize in parallel. Novelty is scored in chronological order so the
-// near-duplicate detector sees originals first; when the cached scoring
-// order is a prefix of the current one (the live-append common case), only
-// the new tail runs through the detector, otherwise the detector resets
-// and replays from the cached shingles.
-func (a *Analyzer) computeQuality(c *blog.Corpus, posts []blog.PostID, cache *Cache) (quality, nov []float64, reused int) {
-	n := len(posts)
-	quality = make([]float64, n)
-	nov = make([]float64, n)
-
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		px, py := c.Posts[posts[order[x]]], c.Posts[posts[order[y]]]
-		if !px.Posted.Equal(py.Posted) {
-			return px.Posted.Before(py.Posted)
-		}
-		return px.ID < py.ID
-	})
-
+// computeQuality scores every post, in row order: token count normalized
+// by the corpus maximum, times the novelty factor. Tokenization (word
+// counts + shingles) dominates quality scoring; only fresh posts without
+// cached facets are tokenized, in parallel. Novelty is scored in
+// chronological order so the near-duplicate detector sees originals
+// first; only the chronological tail past the scored prefix runs through
+// the detector (all of it after a back-dated insert reset the prefix). It
+// also records the corpus word total and the tokenization reuse count in
+// res.
+func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
+	np := len(ch.pSorted)
 	needNovelty := !a.cfg.IgnoreNovelty
-	var fresh []int
-	for i, pid := range posts {
-		if f := cache.posts[pid]; f != nil && f.tokenized && (!needNovelty || f.hasPrepared) {
-			reused++
-		} else {
-			fresh = append(fresh, i)
+	var todo []int32
+	for _, s := range fresh {
+		if f := &ch.posts[s]; !f.tokenized || (needNovelty && !f.hasPrepared) {
+			todo = append(todo, s)
 		}
 	}
-	freshWords := make([]float64, len(fresh))
-	freshPrep := make([]novelty.Prepared, len(fresh))
-	a.parallelSweep(len(fresh), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			body := c.Posts[posts[fresh[k]]].Body
-			freshWords[k] = float64(textutil.WordCount(body))
+	res.ReusedNovelty = np - len(todo)
+	a.parallelSweep(len(todo), func(lo, hi int) {
+		for _, s := range todo[lo:hi] {
+			f := &ch.posts[s]
+			body := c.Posts[ch.postIDs[s]].Body
+			f.words, f.tokenized = float64(textutil.WordCount(body)), true
 			if needNovelty {
-				freshPrep[k] = cache.det.Prepare(body) // Prepare is pure
+				f.prepared, f.hasPrepared = ch.det.Prepare(body), true // Prepare is pure
 			}
 		}
 	})
-	for k, i := range fresh {
-		f := cache.facets(posts[i])
-		f.words = freshWords[k]
-		f.tokenized = true
+	if needNovelty {
+		for _, s := range ch.chrono[ch.scored:] {
+			f := &ch.posts[s]
+			f.nov = ch.det.ScorePrepared(f.prepared)
+		}
+		ch.scored = len(ch.chrono)
+	}
+
+	quality = make([]float64, np)
+	nov = make([]float64, np)
+	maxLen, words := 0.0, 0.0
+	for r, s := range ch.pSorted {
+		f := &ch.posts[s]
+		quality[r] = f.words
+		words += f.words
+		maxLen = max(maxLen, f.words)
+		nov[r] = novelty.OriginalScore
 		if needNovelty {
-			f.prepared = freshPrep[k]
-			f.hasPrepared = true
+			nov[r] = f.nov
 		}
 	}
-
-	lengths := make([]float64, n)
-	maxLen := 0.0
-	for i, pid := range posts {
-		lengths[i] = cache.posts[pid].words
-		if lengths[i] > maxLen {
-			maxLen = lengths[i]
+	res.words = int(words)
+	for r := range quality {
+		if maxLen > 0 { // else every word count, hence quality, is 0
+			quality[r] = quality[r] / maxLen * nov[r]
 		}
 	}
-
-	if !needNovelty {
-		for i := range nov {
-			nov[i] = novelty.OriginalScore
-		}
-	} else {
-		chronoIDs := make([]blog.PostID, n)
-		for k, oi := range order {
-			chronoIDs[k] = posts[oi]
-		}
-		usable := cache.orderIsPrefix(chronoIDs)
-		if usable {
-			for _, pid := range cache.order {
-				if f := cache.posts[pid]; f == nil || !f.hasNov {
-					usable = false
-					break
-				}
-			}
-		}
-		if !usable {
-			cache.resetNovelty()
-		}
-		scored := len(cache.order)
-		for k := 0; k < scored; k++ {
-			nov[order[k]] = cache.posts[chronoIDs[k]].nov
-		}
-		for k := scored; k < n; k++ {
-			pid := chronoIDs[k]
-			f := cache.facets(pid)
-			f.nov = cache.det.ScorePrepared(f.prepared)
-			f.hasNov = true
-			cache.order = append(cache.order, pid)
-			nov[order[k]] = f.nov
-		}
-	}
-
-	if maxLen > 0 {
-		for i := range quality {
-			quality[i] = lengths[i] / maxLen * nov[i]
-		}
-	}
-	return quality, nov, reused
+	return quality, nov
 }
 
-// sentimentFactors returns the SF value of every comment, grouped per post
-// in posts order, reusing cached polarities (comments are append-only per
-// post under the corpus COW contract, so a cached prefix never goes
-// stale). Fresh comments are scored in parallel across posts; the cache
-// merge runs serially afterwards. Returns nil when sentiment is ignored
-// (every comment then counts as SF = 1).
-func (a *Analyzer) sentimentFactors(c *blog.Corpus, posts []blog.PostID, cache *Cache) (sf [][]float64, reused int) {
+// scoreSentiments scores the comments appended to the grown posts since
+// the cache last saw them (comments are append-only per post under the
+// corpus COW contract, so a cached prefix never goes stale), in parallel
+// across posts, and returns how many comment polarities came from the
+// cache. With sentiment ignored nothing is scored or reused.
+func (a *Analyzer) scoreSentiments(c *blog.Corpus, ch *Cache, grown []int32) (reused int) {
 	if a.cfg.IgnoreSentiment {
-		return nil, 0
+		return 0
 	}
-	sf = make([][]float64, len(posts))
-	newPols := make([][]sentiment.Polarity, len(posts))
-	reusedPer := make([]int, len(posts))
-	a.parallelSweep(len(posts), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := c.Posts[posts[i]]
-			known := cache.posts[posts[i]].sentiments
-			if len(known) > len(p.Comments) {
-				// Comments shrank — a COW-contract violation; trust only
-				// the still-present prefix.
-				known = known[:len(p.Comments)]
+	reused = ch.comments
+	for _, s := range grown {
+		f := &ch.posts[s]
+		reused -= len(f.commenters) - len(f.sentiments)
+	}
+	a.parallelSweep(len(grown), func(lo, hi int) {
+		for _, s := range grown[lo:hi] {
+			f := &ch.posts[s]
+			comments := c.Posts[ch.postIDs[s]].Comments
+			for _, cm := range comments[len(f.sentiments):len(f.commenters)] {
+				f.sentiments = append(f.sentiments, a.sent.Score(cm.Text))
 			}
-			out := make([]float64, len(p.Comments))
-			for j, pol := range known {
-				out[j] = a.factorOf(pol)
-			}
-			reusedPer[i] = len(known)
-			if len(known) < len(p.Comments) {
-				pols := make([]sentiment.Polarity, 0, len(p.Comments)-len(known))
-				for j := len(known); j < len(p.Comments); j++ {
-					pol := a.sent.Score(p.Comments[j].Text)
-					out[j] = a.factorOf(pol)
-					pols = append(pols, pol)
-				}
-				newPols[i] = pols
-			}
-			sf[i] = out
 		}
 	})
-	for i, pols := range newPols {
-		if pols != nil {
-			f := cache.facets(posts[i])
-			f.sentiments = append(f.sentiments, pols...)
-		}
-	}
-	for _, r := range reusedPer {
-		reused += r
-	}
-	return sf, reused
+	return reused
 }
 
 // factorOf maps a comment polarity to its configured SF value.

@@ -56,6 +56,16 @@ func mustAnalyzer(t *testing.T, cfg Config, cl classify.Classifier) *Analyzer {
 	return a
 }
 
+// postScores maps every post to its Inf(b, d_k), read off the dense rows.
+func postScores(res *Result) map[blog.PostID]float64 {
+	d := res.Dense()
+	m := make(map[blog.PostID]float64, len(d.Posts))
+	for i, p := range d.Posts {
+		m[p] = d.PostScore[i]
+	}
+	return m
+}
+
 func TestHandComputedFixedPoint(t *testing.T) {
 	a := mustAnalyzer(t, Config{}, nil)
 	res, err := a.Analyze(handCorpus(t))
@@ -70,14 +80,14 @@ func TestHandComputedFixedPoint(t *testing.T) {
 		got  float64
 		want float64
 	}{
-		{"postInf(Q)", res.PostScores["Q"], 0.30},
-		{"postInf(P)", res.PostScores["P"], 0.68},
+		{"postInf(Q)", res.PostScore("Q"), 0.30},
+		{"postInf(P)", res.PostScore("P"), 0.68},
 		{"Inf(b)", res.BloggerScores["b"], 0.40},
 		{"Inf(a)", res.BloggerScores["a"], 0.59},
 		{"GL(a)", res.GL["a"], 0.5},
-		{"Quality(P)", res.Quality["P"], 1.0},
-		{"Quality(Q)", res.Quality["Q"], 0.5},
-		{"Novelty(P)", res.Novelty["P"], 1.0},
+		{"Quality(P)", res.PostQuality("P"), 1.0},
+		{"Quality(Q)", res.PostQuality("Q"), 0.5},
+		{"Novelty(P)", res.PostNovelty("P"), 1.0},
 	}
 	for _, ck := range checks {
 		if math.Abs(ck.got-ck.want) > 1e-6 {
@@ -113,13 +123,13 @@ func TestSentimentFactorsMatter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(pos.PostScores["P"] > neu.PostScores["P"] && neu.PostScores["P"] > neg.PostScores["P"]) {
+	if !(pos.PostScore("P") > neu.PostScore("P") && neu.PostScore("P") > neg.PostScore("P")) {
 		t.Fatalf("SF ordering violated: pos=%v neu=%v neg=%v",
-			pos.PostScores["P"], neu.PostScores["P"], neg.PostScores["P"])
+			pos.PostScore("P"), neu.PostScore("P"), neg.PostScore("P"))
 	}
 	// SF ratios: comment contribution scales exactly by SF.
-	posC := pos.PostScores["P"] - 0.6 // β·quality = 0.6·1
-	negC := neg.PostScores["P"] - 0.6
+	posC := pos.PostScore("P") - 0.6 // β·quality = 0.6·1
+	negC := neg.PostScore("P") - 0.6
 	if math.Abs(posC/negC-10) > 1e-6 { // 1.0 / 0.1
 		t.Fatalf("pos/neg comment contribution ratio = %v, want 10", posC/negC)
 	}
@@ -137,13 +147,13 @@ func TestNoveltyPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Novelty["orig"] != 1 {
-		t.Fatalf("orig novelty = %v, want 1", res.Novelty["orig"])
+	if res.PostNovelty("orig") != 1 {
+		t.Fatalf("orig novelty = %v, want 1", res.PostNovelty("orig"))
 	}
-	if res.Novelty["copy"] > 0.1 {
-		t.Fatalf("copy novelty = %v, want <= 0.1", res.Novelty["copy"])
+	if res.PostNovelty("copy") > 0.1 {
+		t.Fatalf("copy novelty = %v, want <= 0.1", res.PostNovelty("copy"))
 	}
-	if res.PostScores["copy"] >= res.PostScores["orig"] {
+	if res.PostScore("copy") >= res.PostScore("orig") {
 		t.Fatal("copied post must score below original of equal length")
 	}
 
@@ -153,10 +163,10 @@ func TestNoveltyPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Novelty["copy"] != 1 {
-		t.Fatalf("IgnoreNovelty must report 1, got %v", res2.Novelty["copy"])
+	if res2.PostNovelty("copy") != 1 {
+		t.Fatalf("IgnoreNovelty must report 1, got %v", res2.PostNovelty("copy"))
 	}
-	if math.Abs(res2.Quality["copy"]-res2.Quality["orig"]) > 1e-12 {
+	if math.Abs(res2.PostQuality("copy")-res2.PostQuality("orig")) > 1e-12 {
 		t.Fatal("IgnoreNovelty must equalize equal-length posts")
 	}
 }
@@ -223,9 +233,9 @@ func TestCitationFacet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PostScores["p1"] <= res.PostScores["p2"] {
+	if res.PostScore("p1") <= res.PostScore("p2") {
 		t.Fatalf("comment from influential blogger must be worth more: p1=%v p2=%v",
-			res.PostScores["p1"], res.PostScores["p2"])
+			res.PostScore("p1"), res.PostScore("p2"))
 	}
 	// IgnoreCitation equalizes the two posts.
 	a2 := mustAnalyzer(t, Config{IgnoreCitation: true}, nil)
@@ -233,7 +243,7 @@ func TestCitationFacet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res2.PostScores["p1"]-res2.PostScores["p2"]) > 1e-12 {
+	if math.Abs(res2.PostScore("p1")-res2.PostScore("p2")) > 1e-12 {
 		t.Fatal("IgnoreCitation must equalize equal comment counts")
 	}
 }
@@ -262,9 +272,9 @@ func TestTCNormalization(t *testing.T) {
 	}
 	// TC(spread)=3, TC(focused)=1; identical GL for spread/focused (no links)
 	// so py's comment term is weaker than px's.
-	if res.PostScores["px"] <= res.PostScores["py"] {
+	if res.PostScore("px") <= res.PostScore("py") {
 		t.Fatalf("TC normalization violated: px=%v py=%v",
-			res.PostScores["px"], res.PostScores["py"])
+			res.PostScore("px"), res.PostScore("py"))
 	}
 }
 
@@ -373,13 +383,28 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestAnalyzeRejectsInvalidCorpus(t *testing.T) {
+// invalidCorpus has a post by an author the corpus does not hold, written
+// straight into the map.
+func invalidCorpus() *blog.Corpus {
 	c := blog.NewCorpus()
 	_ = c.AddBlogger(&blog.Blogger{ID: "a"})
 	c.Posts["ghostpost"] = &blog.Post{ID: "ghostpost", Author: "nobody"}
+	return c
+}
+
+func TestAnalyzeRejectsInvalidCorpus(t *testing.T) {
 	a := mustAnalyzer(t, Config{}, nil)
-	if _, err := a.Analyze(c); err == nil {
+	if _, err := a.Analyze(invalidCorpus()); err == nil {
 		t.Fatal("invalid corpus must be rejected")
+	}
+	// A warm cache validates too: the corpus is of another lineage and its
+	// journal disagrees with its maps, so the cache resets and validates.
+	cache := NewCache()
+	if _, err := a.AnalyzeCached(blog.Figure1Corpus(), nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AnalyzeCached(invalidCorpus(), nil, cache); err == nil {
+		t.Fatal("invalid corpus must be rejected by a warm cache")
 	}
 }
 
@@ -440,7 +465,7 @@ func TestScoresNonNegative(t *testing.T) {
 			t.Fatalf("negative Inf(%s) = %v", b, s)
 		}
 	}
-	for p, s := range res.PostScores {
+	for p, s := range postScores(res) {
 		if s < 0 {
 			t.Fatalf("negative postInf(%s) = %v", p, s)
 		}
@@ -461,10 +486,10 @@ func TestIgnoreSentimentUpperBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p := range rw.PostScores {
-		if ro.PostScores[p] < rw.PostScores[p]-1e-9 {
+	for p := range postScores(rw) {
+		if ro.PostScore(p) < rw.PostScore(p)-1e-9 {
 			t.Fatalf("IgnoreSentiment lowered post %s: %v < %v",
-				p, ro.PostScores[p], rw.PostScores[p])
+				p, ro.PostScore(p), rw.PostScore(p))
 		}
 	}
 }

@@ -1,226 +1,362 @@
 package influence
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+	"time"
+
 	"mass/internal/blog"
 	"mass/internal/linkrank"
 	"mass/internal/novelty"
 	"mass/internal/sentiment"
 )
 
-// Cache carries the expensive per-entity analysis facets across repeated
-// analyses of one evolving corpus, so a re-analysis after an incremental
-// batch only pays for what actually changed:
+// Cache is the analysis state that lives across analyses of one evolving
+// corpus, so a re-analysis after an incremental batch pays only for the
+// delta. Bloggers and posts are interned into append-only dense slots in
+// the order the corpus's mutation journal (blog.Journal) lists them; the
+// cache remembers its journal position, and the next analysis of the same
+// lineage reads — and hashes — only the entries past it. Per slot it keeps
+// the body-derived post facets (bodies are immutable: word count, novelty
+// shingles and score, classifier posterior), the per-comment commenter
+// and sentiment (comments are append-only), TC per blogger, the sorted-ID
+// and chronological orders, and the GL vector with its push state.
 //
-//   - per post (bodies are immutable, so these never go stale): the word
-//     count, the prepared novelty shingles, the novelty score, and the
-//     classifier posterior (as a dense row over the cache's domain index);
-//   - per comment (append-only under the corpus's copy-on-write contract):
-//     the sentiment polarity;
-//   - the GL authority vector, keyed by the corpus link epoch, so PageRank
-//     is skipped outright when the link graph and blogger set are
-//     unchanged, and warm-started from the previous vector when they are
-//     not.
+// A lineage change (Reindex, FromParts, an unrelated corpus, a forked
+// snapshot), journals that disagree with the corpus's maps (a direct map
+// write) or an unresolvable journal entry reset the cache to journal
+// position 0. That is the only place the corpus is validated, and a cold
+// analysis runs exactly that path. A reset keeps the facets of every post
+// ID the cache holds (a post ID names one immutable body) and the novelty
+// detector while its scored chronological prefix is unchanged. Use a new
+// Cache for a corpus that may recycle post IDs for other bodies.
 //
-// A Cache must only be used with snapshots of a single evolving corpus
-// lineage (the Engine's flush loop is the intended owner) and is not safe
-// for concurrent use; the engine serializes analyses. The one contract the
-// lineage must keep is the one the corpus API already enforces: a post ID
-// permanently identifies one immutable body. Posts that disappear from the
-// corpus (a reset or bulk rewrite) are evicted automatically on the next
-// analysis, and the novelty replay detects reordering, so a swapped corpus
-// with fresh post IDs degrades to a cold analysis instead of a wrong one.
-// When replacing the corpus wholesale with one that may recycle post IDs
-// for different bodies, call Reset first.
+// A Cache serves one Analyzer configuration and must not be used
+// concurrently; the engine serializes analyses.
 type Cache struct {
 	domains *DomainIndex
-	posts   map[blog.PostID]*postFacets
+	det     *novelty.Detector
 
-	// Near-duplicate detection state: det has scored the posts listed in
-	// order (chronological). A new analysis whose chronological prefix
-	// matches order continues scoring incrementally; any mismatch resets
-	// det and replays from the cached prepared shingles.
-	det   *novelty.Detector
-	order []blog.PostID
+	// Journal position: the lineage the slots follow (0: none) and how
+	// many comment entries they hold; slot i is journal entry i.
+	lineage   uint64
+	nComments int
 
-	// GL facet cache.
-	glValid    bool
-	glEpoch    uint64
-	glLinks    []blog.Link
-	glBloggers []blog.BloggerID
-	gl         []float64
+	// Blogger slots.
+	bloggerIDs  []blog.BloggerID
+	bloggerSlot map[blog.BloggerID]int32
+	tc          []int   // TC(b) per blogger slot
+	bSorted     []int32 // blogger slots in ID order
+
+	// Post slots.
+	postIDs  []blog.PostID
+	postSlot map[blog.PostID]int32
+	posts    []postFacets
+	pSorted  []int32 // post slots in ID order
+	chrono   []int32 // post slots in (Posted, ID) order
+	scored   int     // chrono prefix det has scored; their nov values hold
+	comments int     // comments held across all post slots
+
+	// GL facet: the last solved vector per blogger slot. It is exactly
+	// valid for the link graph at (glLineage, glEpoch); with glLineage 0 it
+	// only warm-starts the next solve.
+	glLineage uint64
+	glEpoch   uint64
+	gl        []float64
 
 	// Incremental GL state: the link view the cached vector was solved
 	// against and the residual push state sitting on top of it. When the
 	// next analysis's view extends glView (same base CSR, a few more
 	// overlay edges), the push solver advances push in O(delta) instead of
-	// re-sweeping the graph. Either field may be nil (cold cache, or the
-	// last solve predates the delta machinery); computeGL then falls back
-	// to a full warm sweep and rebuilds both.
+	// re-sweeping the graph. Either field may be nil (cold cache);
+	// computeGL then falls back to a full warm sweep and rebuilds both.
 	glView *blog.LinkView
 	push   *linkrank.PushState
+
+	// Per-analysis scratch: the comment CSR the fixed-point sweep reads.
+	off  []int32
+	refs []commentRef
 }
 
-// postFacets are the cached immutable-body derivatives of one post.
+// postFacets are the cached derivatives of one post.
 type postFacets struct {
+	author    int32 // blogger slot
+	posted    time.Time
+	postedKey float64
+
 	words     float64
 	tokenized bool // words (and prepared, unless novelty is disabled) valid
 
 	prepared    novelty.Prepared
 	hasPrepared bool
+	nov         float64 // valid while the post is in the scored chrono prefix
 
-	nov    float64
-	hasNov bool // valid only while the post is in Cache.order
+	posterior []float64 // dense row over Cache.domains; nil = not classified
 
-	posterior    []float64 // dense row over Cache.domains; nil = not classified
-	hasPosterior bool
+	commenters []int32              // blogger slot per comment, aligned to Post.Comments
+	sentiments []sentiment.Polarity // per comment, a prefix of commenters
+}
 
-	sentiments []sentiment.Polarity // per comment, prefix-aligned to Post.Comments
+// commentRef is one comment as the fixed-point sweep reads it: the
+// commenter's blogger row and SF/TC(commenter) (just SF with
+// IgnoreCitation).
+type commentRef struct {
+	commenter int32
+	weight    float64
 }
 
 // NewCache returns an empty analysis cache.
 func NewCache() *Cache {
 	return &Cache{
-		domains: newDomainIndex(),
-		posts:   map[blog.PostID]*postFacets{},
-		det:     novelty.New(),
+		domains:     newDomainIndex(),
+		det:         novelty.New(),
+		bloggerSlot: map[blog.BloggerID]int32{},
+		postSlot:    map[blog.PostID]int32{},
 	}
-}
-
-// Reset drops everything, returning the cache to its NewCache state.
-func (ch *Cache) Reset() {
-	*ch = *NewCache()
 }
 
 // Posts reports how many posts currently have cached facets.
-func (ch *Cache) Posts() int { return len(ch.posts) }
+func (ch *Cache) Posts() int { return len(ch.postIDs) }
 
-// facets returns the cache entry for pid, creating it on first sight.
-func (ch *Cache) facets(pid blog.PostID) *postFacets {
-	f := ch.posts[pid]
-	if f == nil {
-		f = &postFacets{}
-		ch.posts[pid] = f
+// sync brings the slots up to date with c. It returns the post slots
+// added (in ID order) and the post slots whose comment list grew, and
+// whether it reset to journal position 0 first. Only a reset validates
+// the corpus; its error is the only error sync returns.
+func (ch *Cache) sync(c *blog.Corpus) (fresh, grown []int32, reset bool, err error) {
+	j := c.Journal()
+	if j.Lineage != 0 && j.Lineage == ch.lineage && len(j.Bloggers) == len(c.Bloggers) && len(j.Posts) == len(c.Posts) &&
+		len(ch.bloggerIDs) <= len(j.Bloggers) && len(ch.postIDs) <= len(j.Posts) && ch.nComments <= len(j.Comments) {
+		if fresh, grown, ok := ch.extend(c, j, nil); ok {
+			return fresh, grown, false, nil
+		}
+		ch.lineage = 0 // partly extended: never extend from here again
 	}
-	return f
+	if err := c.Validate(); err != nil {
+		return nil, nil, false, err
+	}
+	if len(j.Bloggers) != len(c.Bloggers) || len(j.Posts) != len(c.Posts) {
+		// Maps written around the journal: intern the sorted map keys under
+		// lineage 0, so every later analysis resets again.
+		j = blog.Journal{Bloggers: c.BloggerIDs(), Posts: c.PostIDs()}
+	}
+	old := *ch
+	*ch = Cache{
+		domains: old.domains, det: old.det, lineage: j.Lineage,
+		bloggerSlot: make(map[blog.BloggerID]int32, len(j.Bloggers)),
+		postSlot:    make(map[blog.PostID]int32, len(j.Posts)),
+		posts:       make([]postFacets, 0, len(j.Posts)),
+		glLineage:   old.glLineage, glEpoch: old.glEpoch, glView: old.glView, push: old.push,
+	}
+	fresh, grown, ok := ch.extend(c, j, &old)
+	if !ok {
+		ch.lineage = 0
+		return nil, nil, false, fmt.Errorf("journal references an entity missing from the corpus")
+	}
+	ch.adopt(&old)
+	return fresh, grown, true, nil
 }
 
-// evictMissing drops cached posts that are no longer in the corpus — the
-// corpus was reset or bulk-rewritten. The sweep is O(cached posts) map
-// lookups per analysis, negligible next to the solver's own O(posts)
-// sweeps, and it runs unconditionally so a swap to an equal-or-larger
-// corpus cannot leak stale entries.
-func (ch *Cache) evictMissing(c *blog.Corpus) {
-	for pid := range ch.posts {
-		if _, ok := c.Posts[pid]; !ok {
-			delete(ch.posts, pid)
+// extend interns everything j records past the cache's position. During a
+// reset, old is the cache as it was, and new post slots take over the
+// facets old holds for the same ID. It reports false, with the cache
+// partly extended, when a reference does not resolve.
+func (ch *Cache) extend(c *blog.Corpus, j blog.Journal, old *Cache) (fresh, grown []int32, ok bool) {
+	var newBloggers []int32
+	for _, id := range j.Bloggers[len(ch.bloggerIDs):] {
+		newBloggers = append(newBloggers, int32(len(ch.bloggerIDs)))
+		ch.bloggerSlot[id] = int32(len(ch.bloggerIDs))
+		ch.bloggerIDs = append(ch.bloggerIDs, id)
+		ch.tc = append(ch.tc, 0)
+	}
+	for _, id := range j.Posts[len(ch.postIDs):] {
+		p := c.Posts[id]
+		if p == nil {
+			return nil, nil, false
+		}
+		author, known := ch.bloggerSlot[p.Author]
+		if !known {
+			return nil, nil, false
+		}
+		f := postFacets{author: author, posted: p.Posted, postedKey: PostedKey(p.Posted)}
+		if old != nil {
+			if os, held := old.postSlot[id]; held {
+				f.adopt(&old.posts[os], len(p.Comments))
+			}
+		}
+		s := int32(len(ch.postIDs))
+		ch.postSlot[id] = s
+		ch.postIDs = append(ch.postIDs, id)
+		ch.posts = append(ch.posts, f)
+		fresh = append(fresh, s)
+		if len(p.Comments) > 0 {
+			grown = append(grown, s)
+		}
+	}
+	for _, pid := range j.Comments[ch.nComments:] {
+		s, known := ch.postSlot[pid]
+		if !known {
+			return nil, nil, false
+		}
+		grown = append(grown, s)
+	}
+	ch.nComments = len(j.Comments)
+	slices.Sort(grown)
+	grown = slices.Compact(grown)
+	for _, s := range grown {
+		p, f := c.Posts[ch.postIDs[s]], &ch.posts[s]
+		if p == nil || len(p.Comments) < len(f.commenters) {
+			return nil, nil, false
+		}
+		for _, cm := range p.Comments[len(f.commenters):] {
+			b, known := ch.bloggerSlot[cm.Commenter]
+			if !known {
+				return nil, nil, false
+			}
+			f.commenters = append(f.commenters, b)
+			ch.tc[b]++
+			ch.comments++
+		}
+	}
+	ch.bSorted, _ = mergeInsert(ch.bSorted, newBloggers, ch.cmpBloggers)
+	ch.pSorted, _ = mergeInsert(ch.pSorted, fresh, ch.cmpPosts)
+	var first int
+	ch.chrono, first = mergeInsert(ch.chrono, slices.Clone(fresh), ch.cmpChrono)
+	if first < ch.scored {
+		// A back-dated post lands inside the scored prefix: every later
+		// post's novelty may change, so the detector replays from scratch.
+		ch.scored = 0
+		ch.det = novelty.New()
+	}
+	return fresh, grown, true
+}
+
+// adopt finishes a reset: it keeps the novelty detector when old's scored
+// chronological prefix is still the prefix of the new order, and carries
+// the GL vector over by blogger ID.
+func (ch *Cache) adopt(old *Cache) {
+	keep := old.scored <= len(ch.chrono)
+	for k := 0; keep && k < old.scored; k++ {
+		keep = ch.postIDs[ch.chrono[k]] == old.postIDs[old.chrono[k]]
+	}
+	if keep {
+		ch.scored = old.scored
+	} else {
+		ch.det = novelty.New()
+	}
+
+	if len(old.gl) == 0 {
+		return
+	}
+	ch.gl = make([]float64, len(ch.bloggerIDs))
+	for s, id := range ch.bloggerIDs {
+		if os, held := old.bloggerSlot[id]; held && int(os) < len(old.gl) {
+			ch.gl[s] = old.gl[os]
+		} else {
+			ch.glLineage = 0
 		}
 	}
 }
 
-// orderIsPrefix reports whether the cached novelty scoring order is a
-// prefix of the current chronological order, i.e. every already-scored
-// post is still present, in the same position, with only new posts
-// appended after it. Only then can cached novelty scores and the persisted
-// detector be reused bit-for-bit.
-func (ch *Cache) orderIsPrefix(current []blog.PostID) bool {
-	if len(ch.order) > len(current) {
-		return false
+// adopt takes over the body-derived facets another slot holds for the same
+// post ID; sentiments are capped to the post's current comments.
+func (f *postFacets) adopt(o *postFacets, comments int) {
+	f.words, f.tokenized = o.words, o.tokenized
+	f.prepared, f.hasPrepared, f.nov = o.prepared, o.hasPrepared, o.nov
+	f.posterior = o.posterior
+	f.sentiments = o.sentiments[:min(len(o.sentiments), comments):min(len(o.sentiments), comments)]
+}
+
+func (ch *Cache) cmpBloggers(a, b int32) int { return cmp.Compare(ch.bloggerIDs[a], ch.bloggerIDs[b]) }
+
+func (ch *Cache) cmpPosts(a, b int32) int { return cmp.Compare(ch.postIDs[a], ch.postIDs[b]) }
+
+// cmpChrono orders posts by posting time, then ID — the order the novelty
+// detector sees them in, originals before their copies.
+func (ch *Cache) cmpChrono(a, b int32) int {
+	if c := ch.posts[a].posted.Compare(ch.posts[b].posted); c != 0 {
+		return c
 	}
-	for i, pid := range ch.order {
-		if current[i] != pid {
-			return false
+	return ch.cmpPosts(a, b)
+}
+
+// mergeInsert sorts fresh by cmp (in place) and merges it into sorted,
+// returning the merged order and the position of the first fresh slot in
+// it (len(merged) when fresh is empty). O(len(sorted) + k log k).
+func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) ([]int32, int) {
+	slices.SortFunc(fresh, cmp)
+	i, j := len(sorted)-1, len(fresh)-1
+	out := slices.Grow(sorted, len(fresh))[:len(sorted)+len(fresh)]
+	first := len(out)
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && cmp(out[i], fresh[j]) > 0 {
+			out[k] = out[i]
+			i--
+		} else {
+			out[k] = fresh[j]
+			j--
+			first = k
 		}
 	}
-	return true
+	return out, first
 }
 
-// resetNovelty clears the duplicate-detection state (prepared shingles and
-// word counts are kept — only the ordering-dependent scores go).
-func (ch *Cache) resetNovelty() {
-	ch.det = novelty.New()
-	ch.order = ch.order[:0]
-	for _, f := range ch.posts {
-		f.hasNov = false
+// glMatches reports whether the cached GL vector is exactly valid for c:
+// same lineage and link epoch (within a lineage, equal epochs mean an
+// identical link graph and blogger set) and a value for every blogger.
+func (ch *Cache) glMatches(c *blog.Corpus) bool {
+	return ch.glLineage != 0 && ch.glLineage == c.Journal().Lineage && ch.glEpoch == c.LinkEpoch() && len(ch.gl) == len(ch.bloggerIDs)
+}
+
+// storeGL records a solved GL vector, given in sorted blogger order, for
+// c's current link graph.
+func (ch *Cache) storeGL(c *blog.Corpus, rows []float64) {
+	ch.glLineage, ch.glEpoch = c.Journal().Lineage, c.LinkEpoch()
+	ch.gl = slices.Grow(ch.gl[:0], len(rows))[:len(rows)]
+	for r, s := range ch.bSorted {
+		ch.gl[s] = rows[r]
 	}
 }
 
-// storeGL records the GL vector for the given graph identity.
-func (ch *Cache) storeGL(epoch uint64, links []blog.Link, bloggers []blog.BloggerID, gl []float64) {
-	ch.glValid = true
-	ch.glEpoch = epoch
-	ch.glLinks = append(ch.glLinks[:0], links...)
-	ch.glBloggers = append(ch.glBloggers[:0], bloggers...)
-	ch.gl = append(ch.gl[:0], gl...)
-}
-
-// extendGL updates the GL bookkeeping after a delta solve. The blogger set
-// is unchanged by construction (computeGL verifies it before taking the
-// delta path), and links has the cached edge list as a prefix (the link
-// view only extends when the corpus's Links slice grew append-only), so
-// only the new tail is copied — the bookkeeping cost stays O(delta + V),
-// never O(E).
-func (ch *Cache) extendGL(epoch uint64, links []blog.Link, gl []float64) {
-	ch.glValid = true
-	ch.glEpoch = epoch
-	ch.glLinks = append(ch.glLinks, links[len(ch.glLinks):]...)
-	ch.gl = append(ch.gl[:0], gl...)
-}
-
-// glMatches reports whether the cached GL vector is exactly valid for the
-// corpus: same link epoch, same blogger set, same edge list. The epoch
-// check short-circuits the common unchanged case; the full O(V+E)
-// equality — trivial next to a PageRank solve — makes the skip exact even
-// for a caller feeding the cache a different corpus lineage whose epoch
-// coincides.
-func (ch *Cache) glMatches(c *blog.Corpus, bloggers []blog.BloggerID) bool {
-	if !ch.glValid || ch.glEpoch != c.LinkEpoch() || len(ch.glLinks) != len(c.Links) {
-		return false
-	}
-	if len(ch.glBloggers) != len(bloggers) {
-		return false
-	}
-	for i, b := range ch.glBloggers {
-		if bloggers[i] != b {
-			return false
-		}
-	}
-	for i, l := range ch.glLinks {
-		if c.Links[i] != l {
-			return false
-		}
-	}
-	return true
-}
-
-// glWarmDense converts the cached GL vector into a dense warm-start seed
-// aligned to the given sorted blogger order (which is also the link CSR's
-// node index), or nil when no previous vector exists. Both blogger lists
-// are sorted, so the remap is one merge walk; bloggers that appeared since
-// the cached solve get a zero entry, which the solver treats as "start at
-// the uniform floor" — the same semantics the map-based shim had.
-func (ch *Cache) glWarmDense(bloggers []blog.BloggerID) []float64 {
-	if !ch.glValid || len(ch.gl) == 0 {
+// glRows gathers the cached GL vector into rows, in sorted blogger order;
+// bloggers interned since the last solve keep 0, which the solver treats
+// as "start at the uniform floor". Returns nil when no vector was ever
+// solved.
+func (ch *Cache) glRows(rows []float64) []float64 {
+	if len(ch.gl) == 0 {
 		return nil
 	}
-	warm := make([]float64, len(bloggers))
-	j := 0
-	for i, b := range bloggers {
-		for j < len(ch.glBloggers) && ch.glBloggers[j] < b {
-			j++
-		}
-		if j < len(ch.glBloggers) && ch.glBloggers[j] == b {
-			warm[i] = ch.gl[j]
+	for r, s := range ch.bSorted {
+		if int(s) < len(ch.gl) {
+			rows[r] = ch.gl[s]
 		}
 	}
-	return warm
+	return rows
 }
 
-// seedPosteriorsFromPrev copies classifier posteriors from a previous
-// result into the cache for posts the cache has not classified yet — the
-// bridge that lets AnalyzeWarm-style prev reuse and the cache share one
-// mechanism.
-func (ch *Cache) seedPosteriorsFromPrev(prev *Result) {
-	if prev == nil || !prev.hasDomains || prev.domains == nil {
+// rowsIn maps every ID of cur to its row in old, or -1 when old lacks it.
+// Both lists are sorted, so this is one merge walk.
+func rowsIn[K cmp.Ordered](cur, old []K) []int32 {
+	rows := make([]int32, len(cur))
+	j := 0
+	for i, id := range cur {
+		for j < len(old) && old[j] < id {
+			j++
+		}
+		rows[i] = -1
+		if j < len(old) && old[j] == id {
+			rows[i] = int32(j)
+		}
+	}
+	return rows
+}
+
+// seedPosteriors copies classifier posteriors from a previous result into
+// slots the cache has not classified — how AnalyzeWarm's throwaway cache
+// reuses prev's posteriors. rows maps the current sorted posts to prev's
+// (see rowsIn).
+func (ch *Cache) seedPosteriors(prev *Result, rows []int32) {
+	if !prev.hasDomains || prev.domains == nil {
 		return
 	}
 	nd := prev.domains.Len()
@@ -233,19 +369,17 @@ func (ch *Cache) seedPosteriorsFromPrev(prev *Result) {
 	for i, name := range prev.domains.names {
 		remap[i] = ch.domains.intern(name)
 	}
-	for pid, pi := range prev.postIdx {
-		f := ch.facets(pid)
-		if f.hasPosterior {
+	for r, pr := range rows {
+		f := &ch.posts[ch.pSorted[r]]
+		if pr < 0 || f.posterior != nil {
 			continue
 		}
 		// row is sized after the remap loop interned every prev name, so
 		// every remapped slot fits.
 		row := make([]float64, ch.domains.Len())
-		src := prev.postDomains[pi*nd : (pi+1)*nd]
-		for i, p := range src {
+		for i, p := range prev.postDomains[int(pr)*nd : (int(pr)+1)*nd] {
 			row[remap[i]] = p
 		}
 		f.posterior = row
-		f.hasPosterior = true
 	}
 }

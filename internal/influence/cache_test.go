@@ -3,7 +3,9 @@ package influence
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"mass/internal/blog"
 	"mass/internal/linkrank"
@@ -67,10 +69,181 @@ func growMixed(t *testing.T, c *blog.Corpus, round int) {
 	}
 }
 
-// TestCachedMatchesColdBitForBit is the cache acceptance test: after
-// several mixed add-post/add-comment/add-link batches, an AnalyzeCached
-// run that reuses every cached facet must agree with a from-scratch
-// Analyze to 1e-12 on every score surface.
+// assertMatchesCold analyzes c from scratch and requires got to agree
+// with it: every score within 1e-12, and the same dense layout — row
+// order, per-post corpus facts, novelty, quality, sentiment and
+// posteriors — bit for bit.
+func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, got *Result) {
+	t.Helper()
+	cold, err := a.Analyze(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScoresMatch(t, label, got, cold, 1e-12)
+	for b, s := range cold.AP {
+		if d := math.Abs(got.AP[b] - s); !(d <= 1e-12) {
+			t.Fatalf("%s: AP %s: cached %v vs cold %v (|Δ|=%g)", label, b, got.AP[b], s, d)
+		}
+	}
+	g, w := got.Dense(), cold.Dense()
+	exact := []struct {
+		name string
+		ok   bool
+	}{
+		{"Bloggers", slices.Equal(g.Bloggers, w.Bloggers)},
+		{"Posts", slices.Equal(g.Posts, w.Posts)},
+		{"Author", slices.Equal(g.Author, w.Author)},
+		{"Posted", slices.Equal(g.Posted, w.Posted)},
+		{"Comments", slices.Equal(g.Comments, w.Comments)},
+		{"Quality", slices.Equal(g.Quality, w.Quality)},
+		{"Novelty", slices.Equal(g.Novelty, w.Novelty)},
+		{"Sentiment", slices.Equal(g.Sentiment, w.Sentiment)},
+		{"Domains", slices.Equal(g.Domains, w.Domains)},
+		{"PostDomains", slices.Equal(g.PostDomains, w.PostDomains)},
+		{"Words", got.Words() == cold.Words()},
+	}
+	for _, e := range exact {
+		if !e.ok {
+			t.Fatalf("%s: dense %s differs from a cold analysis", label, e.name)
+		}
+	}
+	near := []struct {
+		name      string
+		got, want []float64
+	}{
+		{"Influence", g.Influence, w.Influence},
+		{"AP", g.AP, w.AP},
+		{"GL", g.GL, w.GL},
+		{"PostScore", g.PostScore, w.PostScore},
+		{"DomainScores", g.DomainScores, w.DomainScores},
+	}
+	for _, n := range near {
+		if len(n.got) != len(n.want) {
+			t.Fatalf("%s: dense %s has %d rows, cold %d", label, n.name, len(n.got), len(n.want))
+		}
+		for i := range n.want {
+			if d := math.Abs(n.got[i] - n.want[i]); !(d <= 1e-12) {
+				t.Fatalf("%s: dense %s[%d]: cached %v vs cold %v (|Δ|=%g)", label, n.name, i, n.got[i], n.want[i], d)
+			}
+		}
+	}
+}
+
+// assertRejectsInvalid hands the warm cache TestAnalyzeRejectsInvalidCorpus's
+// corpus, and a snapshot of c with the same ghost post written into its
+// map, and requires both to be rejected.
+func assertRejectsInvalid(t *testing.T, label string, a *Analyzer, c *blog.Corpus, cache *Cache) {
+	t.Helper()
+	if _, err := a.AnalyzeCached(invalidCorpus(), nil, cache); err == nil {
+		t.Fatalf("%s: warm cache accepted an invalid corpus", label)
+	}
+	ghost := c.Snapshot()
+	ghost.Posts["ghostpost"] = &blog.Post{ID: "ghostpost", Author: "nobody"}
+	if _, err := a.AnalyzeCached(ghost, nil, cache); err == nil {
+		t.Fatalf("%s: warm cache accepted a ghost post written into its own lineage", label)
+	}
+}
+
+// lineageStep mutates the corpus between two cached analyses and returns
+// the corpus to analyze next (a rebuild returns a new one).
+type lineageStep struct {
+	name  string
+	apply func(t *testing.T, c *blog.Corpus) *blog.Corpus
+}
+
+// lineageSteps are the mutation lineages the cache must follow exactly:
+// append-only batches it extends in O(delta), and every way the journal
+// can stop being an extension of what the cache saw.
+func lineageSteps() []lineageStep {
+	step := func(name string, f func(t *testing.T, c *blog.Corpus)) lineageStep {
+		return lineageStep{name, func(t *testing.T, c *blog.Corpus) *blog.Corpus { f(t, c); return c }}
+	}
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest := func(c *blog.Corpus) time.Time {
+		var last time.Time
+		for _, p := range c.Posts {
+			if p.Posted.After(last) {
+				last = p.Posted
+			}
+		}
+		return last
+	}
+	var steps []lineageStep
+	for round := 0; round < 3; round++ {
+		steps = append(steps, step(fmt.Sprintf("mixed batch %d", round), func(t *testing.T, c *blog.Corpus) {
+			growMixed(t, c, round)
+		}))
+	}
+	return append(steps,
+		step("in-order post", func(t *testing.T, c *blog.Corpus) {
+			author := c.BloggerIDs()[3]
+			must(t, c.AddPost(&blog.Post{ID: "lineage-inorder", Author: author, Posted: latest(c).Add(time.Hour),
+				Body: "a late evening dispatch on harbour markets and the price of fresh fish"}))
+		}),
+		step("commenter-only bloggers", func(t *testing.T, c *blog.Corpus) {
+			posts := c.PostIDs()
+			for i := 0; i < 3; i++ {
+				id := blog.BloggerID(fmt.Sprintf("lineage-lurker-%d", i))
+				must(t, c.AddBlogger(&blog.Blogger{ID: id}))
+				must(t, c.AddComment(posts[i*11%len(posts)], blog.Comment{Commenter: id, Text: "great point, I agree"}))
+				must(t, c.AddComment(posts[i*17%len(posts)], blog.Comment{Commenter: id, Text: "awful, I disagree"}))
+			}
+		}),
+		step("comments on old posts", func(t *testing.T, c *blog.Corpus) {
+			posts, bloggers := c.PostIDs(), c.BloggerIDs()
+			for i := 0; i < 5; i++ {
+				must(t, c.AddComment(posts[i*7%len(posts)], blog.Comment{Commenter: bloggers[i*5%len(bloggers)], Text: "fine"}))
+			}
+		}),
+		step("links", func(t *testing.T, c *blog.Corpus) {
+			bloggers := c.BloggerIDs()
+			for i := 0; i < 4; i++ {
+				_, err := c.AddLinkDedup(bloggers[i*3%len(bloggers)], bloggers[(i*3+7)%len(bloggers)])
+				must(t, err)
+			}
+		}),
+		step("back-dated copy", func(t *testing.T, c *blog.Corpus) {
+			// A copy of the newest post, dated before every other one: the
+			// copy becomes the original and the later post a near-duplicate.
+			newest := c.Posts["lineage-inorder"]
+			must(t, c.AddPost(&blog.Post{ID: "lineage-backdated", Author: c.BloggerIDs()[5],
+				Posted: time.Date(1990, 1, 1, 0, 0, 0, 0, time.UTC), Body: newest.Body}))
+		}),
+		step("direct Posts write", func(t *testing.T, c *blog.Corpus) {
+			c.Posts["lineage-direct"] = &blog.Post{ID: "lineage-direct", Author: c.BloggerIDs()[1],
+				Posted: latest(c).Add(time.Hour), Body: "written straight into the map, past the journal",
+				Comments: []blog.Comment{{Commenter: c.BloggerIDs()[2], Text: "great"}}}
+		}),
+		step("Reindex", func(t *testing.T, c *blog.Corpus) { c.Reindex() }),
+		lineageStep{"FromParts rebuild", func(t *testing.T, c *blog.Corpus) *blog.Corpus {
+			var bloggers []*blog.Blogger
+			var posts []*blog.Post
+			for _, id := range c.BloggerIDs() {
+				bloggers = append(bloggers, c.Bloggers[id])
+			}
+			for _, id := range c.PostIDs() {
+				posts = append(posts, c.Posts[id])
+			}
+			rebuilt, err := blog.FromParts(bloggers, posts, c.Links)
+			must(t, err)
+			return rebuilt
+		}},
+		step("mixed batch after rebuild", func(t *testing.T, c *blog.Corpus) { growMixed(t, c, 3) }),
+	)
+}
+
+// TestCachedMatchesColdBitForBit is the cache acceptance test: along a
+// lineage of mixed batches, commenter-only bloggers, comments on old posts,
+// links, in-order and back-dated posts, a direct map write, Reindex and a
+// FromParts rebuild, an AnalyzeCached run on a snapshot (as the engine
+// flushes) must agree with a from-scratch Analyze to 1e-12 on every score
+// surface and reproduce its dense layout exactly — and the warm cache must
+// still reject an invalid corpus after every step.
 func TestCachedMatchesColdBitForBit(t *testing.T) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 91, Bloggers: 60, Posts: 400})
 	if err != nil {
@@ -78,49 +251,22 @@ func TestCachedMatchesColdBitForBit(t *testing.T) {
 	}
 	a := mustAnalyzer(t, tightConfig(), trainDomainClassifier(t))
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+	prev, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	for round := 0; round < 3; round++ {
-		growMixed(t, corpus, round)
-		cached, err := a.AnalyzeCached(corpus, nil, cache)
+	for _, st := range lineageSteps() {
+		corpus = st.apply(t, corpus)
+		cached, err := a.AnalyzeCached(corpus.Snapshot(), prev, cache)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", st.name, err)
 		}
-		cold, err := a.Analyze(corpus)
-		if err != nil {
-			t.Fatal(err)
+		assertMatchesCold(t, st.name, a, corpus, cached)
+		if cache.Posts() != len(corpus.Posts) {
+			t.Fatalf("%s: cache holds %d posts, corpus %d", st.name, cache.Posts(), len(corpus.Posts))
 		}
-		for b, s := range cold.BloggerScores {
-			if d := math.Abs(cached.BloggerScores[b] - s); d > 1e-12 {
-				t.Fatalf("round %d blogger %s: cached %v vs cold %v (|Δ|=%g)",
-					round, b, cached.BloggerScores[b], s, d)
-			}
-		}
-		for p, s := range cold.PostScores {
-			if d := math.Abs(cached.PostScores[p] - s); d > 1e-12 {
-				t.Fatalf("round %d post %s: cached %v vs cold %v (|Δ|=%g)", round, p, cached.PostScores[p], s, d)
-			}
-		}
-		for p, s := range cold.Novelty {
-			if cached.Novelty[p] != s {
-				t.Fatalf("round %d novelty %s: cached %v vs cold %v", round, p, cached.Novelty[p], s)
-			}
-		}
-		for p, s := range cold.Quality {
-			if cached.Quality[p] != s {
-				t.Fatalf("round %d quality %s: cached %v vs cold %v", round, p, cached.Quality[p], s)
-			}
-		}
-		for b, ds := range cold.DomainScoresMap() {
-			for dom, s := range ds {
-				if d := math.Abs(cached.DomainScore(b, dom) - s); d > 1e-12 {
-					t.Fatalf("round %d domain %s/%s: cached %v vs cold %v (|Δ|=%g)",
-						round, b, dom, cached.DomainScore(b, dom), s, d)
-				}
-			}
-		}
+		assertRejectsInvalid(t, st.name, a, corpus, cache)
+		prev = cached
 	}
 }
 
@@ -182,10 +328,12 @@ func TestCachedReuseCounters(t *testing.T) {
 	}
 }
 
-// TestCacheSurvivesCorpusSwap feeds the cache a completely different
-// corpus (fresh post IDs, per the cache's lineage contract): stale posts
-// must be evicted, the novelty replay must detect the reordering, and the
-// results must still match a cold analysis exactly.
+// TestCacheSurvivesCorpusSwap hands a warm cache a corpus of another
+// lineage: an unrelated corpus (fresh post IDs, per the cache's lineage
+// contract), a FromParts rebuild and a Reindex of the corpus it follows,
+// and a forked snapshot mutated apart from its origin. The cache must reset
+// to journal position 0, drop posts the corpus lacks, keep the facets of
+// every post ID it holds, and match a cold analysis exactly.
 func TestCacheSurvivesCorpusSwap(t *testing.T) {
 	big, _, err := synth.Generate(synth.Config{Seed: 93, Bloggers: 40, Posts: 200})
 	if err != nil {
@@ -215,31 +363,75 @@ func TestCacheSurvivesCorpusSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a := mustAnalyzer(t, Config{}, trainDomainClassifier(t))
-	cache := NewCache()
-	if _, err := a.AnalyzeCached(big, nil, cache); err != nil {
-		t.Fatal(err)
-	}
-	cached, err := a.AnalyzeCached(small, nil, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.Posts() != len(small.Posts) {
-		t.Fatalf("stale posts not evicted: cache has %d, corpus has %d", cache.Posts(), len(small.Posts))
-	}
-	cold, err := a.Analyze(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, s := range cold.BloggerScores {
-		if math.Abs(cached.BloggerScores[b]-s) > 1e-9 {
-			t.Fatalf("swapped-corpus result differs for %s: %v vs %v", b, cached.BloggerScores[b], s)
+	rebuild := func(c *blog.Corpus, _ *Analyzer, _ *Cache) *blog.Corpus {
+		var bloggers []*blog.Blogger
+		var posts []*blog.Post
+		for _, id := range c.BloggerIDs() {
+			bloggers = append(bloggers, c.Bloggers[id])
 		}
-	}
-	for p, s := range cold.Novelty {
-		if cached.Novelty[p] != s {
-			t.Fatalf("swapped-corpus novelty differs for %s", p)
+		for _, id := range c.PostIDs() {
+			posts = append(posts, c.Posts[id])
 		}
+		out, err := blog.FromParts(bloggers, posts, c.Links)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	reindexed := func(c *blog.Corpus, _ *Analyzer, _ *Cache) *blog.Corpus {
+		s := c.Snapshot()
+		s.Reindex()
+		return s
+	}
+	forked := func(c *blog.Corpus, a *Analyzer, cache *Cache) *blog.Corpus {
+		// Both the origin and its snapshot grow past the shared prefix; the
+		// cache saw the origin's growth, then gets the snapshot's.
+		s := c.Snapshot()
+		growMixed(t, c, 7)
+		if _, err := a.AnalyzeCached(c, nil, cache); err != nil {
+			t.Fatal(err)
+		}
+		growMixed(t, s, 8)
+		return s
+	}
+
+	cases := []struct {
+		name string
+		swap func(c *blog.Corpus, a *Analyzer, cache *Cache) *blog.Corpus
+		// keeps reports whether every post of the swapped-in corpus is one
+		// the cache already held, so all facets must be reused.
+		keeps bool
+	}{
+		{"unrelated corpus", func(*blog.Corpus, *Analyzer, *Cache) *blog.Corpus { return small }, false},
+		{"FromParts rebuild", rebuild, true},
+		{"Reindex", reindexed, true},
+		{"forked snapshot", forked, false},
+	}
+	a := mustAnalyzer(t, tightConfig(), trainDomainClassifier(t))
+	for _, tc := range cases {
+		cache := NewCache()
+		origin := big.Snapshot()
+		if _, err := a.AnalyzeCached(origin, nil, cache); err != nil {
+			t.Fatal(err)
+		}
+		swapped := tc.swap(origin, a, cache)
+		cached, err := a.AnalyzeCached(swapped, nil, cache)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if cache.Posts() != len(swapped.Posts) {
+			t.Fatalf("%s: stale posts not evicted: cache has %d, corpus has %d", tc.name, cache.Posts(), len(swapped.Posts))
+		}
+		comments := 0
+		for _, p := range swapped.Posts {
+			comments += len(p.Comments)
+		}
+		if tc.keeps && (cached.ReusedNovelty != len(swapped.Posts) || cached.ReusedPosteriors != len(swapped.Posts) || cached.ReusedSentiments != comments) {
+			t.Fatalf("%s: facets not carried over: reused novelty %d, posteriors %d of %d posts, sentiments %d of %d",
+				tc.name, cached.ReusedNovelty, cached.ReusedPosteriors, len(swapped.Posts), cached.ReusedSentiments, comments)
+		}
+		assertMatchesCold(t, tc.name, a, swapped, cached)
+		assertRejectsInvalid(t, tc.name, a, swapped, cache)
 	}
 }
 
@@ -278,5 +470,67 @@ func TestCacheCommentAppendKeepsPrefix(t *testing.T) {
 		if math.Abs(res.BloggerScores[b]-s) > 1e-12 {
 			t.Fatalf("comment-append cached result differs for %s", b)
 		}
+	}
+}
+
+// TestWarmFlushAllocsSizeIndependent is the allocation budget of a warm
+// flush: one post plus one comment on an old post, analyzed against a warm
+// cache, allocates a constant count — the same on a corpus with 4× the
+// posts — because the cache reads only the journal delta and the result
+// slabs are flat, never per post.
+func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
+	a := mustAnalyzer(t, Config{}, trainDomainClassifier(t))
+	allocs := func(posts int) float64 {
+		c, _, err := synth.Generate(synth.Config{Seed: 96, Bloggers: 30, Posts: posts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCache()
+		prev, err := a.AnalyzeCached(c, nil, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bloggers, old := c.BloggerIDs(), c.PostIDs()
+		var last time.Time
+		comments := 0
+		for _, p := range c.Posts {
+			if p.Posted.After(last) {
+				last = p.Posted
+			}
+			comments += len(p.Comments)
+		}
+		// IDs are built up front: fmt's printer pool drops entries at random
+		// under the race detector, which would make the count noisy.
+		ids := make([]blog.PostID, 64)
+		for i := range ids {
+			ids[i] = blog.PostID(fmt.Sprintf("alloc-%03d", i))
+		}
+		n := 0
+		flush := func() {
+			n++
+			pid := ids[n]
+			if err := c.AddPost(&blog.Post{ID: pid, Author: bloggers[n%len(bloggers)], Body: "zq",
+				Posted: last.Add(time.Duration(n) * time.Hour)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddComment(old[n%len(old)], blog.Comment{Commenter: bloggers[(n+1)%len(bloggers)], Text: "fine"}); err != nil {
+				t.Fatal(err)
+			}
+			comments++
+			res, err := a.AnalyzeCached(c, prev, cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ReusedNovelty != len(c.Posts)-1 || res.ReusedSentiments != comments-1 {
+				t.Fatalf("%d posts: reused novelty %d of %d posts, sentiments %d of %d comments",
+					posts, res.ReusedNovelty, len(c.Posts), res.ReusedSentiments, comments)
+			}
+			prev = res
+		}
+		return testing.AllocsPerRun(40, flush)
+	}
+	small, large := allocs(150), allocs(600)
+	if small != large {
+		t.Fatalf("warm flush allocations grow with corpus size: %v (150 posts) vs %v (600 posts)", small, large)
 	}
 }

@@ -23,18 +23,18 @@ func deltaConfig() Config {
 func assertScoresMatch(t *testing.T, label string, got, want *Result, tol float64) {
 	t.Helper()
 	for b, s := range want.BloggerScores {
-		if d := math.Abs(got.BloggerScores[b] - s); d > tol {
+		if d := math.Abs(got.BloggerScores[b] - s); !(d <= tol) {
 			t.Fatalf("%s: blogger %s: delta %v vs cold %v (|Δ|=%g)", label, b, got.BloggerScores[b], s, d)
 		}
 	}
 	for b, s := range want.GL {
-		if d := math.Abs(got.GL[b] - s); d > tol {
+		if d := math.Abs(got.GL[b] - s); !(d <= tol) {
 			t.Fatalf("%s: GL %s: delta %v vs cold %v (|Δ|=%g)", label, b, got.GL[b], s, d)
 		}
 	}
-	for p, s := range want.PostScores {
-		if d := math.Abs(got.PostScores[p] - s); d > tol {
-			t.Fatalf("%s: post %s: delta %v vs cold %v (|Δ|=%g)", label, p, got.PostScores[p], s, d)
+	for p, s := range postScores(want) {
+		if d := math.Abs(got.PostScore(p) - s); !(d <= tol) {
+			t.Fatalf("%s: post %s: delta %v vs cold %v (|Δ|=%g)", label, p, got.PostScore(p), s, d)
 		}
 	}
 }

@@ -95,7 +95,7 @@ func TestSolverPropertyRandomCorpora(t *testing.T) {
 				return false
 			}
 		}
-		for _, s := range res.PostScores {
+		for _, s := range postScores(res) {
 			if s < 0 || math.IsNaN(s) {
 				return false
 			}

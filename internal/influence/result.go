@@ -1,7 +1,9 @@
 package influence
 
 import (
+	"slices"
 	"sync"
+	"time"
 
 	"mass/internal/blog"
 	"mass/internal/rank"
@@ -19,16 +21,10 @@ import (
 type Result struct {
 	// BloggerScores is Inf(b) for every blogger (Eq. 1).
 	BloggerScores map[blog.BloggerID]float64
-	// PostScores is Inf(b, d_k) for every post (Eq. 4).
-	PostScores map[blog.PostID]float64
 	// AP is the Accumulated Post influence Σ_k Inf(b, d_k).
 	AP map[blog.BloggerID]float64
 	// GL is the General Links authority (PageRank over the link graph).
 	GL map[blog.BloggerID]float64
-	// Quality is each post's quality score (normalized length × novelty).
-	Quality map[blog.PostID]float64
-	// Novelty is each post's novelty factor.
-	Novelty map[blog.PostID]float64
 	// Iterations and Converged report fixed-point solver behaviour.
 	Iterations int
 	Converged  bool
@@ -59,19 +55,19 @@ type Result struct {
 	PageRankPushed int
 
 	// Dense domain core. bloggers/posts are the sorted entity lists the
-	// analysis ran over; the slabs are row-major [entity][domain].
+	// analysis ran over (their positions are the rows of every slab); the
+	// domain slabs are row-major [entity][domain].
 	domains      *DomainIndex
 	hasDomains   bool // a classifier ran; domain queries are meaningful
 	bloggers     []blog.BloggerID
 	posts        []blog.PostID
-	bloggerIdx   map[blog.BloggerID]int
-	postIdx      map[blog.PostID]int
 	postDomains  []float64 // len(posts) × domains.Len()
 	domainScores []float64 // len(bloggers) × domains.Len()
 
-	// Dense per-entity facet vectors, aligned with bloggers/posts. They
-	// duplicate the public maps so index-aware consumers (package query)
-	// can scan without hashing; AnalyzeDecayed keeps them in sync.
+	// Dense per-entity facet vectors, aligned with bloggers/posts. The
+	// blogger ones duplicate the public maps so index-aware consumers
+	// (package query) can scan without hashing; AnalyzeDecayed keeps them
+	// in sync.
 	bloggerInf    []float64
 	bloggerAP     []float64
 	bloggerGL     []float64
@@ -79,6 +75,10 @@ type Result struct {
 	postQuality   []float64
 	postNovelty   []float64
 	postSentiment []float64 // mean comment SF per post; 0 with no comments
+	postAuthor    []int32   // blogger row of each post's author
+	postPosted    []float64 // PostedKey of each post's time
+	postComments  []int32   // comments per post
+	words         int       // word count summed over every post body
 
 	// Lazily precomputed rankings (once per Result, i.e. once per
 	// published snapshot).
@@ -99,7 +99,7 @@ func (r *Result) Domains() []string {
 // domainRow returns blogger b's dense domain score row, or nil.
 func (r *Result) domainRow(b blog.BloggerID) []float64 {
 	nd := r.domains.Len()
-	bi, ok := r.bloggerIdx[b]
+	bi, ok := r.BloggerIndex(b)
 	if !ok || nd == 0 || len(r.domainScores) == 0 {
 		return nil
 	}
@@ -109,7 +109,7 @@ func (r *Result) domainRow(b blog.BloggerID) []float64 {
 // postRow returns a post's dense posterior row, or nil.
 func (r *Result) postRow(pid blog.PostID) []float64 {
 	nd := r.domains.Len()
-	pi, ok := r.postIdx[pid]
+	pi, ok := r.PostIndex(pid)
 	if !ok || nd == 0 || len(r.postDomains) == 0 {
 		return nil
 	}
@@ -159,30 +159,6 @@ func (r *Result) PostDomainVector(pid blog.PostID) map[string]float64 {
 	return out
 }
 
-// PostDomainScore returns one post's posterior weight on one domain.
-func (r *Result) PostDomainScore(pid blog.PostID, domain string) float64 {
-	row := r.postRow(pid)
-	if row == nil {
-		return 0
-	}
-	if di, ok := r.domains.lookup(domain); ok {
-		return row[di]
-	}
-	return 0
-}
-
-// EachPostDomain calls f for every nonzero domain weight of one post,
-// without allocating a map — the streaming accessor for consumers that
-// aggregate over many posts (e.g. trend analysis).
-func (r *Result) EachPostDomain(pid blog.PostID, f func(domain string, weight float64)) {
-	row := r.postRow(pid)
-	for di, p := range row {
-		if p != 0 {
-			f(r.domains.names[di], p)
-		}
-	}
-}
-
 // DomainScoresMap materializes the full Inf(b, C_t) matrix as nested maps —
 // the boundary conversion for batch tooling and tests. Costs O(bloggers ×
 // domains); query paths should use DomainScore/TopDomain instead.
@@ -221,14 +197,36 @@ func (r *Result) InterestScores(iv map[string]float64) map[string]float64 {
 	return out
 }
 
+// sumAP sums each blogger's post influence into ap: AP = Σ_k Inf(b, d_k),
+// adding an author's posts in row order.
+func (r *Result) sumAP(ap []float64) {
+	clear(ap)
+	for i, b := range r.postAuthor {
+		ap[b] += r.postInf[i]
+	}
+}
+
+// aggregateDomains computes Eq. 5 over the dense slabs: Inf(b, C_t) is the
+// posterior-weighted sum of b's post influence, in row order.
+func (r *Result) aggregateDomains() {
+	nd := r.domains.Len()
+	r.domainScores = make([]float64, len(r.bloggers)*nd)
+	for i, b := range r.postAuthor {
+		ds := r.domainScores[int(b)*nd : (int(b)+1)*nd]
+		for di, p := range r.postDomains[i*nd : (i+1)*nd] {
+			ds[di] += r.postInf[i] * p
+		}
+	}
+}
+
 // rankings builds the general and per-domain top lists exactly once.
 // Callers must not mutate the Result's scores after first use (the
 // analyzer never does; AnalyzeDecayed re-aggregates before publishing).
 func (r *Result) rankings() {
 	r.rankOnce.Do(func() {
-		general := make([]rank.Entry, 0, len(r.bloggers))
-		for _, b := range r.bloggers {
-			general = append(general, rank.Entry{ID: string(b), Score: r.BloggerScores[b]})
+		general := make([]rank.Entry, len(r.bloggers))
+		for bi, b := range r.bloggers {
+			general[bi] = rank.Entry{ID: string(b), Score: r.bloggerInf[bi]}
 		}
 		rank.SortEntries(general)
 		r.generalRank = general
@@ -302,8 +300,9 @@ func (r *Result) TopKDomain(domain string, k int) []blog.BloggerID {
 // index-aware executors (package query) that scan entities by position
 // instead of hashing IDs. All slices are aligned: Influence[i] belongs to
 // Bloggers[i], PostScore[j] to Posts[j], and the domain slabs are
-// row-major [entity][domain] with stride len(Domains). Slices are shared
-// with the Result — callers must treat them as immutable.
+// row-major [entity][domain] with stride len(Domains). Bloggers and Posts
+// are sorted by ID. Slices are shared with the Result — callers must
+// treat them as immutable.
 type DenseView struct {
 	Bloggers []blog.BloggerID
 	Posts    []blog.PostID
@@ -313,6 +312,11 @@ type DenseView struct {
 	// Per-post facets (aligned with Posts). Sentiment is the mean comment
 	// sentiment factor in [0,1] (0 for posts with no comments).
 	PostScore, Quality, Novelty, Sentiment []float64
+	// Per-post corpus facts (aligned with Posts): the author's row in
+	// Bloggers, the posting time as a PostedKey, and the comment count.
+	Author   []int32
+	Posted   []float64
+	Comments []int32
 
 	// DomainScores is Inf(b, C_t): len(Bloggers) × len(Domains).
 	// PostDomains is iv(b, d_k, C_t): len(Posts) × len(Domains).
@@ -334,6 +338,9 @@ func (r *Result) Dense() DenseView {
 		Quality:      r.postQuality,
 		Novelty:      r.postNovelty,
 		Sentiment:    r.postSentiment,
+		Author:       r.postAuthor,
+		Posted:       r.postPosted,
+		Comments:     r.postComments,
 		DomainScores: r.domainScores,
 		PostDomains:  r.postDomains,
 		Domains:      r.Domains(),
@@ -352,23 +359,42 @@ func (r *Result) DomainSlot(name string) (int, bool) {
 
 // BloggerIndex resolves a blogger ID to its dense row index.
 func (r *Result) BloggerIndex(id blog.BloggerID) (int, bool) {
-	i, ok := r.bloggerIdx[id]
-	return i, ok
+	return slices.BinarySearch(r.bloggers, id)
 }
 
 // PostIndex resolves a post ID to its dense row index.
 func (r *Result) PostIndex(id blog.PostID) (int, bool) {
-	i, ok := r.postIdx[id]
-	return i, ok
+	return slices.BinarySearch(r.posts, id)
 }
 
-// PostSentiment returns the mean comment sentiment factor of one post
-// (0 for posts with no comments or unknown IDs).
-func (r *Result) PostSentiment(pid blog.PostID) float64 {
-	if i, ok := r.postIdx[pid]; ok && i < len(r.postSentiment) {
-		return r.postSentiment[i]
+// postFacet reads one post's value from a per-post slab (0 for unknown
+// IDs).
+func (r *Result) postFacet(slab []float64, pid blog.PostID) float64 {
+	if i, ok := r.PostIndex(pid); ok && i < len(slab) {
+		return slab[i]
 	}
 	return 0
+}
+
+// PostScore returns Inf(b, d_k) of one post (Eq. 4).
+func (r *Result) PostScore(pid blog.PostID) float64 { return r.postFacet(r.postInf, pid) }
+
+// PostQuality returns one post's quality score (normalized length ×
+// novelty).
+func (r *Result) PostQuality(pid blog.PostID) float64 { return r.postFacet(r.postQuality, pid) }
+
+// PostNovelty returns one post's novelty factor.
+func (r *Result) PostNovelty(pid blog.PostID) float64 { return r.postFacet(r.postNovelty, pid) }
+
+// Words returns the word count summed over every post body — the
+// tokenizer's totals the analysis already holds, so corpus statistics
+// need not re-tokenize.
+func (r *Result) Words() int { return r.words }
+
+// PostedKey projects a time onto the comparable float axis that posted
+// predicates and ordering use: seconds, with the sub-second fraction.
+func PostedKey(t time.Time) float64 {
+	return float64(t.Unix()) + float64(t.Nanosecond())*1e-9
 }
 
 func entriesToBloggerIDs(entries []rank.Entry) []blog.BloggerID {

@@ -1,7 +1,7 @@
 package influence
 
 import (
-	"sort"
+	"slices"
 
 	"mass/internal/blog"
 	"mass/internal/novelty"
@@ -73,49 +73,54 @@ type PostFacetsState struct {
 func (ch *Cache) ExportState() *CacheState {
 	st := &CacheState{
 		Domains:  append([]string(nil), ch.domains.names...),
-		NovOrder: append([]blog.PostID(nil), ch.order...),
+		NovOrder: make([]blog.PostID, ch.scored),
+		Posts:    make([]PostFacetsState, 0, len(ch.pSorted)),
 	}
-	pids := make([]blog.PostID, 0, len(ch.posts))
-	for pid := range ch.posts {
-		pids = append(pids, pid)
+	scored := make([]bool, len(ch.posts))
+	for k, s := range ch.chrono[:ch.scored] {
+		st.NovOrder[k] = ch.postIDs[s]
+		scored[s] = true
 	}
-	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
-	st.Posts = make([]PostFacetsState, 0, len(pids))
-	for _, pid := range pids {
-		f := ch.posts[pid]
-		ps := PostFacetsState{ID: pid, Words: f.words, Tokenized: f.tokenized}
+	for _, s := range ch.pSorted {
+		f := &ch.posts[s]
+		ps := PostFacetsState{ID: ch.postIDs[s], Words: f.words, Tokenized: f.tokenized}
 		if f.hasPrepared {
 			ps.HasPrepared = true
 			ps.Shingles = f.prepared.Shingles()
 			ps.Indicator = f.prepared.Indicator()
 		}
-		if f.hasNov {
+		if scored[s] {
 			ps.HasNov = true
 			ps.Nov = f.nov
 		}
-		if f.hasPosterior {
+		if f.posterior != nil {
 			ps.HasPosterior = true
-			ps.Posterior = append([]float64(nil), f.posterior...)
+			ps.Posterior = slices.Clone(f.posterior)
 		}
 		if len(f.sentiments) > 0 {
 			ps.Sentiments = append([]sentiment.Polarity(nil), f.sentiments...)
 		}
 		st.Posts = append(st.Posts, ps)
 	}
-	if ch.glValid {
-		st.GLBloggers = append([]blog.BloggerID(nil), ch.glBloggers...)
-		st.GL = append([]float64(nil), ch.gl...)
+	for _, s := range ch.bSorted {
+		if int(s) < len(ch.gl) {
+			st.GLBloggers = append(st.GLBloggers, ch.bloggerIDs[s])
+			st.GL = append(st.GL, ch.gl[s])
+		}
 	}
 	return st
 }
 
-// RestoreCache rebuilds a Cache from exported state. Structurally invalid
-// pieces degrade instead of failing: a posterior row longer than the domain
-// index is truncated, and a novelty order referencing a post without
-// prepared shingles resets the duplicate-detection state — the restored
-// cache then re-derives those facets on the next analysis, which keeps the
-// scores correct at the cost of some rework. The GL vector is restored
-// unkeyed; call BindGL with the recovered corpus to arm the skip path.
+// RestoreCache rebuilds a Cache from exported state. The restored cache
+// follows no corpus lineage, so its first analysis resets to journal
+// position 0 and takes over every restored facet by post ID. Structurally
+// invalid pieces degrade instead of failing: a posterior row longer than
+// the domain index is truncated, and a novelty order referencing a post
+// without prepared shingles resets the duplicate-detection state — the
+// restored cache then re-derives those facets on the next analysis, which
+// keeps the scores correct at the cost of some rework. The GL vector is
+// restored unkeyed; call BindGL with the recovered corpus to arm the skip
+// path.
 func RestoreCache(st *CacheState) *Cache {
 	ch := NewCache()
 	if st == nil {
@@ -125,61 +130,64 @@ func RestoreCache(st *CacheState) *Cache {
 		ch.domains.intern(d)
 	}
 	nd := ch.domains.Len()
+	var hasNov []bool // per slot: the state carries its scored novelty
+	shingles := 0
 	for i := range st.Posts {
 		ps := &st.Posts[i]
-		if ps.ID == "" {
+		if _, dup := ch.postSlot[ps.ID]; dup || ps.ID == "" {
 			continue
 		}
-		f := ch.facets(ps.ID)
-		f.words = ps.Words
-		f.tokenized = ps.Tokenized
+		f := postFacets{words: ps.Words, tokenized: ps.Tokenized, nov: ps.Nov}
 		if ps.HasPrepared {
 			f.prepared = novelty.RestorePrepared(ps.Shingles, ps.Indicator)
 			f.hasPrepared = true
 		}
-		if ps.HasNov {
-			f.nov = ps.Nov
-			f.hasNov = true
-		}
 		if ps.HasPosterior {
-			row := append([]float64(nil), ps.Posterior...)
-			if len(row) > nd {
-				row = row[:nd]
-			}
-			f.posterior = row
-			f.hasPosterior = true
+			f.posterior = make([]float64, min(len(ps.Posterior), nd))
+			copy(f.posterior, ps.Posterior)
 		}
 		if len(ps.Sentiments) > 0 {
 			f.sentiments = append([]sentiment.Polarity(nil), ps.Sentiments...)
 		}
+		ch.postSlot[ps.ID] = int32(len(ch.postIDs))
+		ch.postIDs = append(ch.postIDs, ps.ID)
+		ch.posts = append(ch.posts, f)
+		ch.pSorted = append(ch.pSorted, int32(len(ch.pSorted)))
+		hasNov = append(hasNov, ps.HasNov)
+		shingles += len(ps.Shingles)
 	}
+	slices.SortFunc(ch.pSorted, ch.cmpPosts)
 	if len(st.NovOrder) > 0 {
-		total := 0
-		for i := range st.Posts {
-			total += len(st.Posts[i].Shingles)
-		}
-		ch.det.Reserve(total)
+		ch.det.Reserve(shingles)
 	}
 	for _, pid := range st.NovOrder {
-		f := ch.posts[pid]
-		if f == nil || !f.hasPrepared {
-			ch.resetNovelty()
+		s, ok := ch.postSlot[pid]
+		if !ok || !ch.posts[s].hasPrepared {
+			ch.det, ch.chrono = novelty.New(), nil
 			break
 		}
-		if f.hasNov {
+		f := &ch.posts[s]
+		if hasNov[s] {
 			// The scored value is part of the state; only the detector's
 			// inverted index needs rebuilding.
 			ch.det.Observe(f.prepared)
 		} else {
 			f.nov = ch.det.ScorePrepared(f.prepared)
-			f.hasNov = true
 		}
-		ch.order = append(ch.order, pid)
+		ch.chrono = append(ch.chrono, s)
 	}
-	if len(st.GLBloggers) > 0 && len(st.GLBloggers) == len(st.GL) {
-		ch.glValid = true
-		ch.glBloggers = append([]blog.BloggerID(nil), st.GLBloggers...)
-		ch.gl = append([]float64(nil), st.GL...)
+	ch.scored = len(ch.chrono)
+	if len(st.GLBloggers) == len(st.GL) {
+		for i, id := range st.GLBloggers {
+			if _, dup := ch.bloggerSlot[id]; dup {
+				continue
+			}
+			ch.bloggerSlot[id] = int32(len(ch.bloggerIDs))
+			ch.bloggerIDs = append(ch.bloggerIDs, id)
+			ch.bSorted = append(ch.bSorted, int32(len(ch.bSorted)))
+			ch.gl = append(ch.gl, st.GL[i])
+		}
+		slices.SortFunc(ch.bSorted, ch.cmpBloggers)
 	}
 	return ch
 }
@@ -188,29 +196,22 @@ func RestoreCache(st *CacheState) *Cache {
 // glMatches can recognize an unchanged graph and skip PageRank outright on
 // the first post-recovery flush. The caller asserts that c's link graph is
 // the one the vector was solved against (a checkpoint records both
-// atomically, so the recovered corpus at the snapshot index qualifies).
-// Binding a mismatched corpus cannot corrupt results — glMatches still
-// verifies the blogger set and the full edge list before any reuse — it
-// just wastes the comparison.
+// atomically, so the recovered corpus at the snapshot index qualifies):
+// the vector is then taken as exact for c's lineage and link epoch.
 func (ch *Cache) BindGL(c *blog.Corpus) {
-	if !ch.glValid {
-		return
+	if len(ch.gl) > 0 {
+		ch.glLineage, ch.glEpoch = c.Journal().Lineage, c.LinkEpoch()
 	}
-	ch.glEpoch = c.LinkEpoch()
-	ch.glLinks = append(ch.glLinks[:0], c.Links...)
 }
 
 // WarmResult builds a minimal previous Result carrying the persisted
-// influence scores — exactly what the analyzer consumes as a solver warm
-// start (prev.BloggerScores). Returns nil when the state holds no usable
-// vector; the solver then starts from GL, as a cold analysis would.
+// influence scores (InfBloggers is a sorted Dense().Bloggers copy) —
+// exactly what the analyzer consumes as a solver warm start. Returns nil
+// when the state holds no usable vector; the solver then starts from GL,
+// as a cold analysis would.
 func WarmResult(st *CacheState) *Result {
 	if st == nil || len(st.InfBloggers) == 0 || len(st.InfBloggers) != len(st.Influence) {
 		return nil
 	}
-	m := make(map[blog.BloggerID]float64, len(st.InfBloggers))
-	for i, id := range st.InfBloggers {
-		m[id] = st.Influence[i]
-	}
-	return &Result{BloggerScores: m}
+	return &Result{bloggers: st.InfBloggers, bloggerInf: st.Influence}
 }

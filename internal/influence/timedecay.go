@@ -59,8 +59,7 @@ func (a *Analyzer) AnalyzeDecayed(c *blog.Corpus, dc DecayConfig) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	posts := c.PostIDs()
-	w := decayWeights(c, posts, dc)
+	w := decayWeights(c, res.posts, dc)
 	if w == nil {
 		return res, nil
 	}
@@ -69,39 +68,21 @@ func (a *Analyzer) AnalyzeDecayed(c *blog.Corpus, dc DecayConfig) (*Result, erro
 	// post-hoc application keeps the solved citation structure (who is a
 	// trusted commenter changes slowly) while fading stale output, and is
 	// exact when decay weights are uniform.
-	for i, pid := range posts {
-		res.PostScores[pid] *= w[i]
-		res.postInf[i] = res.PostScores[pid]
+	for i := range res.postInf {
+		res.postInf[i] *= w[i]
 	}
+	res.sumAP(res.bloggerAP)
 	alpha := a.cfg.Alpha
 	for bi, b := range res.bloggers {
-		var ap float64
-		for _, pid := range c.PostsBy(b) {
-			ap += res.PostScores[pid]
-		}
-		res.AP[b] = ap
-		res.BloggerScores[b] = alpha*ap + (1-alpha)*res.GL[b]
-		// Keep the dense facet vectors consistent with the maps.
-		res.bloggerAP[bi] = ap
-		res.bloggerInf[bi] = res.BloggerScores[b]
+		// Keep the maps consistent with the dense facet vectors.
+		res.bloggerInf[bi] = alpha*res.bloggerAP[bi] + (1-alpha)*res.bloggerGL[bi]
+		res.AP[b], res.BloggerScores[b] = res.bloggerAP[bi], res.bloggerInf[bi]
 	}
-	if a.classifier != nil {
-		// Re-aggregate Eq. 5 over the dense slabs with the decayed post
-		// scores. This runs before any query touches the result, so the
-		// lazily precomputed rankings see the decayed scores.
-		nd := res.domains.Len()
-		for i := range res.domainScores {
-			res.domainScores[i] = 0
-		}
-		for pi, pid := range res.posts {
-			row := res.postDomains[pi*nd : (pi+1)*nd]
-			bi := res.bloggerIdx[c.Posts[pid].Author]
-			ds := res.domainScores[bi*nd : (bi+1)*nd]
-			w := res.PostScores[pid]
-			for di, p := range row {
-				ds[di] += w * p
-			}
-		}
+	if res.hasDomains {
+		// Re-aggregate Eq. 5 with the decayed post scores. This runs before
+		// any query touches the result, so the lazily precomputed rankings
+		// see the decayed scores.
+		res.aggregateDomains()
 	}
 	return res, nil
 }

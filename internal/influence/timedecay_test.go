@@ -68,7 +68,7 @@ func TestDecayFadesStaleBloggers(t *testing.T) {
 	}
 	// One year at a 90-day half-life ≈ factor 2^(365/90) ≈ 16.6 on the
 	// post score (AP part only; GL is undecayed).
-	ratio := decayed.PostScores["pf"] / decayed.PostScores["ps"]
+	ratio := decayed.PostScore("pf") / decayed.PostScore("ps")
 	want := math.Pow(2, 365.0/90)
 	if math.Abs(ratio-want)/want > 0.05 {
 		t.Fatalf("post decay ratio = %.2f, want ≈ %.2f", ratio, want)
@@ -87,8 +87,8 @@ func TestDecayExplicitNow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if decayed.PostScores["pf"] >= 0.5*decayed.Quality["pf"] {
-		t.Fatalf("post from 13 months before Now must fade hard: %v", decayed.PostScores["pf"])
+	if decayed.PostScore("pf") >= 0.5*decayed.PostQuality("pf") {
+		t.Fatalf("post from 13 months before Now must fade hard: %v", decayed.PostScore("pf"))
 	}
 	if decayed.BloggerScores["fresh"] <= decayed.BloggerScores["stale"] {
 		t.Fatal("ordering must survive a shifted reference time")

@@ -2,7 +2,7 @@ package query
 
 // The executor. Every query compiles once, through compile, into an
 // Evaluator bound to one analyzed generation; Execute, ExecuteShard and
-// the subscription evaluators (EvalContext.Evaluator) all share it. A
+// the subscription evaluators (NewEvaluator) all share it. A
 // single engine answers an unfiltered single-key ranking from the
 // precomputed rankings and everything else as one unrestricted shard
 // part merged by MergeShards (shard.go) — the same per-shard scan and
@@ -46,7 +46,7 @@ type Result struct {
 // decoded — is accepted. The corpus and result must belong to the same
 // snapshot.
 func Execute(c *blog.Corpus, res *influence.Result, q *Query) (*Result, error) {
-	e, err := compile(c, res, q, nil)
+	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ type Evaluator struct {
 // field of a per-domain aggregate. A domains query compiles nothing here:
 // its filter, order and projection range over the per-domain (count,
 // sum, mean) rows, which exist only after MergeShards.
-func compile(c *blog.Corpus, res *influence.Result, q *Query, ctx *EvalContext) (*Evaluator, error) {
+func compile(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error) {
 	if c == nil || res == nil {
 		return nil, fmt.Errorf("query: corpus and result required")
 	}
@@ -88,7 +88,7 @@ func compile(c *blog.Corpus, res *influence.Result, q *Query, ctx *EvalContext) 
 	if err != nil {
 		return nil, err
 	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity, ctx: ctx}
+	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity}
 	e := &Evaluator{v: v, n: n, plan: v.plan(n)}
 	if n.Entity == EntityDomains {
 		return e, nil
@@ -127,36 +127,13 @@ func (e *Evaluator) Top(k int) (kept []int, total int) {
 
 // ------------------------------------------------------------------ view
 
-// view binds one snapshot's dense slabs plus the corpus-side facets the
-// slabs do not carry (post structs, per-author post counts).
+// view binds one snapshot's dense slabs plus the corpus-side facet the
+// slabs do not carry (per-author post counts).
 type view struct {
 	c      *blog.Corpus
 	res    *influence.Result
 	d      influence.DenseView
 	entity Entity
-
-	ctx      *EvalContext // shared per-generation state, may be nil
-	postPtrs []*blog.Post // lazily resolved, aligned with d.Posts
-}
-
-// posts resolves the post structs once; costs one slice, never a map.
-// Views sharing an EvalContext share the resolution.
-func (v *view) posts() []*blog.Post {
-	if v.ctx != nil {
-		return v.ctx.posts()
-	}
-	if v.postPtrs == nil {
-		v.postPtrs = resolvePosts(v.c, v.d.Posts)
-	}
-	return v.postPtrs
-}
-
-func resolvePosts(c *blog.Corpus, ids []blog.PostID) []*blog.Post {
-	ptrs := make([]*blog.Post, len(ids))
-	for i, pid := range ids {
-		ptrs[i] = c.Posts[pid]
-	}
-	return ptrs
 }
 
 func (v *view) count() int {
@@ -171,12 +148,6 @@ func (v *view) id(i int) string {
 		return string(v.d.Posts[i])
 	}
 	return string(v.d.Bloggers[i])
-}
-
-// timeKey projects a time onto the comparable float axis used for posted
-// predicates and ordering (seconds, with sub-second fraction).
-func timeKey(sec int64, nsec int) float64 {
-	return float64(sec) + float64(nsec)*1e-9
 }
 
 func zeroGetter(int) float64 { return 0 }
@@ -245,12 +216,9 @@ func (v *view) numGetter(f Field) (func(int) float64, error) {
 		case FieldSentiment:
 			return func(i int) float64 { return v.d.Sentiment[i] }, nil
 		case FieldComments:
-			return func(i int) float64 { return float64(len(v.posts()[i].Comments)) }, nil
+			return func(i int) float64 { return float64(v.d.Comments[i]) }, nil
 		case FieldPosted:
-			return func(i int) float64 {
-				t := v.posts()[i].Posted
-				return timeKey(t.Unix(), t.Nanosecond())
-			}, nil
+			return func(i int) float64 { return v.d.Posted[i] }, nil
 		}
 	}
 	return nil, fmt.Errorf("query: field %q has no %s accessor", f.Name, v.entity)
@@ -281,7 +249,7 @@ func slotRow(slab []float64, nd, slot, i int) float64 {
 
 func (v *view) strGetter(f Field) (func(int) string, error) {
 	if v.entity == EntityPosts && f.Name == FieldAuthor {
-		return func(i int) string { return string(v.posts()[i].Author) }, nil
+		return func(i int) string { return string(v.d.Bloggers[v.d.Author[i]]) }, nil
 	}
 	return nil, fmt.Errorf("query: field %q has no string accessor", f.Name)
 }
@@ -368,7 +336,7 @@ func compileComparison(g getters, c *Comparison) (func(int) bool, error) {
 	}
 	want := c.Num
 	if c.Kind == kindTime {
-		want = timeKey(c.Time.Unix(), c.Time.Nanosecond())
+		want = influence.PostedKey(c.Time)
 	}
 	switch c.Op {
 	case OpEq:

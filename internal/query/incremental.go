@@ -38,47 +38,12 @@ func DiffSafe(q *Query) (bool, error) {
 	return !perDomain(n), nil
 }
 
-// EvalContext shares the per-generation resolved state — today the dense
-// post-pointer table, one corpus-map pass — across every evaluator
-// compiled against the same generation. A standing-subscription hub
-// evaluating hundreds of queries per flush compiles one evaluator per
-// query; without the shared context each of them would re-resolve the
-// whole post table, turning an O(delta) maintenance pass into O(corpus)
-// map lookups per query. Not safe for concurrent use while evaluators
-// are being compiled (the resolution is lazy); the evaluators it
-// produces are read-only and safe to share afterwards.
-type EvalContext struct {
-	c        *blog.Corpus
-	res      *influence.Result
-	postPtrs []*blog.Post
-}
-
-// NewEvalContext binds shared evaluator state to one generation.
-func NewEvalContext(c *blog.Corpus, res *influence.Result) (*EvalContext, error) {
-	if c == nil || res == nil {
-		return nil, fmt.Errorf("query: corpus and result required")
-	}
-	return &EvalContext{c: c, res: res}, nil
-}
-
-func (ctx *EvalContext) posts() []*blog.Post {
-	if ctx.postPtrs == nil {
-		ctx.postPtrs = resolvePosts(ctx.c, ctx.res.Dense().Posts)
-	}
-	return ctx.postPtrs
-}
-
-// Warm forces the context's lazy resolutions eagerly. After Warm the
-// context is read-only, so evaluators may be compiled against it from
-// multiple goroutines — the precondition for a parallel fan-out sharing
-// one context.
-func (ctx *EvalContext) Warm() { ctx.posts() }
-
-// Evaluator compiles q against the context's generation, sharing the
-// context's resolved state. Only diff-safe queries (see DiffSafe) are
-// accepted.
-func (ctx *EvalContext) Evaluator(q *Query) (*Evaluator, error) {
-	e, err := compile(ctx.c, ctx.res, q, ctx)
+// NewEvaluator compiles q against one generation — its corpus and
+// analysis result. Every facet an evaluator reads is a dense slab of the
+// result, so compiling costs no corpus-map pass. Only diff-safe queries
+// (see DiffSafe) are accepted.
+func NewEvaluator(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error) {
+	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +54,7 @@ func (ctx *EvalContext) Evaluator(q *Query) (*Evaluator, error) {
 		if get, gerr := e.v.numGetter(c.Field); gerr == nil {
 			want := c.Num
 			if c.Kind == kindTime {
-				want = timeKey(c.Time.Unix(), c.Time.Nanosecond())
+				want = influence.PostedKey(c.Time)
 			}
 			e.probe, e.probeF, e.probeOp, e.probeVal = get, c.Field.Name, c.Op, want
 		}
@@ -122,15 +87,15 @@ func (e *Evaluator) Query() *Query { return e.n }
 // drops from a full compile to a few pointer swaps. Rebind must not be
 // called concurrently with any use of the evaluator; after it returns
 // true the evaluator is again safe for concurrent reads.
-func (e *Evaluator) Rebind(ctx *EvalContext) bool {
-	if ctx == nil {
+func (e *Evaluator) Rebind(c *blog.Corpus, res *influence.Result) bool {
+	if c == nil || res == nil {
 		return false
 	}
-	d := ctx.res.Dense()
+	d := res.Dense()
 	if !slices.Equal(e.v.d.Domains, d.Domains) {
 		return false
 	}
-	e.v.c, e.v.res, e.v.d, e.v.ctx, e.v.postPtrs = ctx.c, ctx.res, d, ctx, nil
+	e.v.c, e.v.res, e.v.d = c, res, d
 	e.plan = e.v.plan(e.n)
 	return true
 }

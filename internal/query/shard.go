@@ -53,7 +53,7 @@ type ShardResult struct {
 // the filter (a post lives only on its author's owner shard), so
 // coordinators pass nil there.
 func ExecuteShard(c *blog.Corpus, res *influence.Result, q *Query, own func(string) bool) (*ShardResult, error) {
-	e, err := compile(c, res, q, nil)
+	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err
 	}

@@ -236,7 +236,7 @@ func computeDelta(prev, next Generation) *delta {
 	if !d.sound {
 		return d
 	}
-	d.posts, d.sound = diffPosts(prev, next, od, nd, ndom)
+	d.posts, d.sound = diffPosts(od, nd, ndom)
 	if !d.sound {
 		return d
 	}
@@ -292,7 +292,7 @@ func diffBloggers(prev, next Generation, od, nd influence.DenseView, ndom int) (
 	return ed, true
 }
 
-func diffPosts(prev, next Generation, od, nd influence.DenseView, ndom int) (entityDelta, bool) {
+func diffPosts(od, nd influence.DenseView, ndom int) (entityDelta, bool) {
 	var ed entityDelta
 	oi := 0
 	for ni, id := range nd.Posts {
@@ -309,7 +309,7 @@ func diffPosts(prev, next Generation, od, nd influence.DenseView, ndom int) (ent
 			nd.Novelty[ni] != od.Novelty[oi] ||
 			nd.Sentiment[ni] != od.Sentiment[oi] ||
 			!rowEqual(nd.PostDomains, od.PostDomains, ni, oi, ndom) ||
-			len(next.Corpus.Posts[id].Comments) != len(prev.Corpus.Posts[id].Comments) {
+			nd.Comments[ni] != od.Comments[oi] {
 			ed.changed = append(ed.changed, ni)
 			ed.oldIdx = append(ed.oldIdx, oi)
 		}

@@ -87,23 +87,22 @@ func (st *evalState) result() *query.Result {
 	return &query.Result{Entity: st.q.Entity, Rows: rows, Total: st.total, Plan: st.plan}
 }
 
-// bindNew produces an evaluator for st.q bound to ctx's generation:
-// the retired spare rebound in place when possible, a fresh compile
-// otherwise.
-func (st *evalState) bindNew(ctx *query.EvalContext) (*query.Evaluator, error) {
+// bindNew produces an evaluator for st.q bound to gen: the retired spare
+// rebound in place when possible, a fresh compile otherwise.
+func (st *evalState) bindNew(gen Generation) (*query.Evaluator, error) {
 	if sp := st.evSpare; sp != nil {
 		st.evSpare = nil
-		if sp.Rebind(ctx) {
+		if sp.Rebind(gen.Corpus, gen.Result) {
 			return sp, nil
 		}
 	}
-	return ctx.Evaluator(st.q)
+	return query.NewEvaluator(gen.Corpus, gen.Result, st.q)
 }
 
 // fullEval rebuilds the state from scratch against one generation — the
 // registration path, the non-diff-safe path, and the fallback when a
 // delta cannot certify the window.
-func (st *evalState) fullEval(gen Generation, ctx *query.EvalContext) error {
+func (st *evalState) fullEval(gen Generation) error {
 	if !st.diffSafe {
 		res, err := query.Execute(gen.Corpus, gen.Result, st.q)
 		if err != nil {
@@ -112,7 +111,7 @@ func (st *evalState) fullEval(gen Generation, ctx *query.EvalContext) error {
 		st.seq, st.plan, st.total, st.rows = gen.Seq, res.Plan, res.Total, res.Rows
 		return nil
 	}
-	ev, err := st.bindNew(ctx)
+	ev, err := st.bindNew(gen)
 	if err != nil {
 		return err
 	}
@@ -135,8 +134,8 @@ func (st *evalState) fullEval(gen Generation, ctx *query.EvalContext) error {
 // fellBack=true when the delta could not certify the result window and
 // a full rebuild ran instead. The caller must have verified st.seq ==
 // d.prev.Seq and d.sound.
-func (st *evalState) incremental(gen Generation, ctx *query.EvalContext, d *delta) (fellBack bool, err error) {
-	evNew, err := st.bindNew(ctx)
+func (st *evalState) incremental(gen Generation, d *delta) (fellBack bool, err error) {
+	evNew, err := st.bindNew(gen)
 	if err != nil {
 		return false, err
 	}
@@ -306,7 +305,7 @@ func (st *evalState) incremental(gen Generation, ctx *query.EvalContext, d *delt
 	if !complete && len(merged) < needed {
 		// The delta displaced more of the window than the slack could
 		// absorb; rebuild from scratch and refill the slack.
-		return true, st.fullEval(gen, ctx)
+		return true, st.fullEval(gen)
 	}
 	keepN := len(merged)
 	if keepN > st.capH {

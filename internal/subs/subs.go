@@ -48,7 +48,7 @@ type Options struct {
 	// EvalWorkers bounds how many subscriptions are evaluated in
 	// parallel per processed generation. Subscription evaluations are
 	// independent (per-subscription state is mutex-guarded, the delta
-	// and evaluation context are read-only), so the fan-out shards
+	// and the generation are read-only), so the fan-out shards
 	// across a pool. Default: GOMAXPROCS, capped at 8.
 	EvalWorkers int
 }
@@ -187,15 +187,6 @@ func (h *Hub) process(gen Generation) {
 		return
 	}
 	d := computeDelta(prev, gen)
-	// One shared evaluation context per generation: every subscription's
-	// evaluator reuses the same resolved post table instead of paying a
-	// corpus-map pass each. Warm it before sharding so it is read-only
-	// for the workers.
-	ctx, err := query.NewEvalContext(gen.Corpus, gen.Result)
-	if err != nil {
-		return
-	}
-	ctx.Warm()
 	// Shard the fan-out: subscription evaluations are independent, so a
 	// strided worker pool brings all subscribers current in parallel.
 	// evalSub errors are deliberately ignored — a query that evaluated
@@ -208,7 +199,7 @@ func (h *Hub) process(gen Generation) {
 	}
 	if workers <= 1 {
 		for _, s := range targets {
-			_ = h.evalSub(s, gen, ctx, d)
+			_ = h.evalSub(s, gen, d)
 		}
 		return
 	}
@@ -218,7 +209,7 @@ func (h *Hub) process(gen Generation) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(targets); i += workers {
-				_ = h.evalSub(targets[i], gen, ctx, d)
+				_ = h.evalSub(targets[i], gen, d)
 			}
 		}(w)
 	}
@@ -226,7 +217,7 @@ func (h *Hub) process(gen Generation) {
 }
 
 // evalSub advances one subscription to gen and enqueues the diff event.
-func (h *Hub) evalSub(s *Subscription, gen Generation, ctx *query.EvalContext, d *delta) error {
+func (h *Hub) evalSub(s *Subscription, gen Generation, d *delta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.st.seq >= gen.Seq {
@@ -235,7 +226,7 @@ func (h *Hub) evalSub(s *Subscription, gen Generation, ctx *query.EvalContext, d
 	prevSeq := s.st.seq
 	oldRes := s.st.result()
 	if s.st.diffSafe && d.sound && s.st.seq == d.prev.Seq {
-		fellBack, err := s.st.incremental(gen, ctx, d)
+		fellBack, err := s.st.incremental(gen, d)
 		if err != nil {
 			return err
 		}
@@ -245,7 +236,7 @@ func (h *Hub) evalSub(s *Subscription, gen Generation, ctx *query.EvalContext, d
 			h.incEvals.Add(1)
 		}
 	} else {
-		if err := s.st.fullEval(gen, ctx); err != nil {
+		if err := s.st.fullEval(gen); err != nil {
 			return err
 		}
 		h.fullEvals.Add(1)
@@ -273,11 +264,7 @@ func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, e
 	h.mu.Unlock()
 	// Evaluate outside the hub lock: registration cost must not stall
 	// the publish worker or other registrations.
-	ctx, err := query.NewEvalContext(gen.Corpus, gen.Result)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	if err := st.fullEval(gen, ctx); err != nil {
+	if err := st.fullEval(gen); err != nil {
 		return nil, 0, nil, err
 	}
 	s := &Subscription{

@@ -150,11 +150,7 @@ func TestIncrementalMatchesExecute(t *testing.T) {
 		if !st.diffSafe {
 			t.Fatalf("%s: expected diff-safe", body)
 		}
-		ctx0, err := query.NewEvalContext(gens[0].Corpus, gens[0].Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.fullEval(gens[0], ctx0); err != nil {
+		if err := st.fullEval(gens[0]); err != nil {
 			t.Fatal(err)
 		}
 		incrementals := 0
@@ -163,11 +159,7 @@ func TestIncrementalMatchesExecute(t *testing.T) {
 			if !d.sound {
 				t.Fatalf("%s: gen %d delta unsound (additive flush must stay sound)", body, i)
 			}
-			ctx, err := query.NewEvalContext(gens[i].Corpus, gens[i].Result)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fellBack, err := st.incremental(gens[i], ctx, d)
+			fellBack, err := st.incremental(gens[i], d)
 			if err != nil {
 				t.Fatal(err)
 			}

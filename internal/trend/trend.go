@@ -78,7 +78,8 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	if cfg.Buckets < 2 {
 		return nil, fmt.Errorf("trend: need at least 2 buckets")
 	}
-	posts := c.PostIDs()
+	d := res.Dense()
+	posts := d.Posts
 	if len(posts) == 0 {
 		return nil, fmt.Errorf("trend: empty corpus")
 	}
@@ -116,15 +117,17 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	// Domain activity series: post influence × domain posterior, streamed
 	// off the result's dense posterior rows (no per-post map allocation).
 	acc := map[string][]float64{}
-	for _, pid := range posts {
+	nd := len(d.Domains)
+	for i, pid := range posts {
 		b := bucketOf(c.Posts[pid].Posted)
-		w := res.PostScores[pid]
-		res.EachPostDomain(pid, func(dom string, p float64) {
-			if acc[dom] == nil {
-				acc[dom] = make([]float64, cfg.Buckets)
+		for di, p := range d.PostDomains[i*nd : (i+1)*nd] {
+			if dom := d.Domains[di]; p != 0 {
+				if acc[dom] == nil {
+					acc[dom] = make([]float64, cfg.Buckets)
+				}
+				acc[dom][b] += d.PostScore[i] * p
 			}
-			acc[dom][b] += w * p
-		})
+		}
 	}
 	for dom, vals := range acc {
 		report.DomainSeries[dom] = Series{Start: minT, Width: width, Values: vals}
@@ -157,9 +160,9 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	half := minT.Add(span / 2)
 	recent := map[blog.BloggerID]float64{}
 	total := map[blog.BloggerID]float64{}
-	for _, pid := range posts {
+	for i, pid := range posts {
 		p := c.Posts[pid]
-		w := res.PostScores[pid]
+		w := d.PostScore[i]
 		total[p.Author] += w
 		if !p.Posted.Before(half) {
 			recent[p.Author] += w
