@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"mass/internal/blog"
 	"mass/internal/cluster"
@@ -130,6 +132,49 @@ func TestBloggerEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/api/blogger/Nobody", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown blogger status = %d", code)
+	}
+}
+
+// TestBloggerTopPosts: the detail's top posts are the author's three
+// best by score, ties broken by ascending post ID, whatever order the
+// posts were written in. Body-less, comment-less posts all score 0, so
+// the tie-break decides between them.
+func TestBloggerTopPosts(t *testing.T) {
+	c := blog.Figure1Corpus()
+	const author = "Prolific"
+	if err := c.AddBlogger(&blog.Blogger{ID: author}); err != nil {
+		t.Fatal(err)
+	}
+	when := time.Date(2009, 7, 1, 0, 0, 0, 0, time.UTC)
+	for i, p := range []struct{ id, body string }{
+		{"pro-2", "the league final went to extra time"}, {"pro-5", ""},
+		{"pro-6", "markets rallied on the rate decision"}, {"pro-4", ""}, {"pro-1", ""}, {"pro-3", ""},
+	} {
+		err := c.AddPost(&blog.Post{ID: blog.PostID(p.id), Author: author, Title: "t " + p.id,
+			Body: p.body, Posted: when.Add(time.Duration(i) * time.Hour)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts, cl := clusterServer(t, c, cluster.Options{Shards: 1})
+	var detail bloggerDetail
+	if code := getJSON(t, ts.URL+"/api/blogger/"+author, &detail); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	res := cl.Shard(0).Current().Result()
+	want := []blog.PostID{"pro-1", "pro-2", "pro-3", "pro-4", "pro-5", "pro-6"}
+	sort.SliceStable(want, func(i, j int) bool { return res.PostScore(want[i]) > res.PostScore(want[j]) })
+	want = want[:3]
+	if len(detail.TopPosts) != 3 {
+		t.Fatalf("top posts = %+v, want %v", detail.TopPosts, want)
+	}
+	for i, tp := range detail.TopPosts {
+		if tp.ID != want[i] || tp.Score != res.PostScore(want[i]) || tp.Title != "t "+string(want[i]) {
+			t.Fatalf("top post %d = %+v, want %s (score %v)", i, tp, want[i], res.PostScore(want[i]))
+		}
+	}
+	if detail.TopPosts[2].Score != 0 || detail.TopPosts[1].Score == 0 {
+		t.Fatalf("want two scored posts then the first tied zero: %+v", detail.TopPosts)
 	}
 }
 

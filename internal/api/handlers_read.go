@@ -116,22 +116,25 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 		DomainScores: res.DomainVector(id),
 		Posts:        len(c.PostsBy(id)),
 	}
-	posts := append([]blog.PostID(nil), c.PostsBy(id)...)
-	sort.Slice(posts, func(i, j int) bool {
-		si, sj := res.PostScore(posts[i]), res.PostScore(posts[j])
-		if si != sj {
-			return si > sj
+	// Top 3 posts by score descending, ties by ascending ID: each score is
+	// resolved once and inserted into the short ordered list (which stays
+	// nil for a blogger without posts).
+	var top []topPost
+	for _, pid := range c.PostsBy(id) {
+		p := topPost{ID: pid, Score: res.PostScore(pid)}
+		at := len(top)
+		for at > 0 && (p.Score > top[at-1].Score || p.Score == top[at-1].Score && p.ID < top[at-1].ID) {
+			at--
 		}
-		return posts[i] < posts[j]
-	})
-	if len(posts) > 3 {
-		posts = posts[:3]
+		if at < 3 {
+			top = slices.Insert(top, at, p)
+			top = top[:min(len(top), 3)]
+		}
 	}
-	for _, pid := range posts {
-		detail.TopPosts = append(detail.TopPosts, topPost{
-			ID: pid, Title: c.Posts[pid].Title, Score: res.PostScore(pid),
-		})
+	for i := range top {
+		top[i].Title = c.Posts[top[i].ID].Title
 	}
+	detail.TopPosts = top
 	return detail, nil
 }
 

@@ -26,8 +26,8 @@ type Options struct {
 	// VirtualNodes per shard on the consistent-hash ring. Default 64.
 	VirtualNodes int
 	// Engine configures every shard engine identically (analysis options,
-	// flush debounce). Durability.Dir inside it is ignored; per-shard
-	// directories derive from DataDir.
+	// flush debounce). Durability.Dir and Owns inside it are ignored:
+	// per-shard directories derive from DataDir, ownership from the ring.
 	Engine core.EngineOptions
 	// DataDir is the cluster data directory: shard-<i>/ per engine WAL, a
 	// boundary/ WAL for cross-shard links, and cluster.json recording the
@@ -166,13 +166,18 @@ type Cluster struct {
 	slowShard atomic.Pointer[func(shard int)]
 }
 
-// shardEngineOpts derives shard i's engine options: its durability
+// shardEngineOpts derives shard i's engine options: its ownership test
+// at N > 1 (so every snapshot carries its owned-row mask), its durability
 // directory under DataDir (shard-<i>/ at N > 1, DataDir itself at N == 1
 // — the bare-engine layout), and the per-shard fault-injection FS when
 // configured. The supervisor re-uses it to rebuild a crashed shard's
 // engine over the same directory.
 func (cl *Cluster) shardEngineOpts(i int) core.EngineOptions {
 	eopts := cl.opts.Engine
+	eopts.Owns = nil
+	if cl.opts.Shards > 1 {
+		eopts.Owns = func(id blog.BloggerID) bool { return cl.Owner(id) == i }
+	}
 	switch {
 	case cl.opts.DataDir != "" && cl.opts.Shards > 1:
 		eopts.Durability = cl.opts.Engine.Durability
@@ -639,7 +644,7 @@ func (cl *Cluster) Status() core.EngineStatus {
 	out.Converged = true
 	out.PageRankSkipped = true
 	out.RecoveryTruncatedAt = -1
-	for i, sh := range cl.shards {
+	for _, sh := range cl.shards {
 		e := sh.eng.Load()
 		st := e.Status()
 		if st.Seq > out.Seq {
@@ -681,11 +686,7 @@ func (cl *Cluster) Status() core.EngineStatus {
 		}
 		// Count owned bloggers only: link stubs replicate a blogger onto
 		// shards that merely point at it.
-		for id := range e.Current().Corpus().Bloggers {
-			if cl.Owner(id) == i {
-				out.Bloggers++
-			}
-		}
+		out.Bloggers += e.Current().Owned().Count
 	}
 	out.Links += cl.BoundaryEdges()
 	return out
@@ -693,7 +694,7 @@ func (cl *Cluster) Status() core.EngineStatus {
 
 // Progress reports what an ingest acknowledgment carries — mutations
 // pending across the shards and the highest published generation, the
-// Pending and Seq of Status — without Status's per-blogger ownership scan.
+// Pending and Seq of Status — without Status's per-shard status pass.
 func (cl *Cluster) Progress() (pending int, seq uint64) {
 	for _, sh := range cl.shards {
 		e := sh.eng.Load()

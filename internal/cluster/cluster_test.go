@@ -199,7 +199,8 @@ func TestClusterRecovery(t *testing.T) {
 }
 
 // TestStatusCountsOwnedBloggersOnce: stub replication must not inflate the
-// merged blogger count, and boundary edges must show up in Links.
+// merged blogger count of Status or Stats, and boundary edges must show
+// up in Links.
 func TestStatusCountsOwnedBloggersOnce(t *testing.T) {
 	c := linkCorpus(t, 50, 300, 11)
 	cl, err := New(c, Options{Shards: 4, Engine: quietEngine()})
@@ -210,6 +211,9 @@ func TestStatusCountsOwnedBloggersOnce(t *testing.T) {
 	st := cl.Status()
 	if st.Bloggers != 50 {
 		t.Fatalf("merged bloggers = %d, want 50", st.Bloggers)
+	}
+	if n := cl.Stats(cl.View()).Bloggers; n != 50 {
+		t.Fatalf("stats bloggers = %d, want 50", n)
 	}
 	fs := cl.FullStatus()
 	if fs.Shards != 4 || len(fs.ShardSeqs) != 4 {

@@ -1,5 +1,15 @@
 package cluster
 
+// The read side of a cluster. A View pins one snapshot per shard, and
+// Query answers from it: a pass-through at one shard, the owner shard
+// alone for an author-pinned posts query, and otherwise a scatter of
+// query.ExecuteShard finished by one query.MergeShards. Every scattered
+// part is restricted by its snapshot's owned-row mask (Snapshot.Owned),
+// built once per generation from the ring, so a read never hashes a
+// blogger ID per row; unfiltered top and domain-top parts walk the
+// shard's precomputed ranking instead of scanning. Stats and Status take
+// their owned-blogger counts from the same masks.
+
 import (
 	"fmt"
 	"strings"
@@ -207,8 +217,9 @@ func findAuthorEq(p *query.Predicate) (string, bool) {
 // pass-through to the engine's own memoized executor. With several it
 // routes an author-pinned posts query to the author's owner shard while
 // that shard's breaker is closed; otherwise it scatters query.ExecuteShard
-// to every shard and finishes with query.MergeShards, so a quarantined
-// owner is skipped and the answer labelled like any other scatter.
+// under each shard's owned-row mask and finishes with query.MergeShards,
+// so a quarantined owner is skipped and the answer labelled like any
+// other scatter.
 // degraded reports that at least one shard was skipped or missed its
 // deadline and the result covers the rest.
 func (cl *Cluster) Query(v *View, q *query.Query) (r *query.Result, degraded bool, err error) {
@@ -232,11 +243,7 @@ func (cl *Cluster) Query(v *View, q *query.Query) (r *query.Result, degraded boo
 		}
 	}
 	parts, degraded, err := cl.scatter(v, func(si int, snap *core.Snapshot) (*query.ShardResult, error) {
-		own := cl.ownerFilter(si)
-		if n.Entity == query.EntityPosts {
-			own = nil // a post exists only on its author's shard
-		}
-		return query.ExecuteShard(snap.Corpus(), snap.Result(), n, own)
+		return query.ExecuteShard(snap.Corpus(), snap.Result(), n, snap.Owned())
 	})
 	if err != nil {
 		return nil, degraded, err
@@ -250,10 +257,10 @@ func (cl *Cluster) Query(v *View, q *query.Query) (r *query.Result, degraded boo
 }
 
 // Stats computes the exact global corpus summary from a pinned view:
-// owned bloggers counted once, per-blogger activity summed across shards
-// before taking maxima (a blogger's comments may land on posts owned by
-// other shards), and boundary edges folded into the link and in-degree
-// counts. With one shard it is the engine's own Stats.
+// owned bloggers counted once (from each snapshot's owned-row mask),
+// per-blogger activity summed across shards before taking maxima (a
+// blogger's comments may land on posts owned by other shards), and
+// boundary edges folded into the link and in-degree counts. With one shard it is the engine's own Stats.
 func (cl *Cluster) Stats(v *View) blog.Stats {
 	if len(v.Snaps) == 1 {
 		return v.Snaps[0].Stats()
@@ -263,13 +270,9 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 	commentsBy := map[blog.BloggerID]int{}
 	inLinks := map[blog.BloggerID]int{}
 	totalWords := 0
-	for si, snap := range v.Snaps {
+	for _, snap := range v.Snaps {
 		c := snap.Corpus()
-		for id := range c.Bloggers {
-			if cl.Owner(id) == si {
-				s.Bloggers++
-			}
-		}
+		s.Bloggers += snap.Owned().Count
 		totalWords += snap.Result().Words()
 		for _, p := range c.Posts {
 			s.Posts++
@@ -301,11 +304,4 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 		s.AvgPostLenWords = float64(totalWords) / float64(s.Posts)
 	}
 	return s
-}
-
-// ownerFilter restricts shard si's rows to bloggers it owns — foreign
-// link stubs get real per-shard scores and would otherwise surface from
-// several shards at once.
-func (cl *Cluster) ownerFilter(si int) func(string) bool {
-	return func(id string) bool { return cl.ring.Owner(id) == si }
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -375,5 +376,94 @@ func TestChurnScatterGather(t *testing.T) {
 	}
 	if cl.FullStatus().ScatterQueries == 0 {
 		t.Fatal("no scatters recorded")
+	}
+}
+
+// TestScatterRankedMatchesMaskedScan: at 2, 4 and 8 shards the top,
+// domain-top and interest answers equal MergeShards over masked scan
+// parts of the same view — the same queries with an always-true filter,
+// which forces every part off the ranked walk. Each shard's mask marks
+// exactly the bloggers the ring assigns it, and ranked top-k parts walk
+// only a prefix of their ranking.
+func TestScatterRankedMatchesMaskedScan(t *testing.T) {
+	c := postCorpus(t)
+	every := query.Or(query.F(query.FieldInfluence).Ge(0), query.F(query.FieldInfluence).Lt(0))
+	iv := map[string]float64{"Sports": 0.6, "Travel": 0.4}
+	type pair struct{ q, scan *query.Query }
+	cases := map[string]pair{
+		"top": {
+			query.Bloggers().OrderBy(query.Desc(query.FieldInfluence)).Limit(10).Offset(2).Build(),
+			query.Bloggers().Where(every).OrderBy(query.Desc(query.FieldInfluence)).Limit(10).Offset(2).Build(),
+		},
+		"domain top": {
+			query.Bloggers().OrderBy(query.Desc(query.DomainKey("Sports"))).Limit(8).Select(query.FieldInfluence).Build(),
+			query.Bloggers().Where(every).OrderBy(query.Desc(query.DomainKey("Sports"))).Limit(8).Select(query.FieldInfluence).Build(),
+		},
+		"interest": {
+			query.Bloggers().OrderBy(query.DescInterest(iv)).Limit(10).Build(),
+			query.Bloggers().Where(every).OrderBy(query.DescInterest(iv)).Limit(10).Build(),
+		},
+	}
+	for _, shards := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			cl, err := New(c, Options{Shards: shards, Engine: quietEngine()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			v := cl.View()
+			owned := 0
+			for si, snap := range v.Snaps {
+				own, n := snap.Owned(), 0
+				for i, id := range snap.Result().Dense().Bloggers {
+					if own.Rows[i] != (cl.Owner(id) == si) {
+						t.Fatalf("shard %d: mask row %d (%s) = %v", si, i, id, own.Rows[i])
+					}
+					if own.Rows[i] {
+						n++
+					}
+				}
+				if own.Count != n {
+					t.Fatalf("shard %d: mask count %d, want %d", si, own.Count, n)
+				}
+				owned += n
+			}
+			if owned != len(c.Bloggers) {
+				t.Fatalf("masks own %d bloggers, want %d", owned, len(c.Bloggers))
+			}
+			for name, tc := range cases {
+				got, degraded, err := cl.Query(v, tc.q)
+				if err != nil || degraded {
+					t.Fatalf("%s: degraded=%v err=%v", name, degraded, err)
+				}
+				parts := make([]*query.ShardResult, len(v.Snaps))
+				for si, snap := range v.Snaps {
+					if parts[si], err = query.ExecuteShard(snap.Corpus(), snap.Result(), tc.scan, snap.Owned()); err != nil {
+						t.Fatal(err)
+					}
+					if name == "interest" {
+						continue
+					}
+					ranked, err := query.ExecuteShard(snap.Corpus(), snap.Result(), tc.q, snap.Owned())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if held := len(snap.Result().Dense().Bloggers); ranked.Scanned >= held {
+						t.Fatalf("%s: shard %d ranked part scanned %d of %d rows", name, si, ranked.Scanned, held)
+					}
+				}
+				want, err := query.MergeShards(parts, tc.scan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Plan != "scatter/scan/bloggers" {
+					t.Fatalf("%s: plan %q", name, got.Plan)
+				}
+				if got.Total != want.Total || !reflect.DeepEqual(got.Rows, want.Rows) {
+					t.Fatalf("%s: scatter diverges from masked scan parts\n got: total %d %+v\nwant: total %d %+v",
+						name, got.Total, got.Rows, want.Total, want.Rows)
+				}
+			}
+		})
 	}
 }

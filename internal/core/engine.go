@@ -32,6 +32,10 @@ type EngineOptions struct {
 	// Durability enables write-ahead logging, checkpointing, and crash
 	// recovery when its Dir is set. Zero value = in-memory only.
 	Durability DurabilityOptions
+	// Owns, when set, makes the engine one shard of a cluster: it reports
+	// whether the shard owns a blogger, and every snapshot's owned-row
+	// mask (Snapshot.Owned) is built from it. nil owns every blogger.
+	Owns func(blog.BloggerID) bool
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
@@ -61,6 +65,21 @@ type Snapshot struct {
 	Mutations uint64
 	// Elapsed is how long the re-analysis behind this snapshot took.
 	Elapsed time.Duration
+
+	owns      func(blog.BloggerID) bool
+	ownedOnce sync.Once
+	owned     *query.Owned
+}
+
+// Owned is the generation's owned-row mask over its analysis result's
+// blogger rows, built from EngineOptions.Owns on first use and dropped
+// with the snapshot. It is nil for an engine that owns every blogger.
+func (s *Snapshot) Owned() *query.Owned {
+	if s.owns == nil {
+		return nil
+	}
+	s.ownedOnce.Do(func() { s.owned = query.NewOwned(s.Result().Dense().Bloggers, s.owns) })
+	return s.owned
 }
 
 // ETag formats the snapshot's generation as a strong HTTP entity tag.
@@ -429,6 +448,7 @@ func (e *Engine) publishWarm(frozen *blog.Corpus, total uint64, prev *influence.
 		Seq:       seq,
 		Mutations: total,
 		Elapsed:   time.Since(t0),
+		owns:      e.opts.Owns,
 	})
 	if e.hub != nil {
 		// Never blocks: the hub's mailbox is latest-wins, so a slow

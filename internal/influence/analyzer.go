@@ -100,6 +100,7 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 		postAuthor:    make([]int32, np),
 		postPosted:    make([]float64, np),
 		postComments:  make([]int32, np),
+		bloggerPosts:  make([]int32, nb),
 	}
 	bRow := make([]int32, len(ch.bloggerIDs)) // blogger slot → row
 	for r, s := range ch.bSorted {
@@ -110,6 +111,7 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 		f := &ch.posts[s]
 		res.posts[r] = ch.postIDs[s]
 		res.postAuthor[r] = bRow[f.author]
+		res.bloggerPosts[bRow[f.author]]++
 		res.postPosted[r] = f.postedKey
 		res.postComments[r] = int32(len(f.commenters))
 	}

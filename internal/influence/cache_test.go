@@ -95,6 +95,7 @@ func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, 
 		{"Author", slices.Equal(g.Author, w.Author)},
 		{"Posted", slices.Equal(g.Posted, w.Posted)},
 		{"Comments", slices.Equal(g.Comments, w.Comments)},
+		{"PostCounts", slices.Equal(g.PostCounts, w.PostCounts)},
 		{"Quality", slices.Equal(g.Quality, w.Quality)},
 		{"Novelty", slices.Equal(g.Novelty, w.Novelty)},
 		{"Sentiment", slices.Equal(g.Sentiment, w.Sentiment)},
@@ -116,6 +117,21 @@ func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, 
 		{"GL", g.GL, w.GL},
 		{"PostScore", g.PostScore, w.PostScore},
 		{"DomainScores", g.DomainScores, w.DomainScores},
+	}
+	// The post-count slab counts the posts the analysis ran over. Count
+	// them from the Posts map: PostsBy is an index that a direct map
+	// write leaves stale until Reindex.
+	postsBy := make(map[blog.BloggerID]int)
+	for _, p := range c.Posts {
+		postsBy[p.Author]++
+	}
+	if len(g.PostCounts) != len(g.Bloggers) {
+		t.Fatalf("%s: dense PostCounts has %d rows for %d bloggers", label, len(g.PostCounts), len(g.Bloggers))
+	}
+	for i, b := range g.Bloggers {
+		if want := postsBy[b]; int(g.PostCounts[i]) != want {
+			t.Fatalf("%s: dense PostCounts[%s] = %d, corpus has %d posts", label, b, g.PostCounts[i], want)
+		}
 	}
 	for _, n := range near {
 		if len(n.got) != len(n.want) {

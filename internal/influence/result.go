@@ -15,9 +15,9 @@ import (
 // are stored internally as dense row-major []float64 slabs over an
 // interned DomainIndex — the hot loops never touch a map. Maps are built
 // only at the public-API boundary (DomainVector, PostDomainVector,
-// DomainScoresMap). Top-k rankings are precomputed lazily once per Result
-// and then served as slices, so query traffic against a published snapshot
-// never rebuilds blogger-sized score maps.
+// DomainScoresMap). Rankings are dense row orders built lazily once per
+// Result and ranking, so query traffic against a published snapshot
+// never re-sorts bloggers or builds blogger-sized score maps.
 type Result struct {
 	// BloggerScores is Inf(b) for every blogger (Eq. 1).
 	BloggerScores map[blog.BloggerID]float64
@@ -78,13 +78,20 @@ type Result struct {
 	postAuthor    []int32   // blogger row of each post's author
 	postPosted    []float64 // PostedKey of each post's time
 	postComments  []int32   // comments per post
+	bloggerPosts  []int32   // posts per blogger, counted from postAuthor
 	words         int       // word count summed over every post body
 
-	// Lazily precomputed rankings (once per Result, i.e. once per
-	// published snapshot).
-	rankOnce    sync.Once
-	generalRank []rank.Entry
-	domainRanks [][]rank.Entry // indexed by domain slot
+	// Lazily built rankings, each on its first use: orders[0] is the
+	// general ranking, orders[1+slot] domain slot's.
+	ordersOnce sync.Once
+	orders     []rowOrder
+}
+
+// rowOrder is one ranking: dense blogger rows by score descending, ties
+// by ascending row (ascending ID, since rows are ID-sorted).
+type rowOrder struct {
+	once sync.Once
+	rows []int32
 }
 
 // Domains returns the interned domain names, in slot order. Empty when the
@@ -219,29 +226,55 @@ func (r *Result) aggregateDomains() {
 	}
 }
 
-// rankings builds the general and per-domain top lists exactly once.
-// Callers must not mutate the Result's scores after first use (the
-// analyzer never does; AnalyzeDecayed re-aggregates before publishing).
-func (r *Result) rankings() {
-	r.rankOnce.Do(func() {
-		general := make([]rank.Entry, len(r.bloggers))
-		for bi, b := range r.bloggers {
-			general[bi] = rank.Entry{ID: string(b), Score: r.bloggerInf[bi]}
+// order returns ranking k (see Result.orders), scoring row i by
+// score(i) and building it on first use. Callers must not mutate the
+// Result's scores after first use (the analyzer never does;
+// AnalyzeDecayed re-aggregates before publishing).
+func (r *Result) order(k int, score func(i int32) float64) []int32 {
+	r.ordersOnce.Do(func() { r.orders = make([]rowOrder, 1+len(r.Domains())) })
+	o := &r.orders[k]
+	o.once.Do(func() {
+		rows := make([]int32, len(r.bloggers))
+		for i := range rows {
+			rows[i] = int32(i)
 		}
-		rank.SortEntries(general)
-		r.generalRank = general
-
-		nd := r.domains.Len()
-		r.domainRanks = make([][]rank.Entry, nd)
-		for di := 0; di < nd; di++ {
-			entries := make([]rank.Entry, len(r.bloggers))
-			for bi, b := range r.bloggers {
-				entries[bi] = rank.Entry{ID: string(b), Score: r.domainScores[bi*nd+di]}
+		slices.SortFunc(rows, func(a, b int32) int {
+			if sa, sb := score(a), score(b); sa != sb {
+				if sa > sb {
+					return -1
+				}
+				return 1
 			}
-			rank.SortEntries(entries)
-			r.domainRanks[di] = entries
-		}
+			return int(a - b)
+		})
+		o.rows = rows
 	})
+	return o.rows
+}
+
+// GeneralOrder returns every blogger row ranked by Inf(b) descending,
+// ties by ascending row. Built once per Result; the slice is shared, do
+// not modify.
+func (r *Result) GeneralOrder() []int32 {
+	return r.order(0, func(i int32) float64 { return r.bloggerInf[i] })
+}
+
+// DomainOrder returns every blogger row ranked by Inf(b, C_t) of domain
+// slot (see DomainSlot) descending, ties by ascending row. Built once per
+// Result and slot; the slice is shared, do not modify.
+func (r *Result) DomainOrder(slot int) []int32 {
+	nd := r.domains.Len()
+	return r.order(1+slot, func(i int32) float64 { return r.domainScores[int(i)*nd+slot] })
+}
+
+// entries renders the first k rows of a ranking as scored entries.
+func (r *Result) entries(order []int32, k int, score func(i int32) float64) []rank.Entry {
+	k = min(k, len(order))
+	out := make([]rank.Entry, k)
+	for j, i := range order[:k] {
+		out[j] = rank.Entry{ID: string(r.bloggers[i]), Score: score(i)}
+	}
+	return out
 }
 
 // TopGeneral returns the k most influential bloggers overall as scored
@@ -250,11 +283,7 @@ func (r *Result) TopGeneral(k int) []rank.Entry {
 	if k <= 0 {
 		return nil
 	}
-	r.rankings()
-	if k > len(r.generalRank) {
-		k = len(r.generalRank)
-	}
-	return r.generalRank[:k]
+	return r.entries(r.GeneralOrder(), k, func(i int32) float64 { return r.bloggerInf[i] })
 }
 
 // TopDomain returns the k most influential bloggers of one domain as
@@ -265,19 +294,13 @@ func (r *Result) TopDomain(domain string, k int) []rank.Entry {
 	if k <= 0 || !r.hasDomains {
 		return nil
 	}
-	r.rankings()
 	if di, ok := r.domains.lookup(domain); ok {
-		entries := r.domainRanks[di]
-		if k > len(entries) {
-			k = len(entries)
-		}
-		return entries[:k]
+		nd := r.domains.Len()
+		return r.entries(r.DomainOrder(di), k, func(i int32) float64 { return r.domainScores[int(i)*nd+di] })
 	}
 	// Unknown domain: everyone scores 0, so the deterministic tie-break
 	// order (ascending ID) applies — r.bloggers is already sorted.
-	if k > len(r.bloggers) {
-		k = len(r.bloggers)
-	}
+	k = min(k, len(r.bloggers))
 	out := make([]rank.Entry, k)
 	for i := 0; i < k; i++ {
 		out[i] = rank.Entry{ID: string(r.bloggers[i])}
@@ -317,6 +340,8 @@ type DenseView struct {
 	Author   []int32
 	Posted   []float64
 	Comments []int32
+	// PostCounts is each blogger's post count (aligned with Bloggers).
+	PostCounts []int32
 
 	// DomainScores is Inf(b, C_t): len(Bloggers) × len(Domains).
 	// PostDomains is iv(b, d_k, C_t): len(Posts) × len(Domains).
@@ -341,6 +366,7 @@ func (r *Result) Dense() DenseView {
 		Author:       r.postAuthor,
 		Posted:       r.postPosted,
 		Comments:     r.postComments,
+		PostCounts:   r.bloggerPosts,
 		DomainScores: r.domainScores,
 		PostDomains:  r.postDomains,
 		Domains:      r.Domains(),

@@ -2,10 +2,9 @@ package query
 
 // The executor. Every query compiles once, through compile, into an
 // Evaluator bound to one analyzed generation; Execute, ExecuteShard and
-// the subscription evaluators (NewEvaluator) all share it. A
-// single engine answers an unfiltered single-key ranking from the
-// precomputed rankings and everything else as one unrestricted shard
-// part merged by MergeShards (shard.go) — the same per-shard scan and
+// the subscription evaluators (NewEvaluator) all share it. A single
+// engine answers every query as one unrestricted shard part merged by
+// MergeShards (shard.go) — the same per-shard ranked walk or scan and
 // the same merge a cluster runs over N parts, so a cluster's merge is the
 // code every single-engine read already runs.
 
@@ -16,7 +15,6 @@ import (
 
 	"mass/internal/blog"
 	"mass/internal/influence"
-	"mass/internal/rank"
 )
 
 // Row is one result row: the entity ID, the value of the primary sort key
@@ -50,10 +48,12 @@ func Execute(c *blog.Corpus, res *influence.Result, q *Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if strings.HasPrefix(e.plan, "ranked/") {
-		return execRanked(e), nil
+	r, err := MergeShards([]*ShardResult{e.part(nil)}, e.n)
+	if err != nil {
+		return nil, err
 	}
-	return MergeShards([]*ShardResult{e.shard()}, e.n)
+	r.Plan = e.plan
+	return r, nil
 }
 
 // Evaluator is a query compiled against one generation's dense slabs. It
@@ -88,7 +88,7 @@ func compile(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error
 	if err != nil {
 		return nil, err
 	}
-	v := &view{c: c, res: res, d: res.Dense(), entity: n.Entity}
+	v := &view{res: res, d: res.Dense(), entity: n.Entity}
 	e := &Evaluator{v: v, n: n, plan: v.plan(n)}
 	if n.Entity == EntityDomains {
 		return e, nil
@@ -117,20 +117,21 @@ func compile(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error
 // through the predicate and returns the dense indices of the k best in
 // the query's total order (sort keys, then ascending ID), plus the match
 // count.
-func (e *Evaluator) Top(k int) (kept []int, total int) {
+func (e *Evaluator) Top(k int) (kept []int, total int) { return e.top(k, e.match) }
+
+// top is Top over the entities match admits (nil admits all).
+func (e *Evaluator) top(k int, match func(int) bool) (kept []int, total int) {
 	n := e.v.count()
 	less := func(a, b int) bool { return compareIdx(e.keys, a, b) < 0 }
-	kept, total = selectTop(n, min(k, n), e.match, less)
+	kept, total = selectTop(n, min(k, n), match, less)
 	slices.SortFunc(kept, func(a, b int) int { return compareIdx(e.keys, a, b) })
 	return kept, total
 }
 
 // ------------------------------------------------------------------ view
 
-// view binds one snapshot's dense slabs plus the corpus-side facet the
-// slabs do not carry (per-author post counts).
+// view binds one generation's dense slabs.
 type view struct {
-	c      *blog.Corpus
 	res    *influence.Result
 	d      influence.DenseView
 	entity Entity
@@ -203,7 +204,7 @@ func (v *view) numGetter(f Field) (func(int) float64, error) {
 		case FieldGL:
 			return func(i int) float64 { return v.d.GL[i] }, nil
 		case FieldPosts:
-			return func(i int) float64 { return float64(len(v.c.PostsBy(v.d.Bloggers[i]))) }, nil
+			return func(i int) float64 { return float64(v.d.PostCounts[i]) }, nil
 		}
 	} else {
 		switch f.Name {
@@ -540,30 +541,6 @@ func shapePlan(n *Query) string {
 // entity set (domains queries and aggregates) rather than entities.
 func perDomain(n *Query) bool {
 	return n.Entity == EntityDomains || n.Aggregate != nil
-}
-
-func execRanked(e *Evaluator) *Result {
-	n, v := e.n, e.v
-	k := n.Offset + n.Limit
-	var entries []rank.Entry
-	if e.plan == "ranked/general" {
-		entries = v.res.TopGeneral(k)
-	} else {
-		name := strings.TrimPrefix(n.OrderBy[0].Field.Name, "domain:")
-		entries = v.res.TopDomain(name, k)
-	}
-	entries = window(entries, n.Offset, n.Limit)
-	rows := make([]Row, 0, len(entries))
-	for _, en := range entries {
-		row := Row{ID: en.ID, Score: en.Score}
-		if e.pr != nil {
-			if bi, ok := v.res.BloggerIndex(blog.BloggerID(en.ID)); ok {
-				row.Fields = e.pr.fields(bi)
-			}
-		}
-		rows = append(rows, row)
-	}
-	return &Result{Entity: n.Entity, Rows: rows, Total: len(v.d.Bloggers), Plan: e.plan}
 }
 
 // domainView adapts per-domain value arrays to the predicate compiler.

@@ -6,11 +6,14 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/classify"
 	"mass/internal/influence"
+	"mass/internal/synth"
 )
 
-// fuzzFixture is a tiny analyzed corpus (no classifier, so it is cheap)
-// used to execute whatever the fuzzer manages to decode.
+// fuzzFixture is a tiny analyzed corpus used to execute whatever the
+// fuzzer manages to decode. It runs a classifier, so domain keys have
+// rankings and domain-ordered queries take ranked parts.
 var (
 	fuzzOnce sync.Once
 	fuzzC    *blog.Corpus
@@ -20,7 +23,11 @@ var (
 func fuzzFixture() (*blog.Corpus, *influence.Result) {
 	fuzzOnce.Do(func() {
 		fuzzC = blog.Figure1Corpus()
-		an, err := influence.NewAnalyzer(influence.Config{}, nil)
+		nb, err := classify.TrainNaiveBayes(synth.TrainingExamples(nil, 20, 8))
+		if err != nil {
+			panic(err)
+		}
+		an, err := influence.NewAnalyzer(influence.Config{}, nb)
 		if err != nil {
 			panic(err)
 		}
@@ -36,9 +43,10 @@ func fuzzFixture() (*blog.Corpus, *influence.Result) {
 // decodes into a query that executes cleanly, or fails with an error —
 // it must never panic. (The API layer surfaces those errors as 400
 // invalid_query.) It is also a differential oracle for the shard
-// executor: every decoded scan runs as three disjoint ownership parts
-// merged by MergeShards, which must reproduce Execute's rows and total
-// exactly.
+// executor: every decoded scan runs as three disjoint owned-row-mask
+// parts — ranked walks for unfiltered influence and domain rankings,
+// masked scans otherwise — merged by MergeShards, which must reproduce
+// Execute's rows and total exactly.
 func FuzzDecode(f *testing.F) {
 	seeds := []string{
 		``,
@@ -61,6 +69,11 @@ func FuzzDecode(f *testing.F) {
 		`[1,2,3]`,
 		`"bloggers"`,
 		`{"entity":"bloggers","where":{"field":"influence","op":"gt","value":{}}}`,
+		`{"entity":"bloggers","orderBy":[{"field":"influence","desc":true}],"limit":2}`,
+		`{"entity":"bloggers","orderBy":[{"field":"influence","desc":true}],"select":["ap","gl","posts"],"offset":1,"limit":3}`,
+		`{"entity":"bloggers","orderBy":[{"field":"domain:Sports","desc":true}],"limit":4}`,
+		`{"entity":"bloggers","orderBy":[{"field":"domain:Sports","desc":true}],"select":["influence"],"offset":2,"limit":2}`,
+		`{"entity":"bloggers","orderBy":[{"field":"domain:NoSuchDomain","desc":true}],"offset":1}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -81,10 +94,7 @@ func FuzzDecode(f *testing.F) {
 		if perDomain(q) {
 			return
 		}
-		owners := virtualOwners(3)
-		if q.Entity == EntityPosts {
-			owners = postOwners(c, owners)
-		}
+		owners := virtualOwners(res, 3)
 		parts := make([]*ShardResult, len(owners))
 		for p, own := range owners {
 			if parts[p], err = ExecuteShard(c, res, q, own); err != nil {

@@ -95,7 +95,7 @@ func (e *Evaluator) Rebind(c *blog.Corpus, res *influence.Result) bool {
 	if !slices.Equal(e.v.d.Domains, d.Domains) {
 		return false
 	}
-	e.v.c, e.v.res, e.v.d = c, res, d
+	e.v.res, e.v.d = res, d
 	e.plan = e.v.plan(e.n)
 	return true
 }

@@ -1,7 +1,12 @@
 package query
 
 // Shard-side execution: one query run as per-part sub-plans and merged
-// back exactly. ExecuteShard takes every query shape. Scans return their
+// back exactly. ExecuteShard takes every query shape. A part restricts
+// itself to the rows its shard owns through a dense owned-row mask
+// (Owned), so no part hashes an ID. An unfiltered single-key ranked
+// blogger query walks the generation's precomputed ranking, skips
+// unowned rows and stops once it holds Offset+Limit rows; every other
+// scan streams the owned rows through a bounded top-k. Scans return their
 // top rows with the ORDER BY key values attached (ShardRow.Keys), so the
 // merge compares rows across parts without re-resolving facets.
 // Per-domain queries (domains and aggregates) return raw (count, sum)
@@ -12,10 +17,35 @@ package query
 
 import (
 	"slices"
+	"strings"
 
 	"mass/internal/blog"
 	"mass/internal/influence"
 )
+
+// Owned is one shard generation's owned-row mask. Rows[i] reports
+// whether the shard owns Dense().Bloggers[i] and Count how many rows it
+// owns; a post is owned with its author's row. Shards admit foreign
+// bloggers as link stubs and per-shard analysis gives those stubs real
+// scores, so an unmasked broadcast would return the same blogger from
+// several shards. A nil *Owned owns every row.
+type Owned struct {
+	Rows  []bool
+	Count int
+}
+
+// NewOwned builds the mask of a generation's blogger rows (its
+// Dense().Bloggers) that owns admits.
+func NewOwned(bloggers []blog.BloggerID, owns func(blog.BloggerID) bool) *Owned {
+	m := &Owned{Rows: make([]bool, len(bloggers))}
+	for i, id := range bloggers {
+		if owns(id) {
+			m.Rows[i] = true
+			m.Count++
+		}
+	}
+	return m
+}
 
 // ShardRow is one shard-local result row plus the value of every ORDER BY
 // key at that row, in the normalized query's key order.
@@ -37,40 +67,104 @@ type ShardRow struct {
 // per slot in Counts and Sums. Parts intern only the domains their own
 // posts touch, so the lists differ across parts; MergeShards unions them
 // by name.
+//
+// Scanned is the number of rows the part inspected: every row for a
+// scan, the walked prefix of the ranking for a ranked part. It is a work
+// count for tests and never goes on the wire.
 type ShardResult struct {
 	Rows    []ShardRow `json:"rows,omitempty"`
 	Total   int        `json:"total"`
 	Domains []string   `json:"domains,omitempty"`
 	Counts  []float64  `json:"counts,omitempty"`
 	Sums    []float64  `json:"sums,omitempty"`
+	Scanned int        `json:"-"`
 }
 
-// ExecuteShard runs q's per-part half against one shard's snapshot.
-// own, when non-nil, restricts rows, totals and partials to entities the
-// shard owns: shards admit foreign bloggers as link stubs, and per-shard
-// analysis assigns those stubs real scores, so an unfiltered broadcast
-// would return the same blogger ID from several shards. Posts never need
-// the filter (a post lives only on its author's owner shard), so
-// coordinators pass nil there.
-func ExecuteShard(c *blog.Corpus, res *influence.Result, q *Query, own func(string) bool) (*ShardResult, error) {
+// ExecuteShard runs q's per-part half against one shard's snapshot,
+// restricted to the rows own marks (nil: every row). own must be built
+// from res's blogger rows.
+func ExecuteShard(c *blog.Corpus, res *influence.Result, q *Query, own *Owned) (*ShardResult, error) {
 	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err
 	}
-	if own != nil {
-		match, id := e.match, e.v.id
-		e.match = func(i int) bool { return own(id(i)) && (match == nil || match(i)) }
-	}
-	return e.shard(), nil
+	return e.part(own), nil
 }
 
-// shard runs the compiled query's per-part half over every entity the
-// evaluator's predicate admits.
-func (e *Evaluator) shard() *ShardResult {
-	if perDomain(e.n) {
-		return e.slab()
+// part runs the compiled query's per-part half over the rows own marks:
+// a ranked walk when the plan has a precomputed ranking, a scan
+// otherwise.
+func (e *Evaluator) part(own *Owned) *ShardResult {
+	if order := e.rankOrder(); order != nil {
+		return e.rankedPart(order, own)
 	}
-	kept, total := e.Top(e.n.Offset + e.n.Limit)
+	return e.scanPart(own)
+}
+
+// rankOrder is the precomputed ranking serving a ranked plan, or nil when
+// the plan scans. A domain the generation never interned has no ranking:
+// every row scores 0 there, which the scan orders by ID.
+func (e *Evaluator) rankOrder() []int32 {
+	switch e.plan {
+	case "ranked/general":
+		return e.v.res.GeneralOrder()
+	case "ranked/domain":
+		name := strings.TrimPrefix(e.n.OrderBy[0].Field.Name, "domain:")
+		if slot, ok := e.v.res.DomainSlot(name); ok {
+			return e.v.res.DomainOrder(slot)
+		}
+	}
+	return nil
+}
+
+// rankedPart walks a ranking, which already holds every row in the
+// query's total order, and keeps the first Offset+Limit owned rows. The
+// query is unfiltered, so the part's match count is its owned count.
+func (e *Evaluator) rankedPart(order []int32, own *Owned) *ShardResult {
+	total := len(order)
+	if own != nil {
+		total = own.Count
+	}
+	k := min(e.n.Offset+e.n.Limit, total)
+	kept := make([]int, 0, k)
+	scanned := 0
+	for _, i := range order {
+		if len(kept) == k {
+			break
+		}
+		scanned++
+		if own == nil || own.Rows[i] {
+			kept = append(kept, int(i))
+		}
+	}
+	return &ShardResult{Rows: e.shardRows(kept), Total: total, Scanned: scanned}
+}
+
+// scanPart streams every owned row through the compiled predicate: the
+// per-domain partials, or the bounded top-(Offset+Limit) scan.
+func (e *Evaluator) scanPart(own *Owned) *ShardResult {
+	match := e.match
+	if own != nil {
+		rows, author := own.Rows, e.v.d.Author
+		owned := func(i int) bool { return rows[i] }
+		if e.v.entity == EntityPosts {
+			owned = func(i int) bool { return rows[author[i]] }
+		}
+		if inner := match; inner != nil {
+			match = func(i int) bool { return owned(i) && inner(i) }
+		} else {
+			match = owned
+		}
+	}
+	if perDomain(e.n) {
+		return e.slab(match)
+	}
+	kept, total := e.top(e.n.Offset+e.n.Limit, match)
+	return &ShardResult{Rows: e.shardRows(kept), Total: total, Scanned: e.v.count()}
+}
+
+// shardRows materializes kept dense indices as rows with their sort keys.
+func (e *Evaluator) shardRows(kept []int) []ShardRow {
 	nk := len(e.keys)
 	keys := make([]float64, 0, nk*len(kept))
 	rows := make([]ShardRow, len(kept))
@@ -78,15 +172,15 @@ func (e *Evaluator) shard() *ShardResult {
 		keys = e.Keys(i, keys)
 		rows[j] = ShardRow{Row: e.Row(i), Keys: keys[len(keys)-nk:]}
 	}
-	return &ShardResult{Rows: rows, Total: total}
+	return rows
 }
 
 // slab accumulates the per-domain (count, sum) partials: for every
-// matching entity and every domain it has nonzero weight in, one count
-// plus either the aggregated field's value or, with no field, the
-// weight itself. A domains query is the fieldless, unfiltered case over
+// entity match admits (nil admits all) and every domain it has nonzero
+// weight in, one count plus either the aggregated field's value or, with
+// no field, the weight itself. A domains query is the fieldless, unfiltered case over
 // bloggers.
-func (e *Evaluator) slab() *ShardResult {
+func (e *Evaluator) slab(match func(int) bool) *ShardResult {
 	d := e.v.d
 	nd := len(d.Domains)
 	weights := d.DomainScores
@@ -96,7 +190,7 @@ func (e *Evaluator) slab() *ShardResult {
 	counts := make([]float64, nd)
 	sums := make([]float64, nd)
 	for i, n := 0, e.v.count(); i < n; i++ {
-		if !e.Match(i) {
+		if match != nil && !match(i) {
 			continue
 		}
 		var fv float64
@@ -115,7 +209,7 @@ func (e *Evaluator) slab() *ShardResult {
 			}
 		}
 	}
-	return &ShardResult{Domains: d.Domains, Counts: counts, Sums: sums}
+	return &ShardResult{Domains: d.Domains, Counts: counts, Sums: sums, Scanned: e.v.count()}
 }
 
 // MergeShards finishes q from per-part results. Nil parts (shards that

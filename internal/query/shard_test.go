@@ -1,56 +1,44 @@
 package query
 
 import (
+	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/influence"
 )
 
-// virtualOwners partitions the fixture's bloggers into nparts disjoint
-// ownership filters over the SAME snapshot. Because every virtual shard
-// sees identical dense scores, running ExecuteShard once per part and
-// merging must reproduce the single-engine Execute result exactly — this
-// isolates the scatter/merge machinery from per-shard analysis drift.
-func virtualOwners(nparts int) []func(string) bool {
-	owner := func(id string) int {
-		h := fnv.New64a()
-		h.Write([]byte(id))
-		return int(h.Sum64() % uint64(nparts))
-	}
-	owners := make([]func(string) bool, nparts)
-	for p := 0; p < nparts; p++ {
-		p := p
-		owners[p] = func(id string) bool { return owner(id) == p }
-	}
-	return owners
+// virtualOwner assigns a blogger ID to one of nparts virtual shards.
+func virtualOwner(id string, nparts int) int {
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return int(h.Sum64() % uint64(nparts))
 }
 
-// postOwners routes each post by its author's owner, mirroring the real
-// cluster routing where a post lives on its author's shard.
-func postOwners(c *blog.Corpus, owners []func(string) bool) []func(string) bool {
-	out := make([]func(string) bool, len(owners))
+// virtualOwners partitions res's bloggers into nparts disjoint owned-row
+// masks over the SAME snapshot; posts follow their author's row, as on a
+// real cluster where a post lives on its author's shard. Because every
+// virtual shard sees identical dense scores, running ExecuteShard once
+// per part and merging must reproduce the single-engine Execute result
+// exactly — this isolates the scatter/merge machinery from per-shard
+// analysis drift.
+func virtualOwners(res *influence.Result, nparts int) []*Owned {
+	owners := make([]*Owned, nparts)
 	for p := range owners {
-		bown := owners[p]
-		out[p] = func(id string) bool {
-			post, ok := c.Posts[blog.PostID(id)]
-			if !ok {
-				return false
-			}
-			return bown(string(post.Author))
-		}
+		owners[p] = NewOwned(res.Dense().Bloggers, func(id blog.BloggerID) bool {
+			return virtualOwner(string(id), nparts) == p
+		})
 	}
-	return out
+	return owners
 }
 
 func scatterScan(t *testing.T, q *Query, nparts int) *Result {
 	t.Helper()
 	f := testFixture(t)
-	owners := virtualOwners(nparts)
-	if q.Entity == EntityPosts {
-		owners = postOwners(f.c, owners)
-	}
+	owners := virtualOwners(f.res, nparts)
 	parts := make([]*ShardResult, nparts)
 	for p := 0; p < nparts; p++ {
 		var err error
@@ -105,7 +93,7 @@ func TestShardScanMergeExact(t *testing.T) {
 func TestShardScanDegraded(t *testing.T) {
 	f := testFixture(t)
 	q := Bloggers().OrderBy(Desc(FieldInfluence)).Limit(10).Build()
-	owners := virtualOwners(3)
+	owners := virtualOwners(f.res, 3)
 	parts := make([]*ShardResult, 3)
 	for p := 0; p < 3; p++ {
 		var err error
@@ -128,7 +116,7 @@ func TestShardScanDegraded(t *testing.T) {
 		t.Fatalf("degraded total %d, want %d", partial.Total, full.Total-lost)
 	}
 	for _, r := range partial.Rows {
-		if !owners[0](r.ID) && !owners[2](r.ID) {
+		if virtualOwner(r.ID, 3) == 1 {
 			t.Fatalf("row %q came from the dropped part", r.ID)
 		}
 	}
@@ -190,10 +178,7 @@ func TestShardAggregateMergeExact(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := mustExecute(t, q)
-			owners := virtualOwners(3)
-			if q.Entity == EntityPosts {
-				owners = postOwners(f.c, owners)
-			}
+			owners := virtualOwners(f.res, 3)
 			parts := make([]*ShardResult, 3)
 			for p := 0; p < 3; p++ {
 				var err error
@@ -222,7 +207,7 @@ func TestShardDomainsMergeExact(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := mustExecute(t, q)
-			owners := virtualOwners(4)
+			owners := virtualOwners(f.res, 4)
 			parts := make([]*ShardResult, 4)
 			for p := 0; p < 4; p++ {
 				var err error
@@ -240,5 +225,106 @@ func TestShardDomainsMergeExact(t *testing.T) {
 			}
 			rowsAlmostEqual(t, got.Rows, want.Rows)
 		})
+	}
+}
+
+// maskCases are the owned-row masks the ranked-part tests run under: no
+// mask, every row, no row, and three disjoint virtual shards.
+func maskCases(t *testing.T) map[string]*Owned {
+	t.Helper()
+	f := testFixture(t)
+	bloggers := f.res.Dense().Bloggers
+	cases := map[string]*Owned{
+		"nil":       nil,
+		"all true":  NewOwned(bloggers, func(blog.BloggerID) bool { return true }),
+		"all false": NewOwned(bloggers, func(blog.BloggerID) bool { return false }),
+	}
+	for p, own := range virtualOwners(f.res, 3) {
+		cases[fmt.Sprintf("part %d/3", p)] = own
+	}
+	return cases
+}
+
+// TestRankedPartMatchesScanPart: a ranked part (a walk of the
+// precomputed ranking) must equal the masked scan part of the same
+// compiled query in rows, keys and total, under every mask — including
+// a domain the generation never interned and windows past the owned
+// count.
+func TestRankedPartMatchesScanPart(t *testing.T) {
+	f := testFixture(t)
+	queries := map[string]*Query{
+		"general":             Bloggers().OrderBy(Desc(FieldInfluence)).Limit(10).Build(),
+		"general select":      Bloggers().OrderBy(Desc(FieldInfluence)).Limit(5).Offset(3).Select(FieldAP, FieldGL, FieldPosts).Build(),
+		"general past owned":  Bloggers().OrderBy(Desc(FieldInfluence)).Limit(10).Offset(len(f.res.Dense().Bloggers)).Build(),
+		"unknown domain":      Bloggers().OrderBy(Desc(DomainKey("NoSuchDomain"))).Limit(6).Offset(2).Build(),
+		"unknown domain wide": Bloggers().OrderBy(Desc(DomainKey("NoSuchDomain"))).Limit(1000).Build(),
+	}
+	for _, d := range f.res.Domains() {
+		queries["domain "+d] = Bloggers().OrderBy(Desc(DomainKey(d))).Limit(7).Offset(2).Select(FieldInfluence).Build()
+		queries["domain past owned "+d] = Bloggers().OrderBy(Desc(DomainKey(d))).Limit(4).Offset(25).Build()
+	}
+	for qname, q := range queries {
+		e, err := compile(f.c, f.res, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(e.plan, "ranked/") {
+			t.Fatalf("%s: plan %q, want a ranked plan", qname, e.plan)
+		}
+		if ranked := e.rankOrder() != nil; ranked == (qname == "unknown domain" || qname == "unknown domain wide") {
+			t.Fatalf("%s: has ranking = %v", qname, ranked)
+		}
+		for mname, own := range maskCases(t) {
+			got, want := e.part(own), e.scanPart(own)
+			if got.Total != want.Total || !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s, mask %s: ranked part diverges from the scan part\n got: total %d %+v\nwant: total %d %+v",
+					qname, mname, got.Total, got.Rows, want.Total, want.Rows)
+			}
+		}
+	}
+}
+
+// TestRankedPartScansPrefix pins the work a ranked part does: a top-10
+// walks only the ranking's prefix up to its tenth owned row, far fewer
+// rows than the part holds, so a silent fallback to the full scan fails
+// here.
+func TestRankedPartScansPrefix(t *testing.T) {
+	f := testFixture(t)
+	rows := len(f.res.Dense().Bloggers)
+	q := Bloggers().OrderBy(Desc(FieldInfluence)).Limit(10).Build()
+	for mname, own := range maskCases(t) {
+		part, err := ExecuteShard(f.c, f.res, q, own)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The walk stops at the tenth owned row of the ranking, or at once
+		// when the part owns nothing.
+		k := 10
+		if own != nil {
+			k = min(k, own.Count)
+		}
+		want, owned := 0, 0
+		for _, i := range f.res.GeneralOrder() {
+			if owned == k {
+				break
+			}
+			want++
+			if own == nil || own.Rows[i] {
+				owned++
+			}
+		}
+		if part.Scanned != want {
+			t.Fatalf("mask %s: scanned %d rows, want %d", mname, part.Scanned, want)
+		}
+		if own == nil && part.Scanned*5 > rows {
+			t.Fatalf("unmasked top-10 scanned %d of %d rows", part.Scanned, rows)
+		}
+	}
+	scan, err := ExecuteShard(f.c, f.res, Bloggers().Where(F(FieldInfluence).Ge(0)).OrderBy(Desc(FieldInfluence)).Limit(10).Build(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan.Scanned != rows {
+		t.Fatalf("filtered scan inspected %d rows, want all %d", scan.Scanned, rows)
 	}
 }

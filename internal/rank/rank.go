@@ -79,14 +79,6 @@ func All(scores map[string]float64) []Entry {
 	return TopK(scores, len(scores))
 }
 
-// SortEntries orders a prebuilt entry slice in place, descending by score
-// with ties broken by ascending ID — the same total order TopK uses. It
-// lets callers that already hold dense score slices rank without building
-// an intermediate map.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool { return entryLess(entries[j], entries[i]) })
-}
-
 // IDs projects entries to their IDs.
 func IDs(entries []Entry) []string {
 	out := make([]string, len(entries))
