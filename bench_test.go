@@ -37,7 +37,6 @@ import (
 	"mass/internal/influence"
 	"mass/internal/linkrank"
 	"mass/internal/query"
-	"mass/internal/rank"
 	"mass/internal/subs"
 	"mass/internal/synth"
 	"mass/internal/wal"
@@ -364,14 +363,13 @@ func BenchmarkIncrementalReanalysis(b *testing.B) {
 	})
 }
 
-// BenchmarkQueryExecute measures the composable query engine's filtered,
-// ordered top-k path on a 5k-post corpus against the pre-engine
-// "map-building" idiom (materialize a per-blogger score map for the
-// filtered set, then rank.TopK it). The query cases run with
-// b.ReportAllocs: the planned executor's headline property is that it
-// allocates O(plan + k) — no per-blogger maps — so allocs/op stays flat
-// as the corpus grows (BENCH_PR4.json records the budget; a unit test in
-// internal/query asserts it does not grow with corpus size).
+// BenchmarkQueryExecute measures the composable query engine on a 5k-post
+// corpus: the filtered, ordered top-k scan and the unfiltered ranked fast
+// path. Both run with b.ReportAllocs: the planned executor's headline
+// property is that it allocates O(plan + k) — no per-blogger maps — so
+// allocs/op stays flat as the corpus grows (BENCH_PR4.json records the
+// budget; a unit test in internal/query asserts it does not grow with
+// corpus size).
 func BenchmarkQueryExecute(b *testing.B) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 500, Posts: 5000})
 	if err != nil {
@@ -428,24 +426,6 @@ func BenchmarkQueryExecute(b *testing.B) {
 			}
 		}
 	})
-	b.Run("mapscan-filtered-topk", func(b *testing.B) {
-		// The pre-engine idiom: build a blogger-sized score map, then
-		// TopK it. This is what every new scenario endpoint used to cost.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scores := make(map[string]float64)
-			for bi, id := range d.Bloggers {
-				if d.Influence[bi] > infThresh {
-					if s := res.DomainScore(id, dom); s >= domThresh {
-						scores[string(id)] = s
-					}
-				}
-			}
-			if got := rank.TopK(scores, 10); len(got) == 0 {
-				b.Fatal("empty ranking")
-			}
-		}
-	})
 	b.Run("query-unfiltered-ranked", func(b *testing.B) {
 		// The fast path: no filter, single descending key — served from
 		// the snapshot's precomputed ranking.
@@ -458,102 +438,12 @@ func BenchmarkQueryExecute(b *testing.B) {
 	})
 }
 
-// BenchmarkPageRank isolates the GL authority computation.
-func BenchmarkPageRank(b *testing.B) {
-	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 1000, Posts: 2000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := graph.New()
-	for _, id := range corpus.BloggerIDs() {
-		g.AddNode(string(id))
-	}
-	for _, l := range corpus.Links {
-		g.AddEdge(string(l.From), string(l.To))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := linkrank.PageRank(g, linkrank.Options{})
-		if !r.Converged {
-			b.Fatal("PageRank did not converge")
-		}
-	}
-}
-
-// legacyPageRank is the pre-CSR map-shaped solver, kept verbatim as the
-// benchmark baseline: every call re-sorts the node IDs, rebuilds a
-// map[string]int index and per-node in-neighbor slices, then sweeps, and
-// finally round-trips the scores through a map — the per-flush cost the
-// CSR core amortizes to one build per link epoch.
-func legacyPageRank(g *graph.Directed, damping, epsilon float64, maxIter int) map[string]float64 {
-	nodes := g.SortedNodes()
-	n := len(nodes)
-	if n == 0 {
-		return map[string]float64{}
-	}
-	idx := make(map[string]int, n)
-	for i, id := range nodes {
-		idx[id] = i
-	}
-	outDeg := make([]int, n)
-	inN := make([][]int, n)
-	for i, id := range nodes {
-		outDeg[i] = g.OutDegree(id)
-		preds := g.In(id)
-		inN[i] = make([]int, len(preds))
-		for j, p := range preds {
-			inN[i][j] = idx[p]
-		}
-	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	for i := range cur {
-		cur[i] = 1 / float64(n)
-	}
-	base := (1 - damping) / float64(n)
-	for iter := 1; iter <= maxIter; iter++ {
-		var dangling float64
-		for i := 0; i < n; i++ {
-			if outDeg[i] == 0 {
-				dangling += cur[i]
-			}
-		}
-		danglingShare := damping * dangling / float64(n)
-		var delta float64
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for _, j := range inN[i] {
-				sum += cur[j] / float64(outDeg[j])
-			}
-			next[i] = base + danglingShare + damping*sum
-			delta += math.Abs(next[i] - cur[i])
-		}
-		cur, next = next, cur
-		if delta < epsilon {
-			break
-		}
-	}
-	out := make(map[string]float64, n)
-	for i, id := range nodes {
-		out[id] = cur[i]
-	}
-	return out
-}
-
-// BenchmarkPageRankCSR measures the dense CSR PageRank core against the
-// legacy map-shaped path on a 50k-node / ~500k-edge synthetic link graph
-// with a heavy-tailed in-degree distribution (the blogosphere shape).
-// A "cold" solve is one over a changed link graph — what a flush pays
-// whenever the link epoch moved:
+// BenchmarkPageRankCSR measures the dense CSR PageRank core on a
+// 50k-node / ~500k-edge synthetic link graph with a heavy-tailed
+// in-degree distribution (the blogosphere shape). A "cold" solve is one
+// over a changed link graph — what a flush pays whenever the link epoch
+// moved:
 //
-//	map-legacy        — the full pre-CSR cold path, exactly what computeGL
-//	                    did per changed epoch: rebuild graph.Directed from
-//	                    the edge list (map inserts per edge), then the map
-//	                    solver (per-call sort + index maps + adjacency
-//	                    rebuild + score-map round trip)
-//	map-legacy-solve  — the map solver alone over a prebuilt Directed (a
-//	                    baseline generous to the old code: the old path
-//	                    had no way to reuse the Directed across flushes)
 //	csr-cold          — BuildCSR + serial dense solve from the uniform
 //	                    start (the once-per-link-epoch worst case)
 //	csr-cached-cold   — cached CSR, serial dense solve (a flush whose
@@ -586,17 +476,13 @@ func BenchmarkPageRankCSR(b *testing.B) {
 			edges = append(edges, edge{from, to})
 		}
 	}
-	buildDirected := func() *graph.Directed {
-		g := graph.New()
-		for _, id := range ids {
-			g.AddNode(id)
-		}
-		for _, e := range edges {
-			g.AddEdge(e.from, e.to)
-		}
-		return g
+	g := graph.New()
+	for _, id := range ids {
+		g.AddNode(id)
 	}
-	g := buildDirected()
+	for _, e := range edges {
+		g.AddEdge(e.from, e.to)
+	}
 	csr := graph.BuildCSR(g)
 	warm := linkrank.PageRankCSR(csr, linkrank.Options{})
 	if !warm.Converged {
@@ -604,24 +490,6 @@ func BenchmarkPageRankCSR(b *testing.B) {
 	}
 	b.Logf("graph: %d nodes, %d edges (deduplicated)", g.NumNodes(), g.NumEdges())
 
-	b.Run("map-legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scores := legacyPageRank(buildDirected(), 0.85, 1e-10, 200)
-			if len(scores) != nodes {
-				b.Fatal("legacy solver lost nodes")
-			}
-		}
-	})
-	b.Run("map-legacy-solve", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scores := legacyPageRank(g, 0.85, 1e-10, 200)
-			if len(scores) != nodes {
-				b.Fatal("legacy solver lost nodes")
-			}
-		}
-	})
 	b.Run("csr-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

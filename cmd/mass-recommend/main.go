@@ -19,7 +19,6 @@ import (
 
 	"mass/internal/blog"
 	"mass/internal/core"
-	"mass/internal/query"
 )
 
 func main() {
@@ -43,44 +42,32 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Both scenarios are the same query shape: mine an interest vector
-	// (classifier posterior over the text, or explicit domain weights) and
-	// rank every blogger by the weighted-domain dot product.
-	interestRows := func(iv map[string]float64) []query.Row {
-		if *k <= 0 {
-			// Historical behavior: non-positive k prints empty lists.
-			return nil
-		}
-		q := query.Bloggers().OrderBy(query.DescInterest(iv)).Limit(*k).Build()
-		r, err := sys.Query(q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return r.Rows
-	}
-
+	// Every ranking below is the same canned query through the shared
+	// executor: rank every blogger by the dot product of their domain
+	// influence with an interest vector (the classifier posterior over the
+	// text, or equal weights over the chosen domains).
 	ran := false
 	switch {
 	case *adText != "":
 		ran = true
 		fmt.Printf("advertisement (text mode): %q\n", *adText)
-		for i, row := range interestRows(sys.Classifier().Classify(*adText)) {
-			fmt.Printf("  %d. %s  (Inf(b,a)=%.4f)\n", i+1, row.ID, row.Score)
+		for i, r := range sys.AdvertiseText(*adText, *k) {
+			fmt.Printf("  %d. %s  (Inf(b,a)=%.4f)\n", i+1, r.Blogger, r.Score)
 		}
 	case *domainsCSV != "":
 		ran = true
 		domains := strings.Split(*domainsCSV, ",")
 		fmt.Printf("advertisement (dropdown mode): %v\n", domains)
-		for i, row := range interestRows(query.EqualWeights(domains)) {
-			fmt.Printf("  %d. %s  (score=%.4f)\n", i+1, row.ID, row.Score)
+		for i, r := range sys.AdvertiseDomains(domains, *k) {
+			fmt.Printf("  %d. %s  (score=%.4f)\n", i+1, r.Blogger, r.Score)
 		}
 	}
 
 	if *profile != "" {
 		ran = true
 		fmt.Printf("personalized (profile): %q\n", *profile)
-		for i, row := range interestRows(sys.Classifier().Classify(*profile)) {
-			fmt.Printf("  %d. %s  (score=%.4f)\n", i+1, row.ID, row.Score)
+		for i, r := range sys.RecommendForProfile(*profile, *k) {
+			fmt.Printf("  %d. %s  (score=%.4f)\n", i+1, r.Blogger, r.Score)
 		}
 	}
 	if *member != "" {

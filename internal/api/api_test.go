@@ -265,6 +265,34 @@ func TestTrendsEndpoint(t *testing.T) {
 	}
 }
 
+// TestLegacyTrendsCapped: the alias caps buckets and emerging at v1's
+// bounds instead of sizing an allocation from the query string.
+func TestLegacyTrendsCapped(t *testing.T) {
+	ts, _ := server(t)
+	var rep struct {
+		DomainSeries map[string]struct {
+			Values []float64 `json:"Values"`
+		} `json:"DomainSeries"`
+		Emerging []struct {
+			ID string `json:"ID"`
+		} `json:"Emerging"`
+	}
+	if code := getJSON(t, ts.URL+"/api/trends?buckets=5000000&emerging=5000000", &rep); code != 200 {
+		t.Fatalf("status %d", code)
+	}
+	if len(rep.DomainSeries) == 0 {
+		t.Fatal("no domain series")
+	}
+	for d, s := range rep.DomainSeries {
+		if len(s.Values) != MaxBuckets {
+			t.Fatalf("%s series has %d values, want %d", d, len(s.Values), MaxBuckets)
+		}
+	}
+	if len(rep.Emerging) > MaxEmerging {
+		t.Fatalf("%d emerging bloggers, want at most %d", len(rep.Emerging), MaxEmerging)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	ts, _ := server(t)
 	resp, err := http.Post(ts.URL+"/api/top", "application/json", strings.NewReader("{}"))

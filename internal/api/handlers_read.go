@@ -567,8 +567,13 @@ func (s *Server) handleLegacyNetwork(w http.ResponseWriter, r *http.Request) {
 	writeBareJSON(w, net)
 }
 
+// handleLegacyTrends keeps the alias's tolerant parsing (a malformed or
+// non-positive value means the default) but caps both parameters as v1
+// does: trend.Analyze allocates a series per domain per bucket.
 func (s *Server) handleLegacyTrends(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.trendReport(s.cluster.View(), intParam(r, "buckets", 8), intParam(r, "emerging", 5))
+	buckets := min(intParam(r, "buckets", DefaultBuckets), MaxBuckets)
+	emerging := min(intParam(r, "emerging", DefaultEmerging), MaxEmerging)
+	rep, err := s.trendReport(s.cluster.View(), buckets, emerging)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

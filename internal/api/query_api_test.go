@@ -2,16 +2,19 @@ package api
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"mass/internal/blog"
 	"mass/internal/core"
+	"mass/internal/influence"
 	"mass/internal/lexicon"
 	"mass/internal/rank"
 )
@@ -226,21 +229,21 @@ func TestRewrittenHandlersEquivalence(t *testing.T) {
 		t.Fatalf("domain top drifted:\ngot  %s\nwant %s", got, want)
 	}
 
-	// /api/v1/advert (text) == TopK over InterestScores of the mined
+	// /api/v1/advert (text) == the interest reference over the mined
 	// interest vector.
 	adText := "the stock market and bank interest rates"
 	_, env2 := postEnvelope(t, ts.URL+"/api/v1/advert", `{"text":"`+adText+`","k":3}`)
 	iv := sys.Classifier().Classify(adText)
-	want = mustMarshal(t, entriesToScored(rank.TopK(res.InterestScores(iv), 3)))
+	want = mustMarshal(t, interestReference(res, iv, 3))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("advert(text) drifted:\ngot  %s\nwant %s", got, want)
 	}
 
-	// /api/v1/advert (domains) == TopK over equal-weight InterestScores.
+	// /api/v1/advert (domains) == the reference over equal weights.
 	_, env2 = postEnvelope(t, ts.URL+"/api/v1/advert", `{"domains":["`+lexicon.Sports+`","`+lexicon.Travel+`"],"k":3}`)
-	want = mustMarshal(t, entriesToScored(rank.TopK(res.InterestScores(map[string]float64{
+	want = mustMarshal(t, interestReference(res, map[string]float64{
 		lexicon.Sports: 0.5, lexicon.Travel: 0.5,
-	}), 3)))
+	}, 3))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("advert(domains) drifted:\ngot  %s\nwant %s", got, want)
 	}
@@ -249,9 +252,9 @@ func TestRewrittenHandlersEquivalence(t *testing.T) {
 	// blank contributes zero weight, the ranking still answers 200 —
 	// on v1 and on the legacy alias.
 	_, env2 = postEnvelope(t, ts.URL+"/api/v1/advert", `{"domains":["`+lexicon.Sports+`",""],"k":2}`)
-	want = mustMarshal(t, entriesToScored(rank.TopK(res.InterestScores(map[string]float64{
+	want = mustMarshal(t, interestReference(res, map[string]float64{
 		lexicon.Sports: 0.5, "": 0.5,
-	}), 2)))
+	}, 2))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("advert(blank domain) drifted:\ngot  %s\nwant %s", got, want)
 	}
@@ -265,21 +268,37 @@ func TestRewrittenHandlersEquivalence(t *testing.T) {
 		t.Fatalf("legacy advert with all-blank domains: %d, want 200 (zero-scored ranking)", legacyResp.StatusCode)
 	}
 
-	// /api/v1/profile == TopK over the profile's interest vector.
+	// /api/v1/profile == the reference over the profile's interest vector.
 	profile := "I love programming and databases"
 	_, env2 = postEnvelope(t, ts.URL+"/api/v1/profile", `{"text":"`+profile+`","k":3}`)
-	want = mustMarshal(t, entriesToScored(rank.TopK(res.InterestScores(sys.Classifier().Classify(profile)), 3)))
+	want = mustMarshal(t, interestReference(res, sys.Classifier().Classify(profile), 3))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("profile drifted:\ngot  %s\nwant %s", got, want)
 	}
 }
 
-func entriesToScored(entries []rank.Entry) []scored {
-	out := make([]scored, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, scored{Blogger: blog.BloggerID(e.ID), Score: e.Score})
+// interestReference ranks every blogger by the dot product of its dense
+// domain row with iv, summed in slot order, score descending then ID
+// ascending, and keeps the first k: the test-local oracle for the advert
+// and profile rankings.
+func interestReference(res *influence.Result, iv map[string]float64, k int) []scored {
+	d := res.Dense()
+	nd := len(d.Domains)
+	out := make([]scored, len(d.Bloggers))
+	for i, b := range d.Bloggers {
+		var dot float64
+		for di, name := range d.Domains {
+			dot += d.DomainScores[i*nd+di] * iv[name]
+		}
+		out[i] = scored{Blogger: b, Score: dot}
 	}
-	return out
+	slices.SortFunc(out, func(a, b scored) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(string(a.Blogger), string(b.Blogger))
+	})
+	return out[:min(k, len(out))]
 }
 
 // TestQueryExpressesLegacyEndpoints: the acceptance check that one POST

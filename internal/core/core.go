@@ -4,6 +4,12 @@
 // and serve the User Interface Module's operations (top-k queries,
 // advertisement and personalized recommendation, network visualization).
 //
+// Every ranking a System answers runs through package query's executor,
+// the one the HTTP API and the CLIs use: Query takes any query, and the
+// scenario methods (AdvertiseText, AdvertiseDomains, RecommendForProfile,
+// RecommendForBlogger) are thin builders of one canned interest query
+// (recommend.Recommender.ForInterest).
+//
 // Typical use:
 //
 //	sys, err := core.FromCorpus(corpus, core.Options{})
@@ -16,7 +22,6 @@ import (
 	"context"
 	"fmt"
 
-	"mass/internal/advert"
 	"mass/internal/blog"
 	"mass/internal/classify"
 	"mass/internal/crawler"
@@ -65,8 +70,7 @@ type System struct {
 	corpus     *blog.Corpus
 	classifier classify.Classifier
 	result     *influence.Result
-	adRec      *advert.Recommender
-	persRec    *recommend.Recommender
+	rec        *recommend.Recommender
 	// seq is the analysis generation this System belongs to (1 for
 	// one-shot systems; the engine's snapshot seq when live), so query
 	// memoization is always keyed by the right generation no matter how
@@ -94,18 +98,14 @@ func (o Options) buildClassifier() (classify.Classifier, error) {
 
 // newSystem runs the analysis pipeline over c — warm-started from prev and
 // facet-cached through cache when non-nil — and assembles the query-side
-// recommenders. It is the shared build step behind FromCorpus (cold, once)
+// recommender. It is the shared build step behind FromCorpus (cold, once)
 // and Engine (incremental, repeatedly).
 func newSystem(c *blog.Corpus, opts Options, cl classify.Classifier, an *influence.Analyzer, prev *influence.Result, cache *influence.Cache, seq uint64, queries *query.Cache) (*System, error) {
 	res, err := an.AnalyzeCached(c, prev, cache)
 	if err != nil {
 		return nil, err
 	}
-	adRec, err := advert.New(cl, res)
-	if err != nil {
-		return nil, err
-	}
-	persRec, err := recommend.New(cl, res, c)
+	rec, err := recommend.New(cl, res, c)
 	if err != nil {
 		return nil, err
 	}
@@ -117,8 +117,7 @@ func newSystem(c *blog.Corpus, opts Options, cl classify.Classifier, an *influen
 		corpus:     c,
 		classifier: cl,
 		result:     res,
-		adRec:      adRec,
-		persRec:    persRec,
+		rec:        rec,
 		seq:        seq,
 		queries:    queries,
 	}, nil
@@ -199,32 +198,35 @@ func (s *System) TopInDomain(domain string, k int) []blog.BloggerID {
 }
 
 // AdvertiseText recommends top-k bloggers for an advertisement text
-// (Scenario 1, Fig. 3 option 1).
-func (s *System) AdvertiseText(adText string, k int) []advert.Recommendation {
-	return s.adRec.ForText(adText, k)
+// (Scenario 1, Fig. 3 option 1): the ad's interest vector is the
+// classifier posterior over its text.
+func (s *System) AdvertiseText(adText string, k int) []recommend.Recommendation {
+	return s.rec.ForInterest(s.classifier.Classify(adText), k)
 }
 
 // AdvertiseDomains recommends top-k bloggers for explicitly selected
-// domains (Fig. 3 option 2); empty domains falls back to the general list.
-func (s *System) AdvertiseDomains(domains []string, k int) []advert.Recommendation {
-	return s.adRec.ForDomains(domains, k)
+// domains (Fig. 3 option 2), each selection weighted equally
+// (query.EqualWeights). No domains gives an empty vector, which falls back
+// to the general ranking.
+func (s *System) AdvertiseDomains(domains []string, k int) []recommend.Recommendation {
+	return s.rec.ForInterest(query.EqualWeights(domains), k)
 }
 
 // RecommendForProfile recommends top-k bloggers for a new user's profile
 // text (Scenario 2).
 func (s *System) RecommendForProfile(profile string, k int) []recommend.Recommendation {
-	return s.persRec.ForProfile(profile, k)
+	return s.rec.ForProfile(profile, k)
 }
 
 // RecommendForBlogger recommends top-k bloggers to an existing member.
 func (s *System) RecommendForBlogger(id blog.BloggerID, k int) ([]recommend.Recommendation, error) {
-	return s.persRec.ForBlogger(id, k)
+	return s.rec.ForBlogger(id, k)
 }
 
 // RecommendInFriends restricts a domain recommendation to the member's
 // friend network of the given radius.
 func (s *System) RecommendInFriends(id blog.BloggerID, domain string, radius, k int) ([]recommend.Recommendation, error) {
-	return s.persRec.WithinFriends(id, domain, radius, k)
+	return s.rec.WithinFriends(id, domain, radius, k)
 }
 
 // Network builds the laid-out post-reply network around a blogger (Fig. 4).

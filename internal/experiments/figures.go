@@ -2,15 +2,18 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
-	"mass/internal/advert"
 	"mass/internal/blog"
 	"mass/internal/blogserver"
 	"mass/internal/classify"
@@ -18,6 +21,8 @@ import (
 	"mass/internal/crawler"
 	"mass/internal/influence"
 	"mass/internal/lexicon"
+	"mass/internal/query"
+	"mass/internal/recommend"
 	"mass/internal/synth"
 	"mass/internal/viz"
 	"mass/internal/xmlstore"
@@ -177,9 +182,9 @@ func (r *Figure2Result) Format(w io.Writer) {
 type Figure3Result struct {
 	AdText         string
 	MinedDomains   []string
-	TextTop        []advert.Recommendation
-	DropdownTop    []advert.Recommendation
-	GeneralTop     []advert.Recommendation
+	TextTop        []recommend.Recommendation
+	DropdownTop    []recommend.Recommendation
+	GeneralTop     []recommend.Recommendation
 	AgreementAt3   int // overlap between text mode and dropdown mode
 	TargetsOnPoint int // text-mode targets with planted Sports expertise
 }
@@ -192,19 +197,20 @@ func ExperimentFigure3(cfg Config) (*Figure3Result, error) {
 		return nil, err
 	}
 	cfg = w.cfg
-	rec, err := advert.New(w.nb, w.res)
+	rec, err := recommend.New(w.nb, w.res, w.corpus)
 	if err != nil {
 		return nil, err
 	}
 	adText := "Introducing the new running sneaker line: built for marathon " +
 		"training, basketball playoffs and every athlete chasing a medal " +
 		"this olympics season"
+	iv := w.nb.Classify(adText)
 	res := &Figure3Result{
 		AdText:       adText,
-		MinedDomains: rec.TopDomains(adText, 2),
-		TextTop:      rec.ForText(adText, cfg.K),
-		DropdownTop:  rec.ForDomains([]string{lexicon.Sports}, cfg.K),
-		GeneralTop:   rec.ForDomains(nil, cfg.K),
+		MinedDomains: topDomains(iv, 2),
+		TextTop:      rec.ForInterest(iv, cfg.K),
+		DropdownTop:  rec.ForInterest(query.EqualWeights([]string{lexicon.Sports}), cfg.K),
+		GeneralTop:   rec.ForInterest(nil, cfg.K),
 	}
 	inDropdown := map[blog.BloggerID]bool{}
 	for _, d := range res.DropdownTop {
@@ -219,6 +225,19 @@ func ExperimentFigure3(cfg Config) (*Figure3Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// topDomains reports the n most probable domains of an interest vector,
+// ties by name, for display next to the recommendations.
+func topDomains(iv map[string]float64, n int) []string {
+	names := slices.Collect(maps.Keys(iv))
+	slices.SortFunc(names, func(a, b string) int {
+		if c := cmp.Compare(iv[b], iv[a]); c != 0 {
+			return c
+		}
+		return strings.Compare(a, b)
+	})
+	return names[:min(n, len(names))]
 }
 
 // Format renders both input modes.

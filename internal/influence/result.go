@@ -180,30 +180,6 @@ func (r *Result) DomainScoresMap() map[blog.BloggerID]map[string]float64 {
 	return out
 }
 
-// InterestScores computes the dot product Inf(b, IV) · iv for every
-// blogger over the dense slab — the advertisement/recommendation hot path
-// (Scenarios 1 and 2). The returned map is keyed by blogger ID string,
-// ready for rank.TopK.
-func (r *Result) InterestScores(iv map[string]float64) map[string]float64 {
-	nd := r.domains.Len()
-	weights := make([]float64, nd)
-	for name, w := range iv {
-		if di, ok := r.domains.lookup(name); ok {
-			weights[di] = w
-		}
-	}
-	out := make(map[string]float64, len(r.bloggers))
-	for bi, b := range r.bloggers {
-		row := r.domainScores[bi*nd : (bi+1)*nd]
-		var dot float64
-		for di, s := range row {
-			dot += s * weights[di]
-		}
-		out[string(b)] = dot
-	}
-	return out
-}
-
 // sumAP sums each blogger's post influence into ap: AP = Σ_k Inf(b, d_k),
 // adding an author's posts in row order.
 func (r *Result) sumAP(ap []float64) {

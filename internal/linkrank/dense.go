@@ -9,8 +9,7 @@ import (
 // This file holds the dense solver core. Every authority measure is an
 // iterative kernel over a frozen graph.CSR: ping-pong []float64 buffers,
 // zero allocations inside the sweep loop, and sweeps edge-partitioned
-// across Options.Workers. The map-based PageRank / PersonalizedPageRank /
-// HITS entry points are compatibility wrappers over these kernels.
+// across Options.Workers.
 //
 // Determinism: results are bit-for-bit identical regardless of Workers.
 // The parallel phase only computes next[i] for disjoint row ranges — each
@@ -28,18 +27,14 @@ type DenseResult struct {
 	Converged  bool
 }
 
-// Map materializes the dense vector as an ID-keyed map, the pre-CSR result
-// shape. It allocates one map; hot paths should index Scores directly.
+// Map materializes the dense vector as an ID-keyed map. It allocates one
+// map; hot paths should index Scores directly.
 func (r DenseResult) Map() map[string]float64 {
 	m := make(map[string]float64, len(r.Scores))
 	for i, id := range r.CSR.IDs {
 		m[id] = r.Scores[i]
 	}
 	return m
-}
-
-func (r DenseResult) toResult() Result {
-	return Result{Scores: r.Map(), Iterations: r.Iterations, Converged: r.Converged}
 }
 
 // rowPool fans fixed row ranges of a sweep across persistent worker
@@ -187,10 +182,10 @@ func (s *prState) sweepPersonalized(lo, hi int32) {
 	}
 }
 
-// PageRankCSR computes the PageRank vector of the frozen view c — the
-// dense core behind PageRank. Dangling nodes distribute their mass
-// uniformly; scores sum to 1; an empty view yields an empty result.
-// Each sweep costs exactly O(V+E) with zero allocations.
+// PageRankCSR computes the PageRank vector of the frozen view c. Dangling
+// nodes distribute their mass uniformly; scores sum to 1; an empty view
+// yields an empty result. Each sweep costs exactly O(V+E) with zero
+// allocations.
 func PageRankCSR(c *graph.CSR, opts Options) DenseResult {
 	opts = opts.withDefaults()
 	n := c.NumNodes()
@@ -384,8 +379,8 @@ func normalizeL2(v []float64) {
 }
 
 // HITSCSR computes hub and authority scores over the frozen view c with L2
-// normalization each sweep — the dense core behind HITS. Warm options are
-// ignored, as for the map-based entry point.
+// normalization each sweep; both vectors end at unit L2 norm. Warm
+// options are ignored.
 func HITSCSR(c *graph.CSR, opts Options) (auth, hub DenseResult) {
 	opts = opts.withDefaults()
 	n := c.NumNodes()

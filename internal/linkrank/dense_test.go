@@ -14,12 +14,12 @@ import (
 // (sorted-node index maps, per-call adjacency rebuild). The dense kernels
 // must reproduce their scores to ≤ 1e-12 on arbitrary graphs.
 
-func refPageRank(g *graph.Directed, opts Options) Result {
+func refPageRank(g *graph.Directed, opts Options) mapResult {
 	opts = opts.withDefaults()
 	nodes := g.SortedNodes()
 	n := len(nodes)
 	if n == 0 {
-		return Result{Scores: map[string]float64{}, Converged: true}
+		return mapResult{Scores: map[string]float64{}, Converged: true}
 	}
 	idx := make(map[string]int, n)
 	for i, id := range nodes {
@@ -62,7 +62,7 @@ func refPageRank(g *graph.Directed, opts Options) Result {
 		}
 	}
 	base := (1 - opts.Damping) / float64(n)
-	res := Result{Scores: make(map[string]float64, n)}
+	res := mapResult{Scores: make(map[string]float64, n)}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		res.Iterations = iter
 		var dangling float64
@@ -93,12 +93,12 @@ func refPageRank(g *graph.Directed, opts Options) Result {
 	return res
 }
 
-func refPersonalizedPageRank(g *graph.Directed, prefs map[string]float64, opts Options) Result {
+func refPersonalizedPageRank(g *graph.Directed, prefs map[string]float64, opts Options) mapResult {
 	opts = opts.withDefaults()
 	nodes := g.SortedNodes()
 	n := len(nodes)
 	if n == 0 {
-		return Result{Scores: map[string]float64{}, Converged: true}
+		return mapResult{Scores: map[string]float64{}, Converged: true}
 	}
 	idx := make(map[string]int, n)
 	for i, id := range nodes {
@@ -134,7 +134,7 @@ func refPersonalizedPageRank(g *graph.Directed, prefs map[string]float64, opts O
 	cur := make([]float64, n)
 	next := make([]float64, n)
 	copy(cur, tele)
-	res := Result{Scores: make(map[string]float64, n)}
+	res := mapResult{Scores: make(map[string]float64, n)}
 	for iter := 1; iter <= opts.MaxIter; iter++ {
 		res.Iterations = iter
 		var dangling float64
@@ -164,12 +164,12 @@ func refPersonalizedPageRank(g *graph.Directed, prefs map[string]float64, opts O
 	return res
 }
 
-func refHITS(g *graph.Directed, opts Options) (auth, hub Result) {
+func refHITS(g *graph.Directed, opts Options) (auth, hub mapResult) {
 	opts = opts.withDefaults()
 	nodes := g.SortedNodes()
 	n := len(nodes)
-	auth = Result{Scores: make(map[string]float64, n)}
-	hub = Result{Scores: make(map[string]float64, n)}
+	auth = mapResult{Scores: make(map[string]float64, n)}
+	hub = mapResult{Scores: make(map[string]float64, n)}
 	if n == 0 {
 		auth.Converged, hub.Converged = true, true
 		return auth, hub
@@ -310,7 +310,7 @@ func TestDenseMatchesMapSolvers(t *testing.T) {
 			name := fmt.Sprintf("n=%d/e=%d/seed=%d", sh.n, sh.e, seed)
 			for _, workers := range []int{1, 3} {
 				opts := Options{Workers: workers}
-				got := PageRank(g, opts)
+				got := pageRank(g, opts)
 				want := refPageRank(g, Options{})
 				if d := maxDiff(want.Scores, got.Scores); d > tol {
 					t.Fatalf("%s workers=%d: PageRank diverges from map solver by %g", name, workers, d)
@@ -326,12 +326,12 @@ func TestDenseMatchesMapSolvers(t *testing.T) {
 					}
 				}
 				prefs["not-a-node"] = 2 // unknown IDs must be ignored
-				gotP := PersonalizedPageRank(g, prefs, opts)
+				gotP := personalizedPageRank(g, prefs, opts)
 				wantP := refPersonalizedPageRank(g, prefs, Options{})
 				if d := maxDiff(wantP.Scores, gotP.Scores); d > tol {
 					t.Fatalf("%s workers=%d: PersonalizedPageRank diverges by %g", name, workers, d)
 				}
-				gotA, gotH := HITS(g, opts)
+				gotA, gotH := hits(g, opts)
 				wantA, wantH := refHITS(g, Options{})
 				if d := maxDiff(wantA.Scores, gotA.Scores); d > tol {
 					t.Fatalf("%s workers=%d: HITS authority diverges by %g", name, workers, d)
@@ -441,8 +441,8 @@ func TestOptionsClampDamping(t *testing.T) {
 	g := chain()
 	// A negative damping factor is not a probability; it must clamp to 0
 	// (pure teleport), not feed the iteration and produce negative scores.
-	neg := PageRank(g, Options{Damping: -0.5})
-	pure := PageRank(g, Options{Damping: ExplicitZero})
+	neg := pageRank(g, Options{Damping: -0.5})
+	pure := pageRank(g, Options{Damping: ExplicitZero})
 	if d := maxDiff(pure.Scores, neg.Scores); d != 0 {
 		t.Fatalf("Damping=-0.5 must behave as 0, differs by %g", d)
 	}
@@ -452,7 +452,7 @@ func TestOptionsClampDamping(t *testing.T) {
 		}
 	}
 	// Above 1 clamps to 1 and must still yield a valid distribution.
-	over := PageRank(g, Options{Damping: 1.5, MaxIter: 50})
+	over := pageRank(g, Options{Damping: 1.5, MaxIter: 50})
 	if err := CheckStochastic(over.Scores, 1e-6); err != nil {
 		t.Fatalf("Damping=1.5: %v", err)
 	}
@@ -461,13 +461,13 @@ func TestOptionsClampDamping(t *testing.T) {
 func TestOptionsClampEpsilonAndMaxIter(t *testing.T) {
 	// A negative epsilon can never be crossed; it must mean "no cutoff",
 	// exactly like the ExplicitZero sentinel.
-	r := PageRank(chain(), Options{Epsilon: -0.5, MaxIter: 7})
+	r := pageRank(chain(), Options{Epsilon: -0.5, MaxIter: 7})
 	if r.Converged || r.Iterations != 7 {
 		t.Fatalf("Epsilon=-0.5 must run exactly MaxIter sweeps: %+v", r)
 	}
 	// Negative MaxIter clamps to the default instead of returning the
 	// start vector untouched.
-	r = PageRank(chain(), Options{MaxIter: -3})
+	r = pageRank(chain(), Options{MaxIter: -3})
 	if !r.Converged {
 		t.Fatalf("MaxIter=-3 must clamp to the default and converge: %+v", r)
 	}

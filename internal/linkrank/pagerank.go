@@ -1,23 +1,23 @@
 // Package linkrank implements the link-analysis authority measures MASS
 // uses for the General-Links (GL) influence facet: PageRank (the paper's
-// chosen model, [3]) and HITS ([4]) as an alternative. Both operate on the
-// graph substrate and are convergence-controlled and deterministic.
+// chosen model, [3]), its personalized (topic-sensitive) variant, and HITS
+// ([4]) as an alternative. All are convergence-controlled and
+// deterministic.
 //
-// Every solver is a dense kernel over a frozen graph.CSR view (see
-// PageRankCSR and friends in dense.go): interned node indexes, ping-pong
-// score buffers, zero allocations per sweep, and sweeps optionally
-// edge-partitioned across Options.Workers with bit-for-bit deterministic
-// results. The map-based PageRank / PersonalizedPageRank / HITS entry
-// points below are compatibility wrappers that freeze the graph (cached on
-// it) and convert the dense result back to ID-keyed maps; hot paths should
-// call the CSR kernels directly and keep scores dense.
+// Every solver is a dense kernel over a frozen graph.CSR view
+// (PageRankCSR, PersonalizedPageRankCSR and HITSCSR in dense.go; a
+// graph.Directed freezes with its CSR method): interned node indexes,
+// ping-pong score buffers, zero allocations per sweep, and sweeps
+// optionally edge-partitioned across Options.Workers with bit-for-bit
+// deterministic results. Scores stay dense, aligned to the CSR's node
+// index; DenseResult.Map keys them by ID where a caller needs a map. The
+// link-update path (push.go) keeps a converged PageRank current under
+// edge deltas.
 package linkrank
 
 import (
 	"fmt"
 	"math"
-
-	"mass/internal/graph"
 )
 
 // ExplicitZero is a sentinel requesting a literal 0 for Damping or
@@ -38,7 +38,7 @@ type Options struct {
 	Damping float64
 	// Epsilon is the L1 convergence threshold. Default 1e-10. Set to
 	// ExplicitZero to disable the cutoff and always run MaxIter sweeps
-	// (Result.Converged then stays false). Any other negative value is
+	// (DenseResult.Converged then stays false). Any other negative value is
 	// clamped to 0, i.e. treated as "no cutoff" too — a negative threshold
 	// can never be crossed, so that is what it already meant numerically.
 	Epsilon float64
@@ -99,32 +99,6 @@ func (o Options) withDefaults() Options {
 		o.FallbackMass = 0
 	}
 	return o
-}
-
-// Result carries a converged score vector and solver diagnostics.
-type Result struct {
-	Scores     map[string]float64
-	Iterations int
-	Converged  bool
-}
-
-// PageRank computes the PageRank vector of g. Dangling nodes (no
-// out-edges) distribute their mass uniformly, the standard correction.
-// Scores sum to 1. An empty graph yields an empty result.
-//
-// This is the map-keyed wrapper over PageRankCSR: it freezes g (the CSR
-// view is cached on the graph until the next mutation) and materializes
-// the dense result as a map.
-func PageRank(g *graph.Directed, opts Options) Result {
-	return PageRankCSR(g.CSR(), opts).toResult()
-}
-
-// HITS computes hub and authority scores of g with L2 normalization each
-// sweep. Both vectors are normalized to unit L2 norm; an empty graph yields
-// empty results. Map-keyed wrapper over HITSCSR.
-func HITS(g *graph.Directed, opts Options) (auth, hub Result) {
-	da, dh := HITSCSR(g.CSR(), opts)
-	return da.toResult(), dh.toResult()
 }
 
 // CheckStochastic verifies that scores form a probability distribution

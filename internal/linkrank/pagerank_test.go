@@ -9,6 +9,45 @@ import (
 	"mass/internal/graph"
 )
 
+// mapResult is a solver result keyed by node ID, the shape the reference
+// solvers in dense_test.go return and these tests compare in.
+type mapResult struct {
+	Scores     map[string]float64
+	Iterations int
+	Converged  bool
+}
+
+func toMapResult(r DenseResult) mapResult {
+	return mapResult{Scores: r.Map(), Iterations: r.Iterations, Converged: r.Converged}
+}
+
+// pageRank, hits and personalizedPageRank run the dense kernels over g's
+// frozen CSR view and key the scores by node ID.
+func pageRank(g *graph.Directed, opts Options) mapResult {
+	return toMapResult(PageRankCSR(g.CSR(), opts))
+}
+
+func hits(g *graph.Directed, opts Options) (auth, hub mapResult) {
+	a, h := HITSCSR(g.CSR(), opts)
+	return toMapResult(a), toMapResult(h)
+}
+
+// personalizedPageRank densifies prefs over g's node index; unknown IDs
+// are dropped, and nil or empty prefs select plain PageRank.
+func personalizedPageRank(g *graph.Directed, prefs map[string]float64, opts Options) mapResult {
+	c := g.CSR()
+	var dense []float64
+	if len(prefs) > 0 {
+		dense = make([]float64, c.NumNodes())
+		for id, p := range prefs {
+			if i, ok := c.Index(id); ok {
+				dense[i] = p
+			}
+		}
+	}
+	return toMapResult(PersonalizedPageRankCSR(c, dense, opts))
+}
+
 func chain() *graph.Directed {
 	g := graph.New()
 	g.AddEdge("a", "b")
@@ -17,7 +56,7 @@ func chain() *graph.Directed {
 }
 
 func TestPageRankEmpty(t *testing.T) {
-	r := PageRank(graph.New(), Options{})
+	r := pageRank(graph.New(), Options{})
 	if len(r.Scores) != 0 || !r.Converged {
 		t.Fatalf("empty graph result = %+v", r)
 	}
@@ -26,14 +65,14 @@ func TestPageRankEmpty(t *testing.T) {
 func TestPageRankSingleNode(t *testing.T) {
 	g := graph.New()
 	g.AddNode("solo")
-	r := PageRank(g, Options{})
+	r := pageRank(g, Options{})
 	if math.Abs(r.Scores["solo"]-1) > 1e-9 {
 		t.Fatalf("single node score = %v, want 1", r.Scores["solo"])
 	}
 }
 
 func TestPageRankChainOrdering(t *testing.T) {
-	r := PageRank(chain(), Options{})
+	r := pageRank(chain(), Options{})
 	if !r.Converged {
 		t.Fatal("chain must converge")
 	}
@@ -50,7 +89,7 @@ func TestPageRankSymmetricCycle(t *testing.T) {
 	g.AddEdge("a", "b")
 	g.AddEdge("b", "c")
 	g.AddEdge("c", "a")
-	r := PageRank(g, Options{})
+	r := pageRank(g, Options{})
 	for _, id := range []string{"a", "b", "c"} {
 		if math.Abs(r.Scores[id]-1.0/3) > 1e-8 {
 			t.Fatalf("cycle scores must be uniform: %v", r.Scores)
@@ -63,7 +102,7 @@ func TestPageRankStarAuthority(t *testing.T) {
 	for _, s := range []string{"s1", "s2", "s3", "s4"} {
 		g.AddEdge(s, "hub")
 	}
-	r := PageRank(g, Options{})
+	r := pageRank(g, Options{})
 	if r.Scores["hub"] <= r.Scores["s1"]*2 {
 		t.Fatalf("hub must dominate spokes: %v", r.Scores)
 	}
@@ -74,7 +113,7 @@ func TestPageRankDanglingMassConserved(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("a", "b")
 	g.AddNode("c")
-	r := PageRank(g, Options{})
+	r := pageRank(g, Options{})
 	if err := CheckStochastic(r.Scores, 1e-8); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +122,7 @@ func TestPageRankDanglingMassConserved(t *testing.T) {
 func TestPageRankDampingExtremes(t *testing.T) {
 	g := chain()
 	// Tiny damping → nearly uniform.
-	r := PageRank(g, Options{Damping: 0.01})
+	r := pageRank(g, Options{Damping: 0.01})
 	for _, s := range r.Scores {
 		if math.Abs(s-1.0/3) > 0.02 {
 			t.Fatalf("low damping should be near-uniform: %v", r.Scores)
@@ -93,7 +132,7 @@ func TestPageRankDampingExtremes(t *testing.T) {
 
 func TestPageRankMaxIterStops(t *testing.T) {
 	g := chain()
-	r := PageRank(g, Options{MaxIter: 1, Epsilon: 1e-300})
+	r := pageRank(g, Options{MaxIter: 1, Epsilon: 1e-300})
 	if r.Converged || r.Iterations != 1 {
 		t.Fatalf("MaxIter=1 must stop unconverged after 1 iter: %+v", r)
 	}
@@ -103,13 +142,13 @@ func TestPageRankExplicitZeroDamping(t *testing.T) {
 	// Damping = 0 means pure teleport: every node scores exactly 1/n no
 	// matter the edges. The plain zero value must still mean 0.85.
 	g := chain()
-	r := PageRank(g, Options{Damping: ExplicitZero})
+	r := pageRank(g, Options{Damping: ExplicitZero})
 	for id, s := range r.Scores {
 		if math.Abs(s-1.0/3) > 1e-12 {
 			t.Fatalf("teleport-only score for %s = %v, want 1/3", id, s)
 		}
 	}
-	def := PageRank(g, Options{})
+	def := pageRank(g, Options{})
 	if math.Abs(def.Scores["c"]-1.0/3) < 1e-6 {
 		t.Fatalf("default damping must not be teleport-only: %v", def.Scores)
 	}
@@ -118,7 +157,7 @@ func TestPageRankExplicitZeroDamping(t *testing.T) {
 func TestPageRankExplicitZeroEpsilon(t *testing.T) {
 	// Epsilon = 0 disables the convergence cutoff: all MaxIter sweeps run
 	// and the result reports Converged = false.
-	r := PageRank(chain(), Options{Epsilon: ExplicitZero, MaxIter: 7})
+	r := pageRank(chain(), Options{Epsilon: ExplicitZero, MaxIter: 7})
 	if r.Converged || r.Iterations != 7 {
 		t.Fatalf("epsilon=0 must run exactly MaxIter sweeps: %+v", r)
 	}
@@ -148,8 +187,8 @@ func TestPageRankWarmStartSameFixedPoint(t *testing.T) {
 			g.AddEdge(from, to)
 		}
 	}
-	cold := PageRank(g, Options{})
-	warm := PageRank(g, Options{WarmDense: denseScores(g, cold.Scores)})
+	cold := pageRank(g, Options{})
+	warm := pageRank(g, Options{WarmDense: denseScores(g, cold.Scores)})
 	if !warm.Converged {
 		t.Fatal("warm start must converge")
 	}
@@ -170,8 +209,8 @@ func TestPageRankWarmStartPartialVector(t *testing.T) {
 	// Warm vectors from a smaller graph (short, with stale mass) must
 	// still be renormalized into a valid start and reach the fixed point.
 	g := chain()
-	cold := PageRank(g, Options{})
-	warm := PageRank(g, Options{WarmDense: []float64{0.9}})
+	cold := pageRank(g, Options{})
+	warm := pageRank(g, Options{WarmDense: []float64{0.9}})
 	for id, s := range cold.Scores {
 		if math.Abs(warm.Scores[id]-s) > 1e-8 {
 			t.Fatalf("partial warm start diverged for %s: %v vs %v", id, warm.Scores[id], s)
@@ -180,7 +219,7 @@ func TestPageRankWarmStartPartialVector(t *testing.T) {
 }
 
 func TestHITSChain(t *testing.T) {
-	auth, hub := HITS(chain(), Options{})
+	auth, hub := hits(chain(), Options{})
 	if !auth.Converged {
 		t.Fatal("HITS must converge on a chain")
 	}
@@ -198,7 +237,7 @@ func TestHITSStar(t *testing.T) {
 	for _, s := range []string{"s1", "s2", "s3"} {
 		g.AddEdge(s, "center")
 	}
-	auth, hub := HITS(g, Options{})
+	auth, hub := hits(g, Options{})
 	if auth.Scores["center"] < 0.99 {
 		t.Fatalf("center must hold nearly all authority: %v", auth.Scores)
 	}
@@ -210,7 +249,7 @@ func TestHITSStar(t *testing.T) {
 }
 
 func TestHITSEmpty(t *testing.T) {
-	auth, hub := HITS(graph.New(), Options{})
+	auth, hub := hits(graph.New(), Options{})
 	if len(auth.Scores) != 0 || len(hub.Scores) != 0 {
 		t.Fatal("empty graph must give empty HITS")
 	}
@@ -255,8 +294,8 @@ func TestPageRankProperty(t *testing.T) {
 		n := int(n8%20) + 1
 		e := int(e8 % 60)
 		g := randomGraph(seed, n, e)
-		r1 := PageRank(g, Options{})
-		r2 := PageRank(g, Options{})
+		r1 := pageRank(g, Options{})
+		r2 := pageRank(g, Options{})
 		if err := CheckStochastic(r1.Scores, 1e-6); err != nil {
 			return false
 		}
@@ -279,7 +318,7 @@ func TestHITSProperty(t *testing.T) {
 		n := int(n8%20) + 2
 		e := int(e8%60) + 1
 		g := randomGraph(seed, n, e)
-		auth, hub := HITS(g, Options{})
+		auth, hub := hits(g, Options{})
 		var norm float64
 		anyIn := false
 		for _, id := range g.Nodes() {

@@ -9,8 +9,8 @@ import (
 
 func TestPersonalizedFallsBackToUniform(t *testing.T) {
 	g := chain()
-	plain := PageRank(g, Options{})
-	pers := PersonalizedPageRank(g, nil, Options{})
+	plain := pageRank(g, Options{})
+	pers := personalizedPageRank(g, nil, Options{})
 	for id, s := range plain.Scores {
 		if math.Abs(pers.Scores[id]-s) > 1e-9 {
 			t.Fatalf("no-preference PPR must equal PageRank at %s: %v vs %v",
@@ -29,8 +29,8 @@ func TestPersonalizedBiasesTowardPreference(t *testing.T) {
 	g.AddEdge("b2", "b1")
 	g.AddEdge("a1", "b1")
 	g.AddEdge("b1", "a1")
-	uniform := PageRank(g, Options{})
-	pers := PersonalizedPageRank(g, map[string]float64{"a1": 1, "a2": 1}, Options{})
+	uniform := pageRank(g, Options{})
+	pers := personalizedPageRank(g, map[string]float64{"a1": 1, "a2": 1}, Options{})
 	if pers.Scores["a2"] <= uniform.Scores["a2"] {
 		t.Fatalf("preferred community must gain: %v vs %v",
 			pers.Scores["a2"], uniform.Scores["a2"])
@@ -46,7 +46,7 @@ func TestPersonalizedBiasesTowardPreference(t *testing.T) {
 
 func TestPersonalizedIgnoresUnknownAndNegative(t *testing.T) {
 	g := chain()
-	pers := PersonalizedPageRank(g, map[string]float64{
+	pers := personalizedPageRank(g, map[string]float64{
 		"ghost": 5, "a": -3, "b": 1,
 	}, Options{})
 	if err := CheckStochastic(pers.Scores, 1e-8); err != nil {
@@ -59,7 +59,7 @@ func TestPersonalizedIgnoresUnknownAndNegative(t *testing.T) {
 }
 
 func TestPersonalizedEmptyGraph(t *testing.T) {
-	r := PersonalizedPageRank(graph.New(), map[string]float64{"x": 1}, Options{})
+	r := personalizedPageRank(graph.New(), map[string]float64{"x": 1}, Options{})
 	if len(r.Scores) != 0 || !r.Converged {
 		t.Fatalf("empty graph: %+v", r)
 	}
@@ -68,7 +68,7 @@ func TestPersonalizedEmptyGraph(t *testing.T) {
 func TestPersonalizedDanglingMass(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("src", "sink") // sink dangles
-	r := PersonalizedPageRank(g, map[string]float64{"src": 1}, Options{})
+	r := personalizedPageRank(g, map[string]float64{"src": 1}, Options{})
 	if err := CheckStochastic(r.Scores, 1e-8); err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,8 @@ func Interest(weights map[string]float64) FieldRef {
 
 // EqualWeights builds the dropdown-mode interest vector: every selected
 // domain gets equal weight, with duplicates accumulating — the paper's
-// Fig. 3 option 2 semantics, shared by the advert endpoint and the CLIs.
+// Fig. 3 option 2 semantics, shared by the advert endpoint, the CLIs and
+// core.System.AdvertiseDomains.
 // Empty or unknown names are kept: they contribute zero to every dot
 // product, so sloppy client lists like ["Sports", ""] score identically
 // to the pre-engine path instead of failing validation.

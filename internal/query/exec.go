@@ -225,9 +225,9 @@ func (v *view) numGetter(f Field) (func(int) float64, error) {
 	return nil, fmt.Errorf("query: field %q has no %s accessor", f.Name, v.entity)
 }
 
-// dotRow is the weighted dot product of one dense domain row — the
-// FieldInterest accessor body, mirroring influence.Result.InterestScores
-// term order exactly.
+// dotRow is the weighted dot product of one dense domain row, summed in
+// slot order — the FieldInterest accessor body, and the one place the
+// advertisement and recommendation scores Inf(b, IV) · iv are computed.
 func dotRow(slab, w []float64, i int) float64 {
 	nd := len(w)
 	if nd == 0 || len(slab) == 0 {

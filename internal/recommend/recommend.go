@@ -1,18 +1,25 @@
-// Package recommend implements Application Scenario 2 of MASS:
-// personalized recommendation. For a new user, the domain interests are
-// mined from their free-text profile and the top-k influential bloggers in
-// those domains are recommended; an existing blogger can instead pick a
-// domain directly, or restrict the recommendation to their friend network
-// (paper §II "Scenario 2" and §IV).
+// Package recommend ranks bloggers for both application scenarios of
+// MASS. Scenario 1, advertisement targeting, mines an interest vector from
+// an ad text or takes it from a domain dropdown (Fig. 3); Scenario 2,
+// personalized recommendation, mines it from a new user's free-text
+// profile or an existing member's stored one, or takes one chosen domain
+// (paper §II and §IV). Either way a blogger's relevance is the dot product
+// of their domain influence Inf(b, IV) with the interest vector, and
+// ForInterest ranks it with one canned query (package query): the same
+// executor the HTTP API and the CLIs run. A member can also restrict the
+// recommendation to their friend network, or rank a domain by link
+// authority instead.
 package recommend
 
 import (
 	"fmt"
+	"slices"
 
 	"mass/internal/blog"
 	"mass/internal/classify"
 	"mass/internal/influence"
 	"mass/internal/linkrank"
+	"mass/internal/query"
 	"mass/internal/rank"
 )
 
@@ -41,19 +48,45 @@ type Recommendation struct {
 	Score   float64
 }
 
+// ForInterest recommends the top-k bloggers for an interest vector iv by
+// Inf(b, iv) = Inf(b, IV) · iv, ties broken by ascending ID. It runs the
+// canned query Bloggers().OrderBy(DescInterest(iv)).Limit(k), so k is
+// capped at query.MaxLimit. An empty iv expresses no interest: the
+// ranking falls back to overall influence Inf(b), as the demo does when
+// no domain is selected. k <= 0, or a weight that is not finite, yields
+// nil.
+func (r *Recommender) ForInterest(iv map[string]float64, k int) []Recommendation {
+	if k <= 0 {
+		return nil
+	}
+	order := query.DescInterest(iv)
+	if len(iv) == 0 {
+		order = query.Desc(query.FieldInfluence)
+	}
+	res, err := query.Execute(r.corpus, r.result, query.Bloggers().OrderBy(order).Limit(k).Build())
+	if err != nil {
+		// With k > 0 and a non-empty iv, the query is invalid only for a
+		// non-finite weight, which ranks no one.
+		return nil
+	}
+	out := make([]Recommendation, len(res.Rows))
+	for i, row := range res.Rows {
+		out[i] = Recommendation{Blogger: blog.BloggerID(row.ID), Score: row.Score}
+	}
+	return out
+}
+
 // ForProfile recommends top-k influential bloggers for a new user's
 // free-text profile: the profile's domain distribution weights each
 // blogger's domain influence vector.
 func (r *Recommender) ForProfile(profile string, k int) []Recommendation {
-	iv := r.classifier.Classify(profile)
-	return r.rankByVector(iv, k, nil)
+	return r.ForInterest(r.classifier.Classify(profile), k)
 }
 
 // ForDomain recommends the top-k influential bloggers of one chosen domain
 // (the existing-blogger flow in the demo).
 func (r *Recommender) ForDomain(domain string, k int) []Recommendation {
-	iv := map[string]float64{domain: 1}
-	return r.rankByVector(iv, k, nil)
+	return r.ForInterest(map[string]float64{domain: 1}, k)
 }
 
 // DomainAuthority recommends the top-k bloggers of one domain by
@@ -82,9 +115,13 @@ func (r *Recommender) ForBlogger(id blog.BloggerID, k int) ([]Recommendation, er
 	if !ok {
 		return nil, fmt.Errorf("recommend: unknown blogger %q", id)
 	}
-	iv := r.classifier.Classify(b.Profile)
-	exclude := map[blog.BloggerID]bool{id: true}
-	return r.rankByVector(iv, k, exclude), nil
+	if k <= 0 {
+		return nil, nil
+	}
+	// One extra row covers the member, who is dropped wherever they rank.
+	recs := r.ForInterest(r.classifier.Classify(b.Profile), k+1)
+	recs = slices.DeleteFunc(recs, func(rec Recommendation) bool { return rec.Blogger == id })
+	return recs[:min(k, len(recs))], nil
 }
 
 // WithinFriends recommends top-k bloggers for a domain restricted to the
@@ -104,16 +141,6 @@ func (r *Recommender) WithinFriends(id blog.BloggerID, domain string, radius, k 
 		scores[string(b)] = r.result.DomainScore(b, domain)
 	}
 	return toRecommendations(rank.TopK(scores, k)), nil
-}
-
-func (r *Recommender) rankByVector(iv map[string]float64, k int, exclude map[blog.BloggerID]bool) []Recommendation {
-	// Dot products run over the result's dense domain slab; the exclusion
-	// set (at most the requesting member) is pruned afterwards.
-	scores := r.result.InterestScores(iv)
-	for b := range exclude {
-		delete(scores, string(b))
-	}
-	return toRecommendations(rank.TopK(scores, k))
 }
 
 func toRecommendations(entries []rank.Entry) []Recommendation {

@@ -73,6 +73,26 @@ func TestForProfile(t *testing.T) {
 	}
 }
 
+func TestForInterestEdgeCases(t *testing.T) {
+	f := setup(t)
+	// No interest falls back to the general ranking, scores included.
+	got, want := f.rec.ForInterest(nil, 4), f.res.TopGeneral(4)
+	if len(got) != len(want) {
+		t.Fatalf("general fallback: %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if string(got[i].Blogger) != want[i].ID || got[i].Score != want[i].Score {
+			t.Fatalf("general fallback row %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got := f.rec.ForInterest(map[string]float64{lexicon.Art: math.NaN()}, 3); got != nil {
+		t.Fatalf("non-finite weight ranked %v", got)
+	}
+	if got := f.rec.ForInterest(map[string]float64{lexicon.Art: 1}, 0); got != nil {
+		t.Fatalf("k = 0 ranked %v", got)
+	}
+}
+
 func TestForDomainMatchesResultTopK(t *testing.T) {
 	f := setup(t)
 	recs := f.rec.ForDomain(lexicon.Travel, 5)

@@ -8,12 +8,19 @@
 // similarity, each cluster becomes a domain, and the cluster's top terms
 // become its label. The discovered domains plug into the rest of MASS
 // through the same Classifier interface as the predefined ones.
+//
+// The vocabulary is interned once, in sorted term order, and every
+// similarity sums over term indices in ascending order. Floating-point
+// sums therefore never depend on map iteration order, so equal seeds give
+// bit-identical models.
 package topic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -64,14 +71,14 @@ type Topic struct {
 	// Size is the number of assigned documents.
 	Size int
 	// centroid is the TF-IDF mean of member documents.
-	centroid textutil.TermVector
+	centroid centroid
 }
 
 // Model is a fitted topic model. It satisfies classify.Classifier so the
 // discovered domains can replace the predefined ones anywhere in MASS.
 type Model struct {
 	Topics []Topic
-	idf    map[string]float64
+	vocab  vocabulary
 	// Assignments[i] is the topic index of input document i.
 	Assignments []int
 	// Iterations is how many Lloyd sweeps ran before convergence.
@@ -79,6 +86,97 @@ type Model struct {
 }
 
 var _ classify.Classifier = (*Model)(nil)
+
+// vocabulary interns the terms that survived document-frequency pruning:
+// terms[i] is term i, in sorted order, and idf[i] its inverse document
+// frequency.
+type vocabulary struct {
+	index map[string]int
+	terms []string
+	idf   []float64
+}
+
+// vector is text's sparse TF-IDF vector over the vocabulary.
+func (voc vocabulary) vector(text string) sparse {
+	tf := textutil.NewTermVector(text)
+	var v sparse
+	for t := range tf {
+		if i, ok := voc.index[t]; ok {
+			v.idx = append(v.idx, i)
+		}
+	}
+	slices.Sort(v.idx)
+	v.val = make([]float64, len(v.idx))
+	var s float64
+	for j, i := range v.idx {
+		v.val[j] = tf[voc.terms[i]] * voc.idf[i]
+		s += v.val[j] * v.val[j]
+	}
+	v.norm = math.Sqrt(s)
+	return v
+}
+
+// sparse is a document vector: ascending term indices, their weights, and
+// the Euclidean norm.
+type sparse struct {
+	idx  []int
+	val  []float64
+	norm float64
+}
+
+// dense expands v into a centroid over n terms.
+func (v sparse) dense(n int) centroid {
+	w := make([]float64, n)
+	for j, i := range v.idx {
+		w[i] = v.val[j]
+	}
+	return newCentroid(w)
+}
+
+// centroid is a dense vector over the vocabulary and its norm.
+type centroid struct {
+	w    []float64
+	norm float64
+}
+
+func newCentroid(w []float64) centroid {
+	var s float64
+	for _, x := range w {
+		s += x * x
+	}
+	return centroid{w: w, norm: math.Sqrt(s)}
+}
+
+// cosine is the cosine similarity of v and c, or 0 when either is empty.
+func cosine(v sparse, c centroid) float64 {
+	if v.norm == 0 || c.norm == 0 {
+		return 0
+	}
+	var dot float64
+	for j, i := range v.idx {
+		dot += v.val[j] * c.w[i]
+	}
+	return dot / (v.norm * c.norm)
+}
+
+// topTerms returns the n highest-weight terms of c in descending weight
+// order, ties alphabetical.
+func (voc vocabulary) topTerms(c centroid, n int) []string {
+	var idx []int
+	for i, w := range c.w {
+		if w != 0 {
+			idx = append(idx, i)
+		}
+	}
+	// Indices ascend with the term, so a stable sort by weight breaks ties
+	// alphabetically.
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(c.w[b], c.w[a]) })
+	out := make([]string, min(n, len(idx)))
+	for j := range out {
+		out[j] = voc.terms[idx[j]]
+	}
+	return out
+}
 
 // Discover clusters the documents into cfg.K topics.
 func Discover(docs []string, cfg Config) (*Model, error) {
@@ -92,29 +190,28 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 
 	// TF-IDF vectors with document-frequency pruning.
 	df := map[string]int{}
-	raw := make([]textutil.TermVector, len(docs))
-	for i, d := range docs {
-		raw[i] = textutil.NewTermVector(d)
-		for t := range raw[i] {
+	for _, d := range docs {
+		for t := range textutil.NewTermVector(d) {
 			df[t]++
 		}
 	}
-	idf := map[string]float64{}
-	n := float64(len(docs))
+	var voc vocabulary
 	for t, d := range df {
 		if d >= cfg.MinDocFreq {
-			idf[t] = logf(1 + n/float64(d))
+			voc.terms = append(voc.terms, t)
 		}
 	}
-	vecs := make([]textutil.TermVector, len(docs))
-	for i, v := range raw {
-		w := textutil.TermVector{}
-		for t, tf := range v {
-			if weight, ok := idf[t]; ok {
-				w[t] = tf * weight
-			}
-		}
-		vecs[i] = w
+	sort.Strings(voc.terms)
+	voc.index = make(map[string]int, len(voc.terms))
+	voc.idf = make([]float64, len(voc.terms))
+	n := float64(len(docs))
+	for i, t := range voc.terms {
+		voc.index[t] = i
+		voc.idf[i] = math.Log(1 + n/float64(df[t]))
+	}
+	vecs := make([]sparse, len(docs))
+	for i, d := range docs {
+		vecs[i] = voc.vector(d)
 	}
 
 	// Multi-restart Lloyd: each restart seeds differently (restart 0 uses
@@ -124,7 +221,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 	// are reproducible.
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var bestAssign []int
-	var bestCentroids []textutil.TermVector
+	var bestCentroids []centroid
 	bestObj := -1.0
 	bestIters := 0
 	for r := 0; r < cfg.Restarts; r++ {
@@ -134,7 +231,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 		} else {
 			first = rng.Intn(len(vecs))
 		}
-		seeds := seedCentroids(vecs, cfg.K, first, rng)
+		seeds := seedCentroids(vecs, len(voc.terms), cfg.K, first, rng)
 		assign, centroids, iters := lloyd(vecs, seeds, cfg.MaxIter)
 		obj := cohesion(vecs, assign, centroids)
 		if obj > bestObj {
@@ -145,7 +242,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 		}
 	}
 
-	model := &Model{idf: idf, Iterations: bestIters}
+	model := &Model{vocab: voc, Iterations: bestIters}
 	assign, centroids := bestAssign, bestCentroids
 	model.Assignments = assign
 	model.Topics = make([]Topic, cfg.K)
@@ -154,7 +251,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 		counts[a]++
 	}
 	for c := range model.Topics {
-		terms := centroids[c].TopTerms(cfg.LabelTerms)
+		terms := voc.topTerms(centroids[c], cfg.LabelTerms)
 		model.Topics[c] = Topic{
 			Label:    strings.Join(terms, "/"),
 			Terms:    terms,
@@ -179,17 +276,11 @@ func (m *Model) Labels() []string {
 // Classify implements classify.Classifier: cosine similarities to topic
 // centroids normalized into a distribution (uniform when no overlap).
 func (m *Model) Classify(text string) map[string]float64 {
-	v := textutil.NewTermVector(text)
-	w := textutil.TermVector{}
-	for t, tf := range v {
-		if weight, ok := m.idf[t]; ok {
-			w[t] = tf * weight
-		}
-	}
+	v := m.vocab.vector(text)
 	out := make(map[string]float64, len(m.Topics))
 	var sum float64
 	for _, t := range m.Topics {
-		s := w.Cosine(t.centroid)
+		s := cosine(v, t.centroid)
 		out[t.Label] += s // += guards against duplicate labels
 		sum += s
 	}
@@ -238,8 +329,9 @@ func (m *Model) Purity(labels []string) (float64, error) {
 
 // lloyd runs k-means assignment/update sweeps until stable (or maxIter),
 // with empty clusters reseeded from the worst-fitting document.
-func lloyd(vecs []textutil.TermVector, centroids []textutil.TermVector, maxIter int) (assign []int, outCentroids []textutil.TermVector, iters int) {
+func lloyd(vecs []sparse, centroids []centroid, maxIter int) (assign []int, outCentroids []centroid, iters int) {
 	k := len(centroids)
+	dim := len(centroids[0].w)
 	assign = make([]int, len(vecs))
 	for iter := 1; iter <= maxIter; iter++ {
 		iters = iter
@@ -247,7 +339,7 @@ func lloyd(vecs []textutil.TermVector, centroids []textutil.TermVector, maxIter 
 		for i, v := range vecs {
 			best, bestSim := 0, -1.0
 			for c, cen := range centroids {
-				if sim := v.Cosine(cen); sim > bestSim {
+				if sim := cosine(v, cen); sim > bestSim {
 					best, bestSim = c, sim
 				}
 			}
@@ -256,28 +348,30 @@ func lloyd(vecs []textutil.TermVector, centroids []textutil.TermVector, maxIter 
 				changed = true
 			}
 		}
-		sums := make([]textutil.TermVector, k)
+		sums := make([][]float64, k)
 		counts := make([]int, k)
 		for c := range sums {
-			sums[c] = textutil.TermVector{}
+			sums[c] = make([]float64, dim)
 		}
 		for i, v := range vecs {
-			sums[assign[i]].Add(v, 1)
+			for j, t := range v.idx {
+				sums[assign[i]][t] += v.val[j]
+			}
 			counts[assign[i]]++
 		}
+		next := make([]centroid, k)
 		for c := range sums {
 			if counts[c] == 0 {
 				// Empty cluster: reseed with the document farthest from
 				// its centroid (deterministic: lowest similarity wins).
 				worstI, worstSim := -1, 2.0
 				for i, v := range vecs {
-					if sim := v.Cosine(centroids[assign[i]]); sim < worstSim {
+					if sim := cosine(v, centroids[assign[i]]); sim < worstSim {
 						worstI, worstSim = i, sim
 					}
 				}
 				if worstI >= 0 {
-					sums[c] = cloneVec(vecs[worstI])
-					counts[c] = 1
+					next[c] = vecs[worstI].dense(dim)
 					assign[worstI] = c
 					changed = true
 				}
@@ -286,8 +380,9 @@ func lloyd(vecs []textutil.TermVector, centroids []textutil.TermVector, maxIter 
 			for t := range sums[c] {
 				sums[c][t] /= float64(counts[c])
 			}
+			next[c] = newCentroid(sums[c])
 		}
-		centroids = sums
+		centroids = next
 		if !changed {
 			break
 		}
@@ -297,43 +392,44 @@ func lloyd(vecs []textutil.TermVector, centroids []textutil.TermVector, maxIter 
 
 // cohesion is the mean cosine similarity of documents to their centroids
 // — the objective maximized across restarts.
-func cohesion(vecs []textutil.TermVector, assign []int, centroids []textutil.TermVector) float64 {
+func cohesion(vecs []sparse, assign []int, centroids []centroid) float64 {
 	if len(vecs) == 0 {
 		return 0
 	}
 	var total float64
 	for i, v := range vecs {
-		total += v.Cosine(centroids[assign[i]])
+		total += cosine(v, centroids[assign[i]])
 	}
 	return total / float64(len(vecs))
 }
 
 // longestDoc returns the index of the highest-norm vector.
-func longestDoc(vecs []textutil.TermVector) int {
+func longestDoc(vecs []sparse) int {
 	best, bestNorm := 0, -1.0
 	for i, v := range vecs {
-		if nv := v.Norm(); nv > bestNorm {
-			best, bestNorm = i, nv
+		if v.norm > bestNorm {
+			best, bestNorm = i, v.norm
 		}
 	}
 	return best
 }
 
-// seedCentroids picks K initial centroids: `first` first, then repeatedly
-// the document least similar to every chosen centroid (farthest-point).
-func seedCentroids(vecs []textutil.TermVector, k, first int, rng *rand.Rand) []textutil.TermVector {
-	chosen := make([]int, 0, k)
-	chosen = append(chosen, first)
+// seedCentroids picks K initial centroids over a vocabulary of dim terms:
+// `first` first, then repeatedly the document least similar to every
+// chosen centroid (farthest-point).
+func seedCentroids(vecs []sparse, dim, k, first int, rng *rand.Rand) []centroid {
+	chosen := []int{first}
+	out := []centroid{vecs[first].dense(dim)}
 	for len(chosen) < k {
 		bestI, bestScore := -1, 2.0
 		for i, v := range vecs {
-			if contains(chosen, i) {
+			if slices.Contains(chosen, i) {
 				continue
 			}
 			// Max similarity to any chosen centroid; minimize it.
 			maxSim := -1.0
-			for _, c := range chosen {
-				if sim := v.Cosine(vecs[c]); sim > maxSim {
+			for _, c := range out {
+				if sim := cosine(v, c); sim > maxSim {
 					maxSim = sim
 				}
 			}
@@ -347,29 +443,7 @@ func seedCentroids(vecs []textutil.TermVector, k, first int, rng *rand.Rand) []t
 			break
 		}
 		chosen = append(chosen, bestI)
-	}
-	out := make([]textutil.TermVector, len(chosen))
-	for i, c := range chosen {
-		out[i] = cloneVec(vecs[c])
+		out = append(out, vecs[bestI].dense(dim))
 	}
 	return out
 }
-
-func cloneVec(v textutil.TermVector) textutil.TermVector {
-	out := make(textutil.TermVector, len(v))
-	for t, w := range v {
-		out[t] = w
-	}
-	return out
-}
-
-func contains(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func logf(x float64) float64 { return math.Log(x) }

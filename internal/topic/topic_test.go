@@ -2,6 +2,7 @@ package topic
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,6 +75,33 @@ func TestDiscoverDeterministic(t *testing.T) {
 	for i := range m1.Assignments {
 		if m1.Assignments[i] != m2.Assignments[i] {
 			t.Fatal("same seed must give identical clustering")
+		}
+	}
+}
+
+// TestDiscoverReproducible: equal documents and seed give deeply equal
+// models — assignments, labels and every centroid weight — on a corpus
+// with enough near-ties that map-ordered float sums used to flip them.
+func TestDiscoverReproducible(t *testing.T) {
+	corpus, _, err := synth.Generate(synth.Config{Seed: 2025, Bloggers: 60, Posts: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []string
+	for _, pid := range corpus.PostIDs() {
+		docs = append(docs, corpus.Posts[pid].Body)
+	}
+	first, err := Discover(docs, Config{K: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		m, err := Discover(docs, Config{K: 10, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, m) {
+			t.Fatalf("run %d: same documents and seed gave a different model", run+2)
 		}
 	}
 }
