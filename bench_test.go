@@ -444,7 +444,7 @@ func BenchmarkQueryExecute(b *testing.B) {
 // over a changed link graph — what a flush pays whenever the link epoch
 // moved:
 //
-//	csr-cold          — BuildCSR + serial dense solve from the uniform
+//	csr-cold          — NewCSR + serial dense solve from the uniform
 //	                    start (the once-per-link-epoch worst case)
 //	csr-cached-cold   — cached CSR, serial dense solve (a flush whose
 //	                    epoch view is already built)
@@ -467,33 +467,26 @@ func BenchmarkPageRankCSR(b *testing.B) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("b%05d", i)
 	}
-	type edge struct{ from, to string }
-	edges := make([]edge, 0, edgeDraws)
+	from := make([]int32, 0, edgeDraws)
+	to := make([]int32, 0, edgeDraws)
 	for k := 0; k < edgeDraws; k++ {
-		from := ids[rng.Intn(nodes)]
-		to := ids[int(zipf.Uint64())]
-		if from != to {
-			edges = append(edges, edge{from, to})
+		f := int32(rng.Intn(nodes))
+		t := int32(zipf.Uint64())
+		if f != t {
+			from, to = append(from, f), append(to, t)
 		}
 	}
-	g := graph.New()
-	for _, id := range ids {
-		g.AddNode(id)
-	}
-	for _, e := range edges {
-		g.AddEdge(e.from, e.to)
-	}
-	csr := graph.BuildCSR(g)
+	csr := graph.NewCSR(ids, from, to)
 	warm := linkrank.PageRankCSR(csr, linkrank.Options{})
 	if !warm.Converged {
 		b.Fatal("synthetic graph did not converge")
 	}
-	b.Logf("graph: %d nodes, %d edges (deduplicated)", g.NumNodes(), g.NumEdges())
+	b.Logf("graph: %d nodes, %d edges (deduplicated)", csr.NumNodes(), csr.NumEdges())
 
 	b.Run("csr-cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := linkrank.PageRankCSR(graph.BuildCSR(g), linkrank.Options{})
+			r := linkrank.PageRankCSR(graph.NewCSR(ids, from, to), linkrank.Options{})
 			if !r.Converged {
 				b.Fatal("did not converge")
 			}

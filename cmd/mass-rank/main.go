@@ -49,7 +49,7 @@ func main() {
 	}
 	fmt.Printf("corpus: %s\n", sys.Stats())
 	if *nets {
-		fmt.Printf("link graph:       %s\n", netstats.Analyze(netstats.LinkGraph(sys.Corpus())))
+		fmt.Printf("link graph:       %s\n", netstats.Analyze(sys.Corpus().LinkCSR()))
 		fmt.Printf("post-reply graph: %s\n", netstats.Analyze(netstats.CommentGraph(sys.Corpus())))
 	}
 	res := sys.Result()

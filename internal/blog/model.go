@@ -224,6 +224,25 @@ func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
 		return &LinkView{epoch: c.linkEpoch, lineage: c.journal.Lineage, nLinks: len(c.Links), delta: d}
 	}
 
+	csr := c.BloggerGraph(func(add func(from, to BloggerID)) {
+		for _, l := range c.Links {
+			add(l.From, l.To)
+		}
+	})
+	return &LinkView{
+		epoch:   c.linkEpoch,
+		lineage: c.journal.Lineage,
+		nLinks:  len(c.Links),
+		delta:   graph.NewDeltaCSR(csr),
+	}
+}
+
+// BloggerGraph freezes the blogger-to-blogger edges that edges passes to
+// add into a CSR whose nodes are the corpus's bloggers in sorted-ID order,
+// so dense index i is position i of BloggerIDs. Parallel edges collapse.
+// An edge with an endpoint outside the blogger set, which only a corpus
+// that fails Validate can hold, is dropped.
+func (c *Corpus) BloggerGraph(edges func(add func(from, to BloggerID))) *graph.CSR {
 	bloggers := c.BloggerIDs()
 	ids := make([]string, len(bloggers))
 	idx := make(map[BloggerID]int32, len(bloggers))
@@ -231,24 +250,16 @@ func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
 		ids[i] = string(id)
 		idx[id] = int32(i)
 	}
-	from := make([]int32, 0, len(c.Links))
-	to := make([]int32, 0, len(c.Links))
-	for _, l := range c.Links {
-		fi, okF := idx[l.From]
-		ti, okT := idx[l.To]
-		if !okF || !okT {
-			continue
+	var from, to []int32
+	edges(func(f, t BloggerID) {
+		fi, okF := idx[f]
+		ti, okT := idx[t]
+		if okF && okT {
+			from = append(from, fi)
+			to = append(to, ti)
 		}
-		from = append(from, fi)
-		to = append(to, ti)
-	}
-	csr := graph.NewCSR(ids, from, to)
-	return &LinkView{
-		epoch:   c.linkEpoch,
-		lineage: c.journal.Lineage,
-		nLinks:  len(c.Links),
-		delta:   graph.NewDeltaCSR(csr),
-	}
+	})
+	return graph.NewCSR(ids, from, to)
 }
 
 // LinkEpoch returns the corpus's link-graph mutation counter. Snapshots

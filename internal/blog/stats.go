@@ -94,52 +94,38 @@ func CommentEdges(c *Corpus) []CommentEdge {
 	return edges
 }
 
-// Neighborhood returns the set of bloggers within the given radius of seed
-// in the undirected post-reply ∪ friendship ∪ hyperlink network, including
-// seed itself. This implements the demo's "radius of network where the
-// crawling is performed" option.
+// Neighborhood returns the bloggers within the given radius of seed in the
+// undirected post-reply ∪ friendship ∪ hyperlink network, each with its
+// hop distance, seed itself at 0. This implements the demo's "radius of
+// network where the crawling is performed" option. The network is one
+// CSR of comment (commenter → author), link and friend edges, and the
+// walk follows its out-rows and in-rows together, so every edge counts in
+// both directions.
 func Neighborhood(c *Corpus, seed BloggerID, radius int) map[BloggerID]int {
 	dist := map[BloggerID]int{}
 	if _, ok := c.Bloggers[seed]; !ok {
 		return dist
 	}
-	adj := map[BloggerID]map[BloggerID]struct{}{}
-	addEdge := func(a, b BloggerID) {
-		if adj[a] == nil {
-			adj[a] = map[BloggerID]struct{}{}
-		}
-		if adj[b] == nil {
-			adj[b] = map[BloggerID]struct{}{}
-		}
-		adj[a][b] = struct{}{}
-		adj[b][a] = struct{}{}
-	}
-	for _, e := range CommentEdges(c) {
-		if e.Commenter != e.Author {
-			addEdge(e.Commenter, e.Author)
-		}
-	}
-	for _, l := range c.Links {
-		addEdge(l.From, l.To)
-	}
-	for id, b := range c.Bloggers {
-		for _, f := range b.Friends {
-			addEdge(id, f)
-		}
-	}
-	dist[seed] = 0
-	frontier := []BloggerID{seed}
-	for d := 1; d <= radius && len(frontier) > 0; d++ {
-		var next []BloggerID
-		for _, u := range frontier {
-			for v := range adj[u] {
-				if _, seen := dist[v]; !seen {
-					dist[v] = d
-					next = append(next, v)
-				}
+	g := c.BloggerGraph(func(add func(a, b BloggerID)) {
+		for _, p := range c.Posts {
+			for _, cm := range p.Comments {
+				add(cm.Commenter, p.Author)
 			}
 		}
-		frontier = next
+		for _, l := range c.Links {
+			add(l.From, l.To)
+		}
+		for id, b := range c.Bloggers {
+			for _, f := range b.Friends {
+				add(id, f)
+			}
+		}
+	})
+	s, _ := g.Index(string(seed))
+	for i, d := range g.Reach(s, radius) {
+		if d >= 0 {
+			dist[BloggerID(g.IDs[i])] = d
+		}
 	}
 	return dist
 }

@@ -23,8 +23,6 @@ import (
 type Options struct {
 	// Shards is the number of engine shards; < 1 is normalized to 1.
 	Shards int
-	// VirtualNodes per shard on the consistent-hash ring. Default 64.
-	VirtualNodes int
 	// Engine configures every shard engine identically (analysis options,
 	// flush debounce). Durability.Dir and Owns inside it are ignored:
 	// per-shard directories derive from DataDir, ownership from the ring.
@@ -36,9 +34,6 @@ type Options struct {
 	// ShardTimeout bounds how long a scatter waits for each shard before
 	// returning a degraded partial result. Default 2s.
 	ShardTimeout time.Duration
-	// ScatterWorkers bounds concurrent per-shard sub-queries. Default
-	// min(Shards, 8).
-	ScatterWorkers int
 	// FallbackMass bounds the residual L1 mass GlobalPageRank hands to the
 	// push solver; above it the merged graph is solved densely instead
 	// (counted in MergeFallbacks). Default 2.0 — hash partitioning keeps
@@ -63,9 +58,8 @@ type Options struct {
 	// against a transiently failing shard before it spills. Default 3.
 	IngestRetries int
 	// IngestRetryDelay is the initial retry backoff, doubling per attempt
-	// up to MaxIngestRetryDelay. Defaults 5ms / 100ms.
-	IngestRetryDelay    time.Duration
-	MaxIngestRetryDelay time.Duration
+	// up to maxIngestRetryDelay. Default 5ms.
+	IngestRetryDelay time.Duration
 	// SpillLimit caps each shard's spill queue (ops buffered while the
 	// shard is down); past it ingest sheds with OverloadError. Default
 	// 4096.
@@ -76,18 +70,20 @@ type Options struct {
 	ShardFS func(shard int) wal.FS
 }
 
+// maxScatterWorkers bounds concurrent per-shard sub-queries: a scatter
+// runs min(Shards, maxScatterWorkers) of them at once.
+const maxScatterWorkers = 8
+
+// maxIngestRetryDelay caps the doubling backoff of a routed write's
+// retries.
+const maxIngestRetryDelay = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
 		o.Shards = 1
 	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = DefaultVirtualNodes
-	}
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 2 * time.Second
-	}
-	if o.ScatterWorkers <= 0 {
-		o.ScatterWorkers = min(o.Shards, 8)
 	}
 	if o.FallbackMass == 0 {
 		o.FallbackMass = 2.0
@@ -106,9 +102,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IngestRetryDelay <= 0 {
 		o.IngestRetryDelay = 5 * time.Millisecond
-	}
-	if o.MaxIngestRetryDelay <= 0 {
-		o.MaxIngestRetryDelay = 100 * time.Millisecond
 	}
 	if o.SpillLimit <= 0 {
 		o.SpillLimit = 4096
@@ -215,13 +208,13 @@ func (cl *Cluster) shardFS(i int) wal.FS {
 // edge set replays from its own log.
 func New(c *blog.Corpus, opts Options) (*Cluster, error) {
 	opts = opts.withDefaults()
-	ring := NewRing(opts.Shards, opts.VirtualNodes)
+	ring := NewRing(opts.Shards, DefaultVirtualNodes)
 	cl := &Cluster{
 		opts:      opts,
 		ring:      ring,
 		boundary:  make(map[blog.Link]struct{}),
 		postOwner: make(map[blog.PostID]int),
-		sem:       make(chan struct{}, opts.ScatterWorkers),
+		sem:       make(chan struct{}, min(opts.Shards, maxScatterWorkers)),
 		supQuit:   make(chan struct{}),
 		supDone:   make(chan struct{}),
 		supKick:   make(chan struct{}, 1),
@@ -317,7 +310,7 @@ func (cl *Cluster) checkManifest() error {
 		return fmt.Errorf("cluster: %w", err)
 	}
 	path := filepath.Join(cl.opts.DataDir, "cluster.json")
-	want := manifest{Shards: cl.opts.Shards, VirtualNodes: cl.opts.VirtualNodes}
+	want := manifest{Shards: cl.opts.Shards, VirtualNodes: cl.ring.VirtualNodes()}
 	raw, err := os.ReadFile(path)
 	if err == nil {
 		var got manifest

@@ -16,10 +16,11 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the per-shard virtual-node count when Options
-// leaves it zero. 64 points per shard keeps the assignment imbalance and
-// the moved-key fraction under shard-count changes within a few percent of
-// ideal while the ring stays small enough to rebuild in microseconds.
+// DefaultVirtualNodes is the per-shard virtual-node count of every
+// cluster's ring (cluster.json records it). 64 points per shard keeps the
+// assignment imbalance and the moved-key fraction under shard-count
+// changes within a few percent of ideal while the ring stays small enough
+// to rebuild in microseconds.
 const DefaultVirtualNodes = 64
 
 // ringPoint is one virtual node on the hash circle.

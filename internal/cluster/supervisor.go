@@ -182,8 +182,8 @@ func (cl *Cluster) applyShard(sh *shardSlot, mode core.WriteMode, ops []wal.Op, 
 		}
 		if delay == 0 {
 			delay = cl.opts.IngestRetryDelay
-		} else if delay *= 2; delay > cl.opts.MaxIngestRetryDelay {
-			delay = cl.opts.MaxIngestRetryDelay
+		} else if delay *= 2; delay > maxIngestRetryDelay {
+			delay = maxIngestRetryDelay
 		}
 		time.Sleep(delay)
 	}

@@ -1,3 +1,11 @@
+// Package graph holds MASS's one graph type, the frozen CSR, and DeltaCSR,
+// its incremental overlay. Every network the system reads is a CSR: the
+// hyperlink graph that feeds GL (PageRank), the domain-personalized
+// PageRank and the Live Index baseline (blog.Corpus.LinkCSR), the
+// post-reply graph netstats measures, the undirected comment ∪ link ∪
+// friendship network blog.Neighborhood walks for the Fig. 4 network view
+// and the friend-network recommendation, and the tag co-occurrence graph
+// of taginterest.
 package graph
 
 import (
@@ -61,9 +69,9 @@ func (c *CSR) In(i int) []int32 { return c.InFrom[c.InOff[i]:c.InOff[i+1]] }
 // NewCSR builds a CSR over the given node IDs and edge list. ids must be
 // unique (they become the dense order verbatim — pass a sorted slice for
 // the deterministic-order contract); from[k]→to[k] are dense-index edge
-// pairs. Parallel edges collapse, matching Directed.AddEdge semantics;
-// self-loops are kept. NewCSR panics on out-of-range indexes or duplicate
-// IDs — both are programmer errors, like an out-of-bounds slice index.
+// pairs. Parallel edges collapse; self-loops are kept. NewCSR panics on
+// out-of-range indexes or duplicate IDs — both are programmer errors, like
+// an out-of-bounds slice index.
 func NewCSR(ids []string, from, to []int32) *CSR {
 	n := len(ids)
 	if len(from) != len(to) {
@@ -146,36 +154,70 @@ func NewCSR(ids []string, from, to []int32) *CSR {
 	return c
 }
 
-// BuildCSR freezes g into a fresh CSR with nodes in lexicographic ID order
-// (the same deterministic order the solvers have always used). Use
-// (*Directed).CSR for the cached variant.
-func BuildCSR(g *Directed) *CSR {
-	ids := g.SortedNodes()
-	idx := make(map[string]int32, len(ids))
-	for i, id := range ids {
-		idx[id] = int32(i)
-	}
-	from := make([]int32, 0, len(g.edges))
-	to := make([]int32, 0, len(g.edges))
-	for e := range g.edges {
-		from = append(from, idx[e[0]])
-		to = append(to, idx[e[1]])
-	}
-	return NewCSR(ids, from, to)
+// HasEdge reports whether the edge i→j exists, by binary search over i's
+// sorted out-row.
+func (c *CSR) HasEdge(i, j int) bool {
+	_, ok := slices.BinarySearch(c.Out(i), int32(j))
+	return ok
 }
 
-// CSR returns the frozen CSR view of g, built on first use and cached
-// until the next mutation. Concurrent calls on an unchanging graph are
-// safe (racing builders produce identical views and one wins); mutating
-// the graph concurrently with anything else is not, as everywhere on
-// Directed.
-func (g *Directed) CSR() *CSR {
-	if c := g.csr.Load(); c != nil {
-		return c
+// Components returns the weakly connected components — edges taken in
+// both directions — as dense node sets, each ascending. The largest comes
+// first; components of equal size are ordered by their smallest node.
+func (c *CSR) Components() [][]int32 {
+	seen := make([]bool, c.NumNodes())
+	var comps [][]int32
+	for s := range seen {
+		if seen[s] {
+			continue
+		}
+		// Starts ascend, so s is its component's smallest node.
+		seen[s] = true
+		comp := []int32{int32(s)}
+		for k := 0; k < len(comp); k++ {
+			u := int(comp[k])
+			for _, row := range [2][]int32{c.Out(u), c.In(u)} {
+				for _, v := range row {
+					if !seen[v] {
+						seen[v] = true
+						comp = append(comp, v)
+					}
+				}
+			}
+		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
 	}
-	c := BuildCSR(g)
-	g.csr.Store(c)
-	return c
+	slices.SortStableFunc(comps, func(a, b []int32) int { return len(b) - len(a) })
+	return comps
+}
+
+// Reach returns the hop distance from seed to every node within radius,
+// walking out-rows and in-rows together so every edge counts in both
+// directions. dist[i] is -1 for a node farther than radius; seed itself
+// is at 0 for any radius.
+func (c *CSR) Reach(seed, radius int) []int {
+	dist := make([]int, c.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[seed] = 0
+	frontier := []int32{int32(seed)}
+	for d := 1; d <= radius && len(frontier) > 0; d++ {
+		var next []int32
+		for _, u := range frontier {
+			for _, row := range [2][]int32{c.Out(int(u)), c.In(int(u))} {
+				for _, v := range row {
+					if dist[v] < 0 {
+						dist[v] = d
+						next = append(next, v)
+					}
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
 }
 
 // Validate checks the CSR layout invariants; it guards hand-built views in

@@ -6,36 +6,45 @@ import (
 	"testing"
 )
 
-// buildRandom returns a messy directed graph: duplicate AddEdge calls,
-// self-loops, isolated nodes (dangling and disconnected).
-func buildRandom(seed int64, n, e int) *Directed {
+// randomEdges returns a messy edge list over n nodes — duplicate edges,
+// self-loops, isolated nodes (dangling and disconnected) — as the dense
+// pairs NewCSR takes, plus the distinct edges as an independent set of
+// ID pairs for the reference checks.
+func randomEdges(seed int64, n, e int) (ids []string, from, to []int32, set map[[2]string]bool) {
 	rng := rand.New(rand.NewSource(seed))
-	g := New()
 	for i := 0; i < n; i++ {
-		g.AddNode(fmt.Sprintf("n%03d", i))
+		ids = append(ids, fmt.Sprintf("n%03d", i))
 	}
-	nodes := g.Nodes()
+	set = map[[2]string]bool{}
 	for i := 0; i < e; i++ {
-		a := nodes[rng.Intn(len(nodes))]
-		b := nodes[rng.Intn(len(nodes))]
-		g.AddEdge(a, b) // self-loops allowed at the graph layer
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		reps := 1
 		if rng.Intn(4) == 0 {
-			g.AddEdge(a, b) // duplicate, must collapse
+			reps = 2 // duplicate, must collapse
 		}
+		for ; reps > 0; reps-- {
+			from, to = append(from, a), append(to, b)
+		}
+		set[[2]string{ids[a], ids[b]}] = true
 	}
-	return g
+	return ids, from, to, set
 }
 
 func TestCSRMatchesDirected(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		g := buildRandom(seed, 30, 90)
-		c := g.CSR()
+		ids, from, to, set := randomEdges(seed, 30, 90)
+		c := NewCSR(ids, from, to)
 		if err := c.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-			t.Fatalf("csr %d nodes / %d edges, graph has %d / %d",
-				c.NumNodes(), c.NumEdges(), g.NumNodes(), g.NumEdges())
+		if c.NumNodes() != len(ids) || c.NumEdges() != len(set) {
+			t.Fatalf("csr %d nodes / %d edges, reference has %d / %d",
+				c.NumNodes(), c.NumEdges(), len(ids), len(set))
+		}
+		outDeg, inDeg := map[string]int{}, map[string]int{}
+		for e := range set {
+			outDeg[e[0]]++
+			inDeg[e[1]]++
 		}
 		prev := ""
 		for i, id := range c.IDs {
@@ -46,17 +55,22 @@ func TestCSRMatchesDirected(t *testing.T) {
 			if j, ok := c.Index(id); !ok || j != i {
 				t.Fatalf("Index(%q) = %d,%v, want %d", id, j, ok, i)
 			}
-			if c.OutDegree(i) != g.OutDegree(id) || c.InDegree(i) != g.InDegree(id) {
+			if c.OutDegree(i) != outDeg[id] || c.InDegree(i) != inDeg[id] {
 				t.Fatalf("degree mismatch for %q", id)
 			}
 			for _, jj := range c.Out(i) {
-				if !g.HasEdge(id, c.IDs[jj]) {
-					t.Fatalf("csr edge %q→%q not in graph", id, c.IDs[jj])
+				if !set[[2]string{id, c.IDs[jj]}] {
+					t.Fatalf("csr edge %q→%q not in reference", id, c.IDs[jj])
 				}
 			}
 			for _, jj := range c.In(i) {
-				if !g.HasEdge(c.IDs[jj], id) {
-					t.Fatalf("csr in-edge %q→%q not in graph", c.IDs[jj], id)
+				if !set[[2]string{c.IDs[jj], id}] {
+					t.Fatalf("csr in-edge %q→%q not in reference", c.IDs[jj], id)
+				}
+			}
+			for j, jd := range c.IDs {
+				if c.HasEdge(i, j) != set[[2]string{id, jd}] {
+					t.Fatalf("HasEdge(%q, %q) disagrees with reference", id, jd)
 				}
 			}
 		}
@@ -74,27 +88,25 @@ func TestCSRMatchesDirected(t *testing.T) {
 }
 
 func TestCSREmptyAndSingle(t *testing.T) {
-	c := New().CSR()
+	c := NewCSR(nil, nil, nil)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if c.NumNodes() != 0 || c.NumEdges() != 0 || len(c.OutOff) != 1 {
+	if c.NumNodes() != 0 || c.NumEdges() != 0 || len(c.OutOff) != 1 || len(c.Components()) != 0 {
 		t.Fatalf("empty csr = %+v", c)
 	}
-	g := New()
-	g.AddNode("solo")
-	c = g.CSR()
+	c = NewCSR([]string{"solo"}, nil, nil)
 	if c.NumNodes() != 1 || len(c.Dangling) != 1 || c.Dangling[0] != 0 {
 		t.Fatalf("single-node csr = %+v", c)
+	}
+	if d := c.Reach(0, 3); len(d) != 1 || d[0] != 0 {
+		t.Fatalf("single-node Reach = %v", d)
 	}
 }
 
 func TestCSRSelfLoopAndDuplicate(t *testing.T) {
-	g := New()
-	g.AddEdge("a", "a")
-	g.AddEdge("a", "b")
-	g.AddEdge("a", "b")
-	c := g.CSR()
+	// a→a, a→b, a→b over [a b].
+	c := NewCSR([]string{"a", "b"}, []int32{0, 0, 0}, []int32{0, 1, 1})
 	if c.NumEdges() != 2 {
 		t.Fatalf("want 2 deduplicated edges, got %d", c.NumEdges())
 	}
@@ -102,26 +114,6 @@ func TestCSRSelfLoopAndDuplicate(t *testing.T) {
 	bi, _ := c.Index("b")
 	if c.OutDegree(ai) != 2 || c.InDegree(ai) != 1 || c.InDegree(bi) != 1 {
 		t.Fatalf("self-loop adjacency wrong: %+v", c)
-	}
-}
-
-func TestCSRCachedUntilMutation(t *testing.T) {
-	g := buildRandom(7, 10, 20)
-	c1 := g.CSR()
-	if c2 := g.CSR(); c2 != c1 {
-		t.Fatal("unchanged graph must return the cached CSR")
-	}
-	g.AddEdge("n000", "n001x")
-	c3 := g.CSR()
-	if c3 == c1 {
-		t.Fatal("mutation must invalidate the cached CSR")
-	}
-	if _, ok := c3.Index("n001x"); !ok {
-		t.Fatal("rebuilt CSR is missing the new node")
-	}
-	g.AddNode("zzz")
-	if c4 := g.CSR(); c4 == c3 {
-		t.Fatal("AddNode must invalidate the cached CSR")
 	}
 }
 

@@ -5,8 +5,8 @@
 // deterministic.
 //
 // Every solver is a dense kernel over a frozen graph.CSR view
-// (PageRankCSR, PersonalizedPageRankCSR and HITSCSR in dense.go; a
-// graph.Directed freezes with its CSR method): interned node indexes,
+// (PageRankCSR, PersonalizedPageRankCSR and HITSCSR in dense.go):
+// interned node indexes,
 // ping-pong score buffers, zero allocations per sweep, and sweeps
 // optionally edge-partitioned across Options.Workers with bit-for-bit
 // deterministic results. Scores stay dense, aligned to the CSR's node

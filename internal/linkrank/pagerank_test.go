@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"mass/internal/graph"
 )
 
 // mapResult is a solver result keyed by node ID, the shape the reference
@@ -23,18 +21,18 @@ func toMapResult(r DenseResult) mapResult {
 
 // pageRank, hits and personalizedPageRank run the dense kernels over g's
 // frozen CSR view and key the scores by node ID.
-func pageRank(g *graph.Directed, opts Options) mapResult {
+func pageRank(g *refGraph, opts Options) mapResult {
 	return toMapResult(PageRankCSR(g.CSR(), opts))
 }
 
-func hits(g *graph.Directed, opts Options) (auth, hub mapResult) {
+func hits(g *refGraph, opts Options) (auth, hub mapResult) {
 	a, h := HITSCSR(g.CSR(), opts)
 	return toMapResult(a), toMapResult(h)
 }
 
 // personalizedPageRank densifies prefs over g's node index; unknown IDs
 // are dropped, and nil or empty prefs select plain PageRank.
-func personalizedPageRank(g *graph.Directed, prefs map[string]float64, opts Options) mapResult {
+func personalizedPageRank(g *refGraph, prefs map[string]float64, opts Options) mapResult {
 	c := g.CSR()
 	var dense []float64
 	if len(prefs) > 0 {
@@ -48,22 +46,22 @@ func personalizedPageRank(g *graph.Directed, prefs map[string]float64, opts Opti
 	return toMapResult(PersonalizedPageRankCSR(c, dense, opts))
 }
 
-func chain() *graph.Directed {
-	g := graph.New()
+func chain() *refGraph {
+	g := newRefGraph()
 	g.AddEdge("a", "b")
 	g.AddEdge("b", "c")
 	return g
 }
 
 func TestPageRankEmpty(t *testing.T) {
-	r := pageRank(graph.New(), Options{})
+	r := pageRank(newRefGraph(), Options{})
 	if len(r.Scores) != 0 || !r.Converged {
 		t.Fatalf("empty graph result = %+v", r)
 	}
 }
 
 func TestPageRankSingleNode(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	g.AddNode("solo")
 	r := pageRank(g, Options{})
 	if math.Abs(r.Scores["solo"]-1) > 1e-9 {
@@ -85,7 +83,7 @@ func TestPageRankChainOrdering(t *testing.T) {
 }
 
 func TestPageRankSymmetricCycle(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	g.AddEdge("a", "b")
 	g.AddEdge("b", "c")
 	g.AddEdge("c", "a")
@@ -98,7 +96,7 @@ func TestPageRankSymmetricCycle(t *testing.T) {
 }
 
 func TestPageRankStarAuthority(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	for _, s := range []string{"s1", "s2", "s3", "s4"} {
 		g.AddEdge(s, "hub")
 	}
@@ -110,7 +108,7 @@ func TestPageRankStarAuthority(t *testing.T) {
 
 func TestPageRankDanglingMassConserved(t *testing.T) {
 	// "b" is dangling; total mass must still sum to 1.
-	g := graph.New()
+	g := newRefGraph()
 	g.AddEdge("a", "b")
 	g.AddNode("c")
 	r := pageRank(g, Options{})
@@ -165,7 +163,7 @@ func TestPageRankExplicitZeroEpsilon(t *testing.T) {
 
 // denseScores reindexes map-keyed scores into the dense WarmDense layout
 // aligned to g's CSR node order.
-func denseScores(g *graph.Directed, scores map[string]float64) []float64 {
+func denseScores(g *refGraph, scores map[string]float64) []float64 {
 	csr := g.CSR()
 	dense := make([]float64, csr.NumNodes())
 	for i, id := range csr.IDs {
@@ -175,7 +173,7 @@ func denseScores(g *graph.Directed, scores map[string]float64) []float64 {
 }
 
 func TestPageRankWarmStartSameFixedPoint(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	rng := rand.New(rand.NewSource(5))
 	ids := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
 	for _, id := range ids {
@@ -233,7 +231,7 @@ func TestHITSChain(t *testing.T) {
 }
 
 func TestHITSStar(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	for _, s := range []string{"s1", "s2", "s3"} {
 		g.AddEdge(s, "center")
 	}
@@ -249,7 +247,7 @@ func TestHITSStar(t *testing.T) {
 }
 
 func TestHITSEmpty(t *testing.T) {
-	auth, hub := hits(graph.New(), Options{})
+	auth, hub := hits(newRefGraph(), Options{})
 	if len(auth.Scores) != 0 || len(hub.Scores) != 0 {
 		t.Fatal("empty graph must give empty HITS")
 	}
@@ -270,9 +268,9 @@ func TestCheckStochastic(t *testing.T) {
 	}
 }
 
-func randomGraph(seed int64, n, e int) *graph.Directed {
+func randomGraph(seed int64, n, e int) *refGraph {
 	rng := rand.New(rand.NewSource(seed))
-	g := graph.New()
+	g := newRefGraph()
 	for i := 0; i < n; i++ {
 		g.AddNode(string(rune('A' + i%26)))
 	}

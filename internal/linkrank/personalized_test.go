@@ -3,8 +3,6 @@ package linkrank
 import (
 	"math"
 	"testing"
-
-	"mass/internal/graph"
 )
 
 func TestPersonalizedFallsBackToUniform(t *testing.T) {
@@ -22,7 +20,7 @@ func TestPersonalizedFallsBackToUniform(t *testing.T) {
 func TestPersonalizedBiasesTowardPreference(t *testing.T) {
 	// Two symmetric communities joined weakly; teleporting into one must
 	// boost it.
-	g := graph.New()
+	g := newRefGraph()
 	g.AddEdge("a1", "a2")
 	g.AddEdge("a2", "a1")
 	g.AddEdge("b1", "b2")
@@ -59,14 +57,14 @@ func TestPersonalizedIgnoresUnknownAndNegative(t *testing.T) {
 }
 
 func TestPersonalizedEmptyGraph(t *testing.T) {
-	r := personalizedPageRank(graph.New(), map[string]float64{"x": 1}, Options{})
+	r := personalizedPageRank(newRefGraph(), map[string]float64{"x": 1}, Options{})
 	if len(r.Scores) != 0 || !r.Converged {
 		t.Fatalf("empty graph: %+v", r)
 	}
 }
 
 func TestPersonalizedDanglingMass(t *testing.T) {
-	g := graph.New()
+	g := newRefGraph()
 	g.AddEdge("src", "sink") // sink dangles
 	r := personalizedPageRank(g, map[string]float64{"src": 1}, Options{})
 	if err := CheckStochastic(r.Scores, 1e-8); err != nil {

@@ -1,15 +1,16 @@
 // Package netstats computes structural statistics of a blogosphere's
-// networks — the hyperlink graph and the post-reply graph — for the
-// workload reports that accompany every experiment: component structure,
+// networks — the hyperlink graph (blog.Corpus.LinkCSR) and the post-reply
+// graph (CommentGraph) — for mass-rank -netstats: component structure,
 // degree distribution with a power-law tail estimate, reciprocity, and
-// local clustering. The demo's visualization panel shows these networks;
+// local clustering. Both networks are graph.CSR views over the corpus's
+// sorted bloggers. The demo's visualization panel shows these networks;
 // netstats quantifies them.
 package netstats
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mass/internal/blog"
 	"mass/internal/graph"
@@ -35,48 +36,35 @@ type Report struct {
 	Clustering float64
 }
 
-// LinkGraph builds the blogger hyperlink graph of a corpus.
-func LinkGraph(c *blog.Corpus) *graph.Directed {
-	g := graph.New()
-	for _, id := range c.BloggerIDs() {
-		g.AddNode(string(id))
-	}
-	for _, l := range c.Links {
-		g.AddEdge(string(l.From), string(l.To))
-	}
-	return g
-}
-
-// CommentGraph builds the blogger post-reply graph (commenter → author).
-func CommentGraph(c *blog.Corpus) *graph.Directed {
-	g := graph.New()
-	for _, id := range c.BloggerIDs() {
-		g.AddNode(string(id))
-	}
-	for _, e := range blog.CommentEdges(c) {
-		if e.Commenter != e.Author {
-			g.AddEdge(string(e.Commenter), string(e.Author))
+// CommentGraph builds the blogger post-reply graph (commenter → author,
+// self-replies dropped) over the corpus's sorted bloggers. The hyperlink
+// graph needs no builder here: it is the corpus's cached c.LinkCSR().
+func CommentGraph(c *blog.Corpus) *graph.CSR {
+	return c.BloggerGraph(func(add func(from, to blog.BloggerID)) {
+		for _, p := range c.Posts {
+			for _, cm := range p.Comments {
+				if cm.Commenter != p.Author {
+					add(cm.Commenter, p.Author)
+				}
+			}
 		}
-	}
-	return g
+	})
 }
 
 // Analyze computes the structural report of a directed graph.
-func Analyze(g *graph.Directed) Report {
+func Analyze(g *graph.CSR) Report {
 	r := Report{Nodes: g.NumNodes(), Edges: g.NumEdges()}
 	if r.Nodes == 0 {
 		return r
 	}
-	comps := g.WeaklyConnectedComponents()
+	comps := g.Components()
 	r.Components = len(comps)
-	if len(comps) > 0 {
-		r.Largest = len(comps[0])
-	}
+	r.Largest = len(comps[0])
 
 	var degSum int
 	var tail []int
-	for _, id := range g.Nodes() {
-		d := g.InDegree(id)
+	for i := 0; i < r.Nodes; i++ {
+		d := g.InDegree(i)
 		degSum += d
 		if d > r.MaxInDegree {
 			r.MaxInDegree = d
@@ -91,9 +79,9 @@ func Analyze(g *graph.Directed) Report {
 	// Reciprocity.
 	if r.Edges > 0 {
 		recip := 0
-		for _, u := range g.Nodes() {
+		for u := 0; u < r.Nodes; u++ {
 			for _, v := range g.Out(u) {
-				if g.HasEdge(v, u) {
+				if g.HasEdge(int(v), u) {
 					recip++
 				}
 			}
@@ -101,36 +89,27 @@ func Analyze(g *graph.Directed) Report {
 		r.Reciprocity = float64(recip) / float64(r.Edges)
 	}
 
-	// Local clustering over the undirected projection.
-	u := g.Undirected()
+	// Local clustering over the undirected projection: a node's neighbors
+	// are its out- and in-row, deduplicated, without itself.
 	var ccSum float64
 	ccN := 0
-	for _, id := range u.Nodes() {
-		neigh := u.Out(id)
-		// Deduplicate and drop self.
-		set := map[string]bool{}
-		for _, v := range neigh {
-			if v != id {
-				set[v] = true
-			}
-		}
-		if len(set) < 2 {
+	var neigh []int32
+	for u := 0; u < r.Nodes; u++ {
+		neigh = append(append(neigh[:0], g.Out(u)...), g.In(u)...)
+		slices.Sort(neigh)
+		neigh = slices.DeleteFunc(slices.Compact(neigh), func(v int32) bool { return int(v) == u })
+		if len(neigh) < 2 {
 			continue
 		}
-		list := make([]string, 0, len(set))
-		for v := range set {
-			list = append(list, v)
-		}
-		sort.Strings(list)
 		links := 0
-		for i := 0; i < len(list); i++ {
-			for j := i + 1; j < len(list); j++ {
-				if u.HasEdge(list[i], list[j]) {
+		for i, a := range neigh {
+			for _, b := range neigh[i+1:] {
+				if g.HasEdge(int(a), int(b)) || g.HasEdge(int(b), int(a)) {
 					links++
 				}
 			}
 		}
-		possible := len(list) * (len(list) - 1) / 2
+		possible := len(neigh) * (len(neigh) - 1) / 2
 		ccSum += float64(links) / float64(possible)
 		ccN++
 	}

@@ -2,6 +2,7 @@ package netstats
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,19 +11,33 @@ import (
 	"mass/internal/synth"
 )
 
+// csrOf builds a CSR over the sorted union of nodes and the edges'
+// endpoints.
+func csrOf(nodes []string, edges ...[2]string) *graph.CSR {
+	ids := append([]string(nil), nodes...)
+	for _, e := range edges {
+		ids = append(ids, e[0], e[1])
+	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var from, to []int32
+	for _, e := range edges {
+		f, _ := slices.BinarySearch(ids, e[0])
+		t, _ := slices.BinarySearch(ids, e[1])
+		from, to = append(from, int32(f)), append(to, int32(t))
+	}
+	return graph.NewCSR(ids, from, to)
+}
+
 func TestAnalyzeEmpty(t *testing.T) {
-	r := Analyze(graph.New())
+	r := Analyze(graph.NewCSR(nil, nil, nil))
 	if r.Nodes != 0 || r.Edges != 0 || r.Components != 0 {
 		t.Fatalf("empty report = %+v", r)
 	}
 }
 
 func TestAnalyzeTriangle(t *testing.T) {
-	g := graph.New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "c")
-	g.AddEdge("c", "a")
-	r := Analyze(g)
+	r := Analyze(csrOf(nil, [2]string{"a", "b"}, [2]string{"b", "c"}, [2]string{"c", "a"}))
 	if r.Nodes != 3 || r.Edges != 3 || r.Components != 1 || r.Largest != 3 {
 		t.Fatalf("triangle report = %+v", r)
 	}
@@ -40,22 +55,14 @@ func TestAnalyzeTriangle(t *testing.T) {
 }
 
 func TestReciprocity(t *testing.T) {
-	g := graph.New()
-	g.AddEdge("a", "b")
-	g.AddEdge("b", "a")
-	g.AddEdge("a", "c")
-	r := Analyze(g)
+	r := Analyze(csrOf(nil, [2]string{"a", "b"}, [2]string{"b", "a"}, [2]string{"a", "c"}))
 	if math.Abs(r.Reciprocity-2.0/3) > 1e-12 {
 		t.Fatalf("reciprocity = %v, want 2/3", r.Reciprocity)
 	}
 }
 
 func TestComponents(t *testing.T) {
-	g := graph.New()
-	g.AddEdge("a", "b")
-	g.AddEdge("x", "y")
-	g.AddNode("lonely")
-	r := Analyze(g)
+	r := Analyze(csrOf([]string{"lonely"}, [2]string{"a", "b"}, [2]string{"x", "y"}))
 	if r.Components != 3 || r.Largest != 2 {
 		t.Fatalf("components = %+v", r)
 	}
@@ -79,7 +86,7 @@ func TestPowerLawAlpha(t *testing.T) {
 
 func TestGraphBuilders(t *testing.T) {
 	c := blog.Figure1Corpus()
-	lg := LinkGraph(c)
+	lg := c.LinkCSR()
 	if lg.NumNodes() != 9 || lg.NumEdges() != 8 {
 		t.Fatalf("link graph: %d nodes %d edges", lg.NumNodes(), lg.NumEdges())
 	}
@@ -96,7 +103,7 @@ func TestSyntheticIsHeavyTailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(LinkGraph(corpus))
+	r := Analyze(corpus.LinkCSR())
 	if r.Nodes != 200 {
 		t.Fatalf("nodes = %d", r.Nodes)
 	}

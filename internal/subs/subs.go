@@ -43,20 +43,19 @@ type Options struct {
 	// IdleTTL is how long a subscription may sit with no attached
 	// consumer and no Snapshot/resync activity before GC cancels it.
 	IdleTTL time.Duration
-	// GCInterval is how often idle subscriptions are collected.
-	GCInterval time.Duration
-	// EvalWorkers bounds how many subscriptions are evaluated in
-	// parallel per processed generation. Subscription evaluations are
-	// independent (per-subscription state is mutex-guarded, the delta
-	// and the generation are read-only), so the fan-out shards
-	// across a pool. Default: GOMAXPROCS, capped at 8.
-	EvalWorkers int
 }
 
 const (
 	defaultBufferSize = 8
 	defaultIdleTTL    = 5 * time.Minute
-	defaultGCInterval = time.Minute
+	// gcInterval is how often idle subscriptions are collected.
+	gcInterval = time.Minute
+	// maxEvalWorkers caps how many subscriptions are evaluated in
+	// parallel per processed generation; the pool is GOMAXPROCS wide up
+	// to this cap. Subscription evaluations are independent
+	// (per-subscription state is mutex-guarded, the delta and the
+	// generation are read-only), so the fan-out shards across a pool.
+	maxEvalWorkers = 8
 )
 
 func (o Options) withDefaults() Options {
@@ -65,15 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.IdleTTL <= 0 {
 		o.IdleTTL = defaultIdleTTL
-	}
-	if o.GCInterval <= 0 {
-		o.GCInterval = defaultGCInterval
-	}
-	if o.EvalWorkers <= 0 {
-		o.EvalWorkers = runtime.GOMAXPROCS(0)
-		if o.EvalWorkers > 8 {
-			o.EvalWorkers = 8
-		}
 	}
 	return o
 }
@@ -91,8 +81,8 @@ type Stats struct {
 // Hub is the subscription registry and fan-out pump. Publish hands it a
 // generation and returns immediately — a worker goroutine picks it up,
 // computes the publish delta once, and shards subscription evaluation
-// across an EvalWorkers pool; a 1-slot latest-wins mailbox between
-// publisher and worker guarantees the flush path never waits on
+// across a pool of at most maxEvalWorkers; a 1-slot latest-wins mailbox
+// between publisher and worker guarantees the flush path never waits on
 // subscription work. If generations outpace the worker, intermediate
 // ones are skipped; the delta is computed by exact state comparison
 // between the last processed and the newest generation, so skipping is
@@ -151,7 +141,7 @@ func (h *Hub) Publish(gen Generation) {
 // subscriptions, exit on shutdown.
 func (h *Hub) run() {
 	defer close(h.done)
-	gc := time.NewTicker(h.opts.GCInterval)
+	gc := time.NewTicker(gcInterval)
 	defer gc.Stop()
 	for {
 		select {
@@ -193,10 +183,7 @@ func (h *Hub) process(gen Generation) {
 	// at registration cannot fail against a later generation of the same
 	// schema; if it somehow does, the subscription goes stale and the
 	// client's gap detection forces a resync.
-	workers := h.opts.EvalWorkers
-	if workers > len(targets) {
-		workers = len(targets)
-	}
+	workers := min(runtime.GOMAXPROCS(0), maxEvalWorkers, len(targets))
 	if workers <= 1 {
 		for _, s := range targets {
 			_ = h.evalSub(s, gen, d)

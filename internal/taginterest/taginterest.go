@@ -5,10 +5,11 @@
 //
 // Posts carry folksonomy tags. Tags that frequently co-occur on the same
 // posts form an interest: the discovery builds the tag co-occurrence
-// graph, prunes edges below a support threshold, and takes the connected
-// components as interest groups. Each group is then scored per blogger by
-// how much of their tagging activity falls inside it, giving both the
-// group's topic signature (its tags) and its community (its bloggers).
+// graph as a graph.CSR over the sorted tags, keeping only the pairs that
+// meet a support threshold, and takes its connected components as
+// interest groups. Each group is then scored per blogger by how much of
+// their tagging activity falls inside it, giving both the group's topic
+// signature (its tags) and its community (its bloggers).
 package taginterest
 
 import (
@@ -88,25 +89,35 @@ func Discover(c *blog.Corpus, cfg Config) ([]Group, error) {
 		return nil, fmt.Errorf("taginterest: corpus has no tags")
 	}
 
-	// Build the pruned co-occurrence graph and take components.
-	g := graph.New()
+	// Build the pruned co-occurrence graph over the sorted tags and take
+	// its components.
+	tags := make([]string, 0, len(tagCount))
 	for t := range tagCount {
-		g.AddNode(t)
+		tags = append(tags, t)
 	}
+	sort.Strings(tags)
+	idx := make(map[string]int32, len(tags))
+	for i, t := range tags {
+		idx[t] = int32(i)
+	}
+	var from, to []int32
 	for pair, n := range pairCount {
 		if n >= cfg.MinSupport {
-			g.AddEdge(pair[0], pair[1])
-			g.AddEdge(pair[1], pair[0])
+			from = append(from, idx[pair[0]])
+			to = append(to, idx[pair[1]])
 		}
 	}
+	g := graph.NewCSR(tags, from, to)
 	var groups []Group
-	for _, comp := range g.WeaklyConnectedComponents() {
-		if len(comp) < cfg.MinGroupTags {
+	for _, members := range g.Components() {
+		if len(members) < cfg.MinGroupTags {
 			continue
 		}
-		grp := Group{Tags: append([]string(nil), comp...)}
+		grp := Group{Tags: make([]string, len(members))}
 		inGroup := map[string]bool{}
-		for _, t := range comp {
+		for k, i := range members {
+			t := tags[i]
+			grp.Tags[k] = t
 			grp.Usage += tagCount[t]
 			inGroup[t] = true
 		}

@@ -25,7 +25,8 @@ type Config struct {
 	// Buckets is the number of time windows the corpus span is divided
 	// into. Default 8, minimum 2.
 	Buckets int
-	// TopEmerging bounds the emerging-blogger list. Default 5.
+	// TopEmerging bounds the emerging-blogger list. Default 5; a
+	// negative bound is an error.
 	TopEmerging int
 }
 
@@ -77,6 +78,9 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	cfg = cfg.withDefaults()
 	if cfg.Buckets < 2 {
 		return nil, fmt.Errorf("trend: need at least 2 buckets")
+	}
+	if cfg.TopEmerging < 0 {
+		return nil, fmt.Errorf("trend: emerging-blogger bound %d is negative", cfg.TopEmerging)
 	}
 	d := res.Dense()
 	posts := d.Posts

@@ -160,6 +160,10 @@ func TestTrendErrors(t *testing.T) {
 	if _, err := Analyze(risingCorpus(t), analyzed(t, risingCorpus(t)), Config{Buckets: 1}); err == nil {
 		t.Fatal("1 bucket must error")
 	}
+	// A negative emerging bound is an error, not a panic slicing the list.
+	if _, err := Analyze(risingCorpus(t), analyzed(t, risingCorpus(t)), Config{TopEmerging: -1}); err == nil {
+		t.Fatal("negative TopEmerging must error")
+	}
 	// Zero time span.
 	c2 := blog.NewCorpus()
 	_ = c2.AddBlogger(&blog.Blogger{ID: "a"})
