@@ -112,14 +112,11 @@ type LinkView struct {
 	delta   *graph.DeltaCSR
 
 	// flat is the lazily compacted plain-CSR rendering of the view, for
-	// consumers that need sorted rows (personalized PageRank, baselines)
-	// or a warm-sweep fallback. Built at most once per view; concurrent
+	// consumers that need sorted rows (baselines, GlobalPageRank) or a
+	// warm-sweep fallback. Built at most once per view; concurrent
 	// racing builders store equivalent results and one wins.
 	flat atomic.Pointer[graph.CSR]
 }
-
-// Epoch returns the link epoch the view was built at.
-func (v *LinkView) Epoch() uint64 { return v.epoch }
 
 // Delta returns the view's incremental overlay (immutable; do not mutate).
 func (v *LinkView) Delta() *graph.DeltaCSR { return v.delta }

@@ -236,43 +236,6 @@ func TestNeighborhoodRadius(t *testing.T) {
 	}
 }
 
-func TestSubcorpus(t *testing.T) {
-	c := Figure1Corpus()
-	members := Neighborhood(c, "Helen", 1) // Helen, Eddie, Jane, Amery
-	sub := Subcorpus(c, members)
-	if err := sub.Validate(); err != nil {
-		t.Fatalf("subcorpus invalid: %v", err)
-	}
-	if _, ok := sub.Bloggers["Helen"]; !ok {
-		t.Fatal("Helen missing from subcorpus")
-	}
-	if _, ok := sub.Bloggers["Leo"]; ok {
-		t.Fatal("Leo must not be in Helen's radius-1 subcorpus")
-	}
-	// post3 by Helen survives with both comments (Jane, Eddie in members).
-	p3, ok := sub.Posts["post3"]
-	if !ok || len(p3.Comments) != 2 {
-		t.Fatalf("post3 in subcorpus = %+v", p3)
-	}
-	// post1 by Amery survives, but only comments from members remain.
-	if p1, ok := sub.Posts["post1"]; ok {
-		for _, cm := range p1.Comments {
-			if _, in := members[cm.Commenter]; !in {
-				t.Fatalf("non-member comment leaked: %v", cm.Commenter)
-			}
-		}
-	}
-	// Links with one endpoint outside are dropped.
-	for _, l := range sub.Links {
-		if _, in := members[l.From]; !in {
-			t.Fatalf("link from non-member %v", l)
-		}
-		if _, in := members[l.To]; !in {
-			t.Fatalf("link to non-member %v", l)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	c := Figure1Corpus()
 	wc := func(s string) int { return len(strings.Fields(s)) }

@@ -103,39 +103,3 @@ func TestCorpusReindexIdempotentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: a Subcorpus over any neighborhood validates and is closed —
-// every referenced blogger is a member.
-func TestSubcorpusClosureProperty(t *testing.T) {
-	f := func(seed int64, radius8 uint8) bool {
-		c := arbCorpus(seed)
-		ids := c.BloggerIDs()
-		seedB := ids[0]
-		radius := int(radius8 % 4)
-		members := Neighborhood(c, seedB, radius)
-		sub := Subcorpus(c, members)
-		if sub.Validate() != nil {
-			return false
-		}
-		for id := range sub.Bloggers {
-			if _, in := members[id]; !in {
-				return false
-			}
-		}
-		for _, p := range sub.Posts {
-			if _, in := members[p.Author]; !in {
-				return false
-			}
-			for _, cm := range p.Comments {
-				if _, in := members[cm.Commenter]; !in {
-					return false
-				}
-			}
-		}
-		// The subcorpus never contains more posts than the original.
-		return len(sub.Posts) <= len(c.Posts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}

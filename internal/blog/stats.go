@@ -129,46 +129,3 @@ func Neighborhood(c *Corpus, seed BloggerID, radius int) map[BloggerID]int {
 	}
 	return dist
 }
-
-// Subcorpus extracts the induced sub-corpus on the given blogger set:
-// posts by members (comments from non-members dropped), links and
-// friendships with both endpoints inside. Used to analyze a friend
-// network rather than the whole blogosphere (demo §IV).
-func Subcorpus(c *Corpus, members map[BloggerID]int) *Corpus {
-	sub := NewCorpus()
-	for id := range members {
-		if b, ok := c.Bloggers[id]; ok {
-			nb := *b
-			nb.Friends = nil
-			for _, f := range b.Friends {
-				if _, in := members[f]; in {
-					nb.Friends = append(nb.Friends, f)
-				}
-			}
-			sub.Bloggers[nb.ID] = &nb
-		}
-	}
-	for _, pid := range c.PostIDs() {
-		p := c.Posts[pid]
-		if _, in := members[p.Author]; !in {
-			continue
-		}
-		np := *p
-		np.Comments = nil
-		for _, cm := range p.Comments {
-			if _, in := members[cm.Commenter]; in {
-				np.Comments = append(np.Comments, cm)
-			}
-		}
-		sub.Posts[np.ID] = &np
-	}
-	for _, l := range c.Links {
-		_, fromIn := members[l.From]
-		_, toIn := members[l.To]
-		if fromIn && toIn {
-			sub.Links = append(sub.Links, l)
-		}
-	}
-	sub.Reindex()
-	return sub
-}

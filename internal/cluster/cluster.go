@@ -34,12 +34,6 @@ type Options struct {
 	// ShardTimeout bounds how long a scatter waits for each shard before
 	// returning a degraded partial result. Default 2s.
 	ShardTimeout time.Duration
-	// FallbackMass bounds the residual L1 mass GlobalPageRank hands to the
-	// push solver; above it the merged graph is solved densely instead
-	// (counted in MergeFallbacks). Default 2.0 — hash partitioning keeps
-	// per-shard solves close enough to the global fixed point that the
-	// seeded residual stays well under this in steady state.
-	FallbackMass float64
 	// PageRank overrides the linkrank options for GlobalPageRank; zero
 	// values take the linkrank defaults.
 	PageRank linkrank.Options
@@ -70,6 +64,13 @@ type Options struct {
 	ShardFS func(shard int) wal.FS
 }
 
+// globalFallbackMass bounds the residual L1 mass GlobalPageRank hands to
+// the push solver unless its options set one; above it the merged graph is
+// solved densely instead (counted in MergeFallbacks). Hash partitioning
+// keeps per-shard solves close enough to the global fixed point that the
+// seeded residual stays well under this in steady state.
+const globalFallbackMass = 2.0
+
 // maxScatterWorkers bounds concurrent per-shard sub-queries: a scatter
 // runs min(Shards, maxScatterWorkers) of them at once.
 const maxScatterWorkers = 8
@@ -84,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ShardTimeout <= 0 {
 		o.ShardTimeout = 2 * time.Second
-	}
-	if o.FallbackMass == 0 {
-		o.FallbackMass = 2.0
 	}
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second

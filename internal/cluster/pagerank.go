@@ -33,9 +33,9 @@ type GlobalResult struct {
 // edge set), and the solution is recovered by seeding a push solver with
 // the per-shard solves — which already satisfy the balance equations
 // everywhere except around boundary endpoints — and draining the boundary
-// residual. When that residual exceeds the FallbackMass bound (mass
-// upheaval, e.g. right after a reshard-scale preload), it falls back to a
-// full dense solve of the merged CSR warm-started from the same seed,
+// residual. When that residual exceeds opts.FallbackMass (default
+// globalFallbackMass; mass upheaval, e.g. right after a reshard-scale
+// preload), it falls back to a full dense solve of the merged CSR warm-started from the same seed,
 // mirroring the single-engine delta-solver discipline. Either path yields
 // the same vector the single engine would compute, to solver tolerance.
 func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) {
@@ -124,7 +124,7 @@ func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) 
 
 	po := opts
 	if po.FallbackMass == 0 {
-		po.FallbackMass = cl.opts.FallbackMass
+		po.FallbackMass = globalFallbackMass
 	}
 	if po.Epsilon == 0 {
 		po.Epsilon = 1e-12

@@ -139,8 +139,8 @@ func FromCorpus(c *blog.Corpus, opts Options) (*System, error) {
 	return newSystem(c, opts, cl, an, nil, nil, 1, nil)
 }
 
-// LoadFile builds a System from an XML snapshot produced by SaveCorpus or
-// the crawler tooling.
+// LoadFile builds a System from an XML snapshot written by xmlstore.Save
+// (mass-synth, mass-crawl).
 func LoadFile(path string, opts Options) (*System, error) {
 	c, err := xmlstore.Load(path)
 	if err != nil {
@@ -237,11 +237,6 @@ func (s *System) Network(center blog.BloggerID, radius int, layoutSeed int64) (*
 	}
 	n.Layout(layoutSeed, 0)
 	return n, nil
-}
-
-// SaveCorpus writes the corpus snapshot as XML.
-func (s *System) SaveCorpus(path string) error {
-	return xmlstore.Save(path, s.corpus)
 }
 
 // Stats summarizes the corpus.

@@ -12,6 +12,7 @@ import (
 	"mass/internal/influence"
 	"mass/internal/lexicon"
 	"mass/internal/synth"
+	"mass/internal/xmlstore"
 )
 
 func TestFromCorpusFigure1(t *testing.T) {
@@ -98,7 +99,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Persistence round trip.
 	path := filepath.Join(t.TempDir(), "crawl.xml")
-	if err := sys.SaveCorpus(path); err != nil {
+	if err := xmlstore.Save(path, sys.Corpus()); err != nil {
 		t.Fatal(err)
 	}
 	sys2, err := LoadFile(path, Options{})

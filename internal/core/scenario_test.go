@@ -87,7 +87,7 @@ func sameRanking(t *testing.T, what string, got, want []recommend.Recommendation
 	}
 }
 
-func TestInterestVectorFindsSports(t *testing.T) {
+func TestAdvertClassifiedAsSports(t *testing.T) {
 	f := scenarioSystem(t)
 	if top, p := classify.Top(f.sys.Classifier().Classify(sportsAd)); top != lexicon.Sports {
 		t.Fatalf("ad classified as %s (p=%.2f), want Sports", top, p)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"mass/internal/lexicon"
 )
 
 // CSV writers: each figure-like result can dump its series as CSV for
@@ -104,6 +102,3 @@ func (r *OverlapResult) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// AllDomainsHeader is the canonical domain column order for CSV consumers.
-func AllDomainsHeader() []string { return lexicon.Domains() }

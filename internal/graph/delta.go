@@ -5,22 +5,22 @@ import (
 	"slices"
 )
 
-// DeltaCSR is an incremental overlay over a frozen base CSR: edge
-// insertions are accumulated as per-row appended target slices, edge
-// removals as a tombstone set over base edges, and every effective change
-// is recorded in an append-only op log so an incremental consumer (the
-// frontier push solver in internal/linkrank) can replay exactly the ops it
-// has not seen yet. The node set is fixed to the base's — callers that
-// need to add or remove nodes rebuild the base instead (that is the blog
-// layer's "full invalidation" fallback).
+// DeltaCSR is an insertion-only overlay over a frozen base CSR: edge
+// insertions are accumulated as per-row appended target slices, and every
+// insertion is recorded in an append-only op log so an incremental
+// consumer (the frontier push solver in internal/linkrank) can replay
+// exactly the edges it has not seen yet. The node set is fixed to the
+// base's, and edges are never removed: within one corpus lineage the link
+// graph only grows, and anything else (a new blogger, a reindex) rebuilds
+// the base instead — the blog layer's "full invalidation" fallback.
 //
 // Mutability contract: a DeltaCSR is mutated by exactly one writer
-// (AddEdge/RemoveEdge) and is safe for concurrent readers only once the
-// writer has stopped — the same freeze-after-build discipline as CSR. The
-// blog layer builds a fresh view per link epoch by Clone()+AddEdge, so
-// published views are immutable and snapshots can share them; Clone deep-
-// copies every overlay row, so extending a clone never disturbs readers of
-// the original.
+// (AddEdge) and is safe for concurrent readers only once the writer has
+// stopped — the same freeze-after-build discipline as CSR. The blog layer
+// builds a fresh view per link epoch by Clone()+AddEdge, so published
+// views are immutable and snapshots can share them; Clone deep-copies
+// every overlay row, so extending a clone never disturbs readers of the
+// original.
 //
 // When the overlay grows past a size ratio, Compact() merges it back into
 // a fresh base CSR whose offset/column arrays are byte-identical to
@@ -29,28 +29,18 @@ import (
 type DeltaCSR struct {
 	base *CSR
 	// adds holds the overlay out-rows: targets appended to row i, in
-	// insertion order, disjoint from the effective base row (an edge that
-	// exists un-tombstoned in the base is never also in adds).
+	// insertion order, disjoint from the base row.
 	adds map[int32][]int32
 	// addSet indexes every overlay edge for O(1) duplicate checks.
 	addSet map[int64]struct{}
-	// dels tombstones base edges; always a subset of the base edge set.
-	dels map[int64]struct{}
-	// delsPerRow counts tombstones per source so OutDegree stays O(1).
-	delsPerRow map[int32]int32
-	// log records every effective mutation since the base was frozen, in
-	// application order. Re-adding a tombstoned edge and re-removing an
-	// overlay edge are logged too: the log answers "which rows changed
-	// between op index a and b", not "what is the net delta".
-	log   []EdgeOp
-	nAdds int
+	// log records every inserted edge since the base was frozen, in
+	// insertion order; each entry is a distinct edge absent from the base.
+	log []EdgeOp
 }
 
-// EdgeOp is one effective overlay mutation.
+// EdgeOp is one edge insertion in the overlay's op log.
 type EdgeOp struct {
 	From, To int32
-	// Del marks a removal; insertions leave it false.
-	Del bool
 }
 
 // edgeKey packs a dense edge into one comparable map key.
@@ -61,11 +51,9 @@ func edgeKey(from, to int32) int64 {
 // NewDeltaCSR returns an empty overlay over base.
 func NewDeltaCSR(base *CSR) *DeltaCSR {
 	return &DeltaCSR{
-		base:       base,
-		adds:       map[int32][]int32{},
-		addSet:     map[int64]struct{}{},
-		dels:       map[int64]struct{}{},
-		delsPerRow: map[int32]int32{},
+		base:   base,
+		adds:   map[int32][]int32{},
+		addSet: map[int64]struct{}{},
 	}
 }
 
@@ -75,15 +63,15 @@ func (d *DeltaCSR) Base() *CSR { return d.base }
 // NumNodes returns the node count (fixed to the base's).
 func (d *DeltaCSR) NumNodes() int { return d.base.NumNodes() }
 
-// NumEdges returns the effective deduplicated edge count.
-func (d *DeltaCSR) NumEdges() int { return d.base.NumEdges() - len(d.dels) + d.nAdds }
+// NumEdges returns the deduplicated edge count: base edges plus inserts.
+func (d *DeltaCSR) NumEdges() int { return d.base.NumEdges() + len(d.log) }
 
-// OverlaySize reports how many effective ops the overlay has accumulated
-// since the base was frozen — the blog layer's compaction trigger.
+// OverlaySize reports how many edges the overlay has inserted since the
+// base was frozen — the blog layer's compaction trigger.
 func (d *DeltaCSR) OverlaySize() int { return len(d.log) }
 
 // Ops returns the append-only op log (shared; do not modify). Ops()[k:]
-// is exactly the mutations applied since the log was k long, which is how
+// is exactly the edges inserted since the log was k long, which is how
 // an incremental solver seeds its residual frontier.
 func (d *DeltaCSR) Ops() []EdgeOp { return d.log }
 
@@ -93,8 +81,8 @@ func (d *DeltaCSR) Index(id string) (int, bool) { return d.base.Index(id) }
 // IDs returns the dense node order, delegating to the base.
 func (d *DeltaCSR) IDs() []string { return d.base.IDs }
 
-// baseRowHasEdge reports whether from→to is a base edge (tombstoned or
-// not); base rows are sorted, so this is a binary search.
+// baseRowHasEdge reports whether from→to is a base edge; base rows are
+// sorted, so this is a binary search.
 func (d *DeltaCSR) baseRowHasEdge(from, to int32) bool {
 	row := d.base.Out(int(from))
 	_, ok := slices.BinarySearch(row, to)
@@ -111,119 +99,46 @@ func (d *DeltaCSR) checkEdge(from, to int32) {
 }
 
 // AddEdge records the insertion of from→to. It reports whether the edge
-// was actually new: inserting an edge that is already effectively present
-// is a no-op (parallel edges collapse, matching NewCSR semantics) and is
-// not logged. Re-adding a tombstoned base edge clears the tombstone.
+// was actually new: inserting an edge that is already present is a no-op
+// (parallel edges collapse, matching NewCSR semantics) and is not logged.
 func (d *DeltaCSR) AddEdge(from, to int32) bool {
-	d.checkEdge(from, to)
-	k := edgeKey(from, to)
-	if d.baseRowHasEdge(from, to) {
-		if _, gone := d.dels[k]; !gone {
-			return false // present in the base, not tombstoned
-		}
-		delete(d.dels, k)
-		if d.delsPerRow[from]--; d.delsPerRow[from] == 0 {
-			delete(d.delsPerRow, from)
-		}
-	} else {
-		if _, dup := d.addSet[k]; dup {
-			return false
-		}
-		d.addSet[k] = struct{}{}
-		d.adds[from] = append(d.adds[from], to)
-		d.nAdds++
+	if d.HasEdge(from, to) {
+		return false
 	}
+	d.addSet[edgeKey(from, to)] = struct{}{}
+	d.adds[from] = append(d.adds[from], to)
 	d.log = append(d.log, EdgeOp{From: from, To: to})
 	return true
 }
 
-// RemoveEdge records the removal of from→to. It reports whether the edge
-// was effectively present: removing an absent edge is a no-op and is not
-// logged. A base edge is tombstoned; an overlay edge is spliced out of
-// its row.
-func (d *DeltaCSR) RemoveEdge(from, to int32) bool {
-	d.checkEdge(from, to)
-	k := edgeKey(from, to)
-	if d.baseRowHasEdge(from, to) {
-		if _, gone := d.dels[k]; gone {
-			return false
-		}
-		d.dels[k] = struct{}{}
-		d.delsPerRow[from]++
-	} else {
-		if _, ok := d.addSet[k]; !ok {
-			return false
-		}
-		delete(d.addSet, k)
-		row := d.adds[from]
-		i := slices.Index(row, to)
-		row = slices.Delete(row, i, i+1)
-		if len(row) == 0 {
-			delete(d.adds, from)
-		} else {
-			d.adds[from] = row
-		}
-		d.nAdds--
-	}
-	d.log = append(d.log, EdgeOp{From: from, To: to, Del: true})
-	return true
-}
-
-// HasEdge reports whether from→to is effectively present: a non-tombstoned
-// base edge or an overlay insert. O(log deg) via the sorted base row.
+// HasEdge reports whether from→to is present: a base edge or an overlay
+// insert. O(log deg) via the sorted base row.
 func (d *DeltaCSR) HasEdge(from, to int32) bool {
 	d.checkEdge(from, to)
 	if d.baseRowHasEdge(from, to) {
-		_, gone := d.dels[edgeKey(from, to)]
-		return !gone
+		return true
 	}
 	_, ok := d.addSet[edgeKey(from, to)]
 	return ok
 }
 
-// OutDegree returns the effective out-degree of dense node i in O(1).
+// OutDegree returns the out-degree of dense node i in O(1).
 func (d *DeltaCSR) OutDegree(i int) int {
-	return d.base.OutDegree(i) - int(d.delsPerRow[int32(i)]) + len(d.adds[int32(i)])
+	return d.base.OutDegree(i) + len(d.adds[int32(i)])
 }
 
-// EachOut visits the effective successors of dense node i: the base row
-// with tombstones skipped, then the overlay appends in insertion order.
-// This is the row-visitor surface the push solver sweeps; unlike CSR.Out
-// the merged row is not sorted (appends come last), which no solver kernel
-// relies on — they only sum over the row.
+// EachOut visits the successors of dense node i: the base row, then the
+// overlay appends in insertion order. This is the row-visitor surface the
+// push solver sweeps; unlike CSR.Out the merged row is not sorted (appends
+// come last), which no solver kernel relies on — they only sum over the
+// row.
 func (d *DeltaCSR) EachOut(i int32, visit func(to int32)) {
-	row := d.base.Out(int(i))
-	if d.delsPerRow[i] == 0 {
-		for _, t := range row {
-			visit(t)
-		}
-	} else {
-		for _, t := range row {
-			if _, gone := d.dels[edgeKey(i, t)]; !gone {
-				visit(t)
-			}
-		}
+	for _, t := range d.base.Out(int(i)) {
+		visit(t)
 	}
 	for _, t := range d.adds[i] {
 		visit(t)
 	}
-}
-
-// Touched returns the affected node frontier: the dense indexes of every
-// node whose out-row changed since the base was frozen, ascending. These
-// are exactly the nodes whose out-column of the PageRank operator moved —
-// the seeds of a residual push.
-func (d *DeltaCSR) Touched() []int32 {
-	seen := make(map[int32]struct{}, len(d.log))
-	out := make([]int32, 0, len(d.log))
-	for _, op := range d.log {
-		if _, ok := seen[op.From]; !ok {
-			seen[op.From] = struct{}{}
-			out = append(out, op.From)
-		}
-	}
-	slices.Sort(out)
-	return out
 }
 
 // Clone returns an independent copy of the overlay sharing the frozen
@@ -233,13 +148,10 @@ func (d *DeltaCSR) Touched() []int32 {
 // view per link epoch while building the next epoch's view from it.
 func (d *DeltaCSR) Clone() *DeltaCSR {
 	c := &DeltaCSR{
-		base:       d.base,
-		adds:       make(map[int32][]int32, len(d.adds)),
-		addSet:     make(map[int64]struct{}, len(d.addSet)),
-		dels:       make(map[int64]struct{}, len(d.dels)),
-		delsPerRow: make(map[int32]int32, len(d.delsPerRow)),
-		log:        slices.Clip(slices.Clone(d.log)),
-		nAdds:      d.nAdds,
+		base:   d.base,
+		adds:   make(map[int32][]int32, len(d.adds)),
+		addSet: make(map[int64]struct{}, len(d.addSet)),
+		log:    slices.Clip(slices.Clone(d.log)),
 	}
 	for i, row := range d.adds {
 		c.adds[i] = slices.Clip(slices.Clone(row))
@@ -247,21 +159,15 @@ func (d *DeltaCSR) Clone() *DeltaCSR {
 	for k := range d.addSet {
 		c.addSet[k] = struct{}{}
 	}
-	for k := range d.dels {
-		c.dels[k] = struct{}{}
-	}
-	for i, n := range d.delsPerRow {
-		c.delsPerRow[i] = n
-	}
 	return c
 }
 
 // Compact merges the overlay into a fresh base CSR. The result is
 // byte-identical to NewCSR built from the equivalent full edge list
 // (asserted by FuzzDeltaCompaction): out-rows are produced by a linear
-// merge of the sorted base row (tombstones skipped) with the sorted
-// overlay row — no global re-sort — and in-rows by the same
-// sources-ascending transpose NewCSR uses.
+// merge of the sorted base row with the sorted overlay row — no global
+// re-sort — and in-rows by the same sources-ascending transpose NewCSR
+// uses.
 func (d *DeltaCSR) Compact() *CSR {
 	n := d.base.NumNodes()
 	c := &CSR{IDs: d.base.IDs, idx: d.base.idx}
@@ -270,8 +176,7 @@ func (d *DeltaCSR) Compact() *CSR {
 	c.OutTo = make([]int32, 0, d.NumEdges())
 	scratch := make([]int32, 0, 16)
 	for i := 0; i < n; i++ {
-		src := int32(i)
-		adds := append(scratch[:0], d.adds[src]...)
+		adds := append(scratch[:0], d.adds[int32(i)]...)
 		scratch = adds
 		slices.Sort(adds)
 		base := d.base.Out(i)
@@ -279,14 +184,8 @@ func (d *DeltaCSR) Compact() *CSR {
 		for bi < len(base) || ai < len(adds) {
 			switch {
 			case ai == len(adds) || (bi < len(base) && base[bi] < adds[ai]):
-				t := base[bi]
+				c.OutTo = append(c.OutTo, base[bi])
 				bi++
-				if d.delsPerRow[src] != 0 {
-					if _, gone := d.dels[edgeKey(src, t)]; gone {
-						continue
-					}
-				}
-				c.OutTo = append(c.OutTo, t)
 			default:
 				c.OutTo = append(c.OutTo, adds[ai])
 				ai++

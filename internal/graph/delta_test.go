@@ -37,11 +37,7 @@ func effectiveEdges(base *CSR, ops []EdgeOp) map[[2]int32]struct{} {
 		}
 	}
 	for _, op := range ops {
-		if op.Del {
-			delete(set, [2]int32{op.From, op.To})
-		} else {
-			set[[2]int32{op.From, op.To}] = struct{}{}
-		}
+		set[[2]int32{op.From, op.To}] = struct{}{}
 	}
 	return set
 }
@@ -58,34 +54,23 @@ func TestDeltaCSRAccessorsMatchModel(t *testing.T) {
 	d := NewDeltaCSR(base)
 
 	ops := []EdgeOp{
-		{From: 0, To: 4},            // overlay insert
-		{From: 1, To: 2, Del: true}, // tombstone a base edge
-		{From: 3, To: 3, Del: true}, // remove a self-loop → node 3 dangling
-		{From: 5, To: 1},            // previously dangling node gains an edge
-		{From: 1, To: 2},            // re-add the tombstoned base edge
-		{From: 0, To: 4, Del: true}, // remove the overlay insert again
-		{From: 2, To: 5},            // plain insert
+		{From: 0, To: 4}, // overlay insert
+		{From: 3, To: 1}, // second edge out of a self-loop row
+		{From: 5, To: 1}, // previously dangling node gains an edge
+		{From: 5, To: 5}, // overlay self-loop
+		{From: 2, To: 5}, // plain insert
 	}
 	for _, op := range ops {
-		var changed bool
-		if op.Del {
-			changed = d.RemoveEdge(op.From, op.To)
-		} else {
-			changed = d.AddEdge(op.From, op.To)
-		}
-		if !changed {
+		if !d.AddEdge(op.From, op.To) {
 			t.Fatalf("op %+v reported no-op, want effective", op)
 		}
 	}
-	// No-ops: present edge, absent edge, duplicate overlay edge.
+	// No-ops: present base edge, duplicate overlay edge.
 	if d.AddEdge(0, 1) {
-		t.Fatal("AddEdge of a live base edge must be a no-op")
-	}
-	if d.RemoveEdge(4, 4) {
-		t.Fatal("RemoveEdge of an absent edge must be a no-op")
+		t.Fatal("AddEdge of a base edge must be a no-op")
 	}
 	if d.AddEdge(2, 5) {
-		t.Fatal("AddEdge of a live overlay edge must be a no-op")
+		t.Fatal("AddEdge of an overlay edge must be a no-op")
 	}
 	if got := len(d.Ops()); got != len(ops) {
 		t.Fatalf("log holds %d ops, want %d (no-ops must not be logged)", got, len(ops))
@@ -109,11 +94,12 @@ func TestDeltaCSRAccessorsMatchModel(t *testing.T) {
 		if got := d.OutDegree(int(i)); got != len(want) {
 			t.Fatalf("OutDegree(%d) = %d, want %d", i, got, len(want))
 		}
-	}
-
-	wantTouched := []int32{0, 1, 2, 3, 5}
-	if got := d.Touched(); !slices.Equal(got, wantTouched) {
-		t.Fatalf("Touched() = %v, want %v", got, wantTouched)
+		for j := int32(0); int(j) < d.NumNodes(); j++ {
+			_, in := model[[2]int32{i, j}]
+			if d.HasEdge(i, j) != in {
+				t.Fatalf("HasEdge(%d, %d) = %v, want %v", i, j, !in, in)
+			}
+		}
 	}
 }
 
@@ -154,9 +140,9 @@ func TestDeltaCSRCompactMatchesRebuild(t *testing.T) {
 	d := NewDeltaCSR(base)
 	d.AddEdge(0, 3)
 	d.AddEdge(0, 0)
-	d.RemoveEdge(0, 1)
+	d.AddEdge(0, 2)
 	d.AddEdge(7, 6)
-	d.RemoveEdge(6, 5) // 6 becomes dangling
+	d.AddEdge(4, 5) // 4 was dangling
 	d.AddEdge(5, 5)
 	assertCompactEqualsRebuild(t, d)
 
@@ -175,7 +161,7 @@ func TestDeltaCSRCloneIsolation(t *testing.T) {
 	base := buildBase(t, 5, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	d := NewDeltaCSR(base)
 	d.AddEdge(0, 2)
-	d.RemoveEdge(1, 2)
+	d.AddEdge(3, 0)
 
 	c := d.Clone()
 	before := sortedRow(d, 0)
@@ -184,8 +170,7 @@ func TestDeltaCSRCloneIsolation(t *testing.T) {
 	// Mutate the clone heavily; the original must be unaffected.
 	c.AddEdge(0, 3)
 	c.AddEdge(0, 4)
-	c.AddEdge(1, 2) // un-tombstone in the clone only
-	c.RemoveEdge(0, 2)
+	c.AddEdge(4, 1) // a dangling row gains an edge in the clone only
 
 	if got := sortedRow(d, 0); !slices.Equal(got, before) {
 		t.Fatalf("original row 0 changed after clone mutation: %v → %v", before, got)
@@ -193,11 +178,11 @@ func TestDeltaCSRCloneIsolation(t *testing.T) {
 	if len(d.Ops()) != beforeOps {
 		t.Fatalf("original log grew after clone mutation: %d → %d", beforeOps, len(d.Ops()))
 	}
-	if got := sortedRow(d, 1); len(got) != 0 {
-		t.Fatalf("original tombstone lost: row 1 = %v", got)
+	if got := sortedRow(d, 4); len(got) != 0 {
+		t.Fatalf("original row 4 gained an edge: %v", got)
 	}
-	if got := sortedRow(c, 1); !slices.Equal(got, []int32{2}) {
-		t.Fatalf("clone un-tombstone failed: row 1 = %v", got)
+	if got := sortedRow(c, 4); !slices.Equal(got, []int32{1}) {
+		t.Fatalf("clone insert lost: row 4 = %v", got)
 	}
 	assertCompactEqualsRebuild(t, c)
 }
@@ -213,12 +198,7 @@ func TestDeltaCSRRandomizedVsModel(t *testing.T) {
 		base := buildBase(t, n, edges)
 		d := NewDeltaCSR(base)
 		for k := 0; k < rng.Intn(4*n); k++ {
-			f, to := int32(rng.Intn(n)), int32(rng.Intn(n))
-			if rng.Intn(3) == 0 {
-				d.RemoveEdge(f, to)
-			} else {
-				d.AddEdge(f, to)
-			}
+			d.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		model := effectiveEdges(base, d.Ops())
 		if d.NumEdges() != len(model) {
@@ -228,8 +208,8 @@ func TestDeltaCSRRandomizedVsModel(t *testing.T) {
 	}
 }
 
-// FuzzDeltaCompaction drives an arbitrary op sequence against an arbitrary
-// base graph and asserts the satellite contract: compaction produces
+// FuzzDeltaCompaction drives an arbitrary insertion sequence against an
+// arbitrary base graph and asserts the compaction contract: compaction produces
 // offset/column arrays byte-identical to NewCSR over the equivalent full
 // edge list.
 func FuzzDeltaCompaction(f *testing.F) {
@@ -238,21 +218,16 @@ func FuzzDeltaCompaction(f *testing.F) {
 	f.Add(uint8(9), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0xde})
 	f.Fuzz(func(t *testing.T, nRaw uint8, ops []byte) {
 		n := 1 + int(nRaw%12)
-		// Base edges come from the first half of ops, overlay ops from all
-		// of it, so the base and the delta overlap in interesting ways.
+		// Base edges come from the first half of ops, overlay inserts from
+		// all of it, so the base and the delta overlap in interesting ways.
 		var edges [][2]int32
 		for _, b := range ops[:len(ops)/2] {
 			edges = append(edges, [2]int32{int32(int(b>>4) % n), int32(int(b&0x0f) % n)})
 		}
 		base := buildBase(t, n, edges)
 		d := NewDeltaCSR(base)
-		for i, b := range ops {
-			f, to := int32(int(b>>4)%n), int32(int(b&0x0f)%n)
-			if i%3 == 2 || b&0x80 != 0 {
-				d.RemoveEdge(f, to)
-			} else {
-				d.AddEdge(f, to)
-			}
+		for _, b := range ops {
+			d.AddEdge(int32(int(b>>4)%n), int32(int(b&0x0f)%n))
 		}
 		model := effectiveEdges(base, d.Ops())
 		if d.NumEdges() != len(model) {

@@ -41,32 +41,19 @@ func (a *Analyzer) Analyze(c *blog.Corpus) (*Result, error) {
 	return a.analyze(c, nil, nil)
 }
 
-// AnalyzeWarm re-analyzes a corpus starting from a previous result's
-// blogger scores. When the corpus changed only incrementally (new posts,
-// comments, or links since prev), the fixed point is close to the old one
-// and the solver converges in far fewer sweeps — the incremental-update
-// path for a live system that re-scores as the crawler appends data. The
-// classifier posteriors of posts already present in prev are reused
-// verbatim (post bodies are immutable, so re-classifying them is pure
-// waste); only genuinely new posts hit the classifier, on the worker pool.
-// The final scores agree with a cold Analyze to within Epsilon (the fixed
-// point is unique; the sweep resolves it to that threshold either way),
-// and scores that moved by less than Epsilon keep the previous
-// generation's exact bits — so entities a flush did not genuinely perturb
-// stay bit-identical across generations, and exact-equality consumers
-// (publish deltas, standing subscriptions, caches) see change sets
-// proportional to the true perturbation.
-func (a *Analyzer) AnalyzeWarm(c *blog.Corpus, prev *Result) (*Result, error) {
-	return a.analyze(c, prev, nil)
-}
-
-// AnalyzeCached is the fully incremental path: on top of AnalyzeWarm's
-// solver warm start and posterior reuse, every expensive per-entity facet
-// — tokenization (word counts and novelty shingles), near-duplicate
-// novelty scores, comment sentiment, and the GL PageRank vector — is
-// carried in cache across calls, so a re-analysis after a small batch
-// only pays for the delta. The cache must be dedicated to one evolving
-// corpus lineage and must not be used concurrently; prev may be nil (the
+// AnalyzeCached is the incremental path. A previous result prev
+// warm-starts the fixed-point solver and lends its classifier posteriors
+// to posts the cache has not classified (post bodies are immutable). The
+// final scores agree with a cold Analyze to within Epsilon, and scores
+// that moved by less than StabilityEpsilon keep prev's exact bits, so
+// exact-equality consumers (publish deltas, standing subscriptions,
+// caches) see change sets proportional to the true perturbation. Every
+// expensive per-entity facet — tokenization (word counts and novelty
+// shingles), near-duplicate novelty scores, comment sentiment, and the GL
+// PageRank vector — is carried in cache across calls, so a re-analysis
+// after a small batch only pays for the delta. The cache must be
+// dedicated to one evolving corpus lineage and must not be used
+// concurrently; a nil cache reuses nothing but prev. prev may be nil (the
 // facets still reuse, only the solver starts cold, which keeps the result
 // bit-for-bit identical to Analyze). See Cache for the exact reuse and
 // reset rules.

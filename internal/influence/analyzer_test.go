@@ -295,7 +295,12 @@ func TestFigure1Analysis(t *testing.T) {
 	}
 	// Domain separation: post2 (Economics) belongs overwhelmingly to
 	// Economics per the classifier.
-	iv := res.PostDomainVector("post2")
+	pi, _ := res.PostIndex("post2")
+	nd := res.domains.Len()
+	iv := map[string]float64{}
+	for di, p := range res.postDomains[pi*nd : (pi+1)*nd] {
+		iv[res.domains.names[di]] = p
+	}
 	if top2, _ := classify.Top(iv); top2 != lexicon.Economics {
 		t.Fatalf("post2 classified as %v, want Economics (iv=%v)", top2, iv)
 	}

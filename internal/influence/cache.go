@@ -352,8 +352,8 @@ func rowsIn[K cmp.Ordered](cur, old []K) []int32 {
 }
 
 // seedPosteriors copies classifier posteriors from a previous result into
-// slots the cache has not classified — how AnalyzeWarm's throwaway cache
-// reuses prev's posteriors. rows maps the current sorted posts to prev's
+// slots the cache has not classified — how a fresh or reset cache reuses
+// prev's posteriors. rows maps the current sorted posts to prev's
 // (see rowsIn).
 func (ch *Cache) seedPosteriors(prev *Result, rows []int32) {
 	if !prev.hasDomains || prev.domains == nil {

@@ -50,7 +50,7 @@ type Config struct {
 	// fixed-point sweep.
 	Epsilon float64
 	// StabilityEpsilon is the generation-to-generation score pinning
-	// threshold of the warm paths (AnalyzeWarm / AnalyzeCached): a score
+	// threshold of the warm path (AnalyzeCached with a prev result): a score
 	// that moved by at most this much since the previous result keeps the
 	// previous generation's exact bits. Zero means Epsilon — values inside
 	// the convergence threshold are indistinguishable at the solver's

@@ -136,7 +136,7 @@ func TestWarmStartPropertyUniqueness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		warm, err := a.AnalyzeWarm(cb, resA)
+		warm, err := a.AnalyzeCached(cb, resA, nil)
 		if err != nil {
 			return false
 		}

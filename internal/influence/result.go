@@ -14,8 +14,7 @@ import (
 // The per-domain facets (classifier posteriors and Eq. 5 domain scores)
 // are stored internally as dense row-major []float64 slabs over an
 // interned DomainIndex — the hot loops never touch a map. Maps are built
-// only at the public-API boundary (DomainVector, PostDomainVector,
-// DomainScoresMap). Rankings are dense row orders built lazily once per
+// only at the public-API boundary (DomainVector, DomainScoresMap). Rankings are dense row orders built lazily once per
 // Result and ranking, so query traffic against a published snapshot
 // never re-sorts bloggers or builds blogger-sized score maps.
 type Result struct {
@@ -113,16 +112,6 @@ func (r *Result) domainRow(b blog.BloggerID) []float64 {
 	return r.domainScores[bi*nd : (bi+1)*nd]
 }
 
-// postRow returns a post's dense posterior row, or nil.
-func (r *Result) postRow(pid blog.PostID) []float64 {
-	nd := r.domains.Len()
-	pi, ok := r.PostIndex(pid)
-	if !ok || nd == 0 || len(r.postDomains) == 0 {
-		return nil
-	}
-	return r.postDomains[pi*nd : (pi+1)*nd]
-}
-
 // DomainScore returns Inf(b, C_t) for one blogger and domain. Unknown
 // bloggers and domains score 0.
 func (r *Result) DomainScore(b blog.BloggerID, domain string) float64 {
@@ -145,22 +134,6 @@ func (r *Result) DomainVector(b blog.BloggerID) map[string]float64 {
 	for di, s := range row {
 		if s != 0 {
 			out[r.domains.names[di]] = s
-		}
-	}
-	return out
-}
-
-// PostDomainVector returns iv(b, d_k, C_t): the classifier posterior of
-// one post, as a map copy safe to mutate.
-func (r *Result) PostDomainVector(pid blog.PostID) map[string]float64 {
-	row := r.postRow(pid)
-	if row == nil {
-		return nil
-	}
-	out := make(map[string]float64, len(row))
-	for di, p := range row {
-		if p != 0 {
-			out[r.domains.names[di]] = p
 		}
 	}
 	return out

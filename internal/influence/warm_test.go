@@ -18,7 +18,7 @@ func TestWarmStartSameFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeWarm(corpus, cold)
+	warm, err := a.AnalyzeCached(corpus, cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWarmStartAfterIncrementalGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeWarm(corpus, prev)
+	warm, err := a.AnalyzeCached(corpus, prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestWarmReusesClassifierPosteriors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeWarm(corpus, prev)
+	warm, err := a.AnalyzeCached(corpus, prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWarmNilPrevEqualsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeWarm(c, nil)
+	warm, err := a.AnalyzeCached(c, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@ import (
 	"mass/internal/graph"
 )
 
-// This file holds the dense solver core. Every authority measure is an
-// iterative kernel over a frozen graph.CSR: ping-pong []float64 buffers,
+// This file holds the dense solver core: PageRank as an iterative kernel
+// over a frozen graph.CSR, with ping-pong []float64 buffers,
 // zero allocations inside the sweep loop, and sweeps edge-partitioned
 // across Options.Workers.
 //
@@ -15,8 +15,7 @@ import (
 // The parallel phase only computes next[i] for disjoint row ranges — each
 // row is summed start-to-end by exactly one goroutine, so partitioning
 // cannot change any rounding — and every floating-point reduction (the
-// dangling mass, the convergence delta, the HITS norms) runs serially in
-// node-index order.
+// dangling mass, the convergence delta) runs serially in node-index order.
 
 // DenseResult carries a converged score vector aligned to a CSR's interned
 // node index (Scores[i] belongs to CSR.IDs[i]), plus solver diagnostics.
@@ -151,13 +150,9 @@ type prState struct {
 	c             *graph.CSR
 	next, contrib []float64
 	damp, addend  float64 // addend = base + danglingShare (uniform teleport)
-	tele          []float64
-	teleDangling  float64 // PersonalizedPageRank: damp * dangling mass
-	oneMinusDamp  float64
 }
 
-// sweep computes next[i] = addend + damp·Σ contrib[in(i)] for the uniform-
-// teleport kernel (tele == nil).
+// sweep computes next[i] = addend + damp·Σ contrib[in(i)].
 func (s *prState) sweep(lo, hi int32) {
 	inOff, inFrom, contrib := s.c.InOff, s.c.InFrom, s.contrib
 	for i := lo; i < hi; i++ {
@@ -166,19 +161,6 @@ func (s *prState) sweep(lo, hi int32) {
 			sum += contrib[j]
 		}
 		s.next[i] = s.addend + s.damp*sum
-	}
-}
-
-// sweepPersonalized computes the preference-teleport variant:
-// next[i] = (1−d)·tele[i] + d·(Σ contrib[in(i)] + dangling·tele[i]).
-func (s *prState) sweepPersonalized(lo, hi int32) {
-	inOff, inFrom, contrib, tele := s.c.InOff, s.c.InFrom, s.contrib, s.tele
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for _, j := range inFrom[inOff[i]:inOff[i+1]] {
-			sum += contrib[j]
-		}
-		s.next[i] = s.oneMinusDamp*tele[i] + s.damp*(sum+s.teleDangling*tele[i])
 	}
 }
 
@@ -247,189 +229,4 @@ func PageRankCSR(c *graph.CSR, opts Options) DenseResult {
 	}
 	res.Scores = cur
 	return res
-}
-
-// PersonalizedPageRankCSR computes topic-sensitive PageRank over c with
-// the teleport distribution prefs (aligned to c's node index; need not be
-// normalized, non-positive entries are ignored). With no positive
-// preference mass — including a nil prefs — it degenerates to the uniform
-// teleport vector, i.e. standard PageRank. Scores sum to 1.
-func PersonalizedPageRankCSR(c *graph.CSR, prefs []float64, opts Options) DenseResult {
-	opts = opts.withDefaults()
-	n := c.NumNodes()
-	res := DenseResult{CSR: c, Scores: make([]float64, n)}
-	if n == 0 {
-		res.Converged = true
-		return res
-	}
-	tele := make([]float64, n)
-	var mass float64
-	for i := 0; i < n && i < len(prefs); i++ {
-		if prefs[i] > 0 {
-			tele[i] = prefs[i]
-			mass += prefs[i]
-		}
-	}
-	if mass == 0 {
-		for i := range tele {
-			tele[i] = 1
-		}
-		mass = float64(n)
-	}
-	for i := range tele {
-		tele[i] /= mass
-	}
-
-	cur := res.Scores
-	copy(cur, tele)
-	st := &prState{
-		c:            c,
-		next:         make([]float64, n),
-		contrib:      make([]float64, n),
-		damp:         opts.Damping,
-		oneMinusDamp: 1 - opts.Damping,
-		tele:         tele,
-	}
-	workers := sweepWorkers(opts, n)
-	var pool *rowPool
-	var bounds []int32
-	if workers > 1 {
-		pool = newRowPool(workers)
-		defer pool.stop()
-		bounds = edgeBounds(c.InOff, workers)
-	}
-	sweep := st.sweepPersonalized
-
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		res.Iterations = iter
-		var dangling float64
-		for _, i := range c.Dangling {
-			dangling += cur[i]
-		}
-		for j := 0; j < n; j++ {
-			if d := c.OutOff[j+1] - c.OutOff[j]; d > 0 {
-				st.contrib[j] = cur[j] / float64(d)
-			} else {
-				st.contrib[j] = 0
-			}
-		}
-		st.teleDangling = dangling
-		if pool != nil {
-			pool.run(sweep, bounds)
-		} else {
-			sweep(0, int32(n))
-		}
-		var delta float64
-		for i := 0; i < n; i++ {
-			delta += math.Abs(st.next[i] - cur[i])
-		}
-		cur, st.next = st.next, cur
-		if delta < opts.Epsilon {
-			res.Converged = true
-			break
-		}
-	}
-	res.Scores = cur
-	return res
-}
-
-// hitsState is the HITS sweep workspace: auth pulls over in-edges, hub
-// pulls over out-edges; both closures are created once per solve.
-type hitsState struct {
-	c    *graph.CSR
-	a, h []float64
-}
-
-func (s *hitsState) sweepAuth(lo, hi int32) {
-	inOff, inFrom, h := s.c.InOff, s.c.InFrom, s.h
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for _, j := range inFrom[inOff[i]:inOff[i+1]] {
-			sum += h[j]
-		}
-		s.a[i] = sum
-	}
-}
-
-func (s *hitsState) sweepHub(lo, hi int32) {
-	outOff, outTo, a := s.c.OutOff, s.c.OutTo, s.a
-	for i := lo; i < hi; i++ {
-		sum := 0.0
-		for _, j := range outTo[outOff[i]:outOff[i+1]] {
-			sum += a[j]
-		}
-		s.h[i] = sum
-	}
-}
-
-// normalizeL2 scales v to unit L2 norm (no-op on a zero vector), summing
-// serially for determinism.
-func normalizeL2(v []float64) {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	s = math.Sqrt(s)
-	if s == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= s
-	}
-}
-
-// HITSCSR computes hub and authority scores over the frozen view c with L2
-// normalization each sweep; both vectors end at unit L2 norm. Warm
-// options are ignored.
-func HITSCSR(c *graph.CSR, opts Options) (auth, hub DenseResult) {
-	opts = opts.withDefaults()
-	n := c.NumNodes()
-	auth = DenseResult{CSR: c, Scores: make([]float64, n)}
-	hub = DenseResult{CSR: c, Scores: make([]float64, n)}
-	if n == 0 {
-		auth.Converged, hub.Converged = true, true
-		return auth, hub
-	}
-	st := &hitsState{c: c, a: auth.Scores, h: hub.Scores}
-	for i := 0; i < n; i++ {
-		st.a[i], st.h[i] = 1, 1
-	}
-	prevA := make([]float64, n)
-
-	workers := sweepWorkers(opts, n)
-	var pool *rowPool
-	var inBounds, outBounds []int32
-	if workers > 1 {
-		pool = newRowPool(workers)
-		defer pool.stop()
-		inBounds = edgeBounds(c.InOff, workers)
-		outBounds = edgeBounds(c.OutOff, workers)
-	}
-	sweepAuth, sweepHub := st.sweepAuth, st.sweepHub
-
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		auth.Iterations, hub.Iterations = iter, iter
-		copy(prevA, st.a)
-		if pool != nil {
-			pool.run(sweepAuth, inBounds)
-		} else {
-			sweepAuth(0, int32(n))
-		}
-		normalizeL2(st.a)
-		if pool != nil {
-			pool.run(sweepHub, outBounds)
-		} else {
-			sweepHub(0, int32(n))
-		}
-		normalizeL2(st.h)
-		var delta float64
-		for i := 0; i < n; i++ {
-			delta += math.Abs(st.a[i] - prevA[i])
-		}
-		if delta < opts.Epsilon {
-			auth.Converged, hub.Converged = true, true
-			break
-		}
-	}
-	return auth, hub
 }

@@ -46,10 +46,8 @@ func (g *refGraph) AddEdge(from, to string) {
 }
 
 func (g *refGraph) Nodes() []string         { return g.order }
-func (g *refGraph) Out(id string) []string  { return g.out[id] }
 func (g *refGraph) In(id string) []string   { return g.in[id] }
 func (g *refGraph) OutDegree(id string) int { return len(g.out[id]) }
-func (g *refGraph) InDegree(id string) int  { return len(g.in[id]) }
 func (g *refGraph) SortedNodes() []string   { return slices.Sorted(slices.Values(g.order)) }
 
 // CSR freezes g with graph.NewCSR over its sorted nodes.
@@ -148,155 +146,6 @@ func refPageRank(g *refGraph, opts Options) mapResult {
 	return res
 }
 
-func refPersonalizedPageRank(g *refGraph, prefs map[string]float64, opts Options) mapResult {
-	opts = opts.withDefaults()
-	nodes := g.SortedNodes()
-	n := len(nodes)
-	if n == 0 {
-		return mapResult{Scores: map[string]float64{}, Converged: true}
-	}
-	idx := make(map[string]int, n)
-	for i, id := range nodes {
-		idx[id] = i
-	}
-	tele := make([]float64, n)
-	var mass float64
-	for id, p := range prefs {
-		if p > 0 {
-			if i, ok := idx[id]; ok {
-				tele[i] = p
-				mass += p
-			}
-		}
-	}
-	if mass == 0 {
-		for i := range tele {
-			tele[i] = 1
-		}
-		mass = float64(n)
-	}
-	for i := range tele {
-		tele[i] /= mass
-	}
-	outDeg := make([]int, n)
-	inN := make([][]int, n)
-	for i, id := range nodes {
-		outDeg[i] = g.OutDegree(id)
-		for _, p := range g.In(id) {
-			inN[i] = append(inN[i], idx[p])
-		}
-	}
-	cur := make([]float64, n)
-	next := make([]float64, n)
-	copy(cur, tele)
-	res := mapResult{Scores: make(map[string]float64, n)}
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		res.Iterations = iter
-		var dangling float64
-		for i := 0; i < n; i++ {
-			if outDeg[i] == 0 {
-				dangling += cur[i]
-			}
-		}
-		var delta float64
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for _, j := range inN[i] {
-				sum += cur[j] / float64(outDeg[j])
-			}
-			next[i] = (1-opts.Damping)*tele[i] + opts.Damping*(sum+dangling*tele[i])
-			delta += math.Abs(next[i] - cur[i])
-		}
-		cur, next = next, cur
-		if delta < opts.Epsilon {
-			res.Converged = true
-			break
-		}
-	}
-	for i, id := range nodes {
-		res.Scores[id] = cur[i]
-	}
-	return res
-}
-
-func refHITS(g *refGraph, opts Options) (auth, hub mapResult) {
-	opts = opts.withDefaults()
-	nodes := g.SortedNodes()
-	n := len(nodes)
-	auth = mapResult{Scores: make(map[string]float64, n)}
-	hub = mapResult{Scores: make(map[string]float64, n)}
-	if n == 0 {
-		auth.Converged, hub.Converged = true, true
-		return auth, hub
-	}
-	idx := make(map[string]int, n)
-	for i, id := range nodes {
-		idx[id] = i
-	}
-	inN := make([][]int, n)
-	outN := make([][]int, n)
-	for i, id := range nodes {
-		for _, p := range g.In(id) {
-			inN[i] = append(inN[i], idx[p])
-		}
-		for _, s := range g.Out(id) {
-			outN[i] = append(outN[i], idx[s])
-		}
-	}
-	a := make([]float64, n)
-	h := make([]float64, n)
-	for i := range a {
-		a[i], h[i] = 1, 1
-	}
-	normalize := func(v []float64) {
-		var s float64
-		for _, x := range v {
-			s += x * x
-		}
-		s = math.Sqrt(s)
-		if s == 0 {
-			return
-		}
-		for i := range v {
-			v[i] /= s
-		}
-	}
-	prevA := make([]float64, n)
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		auth.Iterations, hub.Iterations = iter, iter
-		copy(prevA, a)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for _, j := range inN[i] {
-				sum += h[j]
-			}
-			a[i] = sum
-		}
-		normalize(a)
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for _, j := range outN[i] {
-				sum += a[j]
-			}
-			h[i] = sum
-		}
-		normalize(h)
-		var delta float64
-		for i := 0; i < n; i++ {
-			delta += math.Abs(a[i] - prevA[i])
-		}
-		if delta < opts.Epsilon {
-			auth.Converged, hub.Converged = true, true
-			break
-		}
-	}
-	for i, id := range nodes {
-		auth.Scores[id] = a[i]
-		hub.Scores[id] = h[i]
-	}
-	return auth, hub
-}
-
 // ---------------------------------------------------------------------------
 // Equivalence properties.
 
@@ -373,27 +222,6 @@ func TestDenseMatchesMapSolvers(t *testing.T) {
 				if got.Converged != want.Converged {
 					t.Fatalf("%s: converged %v vs %v", name, got.Converged, want.Converged)
 				}
-				prefs := map[string]float64{}
-				rng := rand.New(rand.NewSource(seed * 31))
-				for _, id := range g.Nodes() {
-					if rng.Intn(3) == 0 {
-						prefs[id] = rng.Float64()
-					}
-				}
-				prefs["not-a-node"] = 2 // unknown IDs must be ignored
-				gotP := personalizedPageRank(g, prefs, opts)
-				wantP := refPersonalizedPageRank(g, prefs, Options{})
-				if d := maxDiff(wantP.Scores, gotP.Scores); d > tol {
-					t.Fatalf("%s workers=%d: PersonalizedPageRank diverges by %g", name, workers, d)
-				}
-				gotA, gotH := hits(g, opts)
-				wantA, wantH := refHITS(g, Options{})
-				if d := maxDiff(wantA.Scores, gotA.Scores); d > tol {
-					t.Fatalf("%s workers=%d: HITS authority diverges by %g", name, workers, d)
-				}
-				if d := maxDiff(wantH.Scores, gotH.Scores); d > tol {
-					t.Fatalf("%s workers=%d: HITS hub diverges by %g", name, workers, d)
-				}
 			}
 		}
 	}
@@ -439,13 +267,6 @@ func TestDenseWorkersBitForBit(t *testing.T) {
 				t.Fatalf("workers=%d: score[%d] = %v != serial %v", w, i, par.Scores[i], serial.Scores[i])
 			}
 		}
-		a1, h1 := HITSCSR(csr, Options{Workers: 1})
-		aw, hw := HITSCSR(csr, Options{Workers: w})
-		for i := range a1.Scores {
-			if a1.Scores[i] != aw.Scores[i] || h1.Scores[i] != hw.Scores[i] {
-				t.Fatalf("workers=%d: HITS differs at %d", w, i)
-			}
-		}
 	}
 }
 
@@ -476,15 +297,25 @@ func TestSweepLoopAllocFree(t *testing.T) {
 }
 
 // TestSolveAllocsSizeIndependent asserts the allocation budget of one solve
-// is a constant count, not a function of graph size.
+// is a constant count, not a function of graph size. Serial solves must
+// match exactly. Parallel solves get the same +2 scheduler slack as
+// TestSweepLoopAllocFree: how many allocations the worker goroutines'
+// start-up costs depends on scheduling, while a per-node allocation would
+// differ by hundreds.
 func TestSolveAllocsSizeIndependent(t *testing.T) {
 	small := messyGraph(13, 64, 300).CSR()
 	big := messyGraph(13, 1024, 6000).CSR()
-	opts := Options{Workers: 4, Epsilon: ExplicitZero, MaxIter: 8}
-	a1 := testing.AllocsPerRun(10, func() { PageRankCSR(small, opts) })
-	a2 := testing.AllocsPerRun(10, func() { PageRankCSR(big, opts) })
-	if a1 != a2 {
-		t.Fatalf("allocs grow with graph size: %v (64 nodes) vs %v (1024 nodes)", a1, a2)
+	for _, workers := range []int{1, 4} {
+		opts := Options{Workers: workers, Epsilon: ExplicitZero, MaxIter: 8}
+		a1 := testing.AllocsPerRun(10, func() { PageRankCSR(small, opts) })
+		a2 := testing.AllocsPerRun(10, func() { PageRankCSR(big, opts) })
+		slack := 0.0
+		if workers > 1 {
+			slack = 2
+		}
+		if math.Abs(a1-a2) > slack {
+			t.Fatalf("workers=%d: allocs grow with graph size: %v (64 nodes) vs %v (1024 nodes)", workers, a1, a2)
+		}
 	}
 }
 

@@ -1,18 +1,16 @@
-// Package linkrank implements the link-analysis authority measures MASS
-// uses for the General-Links (GL) influence facet: PageRank (the paper's
-// chosen model, [3]), its personalized (topic-sensitive) variant, and HITS
-// ([4]) as an alternative. All are convergence-controlled and
-// deterministic.
+// Package linkrank implements the link-analysis authority measure MASS
+// uses for the General-Links (GL) influence facet: PageRank, the paper's
+// chosen model ([3]), convergence-controlled and deterministic.
 //
-// Every solver is a dense kernel over a frozen graph.CSR view
-// (PageRankCSR, PersonalizedPageRankCSR and HITSCSR in dense.go):
-// interned node indexes,
-// ping-pong score buffers, zero allocations per sweep, and sweeps
-// optionally edge-partitioned across Options.Workers with bit-for-bit
-// deterministic results. Scores stay dense, aligned to the CSR's node
-// index; DenseResult.Map keys them by ID where a caller needs a map. The
-// link-update path (push.go) keeps a converged PageRank current under
-// edge deltas.
+// The full solver is a dense kernel over a frozen graph.CSR view
+// (PageRankCSR in dense.go): interned node indexes, ping-pong score
+// buffers, zero allocations per sweep, and sweeps optionally
+// edge-partitioned across Options.Workers with bit-for-bit deterministic
+// results. Scores stay dense, aligned to the CSR's node index;
+// DenseResult.Map keys them by ID where a caller needs a map. The
+// link-update path (push.go) keeps a converged PageRank current as edges
+// are inserted. There is no HITS and no personalized PageRank: GL needs
+// neither.
 package linkrank
 
 import (
@@ -59,8 +57,7 @@ type Options struct {
 	// sweeps. Entries ≤ 0 (and indexes beyond its length) fall back to the
 	// uniform floor; the seed is renormalized to sum to 1, so the
 	// stochastic invariant (and the converged result, which is unique for
-	// Damping < 1) is unaffected. Ignored by HITS. A map-keyed Warm shim
-	// existed through PR 5; callers with map scores reindex them densely.
+	// Damping < 1) is unaffected.
 	WarmDense []float64
 	// FallbackMass bounds the residual L1 mass DeltaPageRankCSR will try
 	// to push away incrementally: a delta that seeds more residual mass

@@ -19,31 +19,10 @@ func toMapResult(r DenseResult) mapResult {
 	return mapResult{Scores: r.Map(), Iterations: r.Iterations, Converged: r.Converged}
 }
 
-// pageRank, hits and personalizedPageRank run the dense kernels over g's
-// frozen CSR view and key the scores by node ID.
+// pageRank runs the dense kernel over g's frozen CSR view and keys the
+// scores by node ID.
 func pageRank(g *refGraph, opts Options) mapResult {
 	return toMapResult(PageRankCSR(g.CSR(), opts))
-}
-
-func hits(g *refGraph, opts Options) (auth, hub mapResult) {
-	a, h := HITSCSR(g.CSR(), opts)
-	return toMapResult(a), toMapResult(h)
-}
-
-// personalizedPageRank densifies prefs over g's node index; unknown IDs
-// are dropped, and nil or empty prefs select plain PageRank.
-func personalizedPageRank(g *refGraph, prefs map[string]float64, opts Options) mapResult {
-	c := g.CSR()
-	var dense []float64
-	if len(prefs) > 0 {
-		dense = make([]float64, c.NumNodes())
-		for id, p := range prefs {
-			if i, ok := c.Index(id); ok {
-				dense[i] = p
-			}
-		}
-	}
-	return toMapResult(PersonalizedPageRankCSR(c, dense, opts))
 }
 
 func chain() *refGraph {
@@ -216,43 +195,6 @@ func TestPageRankWarmStartPartialVector(t *testing.T) {
 	}
 }
 
-func TestHITSChain(t *testing.T) {
-	auth, hub := hits(chain(), Options{})
-	if !auth.Converged {
-		t.Fatal("HITS must converge on a chain")
-	}
-	// b and c receive links; a receives none.
-	if auth.Scores["a"] != 0 {
-		t.Fatalf("a has no in-links, auth = %v", auth.Scores["a"])
-	}
-	if hub.Scores["c"] != 0 {
-		t.Fatalf("c has no out-links, hub = %v", hub.Scores["c"])
-	}
-}
-
-func TestHITSStar(t *testing.T) {
-	g := newRefGraph()
-	for _, s := range []string{"s1", "s2", "s3"} {
-		g.AddEdge(s, "center")
-	}
-	auth, hub := hits(g, Options{})
-	if auth.Scores["center"] < 0.99 {
-		t.Fatalf("center must hold nearly all authority: %v", auth.Scores)
-	}
-	for _, s := range []string{"s1", "s2", "s3"} {
-		if math.Abs(hub.Scores[s]-1/math.Sqrt(3)) > 1e-6 {
-			t.Fatalf("spoke hubs must be equal: %v", hub.Scores)
-		}
-	}
-}
-
-func TestHITSEmpty(t *testing.T) {
-	auth, hub := hits(newRefGraph(), Options{})
-	if len(auth.Scores) != 0 || len(hub.Scores) != 0 {
-		t.Fatal("empty graph must give empty HITS")
-	}
-}
-
 func TestCheckStochastic(t *testing.T) {
 	if err := CheckStochastic(map[string]float64{"a": 0.5, "b": 0.5}, 1e-9); err != nil {
 		t.Fatal(err)
@@ -299,42 +241,6 @@ func TestPageRankProperty(t *testing.T) {
 		}
 		for k, v := range r1.Scores {
 			if r2.Scores[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: HITS authority vector has unit L2 norm (when any node has
-// in-links) and all scores are non-negative.
-func TestHITSProperty(t *testing.T) {
-	f := func(seed int64, n8, e8 uint8) bool {
-		n := int(n8%20) + 2
-		e := int(e8%60) + 1
-		g := randomGraph(seed, n, e)
-		auth, hub := hits(g, Options{})
-		var norm float64
-		anyIn := false
-		for _, id := range g.Nodes() {
-			if g.InDegree(id) > 0 {
-				anyIn = true
-			}
-		}
-		for _, v := range auth.Scores {
-			if v < 0 {
-				return false
-			}
-			norm += v * v
-		}
-		if anyIn && math.Abs(math.Sqrt(norm)-1) > 1e-6 {
-			return false
-		}
-		for _, v := range hub.Scores {
-			if v < 0 {
 				return false
 			}
 		}

@@ -79,13 +79,11 @@ type PushState struct {
 	totalFlushes uint64
 
 	// Reusable per-solve workspace, so repeated DeltaPageRankCSR calls
-	// allocate O(1) regardless of delta size or push count: the row
-	// visitor and its bound method value (binding allocates a closure),
-	// the op-parity map (cleared, buckets kept), and the sorted flipped-
-	// edge key scratch.
+	// allocate O(1) regardless of push count: the row visitor and its
+	// bound method value (binding allocates a closure), and the sorted
+	// new-edge key scratch.
 	vis        seedVisitor
 	visit      func(int32)
-	flip       map[int64]struct{}
 	keyScratch []int64
 }
 
@@ -355,43 +353,24 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 	return res, true
 }
 
-// seed folds the un-consumed op-log suffix into the residual. For each
-// touched source the old operator column is reconstructed from the new row
-// and the flipped-edge set (an edge's old presence is its new presence
-// XOR'd with the parity of its ops), so seeding needs no copy of the old
-// view and costs O(deg_old + deg_new) per source. Returns the number of
-// sources seeded.
+// seed folds the un-consumed op-log suffix into the residual. The overlay
+// is insertion-only, so every op is a distinct edge that is new since the
+// last seed: a touched source's old out-degree is its new degree minus its
+// new targets, so seeding needs no copy of the old view and costs
+// O(deg_new) per source. Returns the number of sources seeded.
 func (st *PushState) seed(view *graph.DeltaCSR) int {
 	ops := view.Ops()[st.ops:]
 	st.ops = len(view.Ops())
 	if len(ops) == 0 {
 		return 0
 	}
-	// Parity of ops per edge: an edge op log is "effective" (each entry
-	// really flipped presence), so an odd count means old ≠ new presence.
-	if st.flip == nil {
-		st.flip = make(map[int64]struct{}, len(ops))
-	} else {
-		clear(st.flip)
-	}
-	for _, op := range ops {
-		st.dirty[op.From] = true
-		k := int64(op.From)<<32 | int64(uint32(op.To))
-		if _, ok := st.flip[k]; ok {
-			delete(st.flip, k)
-		} else {
-			st.flip[k] = struct{}{}
-		}
-	}
-	if len(st.flip) == 0 {
-		return 0
-	}
 	// Sorting the packed keys groups them by source (high bits) with
 	// targets ascending within each group — deterministic seeding order
 	// with no per-source slices.
 	keys := st.keyScratch[:0]
-	for k := range st.flip {
-		keys = append(keys, k)
+	for _, op := range ops {
+		st.dirty[op.From] = true
+		keys = append(keys, int64(op.From)<<32|int64(uint32(op.To)))
 	}
 	slices.Sort(keys)
 	st.keyScratch = keys
@@ -408,39 +387,22 @@ func (st *PushState) seed(view *graph.DeltaCSR) int {
 		lo = hi
 		x := st.scores[s]
 		newDeg := view.OutDegree(int(s))
-		inNew := 0
-		for _, k := range targets {
-			if view.HasEdge(s, int32(uint32(k))) {
-				inNew++
-			}
-		}
-		oldDeg := newDeg - inNew + (len(targets) - inNew)
-		var wNew, wOld float64
-		if newDeg > 0 {
-			wNew = st.damp * x / float64(newDeg)
-		} else {
-			st.u += st.damp * x / n // source became dangling
-		}
-		if oldDeg > 0 {
+		wNew := st.damp * x / float64(newDeg)
+		var wOld float64
+		if oldDeg := newDeg - len(targets); oldDeg > 0 {
 			wOld = st.damp * x / float64(oldDeg)
 		} else {
 			st.u -= st.damp * x / n // source was dangling
 		}
 		// New row members get wNew, old row members lose wOld. Apply the
-		// net to the whole new row, then correct the flipped edges: a
-		// flipped edge in the new row was not in the old (take back the
-		// −wOld), a flipped edge absent from the new row was (apply it).
-		if newDeg > 0 && (wNew != 0 || wOld != 0) {
+		// net to the whole new row, then give every new target back the
+		// −wOld it never had.
+		if wNew != 0 || wOld != 0 {
 			st.vis.w = wNew - wOld
 			view.EachOut(s, st.visit)
 		}
 		for _, k := range targets {
-			t := int32(uint32(k))
-			if view.HasEdge(s, t) {
-				st.addR(t, wOld)
-			} else {
-				st.addR(t, -wOld)
-			}
+			st.addR(int32(uint32(k)), wOld)
 		}
 	}
 	return seeded

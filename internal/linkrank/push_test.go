@@ -81,8 +81,8 @@ func assertDeltaMatchesCold(t *testing.T, view *graph.DeltaCSR, st *PushState, w
 // Equivalence: delta == cold dense solve to ≤ 1e-12.
 
 // TestDeltaPageRankSingleFlush covers the canonical shapes by hand: edge
-// adds into a chain, removal that creates a dangling node, a self-link, and
-// a disconnected island.
+// adds into a cycle, a dangling node gaining its first edge, a self-link
+// row fanning out, and a disconnected island.
 func TestDeltaPageRankSingleFlush(t *testing.T) {
 	base := buildCSR(t, 7, [][2]int32{
 		{0, 1}, {1, 2}, {2, 0}, // cycle
@@ -93,44 +93,20 @@ func TestDeltaPageRankSingleFlush(t *testing.T) {
 	cold := coldReference(view, 1)
 	st := NewPushState(view, cold, pushTestOpts)
 
-	view.AddEdge(5, 2)    // island joins the cycle
-	view.AddEdge(6, 6)    // island self-link
-	view.RemoveEdge(3, 3) // self-link node becomes dangling
-	view.AddEdge(2, 4)    // back edge
-	view.RemoveEdge(4, 0) // feeder becomes dangling
+	view.AddEdge(5, 2) // dangling island node joins the cycle
+	view.AddEdge(6, 6) // dangling island node links itself
+	view.AddEdge(3, 1) // self-link row gains a second edge
+	view.AddEdge(2, 4) // back edge
+	view.AddEdge(4, 5) // feeder fans out to the island
 	res := assertDeltaMatchesCold(t, view, st, 1, "hand-built flush")
 	if res.Seeded == 0 || res.Pushed == 0 {
 		t.Fatalf("flush must seed and push: %+v", res)
 	}
 }
 
-// TestDeltaPageRankNoOpFlush: a flush whose ops cancel (add then remove)
-// must seed nothing and leave the converged scores untouched.
-func TestDeltaPageRankNoOpFlush(t *testing.T) {
-	base := buildCSR(t, 4, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
-	view := graph.NewDeltaCSR(base)
-	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
-	if _, ok := DeltaPageRankCSR(view, st, pushTestOpts); !ok {
-		t.Fatal("initial settle refused")
-	}
-	before := append([]float64(nil), st.Scores()...)
-
-	view.AddEdge(0, 2)
-	view.RemoveEdge(0, 2)
-	res, ok := DeltaPageRankCSR(view, st, pushTestOpts)
-	if !ok || res.Seeded != 0 {
-		t.Fatalf("cancelling ops must seed nothing: ok=%v res=%+v", ok, res)
-	}
-	for i, s := range st.Scores() {
-		if s != before[i] {
-			t.Fatalf("score %d moved on a no-op flush: %v vs %v", i, s, before[i])
-		}
-	}
-}
-
 // TestDeltaPageRankRandomized is the main property test: random base graphs
 // (danglings, self-links and disconnected nodes all occur naturally),
-// random multi-flush delta sequences mixing adds and removals, checked
+// random multi-flush sequences of edge insertions, checked
 // against a cold dense solve after every flush, across worker counts on the
 // reference side (the push solver itself is serial and deterministic).
 func TestDeltaPageRankRandomized(t *testing.T) {
@@ -149,12 +125,7 @@ func TestDeltaPageRankRandomized(t *testing.T) {
 		flushes := 1 + rng.Intn(5)
 		for f := 0; f < flushes; f++ {
 			for m := 1 + rng.Intn(8); m > 0; m-- {
-				from, to := int32(rng.Intn(n)), int32(rng.Intn(n))
-				if rng.Intn(3) == 0 {
-					view.RemoveEdge(from, to)
-				} else {
-					view.AddEdge(from, to)
-				}
+				view.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 			}
 			assertDeltaMatchesCold(t, view, st, workers,
 				fmt.Sprintf("trial %d flush %d (n=%d)", trial, f, n))
@@ -172,11 +143,11 @@ func TestDeltaPageRankDeterministic(t *testing.T) {
 		st := NewPushState(view, coldReference(view, 1), pushTestOpts)
 		view.AddEdge(7, 0)
 		view.AddEdge(8, 3)
-		view.RemoveEdge(1, 2)
+		view.AddEdge(1, 3)
 		if _, ok := DeltaPageRankCSR(view, st, pushTestOpts); !ok {
 			t.Fatal("delta refused")
 		}
-		view.AddEdge(1, 2)
+		view.AddEdge(1, 0)
 		view.AddEdge(9, 9)
 		if _, ok := DeltaPageRankCSR(view, st, pushTestOpts); !ok {
 			t.Fatal("second delta refused")
@@ -310,11 +281,11 @@ func TestDeltaPageRankEmptyGraph(t *testing.T) {
 // Allocation contract.
 
 // TestPushLoopAllocFree pins the O(1)-allocations-per-solve contract: an
-// add/remove/solve cycle that seeds and pushes every round must average a
+// insert/solve cycle that seeds and pushes every round must average a
 // small constant number of allocations — overlay bookkeeping and amortized
-// op-log growth — independent of how many pushes run. Any per-push or
-// per-seeded-node allocation would multiply through the hundreds of pushes
-// each cycle performs.
+// row and op-log growth — independent of how many pushes run. Any per-push
+// or per-seeded-node allocation would multiply through the hundreds of
+// pushes each cycle performs.
 func TestPushLoopAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 300
@@ -327,27 +298,31 @@ func TestPushLoopAllocFree(t *testing.T) {
 	opts := Options{Epsilon: 1e-12, MaxIter: 100000, FallbackMass: 1e18}
 	st := NewPushState(view, coldReference(view, 1), opts)
 
-	flip := func(from, to int32) {
-		view.AddEdge(from, to)
-		if _, ok := DeltaPageRankCSR(view, st, opts); !ok {
-			t.Fatal("delta refused")
+	// Every cycle inserts a fresh edge out of node 7.
+	var fresh []int32
+	for to := int32(0); int(to) < n; to++ {
+		if !view.HasEdge(7, to) {
+			fresh = append(fresh, to)
 		}
-		view.RemoveEdge(from, to)
+	}
+	insert := func() {
+		view.AddEdge(7, fresh[0])
+		fresh = fresh[1:]
 		if _, ok := DeltaPageRankCSR(view, st, opts); !ok {
 			t.Fatal("delta refused")
 		}
 	}
-	flip(7, 250) // warm up workspace (flip map, scratch, overlay rows)
+	insert() // warm up workspace (key scratch, overlay rows)
 	var pushes uint64
 	avg := testing.AllocsPerRun(50, func() {
 		before := st.totalPushes
-		flip(7, 250)
+		insert()
 		pushes += st.totalPushes - before
 	})
 	if pushes == 0 {
 		t.Fatal("cycle performed no pushes — alloc assertion would be vacuous")
 	}
 	if avg > 8 {
-		t.Fatalf("add/remove/solve cycle averages %v allocs (%d pushes total) — push loop is allocating", avg, pushes)
+		t.Fatalf("insert/solve cycle averages %v allocs (%d pushes total) — push loop is allocating", avg, pushes)
 	}
 }

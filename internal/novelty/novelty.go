@@ -33,8 +33,8 @@ type Detector struct {
 	indicators []string
 	// shingleK is the shingle size for near-duplicate detection.
 	shingleK int
-	// dupThreshold is the Jaccard similarity above which a post counts as
-	// a near-duplicate of an earlier one.
+	// dupThreshold is the shingle-set resemblance |A∩B| / |A∪B| above
+	// which a post counts as a near-duplicate of an earlier one.
 	dupThreshold float64
 	// The inverted index maps each shingle hash to the documents containing
 	// it, so a new document is compared only against documents it actually
@@ -51,7 +51,7 @@ type Detector struct {
 }
 
 // New returns a detector using the standard copy-indicator lexicon,
-// 4-token shingles and a 0.7 Jaccard duplicate threshold.
+// 4-token shingles and a 0.7 resemblance duplicate threshold.
 func New() *Detector {
 	return &Detector{
 		indicators:   lexicon.CopyIndicators(),
@@ -88,8 +88,8 @@ func (d *Detector) IndicatorScore(text string) float64 {
 // chronological order.
 //
 // Duplicate lookup goes through an inverted shingle index: only documents
-// sharing at least one shingle are candidates, and the exact Jaccard
-// similarity is computed from shared-shingle counts, so scoring a corpus
+// sharing at least one shingle are candidates, and the exact resemblance
+// |A∩B| / |A∪B| is computed from shared-shingle counts, so scoring a corpus
 // costs O(total shingle occurrences) rather than O(posts²).
 func (d *Detector) Score(text string) float64 {
 	return d.ScorePrepared(d.Prepare(text))

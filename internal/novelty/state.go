@@ -43,7 +43,8 @@ func (d *Detector) Observe(p Prepared) {
 // RestorePrepared rebuilds a Prepared from its serialized parts. The
 // resulting value is interchangeable with the original: ScorePrepared over
 // a restored sequence reproduces the original scores bit-for-bit, because
-// the Jaccard computation depends only on set contents, never on ordering.
+// the resemblance computation depends only on set contents, never on
+// ordering.
 // The slice is copied; the caller keeps ownership of shingles.
 func RestorePrepared(shingles []uint64, indicator float64) Prepared {
 	return Prepared{shingles: append([]uint64(nil), shingles...), indicator: indicator}

@@ -18,14 +18,6 @@ func ExampleTopK() {
 	// helen 0.25
 }
 
-func ExampleKendallTau() {
-	ours := []string{"a", "b", "c", "d"}
-	truth := []string{"a", "c", "b", "d"}
-	fmt.Printf("%.2f\n", rank.KendallTau(ours, truth))
-	// Output:
-	// 0.67
-}
-
 func ExamplePrecisionAtK() {
 	ranking := []string{"expert1", "nobody", "expert2"}
 	relevant := map[string]bool{"expert1": true, "expert2": true, "expert3": true}

@@ -1,5 +1,5 @@
 // Package rank provides top-k selection over score maps and the
-// rank-comparison metrics (Kendall tau, Spearman rho, precision@k, NDCG,
+// rank-comparison metrics (Spearman rho, RBO, precision@k, NDCG,
 // overlap@k) the experiment harness uses to compare MASS against baselines
 // and against planted ground truth.
 package rank
@@ -71,12 +71,6 @@ func entryLess(a, b Entry) bool {
 		return a.Score < b.Score
 	}
 	return a.ID > b.ID
-}
-
-// All returns every entry in descending score order with deterministic
-// tie-breaking.
-func All(scores map[string]float64) []Entry {
-	return TopK(scores, len(scores))
 }
 
 // IDs projects entries to their IDs.
@@ -217,39 +211,6 @@ func RBO(a, b []string, p float64) float64 {
 		}
 	}
 	return sum + tail
-}
-
-// KendallTau computes the Kendall rank-correlation coefficient between two
-// rankings of the same item set (τ-a over the common items). Items missing
-// from either list are ignored. Returns 0 when fewer than two common items.
-func KendallTau(a, b []string) float64 {
-	posA := indexOf(a)
-	posB := indexOf(b)
-	var common []string
-	for _, id := range a {
-		if _, ok := posB[id]; ok {
-			common = append(common, id)
-		}
-	}
-	n := len(common)
-	if n < 2 {
-		return 0
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			da := posA[common[i]] - posA[common[j]]
-			db := posB[common[i]] - posB[common[j]]
-			switch {
-			case da*db > 0:
-				concordant++
-			case da*db < 0:
-				discordant++
-			}
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(pairs)
 }
 
 // SpearmanRho computes Spearman's rank correlation over the common items of

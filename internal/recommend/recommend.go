@@ -6,9 +6,9 @@
 // (paper §II and §IV). Either way a blogger's relevance is the dot product
 // of their domain influence Inf(b, IV) with the interest vector, and
 // ForInterest ranks it with one canned query (package query): the same
-// executor the HTTP API and the CLIs run. A member can also restrict the
-// recommendation to their friend network, or rank a domain by link
-// authority instead.
+// executor the HTTP API and the CLIs run; one chosen domain d is the
+// interest vector {d: 1}. A member can also restrict the recommendation to
+// their friend network.
 package recommend
 
 import (
@@ -18,7 +18,6 @@ import (
 	"mass/internal/blog"
 	"mass/internal/classify"
 	"mass/internal/influence"
-	"mass/internal/linkrank"
 	"mass/internal/query"
 	"mass/internal/rank"
 )
@@ -81,30 +80,6 @@ func (r *Recommender) ForInterest(iv map[string]float64, k int) []Recommendation
 // blogger's domain influence vector.
 func (r *Recommender) ForProfile(profile string, k int) []Recommendation {
 	return r.ForInterest(r.classifier.Classify(profile), k)
-}
-
-// ForDomain recommends the top-k influential bloggers of one chosen domain
-// (the existing-blogger flow in the demo).
-func (r *Recommender) ForDomain(domain string, k int) []Recommendation {
-	return r.ForInterest(map[string]float64{domain: 1}, k)
-}
-
-// DomainAuthority recommends the top-k bloggers of one domain by
-// topic-sensitive link authority: personalized PageRank over the corpus's
-// hyperlink graph with teleportation weighted by each blogger's influence
-// in the domain. Where ForDomain ranks by the MASS domain influence score
-// itself, DomainAuthority surfaces who that domain's community links to.
-// The solve runs on the corpus's cached CSR view and the dense
-// personalized-PageRank kernel; with no positive domain mass (an unknown
-// domain) it degenerates to plain PageRank over the whole blogosphere.
-func (r *Recommender) DomainAuthority(domain string, k int) []Recommendation {
-	csr := r.corpus.LinkCSR()
-	prefs := make([]float64, csr.NumNodes())
-	for i, id := range csr.IDs {
-		prefs[i] = r.result.DomainScore(blog.BloggerID(id), domain)
-	}
-	pr := linkrank.PersonalizedPageRankCSR(csr, prefs, linkrank.Options{})
-	return toRecommendations(rank.TopK(pr.Map(), k))
 }
 
 // ForBlogger recommends top-k bloggers for an existing member: interests

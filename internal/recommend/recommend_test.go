@@ -9,7 +9,6 @@ import (
 	"mass/internal/classify"
 	"mass/internal/influence"
 	"mass/internal/lexicon"
-	"mass/internal/linkrank"
 	"mass/internal/synth"
 )
 
@@ -95,14 +94,14 @@ func TestForInterestEdgeCases(t *testing.T) {
 
 func TestForDomainMatchesResultTopK(t *testing.T) {
 	f := setup(t)
-	recs := f.rec.ForDomain(lexicon.Travel, 5)
+	recs := f.rec.ForInterest(map[string]float64{lexicon.Travel: 1}, 5)
 	want := f.res.TopKDomain(lexicon.Travel, 5)
 	if len(recs) != len(want) {
 		t.Fatalf("lengths differ: %d vs %d", len(recs), len(want))
 	}
 	for i := range recs {
 		if recs[i].Blogger != want[i] {
-			t.Fatalf("ForDomain diverges from TopKDomain at %d: %v vs %v",
+			t.Fatalf("one-domain ForInterest diverges from TopKDomain at %d: %v vs %v",
 				i, recs[i].Blogger, want[i])
 		}
 	}
@@ -188,49 +187,5 @@ func TestWithinFriendsWiderRadiusFindsMore(t *testing.T) {
 	}
 	if len(r3) < len(r1) {
 		t.Fatalf("wider radius returned fewer candidates: %d vs %d", len(r3), len(r1))
-	}
-}
-
-func TestDomainAuthority(t *testing.T) {
-	f := setup(t)
-	domain := f.res.Domains()[0]
-	got := f.rec.DomainAuthority(domain, 5)
-	if len(got) != 5 {
-		t.Fatalf("want 5 recommendations, got %d", len(got))
-	}
-	// The result is a PageRank distribution over all bloggers, so scores
-	// are positive, descending, and bounded by 1.
-	for i, r := range got {
-		if r.Score <= 0 || r.Score > 1 {
-			t.Fatalf("recommendation %d has non-probability score %g", i, r.Score)
-		}
-		if i > 0 && r.Score > got[i-1].Score {
-			t.Fatalf("recommendations not descending at %d: %g after %g", i, r.Score, got[i-1].Score)
-		}
-	}
-	// Teleporting by domain mass must actually bias the ranking: against
-	// the kernels directly, the same prefs must reproduce the top pick.
-	csr := f.corpus.LinkCSR()
-	prefs := make([]float64, csr.NumNodes())
-	for i, id := range csr.IDs {
-		prefs[i] = f.res.DomainScore(blog.BloggerID(id), domain)
-	}
-	pr := linkrank.PersonalizedPageRankCSR(csr, prefs, linkrank.Options{})
-	best, bestScore := "", -1.0
-	for i, id := range csr.IDs {
-		if pr.Scores[i] > bestScore || (pr.Scores[i] == bestScore && id < best) {
-			best, bestScore = id, pr.Scores[i]
-		}
-	}
-	if string(got[0].Blogger) != best {
-		t.Fatalf("top pick %q does not match kernel argmax %q", got[0].Blogger, best)
-	}
-	// An unknown domain has no positive mass and degenerates to plain
-	// PageRank over the whole blogosphere.
-	plain := linkrank.PageRankCSR(csr, linkrank.Options{})
-	fallback := f.rec.DomainAuthority("no-such-domain", 1)
-	pi, _ := csr.Index(string(fallback[0].Blogger))
-	if diff := math.Abs(fallback[0].Score - plain.Scores[pi]); diff > 1e-12 {
-		t.Fatalf("unknown domain must fall back to plain PageRank (diff %g)", diff)
 	}
 }

@@ -166,32 +166,6 @@ func Discover(c *blog.Corpus, cfg Config) ([]Group, error) {
 	return groups, nil
 }
 
-// InterestVector maps a blogger's tagging activity onto the discovered
-// groups as a normalized distribution (a drop-in interest vector for the
-// recommendation scenarios). Groups are keyed by their top tag.
-func InterestVector(c *blog.Corpus, groups []Group, id blog.BloggerID) map[string]float64 {
-	tagToGroup := map[string]string{}
-	for _, g := range groups {
-		for _, t := range g.Tags {
-			tagToGroup[t] = g.Tags[0]
-		}
-	}
-	out := map[string]float64{}
-	var total float64
-	for _, pid := range c.PostsBy(id) {
-		for _, t := range dedup(c.Posts[pid].Tags) {
-			if key, ok := tagToGroup[t]; ok {
-				out[key]++
-				total++
-			}
-		}
-	}
-	for k := range out {
-		out[k] /= total
-	}
-	return out
-}
-
 func dedup(tags []string) []string {
 	seen := map[string]bool{}
 	out := make([]string, 0, len(tags))

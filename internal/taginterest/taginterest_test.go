@@ -1,7 +1,6 @@
 package taginterest
 
 import (
-	"math"
 	"testing"
 
 	"mass/internal/blog"
@@ -100,31 +99,6 @@ func TestDiscoverNoTags(t *testing.T) {
 	_ = c.AddPost(&blog.Post{ID: "p", Author: "a", Body: "untagged"})
 	if _, err := Discover(c, Config{}); err == nil {
 		t.Fatal("tagless corpus must error")
-	}
-}
-
-func TestInterestVector(t *testing.T) {
-	c := taggedCorpus(t)
-	groups, err := Discover(c, Config{MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	iv := InterestVector(c, groups, "artist")
-	if len(iv) != 1 {
-		t.Fatalf("artist vector = %v, want single interest", iv)
-	}
-	var sum float64
-	for _, v := range iv {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("vector sums to %v", sum)
-	}
-	// dev1 tagged 5 dev occurrences and 1 loner (outside groups): vector
-	// is all dev.
-	ivDev := InterestVector(c, groups, "dev1")
-	if len(ivDev) != 1 {
-		t.Fatalf("dev1 vector = %v", ivDev)
 	}
 }
 

@@ -128,18 +128,6 @@ func TestTermVectorAdd(t *testing.T) {
 	}
 }
 
-func TestTopTermsDeterministic(t *testing.T) {
-	v := TermVector{"b": 2, "a": 2, "c": 5}
-	got := v.TopTerms(3)
-	want := []string{"c", "a", "b"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("TopTerms = %v, want %v", got, want)
-	}
-	if got := v.TopTerms(10); len(got) != 3 {
-		t.Fatalf("TopTerms over-length = %v", got)
-	}
-}
-
 func TestShingles(t *testing.T) {
 	s := Shingles("a b c d", 2)
 	for _, key := range []string{"a b", "b c", "c d"} {
@@ -155,20 +143,6 @@ func TestShingles(t *testing.T) {
 	}
 	if len(Shingles("a b", 0)) != 0 {
 		t.Fatal("k=0 must produce no shingles")
-	}
-}
-
-func TestJaccard(t *testing.T) {
-	a := Shingles("the cat sat on the mat", 3)
-	if got := Jaccard(a, a); got != 1 {
-		t.Fatalf("Jaccard(a,a) = %v, want 1", got)
-	}
-	b := Shingles("completely different words here now", 3)
-	if got := Jaccard(a, b); got != 0 {
-		t.Fatalf("Jaccard(disjoint) = %v, want 0", got)
-	}
-	if got := Jaccard(nil, nil); got != 0 {
-		t.Fatalf("Jaccard(empty) = %v, want 0", got)
 	}
 }
 
@@ -200,18 +174,6 @@ func TestVectorPropertySymmetry(t *testing.T) {
 		}
 		c := va.Cosine(vb)
 		return c >= 0 && c <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Jaccard is symmetric and bounded in [0,1].
-func TestJaccardProperty(t *testing.T) {
-	f := func(a, b string) bool {
-		sa, sb := Shingles(a, 2), Shingles(b, 2)
-		j1, j2 := Jaccard(sa, sb), Jaccard(sb, sa)
-		return j1 == j2 && j1 >= 0 && j1 <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

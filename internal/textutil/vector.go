@@ -60,33 +60,6 @@ func (v TermVector) Cosine(other TermVector) float64 {
 	return v.Dot(other) / (nv * no)
 }
 
-// TopTerms returns the n highest-weight terms in descending weight order,
-// with ties broken alphabetically so results are deterministic.
-func (v TermVector) TopTerms(n int) []string {
-	type tw struct {
-		t string
-		w float64
-	}
-	all := make([]tw, 0, len(v))
-	for t, w := range v {
-		all = append(all, tw{t, w})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].w != all[j].w {
-			return all[i].w > all[j].w
-		}
-		return all[i].t < all[j].t
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].t
-	}
-	return out
-}
-
 // Shingles returns the set of k-gram token shingles of text, joined with a
 // single space. Shingling is the basis of the near-duplicate (carbon-copy)
 // detector in the novelty analyzer.
@@ -111,7 +84,7 @@ func Shingles(text string, k int) map[string]struct{} {
 // sorted ascending. Hashing shingles instead of materializing their strings
 // makes the near-duplicate detector's index an integer-keyed map and a
 // serialized shingle set a flat 8-byte-per-entry array; a 64-bit hash makes
-// cross-shingle collisions (a slightly inflated Jaccard overlap) vanishingly
+// cross-shingle collisions (a slightly inflated shingle overlap) vanishingly
 // rare at realistic corpus sizes. The hash is a fixed function of the text,
 // so persisted shingle sets remain comparable across processes.
 func ShingleHashes(text string, k int) []uint64 {
@@ -148,24 +121,4 @@ func ShingleHashes(text string, k int) []uint64 {
 		}
 	}
 	return dst
-}
-
-// Jaccard returns the Jaccard similarity |a∩b| / |a∪b| of two shingle sets,
-// and 0 when both are empty.
-func Jaccard(a, b map[string]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(large) < len(small) {
-		small, large = large, small
-	}
-	inter := 0
-	for s := range small {
-		if _, ok := large[s]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	return float64(inter) / float64(union)
 }

@@ -23,9 +23,6 @@ type Options struct {
 	// SegmentBytes rotates to a new segment once the current one reaches
 	// this size. Default 64 MiB.
 	SegmentBytes int64
-	// CheckpointEvery is carried for the engine (records between
-	// checkpoints); the log itself does not act on it. Default 4096.
-	CheckpointEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -40,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 4096
 	}
 	return o
 }
