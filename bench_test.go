@@ -401,7 +401,7 @@ func BenchmarkQueryExecute(b *testing.B) {
 	q := query.Bloggers().
 		Where(query.And(
 			query.F(query.FieldInfluence).Gt(infThresh),
-			query.Domain(dom).Ge(domThresh),
+			query.F(query.DomainKey(dom)).Ge(domThresh),
 		)).
 		OrderBy(query.Desc(query.DomainKey(dom))).
 		Limit(10).Build()
@@ -627,7 +627,7 @@ func BenchmarkDeltaPageRank(b *testing.B) {
 		// Mass conservation: the scores plus the remaining residual account
 		// for the full unit mass, so drift is bounded by mass/(1−d).
 		var sum float64
-		for _, s := range st.Scores() {
+		for _, s := range st.AppendScores(nil) {
 			sum += s
 		}
 		if bound := last.ResidualMass/(1-0.85) + 1e-9; math.Abs(sum-1) > bound {

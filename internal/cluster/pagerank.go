@@ -135,7 +135,7 @@ func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) 
 	if ok {
 		return &GlobalResult{
 			IDs:           ids,
-			Scores:        append([]float64(nil), st.Scores()...),
+			Scores:        st.AppendScores(nil),
 			Pushed:        dr.Pushed,
 			Residual:      st.ResidualMass(),
 			BoundaryEdges: len(boundary),

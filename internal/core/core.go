@@ -19,12 +19,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"mass/internal/blog"
 	"mass/internal/classify"
-	"mass/internal/crawler"
 	"mass/internal/influence"
 	"mass/internal/lexicon"
 	"mass/internal/query"
@@ -147,19 +145,6 @@ func LoadFile(path string, opts Options) (*System, error) {
 		return nil, err
 	}
 	return FromCorpus(c, opts)
-}
-
-// Crawl fetches the blogosphere from a blog service (see blogserver for
-// the page format), starting at seed with the given crawl configuration,
-// then analyzes it. It returns the system and the crawl statistics.
-func Crawl(ctx context.Context, baseURL string, seed blog.BloggerID, ccfg crawler.Config, opts Options) (*System, crawler.Stats, error) {
-	cr := crawler.New(ccfg, nil)
-	c, stats, err := cr.Crawl(ctx, baseURL, seed)
-	if err != nil {
-		return nil, stats, err
-	}
-	sys, err := FromCorpus(c, opts)
-	return sys, stats, err
 }
 
 // Corpus exposes the underlying corpus (read-only by convention).

@@ -45,8 +45,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	defer ts.Close()
 
 	seed := orig.BloggerIDs()[0]
-	sys, stats, err := Crawl(context.Background(), ts.URL, seed,
-		crawler.Config{Workers: 4, Radius: 30}, Options{})
+	crawled, stats, err := crawler.New(crawler.Config{Workers: 4, Radius: 30}, nil).
+		Crawl(context.Background(), ts.URL, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := FromCorpus(crawled, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

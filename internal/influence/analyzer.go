@@ -326,7 +326,7 @@ func (a *Analyzer) computeGL(c *blog.Corpus, ch *Cache, res *Result) []float64 {
 	view := c.LinkViewFrom(ch.glView)
 	if ch.push != nil {
 		if dres, ok := linkrank.DeltaPageRankCSR(view.Delta(), ch.push, pushOpts); ok {
-			copy(gl, ch.push.Scores())
+			gl = ch.push.AppendScores(gl[:0])
 			ch.glView = view
 			ch.storeGL(c, gl)
 			res.PageRankDelta = true

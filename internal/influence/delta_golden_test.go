@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/linkrank"
 	"mass/internal/synth"
 )
 
@@ -19,16 +20,18 @@ import (
 // deliberate numeric change re-records them from the test's failure
 // message.
 const (
-	goldenDeltaFlushes    = 34
-	goldenFallbackFlushes = 6
-	goldenPushes          = 450132
-	goldenScoresSHA256    = "8a6621fa6915e61fdd9c946d23dfd2695dea1df7527bc23aba2a11d951078a48"
+	goldenDeltaFlushes    = 35
+	goldenFallbackFlushes = 5
+	goldenPushes          = 173299
+	goldenScoresSHA256    = "120b9fe98e593645b5a492fefeb16efedf1321eb272ffd6145221ea7e44fcf45"
 )
 
 // TestDeltaPathGolden drives link-only flushes through AnalyzeCached on
 // one corpus lineage and compares, against the golden figures above, the
 // SHA-256 of every flush's GL and influence bits, the total push count and
-// how many flushes took the delta path or fell back to a full sweep.
+// how many flushes took the delta path or fell back to a full sweep. Every
+// flush's GL must also match a machine-precision cold PageRank of the same
+// link graph, so recorded bits are never wrong ones.
 func TestDeltaPathGolden(t *testing.T) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 300, Posts: 1200})
 	if err != nil {
@@ -100,6 +103,13 @@ func TestDeltaPathGolden(t *testing.T) {
 			fallbacks++
 		}
 		pushes += res.PageRankPushed
+		cold := linkrank.PageRankCSR(corpus.LinkCSR(),
+			linkrank.Options{Epsilon: linkrank.ExplicitZero, MaxIter: 300}).Map()
+		for b, s := range res.GL {
+			if d := math.Abs(s - cold[string(b)]); !(d <= 1e-9) {
+				t.Fatalf("flush %d: GL %s: %v vs cold %v (|Δ|=%g)", flush, b, s, cold[string(b)], d)
+			}
+		}
 		hashScores(h, res)
 		prev = res
 	}

@@ -63,6 +63,7 @@ func newRowPool(workers int) *rowPool {
 				j.fn(j.lo, j.hi)
 				p.done <- struct{}{}
 			}
+			p.done <- struct{}{}
 		}()
 	}
 	return p
@@ -79,7 +80,16 @@ func (p *rowPool) run(fn func(lo, hi int32), bounds []int32) {
 	}
 }
 
-func (p *rowPool) stop() { close(p.jobs) }
+// stop ends the workers and waits until each has left its loop. Waiting
+// makes the next solve's goroutines reuse these ones' descriptors instead
+// of racing their exit and allocating fresh ones, which is what kept the
+// allocation count of a parallel solve from being a constant.
+func (p *rowPool) stop() {
+	close(p.jobs)
+	for w := 0; w < p.workers; w++ {
+		<-p.done
+	}
+}
 
 // edgeBounds partitions the n rows of the offset array into workers ranges
 // of roughly equal edge count, so a heavy-tailed graph doesn't leave one

@@ -274,8 +274,11 @@ func TestDenseWorkersBitForBit(t *testing.T) {
 // Allocation contracts.
 
 // TestSweepLoopAllocFree proves the sweep loop itself allocates nothing:
-// running 6× the sweeps must not change allocs per solve, serial or
-// parallel.
+// running 6× the sweeps must not change allocs per solve. Serial solves
+// must match exactly. Parallel solves are held to a per-sweep bound, at
+// most 25 more allocations over the 50 extra sweeps: how many the worker
+// goroutines' start-up costs can depend on scheduling, while one
+// allocation per sweep would add at least 50.
 func TestSweepLoopAllocFree(t *testing.T) {
 	g := messyGraph(11, 200, 1200)
 	csr := g.CSR()
@@ -286,10 +289,11 @@ func TestSweepLoopAllocFree(t *testing.T) {
 		long := testing.AllocsPerRun(10, func() {
 			PageRankCSR(csr, Options{Workers: workers, Epsilon: ExplicitZero, MaxIter: 60})
 		})
-		// +2 absorbs scheduler-dependent goroutine alloc jitter under
-		// parallel workers; a real per-sweep allocation would show up as
-		// +50 (one per extra sweep) and still fail.
-		if long > short+2 {
+		slack := 0.0
+		if workers > 1 {
+			slack = 25
+		}
+		if long-short > slack {
 			t.Fatalf("workers=%d: 60 sweeps allocate more than 10 (%v vs %v) — sweep loop is not alloc-free",
 				workers, long, short)
 		}
@@ -298,10 +302,9 @@ func TestSweepLoopAllocFree(t *testing.T) {
 
 // TestSolveAllocsSizeIndependent asserts the allocation budget of one solve
 // is a constant count, not a function of graph size. Serial solves must
-// match exactly. Parallel solves get the same +2 scheduler slack as
-// TestSweepLoopAllocFree: how many allocations the worker goroutines'
-// start-up costs depends on scheduling, while a per-node allocation would
-// differ by hundreds.
+// match exactly. Parallel solves get a +2 scheduler slack: how many
+// allocations the worker goroutines' start-up costs depends on
+// scheduling, while a per-node allocation would differ by hundreds.
 func TestSolveAllocsSizeIndependent(t *testing.T) {
 	small := messyGraph(13, 64, 300).CSR()
 	big := messyGraph(13, 1024, 6000).CSR()

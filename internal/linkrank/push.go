@@ -11,15 +11,26 @@ import (
 // residual push over a graph.DeltaCSR overlay. Where PageRankCSR re-sweeps
 // every node to convergence, DeltaPageRankCSR maintains the invariant
 //
-//	x* = x + (I − M)⁻¹ (r + u·1)
+//	x* = s·(x + (I − M)⁻¹ r)
 //
-// with x the current score estimate, r a dense residual vector, u a scalar
-// uniform residual share (the dangling/teleport component, kept out of r so
-// dangling pushes stay O(1) instead of O(n)), and M the damped PageRank
-// operator. An edge delta perturbs only the operator columns of the touched
-// sources, so the residual is re-seeded at O(delta) nodes and pushed back
-// under threshold along the affected frontier — work proportional to the
-// delta's influence radius, not the graph.
+// with x the stored score estimate, r a dense residual vector, M the damped
+// PageRank operator and s a lazily applied scale: the true scores are s·x
+// and the true residuals s·r. An edge delta perturbs only the operator
+// columns of the touched sources, so the residual is re-seeded at O(delta)
+// nodes and pushed back under threshold along the affected frontier — work
+// proportional to the delta's influence radius, not the graph.
+//
+// The scale is where the dangling share goes. A push out of a dangling node
+// spreads d·a/n to every node, a uniform residual u·1. For this operator
+// (I − M)⁻¹·1 = n/(1−d)·x*, so x* = s·(x + (I − M)⁻¹(r + u·1)) solves in
+// closed form to x* = s'·(x + (I − M)⁻¹ r) with s' = s/(1 − s·u·n/(1−d)):
+// the uniform share folds into one scalar instead of being added to every
+// residual. A solve folds twice, each an O(1) step: the share its seeds
+// moved, then the sum of its dangling pushes; callers apply s as they copy
+// the vector out (AppendScores). Adding u to every residual each time it
+// reached ε/2 used to dominate a small flush: a perfbench ingest-live
+// delta flush (1200 bloggers) took 38,511 pushes and now takes 11,328;
+// TestPushWorkBlogShaped's flushes took 41.6 pushes per node, now 0.01.
 //
 // The push loop allocates nothing: the queue is a preallocated ring, the
 // in-queue markers a persistent []bool, and the row visitor a closure
@@ -37,9 +48,9 @@ type DeltaResult struct {
 	Seeded int
 	// Pushed is how many residual pushes ran to re-converge.
 	Pushed int
-	// ResidualMass is the residual L1 mass remaining after the solve — an
-	// upper bound of (1−d)⁻¹·mass on the L1 distance to the exact fixed
-	// point.
+	// ResidualMass is the residual L1 mass remaining after the solve, in
+	// true (scaled) units — an upper bound of (1−d)⁻¹·mass on the L1
+	// distance to the exact fixed point.
 	ResidualMass float64
 }
 
@@ -54,8 +65,8 @@ type pushCell struct {
 // score vector, the residual it is exact against, and the preallocated
 // push machinery. Create it from a converged full solve with NewPushState,
 // then advance it through successive DeltaPageRankCSR calls. A PushState
-// is single-owner mutable state, like the cache that holds it; Scores()
-// exposes the live vector, which callers must copy, not retain.
+// is single-owner mutable state, like the cache that holds it; callers read
+// the scores through AppendScores, which applies the lazy scale.
 type PushState struct {
 	base   *graph.CSR // frozen base the view (and ops index) belongs to
 	ops    int        // prefix of the view's op log already folded into r
@@ -63,20 +74,19 @@ type PushState struct {
 	eps    float64
 	scores []float64
 	cells  []pushCell
-	u      float64 // uniform residual share per node (dangling component)
+	scale  float64 // s: true scores and residuals are s·scores and s·r
 	rmass  float64 // running Σ|r[i]|, maintained incrementally
-	scaleN float64 // float64(n), the relative-threshold scale factor
+	scaleN float64 // n·s, the relative-threshold scale factor
 
 	// dirty marks rows the overlay has ever touched (op-log sources, kept
 	// in sync by seed). A clean row's effective out-row is exactly the
 	// frozen base row, so the push loop iterates the base slice inline.
 	dirty []bool
 
-	queue        []int32 // ring buffer of nodes with |r| over their cutoff
-	qhead, qlen  int
-	inq          []bool
-	totalPushes  uint64
-	totalFlushes uint64
+	queue       []int32 // ring buffer of nodes with |r| over their cutoff
+	qhead, qlen int
+	inq         []bool
+	totalPushes uint64
 
 	// Reusable per-solve workspace, so repeated DeltaPageRankCSR calls
 	// allocate O(1) regardless of push count: the row visitor and its
@@ -87,14 +97,17 @@ type PushState struct {
 	keyScratch []int64
 }
 
-// Scores returns the live score vector aligned to the view's node index.
-// Shared state: read it, copy it, do not modify or retain it.
-func (st *PushState) Scores() []float64 { return st.scores }
-
-// ResidualMass returns the current residual L1 mass bound Σ|r| + n·|u|.
-func (st *PushState) ResidualMass() float64 {
-	return st.rmass + float64(len(st.cells))*math.Abs(st.u)
+// AppendScores appends the score vector, aligned to the view's node index
+// and with the lazy scale applied, to dst and returns the extended slice.
+func (st *PushState) AppendScores(dst []float64) []float64 {
+	for _, x := range st.scores {
+		dst = append(dst, st.scale*x)
+	}
+	return dst
 }
+
+// ResidualMass returns the current residual L1 mass s·Σ|r| in true units.
+func (st *PushState) ResidualMass() float64 { return st.scale * st.rmass }
 
 // NewPushState builds the solver state for a score vector that was just
 // produced by a full solve over view's effective graph: one O(V+E) pass
@@ -113,6 +126,7 @@ func NewPushState(view *graph.DeltaCSR, scores []float64, opts Options) *PushSta
 		queue:  make([]int32, n),
 		inq:    make([]bool, n),
 		dirty:  make([]bool, n),
+		scale:  1,
 		scaleN: float64(n),
 	}
 	st.vis.st = st
@@ -163,14 +177,14 @@ func NewPushState(view *graph.DeltaCSR, scores []float64, opts Options) *PushSta
 	return st
 }
 
-// threshold is the floor of the per-node push cutoff: eps/2, the bar
-// applied to nodes at or below the uniform score 1/n. The effective cutoff
-// is score-scaled — see thrOf.
+// threshold is the floor of the per-node push cutoff: eps/2 in true units,
+// the bar applied to nodes at or below the uniform score 1/n, stored as
+// eps/(2s). The effective cutoff is score-scaled — see thrOf.
 func (st *PushState) threshold() float64 {
 	if st.eps <= 0 {
 		return 0
 	}
-	return st.eps / 2
+	return st.eps / (2 * st.scale)
 }
 
 // thrOf is the push cutoff for a node scoring x: floor·max(1, n·x). Tail
@@ -184,7 +198,9 @@ func (st *PushState) threshold() float64 {
 // (eps/2)·(n + n·Σx) = eps·n, matches the flat bar's worst case, so the
 // ResidualMass bound is unchanged. The cutoff is cached in the node's cell
 // and refreshed whenever its score moves, so the hot paths never touch the
-// score vector for a scattered target.
+// score vector for a scattered target. A fold scales a cached cutoff's true
+// value by the same factor as the residual beside it, so no node crosses
+// its cutoff by a fold alone.
 func (st *PushState) thrOf(x, floor float64) float64 {
 	if s := x * st.scaleN; s > 1 {
 		return floor * s
@@ -222,16 +238,18 @@ func (st *PushState) addR(t int32, w float64) {
 	}
 }
 
-// flushUniform folds the scalar uniform residual share into the dense
-// residual — O(n), but only taken when dangling mass accumulated past the
-// stop floor, which small deltas essentially never do.
-func (st *PushState) flushUniform() {
-	u := st.u
-	st.u = 0
-	st.totalFlushes++
-	for i := range st.cells {
-		st.addR(int32(i), u)
+// fold absorbs a uniform residual share of total mass m (stored units,
+// m/n on every node) into the lazy scale: s' = s/(1 − s·m/(1−d)). It
+// reports false when the factor is not positive, which would take a
+// uniform share as large as the whole score mass.
+func (st *PushState) fold(m float64) bool {
+	den := 1 - st.scale*m/(1-st.damp)
+	if !(den > 0) {
+		return false
 	}
+	st.scale /= den
+	st.scaleN = float64(len(st.cells)) * st.scale
+	return true
 }
 
 // accumVisitor accumulates a per-row weight into the residual cells — the
@@ -257,8 +275,9 @@ func (v *seedVisitor) visit(t int32) { v.st.addR(t, v.w) }
 // reports ok=false — leaving the caller to run a full warm sweep and
 // rebuild the state with NewPushState — when the delta path does not
 // apply: the view's base was recompacted, solver parameters changed
-// incompatibly, the seeded residual mass exceeds opts.FallbackMass, or the
-// push budget (MaxIter·n pushes) is exhausted.
+// incompatibly, Damping is 1 (I − M is singular, so the dangling share has
+// no closed form), the seeded residual mass exceeds opts.FallbackMass, or
+// the push budget (MaxIter·n pushes) is exhausted.
 //
 // The solver is serial and deterministic: seeds are applied in ascending
 // node order and the queue is FIFO, so identical (state, view, opts)
@@ -272,13 +291,19 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 	if st == nil || view.Base() != st.base || len(st.scores) != n || st.ops > len(view.Ops()) {
 		return res, false
 	}
-	if opts.Damping != st.damp || opts.Epsilon <= 0 {
-		// A damping change redefines the residual; an explicit zero epsilon
-		// means "sweep forever", which a threshold push cannot honor.
+	if opts.Damping != st.damp || opts.Damping >= 1 || opts.Epsilon <= 0 {
+		// A damping change redefines the residual; at damping 1 the fold
+		// divides by 1−d = 0; an explicit zero epsilon means "sweep
+		// forever", which a threshold push cannot honor.
 		return res, false
 	}
 	if n == 0 {
 		return res, true
+	}
+	var share float64
+	res.Seeded, share = st.seed(view)
+	if !st.fold(share) || st.ResidualMass() > opts.FallbackMass {
+		return res, false
 	}
 	if opts.Epsilon != st.eps {
 		// Retargeting epsilon re-establishes the cutoffs and the queue
@@ -294,22 +319,10 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 		}
 	}
 	floor := st.threshold()
-	res.Seeded = st.seed(view)
-	if st.ResidualMass() > opts.FallbackMass {
-		return res, false
-	}
-
 	budget := uint64(opts.MaxIter) * uint64(n)
-	invN := 1 / float64(n)
 	var pushes uint64
-	for {
-		if st.qlen == 0 {
-			if u := math.Abs(st.u); u >= floor && u > 0 {
-				st.flushUniform()
-				continue
-			}
-			break
-		}
+	var dangling float64 // Σ a pushed out of dangling rows
+	for st.qlen > 0 {
 		i := st.dequeue()
 		c := &st.cells[i]
 		a := c.r
@@ -326,7 +339,7 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 			// lookups, no visitor dispatch.
 			row := st.base.Out(int(i))
 			if len(row) == 0 {
-				st.u += st.damp * a * invN
+				dangling += a
 			} else {
 				w := st.damp * a / float64(len(row))
 				for _, t := range row {
@@ -334,7 +347,7 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 				}
 			}
 		} else if deg := view.OutDegree(int(i)); deg == 0 {
-			st.u += st.damp * a * invN
+			dangling += a
 		} else {
 			st.vis.w = st.damp * a / float64(deg)
 			view.EachOut(i, st.visit)
@@ -343,12 +356,12 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 			res.Pushed = int(pushes)
 			return res, false
 		}
-		if u := st.u; u >= floor || u <= -floor {
-			st.flushUniform()
-		}
 	}
 	st.totalPushes += pushes
 	res.Pushed = int(pushes)
+	if !st.fold(st.damp * dangling) {
+		return res, false
+	}
 	res.ResidualMass = st.ResidualMass()
 	return res, true
 }
@@ -357,12 +370,15 @@ func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaR
 // is insertion-only, so every op is a distinct edge that is new since the
 // last seed: a touched source's old out-degree is its new degree minus its
 // new targets, so seeding needs no copy of the old view and costs
-// O(deg_new) per source. Returns the number of sources seeded.
-func (st *PushState) seed(view *graph.DeltaCSR) int {
+// O(deg_new) per source. Returns the number of sources seeded and the
+// uniform share the delta moved: a dangling source that gains out-links
+// stops spreading d·x over every node, a share of −d·x for the caller to
+// fold.
+func (st *PushState) seed(view *graph.DeltaCSR) (seeded int, share float64) {
 	ops := view.Ops()[st.ops:]
 	st.ops = len(view.Ops())
 	if len(ops) == 0 {
-		return 0
+		return 0, 0
 	}
 	// Sorting the packed keys groups them by source (high bits) with
 	// targets ascending within each group — deterministic seeding order
@@ -375,8 +391,6 @@ func (st *PushState) seed(view *graph.DeltaCSR) int {
 	slices.Sort(keys)
 	st.keyScratch = keys
 
-	n := float64(len(st.scores))
-	seeded := 0
 	for lo := 0; lo < len(keys); seeded++ {
 		s := int32(keys[lo] >> 32)
 		hi := lo
@@ -392,7 +406,7 @@ func (st *PushState) seed(view *graph.DeltaCSR) int {
 		if oldDeg := newDeg - len(targets); oldDeg > 0 {
 			wOld = st.damp * x / float64(oldDeg)
 		} else {
-			st.u -= st.damp * x / n // source was dangling
+			share -= st.damp * x // source was dangling
 		}
 		// New row members get wNew, old row members lose wOld. Apply the
 		// net to the whole new row, then give every new target back the
@@ -405,5 +419,5 @@ func (st *PushState) seed(view *graph.DeltaCSR) int {
 			st.addR(int32(uint32(k)), wOld)
 		}
 	}
-	return seeded
+	return seeded, share
 }

@@ -65,7 +65,7 @@ func assertDeltaMatchesCold(t *testing.T, view *graph.DeltaCSR, st *PushState, w
 		t.Fatalf("%s: delta solver refused (seeded %d, mass %v)", label, res.Seeded, st.ResidualMass())
 	}
 	want := coldReference(view, workers)
-	got := st.Scores()
+	got := st.AppendScores(nil)
 	if len(got) != len(want) {
 		t.Fatalf("%s: score length %d vs %d", label, len(got), len(want))
 	}
@@ -152,7 +152,7 @@ func TestDeltaPageRankDeterministic(t *testing.T) {
 		if _, ok := DeltaPageRankCSR(view, st, pushTestOpts); !ok {
 			t.Fatal("second delta refused")
 		}
-		return append([]float64(nil), st.Scores()...)
+		return st.AppendScores(nil)
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -324,5 +324,112 @@ func TestPushLoopAllocFree(t *testing.T) {
 	}
 	if avg > 8 {
 		t.Fatalf("insert/solve cycle averages %v allocs (%d pushes total) — push loop is allocating", avg, pushes)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// The dangling share's closed-form fold.
+
+// TestFoldFirstOutLink: a flush whose only op gives a dangling source its
+// first out-link removes that source's d·x from the uniform share, so the
+// fold scales the state down (c < 1). The result must still match a cold
+// solve.
+func TestFoldFirstOutLink(t *testing.T) {
+	base := buildCSR(t, 8, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 0}, {4, 3}, {5, 3}})
+	view := graph.NewDeltaCSR(base)
+	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	if view.OutDegree(6) != 0 {
+		t.Fatal("node 6 must start dangling")
+	}
+	view.AddEdge(6, 2)
+	assertDeltaMatchesCold(t, view, st, 1, "first out-link of a dangling source")
+	if !(st.scale < 1) {
+		t.Fatalf("scale %v after removing dangling mass, want < 1", st.scale)
+	}
+}
+
+// TestFoldAllButOneDangling: when every node but one is dangling nearly
+// all pushed mass lands in the uniform share, so nearly every push is
+// folded rather than pushed.
+func TestFoldAllButOneDangling(t *testing.T) {
+	const n = 40
+	var edges [][2]int32
+	for i := int32(1); i < n; i += 3 {
+		edges = append(edges, [2]int32{0, i})
+	}
+	base := buildCSR(t, n, edges)
+	view := graph.NewDeltaCSR(base)
+	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	view.AddEdge(0, 2)
+	assertDeltaMatchesCold(t, view, st, 1, "hub gains an edge")
+	view.AddEdge(0, 5)
+	view.AddEdge(0, 0)
+	assertDeltaMatchesCold(t, view, st, 1, "hub gains a self-link")
+}
+
+// TestFoldDampingOneDeclines: at damping 1, I − M is singular and the
+// dangling share has no closed form, so the delta path declines.
+func TestFoldDampingOneDeclines(t *testing.T) {
+	base := buildCSR(t, 6, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 0}})
+	view := graph.NewDeltaCSR(base)
+	opts := pushTestOpts
+	opts.Damping = 1
+	st := NewPushState(view, coldReference(view, 1), opts)
+	view.AddEdge(4, 0)
+	if _, ok := DeltaPageRankCSR(view, st, opts); ok {
+		t.Fatal("damping 1 must decline")
+	}
+}
+
+// TestPushWorkBlogShaped bounds the work of a small link flush on a
+// blog-shaped graph: two thirds of the nodes dangling, about two out-links
+// per linking node, and 3-edge flushes from random sources (dangling ones
+// included). Most pushed mass lands in dangling rows, so this is the
+// shape where adding the uniform share to every residual each time it
+// reached ε/2 cost the most: about 42 pushes per node per flush. Folded
+// in closed form, the share costs no push and a flush averages well under
+// one push per node.
+func TestPushWorkBlogShaped(t *testing.T) {
+	const n = 1200
+	rng := rand.New(rand.NewSource(2010))
+	var edges [][2]int32
+	for i := 0; i < n; i += 3 { // every third node links out
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			if to := rng.Intn(n); to != i {
+				edges = append(edges, [2]int32{int32(i), int32(to)})
+			}
+		}
+	}
+	base := buildCSR(t, n, edges)
+	view := graph.NewDeltaCSR(base)
+	opts := Options{Epsilon: 1e-12, MaxIter: 100000, FallbackMass: 1e18}
+	st := NewPushState(view, coldReference(view, 1), opts)
+	const flushes = 40
+	pushes := 0
+	for f := 0; f < flushes; f++ {
+		for added := 0; added < 3; {
+			from, to := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if from != to && !view.HasEdge(from, to) {
+				view.AddEdge(from, to)
+				added++
+			}
+		}
+		res, ok := DeltaPageRankCSR(view, st, opts)
+		if !ok {
+			t.Fatalf("flush %d: delta refused", f)
+		}
+		pushes += res.Pushed
+	}
+	perNode := float64(pushes) / flushes / n
+	t.Logf("%.2f pushes per node per flush", perNode)
+	if perNode > 12 {
+		t.Fatalf("%.2f pushes per node per 3-edge flush, budget 12", perNode)
+	}
+	want := coldReference(view, 1)
+	got := st.AppendScores(nil)
+	for i := range want {
+		if d := math.Abs(got[i] - want[i]); d > 1e-10 {
+			t.Fatalf("node %d: delta %v vs cold %v (diff %.3e)", i, got[i], want[i], d)
+		}
 	}
 }

@@ -7,7 +7,7 @@ import "time"
 //	q := query.Bloggers().
 //		Where(query.And(
 //			query.F(query.FieldInfluence).Gt(0.2),
-//			query.Domain("Sports").Ge(0.05),
+//			query.F(query.DomainKey("Sports")).Ge(0.05),
 //		)).
 //		OrderBy(query.Desc(query.DomainKey("Sports"))).
 //		Limit(10).
@@ -69,9 +69,6 @@ type FieldRef struct{ f Field }
 
 // F references a field by name (see the Field* constants and DomainKey).
 func F(name string) FieldRef { return FieldRef{f: Field{Name: name}} }
-
-// Domain references one domain's score column.
-func Domain(name string) FieldRef { return F(DomainKey(name)) }
 
 // Interest references the weighted domain dot product Inf(b, IV) · iv —
 // the advertisement/recommendation facet.

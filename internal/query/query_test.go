@@ -189,7 +189,7 @@ func TestFilteredScanAgainstReference(t *testing.T) {
 	q := Bloggers().
 		Where(And(
 			F(FieldInfluence).Gt(infThresh),
-			Or(Domain(dom).Ge(domThresh), F(FieldPosts).Ge(10)),
+			Or(F(DomainKey(dom)).Ge(domThresh), F(FieldPosts).Ge(10)),
 			Not(F(FieldGL).Lt(0)),
 		)).
 		OrderBy(Desc(DomainKey(dom)), Asc(FieldInfluence)).
@@ -434,7 +434,7 @@ func TestValidation(t *testing.T) {
 func TestDecodeRoundTrip(t *testing.T) {
 	dom := someDomain(t)
 	q := Bloggers().
-		Where(And(F(FieldInfluence).Gt(0.1), Domain(dom).Ge(0.01))).
+		Where(And(F(FieldInfluence).Gt(0.1), F(DomainKey(dom)).Ge(0.01))).
 		OrderBy(DescInterest(map[string]float64{dom: 1})).
 		Select(FieldGL).
 		Limit(5).Offset(2).Build()
@@ -594,7 +594,7 @@ func TestScanAllocsBounded(t *testing.T) {
 		}
 		dom := res.Domains()[0]
 		q := Bloggers().
-			Where(And(F(FieldInfluence).Gt(0), Domain(dom).Ge(0))).
+			Where(And(F(FieldInfluence).Gt(0), F(DomainKey(dom)).Ge(0))).
 			OrderBy(Desc(DomainKey(dom))).
 			Limit(10).Build()
 		// Warm the lazy rankings etc. once.

@@ -73,15 +73,6 @@ func entryLess(a, b Entry) bool {
 	return a.ID > b.ID
 }
 
-// IDs projects entries to their IDs.
-func IDs(entries []Entry) []string {
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // OverlapAtK returns |top-k(a) ∩ top-k(b)| / k for two ranked ID lists
 // (already truncated or longer; only the first k of each are used).
 func OverlapAtK(a, b []string, k int) float64 {

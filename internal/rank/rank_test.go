@@ -20,8 +20,8 @@ func TestTopKBasic(t *testing.T) {
 
 func TestTopKTiesAlphabetical(t *testing.T) {
 	scores := map[string]float64{"z": 1, "a": 1, "m": 1}
-	got := IDs(TopK(scores, 2))
-	if !reflect.DeepEqual(got, []string{"a", "m"}) {
+	got := TopK(scores, 2)
+	if !reflect.DeepEqual(got, []Entry{{"a", 1}, {"m", 1}}) {
 		t.Fatalf("tie-break = %v, want [a m]", got)
 	}
 }

@@ -3,6 +3,7 @@ package textutil
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -129,19 +130,29 @@ func TestTermVectorAdd(t *testing.T) {
 }
 
 func TestShingles(t *testing.T) {
-	s := Shingles("a b c d", 2)
+	s := ShingleHashes("a b c d", 2)
+	if len(s) != 3 {
+		t.Fatalf("len(ShingleHashes) = %d, want 3", len(s))
+	}
+	for i := 1; i < len(s); i++ {
+		if s[i-1] >= s[i] {
+			t.Fatalf("hashes not strictly ascending: %v", s)
+		}
+	}
+	// Each shingle hashes as the text of that shingle alone does.
 	for _, key := range []string{"a b", "b c", "c d"} {
-		if _, ok := s[key]; !ok {
+		h := ShingleHashes(key, 2)
+		if len(h) != 1 || !slices.Contains(s, h[0]) {
 			t.Errorf("missing shingle %q", key)
 		}
 	}
-	if len(s) != 3 {
-		t.Fatalf("len(Shingles) = %d, want 3", len(s))
+	if got := ShingleHashes("a b a b", 2); len(got) != 2 {
+		t.Fatalf("repeated shingle must be deduplicated: %v", got)
 	}
-	if len(Shingles("a", 2)) != 0 {
+	if len(ShingleHashes("a", 2)) != 0 {
 		t.Fatal("short text must produce no shingles")
 	}
-	if len(Shingles("a b", 0)) != 0 {
+	if len(ShingleHashes("a b", 0)) != 0 {
 		t.Fatal("k=0 must produce no shingles")
 	}
 }

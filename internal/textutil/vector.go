@@ -60,25 +60,6 @@ func (v TermVector) Cosine(other TermVector) float64 {
 	return v.Dot(other) / (nv * no)
 }
 
-// Shingles returns the set of k-gram token shingles of text, joined with a
-// single space. Shingling is the basis of the near-duplicate (carbon-copy)
-// detector in the novelty analyzer.
-func Shingles(text string, k int) map[string]struct{} {
-	toks := Tokenize(text)
-	set := map[string]struct{}{}
-	if k <= 0 || len(toks) < k {
-		return set
-	}
-	for i := 0; i+k <= len(toks); i++ {
-		key := toks[i]
-		for j := i + 1; j < i+k; j++ {
-			key += " " + toks[j]
-		}
-		set[key] = struct{}{}
-	}
-	return set
-}
-
 // ShingleHashes returns the 64-bit FNV-1a hashes of the k-gram token
 // shingles of text (tokens joined by a single space), deduplicated and
 // sorted ascending. Hashing shingles instead of materializing their strings
