@@ -131,9 +131,11 @@ type EngineStatus struct {
 	Closed              bool   `json:"closed"`
 	// Continuous-query counters from the subscription hub: resident
 	// standing subscriptions, diff events pushed into subscriber queues,
-	// events coalesced away by drop-to-latest backpressure, and how many
-	// per-subscription evaluations went through the incremental path vs
-	// fell back to a full re-execution.
+	// events coalesced away by drop-to-latest backpressure, and
+	// per-subscription evaluations. Every evaluation re-runs the query in
+	// full and counts in FullEvalFallbacks; IncrementalEvals is always 0
+	// and stays only because the v1 engine payload carries it (as does
+	// ClusterStatus, which embeds this struct).
 	Subscribers       int    `json:"subscribers"`
 	PushedDiffs       uint64 `json:"pushedDiffs"`
 	DroppedDiffs      uint64 `json:"droppedDiffs"`

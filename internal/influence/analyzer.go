@@ -45,9 +45,10 @@ func (a *Analyzer) Analyze(c *blog.Corpus) (*Result, error) {
 // warm-starts the fixed-point solver and lends its classifier posteriors
 // to posts the cache has not classified (post bodies are immutable). The
 // final scores agree with a cold Analyze to within Epsilon, and scores
-// that moved by less than StabilityEpsilon keep prev's exact bits, so
-// exact-equality consumers (publish deltas, standing subscriptions,
-// caches) see change sets proportional to the true perturbation. Every
+// that moved by at most Epsilon keep prev's exact bits (inside the
+// convergence threshold the two are indistinguishable), so
+// exact-equality consumers such as subscription diffs see a score the
+// solver did not really move as unchanged. Every
 // expensive per-entity facet — tokenization (word counts and novelty
 // shingles), near-duplicate novelty scores, comment sentiment, and the GL
 // PageRank vector — is carried in cache across calls, so a re-analysis
@@ -108,7 +109,7 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 		prev = &Result{}
 	}
 	bPrev, pPrev := rowsIn(res.bloggers, prev.bloggers), rowsIn(res.posts, prev.posts)
-	eps := a.cfg.StabilityEpsilon
+	eps := a.cfg.Epsilon
 
 	// --- GL facet: PageRank over the hyperlink graph (Eq. 1). ---
 	gl := a.computeGL(c, ch, res)

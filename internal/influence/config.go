@@ -49,18 +49,6 @@ type Config struct {
 	// Epsilon is the max-absolute-change convergence threshold of the
 	// fixed-point sweep.
 	Epsilon float64
-	// StabilityEpsilon is the generation-to-generation score pinning
-	// threshold of the warm path (AnalyzeCached with a prev result): a score
-	// that moved by at most this much since the previous result keeps the
-	// previous generation's exact bits. Zero means Epsilon — values inside
-	// the convergence threshold are indistinguishable at the solver's
-	// accuracy, so pinning them is free. Live-push deployments can raise
-	// it (say 1e-5, ~0.001% of the score scale) to keep publish deltas
-	// proportional to the true perturbation instead of waking every
-	// subscriber for sub-ranking score jitter; the deviation from the
-	// exact fixed point is bounded by this threshold per score. Use
-	// ExplicitZero to disable pinning entirely.
-	StabilityEpsilon float64
 	// MaxIter bounds the number of sweeps.
 	MaxIter int
 	// PageRank configures the GL authority computation.
@@ -113,12 +101,6 @@ func (c Config) withDefaults() Config {
 	if c.Epsilon == 0 {
 		c.Epsilon = DefaultEpsilon
 	}
-	if c.StabilityEpsilon == 0 {
-		c.StabilityEpsilon = c.Epsilon
-	}
-	if c.StabilityEpsilon == ExplicitZero {
-		c.StabilityEpsilon = 0
-	}
 	if c.MaxIter == 0 {
 		c.MaxIter = DefaultMaxIter
 	}
@@ -145,9 +127,6 @@ func (c Config) Validate() error {
 		if sf < 0 || sf > 1 {
 			return fmt.Errorf("influence: sentiment factor %g out of [0,1]", sf)
 		}
-	}
-	if c.StabilityEpsilon < 0 {
-		return fmt.Errorf("influence: stabilityEpsilon must be >= 0 (or ExplicitZero)")
 	}
 	if c.Epsilon <= 0 {
 		return fmt.Errorf("influence: epsilon must be positive")

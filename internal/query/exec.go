@@ -1,12 +1,11 @@
 package query
 
 // The executor. Every query compiles once, through compile, into an
-// Evaluator bound to one analyzed generation; Execute, ExecuteShard and
-// the subscription evaluators (NewEvaluator) all share it. A single
-// engine answers every query as one unrestricted shard part merged by
-// MergeShards (shard.go) — the same per-shard ranked walk or scan and
-// the same merge a cluster runs over N parts, so a cluster's merge is the
-// code every single-engine read already runs.
+// Evaluator bound to one analyzed generation; Execute and ExecuteShard
+// share it. A single engine answers every query as one unrestricted
+// shard part merged by MergeShards (shard.go) — the same per-shard
+// ranked walk or scan and the same merge a cluster runs over N parts, so
+// a cluster's merge is the code every single-engine read already runs.
 
 import (
 	"fmt"
@@ -66,13 +65,6 @@ type Evaluator struct {
 	pr    *projection
 	agg   func(int) float64 // aggregated field; nil sums the domain weights
 	plan  string
-
-	// Probe for single-numeric-comparison predicates (see PredProbe).
-	// probe reads through the view, so Rebind re-targets it for free.
-	probe    func(int) float64
-	probeF   string
-	probeOp  Op
-	probeVal float64
 }
 
 // compile normalizes q and binds it to one generation: the predicate,
@@ -113,13 +105,10 @@ func compile(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error
 	return e, nil
 }
 
-// Top is the bounded top-k scan: it streams the generation's entities
-// through the predicate and returns the dense indices of the k best in
-// the query's total order (sort keys, then ascending ID), plus the match
-// count.
-func (e *Evaluator) Top(k int) (kept []int, total int) { return e.top(k, e.match) }
-
-// top is Top over the entities match admits (nil admits all).
+// top is the bounded top-k scan: it streams the generation's entities
+// that match admits (nil admits all) and returns the dense indices of the
+// k best in the query's total order (sort keys, then ascending ID), plus
+// the match count.
 func (e *Evaluator) top(k int, match func(int) bool) (kept []int, total int) {
 	n := e.v.count()
 	less := func(a, b int) bool { return compareIdx(e.keys, a, b) < 0 }
@@ -167,12 +156,9 @@ func window[T any](s []T, offset, limit int) []T {
 }
 
 // numGetter compiles a numeric facet accessor for the view's entity.
-// Accessors read the generation through v on every call — never through
-// a captured slab — so Evaluator.Rebind can re-target every compiled
-// accessor at a new generation by swapping the view's bindings, without
-// recompiling. Domain-slot layout (slot indices, interest weight
-// vectors) is the one thing baked in at compile time; Rebind therefore
-// refuses generations whose interned domain list changed.
+// Domain-addressed accessors resolve their slot (or interest weight
+// vector) once, at compile time, against the generation's interned
+// domain list.
 func (v *view) numGetter(f Field) (func(int) float64, error) {
 	nd := len(v.d.Domains)
 	if f.Name == FieldInterest {
@@ -403,8 +389,7 @@ func compareIdx(keys []sortKey, a, b int) int {
 // compareVals ranks two rows by stored sort-key values under orders'
 // directions, ties broken by ascending ID: the total order compareIdx
 // imposes within one generation, since dense entity lists are ID-sorted.
-// It orders rows that no longer have a dense index — merged shard rows
-// and cached subscription candidates.
+// It orders rows that no longer have a dense index: merged shard rows.
 func compareVals(orders []Order, aKeys []float64, aID string, bKeys []float64, bID string) int {
 	for j, o := range orders {
 		va, vb := aKeys[j], bKeys[j]

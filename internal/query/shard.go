@@ -169,10 +169,25 @@ func (e *Evaluator) shardRows(kept []int) []ShardRow {
 	keys := make([]float64, 0, nk*len(kept))
 	rows := make([]ShardRow, len(kept))
 	for j, i := range kept {
-		keys = e.Keys(i, keys)
-		rows[j] = ShardRow{Row: e.Row(i), Keys: keys[len(keys)-nk:]}
+		keys = e.appendKeys(i, keys)
+		rows[j] = ShardRow{Row: e.row(i), Keys: keys[len(keys)-nk:]}
 	}
 	return rows
+}
+
+// appendKeys appends the entity's sort-key values to dst and returns it.
+func (e *Evaluator) appendKeys(i int, dst []float64) []float64 {
+	for _, k := range e.keys {
+		dst = append(dst, k.get(i))
+	}
+	return dst
+}
+
+// row materializes the result row for the entity at dense index i: Score
+// is the primary sort key, Fields the compiled projection (nil when the
+// query selects nothing).
+func (e *Evaluator) row(i int) Row {
+	return Row{ID: e.v.id(i), Score: e.keys[0].get(i), Fields: e.pr.fields(i)}
 }
 
 // slab accumulates the per-domain (count, sum) partials: for every

@@ -37,21 +37,6 @@ type Event struct {
 // moved.
 func diffEvent(prevSeq uint64, old *query.Result, seq uint64, res *query.Result) *Event {
 	ev := &Event{Seq: seq, PrevSeq: prevSeq, Entity: res.Entity, Plan: res.Plan, Total: res.Total}
-	// Fast path: the maintainer's untouched-window shortcut keeps the
-	// previous rows slice when a flush left the window alone, so shared
-	// backing proves the rows and their order are identical without
-	// comparing them.
-	if len(old.Rows) == len(res.Rows) && (len(res.Rows) == 0 || &old.Rows[0] == &res.Rows[0]) {
-		if old.Total == res.Total && old.Plan == res.Plan {
-			ev.Unchanged = true
-			return ev
-		}
-		ev.Order = make([]string, len(res.Rows))
-		for i, r := range res.Rows {
-			ev.Order[i] = r.ID
-		}
-		return ev
-	}
 	// Same-length windows usually keep their order; a lockstep ID pass
 	// settles it without building the prior-row map.
 	sameOrder := len(old.Rows) == len(res.Rows)
@@ -110,7 +95,7 @@ func rowEqualValue(a, b query.Row) bool {
 // the reference implementation the examples and equivalence tests use.
 // Apply advances it one event at a time; Result materializes it back
 // into the query.Result a fresh full query at the same seq would
-// return, byte-identical for diff-safe queries.
+// return, byte-identical for every query shape.
 type ClientState struct {
 	seq    uint64
 	entity query.Entity

@@ -5,23 +5,33 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mass/internal/blog"
+	"mass/internal/influence"
 	"mass/internal/query"
 )
 
 // Package subs turns the engine's pull-only read surface into push:
 // clients register a standing query once and receive per-flush result
 // diffs over a stream, instead of polling and re-executing. The hub sits
-// on the engine's publish path — each published generation is compared
-// against the previous one (computeDelta), every subscription's result
-// is advanced incrementally where the delta and query shape allow
-// (evalState.incremental), and the resulting diff event is pushed into
-// per-subscriber bounded queues. Slow consumers coalesce to the newest
+// on the engine's publish path: for each published generation it re-runs
+// every subscription's query through query.Execute, diffs the new window
+// against the previous one (diffEvent), and pushes the diff event into
+// the subscriber's bounded queue. Slow consumers coalesce to the newest
 // diff; they never block the flush path.
+
+// Generation is one published analysis generation: the frozen corpus and
+// its influence result, stamped with the engine's snapshot seq. Both are
+// immutable once published, so a Generation can be held across flushes
+// without copying.
+type Generation struct {
+	Seq    uint64
+	Corpus *blog.Corpus
+	Result *influence.Result
+}
 
 // ErrClosed is returned by operations against a shut-down hub.
 var ErrClosed = errors.New("subs: hub closed")
@@ -50,12 +60,6 @@ const (
 	defaultIdleTTL    = 5 * time.Minute
 	// gcInterval is how often idle subscriptions are collected.
 	gcInterval = time.Minute
-	// maxEvalWorkers caps how many subscriptions are evaluated in
-	// parallel per processed generation; the pool is GOMAXPROCS wide up
-	// to this cap. Subscription evaluations are independent
-	// (per-subscription state is mutex-guarded, the delta and the
-	// generation are read-only), so the fan-out shards across a pool.
-	maxEvalWorkers = 8
 )
 
 func (o Options) withDefaults() Options {
@@ -69,7 +73,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats is a point-in-time snapshot of the hub's counters, surfaced
-// through EngineStatus / GET /api/v1/engine.
+// through EngineStatus / GET /api/v1/engine. Every per-generation
+// evaluation re-runs the query in full and counts in FullEvalFallbacks;
+// IncrementalEvals is always 0. Both keep their names and JSON keys
+// because the v1 engine payload carries them.
 type Stats struct {
 	Subscribers       int    `json:"subscribers"`
 	PushedDiffs       uint64 `json:"pushedDiffs"`
@@ -79,14 +86,13 @@ type Stats struct {
 }
 
 // Hub is the subscription registry and fan-out pump. Publish hands it a
-// generation and returns immediately — a worker goroutine picks it up,
-// computes the publish delta once, and shards subscription evaluation
-// across a pool of at most maxEvalWorkers; a 1-slot latest-wins mailbox
-// between publisher and worker guarantees the flush path never waits on
-// subscription work. If generations outpace the worker, intermediate
-// ones are skipped; the delta is computed by exact state comparison
-// between the last processed and the newest generation, so skipping is
-// lossless (clients see one combined diff).
+// generation and returns immediately — a worker goroutine picks it up
+// and re-evaluates every subscription against it; a 1-slot latest-wins
+// mailbox between publisher and worker guarantees the flush path never
+// waits on subscription work. If generations outpace the worker,
+// intermediate ones are skipped; each event diffs the subscription's
+// last window against the newest one, so skipping is lossless (clients
+// see one combined diff).
 type Hub struct {
 	opts Options
 
@@ -99,10 +105,9 @@ type Hub struct {
 	quit    chan struct{}
 	done    chan struct{}
 
-	pushed    atomic.Uint64
-	dropped   atomic.Uint64
-	incEvals  atomic.Uint64
-	fullEvals atomic.Uint64
+	pushed  atomic.Uint64
+	dropped atomic.Uint64
+	evals   atomic.Uint64
 }
 
 // NewHub starts a hub whose subscriptions register against the given
@@ -166,71 +171,37 @@ func (h *Hub) process(gen Generation) {
 		h.mu.Unlock()
 		return
 	}
-	prev := h.prev
 	h.prev = gen
 	targets := make([]*Subscription, 0, len(h.subs))
 	for _, s := range h.subs {
 		targets = append(targets, s)
 	}
 	h.mu.Unlock()
-	if len(targets) == 0 {
-		return
+	for _, s := range targets {
+		h.evalSub(s, gen)
 	}
-	d := computeDelta(prev, gen)
-	// Shard the fan-out: subscription evaluations are independent, so a
-	// strided worker pool brings all subscribers current in parallel.
-	// evalSub errors are deliberately ignored — a query that evaluated
-	// at registration cannot fail against a later generation of the same
-	// schema; if it somehow does, the subscription goes stale and the
-	// client's gap detection forces a resync.
-	workers := min(runtime.GOMAXPROCS(0), maxEvalWorkers, len(targets))
-	if workers <= 1 {
-		for _, s := range targets {
-			_ = h.evalSub(s, gen, d)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(targets); i += workers {
-				_ = h.evalSub(targets[i], gen, d)
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
-// evalSub advances one subscription to gen and enqueues the diff event.
-func (h *Hub) evalSub(s *Subscription, gen Generation, d *delta) error {
+// evalSub re-runs one subscription's query against gen and enqueues the
+// diff from its previous window. An evaluation error leaves the
+// subscription at its old seq: a query that evaluated at registration
+// cannot fail against a later generation of the same schema, and if it
+// somehow does, the client's gap detection on the next event forces a
+// resync.
+func (h *Hub) evalSub(s *Subscription, gen Generation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.st.seq >= gen.Seq {
-		return nil
+	if s.closed || s.seq >= gen.Seq {
+		return
 	}
-	prevSeq := s.st.seq
-	oldRes := s.st.result()
-	if s.st.diffSafe && d.sound && s.st.seq == d.prev.Seq {
-		fellBack, err := s.st.incremental(gen, d)
-		if err != nil {
-			return err
-		}
-		if fellBack {
-			h.fullEvals.Add(1)
-		} else {
-			h.incEvals.Add(1)
-		}
-	} else {
-		if err := s.st.fullEval(gen); err != nil {
-			return err
-		}
-		h.fullEvals.Add(1)
+	res, err := query.Execute(gen.Corpus, gen.Result, s.q)
+	if err != nil {
+		return
 	}
-	s.pushLocked(diffEvent(prevSeq, oldRes, gen.Seq, s.st.result()), h)
+	h.evals.Add(1)
+	s.pushLocked(diffEvent(s.seq, s.res, gen.Seq, res), h)
 	h.pushed.Add(1)
-	return nil
+	s.seq, s.res = gen.Seq, res
 }
 
 // Subscribe registers q as a standing subscription against the current
@@ -238,7 +209,7 @@ func (h *Hub) evalSub(s *Subscription, gen Generation, d *delta) error {
 // the registration snapshot evaluated to — the client's initial replica
 // state.
 func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, error) {
-	st, err := newEvalState(q)
+	n, err := q.Normalize()
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -251,12 +222,15 @@ func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, e
 	h.mu.Unlock()
 	// Evaluate outside the hub lock: registration cost must not stall
 	// the publish worker or other registrations.
-	if err := st.fullEval(gen); err != nil {
+	res, err := query.Execute(gen.Corpus, gen.Result, n)
+	if err != nil {
 		return nil, 0, nil, err
 	}
 	s := &Subscription{
 		id:         newSubID(),
-		st:         st,
+		q:          n,
+		seq:        gen.Seq,
+		res:        res,
 		notify:     make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		lastActive: time.Now(),
@@ -268,7 +242,7 @@ func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, e
 	}
 	h.subs[s.id] = s
 	h.mu.Unlock()
-	return s, st.seq, st.result(), nil
+	return s, gen.Seq, res, nil
 }
 
 // Get resolves a subscription by ID.
@@ -354,16 +328,8 @@ func (h *Hub) Stats() Stats {
 		Subscribers:       n,
 		PushedDiffs:       h.pushed.Load(),
 		DroppedDiffs:      h.dropped.Load(),
-		IncrementalEvals:  h.incEvals.Load(),
-		FullEvalFallbacks: h.fullEvals.Load(),
+		FullEvalFallbacks: h.evals.Load(),
 	}
-}
-
-// Seq reports the last processed generation's seq.
-func (h *Hub) Seq() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.prev.Seq
 }
 
 func newSubID() string {
@@ -374,15 +340,17 @@ func newSubID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Subscription is one registered standing query: the maintained result
-// state plus a bounded queue of diff events awaiting the consumer.
-// At most one consumer may be attached at a time (SSE streams are
-// single-reader); Snapshot serves resync fetches.
+// Subscription is one registered standing query: its normalized query,
+// the result it last evaluated to, plus a bounded queue of diff events
+// awaiting the consumer. At most one consumer may be attached at a time
+// (SSE streams are single-reader); Snapshot serves resync fetches.
 type Subscription struct {
 	id string
+	q  *query.Query // normalized; never mutated
 
 	mu         sync.Mutex
-	st         *evalState
+	seq        uint64        // generation res reflects
+	res        *query.Result // read-only once stored; shared with callers
 	queue      []*Event
 	closed     bool
 	attached   bool
@@ -394,9 +362,6 @@ type Subscription struct {
 
 // ID is the subscription's opaque identifier.
 func (s *Subscription) ID() string { return s.id }
-
-// Query returns the normalized standing query.
-func (s *Subscription) Query() *query.Query { return s.st.q }
 
 // Done is closed when the subscription is canceled, GC'd, or the hub
 // shuts down.
@@ -440,7 +405,7 @@ func (s *Subscription) TryNext() *Event {
 	return ev
 }
 
-// Snapshot returns the subscription's maintained result and the seq it
+// Snapshot returns the subscription's current result and the seq it
 // reflects — the resync target. It is the sub's own state, not a fresh
 // engine query: the returned seq is always on the subscription's
 // processed-generation chain, so subsequent events chain from it even
@@ -449,7 +414,7 @@ func (s *Subscription) Snapshot() (uint64, *query.Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lastActive = time.Now()
-	return s.st.seq, s.st.result()
+	return s.seq, s.res
 }
 
 // Attach claims the subscription's single consumer slot.
