@@ -222,6 +222,11 @@ func TestDurableRestartReplaysTailAndMatchesColdSolve(t *testing.T) {
 	if !st.PageRankSkipped {
 		t.Fatalf("recovered flush re-ran PageRank despite unchanged link graph")
 	}
+	// The checkpointed novelty detector is kept: only the tail post is
+	// looked up.
+	if n := e2.Current().Result().ScoredNovelty; n != 1 {
+		t.Fatalf("tail-replay flush looked up %d posts in the novelty detector, want the 1 tail post", n)
+	}
 
 	cold, err := NewEngine(synthCorpus(t, 202, 20, 100), inMemoryOptions())
 	if err != nil {

@@ -3,6 +3,7 @@ package influence
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"mass/internal/blog"
@@ -362,12 +363,13 @@ func snapRows(vals []float64, rows []int32, old []float64, eps float64) {
 // computeQuality scores every post, in row order: token count normalized
 // by the corpus maximum, times the novelty factor. Tokenization (word
 // counts + shingles) dominates quality scoring; only fresh posts without
-// cached facets are tokenized, in parallel. Novelty is scored in
-// chronological order so the near-duplicate detector sees originals
-// first; only the chronological tail past the scored prefix runs through
-// the detector (all of it after a back-dated insert reset the prefix). It
-// also records the corpus word total and the tokenization reuse count in
-// res.
+// cached facets are tokenized, in parallel. Only the fresh posts the
+// detector does not index yet are inserted, in chronological order. A
+// back-dated post is one insert like any other: it takes its own score
+// against the earlier posts and caps the later posts it resembles, and
+// since a cap never depends on the capping post's score, no other score
+// moves. It also records the corpus word total and the tokenization reuse
+// and novelty lookup counts in res.
 func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
 	np := len(ch.pSorted)
 	needNovelty := !a.cfg.IgnoreNovelty
@@ -389,11 +391,25 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res 
 		}
 	})
 	if needNovelty {
-		for _, s := range ch.chrono[ch.scored:] {
-			f := &ch.posts[s]
-			f.nov = ch.det.ScorePrepared(f.prepared)
+		todo = todo[:0]
+		for _, s := range fresh {
+			if !ch.posts[s].scored {
+				todo = append(todo, s)
+			}
 		}
-		ch.scored = len(ch.chrono)
+		slices.SortFunc(todo, ch.cmpChrono)
+		res.ScoredNovelty = len(todo)
+		var x int32 // the post being inserted
+		earlier := func(doc int32) bool { return ch.cmpChrono(ch.novDocs[doc], x) < 0 }
+		later := func(doc int32) {
+			f := &ch.posts[ch.novDocs[doc]]
+			f.nov = min(f.nov, novelty.MaxCopyScore)
+		}
+		for _, x = range todo {
+			f := &ch.posts[x]
+			f.nov, f.scored = ch.det.ScorePrepared(f.prepared, earlier, later), true
+			ch.novDocs = append(ch.novDocs, x)
+		}
 	}
 
 	quality = make([]float64, np)

@@ -21,7 +21,7 @@ import (
 // the body-derived post facets (bodies are immutable: word count, novelty
 // shingles and score, classifier posterior), the per-comment commenter
 // and sentiment (comments are append-only), TC per blogger, the sorted-ID
-// and chronological orders, and the GL vector with its push state.
+// orders, and the GL vector with its push state.
 //
 // A lineage change (Reindex, FromParts, an unrelated corpus, a forked
 // snapshot), journals that disagree with the corpus's maps (a direct map
@@ -29,8 +29,16 @@ import (
 // position 0. That is the only place the corpus is validated, and a cold
 // analysis runs exactly that path. A reset keeps the facets of every post
 // ID the cache holds (a post ID names one immutable body) and the novelty
-// detector while its scored chronological prefix is unchanged. Use a new
-// Cache for a corpus that may recycle post IDs for other bodies.
+// detector while every post it indexed is still held with the same posting
+// time. Use a new Cache for a corpus that may recycle post IDs for other
+// bodies.
+//
+// Novelty is insert-only. A post is capped when an earlier post resembles
+// it, whatever that post's own score, so a new post moves only its own
+// score and caps the later posts it resembles (novelty.ScorePrepared); no
+// cap is ever lifted, so nothing cascades. A back-dated post therefore
+// costs one detector insert, like an in-order one, and the detector's
+// documents need not be in chronological order.
 //
 // A Cache serves one Analyzer configuration and must not be used
 // concurrently; the engine serializes analyses.
@@ -54,8 +62,7 @@ type Cache struct {
 	postSlot map[blog.PostID]int32
 	posts    []postFacets
 	pSorted  []int32 // post slots in ID order
-	chrono   []int32 // post slots in (Posted, ID) order
-	scored   int     // chrono prefix det has scored; their nov values hold
+	novDocs  []int32 // post slot per detector document, in insertion order
 	comments int     // comments held across all post slots
 
 	// GL facet: the last solved vector per blogger slot. It is exactly
@@ -90,7 +97,8 @@ type postFacets struct {
 
 	prepared    novelty.Prepared
 	hasPrepared bool
-	nov         float64 // valid while the post is in the scored chrono prefix
+	scored      bool    // the detector indexes the post (it is in novDocs)
+	nov         float64 // valid while scored
 
 	posterior []float64 // dense row over Cache.domains; nil = not classified
 
@@ -142,7 +150,7 @@ func (ch *Cache) sync(c *blog.Corpus) (fresh, grown []int32, reset bool, err err
 	}
 	old := *ch
 	*ch = Cache{
-		domains: old.domains, det: old.det, lineage: j.Lineage,
+		domains: old.domains, det: novelty.New(), lineage: j.Lineage,
 		bloggerSlot: make(map[blog.BloggerID]int32, len(j.Bloggers)),
 		postSlot:    make(map[blog.PostID]int32, len(j.Posts)),
 		posts:       make([]postFacets, 0, len(j.Posts)),
@@ -218,31 +226,29 @@ func (ch *Cache) extend(c *blog.Corpus, j blog.Journal, old *Cache) (fresh, grow
 			ch.comments++
 		}
 	}
-	ch.bSorted, _ = mergeInsert(ch.bSorted, newBloggers, ch.cmpBloggers)
-	ch.pSorted, _ = mergeInsert(ch.pSorted, fresh, ch.cmpPosts)
-	var first int
-	ch.chrono, first = mergeInsert(ch.chrono, slices.Clone(fresh), ch.cmpChrono)
-	if first < ch.scored {
-		// A back-dated post lands inside the scored prefix: every later
-		// post's novelty may change, so the detector replays from scratch.
-		ch.scored = 0
-		ch.det = novelty.New()
-	}
+	ch.bSorted = mergeInsert(ch.bSorted, newBloggers, ch.cmpBloggers)
+	ch.pSorted = mergeInsert(ch.pSorted, fresh, ch.cmpPosts)
 	return fresh, grown, true
 }
 
-// adopt finishes a reset: it keeps the novelty detector when old's scored
-// chronological prefix is still the prefix of the new order, and carries
-// the GL vector over by blogger ID.
+// adopt finishes a reset: it keeps the novelty detector when every post it
+// indexed is still held with the same posting time (the scores it left
+// depend only on which posts it indexed and their chronological order),
+// and carries the GL vector over by blogger ID.
 func (ch *Cache) adopt(old *Cache) {
-	keep := old.scored <= len(ch.chrono)
-	for k := 0; keep && k < old.scored; k++ {
-		keep = ch.postIDs[ch.chrono[k]] == old.postIDs[old.chrono[k]]
+	docs := make([]int32, 0, len(old.novDocs))
+	for _, os := range old.novDocs {
+		s, held := ch.postSlot[old.postIDs[os]]
+		if !held || !ch.posts[s].posted.Equal(old.posts[os].posted) {
+			break
+		}
+		docs = append(docs, s)
 	}
-	if keep {
-		ch.scored = old.scored
-	} else {
-		ch.det = novelty.New()
+	if len(docs) == len(old.novDocs) {
+		ch.det, ch.novDocs = old.det, docs
+		for _, s := range docs {
+			ch.posts[s].scored = true
+		}
 	}
 
 	if len(old.gl) == 0 {
@@ -260,6 +266,8 @@ func (ch *Cache) adopt(old *Cache) {
 
 // adopt takes over the body-derived facets another slot holds for the same
 // post ID; sentiments are capped to the post's current comments.
+// The scored flag is not taken: Cache.adopt sets it once it keeps the
+// detector.
 func (f *postFacets) adopt(o *postFacets, comments int) {
 	f.words, f.tokenized = o.words, o.tokenized
 	f.prepared, f.hasPrepared, f.nov = o.prepared, o.hasPrepared, o.nov
@@ -271,8 +279,8 @@ func (ch *Cache) cmpBloggers(a, b int32) int { return cmp.Compare(ch.bloggerIDs[
 
 func (ch *Cache) cmpPosts(a, b int32) int { return cmp.Compare(ch.postIDs[a], ch.postIDs[b]) }
 
-// cmpChrono orders posts by posting time, then ID — the order the novelty
-// detector sees them in, originals before their copies.
+// cmpChrono orders posts by posting time, then ID: the order in which a
+// post counts as earlier than its copies for novelty.
 func (ch *Cache) cmpChrono(a, b int32) int {
 	if c := ch.posts[a].posted.Compare(ch.posts[b].posted); c != 0 {
 		return c
@@ -281,13 +289,11 @@ func (ch *Cache) cmpChrono(a, b int32) int {
 }
 
 // mergeInsert sorts fresh by cmp (in place) and merges it into sorted,
-// returning the merged order and the position of the first fresh slot in
-// it (len(merged) when fresh is empty). O(len(sorted) + k log k).
-func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) ([]int32, int) {
+// returning the merged order. O(len(sorted) + k log k).
+func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) []int32 {
 	slices.SortFunc(fresh, cmp)
 	i, j := len(sorted)-1, len(fresh)-1
 	out := slices.Grow(sorted, len(fresh))[:len(sorted)+len(fresh)]
-	first := len(out)
 	for k := len(out) - 1; j >= 0; k-- {
 		if i >= 0 && cmp(out[i], fresh[j]) > 0 {
 			out[k] = out[i]
@@ -295,10 +301,9 @@ func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) ([]int32, int)
 		} else {
 			out[k] = fresh[j]
 			j--
-			first = k
 		}
 	}
-	return out, first
+	return out
 }
 
 // glMatches reports whether the cached GL vector is exactly valid for c:

@@ -550,3 +550,36 @@ func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
 		t.Fatalf("warm flush allocations grow with corpus size: %v (150 posts) vs %v (600 posts)", small, large)
 	}
 }
+
+// TestCacheRecoversFromFailedReset hands a warm cache a corpus that passes
+// Validate but whose journal names a post its map no longer holds (a
+// reindexed snapshot with one post moved to another ID by direct map
+// writes), so the reset fails while interning. The next analysis of a
+// valid corpus must not trust the detector that half-built reset left
+// behind: it matches a cold analysis exactly.
+func TestCacheRecoversFromFailedReset(t *testing.T) {
+	corpus, _, err := synth.Generate(synth.Config{Seed: 97, Bloggers: 30, Posts: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAnalyzer(t, tightConfig(), nil)
+	cache := NewCache()
+	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	moved := corpus.Snapshot()
+	moved.Reindex()
+	pid := moved.PostIDs()[len(moved.Posts)-1]
+	p := *moved.Posts[pid]
+	delete(moved.Posts, pid)
+	p.ID = "moved-" + pid
+	moved.Posts[p.ID] = &p
+	if _, err := a.AnalyzeCached(moved, nil, cache); err == nil {
+		t.Fatal("warm cache accepted a journal naming a post its map lacks")
+	}
+	res, err := a.AnalyzeCached(corpus, nil, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesCold(t, "after a failed reset", a, corpus, res)
+}

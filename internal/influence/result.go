@@ -35,6 +35,10 @@ type Result struct {
 	// shingles) came from the analysis cache instead of being recomputed
 	// (0 without a cache).
 	ReusedNovelty int
+	// ScoredNovelty counts posts the near-duplicate detector looked up
+	// (inserted) in this analysis: the posts new to it, in order or
+	// back-dated alike (every post on a cold analysis).
+	ScoredNovelty int
 	// ReusedSentiments counts comments whose sentiment polarity came from
 	// the analysis cache instead of being re-scored (0 without a cache).
 	ReusedSentiments int

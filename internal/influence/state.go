@@ -2,6 +2,7 @@ package influence
 
 import (
 	"slices"
+	"time"
 
 	"mass/internal/blog"
 	"mass/internal/novelty"
@@ -18,10 +19,12 @@ import (
 // before the crash. Export and restore are inverses by construction:
 // RestoreCache(ch.ExportState()) reproduces every reuse decision the
 // original cache would have made, including the novelty detector, which is
-// rebuilt by re-indexing the persisted shingle sets in the persisted
-// scoring order (the scored values travel with the state, so the expensive
-// duplicate lookup is not repeated; a legacy state without scores falls
-// back to a full ScorePrepared replay, which reproduces them bit-for-bit).
+// rebuilt by re-indexing the persisted shingle sets (novelty.Observe) in
+// the detector's insertion order. The scored values travel with the state,
+// so no duplicate lookup is repeated. The insertion order need not be
+// chronological: a post's score depends only on which posts are indexed
+// and their posting times, never on the order they were inserted in, so
+// a restored detector keeps taking back-dated posts as single inserts.
 
 // CacheState is the serializable warm state of a Cache plus the published
 // influence vector that warm-starts the fixed-point solver after recovery.
@@ -31,8 +34,8 @@ type CacheState struct {
 	Domains []string
 	// Posts holds one entry per cached post, sorted by ID.
 	Posts []PostFacetsState
-	// NovOrder is the chronological order the novelty detector scored posts
-	// in; restoring replays it to rebuild the inverted shingle index.
+	// NovOrder lists the posts the novelty detector indexes, in insertion
+	// order; restoring replays it to rebuild the inverted shingle index.
 	NovOrder []blog.PostID
 	// GLBloggers/GL are the cached PageRank vector and the sorted blogger
 	// list it is aligned to (empty when no solve has completed).
@@ -47,7 +50,10 @@ type CacheState struct {
 
 // PostFacetsState is the serializable image of one post's cached facets.
 type PostFacetsState struct {
-	ID        blog.PostID
+	ID blog.PostID
+	// Posted is the post's posting time. A durable snapshot does not store
+	// it twice: its decoder fills it in from the snapshot's corpus.
+	Posted    time.Time
 	Words     float64
 	Tokenized bool
 
@@ -55,9 +61,9 @@ type PostFacetsState struct {
 	Shingles    []uint64 // sorted shingle hashes (textutil.ShingleHashes)
 	Indicator   float64
 
-	// HasNov/Nov carry the post's scored novelty value. Restore then only
-	// has to re-index shingles (novelty.Detector.Observe), not re-run the
-	// duplicate lookup, which dominates replay cost on large corpora.
+	// HasNov/Nov carry the post's scored novelty value; every post in
+	// NovOrder has one. Restore then only has to re-index shingles
+	// (novelty.Detector.Observe), not re-run the duplicate lookup.
 	HasNov bool
 	Nov    float64
 
@@ -73,23 +79,21 @@ type PostFacetsState struct {
 func (ch *Cache) ExportState() *CacheState {
 	st := &CacheState{
 		Domains:  append([]string(nil), ch.domains.names...),
-		NovOrder: make([]blog.PostID, ch.scored),
+		NovOrder: make([]blog.PostID, len(ch.novDocs)),
 		Posts:    make([]PostFacetsState, 0, len(ch.pSorted)),
 	}
-	scored := make([]bool, len(ch.posts))
-	for k, s := range ch.chrono[:ch.scored] {
+	for k, s := range ch.novDocs {
 		st.NovOrder[k] = ch.postIDs[s]
-		scored[s] = true
 	}
 	for _, s := range ch.pSorted {
 		f := &ch.posts[s]
-		ps := PostFacetsState{ID: ch.postIDs[s], Words: f.words, Tokenized: f.tokenized}
+		ps := PostFacetsState{ID: ch.postIDs[s], Posted: f.posted, Words: f.words, Tokenized: f.tokenized}
 		if f.hasPrepared {
 			ps.HasPrepared = true
 			ps.Shingles = f.prepared.Shingles()
 			ps.Indicator = f.prepared.Indicator()
 		}
-		if scored[s] {
+		if f.scored {
 			ps.HasNov = true
 			ps.Nov = f.nov
 		}
@@ -115,12 +119,12 @@ func (ch *Cache) ExportState() *CacheState {
 // follows no corpus lineage, so its first analysis resets to journal
 // position 0 and takes over every restored facet by post ID. Structurally
 // invalid pieces degrade instead of failing: a posterior row longer than
-// the domain index is truncated, and a novelty order referencing a post
-// without prepared shingles resets the duplicate-detection state — the
-// restored cache then re-derives those facets on the next analysis, which
-// keeps the scores correct at the cost of some rework. The GL vector is
-// restored unkeyed; call BindGL with the recovered corpus to arm the skip
-// path.
+// the domain index is truncated, and a novelty order naming a post twice,
+// or a post without prepared shingles or a scored value, resets the
+// duplicate-detection state — the restored cache then re-derives those
+// facets on the next analysis, which keeps the scores correct at the cost
+// of some rework. The GL vector is restored unkeyed; call BindGL with the
+// recovered corpus to arm the skip path.
 func RestoreCache(st *CacheState) *Cache {
 	ch := NewCache()
 	if st == nil {
@@ -137,7 +141,7 @@ func RestoreCache(st *CacheState) *Cache {
 		if _, dup := ch.postSlot[ps.ID]; dup || ps.ID == "" {
 			continue
 		}
-		f := postFacets{words: ps.Words, tokenized: ps.Tokenized, nov: ps.Nov}
+		f := postFacets{posted: ps.Posted, words: ps.Words, tokenized: ps.Tokenized, nov: ps.Nov}
 		if ps.HasPrepared {
 			f.prepared = novelty.RestorePrepared(ps.Shingles, ps.Indicator)
 			f.hasPrepared = true
@@ -157,26 +161,26 @@ func RestoreCache(st *CacheState) *Cache {
 		shingles += len(ps.Shingles)
 	}
 	slices.SortFunc(ch.pSorted, ch.cmpPosts)
-	if len(st.NovOrder) > 0 {
-		ch.det.Reserve(shingles)
-	}
 	for _, pid := range st.NovOrder {
 		s, ok := ch.postSlot[pid]
-		if !ok || !ch.posts[s].hasPrepared {
-			ch.det, ch.chrono = novelty.New(), nil
+		if !ok || !ch.posts[s].hasPrepared || !hasNov[s] || ch.posts[s].scored {
+			for _, s := range ch.novDocs {
+				ch.posts[s].scored = false
+			}
+			ch.novDocs = nil
 			break
 		}
-		f := &ch.posts[s]
-		if hasNov[s] {
-			// The scored value is part of the state; only the detector's
-			// inverted index needs rebuilding.
-			ch.det.Observe(f.prepared)
-		} else {
-			f.nov = ch.det.ScorePrepared(f.prepared)
-		}
-		ch.chrono = append(ch.chrono, s)
+		ch.posts[s].scored = true
+		ch.novDocs = append(ch.novDocs, s)
 	}
-	ch.scored = len(ch.chrono)
+	// The scored values are part of the state; only the detector's
+	// inverted index needs rebuilding.
+	if len(ch.novDocs) > 0 {
+		ch.det.Reserve(shingles)
+	}
+	for _, s := range ch.novDocs {
+		ch.det.Observe(ch.posts[s].prepared)
+	}
 	if len(st.GLBloggers) == len(st.GL) {
 		for i, id := range st.GLBloggers {
 			if _, dup := ch.bloggerSlot[id]; dup {

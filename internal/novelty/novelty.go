@@ -19,11 +19,12 @@ import (
 	"mass/internal/textutil"
 )
 
-// CopyScore is the novelty value assigned to detected copies. The paper
-// allows "a value between 0 and 0.1"; we grade within that band by how many
-// indicators matched (more indicators → closer to 0).
+// MaxCopyScore is the highest novelty a detected copy gets. The paper
+// allows "a value between 0 and 0.1"; the indicator rule grades within
+// that band by how many indicators matched (more indicators → closer to
+// 0), and a near-duplicate of an earlier post is capped at it.
 const (
-	maxCopyScore = 0.1
+	MaxCopyScore = 0.1
 	// OriginalScore is the novelty of an original article.
 	OriginalScore = 1.0
 )
@@ -45,9 +46,17 @@ type Detector struct {
 	// occur in exactly one document, so the first posting is stored inline
 	// in `first` and only repeat shingles grow a slice in `more` — the
 	// split avoids one tiny slice allocation per distinct shingle.
+	// Documents are numbered 0, 1, … in the order they are indexed
+	// (ScorePrepared or Observe), which need not be chronological.
 	first    map[uint64]int32
 	more     map[uint64][]int32
 	seenSize []int // shingle-set size per seen document
+
+	// Lookup scratch: shared[doc] counts the shingles a document shares
+	// with the one being scored, and touched lists the documents with a
+	// nonzero count, so a lookup clears only what it set.
+	shared  []int32
+	touched []int32
 }
 
 // New returns a detector using the standard copy-indicator lexicon,
@@ -77,29 +86,22 @@ func (d *Detector) IndicatorScore(text string) float64 {
 		return OriginalScore
 	}
 	// 1 hit → 0.1, 2 hits → 0.05, 3 → 0.0333..., asymptotically → 0.
-	return maxCopyScore / float64(hits)
+	return MaxCopyScore / float64(hits)
 }
 
 // Score combines the indicator rule with near-duplicate detection against
-// all texts previously scored by this detector (in call order). A
-// near-duplicate of an earlier post is capped at maxCopyScore even without
-// credit phrases. Scoring order matters: the first occurrence of content is
-// original, later copies are not — callers should score posts in
-// chronological order.
-//
-// Duplicate lookup goes through an inverted shingle index: only documents
-// sharing at least one shingle are candidates, and the exact resemblance
-// |A∩B| / |A∪B| is computed from shared-shingle counts, so scoring a corpus
-// costs O(total shingle occurrences) rather than O(posts²).
+// all texts previously scored by this detector, taking each earlier call's
+// text as chronologically earlier. A near-duplicate of an earlier post is
+// capped at MaxCopyScore even without credit phrases: the first occurrence
+// of content is original, later copies are not.
 func (d *Detector) Score(text string) float64 {
-	return d.ScorePrepared(d.Prepare(text))
+	return d.ScorePrepared(d.Prepare(text), nil, nil)
 }
 
 // Prepared is a document preprocessed for duplicate detection. Prepare is
 // pure and safe to call concurrently; ScorePrepared consumes the results
-// serially in chronological order. The split exists because shingling
-// dominates analysis cost and parallelizes, while the seen-index update
-// is inherently ordered.
+// serially. The split exists because shingling dominates analysis cost and
+// parallelizes, while the seen-index update is serial.
 type Prepared struct {
 	// shingles is the deduplicated, sorted hash set of the document's
 	// k-gram shingles (see textutil.ShingleHashes). A slice, not a map:
@@ -118,39 +120,67 @@ func (d *Detector) Prepare(text string) Prepared {
 	}
 }
 
-// ScorePrepared is Score over a Prepare result. Not safe for concurrent
-// use: it mutates the seen-document index.
-func (d *Detector) ScorePrepared(p Prepared) float64 {
+// ScorePrepared inserts a prepared document into the seen index and
+// returns its novelty. Not safe for concurrent use.
+//
+// A document is capped at MaxCopyScore when a chronologically earlier
+// document resembles it at the duplicate threshold. earlier reports
+// whether an indexed document precedes the new one; nil means every
+// indexed document does (in-order scoring). later is
+// called with each indexed document that follows the new one and
+// resembles it: the insert caps that document too, and the caller applies
+// min(nov, MaxCopyScore) to the score it stored. Nothing else moves. A cap
+// never depends on the capping document's own score, so lowering a later
+// document's score cannot lift or lower any other, and resemblance is
+// symmetric, so one pass over the new document's posting lists finds both
+// sides. Inserting documents in any order therefore leaves every score
+// bit-for-bit equal to scoring the final set chronologically.
+//
+// Lookup goes through the inverted shingle index: only documents sharing
+// at least one shingle are candidates, and the exact resemblance
+// |A∩B| / |A∪B| is computed from shared-shingle counts, so an insert costs
+// O(the new document's posting-list lengths), not O(documents).
+func (d *Detector) ScorePrepared(p Prepared, earlier func(doc int32) bool, later func(doc int32)) float64 {
 	s := p.indicator
-	sh := p.shingles
-	if len(sh) > 0 {
-		shared := map[int32]int{}
-		for _, g := range sh {
-			if doc, ok := d.first[g]; ok {
-				shared[doc]++
-				for _, rest := range d.more[g] {
-					shared[rest]++
-				}
-			}
-		}
-		for doc, inter := range shared {
-			union := len(sh) + d.seenSize[doc] - inter
-			if union > 0 && float64(inter)/float64(union) >= d.dupThreshold {
-				if s > maxCopyScore {
-					s = maxCopyScore
-				}
-				break
+	for _, g := range p.shingles {
+		if doc, ok := d.first[g]; ok {
+			d.tally(doc)
+			for _, rest := range d.more[g] {
+				d.tally(rest)
 			}
 		}
 	}
-	d.observe(sh)
+	for _, doc := range d.touched {
+		inter := int(d.shared[doc])
+		d.shared[doc] = 0
+		union := len(p.shingles) + d.seenSize[doc] - inter
+		if float64(inter)/float64(union) < d.dupThreshold {
+			continue
+		}
+		if earlier == nil || earlier(doc) {
+			s = min(s, MaxCopyScore)
+		} else {
+			later(doc)
+		}
+	}
+	d.touched = d.touched[:0]
+	d.observe(p.shingles)
 	return s
+}
+
+// tally counts one shingle doc shares with the document being scored.
+func (d *Detector) tally(doc int32) {
+	if d.shared[doc] == 0 {
+		d.touched = append(d.touched, doc)
+	}
+	d.shared[doc]++
 }
 
 // observe appends the next document id to every posting list in sh.
 func (d *Detector) observe(sh []uint64) {
 	id := int32(len(d.seenSize))
 	d.seenSize = append(d.seenSize, len(sh))
+	d.shared = append(d.shared, 0)
 	for _, g := range sh {
 		if _, ok := d.first[g]; !ok {
 			d.first[g] = id
@@ -159,13 +189,3 @@ func (d *Detector) observe(sh []uint64) {
 		}
 	}
 }
-
-// Reset clears the seen-post memory (the indicator lexicon is kept).
-func (d *Detector) Reset() {
-	d.first = map[uint64]int32{}
-	d.more = map[uint64][]int32{}
-	d.seenSize = nil
-}
-
-// SeenCount reports how many texts have been scored since the last Reset.
-func (d *Detector) SeenCount() int { return len(d.seenSize) }

@@ -1,6 +1,7 @@
 package novelty
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -69,22 +70,6 @@ func TestScoreOrderMatters(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := New()
-	text := "repeatable content with enough words for shingles to exist okay"
-	d.Score(text)
-	if d.SeenCount() != 1 {
-		t.Fatalf("SeenCount = %d, want 1", d.SeenCount())
-	}
-	d.Reset()
-	if d.SeenCount() != 0 {
-		t.Fatal("Reset must clear memory")
-	}
-	if got := d.Score(text); got != OriginalScore {
-		t.Fatalf("after Reset the text is original again, got %v", got)
-	}
-}
-
 func TestShortTextNoShingles(t *testing.T) {
 	d := New()
 	// Too short for 4-token shingles; duplicate detection cannot fire.
@@ -113,5 +98,56 @@ func TestScoreRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Inserting documents out of chronological order, with the earlier
+// predicate and the later cap, leaves every score bit-for-bit equal to
+// scoring the same documents chronologically, and each insert calls later
+// only for a following near-duplicate.
+func TestScorePreparedAnyOrderMatchesChronological(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	words := []string{"harbour", "market", "fish", "price", "river", "storm", "goal", "league", "canvas", "gallery"}
+	for round := 0; round < 30; round++ {
+		var texts []string
+		for i := 0; i < 25; i++ {
+			if i > 0 && rng.Intn(3) == 0 {
+				texts = append(texts, texts[rng.Intn(len(texts))]) // a verbatim copy
+				continue
+			}
+			body := ""
+			for w := 0; w < 6+rng.Intn(10); w++ {
+				body += words[rng.Intn(len(words))] + " "
+			}
+			if rng.Intn(6) == 0 {
+				body += "reposted from elsewhere"
+			}
+			texts = append(texts, body)
+		}
+		chrono := New()
+		want := make([]float64, len(texts))
+		for i, text := range texts {
+			want[i] = chrono.Score(text)
+		}
+
+		d := New()
+		got := make([]float64, len(texts))
+		var docs []int // document number → chronological rank
+		for _, rank := range rng.Perm(len(texts)) {
+			earlier := func(doc int32) bool { return docs[doc] < rank }
+			later := func(doc int32) {
+				if docs[doc] <= rank {
+					t.Fatalf("round %d: later called for rank %d inserting rank %d", round, docs[doc], rank)
+				}
+				got[docs[doc]] = min(got[docs[doc]], MaxCopyScore)
+			}
+			got[rank] = d.ScorePrepared(d.Prepare(texts[rank]), earlier, later)
+			docs = append(docs, rank)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: text %d scored %v out of order, %v in order", round, i, got[i], want[i])
+			}
+		}
 	}
 }

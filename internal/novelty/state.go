@@ -29,9 +29,9 @@ func (d *Detector) Reserve(n int) {
 }
 
 // Observe records a prepared document in the seen index without scoring
-// it: the document gets the next slot in scoring order and its shingles
-// join the inverted index, exactly as ScorePrepared would leave them, but
-// the (expensive) duplicate lookup against earlier documents is skipped.
+// it: the document gets the next document number and its shingles join
+// the inverted index, exactly as ScorePrepared would leave them, but the
+// (expensive) duplicate lookup against indexed documents is skipped.
 // For restore paths that already know the document's score, replaying
 // Observe instead of ScorePrepared rebuilds an identical detector in time
 // linear in the shingle count — the lookup is the quadratic-ish part on

@@ -168,9 +168,10 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	for _, pid := range st.NovOrder {
 		i, ok := pIdx[pid]
 		if !ok {
-			// An order referencing an evicted post can't be replayed
-			// exactly; persist the prefix up to it and let the restored
-			// cache reset novelty if the prefix proves unusable.
+			// An order referencing an evicted post can't be replayed: a
+			// post it capped as a later copy would stay capped. Persist no
+			// order, so the restored cache re-scores novelty.
+			order = order[:0]
 			break
 		}
 		order = append(order, i)
@@ -316,7 +317,11 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		nf := d.count(12)
 		st.Posts = make([]influence.PostFacetsState, 0, nf)
 		for i := 0; i < nf && d.err == nil; i++ {
-			ps := influence.PostFacetsState{ID: pid(d.uvarint()), Words: d.f64()}
+			pi := d.uvarint()
+			ps := influence.PostFacetsState{ID: pid(pi), Words: d.f64()}
+			if d.err == nil {
+				ps.Posted = posts[pi].Posted
+			}
 			ps.Tokenized = d.u8() == 1
 			ps.HasPrepared = d.u8() == 1
 			if ps.HasPrepared {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mass/internal/blog"
+	"mass/internal/influence"
 )
 
 // testOps builds n distinct ops cycling through all kinds, starting from
@@ -347,6 +348,36 @@ func TestSnapshotRoundTripPreservesCorpus(t *testing.T) {
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("restored corpus invalid: %v", err)
+	}
+}
+
+// TestSnapshotNovelty pins the two novelty rules of the snapshot format:
+// a decoded post's facets carry the post's time from the snapshot's
+// corpus, and a novelty order naming a post the corpus no longer holds is
+// dropped whole (a held post it capped as a later copy would otherwise
+// stay capped).
+func TestSnapshotNovelty(t *testing.T) {
+	c := corpusForSnapshot(t)
+	held := influence.PostFacetsState{ID: "p1", HasPrepared: true, Shingles: []uint64{7, 9}, Indicator: 1, HasNov: true, Nov: 0.1}
+	for _, tc := range []struct {
+		order []blog.PostID
+		want  int
+	}{{[]blog.PostID{"p1"}, 1}, {[]blog.PostID{"gone", "p1"}, 0}, {[]blog.PostID{"p1", "gone"}, 0}} {
+		st := &influence.CacheState{Posts: []influence.PostFacetsState{held}, NovOrder: tc.order}
+		data, err := encodeSnapshotFile(&Snapshot{Index: 1, Corpus: c, Cache: st})
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		s, err := decodeSnapshotFile(data)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if got := len(s.Cache.NovOrder); got != tc.want {
+			t.Fatalf("order %v decoded to %v, want %d entries", tc.order, s.Cache.NovOrder, tc.want)
+		}
+		if ps := s.Cache.Posts[0]; ps.ID != "p1" || !ps.Posted.Equal(c.Posts["p1"].Posted) {
+			t.Fatalf("decoded facets %s posted %v, want p1 at %v", ps.ID, ps.Posted, c.Posts["p1"].Posted)
+		}
 	}
 }
 
