@@ -710,7 +710,8 @@ func writeCorpus(w *countingWriter, c *blog.Corpus) error {
 // from scratch (the only restart story before the WAL existed). The
 // snapshot carries the analysis warm cache, so the recovered engine's
 // first flush reuses posteriors, shingles and the PageRank vector instead
-// of recomputing them; BENCH_PR7.json records the gap.
+// of recomputing them; TestDurableRestartMatchesColdSolve (internal/core)
+// asserts that reuse.
 func BenchmarkRestartRecovery(b *testing.B) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 500, Posts: 5000})
 	if err != nil {

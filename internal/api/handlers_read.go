@@ -107,6 +107,11 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 		return bloggerDetail{}, errf(http.StatusNotFound, ErrCodeNotFound, "unknown blogger %q", id)
 	}
 	res := snap.Result()
+	d := res.Dense()
+	var rows []int32 // the blogger's post rows, in ID order
+	if bi, ok := res.BloggerIndex(id); ok {
+		rows = d.ByAuthor[d.AuthorOff[bi]:d.AuthorOff[bi+1]]
+	}
 	detail := bloggerDetail{
 		ID:           id,
 		Name:         b.Name,
@@ -114,27 +119,25 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 		AP:           res.AP[id],
 		GL:           res.GL[id],
 		DomainScores: res.DomainVector(id),
-		Posts:        len(c.PostsBy(id)),
+		Posts:        len(rows),
 	}
-	// Top 3 posts by score descending, ties by ascending ID: each score is
-	// resolved once and inserted into the short ordered list (which stays
-	// nil for a blogger without posts).
-	var top []topPost
-	for _, pid := range c.PostsBy(id) {
-		p := topPost{ID: pid, Score: res.PostScore(pid)}
+	// Top 3 posts by score descending, ties by ascending ID: rows come in
+	// ID order, so a post moves ahead only of posts scoring strictly less.
+	var top []int32
+	for _, r := range rows {
 		at := len(top)
-		for at > 0 && (p.Score > top[at-1].Score || p.Score == top[at-1].Score && p.ID < top[at-1].ID) {
+		for at > 0 && d.PostScore[r] > d.PostScore[top[at-1]] {
 			at--
 		}
 		if at < 3 {
-			top = slices.Insert(top, at, p)
+			top = slices.Insert(top, at, r)
 			top = top[:min(len(top), 3)]
 		}
 	}
-	for i := range top {
-		top[i].Title = c.Posts[top[i].ID].Title
+	for _, r := range top {
+		pid := d.Posts[r]
+		detail.TopPosts = append(detail.TopPosts, topPost{ID: pid, Title: c.Posts[pid].Title, Score: d.PostScore[r]})
 	}
-	detail.TopPosts = top
 	return detail, nil
 }
 

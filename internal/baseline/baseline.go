@@ -85,9 +85,9 @@ func (g General) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
 //
 // where λ_p is the post length (weight = length normalized by the corpus
 // max), γ_p the number of comments on p, ι_p the author's inlink count and
-// θ_p the author's outlink count (the corpus records links at blogger
-// granularity; the WSDM model's post-level links are approximated by the
-// author's). A blogger's iIndex is the maximum influence over their posts
+// θ_p the author's outlink count, counting distinct link edges (the corpus
+// records links at blogger granularity; the WSDM model's post-level links
+// are approximated by the author's). A blogger's iIndex is the maximum influence over their posts
 // — "a blogger is influential if s/he has at least one influential post".
 type IFinder struct {
 	// WComment, WIn, WOut weigh comments, inlinks and outlinks. Zero
@@ -112,32 +112,29 @@ func (f IFinder) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
 		wOut = 0.5
 	}
 	maxLen := 0.0
-	lengths := map[blog.PostID]float64{}
-	for _, pid := range c.PostIDs() {
-		l := float64(textutil.WordCount(c.Posts[pid].Body))
+	lengths := make(map[blog.PostID]float64, len(c.Posts))
+	for pid, p := range c.Posts {
+		l := float64(textutil.WordCount(p.Body))
 		lengths[pid] = l
 		if l > maxLen {
 			maxLen = l
 		}
 	}
 	out := make(map[blog.BloggerID]float64, len(c.Bloggers))
-	for _, b := range c.BloggerIDs() {
-		in := float64(len(c.InLinks(b)))
-		outDeg := float64(len(c.OutLinks(b)))
-		best := 0.0
-		for _, pid := range c.PostsBy(b) {
-			p := c.Posts[pid]
-			lw := 0.0
-			if maxLen > 0 {
-				lw = lengths[pid] / maxLen
-			}
-			flow := wCom*float64(len(p.Comments)) + wIn*in - wOut*outDeg
-			score := lw * math.Max(flow, 0)
-			if score > best {
-				best = score
-			}
+	for b := range c.Bloggers {
+		out[b] = 0
+	}
+	g := c.LinkCSR()
+	for pid, p := range c.Posts {
+		i, _ := g.Index(string(p.Author))
+		lw := 0.0
+		if maxLen > 0 {
+			lw = lengths[pid] / maxLen
 		}
-		out[b] = best
+		flow := wCom*float64(len(p.Comments)) + wIn*float64(g.InDegree(i)) - wOut*float64(g.OutDegree(i))
+		if score := lw * math.Max(flow, 0); score > out[p.Author] {
+			out[p.Author] = score
+		}
 	}
 	return out, nil
 }

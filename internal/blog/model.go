@@ -1,7 +1,7 @@
 // Package blog defines the data model of the blogosphere MASS analyzes:
 // bloggers, posts, comments, and hyperlinks between blogs, assembled into a
-// Corpus with the derived indexes the influence analyzer needs (per-blogger
-// posts, per-commenter totals, link adjacency).
+// Corpus. Per-blogger facts (posts per author, comments made, link
+// degrees) are not indexed here: the influence analysis derives them.
 //
 // The model mirrors the paper's §II: a set of bloggers with their posts,
 // the comments on the posts and the corresponding commenters, plus the
@@ -67,18 +67,20 @@ type Link struct {
 	To   BloggerID `xml:"to,attr"`
 }
 
-// Corpus is a complete blogosphere snapshot plus derived indexes. Build the
-// indexes with Reindex after bulk mutation; the constructors and AddX
-// helpers keep them current automatically.
+// Corpus is a complete blogosphere snapshot: the entities, the mutation
+// journal and the link graph's epoch and view. Call Reindex after bulk
+// mutation; the constructors and AddX helpers keep the journal and epoch
+// current automatically.
 type Corpus struct {
 	Bloggers map[BloggerID]*Blogger
 	Posts    map[PostID]*Post
 	Links    []Link
 
-	postsByAuthor map[BloggerID][]PostID
-	totalComments map[BloggerID]int // TC(bj) in Eq.3
-	outLinks      map[BloggerID][]BloggerID
-	inLinks       map[BloggerID][]BloggerID
+	// linkSet holds every distinct edge of Links, so AddLink can tell a
+	// duplicate (no epoch bump) from a new edge. It is nil after
+	// construction, a Reindex or a Snapshot; the next AddLink or
+	// AddLinkDedup rebuilds it from Links.
+	linkSet map[Link]struct{}
 
 	// linkEpoch counts every mutation that can change the hyperlink graph
 	// (blogger added, effective link added, reindex). Two corpora from the
@@ -268,13 +270,9 @@ func (c *Corpus) LinkEpoch() uint64 { return c.linkEpoch }
 // NewCorpus returns an empty corpus with initialized maps.
 func NewCorpus() *Corpus {
 	return &Corpus{
-		Bloggers:      map[BloggerID]*Blogger{},
-		Posts:         map[PostID]*Post{},
-		postsByAuthor: map[BloggerID][]PostID{},
-		totalComments: map[BloggerID]int{},
-		outLinks:      map[BloggerID][]BloggerID{},
-		inLinks:       map[BloggerID][]BloggerID{},
-		journal:       Journal{Lineage: lineages.Add(1)},
+		Bloggers: map[BloggerID]*Blogger{},
+		Posts:    map[PostID]*Post{},
+		journal:  Journal{Lineage: lineages.Add(1)},
 	}
 }
 
@@ -296,8 +294,8 @@ func (c *Corpus) AddBlogger(b *Blogger) error {
 	return nil
 }
 
-// AddPost inserts p and updates the author and commenter indexes. The
-// author and every commenter must already exist in the corpus.
+// AddPost inserts p. The author and every commenter must already exist in
+// the corpus.
 func (c *Corpus) AddPost(p *Post) error {
 	if p == nil || p.ID == "" {
 		return fmt.Errorf("blog: post must have a non-empty ID")
@@ -316,10 +314,6 @@ func (c *Corpus) AddPost(p *Post) error {
 	c.mutating()
 	c.Posts[p.ID] = p
 	c.journal.Posts = append(c.journal.Posts, p.ID)
-	c.postsByAuthor[p.Author] = append(c.postsByAuthor[p.Author], p.ID)
-	for _, cm := range p.Comments {
-		c.totalComments[cm.Commenter]++
-	}
 	return nil
 }
 
@@ -340,61 +334,39 @@ func (c *Corpus) AddLink(from, to BloggerID) error {
 	// invalidate cached views (the link record itself is still kept, for
 	// crawl fidelity on save/load). Only an effectively new edge bumps.
 	c.mutating()
-	dup := false
-	for _, existing := range c.outLinks[from] {
-		if existing == to {
-			dup = true
-			break
-		}
-	}
-	c.Links = append(c.Links, Link{From: from, To: to})
-	c.outLinks[from] = append(c.outLinks[from], to)
-	c.inLinks[to] = append(c.inLinks[to], from)
-	if !dup {
+	l := Link{From: from, To: to}
+	if !c.hasLink(l) {
+		c.linkSet[l] = struct{}{}
 		c.linkEpoch++
 	}
+	c.Links = append(c.Links, l)
 	return nil
 }
 
-// Reindex rebuilds all derived indexes from Bloggers, Posts and Links.
-// Call it after deserializing or bulk-editing a corpus. Bulk edits may
-// have changed the link graph arbitrarily — including non-append rewrites
-// of Links — so the link epoch advances and a new journal lineage starts,
-// forcing incremental link views onto the fresh-base path and incremental
-// analysis caches back to journal position 0.
+// hasLink reports whether Links already holds l, building linkSet first
+// if it is nil.
+func (c *Corpus) hasLink(l Link) bool {
+	if c.linkSet == nil {
+		c.linkSet = make(map[Link]struct{}, len(c.Links))
+		for _, e := range c.Links {
+			c.linkSet[e] = struct{}{}
+		}
+	}
+	_, ok := c.linkSet[l]
+	return ok
+}
+
+// Reindex restarts the corpus's derived state from Bloggers, Posts and
+// Links. Call it after deserializing or bulk-editing a corpus. Bulk edits
+// may have changed the link graph arbitrarily — including non-append
+// rewrites of Links — so the link epoch advances and a new journal lineage
+// starts, forcing incremental link views onto the fresh-base path and
+// incremental analysis caches back to journal position 0.
 func (c *Corpus) Reindex() {
 	c.linkEpoch++
 	c.journal, c.forked = Journal{Lineage: lineages.Add(1), Bloggers: c.BloggerIDs(), Posts: c.PostIDs()}, false
-	c.postsByAuthor = map[BloggerID][]PostID{}
-	c.totalComments = map[BloggerID]int{}
-	c.outLinks = map[BloggerID][]BloggerID{}
-	c.inLinks = map[BloggerID][]BloggerID{}
-	for _, id := range c.journal.Posts {
-		p := c.Posts[id]
-		c.postsByAuthor[p.Author] = append(c.postsByAuthor[p.Author], p.ID)
-		for _, cm := range p.Comments {
-			c.totalComments[cm.Commenter]++
-		}
-	}
-	for _, l := range c.Links {
-		c.outLinks[l.From] = append(c.outLinks[l.From], l.To)
-		c.inLinks[l.To] = append(c.inLinks[l.To], l.From)
-	}
+	c.linkSet = nil
 }
-
-// PostsBy returns the IDs of all posts authored by b, in insertion order
-// (or sorted order after Reindex).
-func (c *Corpus) PostsBy(b BloggerID) []PostID { return c.postsByAuthor[b] }
-
-// TotalComments returns TC(b): the total number of comments blogger b has
-// left on any post in the corpus.
-func (c *Corpus) TotalComments(b BloggerID) int { return c.totalComments[b] }
-
-// OutLinks returns the bloggers b links to.
-func (c *Corpus) OutLinks(b BloggerID) []BloggerID { return c.outLinks[b] }
-
-// InLinks returns the bloggers linking to b.
-func (c *Corpus) InLinks(b BloggerID) []BloggerID { return c.inLinks[b] }
 
 // BloggerIDs returns all blogger IDs in sorted order, for deterministic
 // iteration.

@@ -18,6 +18,40 @@ func twoBloggerCorpus(t *testing.T) *Corpus {
 	return c
 }
 
+// postsOf, commentsBy and inLinks scan the corpus for one blogger's posts
+// (in journal order), comments made and in-link records.
+func postsOf(c *Corpus, id BloggerID) []PostID {
+	var out []PostID
+	for _, pid := range c.Journal().Posts {
+		if c.Posts[pid].Author == id {
+			out = append(out, pid)
+		}
+	}
+	return out
+}
+
+func commentsBy(c *Corpus, id BloggerID) int {
+	n := 0
+	for _, p := range c.Posts {
+		for _, cm := range p.Comments {
+			if cm.Commenter == id {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+func inLinks(c *Corpus, id BloggerID) int {
+	n := 0
+	for _, l := range c.Links {
+		if l.To == id {
+			n++
+		}
+	}
+	return n
+}
+
 func TestAddBloggerValidation(t *testing.T) {
 	c := NewCorpus()
 	if err := c.AddBlogger(&Blogger{ID: ""}); err == nil {
@@ -41,14 +75,15 @@ func TestAddPostIndexes(t *testing.T) {
 	if err := c.AddPost(p); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.PostsBy("a"); len(got) != 1 || got[0] != "p1" {
-		t.Fatalf("PostsBy(a) = %v", got)
+	if got := c.Journal().Posts; len(got) != 1 || got[0] != "p1" {
+		t.Fatalf("journal posts = %v", got)
 	}
-	if got := c.TotalComments("b"); got != 2 {
-		t.Fatalf("TotalComments(b) = %d, want 2", got)
+	st := ComputeStats(nil, nil, c)
+	if st.Posts != 1 || st.Comments != 2 || st.MaxPostsPerUser != 1 || st.MaxCommentsMade != 2 {
+		t.Fatalf("stats = %+v, want 1 post with 2 comments, both by b", st)
 	}
-	if got := c.TotalComments("a"); got != 0 {
-		t.Fatalf("TotalComments(a) = %d, want 0", got)
+	if got := commentsBy(c, "a"); got != 0 {
+		t.Fatalf("comments by a = %d, want 0", got)
 	}
 }
 
@@ -86,11 +121,19 @@ func TestAddLink(t *testing.T) {
 	if err := c.AddLink("a", "b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.OutLinks("a"); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("OutLinks(a) = %v", got)
+	if len(c.Links) != 1 || c.Links[0] != (Link{From: "a", To: "b"}) {
+		t.Fatalf("Links = %v", c.Links)
 	}
-	if got := c.InLinks("b"); len(got) != 1 || got[0] != "a" {
-		t.Fatalf("InLinks(b) = %v", got)
+	// A repeated edge is kept as a record but is no new edge.
+	epoch := c.LinkEpoch()
+	if err := c.AddLink("a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Links) != 2 || c.LinkEpoch() != epoch {
+		t.Fatalf("duplicate link: %d records, epoch %d → %d", len(c.Links), epoch, c.LinkEpoch())
+	}
+	if added, err := c.AddLinkDedup("a", "b"); added || err != nil {
+		t.Fatalf("AddLinkDedup of an existing edge = %v, %v", added, err)
 	}
 }
 
@@ -103,17 +146,17 @@ func TestReindexMatchesIncremental(t *testing.T) {
 	if err := c.AddLink("a", "b"); err != nil {
 		t.Fatal(err)
 	}
-	beforePosts := c.PostsBy("a")
-	beforeTC := c.TotalComments("b")
+	before := ComputeStats(nil, nil, c)
 	c.Reindex()
-	if got := c.PostsBy("a"); len(got) != len(beforePosts) || got[0] != beforePosts[0] {
-		t.Fatalf("Reindex changed PostsBy: %v vs %v", got, beforePosts)
+	if got := ComputeStats(nil, nil, c); got != before {
+		t.Fatalf("Reindex changed stats: %+v vs %+v", got, before)
 	}
-	if got := c.TotalComments("b"); got != beforeTC {
-		t.Fatalf("Reindex changed TotalComments: %d vs %d", got, beforeTC)
+	if got := postsOf(c, "a"); len(got) != 1 || got[0] != "p1" {
+		t.Fatalf("Reindex lost the journal's posts: %v", got)
 	}
-	if got := c.InLinks("b"); len(got) != 1 {
-		t.Fatalf("Reindex lost links: %v", got)
+	// The duplicate check survives the rebuild of the link set.
+	if added, err := c.AddLinkDedup("a", "b"); added || err != nil {
+		t.Fatalf("AddLinkDedup after Reindex = %v, %v", added, err)
 	}
 }
 
@@ -172,42 +215,21 @@ func TestFigure1Shape(t *testing.T) {
 		t.Fatalf("Figure 1 has 4 posts, got %d", len(c.Posts))
 	}
 	// Amery has post1 (2 comments: Bob, Cary) and post2 (1 comment: Cary).
-	ps := c.PostsBy("Amery")
+	ps := postsOf(c, "Amery")
 	if len(ps) != 2 {
 		t.Fatalf("Amery must have 2 posts, got %v", ps)
 	}
-	if got := c.TotalComments("Cary"); got != 2 {
+	if got := commentsBy(c, "Cary"); got != 2 {
 		t.Fatalf("TC(Cary) = %d, want 2", got)
 	}
-	if got := c.TotalComments("Bob"); got != 1 {
+	if got := commentsBy(c, "Bob"); got != 1 {
 		t.Fatalf("TC(Bob) = %d, want 1", got)
 	}
-	if got := len(c.InLinks("Amery")); got != 5 {
+	if got := inLinks(c, "Amery"); got != 5 {
 		t.Fatalf("Amery in-links = %d, want 5", got)
 	}
 	if c.Posts["post1"].TrueDomain != "Computer" || c.Posts["post2"].TrueDomain != "Economics" {
 		t.Fatal("Figure 1 planted domains wrong")
-	}
-}
-
-func TestCommentEdges(t *testing.T) {
-	c := Figure1Corpus()
-	edges := CommentEdges(c)
-	var caryAmery *CommentEdge
-	for i := range edges {
-		if edges[i].Commenter == "Cary" && edges[i].Author == "Amery" {
-			caryAmery = &edges[i]
-		}
-	}
-	if caryAmery == nil || caryAmery.Count != 2 {
-		t.Fatalf("Cary→Amery edge = %+v, want count 2", caryAmery)
-	}
-	// Determinism: sorted by (commenter, author).
-	for i := 1; i < len(edges); i++ {
-		a, b := edges[i-1], edges[i]
-		if a.Commenter > b.Commenter || (a.Commenter == b.Commenter && a.Author >= b.Author) {
-			t.Fatalf("edges not sorted at %d: %+v %+v", i, a, b)
-		}
 	}
 }
 
@@ -239,7 +261,7 @@ func TestNeighborhoodRadius(t *testing.T) {
 func TestComputeStats(t *testing.T) {
 	c := Figure1Corpus()
 	wc := func(s string) int { return len(strings.Fields(s)) }
-	st := ComputeStats(c, wc)
+	st := ComputeStats(wc, nil, c)
 	if st.Bloggers != 9 || st.Posts != 4 || st.Comments != 7 || st.Links != 8 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -261,7 +283,7 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestStatsEmptyCorpus(t *testing.T) {
-	st := ComputeStats(NewCorpus(), func(string) int { return 0 })
+	st := ComputeStats(func(string) int { return 0 }, nil, NewCorpus())
 	if st.Posts != 0 || st.AvgPostLenWords != 0 {
 		t.Fatalf("empty stats = %+v", st)
 	}

@@ -3,6 +3,7 @@ package blog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -50,50 +51,41 @@ func arbCorpus(seed int64) *Corpus {
 		if from == to {
 			continue
 		}
-		dup := false
-		for _, t := range c.OutLinks(from) {
-			if t == to {
-				dup = true
-			}
-		}
-		if !dup {
-			if err := c.AddLink(from, to); err != nil {
-				panic(err)
-			}
+		if _, err := c.AddLinkDedup(from, to); err != nil {
+			panic(err)
 		}
 	}
 	return c
 }
 
-// Property: every generated corpus validates, and Reindex is idempotent —
-// indexes after Reindex match the incrementally-maintained ones.
+// Property: every generated corpus validates, and a Reindexed copy
+// (rebuilt from its entities, as a loaded corpus is) summarizes to the
+// same stats, holds the journal's posts in sorted order, and still
+// rejects every link the incremental corpus holds as a duplicate.
 func TestCorpusReindexIdempotentProperty(t *testing.T) {
+	wc := func(s string) int { return len(s) }
 	f := func(seed int64) bool {
 		c := arbCorpus(seed)
 		if c.Validate() != nil {
 			return false
 		}
-		type snapshot struct {
-			posts map[BloggerID]int
-			tc    map[BloggerID]int
-			in    map[BloggerID]int
-		}
-		take := func() snapshot {
-			s := snapshot{map[BloggerID]int{}, map[BloggerID]int{}, map[BloggerID]int{}}
-			for _, id := range c.BloggerIDs() {
-				s.posts[id] = len(c.PostsBy(id))
-				s.tc[id] = c.TotalComments(id)
-				s.in[id] = len(c.InLinks(id))
-			}
-			return s
-		}
-		before := take()
-		c.Reindex()
-		after := take()
+		bloggers := make([]*Blogger, 0, len(c.Bloggers))
 		for _, id := range c.BloggerIDs() {
-			if before.posts[id] != after.posts[id] ||
-				before.tc[id] != after.tc[id] ||
-				before.in[id] != after.in[id] {
+			bloggers = append(bloggers, c.Bloggers[id])
+		}
+		posts := make([]*Post, 0, len(c.Posts))
+		for _, id := range c.Journal().Posts {
+			posts = append(posts, c.Posts[id])
+		}
+		r, err := FromParts(bloggers, posts, c.Links)
+		if err != nil || ComputeStats(wc, nil, c) != ComputeStats(wc, nil, r) {
+			return false
+		}
+		if !slices.Equal(r.Journal().Posts, c.PostIDs()) {
+			return false
+		}
+		for _, l := range c.Links {
+			if added, err := r.AddLinkDedup(l.From, l.To); added || err != nil {
 				return false
 			}
 		}

@@ -3,9 +3,9 @@ package blog
 import "fmt"
 
 // FromParts assembles a corpus from deserialized entities: the inverse of
-// walking Bloggers/Posts/Links for serialization. The derived indexes are
-// rebuilt and referential integrity is checked, so a successful return is a
-// fully valid corpus; any inconsistency (duplicate or mismatched IDs,
+// walking Bloggers/Posts/Links for serialization. The corpus is Reindexed
+// onto a new journal lineage and referential integrity is checked, so a
+// successful return is a fully valid corpus; any inconsistency (duplicate or mismatched IDs,
 // dangling references) is an error rather than a latent panic later. Links
 // keep their given order — serializers that preserve it get back a corpus
 // whose Links slice matches the original element for element.

@@ -2,6 +2,7 @@ package blog
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync/atomic"
 )
@@ -9,50 +10,29 @@ import (
 // Copy-on-write corpus snapshotting.
 //
 // A live ingestion engine mutates one corpus while query traffic reads a
-// frozen view of it. Snapshot produces that view cheaply: every map, index
-// and slice is copied so the two corpora are structurally independent, but
-// the Blogger and Post structs themselves are shared. The contract that
-// makes sharing safe is copy-on-write on the mutable side: after taking a
-// snapshot, the owner must never modify a shared entity in place — it
-// replaces the map entry with an edited clone (AddComment and UpsertBlogger
-// below do exactly that). Readers of the snapshot therefore never observe a
-// torn or changing entity.
+// frozen view of it. Snapshot produces that view cheaply: the entity maps
+// and the link slice are copied so the two corpora are structurally
+// independent, but the Blogger and Post structs themselves are shared. The
+// contract that makes sharing safe is copy-on-write on the mutable side:
+// after taking a snapshot, the owner must never modify a shared entity in
+// place — it replaces the map entry with an edited clone (AddComment and
+// UpsertBlogger below do exactly that). Readers of the snapshot therefore
+// never observe a torn or changing entity.
 
 // Snapshot returns an independent read-only view of the corpus. The
-// returned corpus owns fresh maps, index maps and slices; only the *Blogger
-// and *Post structs are shared with the receiver. Continue mutating the
-// receiver exclusively through the COW helpers (AddBlogger, AddPost,
-// AddComment, AddLink, UpsertBlogger) and the snapshot stays immutable.
+// returned corpus owns fresh entity maps and a fresh Links slice; only the
+// *Blogger and *Post structs are shared with the receiver. Continue
+// mutating the receiver exclusively through the COW helpers (AddBlogger,
+// AddPost, AddComment, AddLink, UpsertBlogger) and the snapshot stays
+// immutable.
 func (c *Corpus) Snapshot() *Corpus {
 	s := &Corpus{
-		Bloggers:      make(map[BloggerID]*Blogger, len(c.Bloggers)),
-		Posts:         make(map[PostID]*Post, len(c.Posts)),
-		Links:         append(make([]Link, 0, len(c.Links)), c.Links...),
-		postsByAuthor: make(map[BloggerID][]PostID, len(c.postsByAuthor)),
-		totalComments: make(map[BloggerID]int, len(c.totalComments)),
-		outLinks:      make(map[BloggerID][]BloggerID, len(c.outLinks)),
-		inLinks:       make(map[BloggerID][]BloggerID, len(c.inLinks)),
-		linkEpoch:     c.linkEpoch,
-		journal:       c.Journal(),
-		forked:        true,
-	}
-	for id, b := range c.Bloggers {
-		s.Bloggers[id] = b
-	}
-	for id, p := range c.Posts {
-		s.Posts[id] = p
-	}
-	for id, posts := range c.postsByAuthor {
-		s.postsByAuthor[id] = append(make([]PostID, 0, len(posts)), posts...)
-	}
-	for id, n := range c.totalComments {
-		s.totalComments[id] = n
-	}
-	for id, out := range c.outLinks {
-		s.outLinks[id] = append(make([]BloggerID, 0, len(out)), out...)
-	}
-	for id, in := range c.inLinks {
-		s.inLinks[id] = append(make([]BloggerID, 0, len(in)), in...)
+		Bloggers:  maps.Clone(c.Bloggers),
+		Posts:     maps.Clone(c.Posts),
+		Links:     slices.Clone(c.Links),
+		linkEpoch: c.linkEpoch,
+		journal:   c.Journal(),
+		forked:    true,
 	}
 	// The snapshot has the same link epoch, so an already-built link view
 	// stays valid for it (LinkView revalidates by epoch). Views are
@@ -77,7 +57,6 @@ func (c *Corpus) AddComment(pid PostID, cm Comment) error {
 	clone.Comments = append(append(make([]Comment, 0, len(p.Comments)+1), p.Comments...), cm)
 	c.Posts[pid] = &clone
 	c.journal.Comments = append(c.journal.Comments, pid)
-	c.totalComments[cm.Commenter]++
 	return nil
 }
 
@@ -85,10 +64,8 @@ func (c *Corpus) AddComment(pid PostID, cm Comment) error {
 // exists — crawls report most edges from both endpoints, and a live feed
 // may re-deliver them.
 func (c *Corpus) AddLinkDedup(from, to BloggerID) (added bool, err error) {
-	for _, existing := range c.outLinks[from] {
-		if existing == to {
-			return false, nil
-		}
+	if c.hasLink(Link{From: from, To: to}) {
+		return false, nil
 	}
 	if err := c.AddLink(from, to); err != nil {
 		return false, err

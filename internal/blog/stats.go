@@ -1,9 +1,6 @@
 package blog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Stats summarizes a corpus: sizes, degree distributions and comment
 // activity. Used by the CLI tools and the experiment harness to report
@@ -19,34 +16,51 @@ type Stats struct {
 	AvgPostLenWords float64
 }
 
-// ComputeStats scans the corpus once and returns its summary. wordCount is
-// the token counter to use for post lengths (injected to keep this package
-// free of text-processing dependencies); with a nil wordCount the bodies
-// are not tokenized and AvgPostLenWords is left 0 for a caller that
-// already holds the word totals.
-func ComputeStats(c *Corpus, wordCount func(string) int) Stats {
-	s := Stats{
-		Bloggers: len(c.Bloggers),
-		Posts:    len(c.Posts),
-		Links:    len(c.Links),
-	}
+// ComputeStats summarizes the corpora as one blogosphere in a single scan
+// of their posts, comments and links, plus extra links held outside any of
+// them (a sharded cluster's cross-shard edges). Each blogger's posts,
+// comments made and in-links are summed across corpora before taking the
+// maxima. Bloggers is the sum of the corpora's blogger counts, which a
+// caller whose corpora share bloggers replaces with its own count.
+// wordCount is the token counter to use for post lengths (injected to keep
+// this package free of text-processing dependencies); with a nil wordCount
+// the bodies are not tokenized and AvgPostLenWords is left 0 for a caller
+// that already holds the word totals.
+func ComputeStats(wordCount func(string) int, extra []Link, corpora ...*Corpus) Stats {
+	s := Stats{Links: len(extra)}
+	postsBy := map[BloggerID]int{}
+	commentsBy := map[BloggerID]int{}
+	inLinks := map[BloggerID]int{}
 	totalLen := 0
-	for _, p := range c.Posts {
-		s.Comments += len(p.Comments)
-		if wordCount != nil {
-			totalLen += wordCount(p.Body)
+	for _, c := range corpora {
+		s.Bloggers += len(c.Bloggers)
+		s.Posts += len(c.Posts)
+		s.Links += len(c.Links)
+		for _, p := range c.Posts {
+			postsBy[p.Author]++
+			s.Comments += len(p.Comments)
+			for _, cm := range p.Comments {
+				commentsBy[cm.Commenter]++
+			}
+			if wordCount != nil {
+				totalLen += wordCount(p.Body)
+			}
+		}
+		for _, l := range c.Links {
+			inLinks[l.To]++
 		}
 	}
-	for b := range c.Bloggers {
-		if n := len(c.PostsBy(b)); n > s.MaxPostsPerUser {
-			s.MaxPostsPerUser = n
-		}
-		if n := c.TotalComments(b); n > s.MaxCommentsMade {
-			s.MaxCommentsMade = n
-		}
-		if n := len(c.InLinks(b)); n > s.MaxInLinks {
-			s.MaxInLinks = n
-		}
+	for _, l := range extra {
+		inLinks[l.To]++
+	}
+	for _, n := range postsBy {
+		s.MaxPostsPerUser = max(s.MaxPostsPerUser, n)
+	}
+	for _, n := range commentsBy {
+		s.MaxCommentsMade = max(s.MaxCommentsMade, n)
+	}
+	for _, n := range inLinks {
+		s.MaxInLinks = max(s.MaxInLinks, n)
 	}
 	if s.Posts > 0 {
 		s.AvgPostLenWords = float64(totalLen) / float64(s.Posts)
@@ -59,39 +73,6 @@ func (s Stats) String() string {
 	return fmt.Sprintf("bloggers=%d posts=%d comments=%d links=%d maxPosts=%d maxComments=%d maxInLinks=%d avgPostLen=%.1f",
 		s.Bloggers, s.Posts, s.Comments, s.Links,
 		s.MaxPostsPerUser, s.MaxCommentsMade, s.MaxInLinks, s.AvgPostLenWords)
-}
-
-// CommentEdge is an aggregated post-reply edge: Commenter left Count
-// comments on posts by Author. This is exactly the edge the demo UI draws
-// ("the number on the line records the total number comments of one blogger
-// on the other blogger's posts", Fig 4).
-type CommentEdge struct {
-	Commenter BloggerID
-	Author    BloggerID
-	Count     int
-}
-
-// CommentEdges aggregates all comments into blogger-to-blogger edges,
-// sorted by (Commenter, Author) for determinism. Self-comments are kept:
-// they exist in real blogs, and downstream consumers filter if needed.
-func CommentEdges(c *Corpus) []CommentEdge {
-	counts := map[[2]BloggerID]int{}
-	for _, p := range c.Posts {
-		for _, cm := range p.Comments {
-			counts[[2]BloggerID{cm.Commenter, p.Author}]++
-		}
-	}
-	edges := make([]CommentEdge, 0, len(counts))
-	for k, n := range counts {
-		edges = append(edges, CommentEdge{Commenter: k[0], Author: k[1], Count: n})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Commenter != edges[j].Commenter {
-			return edges[i].Commenter < edges[j].Commenter
-		}
-		return edges[i].Author < edges[j].Author
-	})
-	return edges
 }
 
 // Neighborhood returns the bloggers within the given radius of seed in the

@@ -36,6 +36,7 @@ type Page struct {
 // Server serves a corpus as a simulated blog site.
 type Server struct {
 	corpus *blog.Corpus
+	pages  map[blog.BloggerID]*Page // built once in New
 	mux    *http.ServeMux
 	// Latency is added to every request (simulated network/server delay).
 	Latency time.Duration
@@ -50,14 +51,26 @@ type Server struct {
 	requests atomic.Int64
 }
 
-// New builds a server over the corpus. The corpus must be valid and must
-// not be mutated while serving. Routes, registered as method+wildcard
-// patterns:
+// New builds a server over the corpus, assembling every blogger's page
+// up front: posts in journal order, links and linkbacks in Links order.
+// The corpus must be valid and must not be mutated while serving. Routes,
+// registered as method+wildcard patterns:
 //
 //	GET /spaces            — newline-separated list of all blogger IDs
 //	GET /space/{id}        — the blogger's Page as XML
 func New(c *blog.Corpus) *Server {
-	s := &Server{corpus: c, mux: http.NewServeMux()}
+	s := &Server{corpus: c, pages: make(map[blog.BloggerID]*Page, len(c.Bloggers)), mux: http.NewServeMux()}
+	for id, b := range c.Bloggers {
+		s.pages[id] = &Page{Blogger: *b}
+	}
+	for _, pid := range c.Journal().Posts {
+		p := c.Posts[pid]
+		s.pages[p.Author].Posts = append(s.pages[p.Author].Posts, *p)
+	}
+	for _, l := range c.Links {
+		s.pages[l.From].Links = append(s.pages[l.From].Links, l.To)
+		s.pages[l.To].Linkbacks = append(s.pages[l.To].Linkbacks, l.From)
+	}
 	s.mux.HandleFunc("GET /spaces", func(w http.ResponseWriter, r *http.Request) {
 		s.serveIndex(w)
 	})
@@ -103,17 +116,11 @@ func (s *Server) serveIndex(w http.ResponseWriter) {
 }
 
 func (s *Server) serveSpace(w http.ResponseWriter, id string) {
-	b, ok := s.corpus.Bloggers[blog.BloggerID(id)]
+	page, ok := s.pages[blog.BloggerID(id)]
 	if !ok {
 		http.NotFound(w, nil)
 		return
 	}
-	page := Page{Blogger: *b}
-	for _, pid := range s.corpus.PostsBy(b.ID) {
-		page.Posts = append(page.Posts, *s.corpus.Posts[pid])
-	}
-	page.Links = append(page.Links, s.corpus.OutLinks(b.ID)...)
-	page.Linkbacks = append(page.Linkbacks, s.corpus.InLinks(b.ID)...)
 	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
 	fmt.Fprint(w, xml.Header)
 	enc := xml.NewEncoder(w)

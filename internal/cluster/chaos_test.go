@@ -162,7 +162,7 @@ func TestRoutedReadSkipsQuarantinedOwner(t *testing.T) {
 	defer cl.Close()
 	var author blog.BloggerID
 	for _, id := range c.BloggerIDs() {
-		if cl.Owner(id) == 2 && len(c.PostsBy(id)) > 0 {
+		if cl.Owner(id) == 2 && postCount(c, id) > 0 {
 			author = id
 			break
 		}

@@ -265,43 +265,17 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 	if len(v.Snaps) == 1 {
 		return v.Snaps[0].Stats()
 	}
-	var s blog.Stats
-	postsBy := map[blog.BloggerID]int{}
-	commentsBy := map[blog.BloggerID]int{}
-	inLinks := map[blog.BloggerID]int{}
-	totalWords := 0
-	for _, snap := range v.Snaps {
-		c := snap.Corpus()
-		s.Bloggers += snap.Owned().Count
-		totalWords += snap.Result().Words()
-		for _, p := range c.Posts {
-			s.Posts++
-			postsBy[p.Author]++
-			for _, cm := range p.Comments {
-				s.Comments++
-				commentsBy[cm.Commenter]++
-			}
-		}
-		for _, l := range c.Links {
-			s.Links++
-			inLinks[l.To]++
-		}
+	corpora := make([]*blog.Corpus, len(v.Snaps))
+	bloggers, words := 0, 0
+	for i, snap := range v.Snaps {
+		corpora[i] = snap.Corpus()
+		bloggers += snap.Owned().Count
+		words += snap.Result().Words()
 	}
-	for _, l := range cl.boundarySnapshot() {
-		s.Links++
-		inLinks[l.To]++
-	}
-	for _, n := range postsBy {
-		s.MaxPostsPerUser = max(s.MaxPostsPerUser, n)
-	}
-	for _, n := range commentsBy {
-		s.MaxCommentsMade = max(s.MaxCommentsMade, n)
-	}
-	for _, n := range inLinks {
-		s.MaxInLinks = max(s.MaxInLinks, n)
-	}
+	s := blog.ComputeStats(nil, cl.boundarySnapshot(), corpora...)
+	s.Bloggers = bloggers
 	if s.Posts > 0 {
-		s.AvgPostLenWords = float64(totalWords) / float64(s.Posts)
+		s.AvgPostLenWords = float64(words) / float64(s.Posts)
 	}
 	return s
 }

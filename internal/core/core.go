@@ -226,7 +226,7 @@ func (s *System) Network(center blog.BloggerID, radius int, layoutSeed int64) (*
 
 // Stats summarizes the corpus.
 func (s *System) Stats() blog.Stats {
-	st := blog.ComputeStats(s.corpus, nil)
+	st := blog.ComputeStats(nil, nil, s.corpus)
 	if st.Posts > 0 {
 		st.AvgPostLenWords = float64(s.result.Words()) / float64(st.Posts)
 	}

@@ -132,13 +132,21 @@ func TestDurableRestartMatchesColdSolve(t *testing.T) {
 		t.Fatalf("recovered corpus shape %d/%d, want %d/%d",
 			st.Bloggers, st.Posts, len(bloggers), len(s1.Corpus().Posts))
 	}
-	// The first flush after restart must be warm: every post's posterior
-	// came from the persisted cache and the unchanged link graph skipped
-	// PageRank outright.
-	if st.ReusedPosteriors == 0 {
-		t.Fatalf("recovered flush reused no posteriors")
+	// The first flush after restart must be warm: every post's posterior,
+	// tokenization and novelty value and every comment's sentiment came
+	// from the persisted cache, no post was looked up in the novelty
+	// detector, and the unchanged link graph skipped PageRank outright.
+	res, c := e2.Current().Result(), e2.Current().Corpus()
+	comments := 0
+	for _, p := range c.Posts {
+		comments += len(p.Comments)
 	}
-	if !st.PageRankSkipped {
+	if st.ReusedPosteriors != len(c.Posts) || res.ReusedPosteriors != len(c.Posts) ||
+		res.ReusedNovelty != len(c.Posts) || res.ScoredNovelty != 0 || res.ReusedSentiments != comments {
+		t.Fatalf("recovered flush reused %d/%d posteriors, %d/%d tokenizations, %d/%d sentiments and scored %d novelty values, want all reused and none scored",
+			res.ReusedPosteriors, len(c.Posts), res.ReusedNovelty, len(c.Posts), res.ReusedSentiments, comments, res.ScoredNovelty)
+	}
+	if !st.PageRankSkipped || !res.PageRankSkipped {
 		t.Fatalf("recovered flush re-ran PageRank despite unchanged link graph")
 	}
 

@@ -294,7 +294,7 @@ func TestEngineBatchAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.Current().Corpus()
-	if len(c.Posts) != 1 || len(c.Links) != 1 || c.TotalComments("ann") != 1 {
+	if cms := c.Posts["p1"].Comments; len(c.Posts) != 1 || len(c.Links) != 1 || len(cms) != 1 || cms[0].Commenter != "ann" {
 		t.Fatal("batch did not apply fully")
 	}
 }

@@ -90,6 +90,8 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 		postPosted:    make([]float64, np),
 		postComments:  make([]int32, np),
 		bloggerPosts:  make([]int32, nb),
+		authorOff:     make([]int32, nb+1),
+		byAuthor:      make([]int32, np),
 	}
 	bRow := make([]int32, len(ch.bloggerIDs)) // blogger slot → row
 	for r, s := range ch.bSorted {
@@ -103,6 +105,16 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 		res.bloggerPosts[bRow[f.author]]++
 		res.postPosted[r] = f.postedKey
 		res.postComments[r] = int32(len(f.commenters))
+	}
+	// Group the post rows by author with a counting sort, so each
+	// blogger's posts stay in row order.
+	for b, n := range res.bloggerPosts {
+		res.authorOff[b+1] = res.authorOff[b] + n
+	}
+	next := slices.Clone(res.authorOff[:nb])
+	for r, b := range res.postAuthor {
+		res.byAuthor[next[b]] = int32(r)
+		next[b]++
 	}
 	// Rows of prev holding the same IDs, for the warm start and the
 	// generation-to-generation score pinning.

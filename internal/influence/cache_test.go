@@ -96,6 +96,8 @@ func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, 
 		{"Posted", slices.Equal(g.Posted, w.Posted)},
 		{"Comments", slices.Equal(g.Comments, w.Comments)},
 		{"PostCounts", slices.Equal(g.PostCounts, w.PostCounts)},
+		{"AuthorOff", slices.Equal(g.AuthorOff, w.AuthorOff)},
+		{"ByAuthor", slices.Equal(g.ByAuthor, w.ByAuthor)},
 		{"Quality", slices.Equal(g.Quality, w.Quality)},
 		{"Novelty", slices.Equal(g.Novelty, w.Novelty)},
 		{"Sentiment", slices.Equal(g.Sentiment, w.Sentiment)},
@@ -118,19 +120,28 @@ func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, 
 		{"PostScore", g.PostScore, w.PostScore},
 		{"DomainScores", g.DomainScores, w.DomainScores},
 	}
-	// The post-count slab counts the posts the analysis ran over. Count
-	// them from the Posts map: PostsBy is an index that a direct map
-	// write leaves stale until Reindex.
+	// The post-count slab and the author-grouped rows cover the posts the
+	// analysis ran over, counted from the Posts map.
 	postsBy := make(map[blog.BloggerID]int)
 	for _, p := range c.Posts {
 		postsBy[p.Author]++
 	}
-	if len(g.PostCounts) != len(g.Bloggers) {
-		t.Fatalf("%s: dense PostCounts has %d rows for %d bloggers", label, len(g.PostCounts), len(g.Bloggers))
+	if len(g.PostCounts) != len(g.Bloggers) || len(g.AuthorOff) != len(g.Bloggers)+1 || len(g.ByAuthor) != len(g.Posts) {
+		t.Fatalf("%s: dense PostCounts/AuthorOff/ByAuthor have %d/%d/%d rows for %d bloggers, %d posts",
+			label, len(g.PostCounts), len(g.AuthorOff), len(g.ByAuthor), len(g.Bloggers), len(g.Posts))
 	}
 	for i, b := range g.Bloggers {
 		if want := postsBy[b]; int(g.PostCounts[i]) != want {
 			t.Fatalf("%s: dense PostCounts[%s] = %d, corpus has %d posts", label, b, g.PostCounts[i], want)
+		}
+		rows := g.ByAuthor[g.AuthorOff[i]:g.AuthorOff[i+1]]
+		if len(rows) != postsBy[b] || !slices.IsSorted(rows) {
+			t.Fatalf("%s: ByAuthor rows of %s = %v, want %d ascending rows", label, b, rows, postsBy[b])
+		}
+		for _, r := range rows {
+			if g.Author[r] != int32(i) {
+				t.Fatalf("%s: ByAuthor lists post %s under %s", label, g.Posts[r], b)
+			}
 		}
 	}
 	for _, n := range near {

@@ -50,22 +50,13 @@ func randomCorpus(seed int64) *blog.Corpus {
 	nLinks := rng.Intn(2 * n)
 	for l := 0; l < nLinks; l++ {
 		from, to := ids[rng.Intn(n)], ids[rng.Intn(n)]
-		if from != to && !hasLink(c, from, to) {
-			if err := c.AddLink(from, to); err != nil {
+		if from != to {
+			if _, err := c.AddLinkDedup(from, to); err != nil {
 				panic(err)
 			}
 		}
 	}
 	return c
-}
-
-func hasLink(c *blog.Corpus, from, to blog.BloggerID) bool {
-	for _, t := range c.OutLinks(from) {
-		if t == to {
-			return true
-		}
-	}
-	return false
 }
 
 // Property: for arbitrary corpora and default parameters the solver

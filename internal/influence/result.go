@@ -82,6 +82,8 @@ type Result struct {
 	postPosted    []float64 // PostedKey of each post's time
 	postComments  []int32   // comments per post
 	bloggerPosts  []int32   // posts per blogger, counted from postAuthor
+	authorOff     []int32   // blogger b's posts are byAuthor[authorOff[b]:authorOff[b+1]]
+	byAuthor      []int32   // post rows grouped by author, in row order
 	words         int       // word count summed over every post body
 
 	// Lazily built rankings, each on its first use: orders[0] is the
@@ -295,6 +297,9 @@ type DenseView struct {
 	Comments []int32
 	// PostCounts is each blogger's post count (aligned with Bloggers).
 	PostCounts []int32
+	// ByAuthor is the post rows grouped by author: blogger i's posts are
+	// ByAuthor[AuthorOff[i]:AuthorOff[i+1]], in row (post ID) order.
+	AuthorOff, ByAuthor []int32
 
 	// DomainScores is Inf(b, C_t): len(Bloggers) × len(Domains).
 	// PostDomains is iv(b, d_k, C_t): len(Posts) × len(Domains).
@@ -320,6 +325,8 @@ func (r *Result) Dense() DenseView {
 		Posted:       r.postPosted,
 		Comments:     r.postComments,
 		PostCounts:   r.bloggerPosts,
+		AuthorOff:    r.authorOff,
+		ByAuthor:     r.byAuthor,
 		DomainScores: r.domainScores,
 		PostDomains:  r.postDomains,
 		Domains:      r.Domains(),

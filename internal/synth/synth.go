@@ -292,19 +292,9 @@ func Generate(cfg Config) (*blog.Corpus, *GroundTruth, error) {
 			if target == id {
 				continue
 			}
-			// Duplicate links are fine to attempt; corpus stores each pair
-			// once per AddLink call, so skip duplicates explicitly.
-			dup := false
-			for _, existing := range c.OutLinks(id) {
-				if existing == target {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				if err := c.AddLink(id, target); err != nil {
-					return nil, nil, err
-				}
+			// A repeated pick of the same target adds no second link.
+			if _, err := c.AddLinkDedup(id, target); err != nil {
+				return nil, nil, err
 			}
 		}
 	}

@@ -152,6 +152,14 @@ func TestExpertsAttractLinksAndComments(t *testing.T) {
 	// Average in-links of the top-expertise quartile vs the bottom.
 	type bucket struct{ links, comments, n float64 }
 	var hi, lo bucket
+	inLinks := map[blog.BloggerID]int{}  // link records pointing at each blogger
+	comments := map[blog.BloggerID]int{} // comments received on each author's posts
+	for _, l := range c.Links {
+		inLinks[l.To]++
+	}
+	for _, p := range c.Posts {
+		comments[p.Author] += len(p.Comments)
+	}
 	for _, id := range c.BloggerIDs() {
 		best := 0.0
 		for _, e := range gt.Expertise[id] {
@@ -159,11 +167,7 @@ func TestExpertsAttractLinksAndComments(t *testing.T) {
 				best = e
 			}
 		}
-		nl := float64(len(c.InLinks(id)))
-		var nc float64
-		for _, pid := range c.PostsBy(id) {
-			nc += float64(len(c.Posts[pid].Comments))
-		}
+		nl, nc := float64(inLinks[id]), float64(comments[id])
 		if best > 0.5 {
 			hi.links += nl
 			hi.comments += nc

@@ -59,6 +59,21 @@ func Build(c *blog.Corpus, center blog.BloggerID, radius int, scores map[blog.Bl
 		return nil, fmt.Errorf("viz: unknown blogger %q", center)
 	}
 	members := blog.Neighborhood(c, center, radius)
+	// One scan over the members' posts counts each author's posts and
+	// each commenter→author pair among the members.
+	posts := map[blog.BloggerID]int{}
+	counts := map[[2]blog.BloggerID]int{}
+	for _, p := range c.Posts {
+		if _, in := members[p.Author]; !in {
+			continue
+		}
+		posts[p.Author]++
+		for _, cm := range p.Comments {
+			if _, in := members[cm.Commenter]; in && cm.Commenter != p.Author {
+				counts[[2]blog.BloggerID{cm.Commenter, p.Author}]++
+			}
+		}
+	}
 	n := &Network{Center: center}
 	ids := make([]blog.BloggerID, 0, len(members))
 	for id := range members {
@@ -66,19 +81,15 @@ func Build(c *blog.Corpus, center blog.BloggerID, radius int, scores map[blog.Bl
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		n.Nodes = append(n.Nodes, Node{
-			ID:    id,
-			Inf:   scores[id],
-			Posts: len(c.PostsBy(id)),
-		})
+		n.Nodes = append(n.Nodes, Node{ID: id, Inf: scores[id], Posts: posts[id]})
 	}
-	for _, e := range blog.CommentEdges(c) {
-		_, cIn := members[e.Commenter]
-		_, aIn := members[e.Author]
-		if cIn && aIn && e.Commenter != e.Author {
-			n.Edges = append(n.Edges, Edge{Commenter: e.Commenter, Author: e.Author, Count: e.Count})
-		}
+	for k, cnt := range counts {
+		n.Edges = append(n.Edges, Edge{Commenter: k[0], Author: k[1], Count: cnt})
 	}
+	sort.Slice(n.Edges, func(i, j int) bool {
+		a, b := n.Edges[i], n.Edges[j]
+		return a.Commenter < b.Commenter || a.Commenter == b.Commenter && a.Author < b.Author
+	})
 	return n, nil
 }
 

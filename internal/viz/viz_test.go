@@ -41,6 +41,13 @@ func TestBuildNetworkShape(t *testing.T) {
 	if !found {
 		t.Fatal("Cary→Amery edge missing")
 	}
+	// Determinism: edges sorted by (commenter, author).
+	for i := 1; i < len(n.Edges); i++ {
+		a, b := n.Edges[i-1], n.Edges[i]
+		if a.Commenter > b.Commenter || (a.Commenter == b.Commenter && a.Author >= b.Author) {
+			t.Fatalf("edges not sorted at %d: %+v %+v", i, a, b)
+		}
+	}
 	// Node properties (pop-up details).
 	for _, node := range n.Nodes {
 		if node.ID == "Amery" {

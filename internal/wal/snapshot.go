@@ -42,6 +42,8 @@ const (
 
 // --- payload encoding ---
 
+// encodeSnapshot encodes s's payload after snapFileHeader reserved bytes,
+// which encodeSnapshotFile fills in, so the file is framed in one buffer.
 func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	c := s.Corpus
 	bids := c.BloggerIDs() // sorted
@@ -55,7 +57,7 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 		pIdx[id] = uint64(i)
 	}
 
-	e := encoder{buf: make([]byte, 0, 1<<20)}
+	e := encoder{buf: make([]byte, snapFileHeader, 1<<20)}
 	e.u64(s.Index)
 	e.u64(s.Seq)
 	e.u64(s.Mutations)
@@ -391,15 +393,14 @@ func (d *decoder) bloggerVec(bid func(uint64) blog.BloggerID) ([]blog.BloggerID,
 // --- file framing ---
 
 func encodeSnapshotFile(s *Snapshot) ([]byte, error) {
-	payload, err := encodeSnapshot(s)
+	buf, err := encodeSnapshot(s)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, snapFileHeader+len(payload)+4)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
+	payload := buf[snapFileHeader:]
+	copy(buf, snapMagic)
+	binary.LittleEndian.PutUint32(buf[8:], snapVersion)
+	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli)), nil
 }
 

@@ -100,16 +100,17 @@ func SaveShards(dir string, c *blog.Corpus) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	postsBy := map[blog.BloggerID][]blog.Post{}
+	for _, pid := range c.Journal().Posts {
+		p := c.Posts[pid]
+		postsBy[p.Author] = append(postsBy[p.Author], *p)
+	}
 	outBy := map[blog.BloggerID][]blog.Link{}
 	for _, l := range c.Links {
 		outBy[l.From] = append(outBy[l.From], l)
 	}
 	for _, id := range c.BloggerIDs() {
-		doc := shardDoc{Blogger: *c.Bloggers[id]}
-		for _, pid := range c.PostsBy(id) {
-			doc.Posts = append(doc.Posts, *c.Posts[pid])
-		}
-		doc.Links = outBy[id]
+		doc := shardDoc{Blogger: *c.Bloggers[id], Posts: postsBy[id], Links: outBy[id]}
 		path := filepath.Join(dir, sanitize(string(id))+".xml")
 		f, err := os.Create(path)
 		if err != nil {

@@ -224,9 +224,7 @@ func assertCorpusEqual(t *testing.T, want, got *blog.Corpus) {
 	if len(want.Links) != len(got.Links) {
 		t.Fatalf("link count differs: %d vs %d", len(want.Links), len(got.Links))
 	}
-	for _, id := range want.BloggerIDs() {
-		if want.TotalComments(id) != got.TotalComments(id) {
-			t.Fatalf("TotalComments(%s) differs", id)
-		}
+	if ws, gs := blog.ComputeStats(nil, nil, want), blog.ComputeStats(nil, nil, got); ws != gs {
+		t.Fatalf("stats differ: %+v vs %+v", ws, gs)
 	}
 }
