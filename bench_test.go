@@ -365,8 +365,8 @@ func BenchmarkIncrementalReanalysis(b *testing.B) {
 // corpus: the filtered, ordered top-k scan and the unfiltered ranked fast
 // path. Both run with b.ReportAllocs: the planned executor's headline
 // property is that it allocates O(plan + k) — no per-blogger maps — so
-// allocs/op stays flat as the corpus grows (BENCH_PR4.json records the
-// budget; a unit test in internal/query asserts it does not grow with
+// allocs/op stays flat as the corpus grows (TestScanAllocsBounded in
+// internal/query asserts the budget and that it does not grow with
 // corpus size).
 func BenchmarkQueryExecute(b *testing.B) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 500, Posts: 5000})
@@ -842,8 +842,8 @@ func copyTree(src, dst string) error {
 // default config) delivered to 1000 registered standing subscriptions.
 // Each iteration grows the corpus and analyzes it OUTSIDE the timer
 // (that cost is BenchmarkIncrementalReanalysis); the timer covers
-// exactly hub.Apply: 1000 query evaluations plus event diffing and
-// enqueue.
+// hub.Publish plus one Next per subscription, as 1000 consumers each
+// reading their event would: 1000 query evaluations plus event diffing.
 func BenchmarkSubscriptionFanout(b *testing.B) {
 	corpus, _, err := synth.Generate(synth.Config{Seed: 2010, Bloggers: 500, Posts: 5000})
 	if err != nil {
@@ -920,12 +920,15 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 		}
 		queries[i] = q
 	}
-	hub := subs.NewHub(gen, subs.Options{})
+	hub := subs.NewHub(gen)
 	defer hub.Shutdown()
-	for _, q := range queries {
-		if _, _, _, err := hub.Subscribe(q); err != nil {
+	fleetSubs := make([]*subs.Subscription, fleet)
+	for i, q := range queries {
+		sub, _, _, err := hub.Subscribe(q)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fleetSubs[i] = sub
 	}
 
 	b.Run("fanout", func(b *testing.B) {
@@ -933,7 +936,12 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 			b.StopTimer()
 			g := nextGen(50)
 			b.StartTimer()
-			hub.Apply(g)
+			hub.Publish(g)
+			for _, sub := range fleetSubs {
+				if ev, _ := sub.Next(); ev == nil {
+					b.Fatalf("no event for generation %d", g.Seq)
+				}
+			}
 		}
 	})
 }

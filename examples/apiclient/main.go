@@ -259,8 +259,8 @@ func main() {
 		ev.PrevSeq, ev.Seq, len(ev.Rows), len(ev.Order), replica.Result().Rows[0].ID)
 
 	// Events chain strictly: a replayed or out-of-order event is detected,
-	// not silently applied. A real gap (drop-to-latest coalescing on a
-	// slow consumer) reports Gap, and the resync fetch re-seeds the
+	// not silently applied. A real gap (the connection dropped after an
+	// event was sent) reports Gap, and the resync fetch re-seeds the
 	// replica at the subscription's current generation.
 	if outcome, _ := replica.Apply(ev); outcome == subs.Skipped {
 		fmt.Println("replaying the same event: skipped (replica already past it)")

@@ -238,8 +238,8 @@ type trendKey struct {
 
 // trendCache memoizes trend.Analyze per (seq, buckets, emerging):
 // repeated dashboard polls are a map lookup until the engine publishes a
-// new generation, at which point the stale generation's entries are
-// evicted.
+// new generation, at which point older generations' entries are evicted.
+// A late store from a reader pinning an older view evicts nothing newer.
 type trendCache struct {
 	mu       sync.Mutex
 	entries  map[trendKey]*trend.Report
@@ -266,7 +266,7 @@ func (c *trendCache) get(key trendKey, compute func() (*trend.Report, error)) (*
 		c.entries = make(map[trendKey]*trend.Report)
 	}
 	for k := range c.entries {
-		if k.seq != key.seq {
+		if k.seq < key.seq {
 			delete(c.entries, k)
 		}
 	}

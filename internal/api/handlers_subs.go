@@ -14,8 +14,8 @@ import (
 // Continuous queries: POST /api/v1/subscriptions registers a PR 4 query
 // AST as a standing subscription, GET /api/v1/subscriptions/{id}/events
 // streams its result diffs over SSE, GET /api/v1/subscriptions/{id}
-// serves the resync snapshot, DELETE cancels. Incremental evaluation is
-// per shard, so the surface is served on a 1-shard cluster only.
+// serves the resync snapshot, DELETE cancels. Evaluation is per shard,
+// so the surface is served on a 1-shard cluster only.
 
 // subscriptionResponse is the registration / resync payload: the
 // subscription identity plus the full result the client seeds (or
@@ -97,9 +97,9 @@ func (s *Server) handleV1SubscriptionCreate(w http.ResponseWriter, r *http.Reque
 }
 
 // handleV1SubscriptionGet is GET /api/v1/subscriptions/{id}: the resync
-// fetch. It serves the subscription's own maintained result — not a
-// fresh engine query — so the returned seq is always on the
-// subscription's event chain and the next pushed diff applies cleanly.
+// fetch. It catches the subscription up to the newest generation and
+// serves its result, so the returned seq is current and on the
+// subscription's event chain: the next streamed diff applies cleanly.
 func (s *Server) handleV1SubscriptionGet(w http.ResponseWriter, r *http.Request) {
 	h, aerr := s.hub()
 	if aerr != nil {
@@ -147,11 +147,13 @@ func (s *Server) handleV1SubscriptionDelete(w http.ResponseWriter, r *http.Reque
 const ssePingInterval = 15 * time.Second
 
 // handleV1SubscriptionEvents is GET /api/v1/subscriptions/{id}/events:
-// the SSE stream. Each pushed diff becomes one `id: <seq>` + `data:
-// <event JSON>` frame; a subscription has at most one attached stream at
-// a time (a second concurrent attach answers 409). The stream ends when
-// the subscription is canceled, GC'd, the hub shuts down, or the client
-// disconnects.
+// the SSE stream. Whenever the engine publishes a newer generation the
+// handler evaluates the subscription and writes the diff from the last
+// frame it sent as one `id: <seq>` + `data: <event JSON>` frame, so a
+// slow client gets one combined frame, never a backlog. A subscription
+// has at most one attached stream at a time (a second concurrent attach
+// answers 409). The stream ends when the subscription is canceled, GC'd,
+// the hub shuts down, or the client disconnects.
 func (s *Server) handleV1SubscriptionEvents(w http.ResponseWriter, r *http.Request) {
 	h, aerr := s.hub()
 	if aerr != nil {
@@ -196,29 +198,17 @@ func (s *Server) handleV1SubscriptionEvents(w http.ResponseWriter, r *http.Reque
 	ping := time.NewTicker(ssePingInterval)
 	defer ping.Stop()
 	for {
-		// Drain everything pending before blocking: the notify channel
-		// is an edge signal, not a count.
-		for {
-			ev := sub.TryNext()
-			if ev == nil {
-				break
-			}
+		ev, wait := sub.Next()
+		if ev != nil {
 			if !writeSSEEvent(w, ev) {
 				return
 			}
 			flusher.Flush()
+			continue
 		}
 		select {
-		case <-sub.Notify():
+		case <-wait:
 		case <-sub.Done():
-			// Deliver what was queued before the close, then end the
-			// stream so the client sees EOF instead of a silent stall.
-			for ev := sub.TryNext(); ev != nil; ev = sub.TryNext() {
-				if !writeSSEEvent(w, ev) {
-					return
-				}
-			}
-			flusher.Flush()
 			return
 		case <-r.Context().Done():
 			return

@@ -15,6 +15,7 @@ import (
 	"mass/internal/blog"
 	"mass/internal/core"
 	"mass/internal/lexicon"
+	"mass/internal/trend"
 	"time"
 )
 
@@ -452,6 +453,21 @@ func TestTrendsMemoized(t *testing.T) {
 	}
 	if n := srv.trends.computeCount(); n != 3 {
 		t.Fatalf("computes = %d after flush, want 3", n)
+	}
+}
+
+// TestTrendCacheKeepsNewerGeneration: a late store from a reader pinning
+// an older generation must not evict the live generation's reports.
+func TestTrendCacheKeepsNewerGeneration(t *testing.T) {
+	var c trendCache
+	compute := func() (*trend.Report, error) { return &trend.Report{}, nil }
+	for _, seq := range []uint64{6, 5, 6} {
+		if _, err := c.get(trendKey{seq: seq, buckets: 4, emerging: 3}, compute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := c.computeCount(); n != 2 {
+		t.Fatalf("computes = %d after storing seq 6, then 5, then reading 6 again; want 2", n)
 	}
 }
 

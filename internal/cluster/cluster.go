@@ -669,8 +669,6 @@ func (cl *Cluster) Status() core.EngineStatus {
 		out.Closed = out.Closed || st.Closed
 		out.Subscribers += st.Subscribers
 		out.PushedDiffs += st.PushedDiffs
-		out.DroppedDiffs += st.DroppedDiffs
-		out.IncrementalEvals += st.IncrementalEvals
 		out.FullEvalFallbacks += st.FullEvalFallbacks
 		if out.LastError == "" {
 			out.LastError = st.LastError

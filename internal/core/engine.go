@@ -130,12 +130,12 @@ type EngineStatus struct {
 	RecoveryTruncatedAt int64  `json:"recoveryTruncatedAt"`
 	Closed              bool   `json:"closed"`
 	// Continuous-query counters from the subscription hub: resident
-	// standing subscriptions, diff events pushed into subscriber queues,
-	// events coalesced away by drop-to-latest backpressure, and
-	// per-subscription evaluations. Every evaluation re-runs the query in
-	// full and counts in FullEvalFallbacks; IncrementalEvals is always 0
-	// and stays only because the v1 engine payload carries it (as does
-	// ClusterStatus, which embeds this struct).
+	// standing subscriptions, diff events handed to consumers, and query
+	// evaluations (each a full re-run, counted in FullEvalFallbacks).
+	// DroppedDiffs and IncrementalEvals are always 0: nothing is queued to
+	// be dropped and nothing is evaluated incrementally. They stay because
+	// the v1 engine payload carries them (as does ClusterStatus, which
+	// embeds this struct).
 	Subscribers       int    `json:"subscribers"`
 	PushedDiffs       uint64 `json:"pushedDiffs"`
 	DroppedDiffs      uint64 `json:"droppedDiffs"`
@@ -270,14 +270,14 @@ func NewEngine(c *blog.Corpus, opts EngineOptions) (*Engine, error) {
 		return nil, err
 	}
 	s := e.snap.Load()
-	e.hub = subs.NewHub(subs.Generation{Seq: s.Seq, Corpus: s.Corpus(), Result: s.Result()}, subs.Options{})
+	e.hub = subs.NewHub(subs.Generation{Seq: s.Seq, Corpus: s.Corpus(), Result: s.Result()})
 	go e.flusher()
 	return e, nil
 }
 
-// Subscriptions is the continuous-query hub: standing subscriptions
-// registered here receive an incremental result diff for every
-// generation the engine publishes.
+// Subscriptions is the continuous-query hub: a consumer of a standing
+// subscription registered here reads a result diff up to the newest
+// generation the engine has published.
 func (e *Engine) Subscriptions() *subs.Hub { return e.hub }
 
 // Current returns the latest published snapshot. It never blocks and never
@@ -329,8 +329,6 @@ func (e *Engine) Status() EngineStatus {
 		hs := e.hub.Stats()
 		st.Subscribers = hs.Subscribers
 		st.PushedDiffs = hs.PushedDiffs
-		st.DroppedDiffs = hs.DroppedDiffs
-		st.IncrementalEvals = hs.IncrementalEvals
 		st.FullEvalFallbacks = hs.FullEvalFallbacks
 	}
 	if e.wal != nil {
@@ -453,8 +451,8 @@ func (e *Engine) publishWarm(frozen *blog.Corpus, total uint64, prev *influence.
 		owns:      e.opts.Owns,
 	})
 	if e.hub != nil {
-		// Never blocks: the hub's mailbox is latest-wins, so a slow
-		// fan-out cannot delay the flush path.
+		// O(1) and never blocks: subscriptions evaluate when their
+		// consumers read, so no subscription work delays the flush path.
 		e.hub.Publish(subs.Generation{Seq: seq, Corpus: frozen, Result: sys.Result()})
 	}
 	return nil

@@ -114,7 +114,8 @@ const (
 	// Skipped: the event was stale (seq at or behind the replica).
 	Skipped
 	// Gap: the event does not chain from the replica's seq — the
-	// client missed at least one diff (drop-to-latest coalescing) and
+	// client missed at least one diff (its connection dropped after an
+	// event was sent, or a resync fetch moved the subscription on) and
 	// must resync from a full result.
 	Gap
 )

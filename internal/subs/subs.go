@@ -15,13 +15,14 @@ import (
 )
 
 // Package subs turns the engine's pull-only read surface into push:
-// clients register a standing query once and receive per-flush result
-// diffs over a stream, instead of polling and re-executing. The hub sits
-// on the engine's publish path: for each published generation it re-runs
-// every subscription's query through query.Execute, diffs the new window
-// against the previous one (diffEvent), and pushes the diff event into
-// the subscriber's bounded queue. Slow consumers coalesce to the newest
-// diff; they never block the flush path.
+// clients register a standing query once and receive result diffs over a
+// stream, instead of polling and re-executing. The hub is a passive
+// registry: the engine's publish path hands it each new generation and
+// wakes waiting consumers, and a subscription evaluates its query only
+// when its consumer asks for the next event. That event diffs the last
+// window the consumer was given against the newest generation
+// (diffEvent), so a consumer that falls behind gets one combined event
+// and a subscription nobody reads costs nothing.
 
 // Generation is one published analysis generation: the frozen corpus and
 // its influence result, stamped with the engine's snapshot seq. Both are
@@ -44,194 +45,98 @@ var ErrNotFound = errors.New("subs: subscription not found")
 // live event-stream consumer.
 var ErrAttached = errors.New("subs: subscription already has an attached consumer")
 
-// Options tunes the hub. Zero values select the defaults.
-type Options struct {
-	// BufferSize bounds each subscriber's pending-event queue. When a
-	// push would exceed it the queue is coalesced to just the newest
-	// event (drop-to-latest) and the dropped count is recorded.
-	BufferSize int
-	// IdleTTL is how long a subscription may sit with no attached
-	// consumer and no Snapshot/resync activity before GC cancels it.
-	IdleTTL time.Duration
-}
-
-const (
-	defaultBufferSize = 8
-	defaultIdleTTL    = 5 * time.Minute
-	// gcInterval is how often idle subscriptions are collected.
-	gcInterval = time.Minute
-)
-
-func (o Options) withDefaults() Options {
-	if o.BufferSize <= 0 {
-		o.BufferSize = defaultBufferSize
-	}
-	if o.IdleTTL <= 0 {
-		o.IdleTTL = defaultIdleTTL
-	}
-	return o
-}
+// idleTTL is how long a subscription may sit with no attached consumer
+// and no Snapshot activity before it is collected.
+const idleTTL = 5 * time.Minute
 
 // Stats is a point-in-time snapshot of the hub's counters, surfaced
-// through EngineStatus / GET /api/v1/engine. Every per-generation
-// evaluation re-runs the query in full and counts in FullEvalFallbacks;
-// IncrementalEvals is always 0. Both keep their names and JSON keys
-// because the v1 engine payload carries them.
+// through EngineStatus / GET /api/v1/engine: resident subscriptions,
+// events handed to consumers, and query evaluations (each one a full
+// query.Execute at a newer generation, for Next or Snapshot).
 type Stats struct {
-	Subscribers       int    `json:"subscribers"`
-	PushedDiffs       uint64 `json:"pushedDiffs"`
-	DroppedDiffs      uint64 `json:"droppedDiffs"`
-	IncrementalEvals  uint64 `json:"incrementalEvals"`
-	FullEvalFallbacks uint64 `json:"fullEvalFallbacks"`
+	Subscribers       int
+	PushedDiffs       uint64
+	FullEvalFallbacks uint64
 }
 
-// Hub is the subscription registry and fan-out pump. Publish hands it a
-// generation and returns immediately — a worker goroutine picks it up
-// and re-evaluates every subscription against it; a 1-slot latest-wins
-// mailbox between publisher and worker guarantees the flush path never
-// waits on subscription work. If generations outpace the worker,
-// intermediate ones are skipped; each event diffs the subscription's
-// last window against the newest one, so skipping is lossless (clients
-// see one combined diff).
+// Hub is the subscription registry. It runs no goroutine: Publish
+// records the newest generation and wakes consumers, and all query
+// evaluation happens on the goroutine of the consumer that asks for it.
 type Hub struct {
-	opts Options
+	mu      sync.Mutex
+	subs    map[string]*Subscription
+	gen     Generation    // newest published generation
+	changed chan struct{} // closed by the Publish that replaces gen
+	closed  bool
 
-	mu     sync.Mutex
-	subs   map[string]*Subscription
-	prev   Generation // last processed generation
-	closed bool
-
-	pending chan Generation // cap 1, latest wins
-	quit    chan struct{}
-	done    chan struct{}
-
-	pushed  atomic.Uint64
-	dropped atomic.Uint64
-	evals   atomic.Uint64
+	pushed atomic.Uint64
+	evals  atomic.Uint64
 }
 
-// NewHub starts a hub whose subscriptions register against the given
+// NewHub returns a hub whose subscriptions register against the given
 // initial generation.
-func NewHub(initial Generation, opts Options) *Hub {
-	h := &Hub{
-		opts:    opts.withDefaults(),
+func NewHub(initial Generation) *Hub {
+	return &Hub{
 		subs:    make(map[string]*Subscription),
-		prev:    initial,
-		pending: make(chan Generation, 1),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		gen:     initial,
+		changed: make(chan struct{}),
 	}
-	go h.run()
-	return h
 }
 
-// Publish hands a newly published generation to the hub. It never
-// blocks: the 1-slot mailbox is drained-and-replaced so the newest
-// generation always wins, and the flush path continues immediately.
+// Publish records a newly published generation and wakes every consumer
+// waiting for one. It is O(1) and never waits on subscription work, so
+// the flush path continues immediately. A generation no newer than the
+// current one is ignored.
 func (h *Hub) Publish(gen Generation) {
-	for {
-		select {
-		case h.pending <- gen:
-			return
-		default:
-			select {
-			case <-h.pending:
-			default:
-			}
-		}
-	}
-}
-
-// run is the worker loop: process pending generations, collect idle
-// subscriptions, exit on shutdown.
-func (h *Hub) run() {
-	defer close(h.done)
-	gc := time.NewTicker(gcInterval)
-	defer gc.Stop()
-	for {
-		select {
-		case <-h.quit:
-			return
-		case gen := <-h.pending:
-			h.process(gen)
-		case <-gc.C:
-			h.collectIdle(time.Now())
-		}
-	}
-}
-
-// Apply processes one generation synchronously on the caller's
-// goroutine — the deterministic entry point benchmarks and tests use to
-// measure evaluation work without mailbox scheduling.
-func (h *Hub) Apply(gen Generation) { h.process(gen) }
-
-func (h *Hub) process(gen Generation) {
 	h.mu.Lock()
-	if h.closed || gen.Seq <= h.prev.Seq {
-		h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.closed || gen.Seq <= h.gen.Seq {
 		return
 	}
-	h.prev = gen
-	targets := make([]*Subscription, 0, len(h.subs))
-	for _, s := range h.subs {
-		targets = append(targets, s)
-	}
-	h.mu.Unlock()
-	for _, s := range targets {
-		h.evalSub(s, gen)
-	}
+	h.gen = gen
+	close(h.changed)
+	h.changed = make(chan struct{})
 }
 
-// evalSub re-runs one subscription's query against gen and enqueues the
-// diff from its previous window. An evaluation error leaves the
-// subscription at its old seq: a query that evaluated at registration
-// cannot fail against a later generation of the same schema, and if it
-// somehow does, the client's gap detection on the next event forces a
-// resync.
-func (h *Hub) evalSub(s *Subscription, gen Generation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.seq >= gen.Seq {
-		return
-	}
-	res, err := query.Execute(gen.Corpus, gen.Result, s.q)
-	if err != nil {
-		return
-	}
-	h.evals.Add(1)
-	s.pushLocked(diffEvent(s.seq, s.res, gen.Seq, res), h)
-	h.pushed.Add(1)
-	s.seq, s.res = gen.Seq, res
+// current returns the newest generation together with the channel the
+// next Publish closes. Reading both under one lock is what makes a
+// consumer that finds itself current unable to miss the next wakeup.
+func (h *Hub) current() (Generation, <-chan struct{}) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.gen, h.changed
 }
 
 // Subscribe registers q as a standing subscription against the current
 // generation. It returns the subscription plus the seq and full result
 // the registration snapshot evaluated to — the client's initial replica
-// state.
+// state. Registration is also when idle subscriptions are collected, as
+// it is the only call that grows the registry.
 func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, error) {
 	n, err := q.Normalize()
 	if err != nil {
 		return nil, 0, nil, err
 	}
+	h.collectIdle(time.Now())
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return nil, 0, nil, ErrClosed
 	}
-	gen := h.prev
+	gen := h.gen
 	h.mu.Unlock()
 	// Evaluate outside the hub lock: registration cost must not stall
-	// the publish worker or other registrations.
+	// Publish or other registrations.
 	res, err := query.Execute(gen.Corpus, gen.Result, n)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	s := &Subscription{
+		hub:        h,
 		id:         newSubID(),
 		q:          n,
 		seq:        gen.Seq,
 		res:        res,
-		notify:     make(chan struct{}, 1),
 		done:       make(chan struct{}),
 		lastActive: time.Now(),
 	}
@@ -280,40 +185,31 @@ func (h *Hub) Cancel(id string) error {
 }
 
 // collectIdle cancels subscriptions that have had no attached consumer
-// and no activity for longer than IdleTTL.
+// and no activity for longer than idleTTL. It reads each subscription's
+// state outside the hub lock: a consumer holds its subscription's lock
+// while it evaluates, and Publish must never wait behind that.
 func (h *Hub) collectIdle(now time.Time) {
 	h.mu.Lock()
-	var idle []*Subscription
-	for id, s := range h.subs {
-		if s.idleSince(now) > h.opts.IdleTTL {
-			delete(h.subs, id)
-			idle = append(idle, s)
-		}
+	all := make([]*Subscription, 0, len(h.subs))
+	for _, s := range h.subs {
+		all = append(all, s)
 	}
 	h.mu.Unlock()
-	for _, s := range idle {
-		s.close()
+	for _, s := range all {
+		if s.idleSince(now) > idleTTL {
+			h.Cancel(s.id)
+		}
 	}
 }
 
-// Shutdown stops the worker and closes every subscription. It is
-// idempotent and safe to call concurrently with everything else.
+// Shutdown closes every subscription and refuses further registrations.
+// It is idempotent and safe to call concurrently with everything else.
 func (h *Hub) Shutdown() {
 	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		<-h.done
-		return
-	}
 	h.closed = true
-	subs := make([]*Subscription, 0, len(h.subs))
-	for _, s := range h.subs {
-		subs = append(subs, s)
-	}
+	subs := h.subs
 	h.subs = map[string]*Subscription{}
 	h.mu.Unlock()
-	close(h.quit)
-	<-h.done
 	for _, s := range subs {
 		s.close()
 	}
@@ -327,7 +223,6 @@ func (h *Hub) Stats() Stats {
 	return Stats{
 		Subscribers:       n,
 		PushedDiffs:       h.pushed.Load(),
-		DroppedDiffs:      h.dropped.Load(),
 		FullEvalFallbacks: h.evals.Load(),
 	}
 }
@@ -340,24 +235,23 @@ func newSubID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// Subscription is one registered standing query: its normalized query,
-// the result it last evaluated to, plus a bounded queue of diff events
-// awaiting the consumer. At most one consumer may be attached at a time
-// (SSE streams are single-reader); Snapshot serves resync fetches.
+// Subscription is one registered standing query: its normalized query
+// and the result it last evaluated to, which is the state its consumer
+// was last given. At most one consumer may be attached at a time (SSE
+// streams are single-reader); Snapshot serves resync fetches.
 type Subscription struct {
-	id string
-	q  *query.Query // normalized; never mutated
+	hub *Hub
+	id  string
+	q   *query.Query // normalized; never mutated
 
-	mu         sync.Mutex
+	mu         sync.Mutex    // held across an evaluation
 	seq        uint64        // generation res reflects
 	res        *query.Result // read-only once stored; shared with callers
-	queue      []*Event
 	closed     bool
 	attached   bool
 	lastActive time.Time
 
-	notify chan struct{} // cap 1: "queue non-empty" edge signal
-	done   chan struct{} // closed on cancel/GC/shutdown
+	done chan struct{} // closed on cancel/GC/shutdown
 }
 
 // ID is the subscription's opaque identifier.
@@ -367,54 +261,53 @@ func (s *Subscription) ID() string { return s.id }
 // shuts down.
 func (s *Subscription) Done() <-chan struct{} { return s.done }
 
-// Notify signals (edge-triggered, coalesced) that the queue may have
-// events; consumers select on it alongside Done.
-func (s *Subscription) Notify() <-chan struct{} { return s.notify }
-
-// pushLocked enqueues an event under s.mu. When the queue is full it is
-// coalesced down to just the newest event — the diff chain is broken,
-// the consumer's replica will detect the gap (PrevSeq mismatch) and
-// resync — so a stalled consumer costs O(BufferSize) memory and zero
-// publish latency, and on resume it sees the newest seq immediately.
-func (s *Subscription) pushLocked(ev *Event, h *Hub) {
-	if s.closed {
-		return
-	}
-	if len(s.queue) >= h.opts.BufferSize {
-		h.dropped.Add(uint64(len(s.queue)))
-		s.queue = s.queue[:0]
-	}
-	s.queue = append(s.queue, ev)
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// TryNext pops the oldest pending event, or nil when the queue is
-// empty.
-func (s *Subscription) TryNext() *Event {
+// Next returns the subscription's next event: the diff from the state
+// its consumer was last given to the newest published generation. When
+// there is none — the subscription is current, closed, or its query
+// failed to evaluate — ev is nil and wait is a channel the next Publish
+// closes; the consumer selects on it alongside Done.
+func (s *Subscription) Next() (ev *Event, wait <-chan struct{}) {
+	gen, wait := s.hub.current()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) == 0 {
-		return nil
+	prevSeq, prev := s.seq, s.res
+	if !s.catchUpLocked(gen) {
+		return nil, wait
 	}
-	ev := s.queue[0]
-	s.queue = s.queue[1:]
 	s.lastActive = time.Now()
-	return ev
+	s.hub.pushed.Add(1)
+	return diffEvent(prevSeq, prev, s.seq, s.res), nil
 }
 
-// Snapshot returns the subscription's current result and the seq it
-// reflects — the resync target. It is the sub's own state, not a fresh
-// engine query: the returned seq is always on the subscription's
-// processed-generation chain, so subsequent events chain from it even
-// when the hub skipped intermediate generations.
+// Snapshot catches the subscription up to the newest generation and
+// returns its result and the seq it reflects — the resync target. The
+// seq is on the subscription's event chain: the next event chains from
+// it.
 func (s *Subscription) Snapshot() (uint64, *query.Result) {
+	gen, _ := s.hub.current()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.catchUpLocked(gen)
 	s.lastActive = time.Now()
 	return s.seq, s.res
+}
+
+// catchUpLocked re-runs the query at gen when the subscription is behind
+// it, reporting whether it advanced. An evaluation error leaves the
+// subscription where it was: a query that evaluated at registration
+// cannot fail against a later generation of the same schema, and if it
+// somehow does, the next generation retries it.
+func (s *Subscription) catchUpLocked(gen Generation) bool {
+	if s.closed || gen.Seq <= s.seq {
+		return false
+	}
+	res, err := query.Execute(gen.Corpus, gen.Result, s.q)
+	if err != nil {
+		return false
+	}
+	s.hub.evals.Add(1)
+	s.seq, s.res = gen.Seq, res
+	return true
 }
 
 // Attach claims the subscription's single consumer slot.
@@ -458,7 +351,6 @@ func (s *Subscription) close() {
 		return
 	}
 	s.closed = true
-	s.queue = nil
 	s.mu.Unlock()
 	close(s.done)
 }

@@ -136,12 +136,13 @@ var entityQueries = []string{
 // that seeds its replica from the registration response and replays
 // every pushed diff reconstructs, at every generation, a result
 // byte-identical to a fresh full query at that seq — for entity scans
-// and per-domain (aggregate/domains) queries alike. Every subscription is
-// evaluated exactly once per generation and gets exactly one event.
+// and per-domain (aggregate/domains) queries alike. With each consumer
+// reading once per generation, every subscription is evaluated exactly
+// once per generation and gets exactly one event.
 func TestHubReplayByteIdentical(t *testing.T) {
 	g := newGenChain(t, 11, 50, 300)
 	gen0 := g.next(nil)
-	h := NewHub(gen0, Options{})
+	h := NewHub(gen0)
 	defer h.Shutdown()
 
 	queries := append([]string{}, entityQueries...)
@@ -173,13 +174,19 @@ func TestHubReplayByteIdentical(t *testing.T) {
 	const rounds = 3
 	for round := 1; round <= rounds; round++ {
 		gen := g.next(addPosts(t, round, 4))
-		h.Apply(gen)
+		_, wait := subsList[0].sub.Next()
+		h.Publish(gen)
+		select {
+		case <-wait:
+		default:
+			t.Fatalf("Publish of gen %d did not wake a current consumer", gen.Seq)
+		}
 		for _, tr := range subsList {
-			ev := tr.sub.TryNext()
+			ev, _ := tr.sub.Next()
 			if ev == nil {
 				t.Fatalf("%s: no event for gen %d", tr.body, gen.Seq)
 			}
-			if extra := tr.sub.TryNext(); extra != nil {
+			if extra, _ := tr.sub.Next(); extra != nil {
 				t.Fatalf("%s: second event for gen %d: %+v", tr.body, gen.Seq, extra)
 			}
 			outcome, err := tr.cs.Apply(ev)
@@ -194,8 +201,8 @@ func TestHubReplayByteIdentical(t *testing.T) {
 		}
 	}
 	want := uint64(len(subsList) * rounds)
-	if st := h.Stats(); st.FullEvalFallbacks != want || st.PushedDiffs != want || st.IncrementalEvals != 0 {
-		t.Fatalf("stats %+v: want %d evaluations and %d pushed diffs, 0 incremental", st, want, want)
+	if st := h.Stats(); st.FullEvalFallbacks != want || st.PushedDiffs != want {
+		t.Fatalf("stats %+v: want %d evaluations and %d pushed diffs", st, want, want)
 	}
 }
 
@@ -205,7 +212,7 @@ func TestHubReplayByteIdentical(t *testing.T) {
 func TestUnchangedEventAdvancesSeq(t *testing.T) {
 	g := newGenChain(t, 13, 20, 100)
 	gen0 := g.next(nil)
-	h := NewHub(gen0, Options{})
+	h := NewHub(gen0)
 	defer h.Shutdown()
 	q := mustDecode(t, `{"entity":"bloggers","limit":5}`)
 	sub, seq, res, err := h.Subscribe(q)
@@ -213,8 +220,8 @@ func TestUnchangedEventAdvancesSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := NewClientState(seq, res)
-	h.Apply(Generation{Seq: gen0.Seq + 1, Corpus: gen0.Corpus, Result: gen0.Result})
-	ev := sub.TryNext()
+	h.Publish(Generation{Seq: gen0.Seq + 1, Corpus: gen0.Corpus, Result: gen0.Result})
+	ev, _ := sub.Next()
 	if ev == nil {
 		t.Fatal("no event")
 	}
@@ -232,13 +239,14 @@ func TestUnchangedEventAdvancesSeq(t *testing.T) {
 	}
 }
 
-// TestDropToLatest: a consumer that stalls through several flushes gets
-// the newest generation's event on resume, detects the gap, and resyncs
-// from the subscription snapshot.
-func TestDropToLatest(t *testing.T) {
+// TestLaggingConsumerCatchesUp: a consumer that skips three generations
+// gets exactly one event, chaining from the last state it was given to
+// the newest generation. It applies cleanly (never a gap) and replays to
+// a fresh query at the newest seq.
+func TestLaggingConsumerCatchesUp(t *testing.T) {
 	g := newGenChain(t, 17, 30, 150)
 	gen0 := g.next(nil)
-	h := NewHub(gen0, Options{BufferSize: 1})
+	h := NewHub(gen0)
 	defer h.Shutdown()
 	q := mustDecode(t, `{"entity":"posts","orderBy":[{"field":"quality","desc":true}],"limit":10}`)
 	sub, seq, res, err := h.Subscribe(q)
@@ -250,40 +258,75 @@ func TestDropToLatest(t *testing.T) {
 	var last Generation
 	for round := 1; round <= 3; round++ {
 		last = g.next(addPosts(t, round, 3))
-		h.Apply(last)
+		h.Publish(last)
 	}
-	ev := sub.TryNext()
+	ev, _ := sub.Next()
 	if ev == nil {
 		t.Fatal("no event after stall")
 	}
-	if ev.Seq != last.Seq {
-		t.Fatalf("resumed with seq %d, want newest %d", ev.Seq, last.Seq)
+	if ev.PrevSeq != seq || ev.Seq != last.Seq {
+		t.Fatalf("event %d -> %d, want %d -> %d", ev.PrevSeq, ev.Seq, seq, last.Seq)
 	}
-	if h.Stats().DroppedDiffs == 0 {
-		t.Fatal("no drops recorded")
+	if extra, _ := sub.Next(); extra != nil {
+		t.Fatalf("second event after catch-up: %+v", extra)
 	}
-	if outcome, _ := cs.Apply(ev); outcome != Gap {
-		t.Fatalf("expected gap, got %v", outcome)
+	if outcome, err := cs.Apply(ev); outcome != Applied {
+		t.Fatalf("apply outcome %v (%v), want Applied", outcome, err)
 	}
-	rseq, rres := sub.Snapshot()
-	if rseq != last.Seq {
-		t.Fatalf("snapshot at seq %d, want %d", rseq, last.Seq)
-	}
-	cs.Resync(rseq, rres)
 	got := resultJSON(t, cs.Result())
 	want := resultJSON(t, execute(t, last, q))
 	if got != want {
-		t.Fatalf("resynced replica diverged\ngot:  %s\nwant: %s", got, want)
+		t.Fatalf("caught-up replica diverged\ngot:  %s\nwant: %s", got, want)
 	}
 }
 
-// TestPublishNeverBlocks: with a stalled subscriber and no worker
-// draining (the mailbox already full), Publish must still return
-// immediately — the flush path's non-negotiable.
+// TestUnreadSubscriptionCostsNothing pins the pull model's work count:
+// published generations cost an unread subscription no evaluation, and
+// the next read — an event or a resync snapshot — costs exactly one,
+// however many generations it spans.
+func TestUnreadSubscriptionCostsNothing(t *testing.T) {
+	g := newGenChain(t, 41, 30, 150)
+	h := NewHub(g.next(nil))
+	defer h.Shutdown()
+	streamed, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers","limit":5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	polled, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts","limit":7}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gens = 4
+	var last Generation
+	for round := 1; round <= gens; round++ {
+		last = g.next(addPosts(t, round, 2))
+		h.Publish(last)
+	}
+	if st := h.Stats(); st.FullEvalFallbacks != 0 || st.PushedDiffs != 0 {
+		t.Fatalf("after %d unread generations: %+v, want 0 evaluations and 0 events", gens, st)
+	}
+	if ev, _ := streamed.Next(); ev == nil || ev.Seq != last.Seq {
+		t.Fatalf("Next after %d generations: %+v", gens, ev)
+	}
+	if st := h.Stats(); st.FullEvalFallbacks != 1 || st.PushedDiffs != 1 {
+		t.Fatalf("after one Next: %+v, want 1 evaluation and 1 event", st)
+	}
+	if seq, _ := polled.Snapshot(); seq != last.Seq {
+		t.Fatalf("Snapshot at seq %d, want %d", seq, last.Seq)
+	}
+	polled.Snapshot()
+	if st := h.Stats(); st.FullEvalFallbacks != 2 || st.PushedDiffs != 1 {
+		t.Fatalf("after two Snapshots: %+v, want 2 evaluations and 1 event", st)
+	}
+}
+
+// TestPublishNeverBlocks: with a stalled subscriber that never reads,
+// Publish must still return immediately — the flush path's
+// non-negotiable.
 func TestPublishNeverBlocks(t *testing.T) {
 	g := newGenChain(t, 19, 20, 100)
 	gen0 := g.next(nil)
-	h := NewHub(gen0, Options{BufferSize: 1})
+	h := NewHub(gen0)
 	defer h.Shutdown()
 	if _, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`)); err != nil {
 		t.Fatal(err)
@@ -306,7 +349,7 @@ func TestPublishNeverBlocks(t *testing.T) {
 // releasable.
 func TestAttachSingleConsumer(t *testing.T) {
 	g := newGenChain(t, 23, 20, 100)
-	h := NewHub(g.next(nil), Options{})
+	h := NewHub(g.next(nil))
 	defer h.Shutdown()
 	sub, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
 	if err != nil {
@@ -328,7 +371,7 @@ func TestAttachSingleConsumer(t *testing.T) {
 // after Shutdown reports ErrClosed.
 func TestCancelAndShutdown(t *testing.T) {
 	g := newGenChain(t, 29, 20, 100)
-	h := NewHub(g.next(nil), Options{})
+	h := NewHub(g.next(nil))
 	sub, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`))
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +401,7 @@ func TestCancelAndShutdown(t *testing.T) {
 // collected; an attached one survives.
 func TestIdleGC(t *testing.T) {
 	g := newGenChain(t, 31, 20, 100)
-	h := NewHub(g.next(nil), Options{IdleTTL: time.Minute})
+	h := NewHub(g.next(nil))
 	defer h.Shutdown()
 	idle, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
 	if err != nil {
@@ -371,7 +414,7 @@ func TestIdleGC(t *testing.T) {
 	if err := live.Attach(); err != nil {
 		t.Fatal(err)
 	}
-	h.collectIdle(time.Now().Add(2 * time.Minute))
+	h.collectIdle(time.Now().Add(idleTTL + time.Second))
 	if _, err := h.Get(idle.ID()); err != ErrNotFound {
 		t.Fatalf("idle subscription survived GC: %v", err)
 	}
@@ -386,13 +429,14 @@ func TestIdleGC(t *testing.T) {
 }
 
 // TestHubChurnRace is the hub-level churn test (run with -race):
-// subscribe/consume/cancel churn against a publisher pumping
-// generations, ending in Shutdown racing the lot.
+// subscribe/consume/cancel churn, with consumers evaluating on their own
+// goroutines while they wait on Publish wakeups, against a publisher
+// pumping generations, ending in Shutdown racing the lot.
 func TestHubChurnRace(t *testing.T) {
 	g := newGenChain(t, 37, 30, 150)
 	gen0 := g.next(nil)
 	gen1 := g.next(addPosts(t, 1, 3))
-	h := NewHub(gen0, Options{BufferSize: 2})
+	h := NewHub(gen0)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -433,7 +477,15 @@ func TestHubChurnRace(t *testing.T) {
 				}
 				if i%2 == 0 {
 					if err := sub.Attach(); err == nil {
-						sub.TryNext()
+						for n := 0; n < 3; n++ {
+							if ev, wait := sub.Next(); ev == nil {
+								select {
+								case <-wait:
+								case <-sub.Done():
+								case <-time.After(time.Millisecond):
+								}
+							}
+						}
 						sub.Detach()
 					}
 				}
