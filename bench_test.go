@@ -331,7 +331,7 @@ func BenchmarkIncrementalReanalysis(b *testing.B) {
 	grown := corpus.Snapshot()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := an.Analyze(grown); err != nil {
+			if _, err := an.AnalyzeCached(grown, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -381,7 +381,8 @@ func BenchmarkQueryExecute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := an.Analyze(corpus)
+	frozen := corpus.Snapshot()
+	res, err := an.AnalyzeCached(frozen, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -411,7 +412,7 @@ func BenchmarkQueryExecute(b *testing.B) {
 	// is served from the result's lazily-materialized rankings, which
 	// only a ranked-plan execution triggers.
 	for _, warm := range []*query.Query{q, plain} {
-		if _, err := query.Execute(corpus, res, warm); err != nil {
+		if _, err := query.Execute(frozen, res, warm); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -419,7 +420,7 @@ func BenchmarkQueryExecute(b *testing.B) {
 	b.Run("query-filtered-topk", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := query.Execute(corpus, res, q); err != nil {
+			if _, err := query.Execute(frozen, res, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -429,7 +430,7 @@ func BenchmarkQueryExecute(b *testing.B) {
 		// the snapshot's precomputed ranking.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := query.Execute(corpus, res, plain); err != nil {
+			if _, err := query.Execute(frozen, res, plain); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -717,7 +718,7 @@ func BenchmarkRestartRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	grown := corpus.Snapshot() // XML side of the comparison, same final state
+	grown := corpus.Clone() // XML side of the comparison, same final state
 	var maxPosted time.Time
 	for _, p := range corpus.Posts {
 		if p.Posted.After(maxPosted) {
@@ -789,7 +790,7 @@ func BenchmarkRestartRecovery(b *testing.B) {
 			if st := e.Status(); st.RecoveredRecords != len(tail) {
 				b.Fatalf("recovered %d records, want %d", st.RecoveredRecords, len(tail))
 			}
-			if got := len(e.Current().Corpus().Posts); got != len(grown.Posts) {
+			if got := e.Current().Corpus().NumPosts(); got != len(grown.Posts) {
 				b.Fatalf("recovered %d posts, want %d", got, len(grown.Posts))
 			}
 			e.Close()

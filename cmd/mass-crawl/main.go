@@ -67,7 +67,7 @@ func main() {
 	if err := xmlstore.Save(*out, c); err != nil {
 		log.Fatal(err)
 	}
-	st := blog.ComputeStats(textutil.WordCount, nil, c)
+	st := blog.ComputeStats(textutil.WordCount, nil, c.Snapshot())
 	fmt.Printf("crawl: fetched=%d failed=%d retries=%d depth=%d elapsed=%s truncated=%v\n",
 		stats.Fetched, stats.Failed, stats.Retries, stats.Depth, stats.Elapsed, stats.Truncated)
 	fmt.Printf("wrote %s\n%s\n", *out, st)

@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := blog.ComputeStats(textutil.WordCount, nil, corpus)
+	st := blog.ComputeStats(textutil.WordCount, nil, corpus.Snapshot())
 	fmt.Printf("wrote %s (+ %s)\n%s\n", *out, truthPath, st)
 }
 

@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := trend.Analyze(corpus, res2, trend.Config{Buckets: 8, TopEmerging: 3})
+	rep, err := trend.Analyze(corpus.Snapshot(), res2, trend.Config{Buckets: 8, TopEmerging: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

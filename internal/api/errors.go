@@ -131,9 +131,7 @@ func errParam(name, format string, args ...any) *apiError {
 // 200 (the legacy writeJSON bug).
 func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
+	if err := json.NewEncoder(&buf).Encode(env); err != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
 		// Fixed shape: this encode cannot fail.
@@ -160,9 +158,7 @@ func writeAPIError(w http.ResponseWriter, e *apiError) {
 // no envelope. Buffered for the same status-once guarantee as v1.
 func writeBareJSON(w http.ResponseWriter, v any) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -102,8 +102,8 @@ func (s *Server) ownerSnapshot(v *cluster.View, id blog.BloggerID) *core.Snapsho
 func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail, *apiError) {
 	snap := s.ownerSnapshot(v, id)
 	c := snap.Corpus()
-	b, ok := c.Bloggers[id]
-	if !ok {
+	b := c.Blogger(id)
+	if b == nil {
 		return bloggerDetail{}, errf(http.StatusNotFound, ErrCodeNotFound, "unknown blogger %q", id)
 	}
 	res := snap.Result()
@@ -136,7 +136,7 @@ func (s *Server) fetchBlogger(v *cluster.View, id blog.BloggerID) (bloggerDetail
 	}
 	for _, r := range top {
 		pid := d.Posts[r]
-		detail.TopPosts = append(detail.TopPosts, topPost{ID: pid, Title: c.Posts[pid].Title, Score: d.PostScore[r]})
+		detail.TopPosts = append(detail.TopPosts, topPost{ID: pid, Title: c.Post(pid).Title, Score: d.PostScore[r]})
 	}
 	return detail, nil
 }

@@ -30,7 +30,7 @@ func bid(i int) BloggerID { return BloggerID(fmt.Sprintf("b%02d", i)) }
 // path), edge for edge.
 func assertViewMatchesFresh(t *testing.T, c *Corpus, v *LinkView) {
 	t.Helper()
-	fresh := c.buildLinkView(nil) // bypass the cache: guaranteed fresh base
+	fresh := c.linkGraph().build(nil) // bypass the cache: guaranteed fresh base
 	got, want := v.CSR(), fresh.CSR()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("view CSR invalid: %v", err)

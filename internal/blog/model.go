@@ -3,14 +3,24 @@
 // Corpus. Per-blogger facts (posts per author, comments made, link
 // degrees) are not indexed here: the influence analysis derives them.
 //
+// A Corpus is the mutable side. Corpus.Snapshot freezes it into a Frozen
+// generation, which every reader of published state takes: a base of map
+// clones shared by all generations until the next compaction, plus an
+// overlay of the entities written since, so freezing costs what was
+// written since the base rather than the corpus (see snapshot.go).
+//
 // The model mirrors the paper's §II: a set of bloggers with their posts,
 // the comments on the posts and the corresponding commenters, plus the
 // external-link network that feeds the General-Links (GL) authority score.
 package blog
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"iter"
+	"maps"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,10 +77,10 @@ type Link struct {
 	To   BloggerID `xml:"to,attr"`
 }
 
-// Corpus is a complete blogosphere snapshot: the entities, the mutation
-// journal and the link graph's epoch and view. Call Reindex after bulk
-// mutation; the constructors and AddX helpers keep the journal and epoch
-// current automatically.
+// Corpus is the mutable blogosphere: the entities, the mutation journal
+// and the link graph's epoch and view. Call Reindex after bulk mutation;
+// the constructors and AddX helpers keep the journal and epoch current
+// automatically. Snapshot freezes it into a read-only generation (Frozen).
 type Corpus struct {
 	Bloggers map[BloggerID]*Blogger
 	Posts    map[PostID]*Post
@@ -97,9 +107,21 @@ type Corpus struct {
 	forked  bool
 
 	// linkView caches the incremental link-graph view for the current
-	// linkEpoch (see LinkView). Snapshots inherit the pointer, so across
+	// linkEpoch (see LinkView). Generations inherit the pointer, so across
 	// one epoch the whole lineage builds the view at most once.
 	linkView atomic.Pointer[LinkView]
+
+	// Generation state (see Snapshot). base is shared by every generation
+	// since the last compaction (nil before the first Snapshot); ov holds
+	// the entities the API wrote since it; shared is the overlay clone the
+	// last generation got, handed out again while ovDirty is false.
+	// snapMu serializes Snapshot calls, which update these fields.
+	snapMu  sync.Mutex
+	base    *frozenBase
+	ov      overlay
+	shared  overlay
+	ovDirty bool
+	work    snapshotWork
 }
 
 // LinkView pins one link epoch's incremental graph view: a DeltaCSR
@@ -138,7 +160,8 @@ func (v *LinkView) CSR() *graph.CSR {
 // merged back into a fresh base CSR: an eighth of the base edge count,
 // clamped to [64, 8192]. The lower clamp keeps tiny graphs from compacting
 // on every flush; the upper one bounds the per-flush overlay clone cost,
-// which is O(overlay), independently of graph size.
+// which is O(overlay), independently of graph size. Snapshot applies the
+// same rule to the entity overlay over a generation's base.
 func linkCompactThreshold(baseEdges int) int {
 	t := baseEdges / 8
 	if t < 64 {
@@ -153,12 +176,13 @@ func linkCompactThreshold(baseEdges int) int {
 // LinkCSR returns the frozen CSR view of the hyperlink graph: nodes are
 // the corpus's bloggers in sorted-ID order (so dense index i is exactly
 // position i of BloggerIDs), edges are the deduplicated Links. The view is
-// built once per link epoch and cached — snapshots taken at the same epoch
-// share it, so a flush whose link graph is unchanged pays nothing here.
+// built once per link epoch and cached — generations taken at the same
+// epoch share it, so a flush whose link graph is unchanged pays nothing
+// here.
 //
 // Like every read method on Corpus, LinkCSR is safe to call concurrently
-// with other reads (snapshots served to query traffic) but not with
-// mutations; the ingestion engine only analyzes frozen snapshots.
+// with other reads but not with mutations; the ingestion engine only
+// analyzes frozen generations (see Frozen).
 func (c *Corpus) LinkCSR() *graph.CSR {
 	return c.LinkViewFrom(nil).CSR()
 }
@@ -180,34 +204,54 @@ func (c *Corpus) LinkView() *LinkView {
 // freezing a fresh base CSR — full invalidation, exactly the pre-delta
 // behavior.
 //
-// The result is cached on the corpus per epoch and shared with snapshots.
-// Like LinkCSR, safe concurrently with reads, not with mutations.
+// The result is cached on the corpus per epoch and shared with the
+// generations taken at that epoch. Like LinkCSR, safe concurrently with
+// reads, not with mutations.
 func (c *Corpus) LinkViewFrom(prev *LinkView) *LinkView {
-	if v := c.linkView.Load(); v != nil && v.epoch == c.linkEpoch && v.lineage == c.journal.Lineage {
+	return cachedLinkView(&c.linkView, c.linkGraph(), prev)
+}
+
+func (c *Corpus) linkGraph() linkGraph {
+	return linkGraph{links: c.Links, epoch: c.linkEpoch, lineage: c.journal.Lineage, nodes: len(c.Bloggers), ids: c.BloggerIDs}
+}
+
+// linkGraph is what a link view is built from: one corpus state's link
+// records, node count and sorted node IDs, with its lineage and epoch.
+// Corpus and Frozen both describe themselves as one.
+type linkGraph struct {
+	links          []Link
+	epoch, lineage uint64
+	nodes          int
+	ids            func() []BloggerID
+}
+
+// cachedLinkView returns the view cached in slot when it is g's epoch's,
+// and otherwise builds one (extending prev when it can) and caches it.
+func cachedLinkView(slot *atomic.Pointer[LinkView], g linkGraph, prev *LinkView) *LinkView {
+	if v := slot.Load(); v != nil && v.epoch == g.epoch && v.lineage == g.lineage {
 		return v
 	}
-	v := c.buildLinkView(prev)
-	c.linkView.Store(v)
+	v := g.build(prev)
+	slot.Store(v)
 	return v
 }
 
 // extendableFrom reports whether prev can seed an O(delta) extension for
-// the corpus's current state: same append-only lineage,
-// a Links prefix, and an unchanged node count. Node count equality implies
-// node set equality within a lineage, because the corpus API never removes
-// bloggers without a Reindex.
-func (c *Corpus) extendableFrom(prev *LinkView) bool {
+// g: same append-only lineage, a Links prefix, and an unchanged node
+// count. Node count equality implies node set equality within a lineage,
+// because the corpus API never removes bloggers without a Reindex.
+func (g linkGraph) extendableFrom(prev *LinkView) bool {
 	return prev != nil &&
-		prev.lineage == c.journal.Lineage &&
-		prev.nLinks <= len(c.Links) &&
-		prev.delta.NumNodes() == len(c.Bloggers)
+		prev.lineage == g.lineage &&
+		prev.nLinks <= len(g.links) &&
+		prev.delta.NumNodes() == g.nodes
 }
 
-func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
-	if c.extendableFrom(prev) {
+func (g linkGraph) build(prev *LinkView) *LinkView {
+	if g.extendableFrom(prev) {
 		base := prev.delta.Base()
 		d := prev.delta.Clone()
-		for _, l := range c.Links[prev.nLinks:] {
+		for _, l := range g.links[prev.nLinks:] {
 			fi, okF := base.Index(string(l.From))
 			ti, okT := base.Index(string(l.To))
 			if !okF || !okT {
@@ -220,29 +264,28 @@ func (c *Corpus) buildLinkView(prev *LinkView) *LinkView {
 		if d.OverlaySize() > linkCompactThreshold(base.NumEdges()) {
 			d = graph.NewDeltaCSR(d.Compact())
 		}
-		return &LinkView{epoch: c.linkEpoch, lineage: c.journal.Lineage, nLinks: len(c.Links), delta: d}
+		return &LinkView{epoch: g.epoch, lineage: g.lineage, nLinks: len(g.links), delta: d}
 	}
 
-	csr := c.BloggerGraph(func(add func(from, to BloggerID)) {
-		for _, l := range c.Links {
+	csr := bloggerGraph(g.ids(), func(add func(from, to BloggerID)) {
+		for _, l := range g.links {
 			add(l.From, l.To)
 		}
 	})
 	return &LinkView{
-		epoch:   c.linkEpoch,
-		lineage: c.journal.Lineage,
-		nLinks:  len(c.Links),
+		epoch:   g.epoch,
+		lineage: g.lineage,
+		nLinks:  len(g.links),
 		delta:   graph.NewDeltaCSR(csr),
 	}
 }
 
-// BloggerGraph freezes the blogger-to-blogger edges that edges passes to
-// add into a CSR whose nodes are the corpus's bloggers in sorted-ID order,
-// so dense index i is position i of BloggerIDs. Parallel edges collapse.
-// An edge with an endpoint outside the blogger set, which only a corpus
-// that fails Validate can hold, is dropped.
-func (c *Corpus) BloggerGraph(edges func(add func(from, to BloggerID))) *graph.CSR {
-	bloggers := c.BloggerIDs()
+// bloggerGraph freezes the blogger-to-blogger edges that edges passes to
+// add into a CSR whose nodes are bloggers, given in sorted-ID order, so
+// dense index i is position i of bloggers. Parallel edges collapse. An
+// edge with an endpoint outside the blogger set, which only a corpus that
+// fails Validate can hold, is dropped.
+func bloggerGraph(bloggers []BloggerID, edges func(add func(from, to BloggerID))) *graph.CSR {
 	ids := make([]string, len(bloggers))
 	idx := make(map[BloggerID]int32, len(bloggers))
 	for i, id := range bloggers {
@@ -286,6 +329,7 @@ func (c *Corpus) AddBlogger(b *Blogger) error {
 	}
 	c.mutating()
 	c.Bloggers[b.ID] = b
+	c.wroteBlogger(b, true)
 	c.journal.Bloggers = append(c.journal.Bloggers, b.ID)
 	// A new blogger is a new graph node (it changes the CSR node set and
 	// the PageRank teleport denominator), so this bump is never spurious —
@@ -313,6 +357,7 @@ func (c *Corpus) AddPost(p *Post) error {
 	}
 	c.mutating()
 	c.Posts[p.ID] = p
+	c.wrotePost(p, true)
 	c.journal.Posts = append(c.journal.Posts, p.ID)
 	return nil
 }
@@ -371,21 +416,20 @@ func (c *Corpus) Reindex() {
 // BloggerIDs returns all blogger IDs in sorted order, for deterministic
 // iteration.
 func (c *Corpus) BloggerIDs() []BloggerID {
-	ids := make([]BloggerID, 0, len(c.Bloggers))
-	for id := range c.Bloggers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return sortedKeys(maps.All(c.Bloggers), len(c.Bloggers))
 }
 
 // PostIDs returns all post IDs in sorted order.
 func (c *Corpus) PostIDs() []PostID {
-	ids := make([]PostID, 0, len(c.Posts))
-	for id := range c.Posts {
+	return sortedKeys(maps.All(c.Posts), len(c.Posts))
+}
+
+func sortedKeys[K cmp.Ordered, V any](all iter.Seq2[K, V], n int) []K {
+	ids := make([]K, 0, n)
+	for id := range all {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -393,34 +437,40 @@ func (c *Corpus) PostIDs() []PostID {
 // author, commenter, link endpoint and friend must exist, and IDs must be
 // non-empty. It returns the first problem found.
 func (c *Corpus) Validate() error {
-	for id, b := range c.Bloggers {
+	return validate(func(id BloggerID) bool { return c.Bloggers[id] != nil }, maps.All(c.Bloggers), maps.All(c.Posts), c.Links)
+}
+
+// validate is Validate over any corpus state: known reports whether a
+// blogger ID resolves, and bloggers and posts range the entity maps.
+func validate(known func(BloggerID) bool, bloggers iter.Seq2[BloggerID, *Blogger], posts iter.Seq2[PostID, *Post], links []Link) error {
+	for id, b := range bloggers {
 		if id == "" || b == nil || b.ID != id {
 			return fmt.Errorf("blog: blogger map entry %q inconsistent", id)
 		}
 		for _, f := range b.Friends {
-			if _, ok := c.Bloggers[f]; !ok {
+			if !known(f) {
 				return fmt.Errorf("blog: blogger %q has unknown friend %q", id, f)
 			}
 		}
 	}
-	for id, p := range c.Posts {
+	for id, p := range posts {
 		if id == "" || p == nil || p.ID != id {
 			return fmt.Errorf("blog: post map entry %q inconsistent", id)
 		}
-		if _, ok := c.Bloggers[p.Author]; !ok {
+		if !known(p.Author) {
 			return fmt.Errorf("blog: post %q has unknown author %q", id, p.Author)
 		}
 		for i, cm := range p.Comments {
-			if _, ok := c.Bloggers[cm.Commenter]; !ok {
+			if !known(cm.Commenter) {
 				return fmt.Errorf("blog: post %q comment %d unknown commenter %q", id, i, cm.Commenter)
 			}
 		}
 	}
-	for _, l := range c.Links {
-		if _, ok := c.Bloggers[l.From]; !ok {
+	for _, l := range links {
+		if !known(l.From) {
 			return fmt.Errorf("blog: link from unknown blogger %q", l.From)
 		}
-		if _, ok := c.Bloggers[l.To]; !ok {
+		if !known(l.To) {
 			return fmt.Errorf("blog: link to unknown blogger %q", l.To)
 		}
 		if l.From == l.To {

@@ -78,7 +78,7 @@ func TestAddPostIndexes(t *testing.T) {
 	if got := c.Journal().Posts; len(got) != 1 || got[0] != "p1" {
 		t.Fatalf("journal posts = %v", got)
 	}
-	st := ComputeStats(nil, nil, c)
+	st := ComputeStats(nil, nil, c.Snapshot())
 	if st.Posts != 1 || st.Comments != 2 || st.MaxPostsPerUser != 1 || st.MaxCommentsMade != 2 {
 		t.Fatalf("stats = %+v, want 1 post with 2 comments, both by b", st)
 	}
@@ -146,9 +146,9 @@ func TestReindexMatchesIncremental(t *testing.T) {
 	if err := c.AddLink("a", "b"); err != nil {
 		t.Fatal(err)
 	}
-	before := ComputeStats(nil, nil, c)
+	before := ComputeStats(nil, nil, c.Snapshot())
 	c.Reindex()
-	if got := ComputeStats(nil, nil, c); got != before {
+	if got := ComputeStats(nil, nil, c.Snapshot()); got != before {
 		t.Fatalf("Reindex changed stats: %+v vs %+v", got, before)
 	}
 	if got := postsOf(c, "a"); len(got) != 1 || got[0] != "p1" {
@@ -235,11 +235,11 @@ func TestFigure1Shape(t *testing.T) {
 
 func TestNeighborhoodRadius(t *testing.T) {
 	c := Figure1Corpus()
-	n0 := Neighborhood(c, "Amery", 0)
+	n0 := Neighborhood(c.Snapshot(), "Amery", 0)
 	if len(n0) != 1 || n0["Amery"] != 0 {
 		t.Fatalf("radius 0 = %v", n0)
 	}
-	n1 := Neighborhood(c, "Amery", 1)
+	n1 := Neighborhood(c.Snapshot(), "Amery", 1)
 	// Direct: commenters Bob, Cary; linkers Bob, Cary, Dolly, Helen, Michael.
 	for _, id := range []BloggerID{"Bob", "Cary", "Dolly", "Helen", "Michael"} {
 		if n1[id] != 1 {
@@ -249,11 +249,11 @@ func TestNeighborhoodRadius(t *testing.T) {
 	if _, in := n1["Jane"]; in {
 		t.Fatal("Jane is 2 hops away, must not be in radius 1")
 	}
-	n2 := Neighborhood(c, "Amery", 2)
+	n2 := Neighborhood(c.Snapshot(), "Amery", 2)
 	if n2["Jane"] != 2 || n2["Eddie"] != 2 || n2["Leo"] != 2 {
 		t.Fatalf("radius 2 = %v", n2)
 	}
-	if got := Neighborhood(c, "ghost", 3); len(got) != 0 {
+	if got := Neighborhood(c.Snapshot(), "ghost", 3); len(got) != 0 {
 		t.Fatalf("unknown seed must return empty, got %v", got)
 	}
 }
@@ -261,7 +261,7 @@ func TestNeighborhoodRadius(t *testing.T) {
 func TestComputeStats(t *testing.T) {
 	c := Figure1Corpus()
 	wc := func(s string) int { return len(strings.Fields(s)) }
-	st := ComputeStats(wc, nil, c)
+	st := ComputeStats(wc, nil, c.Snapshot())
 	if st.Bloggers != 9 || st.Posts != 4 || st.Comments != 7 || st.Links != 8 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -283,7 +283,7 @@ func TestComputeStats(t *testing.T) {
 }
 
 func TestStatsEmptyCorpus(t *testing.T) {
-	st := ComputeStats(func(string) int { return 0 }, nil, NewCorpus())
+	st := ComputeStats(func(string) int { return 0 }, nil, NewCorpus().Snapshot())
 	if st.Posts != 0 || st.AvgPostLenWords != 0 {
 		t.Fatalf("empty stats = %+v", st)
 	}

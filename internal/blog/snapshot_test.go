@@ -39,14 +39,14 @@ func TestSnapshotIsolatedFromMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(snap.Bloggers) != 2 || len(snap.Posts) != 1 || len(snap.Links) != 1 {
+	if snap.NumBloggers() != 2 || snap.NumPosts() != 1 || len(snap.Links()) != 1 {
 		t.Fatalf("snapshot changed shape: %d bloggers, %d posts, %d links",
-			len(snap.Bloggers), len(snap.Posts), len(snap.Links))
+			snap.NumBloggers(), snap.NumPosts(), len(snap.Links()))
 	}
-	if got := snap.Posts["p1"].Comments; len(got) != 0 {
+	if got := snap.Post("p1").Comments; len(got) != 0 {
 		t.Fatalf("COW violated: comment leaked into snapshot (%v)", got)
 	}
-	if snap.Bloggers["bob"].Profile != "" {
+	if snap.Blogger("bob").Profile != "" {
 		t.Fatal("COW violated: upsert mutated shared blogger")
 	}
 	if err := snap.Validate(); err != nil {

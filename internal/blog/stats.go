@@ -16,7 +16,7 @@ type Stats struct {
 	AvgPostLenWords float64
 }
 
-// ComputeStats summarizes the corpora as one blogosphere in a single scan
+// ComputeStats summarizes the generations as one blogosphere in a single scan
 // of their posts, comments and links, plus extra links held outside any of
 // them (a sharded cluster's cross-shard edges). Each blogger's posts,
 // comments made and in-links are summed across corpora before taking the
@@ -26,17 +26,17 @@ type Stats struct {
 // this package free of text-processing dependencies); with a nil wordCount
 // the bodies are not tokenized and AvgPostLenWords is left 0 for a caller
 // that already holds the word totals.
-func ComputeStats(wordCount func(string) int, extra []Link, corpora ...*Corpus) Stats {
+func ComputeStats(wordCount func(string) int, extra []Link, corpora ...*Frozen) Stats {
 	s := Stats{Links: len(extra)}
 	postsBy := map[BloggerID]int{}
 	commentsBy := map[BloggerID]int{}
 	inLinks := map[BloggerID]int{}
 	totalLen := 0
 	for _, c := range corpora {
-		s.Bloggers += len(c.Bloggers)
-		s.Posts += len(c.Posts)
-		s.Links += len(c.Links)
-		for _, p := range c.Posts {
+		s.Bloggers += c.NumBloggers()
+		s.Posts += c.NumPosts()
+		s.Links += len(c.Links())
+		for _, p := range c.Posts() {
 			postsBy[p.Author]++
 			s.Comments += len(p.Comments)
 			for _, cm := range p.Comments {
@@ -46,7 +46,7 @@ func ComputeStats(wordCount func(string) int, extra []Link, corpora ...*Corpus) 
 				totalLen += wordCount(p.Body)
 			}
 		}
-		for _, l := range c.Links {
+		for _, l := range c.Links() {
 			inLinks[l.To]++
 		}
 	}
@@ -82,21 +82,21 @@ func (s Stats) String() string {
 // CSR of comment (commenter → author), link and friend edges, and the
 // walk follows its out-rows and in-rows together, so every edge counts in
 // both directions.
-func Neighborhood(c *Corpus, seed BloggerID, radius int) map[BloggerID]int {
+func Neighborhood(c *Frozen, seed BloggerID, radius int) map[BloggerID]int {
 	dist := map[BloggerID]int{}
-	if _, ok := c.Bloggers[seed]; !ok {
+	if c.Blogger(seed) == nil {
 		return dist
 	}
 	g := c.BloggerGraph(func(add func(a, b BloggerID)) {
-		for _, p := range c.Posts {
+		for _, p := range c.Posts() {
 			for _, cm := range p.Comments {
 				add(cm.Commenter, p.Author)
 			}
 		}
-		for _, l := range c.Links {
+		for _, l := range c.Links() {
 			add(l.From, l.To)
 		}
-		for id, b := range c.Bloggers {
+		for id, b := range c.Bloggers() {
 			for _, f := range b.Friends {
 				add(id, f)
 			}

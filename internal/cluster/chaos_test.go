@@ -76,7 +76,7 @@ func ownedID(cl *Cluster, shard int, prefix string) blog.BloggerID {
 func clusterPosts(cl *Cluster) map[blog.PostID]bool {
 	out := make(map[blog.PostID]bool)
 	for i := 0; i < cl.NumShards(); i++ {
-		for pid := range cl.Shard(i).Current().Corpus().Posts {
+		for pid := range cl.Shard(i).Current().Corpus().Posts() {
 			out[pid] = true
 		}
 	}

@@ -278,7 +278,7 @@ func New(c *blog.Corpus, opts Options) (*Cluster, error) {
 	// in their spill queues, so comments on a spilled post route correctly
 	// before the replay lands.
 	for i, sh := range cl.shards {
-		for pid := range sh.eng.Load().Current().Corpus().Posts {
+		for pid := range sh.eng.Load().Current().Corpus().Posts() {
 			cl.postOwner[pid] = i
 		}
 		for _, op := range sh.spill.pending() {

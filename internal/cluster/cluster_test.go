@@ -71,13 +71,13 @@ func TestAddBatchRouting(t *testing.T) {
 	}
 	sa, sb := cl.Owner(blog.BloggerID(a)), cl.Owner(blog.BloggerID(b))
 	ca, cb := cl.Shard(sa).Current().Corpus(), cl.Shard(sb).Current().Corpus()
-	if _, ok := ca.Posts["p1"]; !ok {
+	if ca.Post("p1") == nil {
 		t.Fatalf("p1 not on author shard %d", sa)
 	}
-	if _, ok := cb.Posts["p2"]; !ok {
+	if cb.Post("p2") == nil {
 		t.Fatalf("p2 not on author shard %d", sb)
 	}
-	if got := len(ca.Posts["p1"].Comments); got != 1 {
+	if got := len(ca.Post("p1").Comments); got != 1 {
 		t.Fatalf("comment did not follow p1: %d comments", got)
 	}
 	if cl.BoundaryEdges() != 1 {
@@ -85,15 +85,15 @@ func TestAddBatchRouting(t *testing.T) {
 	}
 	// Each boundary endpoint exists on its own owner shard — that is what
 	// keeps the merged PageRank node union equal to the global set.
-	if _, ok := ca.Bloggers[blog.BloggerID(a)]; !ok {
+	if ca.Blogger(blog.BloggerID(a)) == nil {
 		t.Fatalf("boundary source %q missing from its owner shard", a)
 	}
-	if _, ok := cb.Bloggers[blog.BloggerID(b)]; !ok {
+	if cb.Blogger(blog.BloggerID(b)) == nil {
 		t.Fatalf("boundary target %q missing from its owner shard", b)
 	}
 	// The intra link stays inside shard sa and off the boundary.
 	found := false
-	for _, l := range ca.Links {
+	for _, l := range ca.Links() {
 		if l.From == blog.BloggerID(a) && l.To == blog.BloggerID(c) {
 			found = true
 		}
@@ -184,7 +184,7 @@ func TestClusterRecovery(t *testing.T) {
 	}
 	totalPosts := 0
 	for i := 0; i < re.NumShards(); i++ {
-		totalPosts += len(re.Shard(i).Current().Corpus().Posts)
+		totalPosts += re.Shard(i).Current().Corpus().NumPosts()
 	}
 	if totalPosts != 12 {
 		t.Fatalf("recovered posts = %d, want 12", totalPosts)
@@ -221,7 +221,7 @@ func TestStatusCountsOwnedBloggersOnce(t *testing.T) {
 	}
 	intra := 0
 	for i := 0; i < 4; i++ {
-		intra += len(cl.Shard(i).Current().Corpus().Links)
+		intra += len(cl.Shard(i).Current().Corpus().Links())
 	}
 	if st.Links != intra+cl.BoundaryEdges() {
 		t.Fatalf("merged links = %d, want %d intra + %d boundary", st.Links, intra, cl.BoundaryEdges())

@@ -265,7 +265,7 @@ func (cl *Cluster) Stats(v *View) blog.Stats {
 	if len(v.Snaps) == 1 {
 		return v.Snaps[0].Stats()
 	}
-	corpora := make([]*blog.Corpus, len(v.Snaps))
+	corpora := make([]*blog.Frozen, len(v.Snaps))
 	bloggers, words := 0, 0
 	for i, snap := range v.Snaps {
 		corpora[i] = snap.Corpus()

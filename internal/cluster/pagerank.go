@@ -39,7 +39,7 @@ type GlobalResult struct {
 // mirroring the single-engine delta-solver discipline. Either path yields
 // the same vector the single engine would compute, to solver tolerance.
 func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) {
-	corpora := make([]*blog.Corpus, len(cl.shards))
+	corpora := make([]*blog.Frozen, len(cl.shards))
 	for i, sh := range cl.shards {
 		corpora[i] = sh.eng.Load().Current().Corpus()
 	}
@@ -50,7 +50,7 @@ func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) 
 	seen := make(map[string]struct{})
 	var ids []string
 	for _, c := range corpora {
-		for id := range c.Bloggers {
+		for id := range c.Bloggers() {
 			if _, dup := seen[string(id)]; !dup {
 				seen[string(id)] = struct{}{}
 				ids = append(ids, string(id))
@@ -73,7 +73,7 @@ func (cl *Cluster) GlobalPageRank(opts linkrank.Options) (*GlobalResult, error) 
 		to = append(to, idx[string(l.To)])
 	}
 	for _, c := range corpora {
-		for _, l := range c.Links {
+		for _, l := range c.Links() {
 			edge(l)
 		}
 	}

@@ -65,7 +65,7 @@ func (o Options) withDefaults() Options {
 // System is an analyzed blogosphere ready to answer the demo's queries.
 type System struct {
 	opts       Options
-	corpus     *blog.Corpus
+	corpus     *blog.Frozen
 	classifier classify.Classifier
 	result     *influence.Result
 	rec        *recommend.Recommender
@@ -98,7 +98,7 @@ func (o Options) buildClassifier() (classify.Classifier, error) {
 // facet-cached through cache when non-nil — and assembles the query-side
 // recommender. It is the shared build step behind FromCorpus (cold, once)
 // and Engine (incremental, repeatedly).
-func newSystem(c *blog.Corpus, opts Options, cl classify.Classifier, an *influence.Analyzer, prev *influence.Result, cache *influence.Cache, seq uint64, queries *query.Cache) (*System, error) {
+func newSystem(c *blog.Frozen, opts Options, cl classify.Classifier, an *influence.Analyzer, prev *influence.Result, cache *influence.Cache, seq uint64, queries *query.Cache) (*System, error) {
 	res, err := an.AnalyzeCached(c, prev, cache)
 	if err != nil {
 		return nil, err
@@ -134,7 +134,7 @@ func FromCorpus(c *blog.Corpus, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(c, opts, cl, an, nil, nil, 1, nil)
+	return newSystem(c.Snapshot(), opts, cl, an, nil, nil, 1, nil)
 }
 
 // LoadFile builds a System from an XML snapshot written by xmlstore.Save
@@ -147,8 +147,8 @@ func LoadFile(path string, opts Options) (*System, error) {
 	return FromCorpus(c, opts)
 }
 
-// Corpus exposes the underlying corpus (read-only by convention).
-func (s *System) Corpus() *blog.Corpus { return s.corpus }
+// Corpus exposes the analyzed generation of the corpus.
+func (s *System) Corpus() *blog.Frozen { return s.corpus }
 
 // Result exposes the raw influence analysis.
 func (s *System) Result() *influence.Result { return s.result }

@@ -103,7 +103,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Persistence round trip.
 	path := filepath.Join(t.TempDir(), "crawl.xml")
-	if err := xmlstore.Save(path, sys.Corpus()); err != nil {
+	if err := xmlstore.Save(path, crawled); err != nil {
 		t.Fatal(err)
 	}
 	sys2, err := LoadFile(path, Options{})

@@ -180,9 +180,9 @@ func TestEngineDeltaChurnRace(t *testing.T) {
 				s := e.Current()
 				c := s.Corpus()
 				v := c.LinkView()
-				if v.CSR().NumNodes() != len(c.Bloggers) {
+				if v.CSR().NumNodes() != c.NumBloggers() {
 					errs <- fmt.Errorf("snapshot view has %d nodes, corpus %d",
-						v.CSR().NumNodes(), len(c.Bloggers))
+						v.CSR().NumNodes(), c.NumBloggers())
 					return
 				}
 				_ = c.LinkCSR()
@@ -209,7 +209,7 @@ func TestEngineDeltaChurnRace(t *testing.T) {
 	// The final graph must agree edge-for-edge with a cold rebuild.
 	final := e.Current().Corpus()
 	flat := final.LinkCSR()
-	if flat.NumNodes() != len(final.Bloggers) {
-		t.Fatalf("final view has %d nodes, corpus %d", flat.NumNodes(), len(final.Bloggers))
+	if flat.NumNodes() != final.NumBloggers() {
+		t.Fatalf("final view has %d nodes, corpus %d", flat.NumNodes(), final.NumBloggers())
 	}
 }

@@ -66,7 +66,7 @@ func (e *Engine) openDurable(d DurabilityOptions) (*influence.Result, error) {
 	base := blog.NewCorpus()
 	var prev *influence.Result
 	if rec.Snapshot != nil {
-		base = rec.Snapshot.Corpus
+		base = rec.Corpus
 		e.cache = influence.RestoreCache(rec.Snapshot.Cache)
 		// The snapshot's GL vector was solved against exactly this corpus;
 		// bind it before tail replay so a linkless tail keeps the PageRank
@@ -94,7 +94,7 @@ func (e *Engine) openDurable(d DurabilityOptions) (*influence.Result, error) {
 // index idx. Caller holds analyzeSem (the cache is quiescent) and has just
 // published the analysis of frozen, so cache and published result are both
 // consistent with it.
-func (e *Engine) checkpointState(frozen *blog.Corpus, idx, total uint64) *wal.Snapshot {
+func (e *Engine) checkpointState(frozen *blog.Frozen, idx, total uint64) *wal.Snapshot {
 	st := e.cache.ExportState()
 	if s := e.snap.Load(); s != nil {
 		if r := s.Result(); r != nil {
@@ -119,7 +119,7 @@ func (e *Engine) checkpointState(frozen *blog.Corpus, idx, total uint64) *wal.Sn
 // checkpointLocked durably snapshots frozen state at WAL index idx. The
 // log is synced first so the snapshot never covers records that could
 // still be lost. Caller holds analyzeSem.
-func (e *Engine) checkpointLocked(frozen *blog.Corpus, idx, total uint64) error {
+func (e *Engine) checkpointLocked(frozen *blog.Frozen, idx, total uint64) error {
 	if err := e.wal.Sync(); err != nil {
 		return err
 	}
@@ -137,7 +137,7 @@ func (e *Engine) checkpointLocked(frozen *blog.Corpus, idx, total uint64) error 
 // never fails the flush that triggered it — the WAL still covers every
 // record — but it is surfaced through Status.LastError. Caller holds
 // analyzeSem.
-func (e *Engine) maybeCheckpoint(frozen *blog.Corpus, idx, total uint64) {
+func (e *Engine) maybeCheckpoint(frozen *blog.Frozen, idx, total uint64) {
 	if e.wal == nil || idx < e.lastCkpt+uint64(e.ckptEvery) {
 		return
 	}

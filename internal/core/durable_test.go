@@ -128,9 +128,9 @@ func TestDurableRestartMatchesColdSolve(t *testing.T) {
 	if st.Seq != s1.Seq+1 {
 		t.Fatalf("sequence did not continue: %d after %d", st.Seq, s1.Seq)
 	}
-	if st.Bloggers != len(bloggers)+0 || st.Posts != len(s1.Corpus().Posts) {
+	if st.Bloggers != len(bloggers)+0 || st.Posts != s1.Corpus().NumPosts() {
 		t.Fatalf("recovered corpus shape %d/%d, want %d/%d",
-			st.Bloggers, st.Posts, len(bloggers), len(s1.Corpus().Posts))
+			st.Bloggers, st.Posts, len(bloggers), s1.Corpus().NumPosts())
 	}
 	// The first flush after restart must be warm: every post's posterior,
 	// tokenization and novelty value and every comment's sentiment came
@@ -138,13 +138,13 @@ func TestDurableRestartMatchesColdSolve(t *testing.T) {
 	// detector, and the unchanged link graph skipped PageRank outright.
 	res, c := e2.Current().Result(), e2.Current().Corpus()
 	comments := 0
-	for _, p := range c.Posts {
+	for _, p := range c.Posts() {
 		comments += len(p.Comments)
 	}
-	if st.ReusedPosteriors != len(c.Posts) || res.ReusedPosteriors != len(c.Posts) ||
-		res.ReusedNovelty != len(c.Posts) || res.ScoredNovelty != 0 || res.ReusedSentiments != comments {
+	if st.ReusedPosteriors != c.NumPosts() || res.ReusedPosteriors != c.NumPosts() ||
+		res.ReusedNovelty != c.NumPosts() || res.ScoredNovelty != 0 || res.ReusedSentiments != comments {
 		t.Fatalf("recovered flush reused %d/%d posteriors, %d/%d tokenizations, %d/%d sentiments and scored %d novelty values, want all reused and none scored",
-			res.ReusedPosteriors, len(c.Posts), res.ReusedNovelty, len(c.Posts), res.ReusedSentiments, comments, res.ScoredNovelty)
+			res.ReusedPosteriors, c.NumPosts(), res.ReusedNovelty, c.NumPosts(), res.ReusedSentiments, comments, res.ScoredNovelty)
 	}
 	if !st.PageRankSkipped || !res.PageRankSkipped {
 		t.Fatalf("recovered flush re-ran PageRank despite unchanged link graph")
@@ -189,7 +189,7 @@ func TestDurableRestartReplaysTailAndMatchesColdSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	bloggers := e1.Current().Corpus().BloggerIDs()
-	existingLink := e1.Current().Corpus().Links[0]
+	existingLink := e1.Current().Corpus().Links()[0]
 	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestDurableRestartReplaysTailAndMatchesColdSolve(t *testing.T) {
 	if st.RecoveredRecords != len(tail) {
 		t.Fatalf("replayed %d records, want %d", st.RecoveredRecords, len(tail))
 	}
-	if _, ok := e2.Current().Corpus().Posts["crash-p1"]; !ok {
+	if e2.Current().Corpus().Post("crash-p1") == nil {
 		t.Fatalf("tail post not recovered")
 	}
 	// Tail replay still flushes warm: old posts' posteriors are reused and
@@ -324,13 +324,13 @@ func TestDurableTornTailRecoversPrefixWithoutPanic(t *testing.T) {
 		// intact — never a partially applied record.
 		c := e.Current().Corpus()
 		for i := 0; i < st.RecoveredRecords; i++ {
-			p, ok := c.Posts[blog.PostID(fmt.Sprintf("torn-p%d", i))]
-			if !ok || p.Body != "tail record body" {
+			p := c.Post(blog.PostID(fmt.Sprintf("torn-p%d", i)))
+			if p == nil || p.Body != "tail record body" {
 				t.Fatalf("trial %d: recovered record %d missing or mangled", trial, i)
 			}
 		}
 		for i := st.RecoveredRecords; i < len(tail); i++ {
-			if _, ok := c.Posts[blog.PostID(fmt.Sprintf("torn-p%d", i))]; ok {
+			if c.Post(blog.PostID(fmt.Sprintf("torn-p%d", i))) != nil {
 				t.Fatalf("trial %d: post %d beyond the valid prefix was served", trial, i)
 			}
 		}
@@ -402,7 +402,7 @@ func TestDurableConcurrentIngestVsCheckpoint(t *testing.T) {
 	c := e2.Current().Corpus()
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
-			if _, ok := c.Posts[blog.PostID(fmt.Sprintf("race-%d-%d", w, i))]; !ok {
+			if c.Post(blog.PostID(fmt.Sprintf("race-%d-%d", w, i))) == nil {
 				t.Fatalf("acknowledged post race-%d-%d lost across restart", w, i)
 			}
 		}

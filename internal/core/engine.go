@@ -63,7 +63,9 @@ type Snapshot struct {
 	// Mutations is the total number of mutations folded in up to this
 	// generation.
 	Mutations uint64
-	// Elapsed is how long the re-analysis behind this snapshot took.
+	// Elapsed is how long the flush behind this snapshot took: the corpus
+	// freeze under the write lock (blog.Corpus.Snapshot) plus the
+	// re-analysis and publication, not the wait for the lock.
 	Elapsed time.Duration
 
 	owns      func(blog.BloggerID) bool
@@ -377,6 +379,7 @@ func (e *Engine) refreshLocked(force bool) error {
 		e.mu.Unlock()
 		return nil
 	}
+	t0 := time.Now()
 	frozen := e.corpus.Snapshot()
 	consumed := e.pending
 	total := e.total
@@ -387,7 +390,7 @@ func (e *Engine) refreshLocked(force bool) error {
 	e.pending = 0
 	e.mu.Unlock()
 
-	err := e.publish(frozen, total)
+	err := e.publish(t0, frozen, total)
 	e.mu.Lock()
 	if err != nil {
 		e.pending += consumed
@@ -403,26 +406,27 @@ func (e *Engine) refreshLocked(force bool) error {
 // rebuild runs the initial (cold) analysis during NewEngine.
 func (e *Engine) rebuild(prev *influence.Result) error {
 	e.mu.Lock()
+	t0 := time.Now()
 	frozen := e.corpus.Snapshot()
 	total := e.total
 	e.mu.Unlock()
-	return e.publishWarm(frozen, total, prev)
+	return e.publishWarm(t0, frozen, total, prev)
 }
 
-func (e *Engine) publish(frozen *blog.Corpus, total uint64) error {
+func (e *Engine) publish(t0 time.Time, frozen *blog.Frozen, total uint64) error {
 	var prev *influence.Result
 	if s := e.snap.Load(); s != nil {
 		prev = s.Result()
 	}
-	return e.publishWarm(frozen, total, prev)
+	return e.publishWarm(t0, frozen, total, prev)
 }
 
 // publishWarm analyzes frozen (warm-started from prev) and swaps in the
 // new snapshot. total is the mutation count at the moment frozen was
 // taken, so Snapshot.Mutations matches the published corpus even when
-// more mutations land during the analysis.
-func (e *Engine) publishWarm(frozen *blog.Corpus, total uint64, prev *influence.Result) error {
-	t0 := time.Now()
+// more mutations land during the analysis. t0 is when the freeze began;
+// the snapshot's Elapsed is measured from it.
+func (e *Engine) publishWarm(t0 time.Time, frozen *blog.Frozen, total uint64, prev *influence.Result) error {
 	// seq0 is nonzero after recovering a checkpoint, so generation numbers
 	// (and with them ETags) keep advancing across restarts instead of
 	// resetting and re-validating stale client caches.
@@ -539,16 +543,16 @@ func (e *Engine) Kill() {
 	}
 }
 
-// DetachCorpus snapshots the engine's corpus — including mutations not yet
-// folded into a published analysis snapshot. It works on a closed or
-// killed engine (the corpus outlives the teardown), which is exactly the
-// supervisor's restart path for an in-memory shard: Kill, detach, seed the
-// replacement engine with the detached corpus so no acknowledged mutation
-// is lost.
+// DetachCorpus copies the engine's corpus (blog.Corpus.Clone, O(corpus))
+// — including mutations not yet folded into a published analysis
+// snapshot. It works on a closed or killed engine (the corpus outlives the
+// teardown), which is exactly the supervisor's restart path for an
+// in-memory shard: Kill, detach, seed the replacement engine with the
+// detached corpus so no acknowledged mutation is lost.
 func (e *Engine) DetachCorpus() *blog.Corpus {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.corpus.Snapshot()
+	return e.corpus.Clone()
 }
 
 // Durable reports whether this engine writes a WAL.

@@ -12,6 +12,7 @@ import (
 	"mass/internal/blog"
 	"mass/internal/blogserver"
 	"mass/internal/crawler"
+	"mass/internal/influence"
 	"mass/internal/linkrank"
 	"mass/internal/query"
 	"mass/internal/subs"
@@ -35,6 +36,26 @@ func startEngine(t *testing.T, c *blog.Corpus, opts EngineOptions) *Engine {
 	return e
 }
 
+// coldSystem analyzes a published generation from scratch, as FromCorpus
+// analyzes a corpus.
+func coldSystem(t *testing.T, f *blog.Frozen, opts Options) *System {
+	t.Helper()
+	opts = opts.withDefaults()
+	cl, err := opts.buildClassifier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := influence.NewAnalyzer(opts.Influence, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := newSystem(f, opts, cl, an, nil, nil, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 func synthCorpus(t *testing.T, seed int64, bloggers, posts int) *blog.Corpus {
 	t.Helper()
 	c, _, err := synth.Generate(synth.Config{Seed: seed, Bloggers: bloggers, Posts: posts})
@@ -52,7 +73,7 @@ func TestEngineConcurrentIngestAndQuery(t *testing.T) {
 	e := startEngine(t, synthCorpus(t, 81, 30, 150), testEngineOptions())
 
 	base := e.Current().Corpus().BloggerIDs()
-	initialPosts := len(e.Current().Corpus().Posts)
+	initialPosts := e.Current().Corpus().NumPosts()
 	const ingesters, readers, perIngester = 4, 4, 30
 
 	var wg sync.WaitGroup
@@ -146,7 +167,7 @@ func TestEngineConcurrentIngestAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Current()
-	if got, want := len(s.Corpus().Posts), initialPosts+ingesters*perIngester; got != want {
+	if got, want := s.Corpus().NumPosts(), initialPosts+ingesters*perIngester; got != want {
 		t.Fatalf("final snapshot has %d posts, want %d", got, want)
 	}
 	if err := s.Corpus().Validate(); err != nil {
@@ -189,13 +210,10 @@ func TestEngineWarmMatchesCold(t *testing.T) {
 
 	// Cold: a from-scratch System over the very same frozen corpus, with
 	// the same classifier.
-	cold, err := FromCorpus(warm.Corpus(), Options{
+	cold := coldSystem(t, warm.Corpus(), Options{
 		Classifier: warm.Classifier(),
 		Influence:  e.opts.Influence,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	cr, wr := cold.Result(), warm.Result()
 	if len(cr.BloggerScores) != len(wr.BloggerScores) {
 		t.Fatalf("score sets differ: %d vs %d", len(cr.BloggerScores), len(wr.BloggerScores))
@@ -224,7 +242,7 @@ func TestEngineWarmMatchesCold(t *testing.T) {
 // everything arrives through ingestion.
 func TestEngineStartsEmpty(t *testing.T) {
 	e := startEngine(t, nil, testEngineOptions())
-	if got := len(e.Current().Corpus().Bloggers); got != 0 {
+	if got := e.Current().Corpus().NumBloggers(); got != 0 {
 		t.Fatalf("empty engine has %d bloggers", got)
 	}
 	if top := e.Current().TopInfluential(3); len(top) != 0 {
@@ -237,7 +255,7 @@ func TestEngineStartsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := e.Current()
-	if len(s.Corpus().Posts) != 1 || len(s.Corpus().Bloggers) != 1 {
+	if s.Corpus().NumPosts() != 1 || s.Corpus().NumBloggers() != 1 {
 		t.Fatal("ingested post did not reach the snapshot")
 	}
 	if top := s.TopInfluential(1); len(top) != 1 || top[0] != "ann" {
@@ -260,7 +278,7 @@ func TestEngineBatchAtomic(t *testing.T) {
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.Current().Corpus().Posts); got != 0 {
+	if got := e.Current().Corpus().NumPosts(); got != 0 {
 		t.Fatalf("failed batch leaked %d posts", got)
 	}
 
@@ -278,7 +296,7 @@ func TestEngineBatchAtomic(t *testing.T) {
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.Current().Corpus().Bloggers); got != 0 {
+	if got := e.Current().Corpus().NumBloggers(); got != 0 {
 		t.Fatalf("rejected mutations leaked %d stub bloggers", got)
 	}
 
@@ -294,7 +312,7 @@ func TestEngineBatchAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.Current().Corpus()
-	if cms := c.Posts["p1"].Comments; len(c.Posts) != 1 || len(c.Links) != 1 || len(cms) != 1 || cms[0].Commenter != "ann" {
+	if cms := c.Post("p1").Comments; c.NumPosts() != 1 || len(c.Links()) != 1 || len(cms) != 1 || cms[0].Commenter != "ann" {
 		t.Fatal("batch did not apply fully")
 	}
 }
@@ -312,7 +330,7 @@ func TestEngineClose(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.Current().Corpus().Posts); got != 1 {
+	if got := e.Current().Corpus().NumPosts(); got != 1 {
 		t.Fatalf("close lost pending mutation: %d posts", got)
 	}
 	if err := e.AddBatch(Batch{Posts: []*blog.Post{{ID: "p2", Author: "ann", Body: "too late"}}}); err == nil {
@@ -346,10 +364,10 @@ func TestEngineStreamingCrawl(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := e.Current().Corpus()
-	if len(c.Bloggers) != len(oneShot.Bloggers) || len(c.Posts) != len(oneShot.Posts) ||
-		len(c.Links) != len(oneShot.Links) {
+	if c.NumBloggers() != len(oneShot.Bloggers) || c.NumPosts() != len(oneShot.Posts) ||
+		len(c.Links()) != len(oneShot.Links) {
 		t.Fatalf("streamed %d/%d/%d, one-shot %d/%d/%d",
-			len(c.Bloggers), len(c.Posts), len(c.Links),
+			c.NumBloggers(), c.NumPosts(), len(c.Links()),
 			len(oneShot.Bloggers), len(oneShot.Posts), len(oneShot.Links))
 	}
 	if err := c.Validate(); err != nil {
@@ -363,7 +381,7 @@ func TestEngineStreamingCrawl(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := e.Current().Corpus()
-	if len(c2.Posts) != len(c.Posts) || len(c2.Links) != len(c.Links) {
+	if c2.NumPosts() != c.NumPosts() || len(c2.Links()) != len(c.Links()) {
 		t.Fatal("re-streaming the same crawl duplicated data")
 	}
 }
@@ -379,7 +397,7 @@ func TestEngineCachedFlushReuse(t *testing.T) {
 		FlushEvery:    1 << 20,
 		FlushInterval: time.Hour,
 	})
-	initialPosts := len(e.Current().Corpus().Posts)
+	initialPosts := e.Current().Corpus().NumPosts()
 	base := e.Current().Corpus().BloggerIDs()
 
 	for i := 0; i < 10; i++ {
@@ -509,13 +527,10 @@ func TestEngineConcurrentIngestWithCachedFlushes(t *testing.T) {
 	if err := warm.Corpus().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := FromCorpus(warm.Corpus(), Options{
+	cold := coldSystem(t, warm.Corpus(), Options{
 		Classifier: warm.Classifier(),
 		Influence:  e.opts.Influence,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for b, s := range cold.Result().BloggerScores {
 		if math.Abs(warm.Result().BloggerScores[b]-s) > 1e-9 {
 			t.Fatalf("cached flush diverged for %s: %v vs %v", b, warm.Result().BloggerScores[b], s)
@@ -619,10 +634,10 @@ func TestEngineConcurrentLinkEpochCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	csr := final.LinkCSR()
-	if csr.NumNodes() != len(final.Bloggers) {
-		t.Fatalf("final CSR has %d nodes, corpus %d bloggers", csr.NumNodes(), len(final.Bloggers))
+	if csr.NumNodes() != final.NumBloggers() {
+		t.Fatalf("final CSR has %d nodes, corpus %d bloggers", csr.NumNodes(), final.NumBloggers())
 	}
-	if want := len(final.Links); csr.NumEdges() != want {
+	if want := len(final.Links()); csr.NumEdges() != want {
 		t.Fatalf("final CSR has %d edges, corpus records %d", csr.NumEdges(), want)
 	}
 }

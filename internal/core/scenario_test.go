@@ -216,7 +216,7 @@ func TestScenarioMethodsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := interestReference(res, mine(f.sys.Corpus().Bloggers[m].Profile), k, m)
+			want := interestReference(res, mine(f.sys.Corpus().Blogger(m).Profile), k, m)
 			sameRanking(t, "RecommendForBlogger "+string(m), got, want)
 			for _, r := range got {
 				if r.Blogger == m {

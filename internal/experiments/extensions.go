@@ -116,7 +116,7 @@ func ExperimentExtensions(cfg Config) (*ExtensionsResult, error) {
 	}
 
 	// --- Trend analysis over the corpus timeline. ---
-	rep, err := trend.Analyze(w.corpus, w.res, trend.Config{Buckets: 8, TopEmerging: 1})
+	rep, err := trend.Analyze(w.corpus.Snapshot(), w.res, trend.Config{Buckets: 8, TopEmerging: 1})
 	if err != nil {
 		return nil, err
 	}

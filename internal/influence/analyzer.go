@@ -37,9 +37,10 @@ func NewAnalyzer(cfg Config, classifier classify.Classifier) (*Analyzer, error) 
 	}, nil
 }
 
-// Analyze runs the full pipeline on the corpus. It never modifies c.
+// Analyze runs the full pipeline, cold, on a generation of the corpus
+// (c.Snapshot()).
 func (a *Analyzer) Analyze(c *blog.Corpus) (*Result, error) {
-	return a.analyze(c, nil, nil)
+	return a.analyze(c.Snapshot(), nil, nil)
 }
 
 // AnalyzeCached is the incremental path. A previous result prev
@@ -59,14 +60,14 @@ func (a *Analyzer) Analyze(c *blog.Corpus) (*Result, error) {
 // facets still reuse, only the solver starts cold, which keeps the result
 // bit-for-bit identical to Analyze). See Cache for the exact reuse and
 // reset rules.
-func (a *Analyzer) AnalyzeCached(c *blog.Corpus, prev *Result, cache *Cache) (*Result, error) {
+func (a *Analyzer) AnalyzeCached(c *blog.Frozen, prev *Result, cache *Cache) (*Result, error) {
 	return a.analyze(c, prev, cache)
 }
 
 // analyze is the shared pipeline. A nil cache gets a throwaway one so the
 // cold and incremental paths are literally the same code; only reuse
 // differs (a fresh cache reuses nothing).
-func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result, error) {
+func (a *Analyzer) analyze(c *blog.Frozen, prev *Result, cache *Cache) (*Result, error) {
 	if cache == nil {
 		cache = NewCache()
 	}
@@ -263,7 +264,7 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 	dists := make([]map[string]float64, len(todo))
 	a.parallelSweep(len(todo), func(lo, hi int) {
 		for k := lo; k < hi; k++ {
-			dists[k] = a.classifier.Classify(c.Posts[ch.postIDs[todo[k]]].Body)
+			dists[k] = a.classifier.Classify(c.Post(ch.postIDs[todo[k]]).Body)
 		}
 	})
 	// Interning mutates the shared index, so the dense conversion runs
@@ -311,7 +312,7 @@ func (a *Analyzer) analyze(c *blog.Corpus, prev *Result, cache *Cache) (*Result,
 //     flush can take the delta path again.
 //
 // When the authority facet is disabled the GL vector is all zeros.
-func (a *Analyzer) computeGL(c *blog.Corpus, ch *Cache, res *Result) []float64 {
+func (a *Analyzer) computeGL(c *blog.Frozen, ch *Cache, res *Result) []float64 {
 	gl := make([]float64, len(ch.bSorted))
 	if a.cfg.IgnoreAuthority {
 		return gl
@@ -382,7 +383,7 @@ func snapRows(vals []float64, rows []int32, old []float64, eps float64) {
 // since a cap never depends on the capping post's score, no other score
 // moves. It also records the corpus word total and the tokenization reuse
 // and novelty lookup counts in res.
-func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
+func (a *Analyzer) computeQuality(c *blog.Frozen, ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
 	np := len(ch.pSorted)
 	needNovelty := !a.cfg.IgnoreNovelty
 	var todo []int32
@@ -395,7 +396,7 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res 
 	a.parallelSweep(len(todo), func(lo, hi int) {
 		for _, s := range todo[lo:hi] {
 			f := &ch.posts[s]
-			body := c.Posts[ch.postIDs[s]].Body
+			body := c.Post(ch.postIDs[s]).Body
 			f.words, f.tokenized = float64(textutil.WordCount(body)), true
 			if needNovelty {
 				f.prepared, f.hasPrepared = ch.det.Prepare(body), true // Prepare is pure
@@ -451,7 +452,7 @@ func (a *Analyzer) computeQuality(c *blog.Corpus, ch *Cache, fresh []int32, res 
 // corpus COW contract, so a cached prefix never goes stale), in parallel
 // across posts, and returns how many comment polarities came from the
 // cache. With sentiment ignored nothing is scored or reused.
-func (a *Analyzer) scoreSentiments(c *blog.Corpus, ch *Cache, grown []int32) (reused int) {
+func (a *Analyzer) scoreSentiments(c *blog.Frozen, ch *Cache, grown []int32) (reused int) {
 	if a.cfg.IgnoreSentiment {
 		return 0
 	}
@@ -463,7 +464,7 @@ func (a *Analyzer) scoreSentiments(c *blog.Corpus, ch *Cache, grown []int32) (re
 	a.parallelSweep(len(grown), func(lo, hi int) {
 		for _, s := range grown[lo:hi] {
 			f := &ch.posts[s]
-			comments := c.Posts[ch.postIDs[s]].Comments
+			comments := c.Post(ch.postIDs[s]).Comments
 			for _, cm := range comments[len(f.sentiments):len(f.commenters)] {
 				f.sentiments = append(f.sentiments, a.sent.Score(cm.Text))
 			}

@@ -405,10 +405,10 @@ func TestAnalyzeRejectsInvalidCorpus(t *testing.T) {
 	// A warm cache validates too: the corpus is of another lineage and its
 	// journal disagrees with its maps, so the cache resets and validates.
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(blog.Figure1Corpus(), nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(blog.Figure1Corpus().Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.AnalyzeCached(invalidCorpus(), nil, cache); err == nil {
+	if _, err := a.AnalyzeCached(invalidCorpus().Snapshot(), nil, cache); err == nil {
 		t.Fatal("invalid corpus must be rejected by a warm cache")
 	}
 }

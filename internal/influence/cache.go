@@ -23,8 +23,8 @@ import (
 // and sentiment (comments are append-only), TC per blogger, the sorted-ID
 // orders, and the GL vector with its push state.
 //
-// A lineage change (Reindex, FromParts, an unrelated corpus, a forked
-// snapshot), journals that disagree with the corpus's maps (a direct map
+// A lineage change (Reindex, FromParts, an unrelated corpus, a mutated
+// Corpus.Clone), journals that disagree with the corpus's maps (a direct map
 // write) or an unresolvable journal entry reset the cache to journal
 // position 0. That is the only place the corpus is validated, and a cold
 // analysis runs exactly that path. A reset keeps the facets of every post
@@ -131,9 +131,9 @@ func (ch *Cache) Posts() int { return len(ch.postIDs) }
 // added (in ID order) and the post slots whose comment list grew, and
 // whether it reset to journal position 0 first. Only a reset validates
 // the corpus; its error is the only error sync returns.
-func (ch *Cache) sync(c *blog.Corpus) (fresh, grown []int32, reset bool, err error) {
+func (ch *Cache) sync(c *blog.Frozen) (fresh, grown []int32, reset bool, err error) {
 	j := c.Journal()
-	if j.Lineage != 0 && j.Lineage == ch.lineage && len(j.Bloggers) == len(c.Bloggers) && len(j.Posts) == len(c.Posts) &&
+	if j.Lineage != 0 && j.Lineage == ch.lineage && len(j.Bloggers) == c.NumBloggers() && len(j.Posts) == c.NumPosts() &&
 		len(ch.bloggerIDs) <= len(j.Bloggers) && len(ch.postIDs) <= len(j.Posts) && ch.nComments <= len(j.Comments) {
 		if fresh, grown, ok := ch.extend(c, j, nil); ok {
 			return fresh, grown, false, nil
@@ -143,7 +143,7 @@ func (ch *Cache) sync(c *blog.Corpus) (fresh, grown []int32, reset bool, err err
 	if err := c.Validate(); err != nil {
 		return nil, nil, false, err
 	}
-	if len(j.Bloggers) != len(c.Bloggers) || len(j.Posts) != len(c.Posts) {
+	if len(j.Bloggers) != c.NumBloggers() || len(j.Posts) != c.NumPosts() {
 		// Maps written around the journal: intern the sorted map keys under
 		// lineage 0, so every later analysis resets again.
 		j = blog.Journal{Bloggers: c.BloggerIDs(), Posts: c.PostIDs()}
@@ -169,7 +169,7 @@ func (ch *Cache) sync(c *blog.Corpus) (fresh, grown []int32, reset bool, err err
 // reset, old is the cache as it was, and new post slots take over the
 // facets old holds for the same ID. It reports false, with the cache
 // partly extended, when a reference does not resolve.
-func (ch *Cache) extend(c *blog.Corpus, j blog.Journal, old *Cache) (fresh, grown []int32, ok bool) {
+func (ch *Cache) extend(c *blog.Frozen, j blog.Journal, old *Cache) (fresh, grown []int32, ok bool) {
 	var newBloggers []int32
 	for _, id := range j.Bloggers[len(ch.bloggerIDs):] {
 		newBloggers = append(newBloggers, int32(len(ch.bloggerIDs)))
@@ -178,7 +178,7 @@ func (ch *Cache) extend(c *blog.Corpus, j blog.Journal, old *Cache) (fresh, grow
 		ch.tc = append(ch.tc, 0)
 	}
 	for _, id := range j.Posts[len(ch.postIDs):] {
-		p := c.Posts[id]
+		p := c.Post(id)
 		if p == nil {
 			return nil, nil, false
 		}
@@ -212,7 +212,7 @@ func (ch *Cache) extend(c *blog.Corpus, j blog.Journal, old *Cache) (fresh, grow
 	slices.Sort(grown)
 	grown = slices.Compact(grown)
 	for _, s := range grown {
-		p, f := c.Posts[ch.postIDs[s]], &ch.posts[s]
+		p, f := c.Post(ch.postIDs[s]), &ch.posts[s]
 		if p == nil || len(p.Comments) < len(f.commenters) {
 			return nil, nil, false
 		}
@@ -309,13 +309,13 @@ func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) []int32 {
 // glMatches reports whether the cached GL vector is exactly valid for c:
 // same lineage and link epoch (within a lineage, equal epochs mean an
 // identical link graph and blogger set) and a value for every blogger.
-func (ch *Cache) glMatches(c *blog.Corpus) bool {
+func (ch *Cache) glMatches(c *blog.Frozen) bool {
 	return ch.glLineage != 0 && ch.glLineage == c.Journal().Lineage && ch.glEpoch == c.LinkEpoch() && len(ch.gl) == len(ch.bloggerIDs)
 }
 
 // storeGL records a solved GL vector, given in sorted blogger order, for
 // c's current link graph.
-func (ch *Cache) storeGL(c *blog.Corpus, rows []float64) {
+func (ch *Cache) storeGL(c *blog.Frozen, rows []float64) {
 	ch.glLineage, ch.glEpoch = c.Journal().Lineage, c.LinkEpoch()
 	ch.gl = slices.Grow(ch.gl[:0], len(rows))[:len(rows)]
 	for r, s := range ch.bSorted {

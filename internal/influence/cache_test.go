@@ -157,16 +157,16 @@ func assertMatchesCold(t *testing.T, label string, a *Analyzer, c *blog.Corpus, 
 }
 
 // assertRejectsInvalid hands the warm cache TestAnalyzeRejectsInvalidCorpus's
-// corpus, and a snapshot of c with the same ghost post written into its
+// corpus, and a clone of c with the same ghost post written into its
 // map, and requires both to be rejected.
 func assertRejectsInvalid(t *testing.T, label string, a *Analyzer, c *blog.Corpus, cache *Cache) {
 	t.Helper()
-	if _, err := a.AnalyzeCached(invalidCorpus(), nil, cache); err == nil {
+	if _, err := a.AnalyzeCached(invalidCorpus().Snapshot(), nil, cache); err == nil {
 		t.Fatalf("%s: warm cache accepted an invalid corpus", label)
 	}
-	ghost := c.Snapshot()
+	ghost := c.Clone()
 	ghost.Posts["ghostpost"] = &blog.Post{ID: "ghostpost", Author: "nobody"}
-	if _, err := a.AnalyzeCached(ghost, nil, cache); err == nil {
+	if _, err := a.AnalyzeCached(ghost.Snapshot(), nil, cache); err == nil {
 		t.Fatalf("%s: warm cache accepted a ghost post written into its own lineage", label)
 	}
 }
@@ -308,7 +308,7 @@ func TestCachedReuseCounters(t *testing.T) {
 	}
 	a := mustAnalyzer(t, Config{}, trainDomainClassifier(t))
 	cache := NewCache()
-	first, err := a.AnalyzeCached(corpus, nil, cache)
+	first, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestCachedReuseCounters(t *testing.T) {
 	}
 
 	growMixed(t, corpus, 0)
-	res, err := a.AnalyzeCached(corpus, first, cache)
+	res, err := a.AnalyzeCached(corpus.Snapshot(), first, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestCachedReuseCounters(t *testing.T) {
 	}
 
 	// No mutations at all: the PageRank solve is skipped outright.
-	again, err := a.AnalyzeCached(corpus, res, cache)
+	again, err := a.AnalyzeCached(corpus.Snapshot(), res, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,16 +406,16 @@ func TestCacheSurvivesCorpusSwap(t *testing.T) {
 		return out
 	}
 	reindexed := func(c *blog.Corpus, _ *Analyzer, _ *Cache) *blog.Corpus {
-		s := c.Snapshot()
+		s := c.Clone()
 		s.Reindex()
 		return s
 	}
 	forked := func(c *blog.Corpus, a *Analyzer, cache *Cache) *blog.Corpus {
-		// Both the origin and its snapshot grow past the shared prefix; the
-		// cache saw the origin's growth, then gets the snapshot's.
-		s := c.Snapshot()
+		// Both the origin and its clone grow past the shared prefix; the
+		// cache saw the origin's growth, then gets the clone's.
+		s := c.Clone()
 		growMixed(t, c, 7)
-		if _, err := a.AnalyzeCached(c, nil, cache); err != nil {
+		if _, err := a.AnalyzeCached(c.Snapshot(), nil, cache); err != nil {
 			t.Fatal(err)
 		}
 		growMixed(t, s, 8)
@@ -437,12 +437,12 @@ func TestCacheSurvivesCorpusSwap(t *testing.T) {
 	a := mustAnalyzer(t, tightConfig(), trainDomainClassifier(t))
 	for _, tc := range cases {
 		cache := NewCache()
-		origin := big.Snapshot()
-		if _, err := a.AnalyzeCached(origin, nil, cache); err != nil {
+		origin := big.Clone()
+		if _, err := a.AnalyzeCached(origin.Snapshot(), nil, cache); err != nil {
 			t.Fatal(err)
 		}
 		swapped := tc.swap(origin, a, cache)
-		cached, err := a.AnalyzeCached(swapped, nil, cache)
+		cached, err := a.AnalyzeCached(swapped.Snapshot(), nil, cache)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -470,7 +470,7 @@ func TestCacheCommentAppendKeepsPrefix(t *testing.T) {
 	c := blog.Figure1Corpus()
 	a := mustAnalyzer(t, Config{}, nil)
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(c, nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(c.Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -482,7 +482,7 @@ func TestCacheCommentAppendKeepsPrefix(t *testing.T) {
 	if err := c.AddComment(pid, blog.Comment{Commenter: commenter, Text: "support this fully"}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.AnalyzeCached(c, nil, cache)
+	res, err := a.AnalyzeCached(c.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		cache := NewCache()
-		prev, err := a.AnalyzeCached(c, nil, cache)
+		prev, err := a.AnalyzeCached(c.Snapshot(), nil, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -544,7 +544,7 @@ func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
 				t.Fatal(err)
 			}
 			comments++
-			res, err := a.AnalyzeCached(c, prev, cache)
+			res, err := a.AnalyzeCached(c.Snapshot(), prev, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -564,7 +564,7 @@ func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
 
 // TestCacheRecoversFromFailedReset hands a warm cache a corpus that passes
 // Validate but whose journal names a post its map no longer holds (a
-// reindexed snapshot with one post moved to another ID by direct map
+// reindexed clone with one post moved to another ID by direct map
 // writes), so the reset fails while interning. The next analysis of a
 // valid corpus must not trust the detector that half-built reset left
 // behind: it matches a cold analysis exactly.
@@ -575,20 +575,20 @@ func TestCacheRecoversFromFailedReset(t *testing.T) {
 	}
 	a := mustAnalyzer(t, tightConfig(), nil)
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
-	moved := corpus.Snapshot()
+	moved := corpus.Clone()
 	moved.Reindex()
 	pid := moved.PostIDs()[len(moved.Posts)-1]
 	p := *moved.Posts[pid]
 	delete(moved.Posts, pid)
 	p.ID = "moved-" + pid
 	moved.Posts[p.ID] = &p
-	if _, err := a.AnalyzeCached(moved, nil, cache); err == nil {
+	if _, err := a.AnalyzeCached(moved.Snapshot(), nil, cache); err == nil {
 		t.Fatal("warm cache accepted a journal naming a post its map lacks")
 	}
-	res, err := a.AnalyzeCached(corpus, nil, cache)
+	res, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

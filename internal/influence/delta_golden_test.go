@@ -39,7 +39,7 @@ func TestDeltaPathGolden(t *testing.T) {
 	}
 	a := mustAnalyzer(t, Config{}, trainDomainClassifier(t))
 	cache := NewCache()
-	prev, err := a.AnalyzeCached(corpus, nil, cache)
+	prev, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDeltaPathGolden(t *testing.T) {
 				added++
 			}
 		}
-		res, err := a.AnalyzeCached(corpus, prev, cache)
+		res, err := a.AnalyzeCached(corpus.Snapshot(), prev, cache)
 		if err != nil {
 			t.Fatal(err)
 		}

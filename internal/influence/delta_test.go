@@ -50,7 +50,7 @@ func TestDeltaPathMatchesCold(t *testing.T) {
 	}
 	a := mustAnalyzer(t, deltaConfig(), trainDomainClassifier(t))
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
 	bloggers := corpus.BloggerIDs()
@@ -76,7 +76,7 @@ func TestDeltaPathMatchesCold(t *testing.T) {
 			t.Fatalf("round %d: no fresh edges found", round)
 		}
 
-		res, err := a.AnalyzeCached(corpus, nil, cache)
+		res, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestDeltaPathMatchesCold(t *testing.T) {
 	}
 
 	// An unchanged corpus skips the solve outright — no delta, no fallback.
-	res, err := a.AnalyzeCached(corpus, nil, cache)
+	res, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDeltaPathFallsBackOnNodeChange(t *testing.T) {
 	}
 	a := mustAnalyzer(t, deltaConfig(), trainDomainClassifier(t))
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestDeltaPathFallsBackOnNodeChange(t *testing.T) {
 	if _, err := corpus.AddLinkDedup(newcomer, corpus.BloggerIDs()[0]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.AnalyzeCached(corpus, nil, cache)
+	res, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDeltaPathFallsBackOnNodeChange(t *testing.T) {
 	if _, err := corpus.AddLinkDedup(ids[1], ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	res, err = a.AnalyzeCached(corpus, nil, cache)
+	res, err = a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +168,14 @@ func TestDeltaPathRespectsFallbackMass(t *testing.T) {
 	cfg.PageRank.FallbackMass = linkrank.ExplicitZero // always fall back
 	a := mustAnalyzer(t, cfg, trainDomainClassifier(t))
 	cache := NewCache()
-	if _, err := a.AnalyzeCached(corpus, nil, cache); err != nil {
+	if _, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache); err != nil {
 		t.Fatal(err)
 	}
 	ids := corpus.BloggerIDs()
 	if _, err := corpus.AddLinkDedup(ids[3], ids[4]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.AnalyzeCached(corpus, nil, cache)
+	res, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
 	if err != nil {
 		t.Fatal(err)
 	}

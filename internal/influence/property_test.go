@@ -127,7 +127,7 @@ func TestWarmStartPropertyUniqueness(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		warm, err := a.AnalyzeCached(cb, resA, nil)
+		warm, err := a.AnalyzeCached(cb.Snapshot(), resA, nil)
 		if err != nil {
 			return false
 		}

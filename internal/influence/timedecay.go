@@ -24,14 +24,14 @@ type DecayConfig struct {
 
 // decayWeights computes the per-post decay multipliers for a corpus, in
 // the order of posts. Disabled (nil) when HalfLife is zero.
-func decayWeights(c *blog.Corpus, posts []blog.PostID, dc DecayConfig) []float64 {
+func decayWeights(c *blog.Frozen, posts []blog.PostID, dc DecayConfig) []float64 {
 	if dc.HalfLife <= 0 {
 		return nil
 	}
 	ref := dc.Now
 	if ref.IsZero() {
 		for _, pid := range posts {
-			if t := c.Posts[pid].Posted; t.After(ref) {
+			if t := c.Post(pid).Posted; t.After(ref) {
 				ref = t
 			}
 		}
@@ -39,7 +39,7 @@ func decayWeights(c *blog.Corpus, posts []blog.PostID, dc DecayConfig) []float64
 	lambda := math.Ln2 / dc.HalfLife.Seconds()
 	w := make([]float64, len(posts))
 	for i, pid := range posts {
-		age := ref.Sub(c.Posts[pid].Posted).Seconds()
+		age := ref.Sub(c.Post(pid).Posted).Seconds()
 		if age <= 0 {
 			w[i] = 1
 			continue
@@ -55,11 +55,12 @@ func decayWeights(c *blog.Corpus, posts []blog.PostID, dc DecayConfig) []float64
 // the domain decomposition (Eq. 5) and AP aggregation see consistently
 // faded posts.
 func (a *Analyzer) AnalyzeDecayed(c *blog.Corpus, dc DecayConfig) (*Result, error) {
-	res, err := a.analyze(c, nil, nil)
+	f := c.Snapshot()
+	res, err := a.analyze(f, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	w := decayWeights(c, res.posts, dc)
+	w := decayWeights(f, res.posts, dc)
 	if w == nil {
 		return res, nil
 	}

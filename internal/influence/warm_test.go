@@ -18,7 +18,7 @@ func TestWarmStartSameFixedPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeCached(corpus, cold, nil)
+	warm, err := a.AnalyzeCached(corpus.Snapshot(), cold, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestWarmStartAfterIncrementalGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeCached(corpus, prev, nil)
+	warm, err := a.AnalyzeCached(corpus.Snapshot(), prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestWarmReusesClassifierPosteriors(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeCached(corpus, prev, nil)
+	warm, err := a.AnalyzeCached(corpus.Snapshot(), prev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestWarmNilPrevEqualsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := a.AnalyzeCached(c, nil, nil)
+	warm, err := a.AnalyzeCached(c.Snapshot(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite testdata/graphs.golden")
 func graphTranscript(c *blog.Corpus, full bool) []byte {
 	var buf bytes.Buffer
 	fmt.Fprintf(&buf, "link: %#v\n", Analyze(c.LinkCSR()))
-	fmt.Fprintf(&buf, "comment: %#v\n", Analyze(CommentGraph(c)))
+	fmt.Fprintf(&buf, "comment: %#v\n", Analyze(CommentGraph(c.Snapshot())))
 	groups, err := taginterest.Discover(c, taginterest.Config{})
 	fmt.Fprintf(&buf, "taginterest: %#v err=%v\n", groups, err)
 	step := 7
@@ -35,7 +35,7 @@ func graphTranscript(c *blog.Corpus, full bool) []byte {
 	ids := c.BloggerIDs()
 	for i := 0; i < len(ids); i += step {
 		for radius := 0; radius <= 3; radius++ {
-			dist := blog.Neighborhood(c, ids[i], radius)
+			dist := blog.Neighborhood(c.Snapshot(), ids[i], radius)
 			lines := make([]string, 0, len(dist))
 			counts := make([]int, radius+1)
 			for id, d := range dist {

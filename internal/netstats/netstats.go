@@ -39,9 +39,9 @@ type Report struct {
 // CommentGraph builds the blogger post-reply graph (commenter → author,
 // self-replies dropped) over the corpus's sorted bloggers. The hyperlink
 // graph needs no builder here: it is the corpus's cached c.LinkCSR().
-func CommentGraph(c *blog.Corpus) *graph.CSR {
+func CommentGraph(c *blog.Frozen) *graph.CSR {
 	return c.BloggerGraph(func(add func(from, to blog.BloggerID)) {
-		for _, p := range c.Posts {
+		for _, p := range c.Posts() {
 			for _, cm := range p.Comments {
 				if cm.Commenter != p.Author {
 					add(cm.Commenter, p.Author)

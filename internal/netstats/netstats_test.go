@@ -90,7 +90,7 @@ func TestGraphBuilders(t *testing.T) {
 	if lg.NumNodes() != 9 || lg.NumEdges() != 8 {
 		t.Fatalf("link graph: %d nodes %d edges", lg.NumNodes(), lg.NumEdges())
 	}
-	cg := CommentGraph(c)
+	cg := CommentGraph(c.Snapshot())
 	// Comment edges: Bob→Amery, Cary→Amery, Jane→Helen, Eddie→Helen,
 	// Leo→Michael, Dolly→Michael (Cary's two comments collapse to one edge).
 	if cg.NumEdges() != 6 {

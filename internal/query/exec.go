@@ -42,7 +42,7 @@ type Result struct {
 // and normalizes q first, so any *Query — hand-built, builder-built or
 // decoded — is accepted. The corpus and result must belong to the same
 // snapshot.
-func Execute(c *blog.Corpus, res *influence.Result, q *Query) (*Result, error) {
+func Execute(c *blog.Frozen, res *influence.Result, q *Query) (*Result, error) {
 	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err
@@ -72,7 +72,7 @@ type Evaluator struct {
 // field of a per-domain aggregate. A domains query compiles nothing here:
 // its filter, order and projection range over the per-domain (count,
 // sum, mean) rows, which exist only after MergeShards.
-func compile(c *blog.Corpus, res *influence.Result, q *Query) (*Evaluator, error) {
+func compile(c *blog.Frozen, res *influence.Result, q *Query) (*Evaluator, error) {
 	if c == nil || res == nil {
 		return nil, fmt.Errorf("query: corpus and result required")
 	}

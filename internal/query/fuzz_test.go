@@ -16,13 +16,13 @@ import (
 // rankings and domain-ordered queries take ranked parts.
 var (
 	fuzzOnce sync.Once
-	fuzzC    *blog.Corpus
+	fuzzC    *blog.Frozen
 	fuzzRes  *influence.Result
 )
 
-func fuzzFixture() (*blog.Corpus, *influence.Result) {
+func fuzzFixture() (*blog.Frozen, *influence.Result) {
 	fuzzOnce.Do(func() {
-		fuzzC = blog.Figure1Corpus()
+		fuzzC = blog.Figure1Corpus().Snapshot()
 		nb, err := classify.TrainNaiveBayes(synth.TrainingExamples(nil, 20, 8))
 		if err != nil {
 			panic(err)
@@ -31,7 +31,7 @@ func fuzzFixture() (*blog.Corpus, *influence.Result) {
 		if err != nil {
 			panic(err)
 		}
-		fuzzRes, err = an.Analyze(fuzzC)
+		fuzzRes, err = an.AnalyzeCached(fuzzC, nil, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -19,7 +19,7 @@ import (
 
 // fixture is one analyzed corpus shared by the package tests.
 type fixture struct {
-	c     *blog.Corpus
+	c     *blog.Frozen
 	res   *influence.Result
 	posts map[blog.BloggerID]int // each author's post count, by a scan
 }
@@ -49,7 +49,7 @@ func testFixture(t testing.TB) fixture {
 		if err != nil {
 			panic(err)
 		}
-		fix = fixture{c: c, res: res, posts: map[blog.BloggerID]int{}}
+		fix = fixture{c: c.Snapshot(), res: res, posts: map[blog.BloggerID]int{}}
 		for _, p := range c.Posts {
 			fix.posts[p.Author]++
 		}
@@ -93,8 +93,8 @@ func TestRankedFastPath(t *testing.T) {
 			t.Fatalf("row %d = %+v, want %+v", i, r.Rows[i], e)
 		}
 	}
-	if r.Total != len(f.c.Bloggers) {
-		t.Fatalf("total = %d, want %d", r.Total, len(f.c.Bloggers))
+	if r.Total != f.c.NumBloggers() {
+		t.Fatalf("total = %d, want %d", r.Total, f.c.NumBloggers())
 	}
 
 	dom := someDomain(t)
@@ -261,7 +261,7 @@ func TestPostPredicates(t *testing.T) {
 	d := f.res.Dense()
 	posts := make([]*blog.Post, len(d.Posts))
 	for i, pid := range d.Posts {
-		posts[i] = f.c.Posts[pid]
+		posts[i] = f.c.Post(pid)
 	}
 	// Pick a window covering roughly the middle half of the corpus span.
 	var lo, hi time.Time
@@ -387,7 +387,7 @@ func TestAggregatePerDomain(t *testing.T) {
 	sums := make(map[string]float64)
 	counts := make(map[string]float64)
 	for i, pid := range d.Posts {
-		if len(f.c.Posts[pid].Comments) < 1 {
+		if len(f.c.Post(pid).Comments) < 1 {
 			continue
 		}
 		for di, w := range d.PostDomains[i*nd : (i+1)*nd] {
@@ -591,8 +591,9 @@ func TestScanAllocsBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(c *blog.Corpus) float64 {
-		res, err := an.Analyze(c)
+	measure := func(corpus *blog.Corpus) float64 {
+		c := corpus.Snapshot()
+		res, err := an.AnalyzeCached(c, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

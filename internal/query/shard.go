@@ -83,7 +83,7 @@ type ShardResult struct {
 // ExecuteShard runs q's per-part half against one shard's snapshot,
 // restricted to the rows own marks (nil: every row). own must be built
 // from res's blogger rows.
-func ExecuteShard(c *blog.Corpus, res *influence.Result, q *Query, own *Owned) (*ShardResult, error) {
+func ExecuteShard(c *blog.Frozen, res *influence.Result, q *Query, own *Owned) (*ShardResult, error) {
 	e, err := compile(c, res, q)
 	if err != nil {
 		return nil, err

@@ -27,11 +27,11 @@ import (
 type Recommender struct {
 	classifier classify.Classifier
 	result     *influence.Result
-	corpus     *blog.Corpus
+	corpus     *blog.Frozen
 }
 
 // New builds a recommender over the analysis result of corpus.
-func New(classifier classify.Classifier, result *influence.Result, corpus *blog.Corpus) (*Recommender, error) {
+func New(classifier classify.Classifier, result *influence.Result, corpus *blog.Frozen) (*Recommender, error) {
 	if classifier == nil {
 		return nil, fmt.Errorf("recommend: classifier required")
 	}
@@ -86,8 +86,8 @@ func (r *Recommender) ForProfile(profile string, k int) []Recommendation {
 // are mined from their stored profile, and the member themselves is
 // excluded from the results.
 func (r *Recommender) ForBlogger(id blog.BloggerID, k int) ([]Recommendation, error) {
-	b, ok := r.corpus.Bloggers[id]
-	if !ok {
+	b := r.corpus.Blogger(id)
+	if b == nil {
 		return nil, fmt.Errorf("recommend: unknown blogger %q", id)
 	}
 	if k <= 0 {
@@ -104,7 +104,7 @@ func (r *Recommender) ForBlogger(id blog.BloggerID, k int) ([]Recommendation, er
 // MASS to find influential bloggers in her/his friend network, rather than
 // the ones in the whole blogosphere", §IV).
 func (r *Recommender) WithinFriends(id blog.BloggerID, domain string, radius, k int) ([]Recommendation, error) {
-	if _, ok := r.corpus.Bloggers[id]; !ok {
+	if r.corpus.Blogger(id) == nil {
 		return nil, fmt.Errorf("recommend: unknown blogger %q", id)
 	}
 	members := blog.Neighborhood(r.corpus, id, radius)

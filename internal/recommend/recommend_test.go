@@ -14,7 +14,7 @@ import (
 
 type fixture struct {
 	rec    *Recommender
-	corpus *blog.Corpus
+	corpus *blog.Frozen
 	gt     *synth.GroundTruth
 	res    *influence.Result
 }
@@ -37,11 +37,11 @@ func setup(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := New(nb, res, c)
+	rec, err := New(nb, res, c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{rec: rec, corpus: c, gt: gt, res: res}
+	return &fixture{rec: rec, corpus: c.Snapshot(), gt: gt, res: res}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -131,7 +131,7 @@ func TestForBloggerUsesProfileDomain(t *testing.T) {
 	var id blog.BloggerID
 	for _, b := range f.corpus.BloggerIDs() {
 		if f.gt.PrimaryDomain[b] == lexicon.Medicine &&
-			strings.Contains(f.corpus.Bloggers[b].Profile, "interested in") {
+			strings.Contains(f.corpus.Blogger(b).Profile, "interested in") {
 			id = b
 			break
 		}

@@ -30,7 +30,7 @@ import (
 // without copying.
 type Generation struct {
 	Seq    uint64
-	Corpus *blog.Corpus
+	Corpus *blog.Frozen
 	Result *influence.Result
 }
 

@@ -74,7 +74,7 @@ type Report struct {
 // Analyze buckets the corpus timeline and fits domain trends. res must
 // come from an Analyzer with a classifier (PostDomains populated);
 // otherwise only Emerging is computed and DomainSeries is empty.
-func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error) {
+func Analyze(c *blog.Frozen, res *influence.Result, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Buckets < 2 {
 		return nil, fmt.Errorf("trend: need at least 2 buckets")
@@ -89,7 +89,7 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	}
 	var minT, maxT time.Time
 	for i, pid := range posts {
-		ts := c.Posts[pid].Posted
+		ts := c.Post(pid).Posted
 		if i == 0 || ts.Before(minT) {
 			minT = ts
 		}
@@ -123,7 +123,7 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	acc := map[string][]float64{}
 	nd := len(d.Domains)
 	for i, pid := range posts {
-		b := bucketOf(c.Posts[pid].Posted)
+		b := bucketOf(c.Post(pid).Posted)
 		for di, p := range d.PostDomains[i*nd : (i+1)*nd] {
 			if dom := d.Domains[di]; p != 0 {
 				if acc[dom] == nil {
@@ -165,7 +165,7 @@ func Analyze(c *blog.Corpus, res *influence.Result, cfg Config) (*Report, error)
 	recent := map[blog.BloggerID]float64{}
 	total := map[blog.BloggerID]float64{}
 	for i, pid := range posts {
-		p := c.Posts[pid]
+		p := c.Post(pid)
 		w := d.PostScore[i]
 		total[p.Author] += w
 		if !p.Posted.Before(half) {

@@ -83,7 +83,7 @@ func analyzed(t *testing.T, c *blog.Corpus) *influence.Result {
 func TestTrendDetectsRisingAndFalling(t *testing.T) {
 	c := risingCorpus(t)
 	res := analyzed(t, c)
-	rep, err := Analyze(c, res, Config{Buckets: 6})
+	rep, err := Analyze(c.Snapshot(), res, Config{Buckets: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTrendDetectsRisingAndFalling(t *testing.T) {
 func TestTrendSeriesShape(t *testing.T) {
 	c := risingCorpus(t)
 	res := analyzed(t, c)
-	rep, err := Analyze(c, res, Config{Buckets: 4})
+	rep, err := Analyze(c.Snapshot(), res, Config{Buckets: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestTrendSeriesShape(t *testing.T) {
 func TestEmergingBlogger(t *testing.T) {
 	c := risingCorpus(t)
 	res := analyzed(t, c)
-	rep, err := Analyze(c, res, Config{})
+	rep, err := Analyze(c.Snapshot(), res, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,14 +154,14 @@ func TestEmergingBlogger(t *testing.T) {
 func TestTrendErrors(t *testing.T) {
 	c := blog.NewCorpus()
 	res := &influence.Result{}
-	if _, err := Analyze(c, res, Config{}); err == nil {
+	if _, err := Analyze(c.Snapshot(), res, Config{}); err == nil {
 		t.Fatal("empty corpus must error")
 	}
-	if _, err := Analyze(risingCorpus(t), analyzed(t, risingCorpus(t)), Config{Buckets: 1}); err == nil {
+	if _, err := Analyze(risingCorpus(t).Snapshot(), analyzed(t, risingCorpus(t)), Config{Buckets: 1}); err == nil {
 		t.Fatal("1 bucket must error")
 	}
 	// A negative emerging bound is an error, not a panic slicing the list.
-	if _, err := Analyze(risingCorpus(t), analyzed(t, risingCorpus(t)), Config{TopEmerging: -1}); err == nil {
+	if _, err := Analyze(risingCorpus(t).Snapshot(), analyzed(t, risingCorpus(t)), Config{TopEmerging: -1}); err == nil {
 		t.Fatal("negative TopEmerging must error")
 	}
 	// Zero time span.
@@ -175,7 +175,7 @@ func TestTrendErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Analyze(c2, res2, Config{}); err == nil {
+	if _, err := Analyze(c2.Snapshot(), res2, Config{}); err == nil {
 		t.Fatal("zero span must error")
 	}
 }
@@ -202,7 +202,7 @@ func TestTrendOnSyntheticCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := analyzed(t, corpus)
-	rep, err := Analyze(corpus, res, Config{Buckets: 8, TopEmerging: 3})
+	rep, err := Analyze(corpus.Snapshot(), res, Config{Buckets: 8, TopEmerging: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // the demo's double-click-to-visualize flow (Fig. 4).
 func ExampleBuild() {
 	corpus := blog.Figure1Corpus()
-	net, err := viz.Build(corpus, "Amery", 1, nil)
+	net, err := viz.Build(corpus.Snapshot(), "Amery", 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,8 +54,8 @@ type Network struct {
 // Build extracts the post-reply network within radius hops of center.
 // scores (optional) fills each node's Inf property. The demo flow is:
 // double-click a recommended blogger → see their network.
-func Build(c *blog.Corpus, center blog.BloggerID, radius int, scores map[blog.BloggerID]float64) (*Network, error) {
-	if _, ok := c.Bloggers[center]; !ok {
+func Build(c *blog.Frozen, center blog.BloggerID, radius int, scores map[blog.BloggerID]float64) (*Network, error) {
+	if c.Blogger(center) == nil {
 		return nil, fmt.Errorf("viz: unknown blogger %q", center)
 	}
 	members := blog.Neighborhood(c, center, radius)
@@ -63,7 +63,7 @@ func Build(c *blog.Corpus, center blog.BloggerID, radius int, scores map[blog.Bl
 	// each commenter→author pair among the members.
 	posts := map[blog.BloggerID]int{}
 	counts := map[[2]blog.BloggerID]int{}
-	for _, p := range c.Posts {
+	for _, p := range c.Posts() {
 		if _, in := members[p.Author]; !in {
 			continue
 		}

@@ -13,7 +13,7 @@ func network(t *testing.T) *Network {
 	t.Helper()
 	c := blog.Figure1Corpus()
 	scores := map[blog.BloggerID]float64{"Amery": 0.9, "Helen": 0.4, "Bob": 0.1}
-	n, err := Build(c, "Amery", 2, scores)
+	n, err := Build(c.Snapshot(), "Amery", 2, scores)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,14 +59,14 @@ func TestBuildNetworkShape(t *testing.T) {
 }
 
 func TestBuildUnknownCenter(t *testing.T) {
-	if _, err := Build(blog.Figure1Corpus(), "Nobody", 1, nil); err == nil {
+	if _, err := Build(blog.Figure1Corpus().Snapshot(), "Nobody", 1, nil); err == nil {
 		t.Fatal("unknown center must error")
 	}
 }
 
 func TestBuildRadiusRestricts(t *testing.T) {
 	c := blog.Figure1Corpus()
-	n, err := Build(c, "Helen", 1, nil)
+	n, err := Build(c.Snapshot(), "Helen", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

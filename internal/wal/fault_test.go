@@ -265,13 +265,13 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	if err := l.Append(testOps(0, 4)...); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(&Snapshot{Index: 4, Seq: 1, Corpus: c}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{Index: 4, Seq: 1, Corpus: c.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(testOps(4, 4)...); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot(&Snapshot{Index: 8, Seq: 2, Corpus: c}); err != nil {
+	if err := l.WriteSnapshot(&Snapshot{Index: 8, Seq: 2, Corpus: c.Snapshot()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(testOps(8, 2)...); err != nil {

@@ -36,7 +36,7 @@ func recoverDir(fs FS, dir string) (*Recovered, uint64, bool, error) {
 	for i := len(snaps) - 1; i >= 0; i-- {
 		s, err := loadSnapshotFile(fs, filepath.Join(dir, snaps[i].name))
 		if err == nil && s.Index == snaps[i].idx {
-			rec.Snapshot = s
+			rec.Snapshot, rec.Corpus = s, s.corpus
 			base = s.Index
 			hasSnap = true
 			break

@@ -27,10 +27,14 @@ type Snapshot struct {
 	// lifetime mutation count, so ETags and counters survive restarts.
 	Seq       uint64
 	Mutations uint64
-	// Corpus is the full corpus at Index.
-	Corpus *blog.Corpus
+	// Corpus is the full corpus at Index, as one frozen generation.
+	Corpus *blog.Frozen
 	// Cache is the analysis warm state, nil when none was exported.
 	Cache *influence.CacheState
+
+	// corpus is the mutable corpus a decoded Corpus was frozen from
+	// (Recovered.Corpus).
+	corpus *blog.Corpus
 }
 
 const (
@@ -64,7 +68,7 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 
 	e.uvarint(uint64(len(bids)))
 	for _, id := range bids {
-		b := c.Bloggers[id]
+		b := c.Blogger(id)
 		e.str(string(b.ID))
 		e.str(b.Name)
 		e.str(b.Profile)
@@ -80,7 +84,7 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 
 	e.uvarint(uint64(len(pids)))
 	for _, id := range pids {
-		p := c.Posts[id]
+		p := c.Post(id)
 		ai, ok := bIdx[p.Author]
 		if !ok {
 			return nil, fmt.Errorf("wal: snapshot: post %q author %q not in corpus", id, p.Author)
@@ -108,8 +112,8 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 		}
 	}
 
-	e.uvarint(uint64(len(c.Links)))
-	for _, l := range c.Links {
+	e.uvarint(uint64(len(c.Links())))
+	for _, l := range c.Links() {
 		fi, fok := bIdx[l.From]
 		ti, tok := bIdx[l.To]
 		if !fok || !tok {
@@ -371,7 +375,7 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.Corpus = c
+	s.Corpus, s.corpus = c.Snapshot(), c
 	s.Cache = st
 	return s, nil
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"sync"
 	"time"
+
+	"mass/internal/blog"
 )
 
 // Options configures a Log.
@@ -54,6 +56,9 @@ type Stats struct {
 type Recovered struct {
 	// Snapshot is the newest decodable checkpoint, nil if none.
 	Snapshot *Snapshot
+	// Corpus is Snapshot's corpus as a mutable corpus to replay Ops onto,
+	// nil without a snapshot. Snapshot.Corpus is a generation of it.
+	Corpus *blog.Corpus
 	// Ops is the log tail after the snapshot, in append order.
 	Ops []Op
 	// LastIndex is the index of the last valid record (0 = empty log).

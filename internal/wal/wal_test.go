@@ -251,7 +251,7 @@ func TestSnapshotAndTailRecovery(t *testing.T) {
 	if err := l.Append(head...); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	snap := &Snapshot{Index: l.LastIndex(), Seq: 3, Mutations: 6, Corpus: corpusForSnapshot(t)}
+	snap := &Snapshot{Index: l.LastIndex(), Seq: 3, Mutations: 6, Corpus: corpusForSnapshot(t).Snapshot()}
 	if err := l.WriteSnapshot(snap); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
@@ -270,7 +270,7 @@ func TestSnapshotAndTailRecovery(t *testing.T) {
 	if rec.Snapshot.Index != 6 || rec.Snapshot.Seq != 3 || rec.Snapshot.Mutations != 6 {
 		t.Fatalf("snapshot metadata = %d/%d/%d", rec.Snapshot.Index, rec.Snapshot.Seq, rec.Snapshot.Mutations)
 	}
-	if got := len(rec.Snapshot.Corpus.Bloggers); got != 3 {
+	if got := rec.Snapshot.Corpus.NumBloggers(); got != 3 {
 		t.Fatalf("snapshot corpus bloggers = %d, want 3", got)
 	}
 	if rec.LastIndex != 11 {
@@ -288,7 +288,7 @@ func TestSnapshotGC(t *testing.T) {
 		if err := l.Append(testOps(round*8, 8)...); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
-		if err := l.WriteSnapshot(&Snapshot{Index: l.LastIndex(), Corpus: c}); err != nil {
+		if err := l.WriteSnapshot(&Snapshot{Index: l.LastIndex(), Corpus: c.Snapshot()}); err != nil {
 			t.Fatalf("WriteSnapshot: %v", err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestSnapshotGC(t *testing.T) {
 
 func TestSnapshotRoundTripPreservesCorpus(t *testing.T) {
 	c := corpusForSnapshot(t)
-	data, err := encodeSnapshotFile(&Snapshot{Index: 9, Seq: 2, Mutations: 11, Corpus: c})
+	data, err := encodeSnapshotFile(&Snapshot{Index: 9, Seq: 2, Mutations: 11, Corpus: c.Snapshot()})
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -330,21 +330,21 @@ func TestSnapshotRoundTripPreservesCorpus(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	got := s.Corpus
-	if len(got.Bloggers) != len(c.Bloggers) || len(got.Posts) != len(c.Posts) || len(got.Links) != len(c.Links) {
-		t.Fatalf("corpus shape changed: %d/%d/%d", len(got.Bloggers), len(got.Posts), len(got.Links))
+	if got.NumBloggers() != len(c.Bloggers) || got.NumPosts() != len(c.Posts) || len(got.Links()) != len(c.Links) {
+		t.Fatalf("corpus shape changed: %d/%d/%d", got.NumBloggers(), got.NumPosts(), len(got.Links()))
 	}
-	if got.Bloggers["a"].Name != "Alice" || len(got.Bloggers["a"].Friends) != 1 {
-		t.Fatalf("blogger a mangled: %+v", got.Bloggers["a"])
+	if got.Blogger("a").Name != "Alice" || len(got.Blogger("a").Friends) != 1 {
+		t.Fatalf("blogger a mangled: %+v", got.Blogger("a"))
 	}
-	p := got.Posts["p1"]
+	p := got.Post("p1")
 	if p.Author != "a" || p.TrueDomain != "d1" || len(p.Comments) != 1 || p.Comments[0].Commenter != "b" {
 		t.Fatalf("post p1 mangled: %+v", p)
 	}
 	if !p.Posted.Equal(time.Unix(1700000000, 0)) || !p.Comments[0].Posted.Equal(time.Unix(1700000001, 7)) {
 		t.Fatalf("timestamps mangled: %v %v", p.Posted, p.Comments[0].Posted)
 	}
-	if got.Links[0] != (blog.Link{From: "a", To: "b"}) || got.Links[1] != (blog.Link{From: "c", To: "a"}) {
-		t.Fatalf("links mangled: %v", got.Links)
+	if got.Links()[0] != (blog.Link{From: "a", To: "b"}) || got.Links()[1] != (blog.Link{From: "c", To: "a"}) {
+		t.Fatalf("links mangled: %v", got.Links())
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatalf("restored corpus invalid: %v", err)
@@ -364,7 +364,7 @@ func TestSnapshotNovelty(t *testing.T) {
 		want  int
 	}{{[]blog.PostID{"p1"}, 1}, {[]blog.PostID{"gone", "p1"}, 0}, {[]blog.PostID{"p1", "gone"}, 0}} {
 		st := &influence.CacheState{Posts: []influence.PostFacetsState{held}, NovOrder: tc.order}
-		data, err := encodeSnapshotFile(&Snapshot{Index: 1, Corpus: c, Cache: st})
+		data, err := encodeSnapshotFile(&Snapshot{Index: 1, Corpus: c.Snapshot(), Cache: st})
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}

@@ -224,7 +224,7 @@ func assertCorpusEqual(t *testing.T, want, got *blog.Corpus) {
 	if len(want.Links) != len(got.Links) {
 		t.Fatalf("link count differs: %d vs %d", len(want.Links), len(got.Links))
 	}
-	if ws, gs := blog.ComputeStats(nil, nil, want), blog.ComputeStats(nil, nil, got); ws != gs {
+	if ws, gs := blog.ComputeStats(nil, nil, want.Snapshot()), blog.ComputeStats(nil, nil, got.Snapshot()); ws != gs {
 		t.Fatalf("stats differ: %+v vs %+v", ws, gs)
 	}
 }
