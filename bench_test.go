@@ -892,7 +892,10 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 		}
 		prev = res
 		seq++
-		return subs.Generation{Seq: seq, Corpus: frozen, Result: res}
+		return subs.Generation{Seq: seq, Query: func(q *query.Query) (*query.Result, bool, error) {
+			r, err := query.Execute(frozen, res, q)
+			return r, false, err
+		}}
 	}
 	gen := nextGen(0)
 
@@ -925,7 +928,7 @@ func BenchmarkSubscriptionFanout(b *testing.B) {
 	defer hub.Shutdown()
 	fleetSubs := make([]*subs.Subscription, fleet)
 	for i, q := range queries {
-		sub, _, _, err := hub.Subscribe(q)
+		sub, _, err := hub.Subscribe(q)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,7 +77,7 @@ func main() {
 		walSync       = flag.Int("wal-sync", 64, "fsync the WAL every N records (group commit)")
 		walSyncIvl    = flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync the WAL at least this often (<0 disables the timer)")
 		ckptEvery     = flag.Int("checkpoint-every", 4096, "write a snapshot once this many WAL records accumulate past the last one")
-		shards        = flag.Int("shards", 1, "engine shards behind the consistent-hash coordinator (1: single engine, full feature set)")
+		shards        = flag.Int("shards", 1, "engine shards behind the consistent-hash coordinator (1: single engine; trends need 1)")
 		shardTimeout  = flag.Duration("shard-timeout", 2*time.Second, "per-shard scatter deadline before a query degrades to a partial result")
 		probeIvl      = flag.Duration("probe-interval", time.Second, "shard supervisor health-probe and restart cadence")
 		probeTimeout  = flag.Duration("probe-timeout", 0, "supervisor probe deadline before a shard counts as wedged (0: same as -shard-timeout)")
@@ -188,13 +188,10 @@ func main() {
 		defer close(drained)
 		<-ctx.Done()
 		fmt.Println("shutting down ...")
-		// Subscriptions first: closing the hub ends every SSE stream, so
-		// the graceful drain below is not held open by standing
-		// connections that would otherwise never finish. (Sharded clusters
-		// have no hub — the surface answers 501 there.)
-		if hub := cl.Subscriptions(); hub != nil {
-			hub.Shutdown()
-		}
+		// Subscriptions first: closing the cluster's hub ends every SSE
+		// stream, so the graceful drain below is not held open by
+		// standing connections that would otherwise never finish.
+		cl.Subscriptions().Shutdown()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {

@@ -58,7 +58,9 @@
 // carries the per-shard generation vector, the ETag becomes the dotted
 // vector, and scattered reads may come back partial (meta.degraded). Either
 // way a conditional GET with If-None-Match returns 304 until a shard
-// publishes a new generation.
+// publishes a new generation. Standing subscriptions ride the same path
+// at any shard count: an event carries what a read at the newest view
+// returns, with the same seq vector and degraded flag.
 //
 // The pre-v1 routes (/api/stats, /api/top?k=, /api/domain/{name}, ...)
 // remain as deprecated aliases with their original bare response shapes
@@ -113,12 +115,13 @@ type Server struct {
 // NewCluster builds the API server over an engine cluster of any size.
 // Ingest routes through the cluster's consistent-hash ring and reads go
 // through the scatter-gather coordinator from one pinned view. With one
-// shard every path is a pass-through, and the whole surface is served:
-// trends, standing subscriptions, and a scalar seq and ETag. With several,
-// meta carries the seq vector (dotted into the ETag), scattered reads may
-// come back partial (meta.degraded) when a shard misses its deadline, and
-// the surfaces whose per-shard analyses cannot be merged (trends,
-// subscriptions) answer 501 unsupported.
+// shard every path is a pass-through, and the whole surface is served,
+// trends included, with a scalar seq and ETag. With several, meta carries
+// the seq vector (dotted into the ETag), scattered reads may come back
+// partial (meta.degraded) when a shard misses its deadline, and trends,
+// whose per-shard analyses cannot be merged, answer 501 unsupported.
+// Standing subscriptions are served at any shard count by the cluster's
+// hub, through the same Cluster.Query as POST /api/v1/query.
 func NewCluster(cl *cluster.Cluster, optFns ...Option) *Server {
 	s := &Server{cluster: cl, mux: http.NewServeMux()}
 	for _, fn := range optFns {
@@ -138,7 +141,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // sharded reports whether the cluster has more than one shard: the only
 // deployment fact the handlers branch on (meta.seqs, the engine-status
-// extension fields, the healthz shape, and the 501 surfaces).
+// extension fields, the healthz shape, and the trends 501).
 func (s *Server) sharded() bool { return s.cluster.NumShards() > 1 }
 
 // ---------------------------------------------------------- v1 wrappers

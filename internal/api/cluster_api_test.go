@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,6 +22,7 @@ import (
 	"mass/internal/cluster"
 	"mass/internal/core"
 	"mass/internal/lexicon"
+	"mass/internal/subs"
 	"mass/internal/synth"
 )
 
@@ -352,11 +354,12 @@ func TestClusterShardedEnvelope(t *testing.T) {
 	}
 }
 
-// TestClusterUnsupportedSurfaces: trends and subscriptions declare
-// themselves out on a sharded deployment with 501 unsupported, on both
-// the v1 routes and the legacy aliases.
+// TestClusterUnsupportedSurfaces: trends declare themselves out on a
+// sharded deployment with 501 unsupported, on both the v1 route and the
+// legacy alias. Subscriptions are served: registration answers 201 and
+// the stream pushes the diff of the next flush.
 func TestClusterUnsupportedSurfaces(t *testing.T) {
-	ts, _, _ := shardedFixture(t, cluster.Options{Shards: 3})
+	ts, cl, c := shardedFixture(t, cluster.Options{Shards: 3})
 
 	code, _, body := fetch(t, "GET", ts.URL+"/api/v1/trends", "")
 	if code != http.StatusNotImplemented {
@@ -370,13 +373,35 @@ func TestClusterUnsupportedSurfaces(t *testing.T) {
 		t.Fatalf("legacy trends status %d, want 501", code)
 	}
 
-	code, _, body = fetch(t, "POST", ts.URL+"/api/v1/subscriptions", `{"entity":"bloggers","limit":5}`)
-	if code != http.StatusNotImplemented {
-		t.Fatalf("subscriptions status %d: %s", code, body)
+	reg, _ := postSubscription(t, ts.URL, `{"entity":"posts","orderBy":[{"field":"posted","desc":true}],"limit":5}`)
+	stream, err := http.Get(ts.URL + reg.Events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	env = decodeEnvelope(t, body)
-	if env.Error == nil || env.Error.Code != ErrCodeUnsupported {
-		t.Fatalf("subscriptions error = %+v, want code %q", env.Error, ErrCodeUnsupported)
+	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", stream.StatusCode)
+	}
+	author := c.BloggerIDs()[0]
+	if code, _, body := fetch(t, "POST", ts.URL+"/api/v1/posts",
+		fmt.Sprintf(`{"id":"n3-sub-1","author":%q,"body":"fresh travel notes","posted":"2030-01-01T00:00:00Z"}`, author)); code != http.StatusAccepted {
+		t.Fatalf("ingest status %d: %s", code, body)
+	}
+	if err := cl.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The Refresh published once per shard: read events until the
+	// replica holds the new post.
+	sc := bufio.NewScanner(stream.Body)
+	cs := subs.NewClientState(reg.Seq, reg.Result)
+	for cs.Result().Rows[0].ID != "n3-sub-1" {
+		ev := readSSEEvent(t, sc)
+		if outcome, err := cs.Apply(ev); outcome != subs.Applied {
+			t.Fatalf("apply outcome %v (%v)", outcome, err)
+		}
+		if len(ev.Seqs) != 3 {
+			t.Fatalf("event seqs %v, want a vector of 3", ev.Seqs)
+		}
 	}
 }
 

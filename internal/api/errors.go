@@ -32,7 +32,7 @@ const (
 	// ErrCodeMethodNotAllowed: the path exists but not for this method; the
 	// Allow response header lists the methods that do.
 	ErrCodeMethodNotAllowed = "method_not_allowed"
-	// ErrCodeReadOnly: the subscription hub is closed (the engine is
+	// ErrCodeReadOnly: the subscription hub is closed (the cluster is
 	// shutting down) and accepts no new standing queries.
 	ErrCodeReadOnly = "read_only"
 	// ErrCodeRateLimited: the per-client token bucket is empty; retry after
@@ -51,7 +51,7 @@ const (
 	// ErrCodePayloadTooLarge: the request body exceeds MaxBodyBytes.
 	ErrCodePayloadTooLarge = "payload_too_large"
 	// ErrCodeUnsupported: the endpoint exists but is not available in this
-	// deployment shape (e.g. trends or subscriptions on a sharded cluster).
+	// deployment shape (trends on a sharded cluster).
 	ErrCodeUnsupported = "unsupported"
 	// ErrCodeInternal: a handler panicked or a response failed to encode.
 	ErrCodeInternal = "internal"

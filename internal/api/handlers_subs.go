@@ -14,8 +14,11 @@ import (
 // Continuous queries: POST /api/v1/subscriptions registers a PR 4 query
 // AST as a standing subscription, GET /api/v1/subscriptions/{id}/events
 // streams its result diffs over SSE, GET /api/v1/subscriptions/{id}
-// serves the resync snapshot, DELETE cancels. Evaluation is per shard,
-// so the surface is served on a 1-shard cluster only.
+// serves the resync snapshot, DELETE cancels. The cluster's hub
+// evaluates every standing query through the same Cluster.Query as POST
+// /api/v1/query, at the newest cluster view, so the surface is served at
+// any shard count; at several shards events and payloads carry the seq
+// vector and the degraded flag as meta does.
 
 // subscriptionResponse is the registration / resync payload: the
 // subscription identity plus the full result the client seeds (or
@@ -32,15 +35,19 @@ type subscriptionResponse struct {
 
 func subEventsPath(id string) string { return "/api/v1/subscriptions/" + id + "/events" }
 
-// hub resolves the single shard's subscription hub. Merging diff streams
-// across shards is future work, so on a sharded cluster the whole surface
-// declares itself out.
-func (s *Server) hub() (*subs.Hub, *apiError) {
-	if h := s.cluster.Subscriptions(); h != nil {
-		return h, nil
-	}
-	return nil, errf(http.StatusNotImplemented, ErrCodeUnsupported,
-		"subscriptions are not available on a sharded cluster; deploy -shards 1 for standing queries")
+// writeSubscription writes the registration or resync payload for one
+// evaluated state of sub, its generation stamped into meta.
+func writeSubscription(w http.ResponseWriter, status int, sub *subs.Subscription, st subs.State) {
+	w.Header().Set("Cache-Control", "no-store")
+	writeEnvelope(w, status, Envelope{
+		Data: subscriptionResponse{
+			ID:     sub.ID(),
+			Seq:    st.Seq,
+			Result: st.Result,
+			Events: subEventsPath(sub.ID()),
+		},
+		Meta: &Meta{Seq: st.Seq, Seqs: st.Seqs, Degraded: st.Degraded},
+	})
 }
 
 // subErr maps hub errors onto the envelope vocabulary.
@@ -60,11 +67,6 @@ func subErr(err error) *apiError {
 // full result at the registration generation, which is the replica state
 // the event stream's diffs chain from.
 func (s *Server) handleV1SubscriptionCreate(w http.ResponseWriter, r *http.Request) {
-	h, aerr := s.hub()
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
 	data, aerr := readBody(r)
 	if aerr != nil {
 		writeAPIError(w, aerr)
@@ -79,21 +81,12 @@ func (s *Server) handleV1SubscriptionCreate(w http.ResponseWriter, r *http.Reque
 	if q.Limit > MaxLimit {
 		q.Limit = MaxLimit
 	}
-	sub, seq, res, err := h.Subscribe(q)
+	sub, st, err := s.cluster.Subscriptions().Subscribe(q)
 	if err != nil {
 		writeAPIError(w, subErr(err))
 		return
 	}
-	w.Header().Set("Cache-Control", "no-store")
-	writeEnvelope(w, http.StatusCreated, Envelope{
-		Data: subscriptionResponse{
-			ID:     sub.ID(),
-			Seq:    seq,
-			Result: res,
-			Events: subEventsPath(sub.ID()),
-		},
-		Meta: &Meta{Seq: seq},
-	})
+	writeSubscription(w, http.StatusCreated, sub, st)
 }
 
 // handleV1SubscriptionGet is GET /api/v1/subscriptions/{id}: the resync
@@ -101,38 +94,18 @@ func (s *Server) handleV1SubscriptionCreate(w http.ResponseWriter, r *http.Reque
 // serves its result, so the returned seq is current and on the
 // subscription's event chain: the next streamed diff applies cleanly.
 func (s *Server) handleV1SubscriptionGet(w http.ResponseWriter, r *http.Request) {
-	h, aerr := s.hub()
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	sub, err := h.Get(r.PathValue("id"))
+	sub, err := s.cluster.Subscriptions().Get(r.PathValue("id"))
 	if err != nil {
 		writeAPIError(w, subErr(err))
 		return
 	}
-	seq, res := sub.Snapshot()
-	w.Header().Set("Cache-Control", "no-store")
-	writeEnvelope(w, http.StatusOK, Envelope{
-		Data: subscriptionResponse{
-			ID:     sub.ID(),
-			Seq:    seq,
-			Result: res,
-			Events: subEventsPath(sub.ID()),
-		},
-		Meta: &Meta{Seq: seq},
-	})
+	writeSubscription(w, http.StatusOK, sub, sub.Snapshot())
 }
 
 // handleV1SubscriptionDelete is DELETE /api/v1/subscriptions/{id}.
 func (s *Server) handleV1SubscriptionDelete(w http.ResponseWriter, r *http.Request) {
-	h, aerr := s.hub()
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
 	id := r.PathValue("id")
-	if err := h.Cancel(id); err != nil {
+	if err := s.cluster.Subscriptions().Cancel(id); err != nil {
 		writeAPIError(w, subErr(err))
 		return
 	}
@@ -147,7 +120,7 @@ func (s *Server) handleV1SubscriptionDelete(w http.ResponseWriter, r *http.Reque
 const ssePingInterval = 15 * time.Second
 
 // handleV1SubscriptionEvents is GET /api/v1/subscriptions/{id}/events:
-// the SSE stream. Whenever the engine publishes a newer generation the
+// the SSE stream. Whenever the cluster publishes a newer generation the
 // handler evaluates the subscription and writes the diff from the last
 // frame it sent as one `id: <seq>` + `data: <event JSON>` frame, so a
 // slow client gets one combined frame, never a backlog. A subscription
@@ -155,12 +128,7 @@ const ssePingInterval = 15 * time.Second
 // answers 409). The stream ends when the subscription is canceled, GC'd,
 // the hub shuts down, or the client disconnects.
 func (s *Server) handleV1SubscriptionEvents(w http.ResponseWriter, r *http.Request) {
-	h, aerr := s.hub()
-	if aerr != nil {
-		writeAPIError(w, aerr)
-		return
-	}
-	sub, err := h.Get(r.PathValue("id"))
+	sub, err := s.cluster.Subscriptions().Get(r.PathValue("id"))
 	if err != nil {
 		writeAPIError(w, subErr(err))
 		return

@@ -5,11 +5,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"mass/internal/blog"
+	"mass/internal/cluster"
 	"mass/internal/query"
 	"mass/internal/subs"
 )
@@ -66,11 +69,18 @@ func readSSEEvent(t *testing.T, sc *bufio.Scanner) *subs.Event {
 }
 
 // TestSubscriptionLifecycle drives the whole continuous-query surface
-// over the wire: register → receive a pushed diff over SSE after a
-// flush → replay it onto the registration result and match a fresh
-// query → resync endpoint agrees → cancel ends the stream.
+// over the wire, at one shard and at three: register → receive a pushed
+// diff over SSE after a flush → replay it onto the registration result
+// and match a fresh query at the same generation → resync endpoint
+// agrees → cancel ends the stream.
 func TestSubscriptionLifecycle(t *testing.T) {
-	ts, e := engineServer(t)
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) { subscriptionLifecycle(t, n) })
+	}
+}
+
+func subscriptionLifecycle(t *testing.T, shards int) {
+	ts, cl := clusterServer(t, blog.Figure1Corpus(), cluster.Options{Shards: shards})
 	const qBody = `{"entity":"posts","orderBy":[{"field":"quality","desc":true}],"limit":5}`
 
 	reg, metaSeq := postSubscription(t, ts.URL, qBody)
@@ -113,20 +123,14 @@ func TestSubscriptionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if err := e.Refresh(context.Background()); err != nil {
+	if err := cl.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	sc := bufio.NewScanner(stream.Body)
-	ev := readSSEEvent(t, sc)
-	if ev.PrevSeq != reg.Seq {
-		t.Fatalf("event chains from %d, registered at %d", ev.PrevSeq, reg.Seq)
-	}
-	if outcome, err := cs.Apply(ev); outcome != subs.Applied {
-		t.Fatalf("apply outcome %v (%v)", outcome, err)
-	}
-
-	// The replayed replica must match a fresh full query at that seq.
+	// The replayed replica must match a fresh full query at the same
+	// generation. A sharded Refresh publishes once per shard, so the
+	// stream may push one event per shard before it reaches the view the
+	// query is answered from.
 	qresp, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(qBody))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +143,18 @@ func TestSubscriptionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	qresp.Body.Close()
-	if qenv.Meta.Seq != ev.Seq {
+	sc := bufio.NewScanner(stream.Body)
+	var ev *subs.Event
+	for ev == nil || fmt.Sprint(ev.Seqs) != fmt.Sprint(qenv.Meta.Seqs) {
+		ev = readSSEEvent(t, sc)
+		if ev.PrevSeq != cs.Seq() {
+			t.Fatalf("event chains from %d, replica at %d", ev.PrevSeq, cs.Seq())
+		}
+		if outcome, err := cs.Apply(ev); outcome != subs.Applied {
+			t.Fatalf("apply outcome %v (%v)", outcome, err)
+		}
+	}
+	if shards == 1 && qenv.Meta.Seq != ev.Seq {
 		t.Fatalf("fresh query at seq %d, event at %d", qenv.Meta.Seq, ev.Seq)
 	}
 	got, _ := json.Marshal(cs.Result())

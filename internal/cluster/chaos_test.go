@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	"mass/internal/core"
 	"mass/internal/linkrank"
 	"mass/internal/query"
+	"mass/internal/subs"
 	"mass/internal/wal"
 )
 
@@ -559,6 +561,110 @@ func TestKillScheduleNeverLosesAcked(t *testing.T) {
 			}
 			if worst := maxAbsDiff(t, gr.IDs, gr.Scores, wr.IDs, wr.Scores); worst > 1e-12 {
 				t.Fatalf("recovered PageRank diverges from never-crashed control: max |Δ| = %g", worst)
+			}
+		})
+	}
+}
+
+// TestChaosSubscriptionSurvivesRestart: a standing subscription outlives
+// a crash, quarantine and supervised restart of the shard its newest rows
+// live on, at one shard and at three. Its consumer keeps reading one
+// event chain (every prevSeq matches, every seq grows, every event
+// applies), the subscription ID keeps resolving, and once the shard has
+// rejoined the replica equals Cluster.Query at the current view,
+// including a post acknowledged but not yet flushed when the shard died.
+// A wedged probe holds the restarted shard out of the cluster for a
+// while, so at three shards the consumer first reads the partial window
+// a query gets then, flagged degraded.
+func TestChaosSubscriptionSurvivesRestart(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			c := freshCorpus(t)
+			after, _ := latest(c)
+			cl, err := New(c, supervisedOptions(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			q := mustQuery(t, `{"entity":"posts","orderBy":[{"field":"posted","desc":true}],"limit":10,"select":["posted","comments"]}`)
+			sub, st, err := cl.Subscriptions().Subscribe(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs := subs.NewClientState(st.Seq, st.Result)
+			shard := n - 1
+			author := ownedID(cl, shard, "chaos-sub")
+			addPost := func(id string, minutes int) {
+				t.Helper()
+				if err := cl.AddBatch(core.Batch{Posts: []*blog.Post{{
+					ID: blog.PostID(id), Author: author, Posted: after.Add(time.Duration(minutes) * time.Minute),
+					Body: "late-breaking travel notes " + id,
+				}}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			holds := func(id string) bool { return strings.Contains(toJSON(t, cs.Result().Rows), `"`+id+`"`) }
+
+			addPost("chaos-sub-1", 1)
+			if err := cl.Refresh(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if consume(t, sub, cs) == nil || !holds("chaos-sub-1") {
+				t.Fatalf("no event carrying the flushed post: replica %s", toJSON(t, cs.Result()))
+			}
+			addPost("chaos-sub-2", 2) // acknowledged, not flushed
+			var wedged atomic.Bool
+			wedged.Store(true)
+			cl.SetSlowShardHook(func(si int) {
+				if si == shard && wedged.Load() {
+					time.Sleep(100 * time.Millisecond) // > ProbeTimeout: rejoin probes fail
+				}
+			})
+			cl.CrashShard(shard)
+			deadline := time.Now().Add(10 * time.Second)
+			for cl.FullStatus().ShardRestarts == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("the crashed shard was not restarted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			ev := consume(t, sub, cs)
+			if n > 1 && (ev == nil || !ev.Degraded || holds("chaos-sub-1")) {
+				t.Fatalf("while the shard is out: event %+v, replica %s", ev, toJSON(t, cs.Result()))
+			}
+			wedged.Store(false)
+
+			for {
+				ev, wait := sub.Next()
+				if ev != nil {
+					if ev.PrevSeq != cs.Seq() || ev.Seq <= ev.PrevSeq {
+						t.Fatalf("event %d -> %d does not extend the replica at %d", ev.PrevSeq, ev.Seq, cs.Seq())
+					}
+					if outcome, err := cs.Apply(ev); outcome != subs.Applied {
+						t.Fatalf("apply outcome %v (%v)", outcome, err)
+					}
+					continue
+				}
+				if cl.ShardHealths()[shard] == HealthHealthy {
+					want, degraded, err := cl.Query(cl.View(), q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !degraded && toJSON(t, cs.Result()) == toJSON(t, want) && holds("chaos-sub-2") {
+						break
+					}
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("replica did not converge after the restart: health %v, replica %s",
+						cl.ShardHealths(), toJSON(t, cs.Result()))
+				}
+				select {
+				case <-wait:
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			if _, err := cl.Subscriptions().Get(sub.ID()); err != nil {
+				t.Fatalf("subscription lost across the restart: %v", err)
 			}
 		})
 	}

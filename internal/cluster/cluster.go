@@ -15,6 +15,7 @@ import (
 	"mass/internal/blogserver"
 	"mass/internal/core"
 	"mass/internal/linkrank"
+	"mass/internal/query"
 	"mass/internal/subs"
 	"mass/internal/wal"
 )
@@ -24,8 +25,8 @@ type Options struct {
 	// Shards is the number of engine shards; < 1 is normalized to 1.
 	Shards int
 	// Engine configures every shard engine identically (analysis options,
-	// flush debounce). Durability.Dir and Owns inside it are ignored:
-	// per-shard directories derive from DataDir, ownership from the ring.
+	// flush debounce). Durability.Dir, Owns and OnPublish inside it are
+	// ignored: the cluster derives them from DataDir, the ring and its hub.
 	Engine core.EngineOptions
 	// DataDir is the cluster data directory: shard-<i>/ per engine WAL, a
 	// boundary/ WAL for cross-shard links, and cluster.json recording the
@@ -118,8 +119,8 @@ type manifest struct {
 // Cluster is N independent core.Engine shards behind one consistent-hash
 // ring, plus the shared state that cannot live in any single shard: the
 // boundary set of cross-shard link edges (with its own WAL), the post →
-// shard routing map, the scatter-gather counters, and the supervisor that
-// keeps crashed/wedged shards cycling back to Healthy.
+// shard routing map, the scatter-gather counters, the subscription hub,
+// and the supervisor that cycles crashed/wedged shards back to Healthy.
 type Cluster struct {
 	opts   Options
 	ring   *Ring
@@ -131,6 +132,12 @@ type Cluster struct {
 	postOwner map[blog.PostID]int
 
 	sem chan struct{} // bounds in-flight per-shard sub-queries
+
+	// hub serves standing subscriptions over cluster views (publish). It
+	// is nil until New has built every shard; pubMu guards that and keeps
+	// each view handed to the hub newer than the last.
+	pubMu sync.Mutex
+	hub   *subs.Hub
 
 	scatterQueries  atomic.Uint64
 	degradedQueries atomic.Uint64
@@ -157,14 +164,16 @@ type Cluster struct {
 	slowShard atomic.Pointer[func(shard int)]
 }
 
-// shardEngineOpts derives shard i's engine options: its ownership test
-// at N > 1 (so every snapshot carries its owned-row mask), its durability
+// shardEngineOpts derives shard i's engine options: the publish hook
+// feeding the cluster's subscription hub, its ownership test at N > 1 (so
+// every snapshot carries its owned-row mask), its durability
 // directory under DataDir (shard-<i>/ at N > 1, DataDir itself at N == 1
 // — the bare-engine layout), and the per-shard fault-injection FS when
 // configured. The supervisor re-uses it to rebuild a crashed shard's
 // engine over the same directory.
 func (cl *Cluster) shardEngineOpts(i int) core.EngineOptions {
 	eopts := cl.opts.Engine
+	eopts.OnPublish = cl.publish
 	eopts.Owns = nil
 	if cl.opts.Shards > 1 {
 		eopts.Owns = func(id blog.BloggerID) bool { return cl.Owner(id) == i }
@@ -287,9 +296,40 @@ func New(c *blog.Corpus, opts Options) (*Cluster, error) {
 			}
 		}
 	}
+	cl.pubMu.Lock()
+	cl.hub = subs.NewHub(cl.generation())
+	cl.pubMu.Unlock()
 	go cl.supervise()
 	cl.kickSupervisor() // drain any boot-recovered spill promptly
 	return cl, nil
+}
+
+// publish hands the subscription hub the current view as its newest
+// generation. It runs after every shard publish (the engines'
+// OnPublish) and on every breaker transition, so a subscription serves
+// what POST /api/v1/query serves. A no-op while New is still booting.
+func (cl *Cluster) publish() {
+	cl.pubMu.Lock()
+	defer cl.pubMu.Unlock()
+	if cl.hub != nil {
+		cl.hub.Publish(cl.generation())
+	}
+}
+
+// generation binds the current view: Cluster.Query at it, its seq vector
+// at several shards, and seq Σ shard seqs — the engine's seq at one
+// shard, which the hub raises past the last generation's when a shard
+// restart or a breaker transition would not move it.
+func (cl *Cluster) generation() subs.Generation {
+	v := cl.View()
+	gen := subs.Generation{Query: func(q *query.Query) (*query.Result, bool, error) { return cl.Query(v, q) }}
+	for _, s := range v.Snaps {
+		gen.Seq += s.Seq
+	}
+	if len(v.Snaps) > 1 {
+		gen.Seqs = v.Seqs()
+	}
+	return gen
 }
 
 func (cl *Cluster) closeShards(n int) {
@@ -573,16 +613,10 @@ func (cl *Cluster) partErr(s int, err error) error {
 	return fmt.Errorf("cluster: shard %d: %w", s, err)
 }
 
-// Subscriptions exposes the shard-0 hub in single-shard mode (where the
-// cluster IS one engine). With multiple shards there is no coherent
-// cluster-wide diff stream yet, so it returns nil and the API layer
-// reports the feature unsupported.
-func (cl *Cluster) Subscriptions() *subs.Hub {
-	if len(cl.shards) == 1 {
-		return cl.shards[0].eng.Load().Subscriptions()
-	}
-	return nil
-}
+// Subscriptions is the cluster's continuous-query hub: a standing query
+// registered here is evaluated through Query at the newest cluster view
+// when its consumer reads, at any shard count.
+func (cl *Cluster) Subscriptions() *subs.Hub { return cl.hub }
 
 // Refresh forces every shard to fold in its pending mutations and publish.
 // Shards with an open breaker are skipped — their engine is mid-teardown
@@ -599,10 +633,11 @@ func (cl *Cluster) Refresh(ctx context.Context) error {
 	return nil
 }
 
-// Close stops the supervisor, drains the shards one by one — each
-// engine's Close runs a final flush and checkpoint — then closes the
-// spill queues and the boundary WAL.
+// Close ends every subscription, stops the supervisor, drains the shards
+// one by one — each engine's Close runs a final flush and checkpoint —
+// then closes the spill queues and the boundary WAL.
 func (cl *Cluster) Close() error {
+	cl.hub.Shutdown()
 	cl.closeOnce.Do(func() { close(cl.supQuit) })
 	<-cl.supDone
 	var first error
@@ -627,9 +662,12 @@ func (cl *Cluster) Close() error {
 // sum, Seq/LastAnalysis take the max, Converged ANDs, and the corpus
 // totals count each blogger once (by ownership) even though link stubs
 // replicate across shards. Links adds the boundary edges no shard holds.
+// The subscription counters come from the cluster's hub.
 func (cl *Cluster) Status() core.EngineStatus {
 	if len(cl.shards) == 1 {
-		return cl.shards[0].eng.Load().Status()
+		out := cl.shards[0].eng.Load().Status()
+		out.Subscribers, out.PushedDiffs, out.FullEvalFallbacks = cl.hub.Stats()
+		return out
 	}
 	var out core.EngineStatus
 	out.Converged = true
@@ -667,9 +705,6 @@ func (cl *Cluster) Status() core.EngineStatus {
 			out.RecoveryTruncatedAt = st.RecoveryTruncatedAt
 		}
 		out.Closed = out.Closed || st.Closed
-		out.Subscribers += st.Subscribers
-		out.PushedDiffs += st.PushedDiffs
-		out.FullEvalFallbacks += st.FullEvalFallbacks
 		if out.LastError == "" {
 			out.LastError = st.LastError
 		}
@@ -678,6 +713,7 @@ func (cl *Cluster) Status() core.EngineStatus {
 		out.Bloggers += e.Current().Owned().Count
 	}
 	out.Links += cl.BoundaryEdges()
+	out.Subscribers, out.PushedDiffs, out.FullEvalFallbacks = cl.hub.Stats()
 	return out
 }
 

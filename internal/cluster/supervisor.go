@@ -107,7 +107,8 @@ func (sh *shardSlot) recordFailure(cl *Cluster) {
 	}
 }
 
-// forceQuarantine opens the breaker from any serving state and wakes the
+// forceQuarantine opens the breaker from any serving state, hands the
+// subscription hub the generation that skips the shard, and wakes the
 // supervisor. No-op when already Quarantined or Recovering.
 func (sh *shardSlot) forceQuarantine(cl *Cluster) {
 	for {
@@ -117,6 +118,7 @@ func (sh *shardSlot) forceQuarantine(cl *Cluster) {
 		}
 		if sh.health.CompareAndSwap(h, int32(HealthQuarantined)) {
 			cl.breakerOpens.Add(1)
+			cl.publish()
 			cl.kickSupervisor()
 			return
 		}
@@ -322,7 +324,8 @@ func (cl *Cluster) probeShard(sh *shardSlot) bool {
 // every acknowledged mutation, flushed or not. On failure the shard stays
 // Quarantined with the killed engine still in the slot (its last snapshot
 // keeps answering scatter-skipped reads as stale data) and the supervisor
-// retries next round.
+// retries next round. On success the subscription hub gets a generation
+// over the new engine's snapshot, so standing subscriptions carry on.
 func (cl *Cluster) restartShard(sh *shardSlot) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -340,6 +343,7 @@ func (cl *Cluster) restartShard(sh *shardSlot) {
 		return
 	}
 	sh.eng.Store(e)
+	cl.publish()
 	sh.restarts.Add(1)
 	cl.shardRestarts.Add(1)
 	sh.consec.Store(0)
@@ -349,7 +353,8 @@ func (cl *Cluster) restartShard(sh *shardSlot) {
 // tryRejoin closes the breaker on a Recovering shard: half-open probe
 // first, then — under the slot lock, so no ingest can interleave — the
 // spill queue replays in arrival order through the engine's idempotent
-// ApplyOps. Only a fully drained queue flips the shard Healthy; an
+// ApplyOps. Only a fully drained queue flips the shard Healthy (and hands
+// the subscription hub the generation that reads it again); an
 // engine-level replay failure sends it back to Quarantined for another
 // restart (the queue keeps the unreplayed tail: ApplyOps re-logs each op
 // before moving on, and replaying an already-applied prefix is a no-op).
@@ -373,4 +378,5 @@ func (cl *Cluster) tryRejoin(sh *shardSlot) {
 	}
 	sh.consec.Store(0)
 	sh.health.Store(int32(HealthHealthy))
+	cl.publish()
 }

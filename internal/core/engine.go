@@ -12,7 +12,6 @@ import (
 	"mass/internal/classify"
 	"mass/internal/influence"
 	"mass/internal/query"
-	"mass/internal/subs"
 	"mass/internal/wal"
 )
 
@@ -36,6 +35,9 @@ type EngineOptions struct {
 	// whether the shard owns a blogger, and every snapshot's owned-row
 	// mask (Snapshot.Owned) is built from it. nil owns every blogger.
 	Owns func(blog.BloggerID) bool
+	// OnPublish, when set, runs after every snapshot the engine publishes,
+	// the initial one included: the cluster's subscription-hub hook.
+	OnPublish func()
 }
 
 func (o EngineOptions) withDefaults() EngineOptions {
@@ -131,13 +133,11 @@ type EngineStatus struct {
 	RecoveredRecords    int    `json:"recoveredRecords"`
 	RecoveryTruncatedAt int64  `json:"recoveryTruncatedAt"`
 	Closed              bool   `json:"closed"`
-	// Continuous-query counters from the subscription hub: resident
-	// standing subscriptions, diff events handed to consumers, and query
-	// evaluations (each a full re-run, counted in FullEvalFallbacks).
-	// DroppedDiffs and IncrementalEvals are always 0: nothing is queued to
-	// be dropped and nothing is evaluated incrementally. They stay because
-	// the v1 engine payload carries them (as does ClusterStatus, which
-	// embeds this struct).
+	// Subscription counters, filled once by Cluster.Status from the
+	// cluster's hub (an engine leaves them 0): resident subscriptions,
+	// events handed to consumers, and query evaluations (each a full
+	// re-run). DroppedDiffs and IncrementalEvals are always 0. All five
+	// stay only for the v1 engine payload and perfbench.
 	Subscribers       int    `json:"subscribers"`
 	PushedDiffs       uint64 `json:"pushedDiffs"`
 	DroppedDiffs      uint64 `json:"droppedDiffs"`
@@ -174,10 +174,6 @@ type Engine struct {
 	// keyed by (seq, normalized query), and storing a result for a new
 	// generation evicts the stale one's entries.
 	qcache *query.Cache
-	// hub fans published generations out to standing subscriptions. It is
-	// created after the initial analysis (so registrations always have a
-	// generation to evaluate against) and fed from publishWarm.
-	hub *subs.Hub
 
 	snap atomic.Pointer[Snapshot]
 
@@ -271,16 +267,9 @@ func NewEngine(c *blog.Corpus, opts EngineOptions) (*Engine, error) {
 		e.wal.Close()
 		return nil, err
 	}
-	s := e.snap.Load()
-	e.hub = subs.NewHub(subs.Generation{Seq: s.Seq, Corpus: s.Corpus(), Result: s.Result()})
 	go e.flusher()
 	return e, nil
 }
-
-// Subscriptions is the continuous-query hub: a consumer of a standing
-// subscription registered here reads a result diff up to the newest
-// generation the engine has published.
-func (e *Engine) Subscriptions() *subs.Hub { return e.hub }
 
 // Current returns the latest published snapshot. It never blocks and never
 // returns nil.
@@ -326,12 +315,6 @@ func (e *Engine) Status() EngineStatus {
 		RecoveryTruncatedAt: e.recTruncated,
 		Closed:              closed,
 		LastError:           lastErr,
-	}
-	if e.hub != nil {
-		hs := e.hub.Stats()
-		st.Subscribers = hs.Subscribers
-		st.PushedDiffs = hs.PushedDiffs
-		st.FullEvalFallbacks = hs.FullEvalFallbacks
 	}
 	if e.wal != nil {
 		ws := e.wal.Stats()
@@ -454,10 +437,8 @@ func (e *Engine) publishWarm(t0 time.Time, frozen *blog.Frozen, total uint64, pr
 		Elapsed:   time.Since(t0),
 		owns:      e.opts.Owns,
 	})
-	if e.hub != nil {
-		// O(1) and never blocks: subscriptions evaluate when their
-		// consumers read, so no subscription work delays the flush path.
-		e.hub.Publish(subs.Generation{Seq: seq, Corpus: frozen, Result: sys.Result()})
+	if e.opts.OnPublish != nil {
+		e.opts.OnPublish()
 	}
 	return nil
 }
@@ -492,9 +473,6 @@ func (e *Engine) Close() error {
 	close(e.quit)
 	<-e.done
 	err := e.refresh(false)
-	if e.hub != nil {
-		e.hub.Shutdown()
-	}
 	if e.wal != nil {
 		e.analyzeSem <- struct{}{}
 		e.mu.Lock()
@@ -535,9 +513,6 @@ func (e *Engine) Kill() {
 	e.closed = true
 	e.mu.Unlock()
 	close(e.quit)
-	if e.hub != nil {
-		e.hub.Shutdown()
-	}
 	if e.wal != nil {
 		e.wal.Close()
 	}

@@ -14,8 +14,6 @@ import (
 	"mass/internal/crawler"
 	"mass/internal/influence"
 	"mass/internal/linkrank"
-	"mass/internal/query"
-	"mass/internal/subs"
 	"mass/internal/synth"
 )
 
@@ -639,122 +637,5 @@ func TestEngineConcurrentLinkEpochCSR(t *testing.T) {
 	}
 	if want := len(final.Links()); csr.NumEdges() != want {
 		t.Fatalf("final CSR has %d edges, corpus records %d", csr.NumEdges(), want)
-	}
-}
-
-// TestEngineSubscriptionChurn races subscribe/consume/cancel churn and
-// slow-consumer disconnects against concurrent ingest flushes, ending
-// with Close racing live subscribers. Run with -race. It also holds the
-// pull contract end to end: a consumer that reads every event applies
-// each one cleanly, never seeing a gap, however far the flushes ran
-// ahead of it.
-func TestEngineSubscriptionChurn(t *testing.T) {
-	e := startEngine(t, synthCorpus(t, 97, 30, 150), testEngineOptions())
-	hub := e.Subscriptions()
-	base := e.Current().Corpus().BloggerIDs()
-
-	const ingesters, subscribers, perIngester = 3, 4, 25
-	var wg sync.WaitGroup
-	errs := make(chan error, ingesters+subscribers)
-	for g := 0; g < ingesters; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perIngester; i++ {
-				pid := blog.PostID(fmt.Sprintf("sub-live-%d-%d", g, i))
-				if err := e.AddBatch(Batch{Posts: []*blog.Post{{
-					ID: pid, Author: base[(g*5+i)%len(base)],
-					Body: fmt.Sprintf("live sports coverage update %d from feed %d", i, g),
-				}}}); err != nil {
-					errs <- err
-					return
-				}
-				if err := e.AddBatch(Batch{Comments: []BatchComment{{Post: pid, Comment: blog.Comment{
-					Commenter: base[(g+i+3)%len(base)], Text: "nice write-up",
-				}}}}); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	bodies := []string{
-		`{"entity":"bloggers","limit":5}`,
-		`{"entity":"posts","orderBy":[{"field":"quality","desc":true}],"limit":8}`,
-		`{"entity":"domains"}`,
-	}
-	for w := 0; w < subscribers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 15; i++ {
-				q, err := query.Decode([]byte(bodies[(w+i)%len(bodies)]))
-				if err != nil {
-					errs <- err
-					return
-				}
-				sub, seq, res, err := hub.Subscribe(q)
-				if err != nil {
-					return // hub closed under us: the churn we want
-				}
-				cs := subs.NewClientState(seq, res)
-				deadline := time.Now().Add(20 * time.Millisecond)
-				for time.Now().Before(deadline) {
-					ev, wait := sub.Next()
-					if ev == nil {
-						select {
-						case <-wait:
-						case <-sub.Done():
-						case <-time.After(5 * time.Millisecond):
-						}
-						continue
-					}
-					if outcome, err := cs.Apply(ev); outcome != subs.Applied {
-						errs <- fmt.Errorf("consumer reading every event got outcome %v: %v", outcome, err)
-						return
-					}
-				}
-				if i%2 == 0 { // half disconnect politely, half stall out
-					hub.Cancel(sub.ID())
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	// Whether a churn window overlapped a flush depends on the schedule,
-	// so delivery is pinned with one consumer registered before a known
-	// flush.
-	q, err := query.Decode([]byte(bodies[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, seq, res, err := hub.Subscribe(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AddBatch(Batch{Posts: []*blog.Post{{
-		ID: "sub-live-final", Author: base[0], Body: "closing sports coverage update",
-	}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ev, _ := sub.Next()
-	if ev == nil {
-		t.Fatal("no event after a flush")
-	}
-	if outcome, err := subs.NewClientState(seq, res).Apply(ev); outcome != subs.Applied {
-		t.Fatalf("apply outcome %v (%v)", outcome, err)
-	}
-	if err := e.Close(); err != nil { // closes the abandoned subscriptions
-		t.Fatal(err)
-	}
-	if st := e.Status(); st.PushedDiffs == 0 {
-		t.Fatal("engine status reports no pushed diffs")
 	}
 }

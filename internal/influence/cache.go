@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"mass/internal/blog"
@@ -289,19 +290,20 @@ func (ch *Cache) cmpChrono(a, b int32) int {
 }
 
 // mergeInsert sorts fresh by cmp (in place) and merges it into sorted,
-// returning the merged order. O(len(sorted) + k log k).
+// returning the merged order; an element equal to an existing one goes
+// after it. Each fresh element, largest first, binary-searches its place
+// in the prefix of sorted not yet moved, and the run above that place
+// moves up as one block: O(k log n + k log k) compares for k fresh into
+// n sorted, however the fresh elements interleave.
 func mergeInsert(sorted, fresh []int32, cmp func(a, b int32) int) []int32 {
 	slices.SortFunc(fresh, cmp)
-	i, j := len(sorted)-1, len(fresh)-1
-	out := slices.Grow(sorted, len(fresh))[:len(sorted)+len(fresh)]
-	for k := len(out) - 1; j >= 0; k-- {
-		if i >= 0 && cmp(out[i], fresh[j]) > 0 {
-			out[k] = out[i]
-			i--
-		} else {
-			out[k] = fresh[j]
-			j--
-		}
+	hi := len(sorted) // out[:hi] is the part of sorted not yet moved
+	out := slices.Grow(sorted, len(fresh))[:hi+len(fresh)]
+	for j := len(fresh) - 1; j >= 0; j-- {
+		p := sort.Search(hi, func(i int) bool { return cmp(out[i], fresh[j]) > 0 })
+		copy(out[p+j+1:], out[p:hi])
+		out[p+j] = fresh[j]
+		hi = p
 	}
 	return out
 }

@@ -15,11 +15,16 @@ import (
 // iff ev.PrevSeq == s; anything else is a gap and the client must
 // resync from a full result.
 type Event struct {
-	Seq     uint64       `json:"seq"`
-	PrevSeq uint64       `json:"prevSeq"`
-	Entity  query.Entity `json:"entity"`
-	Plan    string       `json:"plan"`
-	Total   int          `json:"total"`
+	Seq     uint64 `json:"seq"`
+	PrevSeq uint64 `json:"prevSeq"`
+	// Seqs and Degraded mirror a read's meta at the event's generation:
+	// the per-shard seq vector of a sharded cluster, and whether a
+	// skipped shard left the window partial.
+	Seqs     []uint64     `json:"seqs,omitempty"`
+	Degraded bool         `json:"degraded,omitempty"`
+	Entity   query.Entity `json:"entity"`
+	Plan     string       `json:"plan"`
+	Total    int          `json:"total"`
 
 	// Unchanged marks a pure seq advance: the result is byte-identical
 	// to the previous generation's. Order and Rows are omitted; the
@@ -30,13 +35,14 @@ type Event struct {
 	Rows  []query.Row `json:"rows,omitempty"`
 }
 
-// diffEvent builds the event advancing a subscription from (prevSeq,
-// old) to (seq, new). old and new are the materialized windows at the
-// two generations; rows are compared by value (Score plus projected
-// Fields), so an unchanged row costs no bytes even when its neighbors
-// moved.
-func diffEvent(prevSeq uint64, old *query.Result, seq uint64, res *query.Result) *Event {
-	ev := &Event{Seq: seq, PrevSeq: prevSeq, Entity: res.Entity, Plan: res.Plan, Total: res.Total}
+// diffEvent builds the event advancing a subscription from prev to cur,
+// whose results are the materialized windows at the two generations.
+// Rows are compared by value (Score plus projected Fields), so an
+// unchanged row costs no bytes even when its neighbors moved.
+func diffEvent(prev, cur State) *Event {
+	old, res := prev.Result, cur.Result
+	ev := &Event{Seq: cur.Seq, PrevSeq: prev.Seq, Seqs: cur.Seqs, Degraded: cur.Degraded,
+		Entity: res.Entity, Plan: res.Plan, Total: res.Total}
 	// Same-length windows usually keep their order; a lockstep ID pass
 	// settles it without building the prior-row map.
 	sameOrder := len(old.Rows) == len(res.Rows)

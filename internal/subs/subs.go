@@ -1,3 +1,12 @@
+// Package subs turns the read surface into push: clients register a
+// standing query once and receive result diffs over a stream, instead of
+// polling and re-executing. The hub is a passive registry: its owner
+// hands it each new generation — a view of the whole cluster, at any
+// shard count — and wakes waiting consumers, and a subscription evaluates
+// its query only when its consumer asks for the next event. That event
+// diffs the last window the consumer was given against the newest
+// generation (diffEvent), so a consumer that falls behind gets one
+// combined event and a subscription nobody reads costs nothing.
 package subs
 
 import (
@@ -9,29 +18,31 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mass/internal/blog"
-	"mass/internal/influence"
 	"mass/internal/query"
 )
 
-// Package subs turns the engine's pull-only read surface into push:
-// clients register a standing query once and receive result diffs over a
-// stream, instead of polling and re-executing. The hub is a passive
-// registry: the engine's publish path hands it each new generation and
-// wakes waiting consumers, and a subscription evaluates its query only
-// when its consumer asks for the next event. That event diffs the last
-// window the consumer was given against the newest generation
-// (diffEvent), so a consumer that falls behind gets one combined event
-// and a subscription nobody reads costs nothing.
-
-// Generation is one published analysis generation: the frozen corpus and
-// its influence result, stamped with the engine's snapshot seq. Both are
-// immutable once published, so a Generation can be held across flushes
-// without copying.
+// Generation is one published generation: a query evaluator bound to an
+// immutable view, stamped with a seq that grows with every generation.
+// The view never changes once published, so a Generation can be held
+// across flushes without copying.
 type Generation struct {
-	Seq    uint64
-	Corpus *blog.Frozen
-	Result *influence.Result
+	Seq uint64
+	// Seqs is the per-shard generation vector behind a sharded view (the
+	// meta.seqs of a read at that view); nil at one shard.
+	Seqs []uint64
+	// Query answers a normalized query at the view, reporting whether
+	// the answer is partial because a shard was skipped.
+	Query func(q *query.Query) (res *query.Result, degraded bool, err error)
+}
+
+// State is what a subscription's query evaluated to at one generation:
+// the registration and resync payload, and the replica state a client
+// seeds from it.
+type State struct {
+	Seq      uint64
+	Seqs     []uint64
+	Degraded bool
+	Result   *query.Result // read-only; shared with callers
 }
 
 // ErrClosed is returned by operations against a shut-down hub.
@@ -48,16 +59,6 @@ var ErrAttached = errors.New("subs: subscription already has an attached consume
 // idleTTL is how long a subscription may sit with no attached consumer
 // and no Snapshot activity before it is collected.
 const idleTTL = 5 * time.Minute
-
-// Stats is a point-in-time snapshot of the hub's counters, surfaced
-// through EngineStatus / GET /api/v1/engine: resident subscriptions,
-// events handed to consumers, and query evaluations (each one a full
-// query.Execute at a newer generation, for Next or Snapshot).
-type Stats struct {
-	Subscribers       int
-	PushedDiffs       uint64
-	FullEvalFallbacks uint64
-}
 
 // Hub is the subscription registry. It runs no goroutine: Publish
 // records the newest generation and wakes consumers, and all query
@@ -83,16 +84,18 @@ func NewHub(initial Generation) *Hub {
 	}
 }
 
-// Publish records a newly published generation and wakes every consumer
+// Publish makes gen the newest generation and wakes every consumer
 // waiting for one. It is O(1) and never waits on subscription work, so
-// the flush path continues immediately. A generation no newer than the
-// current one is ignored.
+// the flush path continues immediately. A seq not ahead of the current
+// one is raised to one past it: event chains keep growing even when the
+// publisher's seqs restart.
 func (h *Hub) Publish(gen Generation) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed || gen.Seq <= h.gen.Seq {
+	if h.closed {
 		return
 	}
+	gen.Seq = max(gen.Seq, h.gen.Seq+1)
 	h.gen = gen
 	close(h.changed)
 	h.changed = make(chan struct{})
@@ -108,46 +111,46 @@ func (h *Hub) current() (Generation, <-chan struct{}) {
 }
 
 // Subscribe registers q as a standing subscription against the current
-// generation. It returns the subscription plus the seq and full result
-// the registration snapshot evaluated to — the client's initial replica
-// state. Registration is also when idle subscriptions are collected, as
-// it is the only call that grows the registry.
-func (h *Hub) Subscribe(q *query.Query) (*Subscription, uint64, *query.Result, error) {
+// generation. It returns the subscription plus the state its query
+// evaluated to there — the client's initial replica state. Registration
+// is also when idle subscriptions are collected, as it is the only call
+// that grows the registry.
+func (h *Hub) Subscribe(q *query.Query) (*Subscription, State, error) {
 	n, err := q.Normalize()
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, State{}, err
 	}
 	h.collectIdle(time.Now())
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return nil, 0, nil, ErrClosed
+		return nil, State{}, ErrClosed
 	}
 	gen := h.gen
 	h.mu.Unlock()
 	// Evaluate outside the hub lock: registration cost must not stall
 	// Publish or other registrations.
-	res, err := query.Execute(gen.Corpus, gen.Result, n)
+	res, degraded, err := gen.Query(n)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, State{}, err
 	}
+	st := State{Seq: gen.Seq, Seqs: gen.Seqs, Degraded: degraded, Result: res}
 	s := &Subscription{
 		hub:        h,
 		id:         newSubID(),
 		q:          n,
-		seq:        gen.Seq,
-		res:        res,
+		st:         st,
 		done:       make(chan struct{}),
 		lastActive: time.Now(),
 	}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		return nil, 0, nil, ErrClosed
+		return nil, State{}, ErrClosed
 	}
 	h.subs[s.id] = s
 	h.mu.Unlock()
-	return s, gen.Seq, res, nil
+	return s, st, nil
 }
 
 // Get resolves a subscription by ID.
@@ -215,16 +218,14 @@ func (h *Hub) Shutdown() {
 	}
 }
 
-// Stats snapshots the hub's counters.
-func (h *Hub) Stats() Stats {
+// Stats reports the hub's counters, surfaced through GET /api/v1/engine:
+// resident subscriptions, events handed to consumers, and query
+// evaluations (each a full re-run at a newer generation, for Next or
+// Snapshot).
+func (h *Hub) Stats() (subscribers int, pushed, evals uint64) {
 	h.mu.Lock()
-	n := len(h.subs)
-	h.mu.Unlock()
-	return Stats{
-		Subscribers:       n,
-		PushedDiffs:       h.pushed.Load(),
-		FullEvalFallbacks: h.evals.Load(),
-	}
+	defer h.mu.Unlock()
+	return len(h.subs), h.pushed.Load(), h.evals.Load()
 }
 
 func newSubID() string {
@@ -236,17 +237,16 @@ func newSubID() string {
 }
 
 // Subscription is one registered standing query: its normalized query
-// and the result it last evaluated to, which is the state its consumer
-// was last given. At most one consumer may be attached at a time (SSE
+// and the state it last evaluated to, which is what its consumer was
+// last given. At most one consumer may be attached at a time (SSE
 // streams are single-reader); Snapshot serves resync fetches.
 type Subscription struct {
 	hub *Hub
 	id  string
 	q   *query.Query // normalized; never mutated
 
-	mu         sync.Mutex    // held across an evaluation
-	seq        uint64        // generation res reflects
-	res        *query.Result // read-only once stored; shared with callers
+	mu         sync.Mutex // held across an evaluation
+	st         State
 	closed     bool
 	attached   bool
 	lastActive time.Time
@@ -270,26 +270,25 @@ func (s *Subscription) Next() (ev *Event, wait <-chan struct{}) {
 	gen, wait := s.hub.current()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	prevSeq, prev := s.seq, s.res
+	prev := s.st
 	if !s.catchUpLocked(gen) {
 		return nil, wait
 	}
 	s.lastActive = time.Now()
 	s.hub.pushed.Add(1)
-	return diffEvent(prevSeq, prev, s.seq, s.res), nil
+	return diffEvent(prev, s.st), nil
 }
 
 // Snapshot catches the subscription up to the newest generation and
-// returns its result and the seq it reflects — the resync target. The
-// seq is on the subscription's event chain: the next event chains from
-// it.
-func (s *Subscription) Snapshot() (uint64, *query.Result) {
+// returns the state it reflects — the resync target. Its seq is on the
+// subscription's event chain: the next event chains from it.
+func (s *Subscription) Snapshot() State {
 	gen, _ := s.hub.current()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.catchUpLocked(gen)
 	s.lastActive = time.Now()
-	return s.seq, s.res
+	return s.st
 }
 
 // catchUpLocked re-runs the query at gen when the subscription is behind
@@ -298,15 +297,15 @@ func (s *Subscription) Snapshot() (uint64, *query.Result) {
 // cannot fail against a later generation of the same schema, and if it
 // somehow does, the next generation retries it.
 func (s *Subscription) catchUpLocked(gen Generation) bool {
-	if s.closed || gen.Seq <= s.seq {
+	if s.closed || gen.Seq <= s.st.Seq {
 		return false
 	}
-	res, err := query.Execute(gen.Corpus, gen.Result, s.q)
+	res, degraded, err := gen.Query(s.q)
 	if err != nil {
 		return false
 	}
 	s.hub.evals.Add(1)
-	s.seq, s.res = gen.Seq, res
+	s.st = State{Seq: gen.Seq, Seqs: gen.Seqs, Degraded: degraded, Result: res}
 	return true
 }
 

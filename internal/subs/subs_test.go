@@ -57,7 +57,10 @@ func (g *genChain) next(mutate func(c *blog.Corpus)) Generation {
 	}
 	g.seq++
 	g.prev = res
-	return Generation{Seq: g.seq, Corpus: frozen, Result: res}
+	return Generation{Seq: g.seq, Query: func(q *query.Query) (*query.Result, bool, error) {
+		r, err := query.Execute(frozen, res, q)
+		return r, false, err
+	}}
 }
 
 // addPosts appends n fresh posts (with one comment each) by existing
@@ -111,7 +114,11 @@ func resultJSON(t *testing.T, res *query.Result) string {
 // execute runs a fresh full query against one generation.
 func execute(t *testing.T, gen Generation, q *query.Query) *query.Result {
 	t.Helper()
-	res, err := query.Execute(gen.Corpus, gen.Result, q)
+	n, err := q.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := gen.Query(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +165,11 @@ func TestHubReplayByteIdentical(t *testing.T) {
 	var subsList []tracked
 	for _, body := range queries {
 		q := mustDecode(t, body)
-		sub, seq, res, err := h.Subscribe(q)
+		sub, st, err := h.Subscribe(q)
 		if err != nil {
 			t.Fatalf("%s: %v", body, err)
 		}
+		seq, res := st.Seq, st.Result
 		if seq != gen0.Seq {
 			t.Fatalf("%s: registered at seq %d, want %d", body, seq, gen0.Seq)
 		}
@@ -201,8 +209,8 @@ func TestHubReplayByteIdentical(t *testing.T) {
 		}
 	}
 	want := uint64(len(subsList) * rounds)
-	if st := h.Stats(); st.FullEvalFallbacks != want || st.PushedDiffs != want {
-		t.Fatalf("stats %+v: want %d evaluations and %d pushed diffs", st, want, want)
+	if _, pushed, evals := h.Stats(); evals != want || pushed != want {
+		t.Fatalf("%d evaluations and %d pushed diffs, want %d of each", evals, pushed, want)
 	}
 }
 
@@ -215,12 +223,13 @@ func TestUnchangedEventAdvancesSeq(t *testing.T) {
 	h := NewHub(gen0)
 	defer h.Shutdown()
 	q := mustDecode(t, `{"entity":"bloggers","limit":5}`)
-	sub, seq, res, err := h.Subscribe(q)
+	sub, st, err := h.Subscribe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, res := st.Seq, st.Result
 	cs := NewClientState(seq, res)
-	h.Publish(Generation{Seq: gen0.Seq + 1, Corpus: gen0.Corpus, Result: gen0.Result})
+	h.Publish(Generation{Seq: gen0.Seq + 1, Query: gen0.Query})
 	ev, _ := sub.Next()
 	if ev == nil {
 		t.Fatal("no event")
@@ -249,10 +258,11 @@ func TestLaggingConsumerCatchesUp(t *testing.T) {
 	h := NewHub(gen0)
 	defer h.Shutdown()
 	q := mustDecode(t, `{"entity":"posts","orderBy":[{"field":"quality","desc":true}],"limit":10}`)
-	sub, seq, res, err := h.Subscribe(q)
+	sub, st, err := h.Subscribe(q)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, res := st.Seq, st.Result
 	cs := NewClientState(seq, res)
 
 	var last Generation
@@ -288,11 +298,11 @@ func TestUnreadSubscriptionCostsNothing(t *testing.T) {
 	g := newGenChain(t, 41, 30, 150)
 	h := NewHub(g.next(nil))
 	defer h.Shutdown()
-	streamed, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers","limit":5}`))
+	streamed, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers","limit":5}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	polled, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts","limit":7}`))
+	polled, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts","limit":7}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,21 +312,21 @@ func TestUnreadSubscriptionCostsNothing(t *testing.T) {
 		last = g.next(addPosts(t, round, 2))
 		h.Publish(last)
 	}
-	if st := h.Stats(); st.FullEvalFallbacks != 0 || st.PushedDiffs != 0 {
-		t.Fatalf("after %d unread generations: %+v, want 0 evaluations and 0 events", gens, st)
+	if _, pushed, evals := h.Stats(); evals != 0 || pushed != 0 {
+		t.Fatalf("after %d unread generations: %d evaluations and %d events, want 0", gens, evals, pushed)
 	}
 	if ev, _ := streamed.Next(); ev == nil || ev.Seq != last.Seq {
 		t.Fatalf("Next after %d generations: %+v", gens, ev)
 	}
-	if st := h.Stats(); st.FullEvalFallbacks != 1 || st.PushedDiffs != 1 {
-		t.Fatalf("after one Next: %+v, want 1 evaluation and 1 event", st)
+	if _, pushed, evals := h.Stats(); evals != 1 || pushed != 1 {
+		t.Fatalf("after one Next: %d evaluations and %d events, want 1 and 1", evals, pushed)
 	}
-	if seq, _ := polled.Snapshot(); seq != last.Seq {
-		t.Fatalf("Snapshot at seq %d, want %d", seq, last.Seq)
+	if st := polled.Snapshot(); st.Seq != last.Seq {
+		t.Fatalf("Snapshot at seq %d, want %d", st.Seq, last.Seq)
 	}
 	polled.Snapshot()
-	if st := h.Stats(); st.FullEvalFallbacks != 2 || st.PushedDiffs != 1 {
-		t.Fatalf("after two Snapshots: %+v, want 2 evaluations and 1 event", st)
+	if _, pushed, evals := h.Stats(); evals != 2 || pushed != 1 {
+		t.Fatalf("after two Snapshots: %d evaluations and %d events, want 2 and 1", evals, pushed)
 	}
 }
 
@@ -328,14 +338,14 @@ func TestPublishNeverBlocks(t *testing.T) {
 	gen0 := g.next(nil)
 	h := NewHub(gen0)
 	defer h.Shutdown()
-	if _, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`)); err != nil {
+	if _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			h.Publish(Generation{Seq: gen0.Seq + uint64(i) + 1, Corpus: gen0.Corpus, Result: gen0.Result})
+			h.Publish(Generation{Seq: gen0.Seq + uint64(i) + 1, Query: gen0.Query})
 		}
 	}()
 	select {
@@ -351,7 +361,7 @@ func TestAttachSingleConsumer(t *testing.T) {
 	g := newGenChain(t, 23, 20, 100)
 	h := NewHub(g.next(nil))
 	defer h.Shutdown()
-	sub, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
+	sub, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +382,7 @@ func TestAttachSingleConsumer(t *testing.T) {
 func TestCancelAndShutdown(t *testing.T) {
 	g := newGenChain(t, 29, 20, 100)
 	h := NewHub(g.next(nil))
-	sub, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`))
+	sub, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +402,7 @@ func TestCancelAndShutdown(t *testing.T) {
 	}
 	h.Shutdown()
 	h.Shutdown() // idempotent
-	if _, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`)); err != ErrClosed {
+	if _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`)); err != ErrClosed {
 		t.Fatalf("Subscribe after shutdown: %v", err)
 	}
 }
@@ -403,11 +413,11 @@ func TestIdleGC(t *testing.T) {
 	g := newGenChain(t, 31, 20, 100)
 	h := NewHub(g.next(nil))
 	defer h.Shutdown()
-	idle, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
+	idle, _, err := h.Subscribe(mustDecode(t, `{"entity":"bloggers"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, _, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`))
+	live, _, err := h.Subscribe(mustDecode(t, `{"entity":"posts"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +467,7 @@ func TestHubChurnRace(t *testing.T) {
 			if i%2 == 0 {
 				src = gen1
 			}
-			h.Publish(Generation{Seq: seq, Corpus: src.Corpus, Result: src.Result})
+			h.Publish(Generation{Seq: seq, Query: src.Query})
 		}
 	}()
 	// Churners: subscribe, consume a little, cancel or abandon.
@@ -467,7 +477,7 @@ func TestHubChurnRace(t *testing.T) {
 			defer wg.Done()
 			bodies := []string{`{"entity":"bloggers","limit":5}`, `{"entity":"posts","limit":7}`, `{"entity":"domains"}`}
 			for i := 0; i < 50; i++ {
-				sub, _, _, err := h.Subscribe(mustDecode(t, bodies[(w+i)%len(bodies)]))
+				sub, _, err := h.Subscribe(mustDecode(t, bodies[(w+i)%len(bodies)]))
 				if err != nil {
 					if err == ErrClosed {
 						return
