@@ -24,7 +24,6 @@ import (
 	"mass/internal/netstats"
 	"mass/internal/query"
 	"mass/internal/rank"
-	"mass/internal/xmlstore"
 )
 
 func main() {
@@ -91,12 +90,8 @@ func main() {
 	}
 
 	if *baselines {
-		c, err := xmlstore.Load(*corpusPath)
-		if err != nil {
-			log.Fatal(err)
-		}
 		for _, r := range []baseline.Ranker{baseline.LiveIndex{}, baseline.IFinder{}} {
-			scores, err := r.Rank(c)
+			scores, err := r.Rank(sys.Corpus())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := trend.Analyze(sys.Corpus(), sys.Result(), trend.Config{
+	rep, err := sys.Trends(trend.Config{
 		Buckets:     *buckets,
 		TopEmerging: *emerging,
 	})

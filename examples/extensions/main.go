@@ -29,9 +29,10 @@ func main() {
 	// 1. Automatic topic discovery: no predefined domains needed.
 	var docs []string
 	var labels []string
-	for _, pid := range corpus.PostIDs() {
-		docs = append(docs, corpus.Posts[pid].Body)
-		labels = append(labels, corpus.Posts[pid].TrueDomain)
+	gen := corpus.Snapshot()
+	for _, pid := range gen.PostIDs() {
+		docs = append(docs, gen.Post(pid).Body)
+		labels = append(labels, gen.Post(pid).TrueDomain)
 	}
 	model, err := topic.Discover(docs, topic.Config{K: 10, Seed: 1})
 	if err != nil {
@@ -62,7 +63,7 @@ func main() {
 		firstTopic, res.TopKDomain(firstTopic, 1))
 
 	// 3. Tag-based social interest discovery (reference [6]).
-	groups, err := taginterest.Discover(corpus, taginterest.Config{MinSupport: 3, TopBloggers: 3})
+	groups, err := taginterest.Discover(gen, taginterest.Config{MinSupport: 3, TopBloggers: 3})
 	if err != nil {
 		log.Fatal(err)
 	}

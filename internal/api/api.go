@@ -108,7 +108,6 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // middleware chain around dispatch
 	routes  []route
-	trends  trendCache
 	limiter *rateLimiter
 }
 

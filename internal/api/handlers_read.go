@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"mass/internal/blog"
 	"mass/internal/cluster"
@@ -225,73 +224,12 @@ func viewDomains(v *cluster.View) []string {
 	return out
 }
 
-// -------------------------------------------------------- trends, memoized
-
-// trendKey identifies one memoizable trend computation. The snapshot seq
-// is part of the key, so a cached report lives exactly until the next
-// re-analysis.
-type trendKey struct {
-	seq      uint64
-	buckets  int
-	emerging int
-}
-
-// trendCache memoizes trend.Analyze per (seq, buckets, emerging):
-// repeated dashboard polls are a map lookup until the engine publishes a
-// new generation, at which point older generations' entries are evicted.
-// A late store from a reader pinning an older view evicts nothing newer.
-type trendCache struct {
-	mu       sync.Mutex
-	entries  map[trendKey]*trend.Report
-	computes int64 // total cache misses, for tests/metrics
-}
-
-func (c *trendCache) get(key trendKey, compute func() (*trend.Report, error)) (*trend.Report, error) {
-	c.mu.Lock()
-	if rep, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return rep, nil
-	}
-	c.computes++
-	c.mu.Unlock()
-	// Analyze outside the lock: a slow computation must not block cached
-	// polls of other keys. Concurrent first requests may duplicate work
-	// once; both land the same deterministic report.
-	rep, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[trendKey]*trend.Report)
-	}
-	for k := range c.entries {
-		if k.seq < key.seq {
-			delete(c.entries, k)
-		}
-	}
-	c.entries[key] = rep
-	c.mu.Unlock()
-	return rep, nil
-}
-
-func (c *trendCache) computeCount() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.computes
-}
-
-// trendReport serves the memoized trend analysis. Trend reports cannot be
-// merged across shards, so both trends routes answer 501 on a sharded
-// cluster (see routeTable) and this only ever reads the single shard.
-func (s *Server) trendReport(v *cluster.View, buckets, emerging int) (*trend.Report, error) {
-	snap := v.Snaps[0]
-	return s.trends.get(trendKey{seq: snap.Seq, buckets: buckets, emerging: emerging}, func() (*trend.Report, error) {
-		return trend.Analyze(snap.Corpus(), snap.Result(), trend.Config{
-			Buckets:     buckets,
-			TopEmerging: emerging,
-		})
-	})
+// trendReport serves the view's trend report, memoized on its generation
+// (core.System.Trends). Trend reports cannot be merged across shards, so
+// both trends routes answer 501 on a sharded cluster (see routeTable) and
+// this only ever reads the single shard.
+func trendReport(v *cluster.View, buckets, emerging int) (*trend.Report, error) {
+	return v.Snaps[0].Trends(trend.Config{Buckets: buckets, TopEmerging: emerging})
 }
 
 // ------------------------------------------------------------ v1 handlers
@@ -431,7 +369,7 @@ func (s *Server) handleV1Trends(v *cluster.View, r *http.Request) (any, *Meta, *
 	// Parameters are already validated, so a failure here is about the
 	// corpus itself (empty, no time span) — not something the client can
 	// fix by changing the query.
-	rep, err := s.trendReport(v, buckets, emerging)
+	rep, err := trendReport(v, buckets, emerging)
 	if err != nil {
 		return nil, nil, errf(http.StatusUnprocessableEntity, ErrCodeNoData, "%v", err)
 	}
@@ -576,7 +514,7 @@ func (s *Server) handleLegacyNetwork(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleLegacyTrends(w http.ResponseWriter, r *http.Request) {
 	buckets := min(intParam(r, "buckets", DefaultBuckets), MaxBuckets)
 	emerging := min(intParam(r, "emerging", DefaultEmerging), MaxEmerging)
-	rep, err := s.trendReport(s.cluster.View(), buckets, emerging)
+	rep, err := trendReport(s.cluster.View(), buckets, emerging)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -20,7 +20,7 @@ import (
 )
 
 // v1EngineServer is engineServer but also hands back the *Server for
-// white-box assertions (trend-cache counters).
+// white-box assertions.
 func v1EngineServer(t *testing.T, opts ...Option) (*httptest.Server, *core.Engine, *Server) {
 	t.Helper()
 	cl := oneShard(t)
@@ -417,58 +417,53 @@ func TestLegacyAliasParity(t *testing.T) {
 	}
 }
 
+// TestTrendsMemoized: both trends routes serve the pinned generation's
+// memoized report (core.System.Trends), and after a flush they serve the
+// new generation's own report.
 func TestTrendsMemoized(t *testing.T) {
-	ts, e, srv := v1EngineServer(t)
-	url := ts.URL + "/api/v1/trends?buckets=4&emerging=3"
-	for i := 0; i < 3; i++ {
-		if code, _, _ := getEnvelope(t, url); code != 200 {
-			t.Fatalf("status %d", code)
+	ts, e, _ := v1EngineServer(t)
+	cfg := trend.Config{Buckets: 4, TopEmerging: 3}
+	check := func() {
+		t.Helper()
+		want, err := e.Current().Trends(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			code, _, env := getEnvelope(t, ts.URL+"/api/v1/trends?buckets=4&emerging=3")
+			if code != 200 {
+				t.Fatalf("status %d", code)
+			}
+			if got := compactData(t, env.Data); got != mustMarshal(t, want) {
+				t.Fatalf("v1 trends differ from the generation's report:\n%s\n%s", got, mustMarshal(t, want))
+			}
+		}
+		resp, err := http.Get(ts.URL + "/api/trends?buckets=4&emerging=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if got := compactData(t, body); got != mustMarshal(t, want) {
+			t.Fatalf("legacy trends differ from the generation's report:\n%s", got)
+		}
+		if again, _ := e.Current().Trends(cfg); again != want {
+			t.Fatal("serving the routes replaced the generation's memoized report")
 		}
 	}
-	if n := srv.trends.computeCount(); n != 1 {
-		t.Fatalf("computes = %d after 3 identical polls, want 1", n)
-	}
-	// The legacy alias shares the same memo.
-	resp, err := http.Get(ts.URL + "/api/trends?buckets=4&emerging=3")
-	if err != nil {
+	check()
+	old := e.Current()
+	if err := e.AddBatch(core.Batch{Posts: []*blog.Post{{ID: "trend-late", Author: "Zoe",
+		Body: "a basketball report", Posted: time.Date(2009, 6, 9, 0, 0, 0, 0, time.UTC)}}}); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if n := srv.trends.computeCount(); n != 1 {
-		t.Fatalf("computes = %d after legacy poll, want 1", n)
-	}
-	// Different parameters are a different key.
-	if code, _, _ := getEnvelope(t, ts.URL+"/api/v1/trends?buckets=3&emerging=3"); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if n := srv.trends.computeCount(); n != 2 {
-		t.Fatalf("computes = %d after new params, want 2", n)
-	}
-	// A new snapshot generation invalidates the memo.
 	if err := e.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, _ := getEnvelope(t, url); code != 200 {
-		t.Fatalf("status %d", code)
+	if e.Current() == old {
+		t.Fatal("flush published no new generation")
 	}
-	if n := srv.trends.computeCount(); n != 3 {
-		t.Fatalf("computes = %d after flush, want 3", n)
-	}
-}
-
-// TestTrendCacheKeepsNewerGeneration: a late store from a reader pinning
-// an older generation must not evict the live generation's reports.
-func TestTrendCacheKeepsNewerGeneration(t *testing.T) {
-	var c trendCache
-	compute := func() (*trend.Report, error) { return &trend.Report{}, nil }
-	for _, seq := range []uint64{6, 5, 6} {
-		if _, err := c.get(trendKey{seq: seq, buckets: 4, emerging: 3}, compute); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.computeCount(); n != 2 {
-		t.Fatalf("computes = %d after storing seq 6, then 5, then reading 6 again; want 2", n)
-	}
+	check()
 }
 
 func TestV1IngestEnvelope(t *testing.T) {

@@ -23,12 +23,13 @@ import (
 	"mass/internal/textutil"
 )
 
-// Ranker scores every blogger in a corpus; higher is more influential.
+// Ranker scores every blogger in a corpus generation; higher is more
+// influential.
 type Ranker interface {
 	// Name identifies the system in experiment reports.
 	Name() string
 	// Rank returns a score for every blogger in c.
-	Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error)
+	Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error)
 }
 
 // LiveIndex ranks bloggers purely by link authority (PageRank), the
@@ -41,10 +42,9 @@ type LiveIndex struct {
 // Name implements Ranker.
 func (LiveIndex) Name() string { return "Live Index" }
 
-// Rank implements Ranker. The solve runs on the corpus's cached CSR view
-// of the hyperlink graph (shared with the influence analyzer), so ranking
-// pays only for the PageRank sweeps.
-func (l LiveIndex) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
+// Rank implements Ranker. The solve runs on the generation's CSR view of
+// the hyperlink graph, built once per generation (blog.Frozen.LinkCSR).
+func (l LiveIndex) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 	csr := c.LinkCSR()
 	pr := linkrank.PageRankCSR(csr, l.Options)
 	out := make(map[blog.BloggerID]float64, len(pr.Scores))
@@ -66,12 +66,12 @@ type General struct {
 func (General) Name() string { return "General" }
 
 // Rank implements Ranker.
-func (g General) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
+func (g General) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 	a, err := influence.NewAnalyzer(g.Config, nil)
 	if err != nil {
 		return nil, err
 	}
-	res, err := a.Analyze(c)
+	res, err := a.AnalyzeCached(c, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +100,7 @@ type IFinder struct {
 func (IFinder) Name() string { return "iFinder" }
 
 // Rank implements Ranker.
-func (f IFinder) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
+func (f IFinder) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 	wCom, wIn, wOut := f.WComment, f.WIn, f.WOut
 	if wCom == 0 {
 		wCom = 1
@@ -112,20 +112,20 @@ func (f IFinder) Rank(c *blog.Corpus) (map[blog.BloggerID]float64, error) {
 		wOut = 0.5
 	}
 	maxLen := 0.0
-	lengths := make(map[blog.PostID]float64, len(c.Posts))
-	for pid, p := range c.Posts {
+	lengths := make(map[blog.PostID]float64, c.NumPosts())
+	for pid, p := range c.Posts() {
 		l := float64(textutil.WordCount(p.Body))
 		lengths[pid] = l
 		if l > maxLen {
 			maxLen = l
 		}
 	}
-	out := make(map[blog.BloggerID]float64, len(c.Bloggers))
-	for b := range c.Bloggers {
+	out := make(map[blog.BloggerID]float64, c.NumBloggers())
+	for b := range c.Bloggers() {
 		out[b] = 0
 	}
 	g := c.LinkCSR()
-	for pid, p := range c.Posts {
+	for pid, p := range c.Posts() {
 		i, _ := g.Index(string(p.Author))
 		lw := 0.0
 		if maxLen > 0 {

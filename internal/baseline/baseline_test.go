@@ -18,7 +18,7 @@ func TestNames(t *testing.T) {
 
 func TestLiveIndexIsPageRank(t *testing.T) {
 	c := blog.Figure1Corpus()
-	scores, err := LiveIndex{}.Rank(c)
+	scores, err := LiveIndex{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +45,11 @@ func TestLiveIndexIgnoresPosts(t *testing.T) {
 		_ = c.AddLink("a", "b")
 	}
 	_ = c1.AddPost(&blog.Post{ID: "p", Author: "a", Body: "many words in this long post"})
-	s1, err := LiveIndex{}.Rank(c1)
+	s1, err := LiveIndex{}.Rank(c1.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := LiveIndex{}.Rank(c2)
+	s2, err := LiveIndex{}.Rank(c2.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestLiveIndexIgnoresPosts(t *testing.T) {
 
 func TestGeneralMatchesInfluence(t *testing.T) {
 	c := blog.Figure1Corpus()
-	scores, err := General{}.Rank(c)
+	scores, err := General{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestGeneralMatchesInfluence(t *testing.T) {
 
 func TestIFinderBasics(t *testing.T) {
 	c := blog.Figure1Corpus()
-	scores, err := IFinder{}.Rank(c)
+	scores, err := IFinder{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIFinderCommentCountMatters(t *testing.T) {
 			{Commenter: "r1", Text: "x"}, {Commenter: "r2", Text: "y"},
 		}})
 	_ = c.AddPost(&blog.Post{ID: "pb", Author: "b", Body: "aa bb cc dd"})
-	scores, err := IFinder{}.Rank(c)
+	scores, err := IFinder{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestIFinderOutlinksLeak(t *testing.T) {
 	_ = c.AddLink("t1", "a")
 	_ = c.AddLink("t2", "b")
 	_ = c.AddLink("a", "t1") // a leaks influence outward
-	scores, err := IFinder{}.Rank(c)
+	scores, err := IFinder{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestIFinderFlowClampedAtZero(t *testing.T) {
 	}
 	_ = c.AddPost(&blog.Post{ID: "p", Author: "a", Body: "w1 w2 w3"})
 	_ = c.AddLink("a", "b") // only outlinks, no comments: flow would be negative
-	scores, err := IFinder{}.Rank(c)
+	scores, err := IFinder{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestIFinderMaxOverPosts(t *testing.T) {
 		Comments: []blog.Comment{{Commenter: "r", Text: "c3"}}})
 	_ = c.AddPost(&blog.Post{ID: "small2", Author: "two", Body: "v1 v2 v3 v4 v5",
 		Comments: []blog.Comment{{Commenter: "r", Text: "c4"}}})
-	scores, err := IFinder{}.Rank(c)
+	scores, err := IFinder{}.Rank(c.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestIFinderMaxOverPosts(t *testing.T) {
 func TestRankersOnEmptyCorpus(t *testing.T) {
 	c := blog.NewCorpus()
 	for _, r := range []Ranker{LiveIndex{}, General{}, IFinder{}} {
-		scores, err := r.Rank(c)
+		scores, err := r.Rank(c.Snapshot())
 		if err != nil {
 			t.Fatalf("%s on empty corpus: %v", r.Name(), err)
 		}

@@ -26,7 +26,7 @@ func TestLinkCSRMatchesAdjacency(t *testing.T) {
 	// Duplicate links must collapse in the view, matching the solver's
 	// historical AddEdge dedup semantics.
 	c.Links = append(c.Links, Link{From: "b0", To: "b1"})
-	csr := c.LinkCSR()
+	csr := c.Snapshot().LinkCSR()
 	if err := csr.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -54,42 +54,30 @@ func TestLinkCSRMatchesAdjacency(t *testing.T) {
 	}
 }
 
-func TestLinkCSRCachedPerEpochAndSharedWithSnapshots(t *testing.T) {
+// TestLinkCSRCachedPerGeneration: a generation builds its CSR once; a
+// later generation builds its own, and the earlier one keeps serving the
+// graph it was frozen with.
+func TestLinkCSRCachedPerGeneration(t *testing.T) {
 	c := linkedCorpus(t)
-	v1 := c.LinkCSR()
-	if c.LinkCSR() != v1 {
-		t.Fatal("unchanged epoch must return the cached CSR")
+	g1 := c.Snapshot()
+	v1 := g1.LinkCSR()
+	if g1.LinkCSR() != v1 {
+		t.Fatal("a generation must return its cached CSR")
 	}
-	snap := c.Snapshot()
-	if snap.LinkCSR() != v1 {
-		t.Fatal("a snapshot at the same epoch must share the built CSR")
-	}
-	// A link mutation bumps the epoch: the live corpus rebuilds, the old
-	// snapshot keeps serving the view it was frozen with.
 	if err := c.AddLink("b5", "b3"); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c.LinkCSR()
+	v2 := c.Snapshot().LinkCSR()
 	if v2 == v1 {
-		t.Fatal("link-epoch bump must invalidate the cached CSR")
+		t.Fatal("a later generation must build its own CSR")
 	}
-	bi, _ := v2.Index("b5")
-	if v2.OutDegree(bi) != 1 {
-		t.Fatal("rebuilt CSR is missing the new edge")
+	if bi, _ := v2.Index("b5"); v2.OutDegree(bi) != 1 {
+		t.Fatal("the later generation's CSR is missing the new edge")
 	}
-	if snap.LinkCSR() != v1 {
-		t.Fatal("frozen snapshot must keep its epoch's CSR")
+	if g1.LinkCSR() != v1 {
+		t.Fatal("the earlier generation must keep its CSR")
 	}
-	// A post does not touch the link graph; the view survives.
-	if err := c.AddPost(&Post{ID: "p1", Author: "b0", Body: "hello"}); err != nil {
-		t.Fatal(err)
-	}
-	if c.LinkCSR() != v2 {
-		t.Fatal("post mutation must not invalidate the link CSR")
-	}
-	// Reindex advances the epoch by contract.
-	c.Reindex()
-	if c.LinkCSR() == v2 {
-		t.Fatal("Reindex must invalidate the link CSR")
+	if bi, _ := v1.Index("b5"); v1.OutDegree(bi) != 0 {
+		t.Fatal("the earlier generation's CSR gained an edge written after it")
 	}
 }

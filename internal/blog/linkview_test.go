@@ -26,11 +26,11 @@ func linkCorpus(t testing.TB, n int, links [][2]int) *Corpus {
 func bid(i int) BloggerID { return BloggerID(fmt.Sprintf("b%02d", i)) }
 
 // assertViewMatchesFresh checks a view's flat CSR against a from-scratch
-// rebuild of the same corpus (fresh corpus → always takes the full-build
+// rebuild of the same generation (no prev view, so always the full-build
 // path), edge for edge.
-func assertViewMatchesFresh(t *testing.T, c *Corpus, v *LinkView) {
+func assertViewMatchesFresh(t *testing.T, g *Frozen, v *LinkView) {
 	t.Helper()
-	fresh := c.linkGraph().build(nil) // bypass the cache: guaranteed fresh base
+	fresh := g.buildLinkView(nil) // bypass the cache: guaranteed fresh base
 	got, want := v.CSR(), fresh.CSR()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("view CSR invalid: %v", err)
@@ -54,24 +54,25 @@ func assertViewMatchesFresh(t *testing.T, c *Corpus, v *LinkView) {
 
 func TestLinkViewCachedPerEpoch(t *testing.T) {
 	c := linkCorpus(t, 4, [][2]int{{0, 1}, {1, 2}})
-	v1 := c.LinkView()
-	if v2 := c.LinkView(); v2 != v1 {
-		t.Fatal("same epoch must return the cached view")
+	g := c.Snapshot()
+	v1 := g.LinkViewFrom(nil)
+	if v2 := g.LinkViewFrom(nil); v2 != v1 {
+		t.Fatal("a generation must return its cached view")
 	}
-	if c.LinkCSR() != v1.CSR() {
+	if g.LinkCSR() != v1.CSR() {
 		t.Fatal("LinkCSR must serve the cached view's flat CSR")
 	}
 	if err := c.AddLink(bid(2), bid(3)); err != nil {
 		t.Fatal(err)
 	}
-	if v3 := c.LinkView(); v3 == v1 {
-		t.Fatal("a new effective link must invalidate the cached view")
+	if v3 := c.Snapshot().LinkViewFrom(v1); v3 == v1 {
+		t.Fatal("a new effective link must build a new view")
 	}
 }
 
 func TestLinkViewExtendsInPlace(t *testing.T) {
 	c := linkCorpus(t, 6, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	v1 := c.LinkView()
+	v1 := c.Snapshot().LinkViewFrom(nil)
 	base := v1.Delta().Base()
 
 	if err := c.AddLink(bid(3), bid(0)); err != nil {
@@ -80,7 +81,8 @@ func TestLinkViewExtendsInPlace(t *testing.T) {
 	if err := c.AddLink(bid(4), bid(1)); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c.LinkViewFrom(v1)
+	g2 := c.Snapshot()
+	v2 := g2.LinkViewFrom(v1)
 	if v2.Delta().Base() != base {
 		t.Fatal("extension must keep the frozen base CSR — O(delta), not a rebuild")
 	}
@@ -90,65 +92,69 @@ func TestLinkViewExtendsInPlace(t *testing.T) {
 	if v1.Delta().OverlaySize() != 0 {
 		t.Fatal("extending must not mutate the previous view's overlay")
 	}
-	assertViewMatchesFresh(t, c, v2)
+	assertViewMatchesFresh(t, g2, v2)
 
 	// A second extension stacks on the same base.
 	if err := c.AddLink(bid(5), bid(2)); err != nil {
 		t.Fatal(err)
 	}
-	v3 := c.LinkViewFrom(v2)
+	g3 := c.Snapshot()
+	v3 := g3.LinkViewFrom(v2)
 	if v3.Delta().Base() != base || v3.Delta().OverlaySize() != 3 {
 		t.Fatalf("stacked extension: base kept=%v overlay=%d", v3.Delta().Base() == base, v3.Delta().OverlaySize())
 	}
-	assertViewMatchesFresh(t, c, v3)
+	assertViewMatchesFresh(t, g3, v3)
 }
 
 func TestLinkViewWithoutPrevBuildsFreshBase(t *testing.T) {
 	c := linkCorpus(t, 4, [][2]int{{0, 1}})
-	v1 := c.LinkView()
+	v1 := c.Snapshot().LinkViewFrom(nil)
 	if err := c.AddLink(bid(1), bid(2)); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c.LinkView() // nil prev: full invalidation path
+	g2 := c.Snapshot()
+	v2 := g2.LinkViewFrom(nil) // nil prev: full invalidation path
 	if v2.Delta().Base() == v1.Delta().Base() {
 		t.Fatal("no prev view supplied: must freeze a fresh base")
 	}
 	if v2.Delta().OverlaySize() != 0 {
 		t.Fatal("fresh base must start with an empty overlay")
 	}
-	assertViewMatchesFresh(t, c, v2)
+	assertViewMatchesFresh(t, g2, v2)
 }
 
 func TestLinkViewFreshBaseOnNodeChange(t *testing.T) {
 	c := linkCorpus(t, 3, [][2]int{{0, 1}, {1, 2}})
-	v1 := c.LinkView()
+	v1 := c.Snapshot().LinkViewFrom(nil)
 	if err := c.AddBlogger(&Blogger{ID: bid(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AddLink(bid(9), bid(0)); err != nil {
 		t.Fatal(err)
 	}
-	v2 := c.LinkViewFrom(v1)
+	g2 := c.Snapshot()
+	v2 := g2.LinkViewFrom(v1)
 	if v2.Delta().Base() == v1.Delta().Base() {
 		t.Fatal("a blogger-set change must force a fresh base (node count moved)")
 	}
 	if v2.Delta().NumNodes() != 4 {
 		t.Fatalf("new base has %d nodes, want 4", v2.Delta().NumNodes())
 	}
-	assertViewMatchesFresh(t, c, v2)
+	assertViewMatchesFresh(t, g2, v2)
 }
 
 func TestLinkViewReindexForcesFreshBase(t *testing.T) {
 	c := linkCorpus(t, 3, [][2]int{{0, 1}})
-	v1 := c.LinkView()
+	v1 := c.Snapshot().LinkViewFrom(nil)
 	// Simulate a bulk edit: a non-append rewrite of Links, then Reindex.
 	c.Links = []Link{{From: bid(1), To: bid(2)}}
 	c.Reindex()
-	v2 := c.LinkViewFrom(v1)
+	g2 := c.Snapshot()
+	v2 := g2.LinkViewFrom(v1)
 	if v2.Delta().Base() == v1.Delta().Base() {
 		t.Fatal("Reindex must force a fresh base — Links is no longer a prefix extension")
 	}
-	assertViewMatchesFresh(t, c, v2)
+	assertViewMatchesFresh(t, g2, v2)
 	flat := v2.CSR()
 	i1, _ := flat.Index(string(bid(1)))
 	if row := flat.Out(int(i1)); len(row) != 1 {
@@ -162,7 +168,8 @@ func TestLinkViewReindexForcesFreshBase(t *testing.T) {
 func TestLinkViewCompaction(t *testing.T) {
 	n := 12 // 12·11 = 132 possible edges > 64 threshold
 	c := linkCorpus(t, n, nil)
-	v := c.LinkView()
+	g := c.Snapshot()
+	v := g.LinkViewFrom(nil)
 	firstBase := v.Delta().Base()
 	threshold := linkCompactThreshold(firstBase.NumEdges())
 	if threshold != 64 {
@@ -180,7 +187,8 @@ func TestLinkViewCompaction(t *testing.T) {
 			}
 			added++
 			prev := v
-			v = c.LinkViewFrom(v)
+			g = c.Snapshot()
+			v = g.LinkViewFrom(v)
 			if sz := v.Delta().OverlaySize(); sz > threshold {
 				t.Fatalf("overlay size %d exceeds compaction threshold %d", sz, threshold)
 			}
@@ -196,30 +204,35 @@ func TestLinkViewCompaction(t *testing.T) {
 	if !compacted {
 		t.Fatalf("overlay never compacted after %d appends (threshold %d)", added, threshold)
 	}
-	assertViewMatchesFresh(t, c, v)
+	assertViewMatchesFresh(t, g, v)
 	if v.CSR().NumEdges() != added {
 		t.Fatalf("compacted view has %d edges, want %d", v.CSR().NumEdges(), added)
 	}
 }
 
+// TestLinkViewSnapshotShares: a later generation's view extends the
+// earlier generation's and shares its frozen base CSR, while the earlier
+// generation keeps its own view of the graph it was frozen with.
 func TestLinkViewSnapshotShares(t *testing.T) {
 	c := linkCorpus(t, 3, [][2]int{{0, 1}})
-	v := c.LinkView()
-	s := c.Snapshot()
-	if s.LinkView() != v {
-		t.Fatal("snapshot at the same epoch must share the corpus's view")
-	}
+	s1 := c.Snapshot()
+	v := s1.LinkViewFrom(nil)
 	if err := c.AddLink(bid(1), bid(2)); err != nil {
 		t.Fatal(err)
 	}
-	if s.LinkView() != v {
-		t.Fatal("mutating the original must not invalidate the snapshot's view")
+	s2 := c.Snapshot()
+	v2 := s2.LinkViewFrom(v)
+	if v2 == v || v2.Delta().Base() != v.Delta().Base() {
+		t.Fatal("the later generation must extend the earlier view over its shared base")
 	}
-	if c.LinkViewFrom(v) == v {
-		t.Fatal("the mutated original must build a new view")
+	if s1.LinkViewFrom(nil) != v {
+		t.Fatal("mutating the corpus must not replace the earlier generation's view")
 	}
-	if got := s.LinkCSR().NumEdges(); got != 1 {
-		t.Fatalf("snapshot graph has %d edges, want the frozen 1", got)
+	if got := s1.LinkCSR().NumEdges(); got != 1 {
+		t.Fatalf("earlier generation's graph has %d edges, want the frozen 1", got)
+	}
+	if got := s2.LinkCSR().NumEdges(); got != 2 {
+		t.Fatalf("later generation's graph has %d edges, want 2", got)
 	}
 }
 

@@ -78,7 +78,7 @@ type Link struct {
 }
 
 // Corpus is the mutable blogosphere: the entities, the mutation journal
-// and the link graph's epoch and view. Call Reindex after bulk mutation;
+// and the link graph's epoch. Call Reindex after bulk mutation;
 // the constructors and AddX helpers keep the journal and epoch current
 // automatically. Snapshot freezes it into a read-only generation (Frozen).
 type Corpus struct {
@@ -88,8 +88,8 @@ type Corpus struct {
 
 	// linkSet holds every distinct edge of Links, so AddLink can tell a
 	// duplicate (no epoch bump) from a new edge. It is nil after
-	// construction, a Reindex or a Snapshot; the next AddLink or
-	// AddLinkDedup rebuilds it from Links.
+	// construction, a Reindex or a Clone; the next AddLink or AddLinkDedup
+	// rebuilds it from Links.
 	linkSet map[Link]struct{}
 
 	// linkEpoch counts every mutation that can change the hyperlink graph
@@ -106,11 +106,6 @@ type Corpus struct {
 	journal Journal
 	forked  bool
 
-	// linkView caches the incremental link-graph view for the current
-	// linkEpoch (see LinkView). Generations inherit the pointer, so across
-	// one epoch the whole lineage builds the view at most once.
-	linkView atomic.Pointer[LinkView]
-
 	// Generation state (see Snapshot). base is shared by every generation
 	// since the last compaction (nil before the first Snapshot); ov holds
 	// the entities the API wrote since it; shared is the overlay clone the
@@ -124,13 +119,13 @@ type Corpus struct {
 	work    snapshotWork
 }
 
-// LinkView pins one link epoch's incremental graph view: a DeltaCSR
-// overlay over a frozen base CSR, plus the prefix of Corpus.Links folded
-// into it. Views are immutable once published (the overlay is extended by
-// cloning, never in place), so one view can be shared by the live corpus,
-// its snapshots, and the analyzer's solver state simultaneously.
+// LinkView pins one generation's incremental link-graph view: a DeltaCSR
+// overlay over a frozen base CSR, plus the prefix of the generation's
+// Links folded into it (see Frozen.LinkViewFrom). Views are immutable once
+// published (the overlay is extended by cloning, never in place), so the
+// generation that built a view and the analyzer's solver state, which
+// extends it for the next generation, share it safely.
 type LinkView struct {
-	epoch   uint64
 	lineage uint64
 	nLinks  int
 	delta   *graph.DeltaCSR
@@ -171,137 +166,6 @@ func linkCompactThreshold(baseEdges int) int {
 		t = 8192
 	}
 	return t
-}
-
-// LinkCSR returns the frozen CSR view of the hyperlink graph: nodes are
-// the corpus's bloggers in sorted-ID order (so dense index i is exactly
-// position i of BloggerIDs), edges are the deduplicated Links. The view is
-// built once per link epoch and cached — generations taken at the same
-// epoch share it, so a flush whose link graph is unchanged pays nothing
-// here.
-//
-// Like every read method on Corpus, LinkCSR is safe to call concurrently
-// with other reads but not with mutations; the ingestion engine only
-// analyzes frozen generations (see Frozen).
-func (c *Corpus) LinkCSR() *graph.CSR {
-	return c.LinkViewFrom(nil).CSR()
-}
-
-// LinkView returns the incremental link-graph view for the current epoch,
-// building a fresh one (empty overlay over a newly frozen base) if none is
-// cached. Callers that can supply the previous epoch's view should prefer
-// LinkViewFrom, which extends it in O(delta) instead.
-func (c *Corpus) LinkView() *LinkView {
-	return c.LinkViewFrom(nil)
-}
-
-// LinkViewFrom returns the link view for the corpus's current epoch. When
-// prev is a view of the same lineage with the same node set, the new view
-// is built by cloning prev's overlay and applying only the Links appended
-// since prev — O(delta), the tentpole path that keeps a link-batch flush
-// from paying O(graph). Otherwise (nil prev, a blogger-set change, a
-// Reindex, or an overlay past the compaction threshold) it falls back to
-// freezing a fresh base CSR — full invalidation, exactly the pre-delta
-// behavior.
-//
-// The result is cached on the corpus per epoch and shared with the
-// generations taken at that epoch. Like LinkCSR, safe concurrently with
-// reads, not with mutations.
-func (c *Corpus) LinkViewFrom(prev *LinkView) *LinkView {
-	return cachedLinkView(&c.linkView, c.linkGraph(), prev)
-}
-
-func (c *Corpus) linkGraph() linkGraph {
-	return linkGraph{links: c.Links, epoch: c.linkEpoch, lineage: c.journal.Lineage, nodes: len(c.Bloggers), ids: c.BloggerIDs}
-}
-
-// linkGraph is what a link view is built from: one corpus state's link
-// records, node count and sorted node IDs, with its lineage and epoch.
-// Corpus and Frozen both describe themselves as one.
-type linkGraph struct {
-	links          []Link
-	epoch, lineage uint64
-	nodes          int
-	ids            func() []BloggerID
-}
-
-// cachedLinkView returns the view cached in slot when it is g's epoch's,
-// and otherwise builds one (extending prev when it can) and caches it.
-func cachedLinkView(slot *atomic.Pointer[LinkView], g linkGraph, prev *LinkView) *LinkView {
-	if v := slot.Load(); v != nil && v.epoch == g.epoch && v.lineage == g.lineage {
-		return v
-	}
-	v := g.build(prev)
-	slot.Store(v)
-	return v
-}
-
-// extendableFrom reports whether prev can seed an O(delta) extension for
-// g: same append-only lineage, a Links prefix, and an unchanged node
-// count. Node count equality implies node set equality within a lineage,
-// because the corpus API never removes bloggers without a Reindex.
-func (g linkGraph) extendableFrom(prev *LinkView) bool {
-	return prev != nil &&
-		prev.lineage == g.lineage &&
-		prev.nLinks <= len(g.links) &&
-		prev.delta.NumNodes() == g.nodes
-}
-
-func (g linkGraph) build(prev *LinkView) *LinkView {
-	if g.extendableFrom(prev) {
-		base := prev.delta.Base()
-		d := prev.delta.Clone()
-		for _, l := range g.links[prev.nLinks:] {
-			fi, okF := base.Index(string(l.From))
-			ti, okT := base.Index(string(l.To))
-			if !okF || !okT {
-				// Unknown endpoints can only appear in a corpus that fails
-				// Validate; dropping the edge matches the fresh build.
-				continue
-			}
-			d.AddEdge(int32(fi), int32(ti))
-		}
-		if d.OverlaySize() > linkCompactThreshold(base.NumEdges()) {
-			d = graph.NewDeltaCSR(d.Compact())
-		}
-		return &LinkView{epoch: g.epoch, lineage: g.lineage, nLinks: len(g.links), delta: d}
-	}
-
-	csr := bloggerGraph(g.ids(), func(add func(from, to BloggerID)) {
-		for _, l := range g.links {
-			add(l.From, l.To)
-		}
-	})
-	return &LinkView{
-		epoch:   g.epoch,
-		lineage: g.lineage,
-		nLinks:  len(g.links),
-		delta:   graph.NewDeltaCSR(csr),
-	}
-}
-
-// bloggerGraph freezes the blogger-to-blogger edges that edges passes to
-// add into a CSR whose nodes are bloggers, given in sorted-ID order, so
-// dense index i is position i of bloggers. Parallel edges collapse. An
-// edge with an endpoint outside the blogger set, which only a corpus that
-// fails Validate can hold, is dropped.
-func bloggerGraph(bloggers []BloggerID, edges func(add func(from, to BloggerID))) *graph.CSR {
-	ids := make([]string, len(bloggers))
-	idx := make(map[BloggerID]int32, len(bloggers))
-	for i, id := range bloggers {
-		ids[i] = string(id)
-		idx[id] = int32(i)
-	}
-	var from, to []int32
-	edges(func(f, t BloggerID) {
-		fi, okF := idx[f]
-		ti, okT := idx[t]
-		if okF && okT {
-			from = append(from, fi)
-			to = append(to, ti)
-		}
-	})
-	return graph.NewCSR(ids, from, to)
 }
 
 // LinkEpoch returns the corpus's link-graph mutation counter. Snapshots
@@ -409,7 +273,7 @@ func (c *Corpus) hasLink(l Link) bool {
 // incremental analysis caches back to journal position 0.
 func (c *Corpus) Reindex() {
 	c.linkEpoch++
-	c.journal, c.forked = Journal{Lineage: lineages.Add(1), Bloggers: c.BloggerIDs(), Posts: c.PostIDs()}, false
+	c.journal, c.forked = Journal{Lineage: lineages.Add(1), Bloggers: c.BloggerIDs(), Posts: sortedKeys(maps.All(c.Posts), len(c.Posts))}, false
 	c.linkSet = nil
 }
 
@@ -419,11 +283,6 @@ func (c *Corpus) BloggerIDs() []BloggerID {
 	return sortedKeys(maps.All(c.Bloggers), len(c.Bloggers))
 }
 
-// PostIDs returns all post IDs in sorted order.
-func (c *Corpus) PostIDs() []PostID {
-	return sortedKeys(maps.All(c.Posts), len(c.Posts))
-}
-
 func sortedKeys[K cmp.Ordered, V any](all iter.Seq2[K, V], n int) []K {
 	ids := make([]K, 0, n)
 	for id := range all {
@@ -431,51 +290,4 @@ func sortedKeys[K cmp.Ordered, V any](all iter.Seq2[K, V], n int) []K {
 	}
 	slices.Sort(ids)
 	return ids
-}
-
-// Validate checks referential integrity of the whole corpus: every post
-// author, commenter, link endpoint and friend must exist, and IDs must be
-// non-empty. It returns the first problem found.
-func (c *Corpus) Validate() error {
-	return validate(func(id BloggerID) bool { return c.Bloggers[id] != nil }, maps.All(c.Bloggers), maps.All(c.Posts), c.Links)
-}
-
-// validate is Validate over any corpus state: known reports whether a
-// blogger ID resolves, and bloggers and posts range the entity maps.
-func validate(known func(BloggerID) bool, bloggers iter.Seq2[BloggerID, *Blogger], posts iter.Seq2[PostID, *Post], links []Link) error {
-	for id, b := range bloggers {
-		if id == "" || b == nil || b.ID != id {
-			return fmt.Errorf("blog: blogger map entry %q inconsistent", id)
-		}
-		for _, f := range b.Friends {
-			if !known(f) {
-				return fmt.Errorf("blog: blogger %q has unknown friend %q", id, f)
-			}
-		}
-	}
-	for id, p := range posts {
-		if id == "" || p == nil || p.ID != id {
-			return fmt.Errorf("blog: post map entry %q inconsistent", id)
-		}
-		if !known(p.Author) {
-			return fmt.Errorf("blog: post %q has unknown author %q", id, p.Author)
-		}
-		for i, cm := range p.Comments {
-			if !known(cm.Commenter) {
-				return fmt.Errorf("blog: post %q comment %d unknown commenter %q", id, i, cm.Commenter)
-			}
-		}
-	}
-	for _, l := range links {
-		if !known(l.From) {
-			return fmt.Errorf("blog: link from unknown blogger %q", l.From)
-		}
-		if !known(l.To) {
-			return fmt.Errorf("blog: link to unknown blogger %q", l.To)
-		}
-		if l.From == l.To {
-			return fmt.Errorf("blog: self-link on %q", l.From)
-		}
-	}
-	return nil
 }

@@ -175,33 +175,36 @@ func TestSortedIDs(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	c := Figure1Corpus()
-	if err := c.Validate(); err != nil {
+	// Each corruption below is written around the API, so each check
+	// freezes a fresh clone rather than extending an earlier generation.
+	validate := func() error { return c.Clone().Snapshot().Validate() }
+	if err := validate(); err != nil {
 		t.Fatalf("Figure1Corpus must validate: %v", err)
 	}
 	// Corrupt: friend pointing nowhere.
 	c.Bloggers["Amery"].Friends = []BloggerID{"nobody"}
-	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "friend") {
+	if err := validate(); err == nil || !strings.Contains(err.Error(), "friend") {
 		t.Fatalf("expected friend validation error, got %v", err)
 	}
 	c.Bloggers["Amery"].Friends = nil
 
 	// Corrupt: dangling link.
 	c.Links = append(c.Links, Link{From: "Amery", To: "nobody"})
-	if err := c.Validate(); err == nil {
+	if err := validate(); err == nil {
 		t.Fatal("expected link validation error")
 	}
 	c.Links = c.Links[:len(c.Links)-1]
 
 	// Corrupt: post with unknown author.
 	c.Posts["bad"] = &Post{ID: "bad", Author: "nobody"}
-	if err := c.Validate(); err == nil {
+	if err := validate(); err == nil {
 		t.Fatal("expected author validation error")
 	}
 	delete(c.Posts, "bad")
 
 	// Corrupt: mismatched map key.
 	c.Posts["post9"] = &Post{ID: "postX", Author: "Amery"}
-	if err := c.Validate(); err == nil {
+	if err := validate(); err == nil {
 		t.Fatal("expected map-key mismatch error")
 	}
 }

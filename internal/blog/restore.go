@@ -31,7 +31,7 @@ func FromParts(bloggers []*Blogger, posts []*Post, links []Link) (*Corpus, error
 	}
 	c.Links = append(c.Links, links...)
 	c.Reindex()
-	if err := c.Validate(); err != nil {
+	if err := c.Snapshot().Validate(); err != nil {
 		return nil, fmt.Errorf("blog: restore: %w", err)
 	}
 	return c, nil

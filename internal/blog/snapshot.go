@@ -86,18 +86,13 @@ func (c *Corpus) Snapshot() *Frozen {
 		c.ovDirty = false
 		c.work.cloned += c.ov.size()
 	}
-	f := &Frozen{
+	return &Frozen{
 		base:      c.base,
 		ov:        c.shared,
 		links:     slices.Clip(c.Links),
 		linkEpoch: c.linkEpoch,
 		journal:   c.Journal(),
 	}
-	// The generation has the same link epoch, so an already-built link
-	// view stays valid for it (views revalidate by epoch). Views are
-	// immutable once published, so sharing the pointer is safe.
-	f.linkView.Store(c.linkView.Load())
-	return f
 }
 
 // wroteBlogger records b, just stored by the API, in the overlay; added

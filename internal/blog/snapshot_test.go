@@ -60,7 +60,7 @@ func TestSnapshotIsolatedFromMutation(t *testing.T) {
 	if c.Bloggers["bob"].Profile != "updated" {
 		t.Fatal("mutable corpus lost the upsert")
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,9 @@
 package blog_test
 
 import (
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 
 	"mass/internal/blog"
@@ -20,7 +22,7 @@ const snapshotBytesBudget = 16 << 10
 // and links.
 func applyTenMutations(t *testing.T, c *blog.Corpus) {
 	t.Helper()
-	old := c.PostIDs()[0]
+	old := slices.Sorted(maps.Keys(c.Posts))[0]
 	steps := []func() error{
 		func() error { return c.AddBlogger(&blog.Blogger{ID: "fresh-1"}) },
 		func() error { return c.AddPost(&blog.Post{ID: "fresh-p1", Author: "blogger0000", Body: "new post"}) },

@@ -35,7 +35,7 @@ type Page struct {
 
 // Server serves a corpus as a simulated blog site.
 type Server struct {
-	corpus *blog.Corpus
+	corpus *blog.Frozen
 	pages  map[blog.BloggerID]*Page // built once in New
 	mux    *http.ServeMux
 	// Latency is added to every request (simulated network/server delay).
@@ -51,23 +51,24 @@ type Server struct {
 	requests atomic.Int64
 }
 
-// New builds a server over the corpus, assembling every blogger's page
-// up front: posts in journal order, links and linkbacks in Links order.
-// The corpus must be valid and must not be mutated while serving. Routes,
+// New builds a server over one generation of the corpus, frozen here,
+// assembling every blogger's page up front: posts in journal order, links
+// and linkbacks in Links order. The corpus must be valid. Routes,
 // registered as method+wildcard patterns:
 //
 //	GET /spaces            — newline-separated list of all blogger IDs
 //	GET /space/{id}        — the blogger's Page as XML
 func New(c *blog.Corpus) *Server {
-	s := &Server{corpus: c, pages: make(map[blog.BloggerID]*Page, len(c.Bloggers)), mux: http.NewServeMux()}
-	for id, b := range c.Bloggers {
+	g := c.Snapshot()
+	s := &Server{corpus: g, pages: make(map[blog.BloggerID]*Page, g.NumBloggers()), mux: http.NewServeMux()}
+	for id, b := range g.Bloggers() {
 		s.pages[id] = &Page{Blogger: *b}
 	}
-	for _, pid := range c.Journal().Posts {
-		p := c.Posts[pid]
+	for _, pid := range g.Journal().Posts {
+		p := g.Post(pid)
 		s.pages[p.Author].Posts = append(s.pages[p.Author].Posts, *p)
 	}
-	for _, l := range c.Links {
+	for _, l := range g.Links() {
 		s.pages[l.From].Links = append(s.pages[l.From].Links, l.To)
 		s.pages[l.To].Linkbacks = append(s.pages[l.To].Linkbacks, l.From)
 	}

@@ -14,7 +14,6 @@ import (
 	"mass/internal/blog"
 	"mass/internal/blogserver"
 	"mass/internal/core"
-	"mass/internal/linkrank"
 	"mass/internal/query"
 	"mass/internal/subs"
 	"mass/internal/wal"
@@ -35,9 +34,6 @@ type Options struct {
 	// ShardTimeout bounds how long a scatter waits for each shard before
 	// returning a degraded partial result. Default 2s.
 	ShardTimeout time.Duration
-	// PageRank overrides the linkrank options for GlobalPageRank; zero
-	// values take the linkrank defaults.
-	PageRank linkrank.Options
 
 	// ProbeInterval is the supervisor's cadence: how often degraded shards
 	// are probed, quarantined shards restarted, and recovering shards

@@ -76,7 +76,7 @@ func TestGlobalPageRankMatchesSingle(t *testing.T) {
 	} {
 		t.Run(fmt.Sprintf("n%d_e%d_s%d", tc.nodes, tc.edges, tc.shards), func(t *testing.T) {
 			c := linkCorpus(t, tc.nodes, tc.edges, int64(tc.nodes*tc.shards))
-			ref := linkrank.PageRankCSR(c.LinkCSR(), opts)
+			ref := linkrank.PageRankCSR(c.Snapshot().LinkCSR(), opts)
 
 			cl, err := New(c, Options{Shards: tc.shards, Engine: quietEngine()})
 			if err != nil {
@@ -102,11 +102,65 @@ func TestGlobalPageRankMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestGlobalPageRankDefaultBoundNoFallback: on a blog-shaped Zipf link
+// graph (3,000 bloggers, 30,000 draws with Zipf-distributed targets), the
+// default merge bound (globalFallbackMass) lets the boundary residual
+// correction produce the global ranking at 2, 4 and 8 shards: no merged
+// dense solve, no MergeFallbacks, and scores within 1e-12 of the single
+// engine's dense solve. Only the solver tolerance is tightened, as in
+// TestGlobalPageRankMatchesSingle; FallbackMass stays at its default.
+func TestGlobalPageRankDefaultBoundNoFallback(t *testing.T) {
+	const nodes, draws = 3000, 30_000
+	c := blog.NewCorpus()
+	ids := make([]blog.BloggerID, nodes)
+	for i := range ids {
+		ids[i] = blog.BloggerID(fmt.Sprintf("b%04d", i))
+		if err := c.AddBlogger(&blog.Blogger{ID: ids[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(2010))
+	zipf := rand.NewZipf(rng, 1.3, 8, nodes-1)
+	for k := 0; k < draws; k++ {
+		f, to := rng.Intn(nodes), int(zipf.Uint64())
+		if f == to {
+			continue
+		}
+		if _, err := c.AddLinkDedup(ids[f], ids[to]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := linkrank.Options{Epsilon: 1e-15, MaxIter: 500}
+	ref := linkrank.PageRankCSR(c.Snapshot().LinkCSR(), opts)
+	for _, shards := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cl, err := New(c, Options{Shards: shards, Engine: quietEngine()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			gr, err := cl.GlobalPageRank(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gr.Fallback || cl.FullStatus().MergeFallbacks != 0 {
+				t.Fatalf("global PageRank fell back to a merged solve (boundary=%d residual=%.3g)", gr.BoundaryEdges, gr.Residual)
+			}
+			worst := maxAbsDiff(t, gr.IDs, gr.Scores, ref.CSR.IDs, ref.Scores)
+			if worst > 1e-12 {
+				t.Fatalf("max |diff| %.3g > 1e-12 (pushed %d, residual %.3g)", worst, gr.Pushed, gr.Residual)
+			}
+			t.Logf("boundary=%d pushed=%d residual=%.3g maxdiff=%.3g", gr.BoundaryEdges, gr.Pushed, gr.Residual, worst)
+		})
+	}
+}
+
 // TestGlobalPageRankFallback: an impossible mass bound must divert to the
 // merged dense solve — still within tolerance — and count the fallback.
 func TestGlobalPageRankFallback(t *testing.T) {
 	c := linkCorpus(t, 120, 600, 7)
-	ref := linkrank.PageRankCSR(c.LinkCSR(), linkrank.Options{Epsilon: 1e-15, MaxIter: 500})
+	opts := linkrank.Options{Epsilon: 1e-15, MaxIter: 500}
+	ref := linkrank.PageRankCSR(c.Snapshot().LinkCSR(), opts)
 	cl, err := New(c, Options{Shards: 4, Engine: quietEngine()})
 	if err != nil {
 		t.Fatal(err)

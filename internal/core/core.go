@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"mass/internal/blog"
 	"mass/internal/classify"
@@ -28,6 +29,7 @@ import (
 	"mass/internal/query"
 	"mass/internal/recommend"
 	"mass/internal/synth"
+	"mass/internal/trend"
 	"mass/internal/viz"
 	"mass/internal/xmlstore"
 )
@@ -69,15 +71,12 @@ type System struct {
 	classifier classify.Classifier
 	result     *influence.Result
 	rec        *recommend.Recommender
-	// seq is the analysis generation this System belongs to (1 for
-	// one-shot systems; the engine's snapshot seq when live), so query
-	// memoization is always keyed by the right generation no matter how
-	// the System is reached.
-	seq uint64
-	// queries memoizes executed queries per (seq, normalized query). The
-	// cache outlives the System when an Engine shares it across
-	// generations; its seq-based eviction keeps only the live generation.
+	// queries and trends memoize this generation's query results and
+	// trend reports. They live and die with the System, so a reader of an
+	// older generation only ever touches that generation's memos.
 	queries *query.Cache
+	trendMu sync.Mutex
+	trends  map[trend.Config]*trend.Report
 }
 
 // buildClassifier resolves the classifier to use: the explicit one, or a
@@ -98,7 +97,7 @@ func (o Options) buildClassifier() (classify.Classifier, error) {
 // facet-cached through cache when non-nil — and assembles the query-side
 // recommender. It is the shared build step behind FromCorpus (cold, once)
 // and Engine (incremental, repeatedly).
-func newSystem(c *blog.Frozen, opts Options, cl classify.Classifier, an *influence.Analyzer, prev *influence.Result, cache *influence.Cache, seq uint64, queries *query.Cache) (*System, error) {
+func newSystem(c *blog.Frozen, opts Options, cl classify.Classifier, an *influence.Analyzer, prev *influence.Result, cache *influence.Cache) (*System, error) {
 	res, err := an.AnalyzeCached(c, prev, cache)
 	if err != nil {
 		return nil, err
@@ -107,17 +106,13 @@ func newSystem(c *blog.Frozen, opts Options, cl classify.Classifier, an *influen
 	if err != nil {
 		return nil, err
 	}
-	if queries == nil {
-		queries = query.NewCache()
-	}
 	return &System{
 		opts:       opts,
 		corpus:     c,
 		classifier: cl,
 		result:     res,
 		rec:        rec,
-		seq:        seq,
-		queries:    queries,
+		queries:    query.NewCache(),
 	}, nil
 }
 
@@ -134,7 +129,7 @@ func FromCorpus(c *blog.Corpus, opts Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(c.Snapshot(), opts, cl, an, nil, nil, 1, nil)
+	return newSystem(c.Snapshot(), opts, cl, an, nil, nil)
 }
 
 // LoadFile builds a System from an XML snapshot written by xmlstore.Save
@@ -159,17 +154,46 @@ func (s *System) Classifier() classify.Classifier { return s.classifier }
 // Query executes a composable query (package query) against this
 // analyzed generation — the canonical read path: filter, order, project,
 // paginate and aggregate over the influence facets without touching the
-// result's internals. Results are memoized per (generation, normalized
-// query); the System carries its own generation, so the promoted method
-// on a live Snapshot is keyed correctly too.
+// result's internals. Results are memoized per normalized query on the
+// System, that is, per generation.
 func (s *System) Query(q *query.Query) (*query.Result, error) {
-	return s.queries.Get(s.seq, q, func(n *query.Query) (*query.Result, error) {
+	return s.queries.Get(q, func(n *query.Query) (*query.Result, error) {
 		return query.Execute(s.corpus, s.result, n)
 	})
 }
 
-// QueryCache exposes the query memo (observability and tests).
+// QueryCache exposes the generation's query memo (observability and
+// tests).
 func (s *System) QueryCache() *query.Cache { return s.queries }
+
+// Trends returns the generation's trend report for cfg (package trend),
+// computed on first use and memoized per config on the System. A failed
+// analysis is not memoized. Concurrent first calls may compute twice;
+// every caller gets the first report stored.
+func (s *System) Trends(cfg trend.Config) (*trend.Report, error) {
+	s.trendMu.Lock()
+	rep, ok := s.trends[cfg]
+	s.trendMu.Unlock()
+	if ok {
+		return rep, nil
+	}
+	// Analyze outside the lock: a slow report must not block cached polls
+	// of other configs.
+	rep, err := trend.Analyze(s.corpus, s.result, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.trendMu.Lock()
+	defer s.trendMu.Unlock()
+	if first, ok := s.trends[cfg]; ok {
+		return first, nil
+	}
+	if s.trends == nil {
+		s.trends = map[trend.Config]*trend.Report{}
+	}
+	s.trends[cfg] = rep
+	return rep, nil
+}
 
 // TopInfluential returns the k most influential bloggers overall (the
 // "General" ranking).

@@ -179,7 +179,7 @@ func TestEngineDeltaChurnRace(t *testing.T) {
 				}
 				s := e.Current()
 				c := s.Corpus()
-				v := c.LinkView()
+				v := c.LinkViewFrom(nil)
 				if v.CSR().NumNodes() != c.NumBloggers() {
 					errs <- fmt.Errorf("snapshot view has %d nodes, corpus %d",
 						v.CSR().NumNodes(), c.NumBloggers())

@@ -17,12 +17,11 @@ import (
 type DurabilityOptions struct {
 	// Dir is the data directory. Empty disables durability entirely.
 	Dir string
-	// SyncEvery / SyncInterval / SegmentBytes tune the WAL's group commit
-	// and rotation; zero values take the wal package defaults (64 records,
-	// 100ms, 64 MiB).
+	// SyncEvery / SyncInterval tune the WAL's group commit; zero values
+	// take the wal package defaults (64 records, 100ms). Segments rotate
+	// at the wal package's default size.
 	SyncEvery    int
 	SyncInterval time.Duration
-	SegmentBytes int64
 	// CheckpointEvery writes a snapshot once this many WAL records have
 	// accumulated past the last checkpoint (evaluated after each flush).
 	// Default 4096.
@@ -46,7 +45,6 @@ func (e *Engine) openDurable(d DurabilityOptions) (*influence.Result, error) {
 		FS:           d.FS,
 		SyncEvery:    d.SyncEvery,
 		SyncInterval: d.SyncInterval,
-		SegmentBytes: d.SegmentBytes,
 	})
 	if err != nil {
 		return nil, err

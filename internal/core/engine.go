@@ -170,10 +170,6 @@ type Engine struct {
 	// It is touched exclusively under analyzeSem; stale entries evict
 	// automatically when posts disappear from the corpus.
 	cache *influence.Cache
-	// qcache is the query memo shared across generations: entries are
-	// keyed by (seq, normalized query), and storing a result for a new
-	// generation evicts the stale one's entries.
-	qcache *query.Cache
 
 	snap atomic.Pointer[Snapshot]
 
@@ -242,7 +238,6 @@ func NewEngine(c *blog.Corpus, opts EngineOptions) (*Engine, error) {
 		cl:           cl,
 		an:           an,
 		cache:        influence.NewCache(),
-		qcache:       query.NewCache(),
 		corpus:       c,
 		analyzeSem:   make(chan struct{}, 1),
 		kick:         make(chan struct{}, 1),
@@ -417,7 +412,7 @@ func (e *Engine) publishWarm(t0 time.Time, frozen *blog.Frozen, total uint64, pr
 	if s := e.snap.Load(); s != nil {
 		seq = s.Seq + 1
 	}
-	sys, err := newSystem(frozen, e.opts.Options, e.cl, e.an, prev, e.cache, seq, e.qcache)
+	sys, err := newSystem(frozen, e.opts.Options, e.cl, e.an, prev, e.cache)
 	if err != nil {
 		return err
 	}

@@ -47,7 +47,7 @@ func coldSystem(t *testing.T, f *blog.Frozen, opts Options) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := newSystem(f, opts, cl, an, nil, nil, 1, nil)
+	sys, err := newSystem(f, opts, cl, an, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

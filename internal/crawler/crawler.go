@@ -124,7 +124,7 @@ func (cr *Crawler) Crawl(ctx context.Context, baseURL string, seed blog.BloggerI
 		return nil, stats, err
 	}
 	c.Reindex()
-	if err := c.Validate(); err != nil {
+	if err := c.Snapshot().Validate(); err != nil {
 		return nil, stats, fmt.Errorf("crawler: crawl produced invalid corpus: %w", err)
 	}
 	return c, stats, nil

@@ -41,7 +41,7 @@ func TestCrawlFigure1FullRadius(t *testing.T) {
 	if stats.Fetched != 9 || stats.Failed != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -108,7 +108,7 @@ func TestCrawlRetriesCorruptPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Bloggers) != 9 {
@@ -155,7 +155,7 @@ func TestCrawlMaxBloggersCap(t *testing.T) {
 	if !stats.Truncated {
 		t.Fatal("expected truncation flag")
 	}
-	if err := got.Validate(); err != nil {
+	if err := got.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -199,7 +199,7 @@ func TestCrawlMatchesServedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every crawled post must match the original body exactly.
-	for _, pid := range got.PostIDs() {
+	for _, pid := range got.Snapshot().PostIDs() {
 		if got.Posts[pid].Body != c.Posts[pid].Body {
 			t.Fatalf("post %s body corrupted in transit", pid)
 		}

@@ -272,8 +272,9 @@ func ExperimentClassifier(cfg Config) (*ClassifierResult, error) {
 	}
 	train := synth.TrainingExamples(nil, cfg.TrainPerDomain, cfg.Seed+1)
 	var test []classify.Example
-	for _, pid := range corpus.PostIDs() {
-		p := corpus.Posts[pid]
+	gen := corpus.Snapshot()
+	for _, pid := range gen.PostIDs() {
+		p := gen.Post(pid)
 		test = append(test, classify.Example{Text: p.Body, Label: p.TrueDomain})
 	}
 	res := &ClassifierResult{

@@ -75,11 +75,12 @@ func PaperScale() Config {
 	return Config{Bloggers: 3000, Posts: 40000}.withDefaults()
 }
 
-// workload bundles the shared setup: corpus, ground truth, classifier and
-// a completed MASS analysis.
+// workload bundles the shared setup: corpus, the generation of it that
+// was analyzed, ground truth, classifier and a completed MASS analysis.
 type workload struct {
 	cfg    Config
 	corpus *blog.Corpus
+	gen    *blog.Frozen
 	gt     *synth.GroundTruth
 	nb     classify.Classifier
 	res    *influence.Result
@@ -105,11 +106,12 @@ func buildWorkload(cfg Config) (*workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := an.Analyze(corpus)
+	gen := corpus.Snapshot()
+	res, err := an.AnalyzeCached(gen, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &workload{cfg: cfg, corpus: corpus, gt: gt, nb: nb, res: res}, nil
+	return &workload{cfg: cfg, corpus: corpus, gen: gen, gt: gt, nb: nb, res: res}, nil
 }
 
 // writeTable renders rows as a fixed-width table.

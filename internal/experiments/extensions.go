@@ -50,8 +50,8 @@ func ExperimentExtensions(cfg Config) (*ExtensionsResult, error) {
 
 	// --- Automatic topic discovery (paper §II, reference [6] route). ---
 	var docs, labels []string
-	for _, pid := range w.corpus.PostIDs() {
-		p := w.corpus.Posts[pid]
+	for _, pid := range w.gen.PostIDs() {
+		p := w.gen.Post(pid)
 		docs = append(docs, p.Body)
 		labels = append(labels, p.TrueDomain)
 	}
@@ -67,7 +67,7 @@ func ExperimentExtensions(cfg Config) (*ExtensionsResult, error) {
 	out.TopicPurity = purity
 
 	// --- Tag-based social interest discovery. ---
-	groups, err := taginterest.Discover(w.corpus, taginterest.Config{MinSupport: 3, TopBloggers: 3})
+	groups, err := taginterest.Discover(w.gen, taginterest.Config{MinSupport: 3, TopBloggers: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func ExperimentExtensions(cfg Config) (*ExtensionsResult, error) {
 	}
 
 	// --- Trend analysis over the corpus timeline. ---
-	rep, err := trend.Analyze(w.corpus.Snapshot(), w.res, trend.Config{Buckets: 8, TopEmerging: 1})
+	rep, err := trend.Analyze(w.gen, w.res, trend.Config{Buckets: 8, TopEmerging: 1})
 	if err != nil {
 		return nil, err
 	}

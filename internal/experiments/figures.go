@@ -197,7 +197,7 @@ func ExperimentFigure3(cfg Config) (*Figure3Result, error) {
 		return nil, err
 	}
 	cfg = w.cfg
-	rec, err := recommend.New(w.nb, w.res, w.corpus.Snapshot())
+	rec, err := recommend.New(w.nb, w.res, w.gen)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +278,7 @@ func ExperimentFigure4(cfg Config) (*Figure4Result, error) {
 		return nil, err
 	}
 	center := w.res.TopKGeneral(1)[0]
-	net, err := viz.Build(w.corpus.Snapshot(), center, 2, w.res.BloggerScores)
+	net, err := viz.Build(w.gen, center, 2, w.res.BloggerScores)
 	if err != nil {
 		return nil, err
 	}

@@ -47,11 +47,11 @@ func ExperimentSystemOverlap(cfg Config) (*OverlapResult, error) {
 	cfg = w.cfg
 	k := cfg.K
 
-	generalScores, err := (baseline.General{}).Rank(w.corpus)
+	generalScores, err := (baseline.General{}).Rank(w.gen)
 	if err != nil {
 		return nil, err
 	}
-	liveScores, err := (baseline.LiveIndex{}).Rank(w.corpus)
+	liveScores, err := (baseline.LiveIndex{}).Rank(w.gen)
 	if err != nil {
 		return nil, err
 	}

@@ -109,8 +109,8 @@ func ExperimentScalability(cfg Config, sizes []int) (*ScalabilityResult, error) 
 			return nil, err
 		}
 		comments := 0
-		for _, pid := range corpus.PostIDs() {
-			comments += len(corpus.Posts[pid].Comments)
+		for _, p := range corpus.Posts {
+			comments += len(p.Comments)
 		}
 		an, err := influence.NewAnalyzer(influence.Config{}, nb)
 		if err != nil {

@@ -61,8 +61,9 @@ func ExperimentSharding(cfg Config, shardCounts []int) (*ShardingResult, error) 
 	// Deterministic author rotation for the flush and routed-query probes.
 	var authors []blog.BloggerID
 	seen := map[blog.BloggerID]bool{}
-	for _, pid := range corpus.PostIDs() {
-		a := corpus.Posts[pid].Author
+	gen := corpus.Snapshot()
+	for _, pid := range gen.PostIDs() {
+		a := gen.Post(pid).Author
 		if !seen[a] {
 			seen[a] = true
 			authors = append(authors, a)

@@ -57,11 +57,11 @@ func ExperimentTable1(cfg Config) (*Table1Result, error) {
 
 	// General and Live Index produce one global list each, judged against
 	// every domain (that is the paper's point: they cannot adapt).
-	generalScores, err := (baseline.General{}).Rank(w.corpus)
+	generalScores, err := (baseline.General{}).Rank(w.gen)
 	if err != nil {
 		return nil, err
 	}
-	liveScores, err := (baseline.LiveIndex{}).Rank(w.corpus)
+	liveScores, err := (baseline.LiveIndex{}).Rank(w.gen)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package graph holds MASS's one graph type, the frozen CSR, and DeltaCSR,
 // its insertion-only overlay for the growing hyperlink graph. Every
 // network the system reads is a CSR: the hyperlink graph that feeds GL
-// (PageRank) and the Live Index baseline (blog.Corpus.LinkCSR), the
+// (PageRank) and the Live Index baseline (blog.Frozen.LinkCSR), the
 // post-reply graph netstats measures, the undirected comment ∪ link ∪
 // friendship network blog.Neighborhood walks for the Fig. 4 network view
 // and the friend-network recommendation, and the tag co-occurrence graph

@@ -17,8 +17,8 @@ import (
 // Mutability contract: a DeltaCSR is mutated by exactly one writer
 // (AddEdge) and is safe for concurrent readers only once the writer has
 // stopped — the same freeze-after-build discipline as CSR. The blog layer
-// builds a fresh view per link epoch by Clone()+AddEdge, so published
-// views are immutable and snapshots can share them; Clone deep-copies
+// builds a generation's view from the previous one by Clone()+AddEdge, so
+// published views are immutable and readers can share them; Clone deep-copies
 // every overlay row, so extending a clone never disturbs readers of the
 // original.
 //
@@ -145,7 +145,7 @@ func (d *DeltaCSR) EachOut(i int32, visit func(to int32)) {
 // base. Every row slice is deep-copied at exact capacity, so appends to
 // the clone always reallocate and can never be observed through the
 // original — the property that lets the blog layer publish one immutable
-// view per link epoch while building the next epoch's view from it.
+// view per generation while building the next generation's view from it.
 func (d *DeltaCSR) Clone() *DeltaCSR {
 	c := &DeltaCSR{
 		base:   d.base,

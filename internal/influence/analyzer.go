@@ -290,8 +290,9 @@ func (a *Analyzer) analyze(c *blog.Frozen, prev *Result, cache *Cache) (*Result,
 
 // computeGL runs PageRank over the corpus's hyperlink graph and records
 // which path it took in res (PageRankSkipped / PageRankDelta /
-// PageRankFallback / PageRankPushed). The solve consumes the corpus's
-// cached link view (c.LinkViewFrom, extended in O(delta) per link epoch),
+// PageRankFallback / PageRankPushed). The solve consumes the generation's
+// cached link view (c.LinkViewFrom, extended from the previous solved
+// generation's view in O(delta)),
 // whose dense node index is exactly the sorted blogger order — so the
 // kernel's score vector IS the GL slab, with no graph rebuild, no string
 // index, and no score-map round-trip per analysis.

@@ -41,7 +41,7 @@ func newBackdater(c *blog.Corpus, seed int64) *backdater {
 // add appends k back-dated posts to c and returns their IDs.
 func (bd *backdater) add(t *testing.T, c *blog.Corpus, k int) []blog.PostID {
 	t.Helper()
-	bloggers, posts := c.BloggerIDs(), c.PostIDs()
+	bloggers, posts := c.BloggerIDs(), c.Snapshot().PostIDs()
 	ids := make([]blog.PostID, 0, k)
 	for i := 0; i < k; i++ {
 		bd.n++

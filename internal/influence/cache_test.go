@@ -2,6 +2,7 @@ package influence
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -55,7 +56,7 @@ func growMixed(t *testing.T, c *blog.Corpus, round int) {
 		}
 	}
 	// Comment on a pre-existing post too.
-	oldPost := c.PostIDs()[round%len(c.Posts)]
+	oldPost := c.Snapshot().PostIDs()[round%len(c.Posts)]
 	if err := c.AddComment(oldPost, blog.Comment{
 		Commenter: newcomer, Text: "terrible, I disagree",
 	}); err != nil {
@@ -213,7 +214,7 @@ func lineageSteps() []lineageStep {
 				Body: "a late evening dispatch on harbour markets and the price of fresh fish"}))
 		}),
 		step("commenter-only bloggers", func(t *testing.T, c *blog.Corpus) {
-			posts := c.PostIDs()
+			posts := c.Snapshot().PostIDs()
 			for i := 0; i < 3; i++ {
 				id := blog.BloggerID(fmt.Sprintf("lineage-lurker-%d", i))
 				must(t, c.AddBlogger(&blog.Blogger{ID: id}))
@@ -222,7 +223,7 @@ func lineageSteps() []lineageStep {
 			}
 		}),
 		step("comments on old posts", func(t *testing.T, c *blog.Corpus) {
-			posts, bloggers := c.PostIDs(), c.BloggerIDs()
+			posts, bloggers := c.Snapshot().PostIDs(), c.BloggerIDs()
 			for i := 0; i < 5; i++ {
 				must(t, c.AddComment(posts[i*7%len(posts)], blog.Comment{Commenter: bloggers[i*5%len(bloggers)], Text: "fine"}))
 			}
@@ -253,7 +254,7 @@ func lineageSteps() []lineageStep {
 			for _, id := range c.BloggerIDs() {
 				bloggers = append(bloggers, c.Bloggers[id])
 			}
-			for _, id := range c.PostIDs() {
+			for _, id := range c.Snapshot().PostIDs() {
 				posts = append(posts, c.Posts[id])
 			}
 			rebuilt, err := blog.FromParts(bloggers, posts, c.Links)
@@ -378,7 +379,7 @@ func TestCacheSurvivesCorpusSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, pid := range gen.PostIDs() {
+	for _, pid := range gen.Snapshot().PostIDs() {
 		p := *gen.Posts[pid]
 		p.ID = "swap-" + p.ID
 		if err := small.AddPost(&p); err != nil {
@@ -396,7 +397,7 @@ func TestCacheSurvivesCorpusSwap(t *testing.T) {
 		for _, id := range c.BloggerIDs() {
 			bloggers = append(bloggers, c.Bloggers[id])
 		}
-		for _, id := range c.PostIDs() {
+		for _, id := range c.Snapshot().PostIDs() {
 			posts = append(posts, c.Posts[id])
 		}
 		out, err := blog.FromParts(bloggers, posts, c.Links)
@@ -477,7 +478,7 @@ func TestCacheCommentAppendKeepsPrefix(t *testing.T) {
 	for _, p := range c.Posts {
 		total += len(p.Comments)
 	}
-	pid := c.PostIDs()[0]
+	pid := c.Snapshot().PostIDs()[0]
 	commenter := c.BloggerIDs()[0]
 	if err := c.AddComment(pid, blog.Comment{Commenter: commenter, Text: "support this fully"}); err != nil {
 		t.Fatal(err)
@@ -517,7 +518,7 @@ func TestWarmFlushAllocsSizeIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bloggers, old := c.BloggerIDs(), c.PostIDs()
+		bloggers, old := c.BloggerIDs(), c.Snapshot().PostIDs()
 		var last time.Time
 		comments := 0
 		for _, p := range c.Posts {
@@ -580,7 +581,9 @@ func TestCacheRecoversFromFailedReset(t *testing.T) {
 	}
 	moved := corpus.Clone()
 	moved.Reindex()
-	pid := moved.PostIDs()[len(moved.Posts)-1]
+	// Sorted map keys, not a generation: freezing before the direct map
+	// writes below would let the next Snapshot reuse that base.
+	pid := slices.Max(slices.Collect(maps.Keys(moved.Posts)))
 	p := *moved.Posts[pid]
 	delete(moved.Posts, pid)
 	p.ID = "moved-" + pid

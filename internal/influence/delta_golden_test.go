@@ -103,7 +103,7 @@ func TestDeltaPathGolden(t *testing.T) {
 			fallbacks++
 		}
 		pushes += res.PageRankPushed
-		cold := linkrank.PageRankCSR(corpus.LinkCSR(),
+		cold := linkrank.PageRankCSR(corpus.Snapshot().LinkCSR(),
 			linkrank.Options{Epsilon: linkrank.ExplicitZero, MaxIter: 300}).Map()
 		for b, s := range res.GL {
 			if d := math.Abs(s - cold[string(b)]); !(d <= 1e-9) {

@@ -22,10 +22,11 @@ var update = flag.Bool("update", false, "rewrite testdata/graphs.golden")
 // Neighborhood distances. With full set, every blogger is a seed and each
 // distance map is listed; otherwise every 7th blogger is, and each map is
 // summarized by its per-distance counts and the SHA-256 of its listing.
-func graphTranscript(c *blog.Corpus, full bool) []byte {
+func graphTranscript(corpus *blog.Corpus, full bool) []byte {
 	var buf bytes.Buffer
+	c := corpus.Snapshot()
 	fmt.Fprintf(&buf, "link: %#v\n", Analyze(c.LinkCSR()))
-	fmt.Fprintf(&buf, "comment: %#v\n", Analyze(CommentGraph(c.Snapshot())))
+	fmt.Fprintf(&buf, "comment: %#v\n", Analyze(CommentGraph(c)))
 	groups, err := taginterest.Discover(c, taginterest.Config{})
 	fmt.Fprintf(&buf, "taginterest: %#v err=%v\n", groups, err)
 	step := 7
@@ -35,7 +36,7 @@ func graphTranscript(c *blog.Corpus, full bool) []byte {
 	ids := c.BloggerIDs()
 	for i := 0; i < len(ids); i += step {
 		for radius := 0; radius <= 3; radius++ {
-			dist := blog.Neighborhood(c.Snapshot(), ids[i], radius)
+			dist := blog.Neighborhood(c, ids[i], radius)
 			lines := make([]string, 0, len(dist))
 			counts := make([]int, radius+1)
 			for id, d := range dist {

@@ -1,5 +1,5 @@
 // Package netstats computes structural statistics of a blogosphere's
-// networks — the hyperlink graph (blog.Corpus.LinkCSR) and the post-reply
+// networks — the hyperlink graph (blog.Frozen.LinkCSR) and the post-reply
 // graph (CommentGraph) — for mass-rank -netstats: component structure,
 // degree distribution with a power-law tail estimate, reciprocity, and
 // local clustering. Both networks are graph.CSR views over the corpus's
@@ -37,8 +37,9 @@ type Report struct {
 }
 
 // CommentGraph builds the blogger post-reply graph (commenter → author,
-// self-replies dropped) over the corpus's sorted bloggers. The hyperlink
-// graph needs no builder here: it is the corpus's cached c.LinkCSR().
+// self-replies dropped) over the generation's sorted bloggers. The
+// hyperlink graph needs no builder here: it is the generation's cached
+// c.LinkCSR().
 func CommentGraph(c *blog.Frozen) *graph.CSR {
 	return c.BloggerGraph(func(add func(from, to blog.BloggerID)) {
 		for _, p := range c.Posts() {

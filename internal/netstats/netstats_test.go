@@ -86,7 +86,7 @@ func TestPowerLawAlpha(t *testing.T) {
 
 func TestGraphBuilders(t *testing.T) {
 	c := blog.Figure1Corpus()
-	lg := c.LinkCSR()
+	lg := c.Snapshot().LinkCSR()
 	if lg.NumNodes() != 9 || lg.NumEdges() != 8 {
 		t.Fatalf("link graph: %d nodes %d edges", lg.NumNodes(), lg.NumEdges())
 	}
@@ -103,7 +103,7 @@ func TestSyntheticIsHeavyTailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Analyze(corpus.LinkCSR())
+	r := Analyze(corpus.Snapshot().LinkCSR())
 	if r.Nodes != 200 {
 		t.Fatalf("nodes = %d", r.Nodes)
 	}

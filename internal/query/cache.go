@@ -5,39 +5,30 @@ import (
 	"sync"
 )
 
-// cacheKey identifies one memoizable execution: the analysis generation
-// plus the normalized query serialization.
-type cacheKey struct {
-	seq  uint64
-	norm string
-}
-
-// cacheEntry is one LRU node payload.
+// cacheEntry is one LRU node payload: the normalized query serialization
+// and its result.
 type cacheEntry struct {
-	key cacheKey
+	key string
 	res *Result
 }
 
-// DefaultCacheEntries bounds the memo. Unlike the trend cache, whose key
-// space is a pair of capped integers, the query key space is arbitrary
-// client-controlled JSON — without a cap, a server taking no writes (whose
-// seq never moves, so stale-seq eviction never fires) could be grown without
-// bound by distinct queries, and a hub full of distinct standing
-// subscriptions would pin one entry per query per generation. At the
-// cap the least-recently-used entry is evicted: this is a memo, losing
-// one only costs a recompute, and LRU keeps the hot dashboard queries
-// resident while one-off explorations age out.
+// DefaultCacheEntries bounds the memo. The key space is arbitrary
+// client-controlled JSON, so without a cap a generation that stays live
+// (a server taking no writes never publishes another) could be grown
+// without bound by distinct queries. At the cap the least-recently-used
+// entry is evicted: this is a memo, losing one only costs a recompute,
+// and LRU keeps the hot dashboard queries resident while one-off
+// explorations age out.
 const DefaultCacheEntries = 1024
 
-// Cache memoizes executed queries per (snapshot seq, normalized query),
-// in the spirit of the API layer's trend cache: repeated identical
-// queries against one generation cost a map lookup; when a newer
-// generation shows up, the stale generation's entries are evicted on the
-// next store; at capacity the least-recently-used entry goes first.
-// Cached *Results are shared — callers must not mutate them.
+// Cache memoizes executed queries per normalized query for one analyzed
+// generation: its owner builds one per generation and drops it with the
+// generation, so there is nothing to invalidate. Repeated identical
+// queries cost a map lookup; at capacity the least-recently-used entry
+// goes first. Cached *Results are shared — callers must not mutate them.
 type Cache struct {
 	mu       sync.Mutex
-	entries  map[cacheKey]*list.Element
+	entries  map[string]*list.Element
 	lru      *list.List // front = most recently used
 	cap      int
 	computes int64
@@ -55,19 +46,18 @@ func NewCacheSize(capEntries int) *Cache {
 	return &Cache{cap: capEntries}
 }
 
-// Get returns the cached result for (seq, q), computing and storing it on
-// a miss. The query is normalized first, so differently-spelled equal
+// Get returns the cached result for q, computing and storing it on a
+// miss. The query is normalized first, so differently-spelled equal
 // queries share one entry; a query that fails validation is never cached.
-func (c *Cache) Get(seq uint64, q *Query, compute func(n *Query) (*Result, error)) (*Result, error) {
+func (c *Cache) Get(q *Query, compute func(n *Query) (*Result, error)) (*Result, error) {
 	n, err := q.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	norm, err := n.Key()
+	key, err := n.Key()
 	if err != nil {
 		return nil, err
 	}
-	key := cacheKey{seq: seq, norm: norm}
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
@@ -90,26 +80,16 @@ func (c *Cache) Get(seq uint64, q *Query, compute func(n *Query) (*Result, error
 	return res, nil
 }
 
-// store inserts under the lock: stale generations are dropped first,
-// then the LRU tail until the cap holds. Evicting strictly older
-// generations only means a late store from a reader still pinning an old
-// snapshot cannot wipe the live generation's memo (the LRU cap bounds
-// whatever old pins keep inserting).
-func (c *Cache) store(key cacheKey, res *Result) {
+// store inserts under the lock, evicting the LRU tail until the cap holds.
+func (c *Cache) store(key string, res *Result) {
 	if c.entries == nil {
-		c.entries = make(map[cacheKey]*list.Element)
+		c.entries = make(map[string]*list.Element)
 		c.lru = list.New()
 	}
 	if el, ok := c.entries[key]; ok {
 		// A concurrent compute already stored it; refresh recency only.
 		c.lru.MoveToFront(el)
 		return
-	}
-	for k, el := range c.entries {
-		if k.seq < key.seq {
-			c.lru.Remove(el)
-			delete(c.entries, k)
-		}
 	}
 	for len(c.entries) >= c.cap {
 		tail := c.lru.Back()

@@ -20,9 +20,9 @@
 // per-post maps; allocation on the filtered top-k path is O(plan + k),
 // independent of corpus size.
 //
-// Results are memoized per analysis generation by Cache, keyed by
-// (snapshot seq, normalized query), so repeated dashboard queries cost a
-// map lookup until the engine publishes a new generation.
+// Results are memoized by Cache, one per analysis generation, keyed by
+// the normalized query, so repeated dashboard queries cost a map lookup
+// until the engine publishes a new generation.
 package query
 
 import (

@@ -517,46 +517,50 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
-// TestCache: identical queries memoize per seq; a new seq evicts.
+// TestCache: identical queries, however spelled, memoize to one entry;
+// invalid queries are never cached.
 func TestCache(t *testing.T) {
 	f := testFixture(t)
 	cache := NewCache()
-	run := func(seq uint64, q *Query) {
+	run := func(q *Query) *Result {
 		t.Helper()
-		if _, err := cache.Get(seq, q, func(n *Query) (*Result, error) {
+		res, err := cache.Get(q, func(n *Query) (*Result, error) {
 			return Execute(f.c, f.res, n)
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return res
 	}
 	q := Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(5).Build()
-	run(1, q)
-	run(1, q)
+	first := run(q)
+	if run(q) != first {
+		t.Fatal("a repeated query must return the memoized result")
+	}
 	// Spelled differently, same normalized query: limit 0 → default is
 	// distinct from limit 5, so use an equal-normalizing variant.
-	run(1, Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(5).OrderBy(Desc(FieldInfluence)).Build())
+	run(Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(5).OrderBy(Desc(FieldInfluence)).Build())
 	if n := cache.Computes(); n != 1 {
 		t.Fatalf("computes = %d, want 1", n)
 	}
-	run(2, q)
+	run(Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(6).Build())
 	if n := cache.Computes(); n != 2 {
-		t.Fatalf("computes = %d after seq bump, want 2", n)
+		t.Fatalf("computes = %d after a distinct query, want 2", n)
 	}
 	// Invalid queries are not cached and error out.
-	if _, err := cache.Get(2, &Query{Entity: "nope"}, nil); err == nil {
+	if _, err := cache.Get(&Query{Entity: "nope"}, nil); err == nil {
 		t.Fatal("invalid query accepted")
 	}
 }
 
-// TestCacheBounded: distinct queries within one generation cannot grow
-// the memo without bound (a server taking no writes never advances the seq, so the
-// stale-seq eviction alone is not enough).
+// TestCacheBounded: distinct queries cannot grow one generation's memo
+// without bound (a server taking no writes keeps one generation live).
 func TestCacheBounded(t *testing.T) {
 	f := testFixture(t)
 	cache := NewCache()
 	for i := 0; i < DefaultCacheEntries+50; i++ {
 		q := Bloggers().Where(F(FieldInfluence).Gt(float64(i) * 1e-9)).Limit(1).Build()
-		if _, err := cache.Get(1, q, func(n *Query) (*Result, error) {
+		if _, err := cache.Get(q, func(n *Query) (*Result, error) {
 			return Execute(f.c, f.res, n)
 		}); err != nil {
 			t.Fatal(err)
@@ -660,7 +664,7 @@ func TestCacheLRURecency(t *testing.T) {
 	cache := NewCacheSize(2)
 	run := func(q *Query) {
 		t.Helper()
-		if _, err := cache.Get(1, q, func(n *Query) (*Result, error) {
+		if _, err := cache.Get(q, func(n *Query) (*Result, error) {
 			return Execute(f.c, f.res, n)
 		}); err != nil {
 			t.Fatal(err)

@@ -22,7 +22,7 @@ func small(t *testing.T, seed int64) (*blog.Corpus, *GroundTruth) {
 
 func TestGenerateValidCorpus(t *testing.T) {
 	c, gt := small(t, 1)
-	if err := c.Validate(); err != nil {
+	if err := c.Snapshot().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Bloggers) != 60 {
@@ -42,7 +42,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if len(c1.Posts) != len(c2.Posts) || len(c1.Links) != len(c2.Links) {
 		t.Fatal("same seed must give identical sizes")
 	}
-	for _, pid := range c1.PostIDs() {
+	for _, pid := range c1.Snapshot().PostIDs() {
 		if c1.Posts[pid].Body != c2.Posts[pid].Body {
 			t.Fatalf("post %s body differs between runs", pid)
 		}
@@ -58,7 +58,7 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	c1, _ := small(t, 1)
 	c2, _ := small(t, 2)
 	same := true
-	ids1, ids2 := c1.PostIDs(), c2.PostIDs()
+	ids1, ids2 := c1.Snapshot().PostIDs(), c2.Snapshot().PostIDs()
 	if len(ids1) != len(ids2) {
 		same = false
 	} else {
@@ -86,7 +86,7 @@ func TestPostsCarryTrueDomain(t *testing.T) {
 	for _, d := range lexicon.Domains() {
 		domains[d] = true
 	}
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		if !domains[c.Posts[pid].TrueDomain] {
 			t.Fatalf("post %s has invalid TrueDomain %q", pid, c.Posts[pid].TrueDomain)
 		}
@@ -102,7 +102,7 @@ func TestDomainTextIsClassifiable(t *testing.T) {
 		t.Fatal(err)
 	}
 	total, correct := 0, 0
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		p := c.Posts[pid]
 		top, _ := classify.Top(nb.Classify(p.Body))
 		total++
@@ -120,7 +120,7 @@ func TestExpertsEarnPositiveComments(t *testing.T) {
 	c, gt := small(t, 5)
 	an := sentiment.NewAnalyzer()
 	var expPos, expTotal, novPos, novTotal float64
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		p := c.Posts[pid]
 		e := gt.Expertise[p.Author][p.TrueDomain]
 		for _, cm := range p.Comments {
@@ -195,7 +195,7 @@ func TestCopyRateInjectsCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	copies := 0
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		body := c.Posts[pid].Body
 		if len(body) >= len("reposted from") && body[:13] == "reposted from" {
 			copies++
@@ -244,7 +244,7 @@ func TestProfilesMentionPrimaryDomain(t *testing.T) {
 func TestPostLengthTracksExpertise(t *testing.T) {
 	c, gt := small(t, 10)
 	var hiLen, hiN, loLen, loN float64
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		p := c.Posts[pid]
 		e := gt.Expertise[p.Author][p.TrueDomain]
 		l := float64(textutil.WordCount(p.Body))
@@ -286,7 +286,7 @@ func TestPoissonMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total, n float64
-	for _, pid := range c.PostIDs() {
+	for _, pid := range c.Snapshot().PostIDs() {
 		total += float64(len(c.Posts[pid].Comments))
 		n++
 	}

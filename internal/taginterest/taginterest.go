@@ -63,15 +63,16 @@ type Group struct {
 	Bloggers []BloggerScore
 }
 
-// Discover mines interest groups from the corpus' post tags. Groups come
-// back ordered by total usage, largest first.
-func Discover(c *blog.Corpus, cfg Config) ([]Group, error) {
+// Discover mines interest groups from the post tags of a corpus
+// generation. Groups come back ordered by total usage, largest first.
+func Discover(c *blog.Frozen, cfg Config) ([]Group, error) {
 	cfg = cfg.withDefaults()
 	// Count tag usage and pairwise co-occurrence.
 	tagCount := map[string]int{}
 	pairCount := map[[2]string]int{}
-	for _, pid := range c.PostIDs() {
-		tags := dedup(c.Posts[pid].Tags)
+	pids := c.PostIDs()
+	for _, pid := range pids {
+		tags := dedup(c.Post(pid).Tags)
 		for _, t := range tags {
 			tagCount[t]++
 		}
@@ -130,8 +131,8 @@ func Discover(c *blog.Corpus, cfg Config) ([]Group, error) {
 		})
 		// Community: bloggers by tag occurrences inside the group.
 		affinity := map[blog.BloggerID]float64{}
-		for _, pid := range c.PostIDs() {
-			p := c.Posts[pid]
+		for _, pid := range pids {
+			p := c.Post(pid)
 			for _, t := range dedup(p.Tags) {
 				if inGroup[t] {
 					affinity[p.Author]++

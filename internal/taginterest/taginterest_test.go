@@ -42,7 +42,7 @@ func taggedCorpus(t *testing.T) *blog.Corpus {
 }
 
 func TestDiscoverTwoInterests(t *testing.T) {
-	groups, err := Discover(taggedCorpus(t), Config{MinSupport: 2})
+	groups, err := Discover(taggedCorpus(t).Snapshot(), Config{MinSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDiscoverTwoInterests(t *testing.T) {
 
 func TestDiscoverSupportThreshold(t *testing.T) {
 	// With a high threshold nothing qualifies.
-	if _, err := Discover(taggedCorpus(t), Config{MinSupport: 10}); err == nil {
+	if _, err := Discover(taggedCorpus(t).Snapshot(), Config{MinSupport: 10}); err == nil {
 		t.Fatal("unreachable support must error")
 	}
 }
@@ -97,7 +97,7 @@ func TestDiscoverNoTags(t *testing.T) {
 	c := blog.NewCorpus()
 	_ = c.AddBlogger(&blog.Blogger{ID: "a"})
 	_ = c.AddPost(&blog.Post{ID: "p", Author: "a", Body: "untagged"})
-	if _, err := Discover(c, Config{}); err == nil {
+	if _, err := Discover(c.Snapshot(), Config{}); err == nil {
 		t.Fatal("tagless corpus must error")
 	}
 }
@@ -107,7 +107,7 @@ func TestDiscoverOnSyntheticCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, err := Discover(corpus, Config{MinSupport: 3, TopBloggers: 5})
+	groups, err := Discover(corpus.Snapshot(), Config{MinSupport: 3, TopBloggers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestDiscoverReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	var docs []string
-	for _, pid := range corpus.PostIDs() {
+	for _, pid := range corpus.Snapshot().PostIDs() {
 		docs = append(docs, corpus.Posts[pid].Body)
 	}
 	first, err := Discover(docs, Config{K: 10, Seed: 1})
@@ -178,7 +178,7 @@ func TestDiscoverOnSyntheticPosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	var docs, labels []string
-	for _, pid := range corpus.PostIDs() {
+	for _, pid := range corpus.Snapshot().PostIDs() {
 		p := corpus.Posts[pid]
 		docs = append(docs, p.Body)
 		labels = append(labels, p.TrueDomain)

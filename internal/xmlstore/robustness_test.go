@@ -17,7 +17,7 @@ func TestReadNeverPanicsOnGarbage(t *testing.T) {
 		if err != nil {
 			return true // rejection is fine
 		}
-		return c.Validate() == nil
+		return c.Snapshot().Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -37,16 +37,18 @@ type shardDoc struct {
 	Links   []blog.Link  `xml:"links>link"`
 }
 
-// Write encodes the corpus as a single XML document to w.
+// Write encodes the corpus as a single XML document to w: bloggers and
+// posts in sorted-ID order, links in insertion order, read from one
+// generation of the corpus.
 func Write(w io.Writer, c *blog.Corpus) error {
-	doc := fileDoc{}
-	for _, id := range c.BloggerIDs() {
-		doc.Bloggers = append(doc.Bloggers, *c.Bloggers[id])
+	f := c.Snapshot()
+	doc := fileDoc{Links: f.Links()}
+	for _, id := range f.BloggerIDs() {
+		doc.Bloggers = append(doc.Bloggers, *f.Blogger(id))
 	}
-	for _, id := range c.PostIDs() {
-		doc.Posts = append(doc.Posts, *c.Posts[id])
+	for _, id := range f.PostIDs() {
+		doc.Posts = append(doc.Posts, *f.Post(id))
 	}
-	doc.Links = append(doc.Links, c.Links...)
 	if _, err := io.WriteString(w, xml.Header); err != nil {
 		return err
 	}
@@ -94,23 +96,25 @@ func Load(path string) (*blog.Corpus, error) {
 	return Read(f)
 }
 
-// SaveShards writes one XML file per blogger into dir (created if needed).
-// File names are sanitized blogger IDs with an .xml suffix.
+// SaveShards writes one XML file per blogger into dir (created if needed),
+// read from one generation of the corpus. File names are sanitized
+// blogger IDs with an .xml suffix.
 func SaveShards(dir string, c *blog.Corpus) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	g := c.Snapshot()
 	postsBy := map[blog.BloggerID][]blog.Post{}
-	for _, pid := range c.Journal().Posts {
-		p := c.Posts[pid]
+	for _, pid := range g.Journal().Posts {
+		p := g.Post(pid)
 		postsBy[p.Author] = append(postsBy[p.Author], *p)
 	}
 	outBy := map[blog.BloggerID][]blog.Link{}
-	for _, l := range c.Links {
+	for _, l := range g.Links() {
 		outBy[l.From] = append(outBy[l.From], l)
 	}
-	for _, id := range c.BloggerIDs() {
-		doc := shardDoc{Blogger: *c.Bloggers[id], Posts: postsBy[id], Links: outBy[id]}
+	for _, id := range g.BloggerIDs() {
+		doc := shardDoc{Blogger: *g.Blogger(id), Posts: postsBy[id], Links: outBy[id]}
 		path := filepath.Join(dir, sanitize(string(id))+".xml")
 		f, err := os.Create(path)
 		if err != nil {
@@ -191,7 +195,7 @@ func assemble(bloggers []blog.Blogger, posts []blog.Post, links []blog.Link) (*b
 			return nil, fmt.Errorf("xmlstore: %w", err)
 		}
 	}
-	if err := c.Validate(); err != nil {
+	if err := c.Snapshot().Validate(); err != nil {
 		return nil, fmt.Errorf("xmlstore: %w", err)
 	}
 	return c, nil

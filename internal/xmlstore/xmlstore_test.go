@@ -186,14 +186,14 @@ func TestTrueDomainSurvivesRoundTrip(t *testing.T) {
 // assertCorpusEqual compares two corpora structurally.
 func assertCorpusEqual(t *testing.T, want, got *blog.Corpus) {
 	t.Helper()
-	if err := got.Validate(); err != nil {
+	if err := got.Snapshot().Validate(); err != nil {
 		t.Fatalf("loaded corpus invalid: %v", err)
 	}
 	if !reflect.DeepEqual(want.BloggerIDs(), got.BloggerIDs()) {
 		t.Fatalf("blogger IDs differ:\nwant %v\ngot  %v", want.BloggerIDs(), got.BloggerIDs())
 	}
-	if !reflect.DeepEqual(want.PostIDs(), got.PostIDs()) {
-		t.Fatalf("post IDs differ:\nwant %v\ngot  %v", want.PostIDs(), got.PostIDs())
+	if !reflect.DeepEqual(want.Snapshot().PostIDs(), got.Snapshot().PostIDs()) {
+		t.Fatalf("post IDs differ:\nwant %v\ngot  %v", want.Snapshot().PostIDs(), got.Snapshot().PostIDs())
 	}
 	for _, id := range want.BloggerIDs() {
 		w, g := want.Bloggers[id], got.Bloggers[id]
@@ -201,7 +201,7 @@ func assertCorpusEqual(t *testing.T, want, got *blog.Corpus) {
 			t.Fatalf("blogger %s differs: %+v vs %+v", id, w, g)
 		}
 	}
-	for _, id := range want.PostIDs() {
+	for _, id := range want.Snapshot().PostIDs() {
 		w, g := want.Posts[id], got.Posts[id]
 		if w.Title != g.Title || w.Body != g.Body || w.Author != g.Author || w.TrueDomain != g.TrueDomain {
 			t.Fatalf("post %s differs", id)
