@@ -20,7 +20,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -447,16 +446,13 @@ func BenchmarkQueryExecute(b *testing.B) {
 //	                    start (the once-per-link-epoch worst case)
 //	csr-cached-cold   — cached CSR, serial dense solve (a flush whose
 //	                    epoch view is already built)
-//	csr-cached-par    — cached CSR, sweeps edge-partitioned across
-//	                    GOMAXPROCS workers (identical scores, see
-//	                    TestDenseWorkersBitForBit)
 //	csr-warm          — cached CSR + dense warm start from the previous
 //	                    vector (the engine's steady-state flush)
 //
 // The CSR cases run with b.ReportAllocs: the solve allocates a fixed
 // handful of buffers regardless of sweeps (zero allocations inside the
 // sweep loop — asserted by TestSweepLoopAllocFree), so allocs/op is
-// independent of graph size. BENCH_PR5.json records the trajectory.
+// independent of graph size.
 func BenchmarkPageRankCSR(b *testing.B) {
 	const nodes = 50_000
 	const edgeDraws = 500_000
@@ -500,16 +496,6 @@ func BenchmarkPageRankCSR(b *testing.B) {
 			}
 		}
 	})
-	b.Run("csr-cached-par", func(b *testing.B) {
-		b.ReportAllocs()
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			r := linkrank.PageRankCSR(csr, linkrank.Options{Workers: workers})
-			if !r.Converged {
-				b.Fatal("did not converge")
-			}
-		}
-	})
 	b.Run("csr-warm", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -545,7 +531,6 @@ func BenchmarkPageRankCSR(b *testing.B) {
 // All variants run with b.ReportAllocs; the delta case's allocs/op are the
 // overlay bookkeeping of the 100 AddEdge calls plus amortized op-log
 // growth — the push loop itself allocates nothing (TestPushLoopAllocFree).
-// BENCH_PR6.json records the trajectory.
 func BenchmarkDeltaPageRank(b *testing.B) {
 	const nodes = 50_000
 	const edgeDraws = 500_000

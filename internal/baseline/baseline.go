@@ -34,19 +34,17 @@ type Ranker interface {
 
 // LiveIndex ranks bloggers purely by link authority (PageRank), the
 // traditional link-analysis stand-in for Microsoft Live Index [10].
-type LiveIndex struct {
-	// Options tunes the PageRank solver; zero value uses defaults.
-	Options linkrank.Options
-}
+// The solve uses linkrank's default options.
+type LiveIndex struct{}
 
 // Name implements Ranker.
 func (LiveIndex) Name() string { return "Live Index" }
 
 // Rank implements Ranker. The solve runs on the generation's CSR view of
 // the hyperlink graph, built once per generation (blog.Frozen.LinkCSR).
-func (l LiveIndex) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
+func (LiveIndex) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 	csr := c.LinkCSR()
-	pr := linkrank.PageRankCSR(csr, l.Options)
+	pr := linkrank.PageRankCSR(csr, linkrank.Options{})
 	out := make(map[blog.BloggerID]float64, len(pr.Scores))
 	for i, id := range csr.IDs {
 		out[blog.BloggerID(id)] = pr.Scores[i]
@@ -55,19 +53,16 @@ func (l LiveIndex) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 }
 
 // General ranks bloggers by the full MASS overall influence Inf(b) with no
-// domain decomposition. This is the "General" row of Table I.
-type General struct {
-	// Config tunes the underlying influence model; zero value = paper
-	// defaults.
-	Config influence.Config
-}
+// domain decomposition, under the paper's default influence model. This
+// is the "General" row of Table I.
+type General struct{}
 
 // Name implements Ranker.
 func (General) Name() string { return "General" }
 
 // Rank implements Ranker.
-func (g General) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
-	a, err := influence.NewAnalyzer(g.Config, nil)
+func (General) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
+	a, err := influence.NewAnalyzer(influence.Config{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -89,28 +84,21 @@ func (g General) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 // records links at blogger granularity; the WSDM model's post-level links
 // are approximated by the author's). A blogger's iIndex is the maximum influence over their posts
 // — "a blogger is influential if s/he has at least one influential post".
-type IFinder struct {
-	// WComment, WIn, WOut weigh comments, inlinks and outlinks. Zero
-	// values default to 1, 1, 0.5 (the WSDM'08 defaults weigh incoming
-	// influence fully and outgoing influence as a leak).
-	WComment, WIn, WOut float64
-}
+type IFinder struct{}
+
+// The iFinder weights of comments, inlinks and outlinks: the WSDM'08
+// defaults weigh incoming influence fully and outgoing influence as a leak.
+const (
+	iFinderWComment = 1
+	iFinderWIn      = 1
+	iFinderWOut     = 0.5
+)
 
 // Name implements Ranker.
 func (IFinder) Name() string { return "iFinder" }
 
 // Rank implements Ranker.
-func (f IFinder) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
-	wCom, wIn, wOut := f.WComment, f.WIn, f.WOut
-	if wCom == 0 {
-		wCom = 1
-	}
-	if wIn == 0 {
-		wIn = 1
-	}
-	if wOut == 0 {
-		wOut = 0.5
-	}
+func (IFinder) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 	maxLen := 0.0
 	lengths := make(map[blog.PostID]float64, c.NumPosts())
 	for pid, p := range c.Posts() {
@@ -131,7 +119,8 @@ func (f IFinder) Rank(c *blog.Frozen) (map[blog.BloggerID]float64, error) {
 		if maxLen > 0 {
 			lw = lengths[pid] / maxLen
 		}
-		flow := wCom*float64(len(p.Comments)) + wIn*float64(g.InDegree(i)) - wOut*float64(g.OutDegree(i))
+		flow := iFinderWComment*float64(len(p.Comments)) +
+			iFinderWIn*float64(g.InDegree(i)) - iFinderWOut*float64(g.OutDegree(i))
 		if score := lw * math.Max(flow, 0); score > out[p.Author] {
 			out[p.Author] = score
 		}

@@ -68,10 +68,6 @@ type Options struct {
 // seeded residual stays well under this in steady state.
 const globalFallbackMass = 2.0
 
-// maxScatterWorkers bounds concurrent per-shard sub-queries: a scatter
-// runs min(Shards, maxScatterWorkers) of them at once.
-const maxScatterWorkers = 8
-
 // maxIngestRetryDelay caps the doubling backoff of a routed write's
 // retries.
 const maxIngestRetryDelay = 100 * time.Millisecond
@@ -126,8 +122,6 @@ type Cluster struct {
 	boundary  map[blog.Link]struct{}
 	bwal      *wal.Log
 	postOwner map[blog.PostID]int
-
-	sem chan struct{} // bounds in-flight per-shard sub-queries
 
 	// hub serves standing subscriptions over cluster views (publish). It
 	// is nil until New has built every shard; pubMu guards that and keeps
@@ -217,7 +211,6 @@ func New(c *blog.Corpus, opts Options) (*Cluster, error) {
 		ring:      ring,
 		boundary:  make(map[blog.Link]struct{}),
 		postOwner: make(map[blog.PostID]int),
-		sem:       make(chan struct{}, min(opts.Shards, maxScatterWorkers)),
 		supQuit:   make(chan struct{}),
 		supDone:   make(chan struct{}),
 		supKick:   make(chan struct{}, 1),

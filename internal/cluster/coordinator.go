@@ -97,8 +97,10 @@ type scatterPart struct {
 	panicked bool
 }
 
-// scatter fans fn across the shards on the bounded worker pool and gathers
-// with a deadline. Shards with an open circuit breaker are never launched
+// scatter runs fn on one goroutine per admitted shard and gathers with a
+// deadline. No shard's part waits on another's, so a wedged shard cannot
+// delay the healthy ones; it parks at most one goroutine per read until its
+// breaker opens. Shards with an open circuit breaker are never launched
 // — the read is flagged degraded immediately instead of burning the full
 // ShardTimeout against a shard known to be down (that fast-fail is the
 // breaker's whole point). A worker that panics is isolated: its shard is
@@ -123,8 +125,6 @@ func (cl *Cluster) scatter(v *View, fn func(si int, snap *core.Snapshot) (*query
 		admitted[i] = true
 		launched++
 		go func(si int) {
-			cl.sem <- struct{}{}
-			defer func() { <-cl.sem }()
 			p := scatterPart{shard: si}
 			func() {
 				defer func() {

@@ -266,6 +266,60 @@ func TestSlowShardDegrades(t *testing.T) {
 	}
 }
 
+// TestWedgedShardDoesNotStarveHealthyShards: a shard whose parts never
+// return must not delay the other shards' parts. Over consecutive reads
+// every healthy shard answers with all of its owned rows and stays
+// Healthy, while the wedged one is dropped and its breaker opens.
+func TestWedgedShardDoesNotStarveHealthyShards(t *testing.T) {
+	c := postCorpus(t)
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("N=%d", shards), func(t *testing.T) {
+			cl, err := New(c, Options{
+				Shards:        shards,
+				Engine:        quietEngine(),
+				ShardTimeout:  100 * time.Millisecond,
+				ProbeInterval: time.Hour,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			const wedged = 1
+			release := make(chan struct{})
+			defer close(release) // runs before Close: parked parts return
+			cl.SetSlowShardHook(func(si int) {
+				if si == wedged {
+					<-release
+				}
+			})
+			q := query.Bloggers().OrderBy(query.Desc(query.FieldInfluence)).Limit(len(c.Bloggers)).Build()
+			for i := 1; i <= 8; i++ {
+				got, degraded, err := cl.Query(cl.View(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !degraded {
+					t.Fatalf("query %d: a read without the wedged shard must be degraded", i)
+				}
+				seen := make(map[string]bool, len(got.Rows))
+				for _, r := range got.Rows {
+					seen[r.ID] = true
+				}
+				for id := range c.Bloggers {
+					if owner := cl.Owner(id); owner != wedged && !seen[string(id)] {
+						t.Fatalf("query %d: healthy shard %d lost row %q", i, owner, id)
+					}
+				}
+				for si, h := range cl.ShardHealths() {
+					if si != wedged && h != HealthHealthy {
+						t.Fatalf("query %d: healthy shard %d is %v", i, si, h)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestChurnScatterGather races per-shard flushes, batched ingest and
 // scatter-gather reads, then injects a slow shard mid-churn — the -race
 // sweep for the whole coordinator path. Bounded entirely by deadlines: a

@@ -3,7 +3,7 @@
 // one — posts by author, links by endpoint) to one of N independent
 // core.Engine shards, each with its own WAL/snapshot directory, while a
 // coordinator compiles queries into per-shard sub-plans, scatters them
-// across a bounded worker pool with per-shard timeouts, and merges the
+// one goroutine per shard with per-shard timeouts, and merges the
 // scored rows back under the exact total order the single-engine executor
 // uses. Cross-shard links live in a boundary edge set so the exact global
 // PageRank can be recovered from per-shard solves plus a residual-push

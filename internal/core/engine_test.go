@@ -597,7 +597,7 @@ func TestEngineConcurrentLinkEpochCSR(t *testing.T) {
 					return
 				}
 				res := linkrank.PageRankCSR(csr, linkrank.Options{
-					Workers: 2, MaxIter: 5, Epsilon: linkrank.ExplicitZero,
+					MaxIter: 5, Epsilon: linkrank.ExplicitZero,
 				})
 				if len(res.Scores) != csr.NumNodes() {
 					errs <- fmt.Errorf("csr reader: %d scores for %d nodes", len(res.Scores), csr.NumNodes())

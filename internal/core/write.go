@@ -116,7 +116,7 @@ func (e *Engine) Write(mode WriteMode, ops []wal.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	return e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
+	return e.mutate(func(c *blog.Corpus, staged *[]wal.Op) (int, error) {
 		if err := validateOps(c, mode, ops); err != nil {
 			return 0, err
 		}
@@ -127,7 +127,7 @@ func (e *Engine) Write(mode WriteMode, ops []wal.Op) error {
 				continue
 			}
 			counts := mode != PageWrite || op.Kind != wal.OpBlogger || enriches(c, op.Blogger)
-			n, err := logApply(c, w, op)
+			n, err := logApply(c, staged, op)
 			if err != nil {
 				return counted, err
 			}
@@ -160,7 +160,7 @@ func enriches(c *blog.Corpus, b *blog.Blogger) bool {
 func (e *Engine) ApplyOps(ops []wal.Op) (applied, dropped int, err error) {
 	for i := range ops {
 		op := &ops[i]
-		merr := e.mutate(func(c *blog.Corpus, w *wal.Batch) (int, error) {
+		merr := e.mutate(func(c *blog.Corpus, staged *[]wal.Op) (int, error) {
 			if op.Kind == wal.OpComment && op.Comment != nil && c.Posts[op.PostID] != nil {
 				for _, cm := range c.Posts[op.PostID].Comments {
 					if cm.Commenter == op.Comment.Commenter && cm.Text == op.Comment.Text &&
@@ -169,7 +169,7 @@ func (e *Engine) ApplyOps(ops []wal.Op) (applied, dropped int, err error) {
 					}
 				}
 			}
-			n, err := logApply(c, w, op)
+			n, err := logApply(c, staged, op)
 			if err == nil && n == 0 {
 				err = errOpDropped
 			}
@@ -196,10 +196,10 @@ func (e *Engine) ApplyOps(ops []wal.Op) (applied, dropped int, err error) {
 var errOpDropped = errors.New("core: op already applied")
 
 // mutate runs fn on the corpus under the write lock. fn stages the ops it
-// applied on w (nil, a no-op sink, when durability is off) and reports how
-// many mutations they count: deduplicated re-deliveries count zero, so
-// idempotent re-crawls don't trigger pointless re-analyses. Reaching the
-// debounce threshold kicks the flusher.
+// applied on staged (nil when durability is off: nothing is logged) and
+// reports how many mutations they count: deduplicated re-deliveries count
+// zero, so idempotent re-crawls don't trigger pointless re-analyses.
+// Reaching the debounce threshold kicks the flusher.
 //
 // Staged ops are appended to the WAL before mutate returns, still under
 // the write lock, so log order is exactly apply order and a corpus frozen
@@ -207,23 +207,24 @@ var errOpDropped = errors.New("core: op already applied")
 // returned to the caller — the mutation is applied in memory but is NOT
 // durable, and the WAL's sticky fail-stop makes every later mutation fail
 // too, so the divergence cannot silently grow.
-func (e *Engine) mutate(fn func(c *blog.Corpus, w *wal.Batch) (int, error)) error {
+func (e *Engine) mutate(fn func(c *blog.Corpus, staged *[]wal.Op) (int, error)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return ErrClosed
 	}
-	var w *wal.Batch
+	var ops []wal.Op
+	var staged *[]wal.Op
 	if e.wal != nil {
-		w = &wal.Batch{}
+		staged = &ops
 	}
-	n, err := fn(e.corpus, w)
-	if w.Len() > 0 {
-		if err := e.wal.Append(w.Ops()...); err != nil {
+	n, err := fn(e.corpus, staged)
+	if len(ops) > 0 {
+		if err := e.wal.Append(ops...); err != nil {
 			e.lastErr = err
 			return err
 		}
-		e.walIdx += uint64(w.Len())
+		e.walIdx += uint64(len(ops))
 	}
 	e.pending += n
 	e.total += uint64(n)
@@ -328,12 +329,12 @@ func validatePost(c *blog.Corpus, p *blog.Post) error {
 	return nil
 }
 
-// logApply lands op through applyOp and stages it on w iff it changed the
-// corpus.
-func logApply(c *blog.Corpus, w *wal.Batch, op *wal.Op) (int, error) {
+// logApply lands op through applyOp and, when staged is non-nil, stages
+// it there iff it changed the corpus.
+func logApply(c *blog.Corpus, staged *[]wal.Op, op *wal.Op) (int, error) {
 	n, err := applyOp(c, op)
-	if n > 0 {
-		w.Append(*op)
+	if n > 0 && staged != nil {
+		*staged = append(*staged, *op)
 	}
 	return n, err
 }

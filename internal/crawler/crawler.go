@@ -259,8 +259,7 @@ type corpusSink struct {
 }
 
 func (s *corpusSink) IngestPage(p *blogserver.Page) error {
-	_, err := integrate(s.c, p)
-	return err
+	return integrate(s.c, p)
 }
 
 // retryDelay computes the backoff before retry attempt (1-based):
@@ -377,46 +376,36 @@ func (cr *Crawler) fetchOnce(ctx context.Context, baseURL string, id blog.Blogge
 	return blogserver.ParsePage(data)
 }
 
-// integrate merges a fetched page into the corpus and returns the
-// neighbors discovered on it (friends, commenters, link targets).
-func integrate(c *blog.Corpus, page *blogserver.Page) ([]blog.BloggerID, error) {
+// integrate merges a fetched page into the corpus: the page's blogger is
+// upserted (enriching a stub created earlier by a reference), every
+// blogger it references is admitted as a stub, and its new posts and link
+// edges are added.
+func integrate(c *blog.Corpus, page *blogserver.Page) error {
 	id := page.Blogger.ID
-	if existing, ok := c.Bloggers[id]; ok {
-		// Enrich a stub created earlier by a reference.
-		existing.Name = page.Blogger.Name
-		existing.Profile = page.Blogger.Profile
-		existing.Friends = page.Blogger.Friends
-	} else {
-		b := page.Blogger
-		if err := c.AddBlogger(&b); err != nil {
-			return nil, err
-		}
+	if err := c.UpsertBlogger(&page.Blogger); err != nil {
+		return err
 	}
-	var neighbors []blog.BloggerID
 	ensure := func(ref blog.BloggerID) error {
-		if _, ok := c.Bloggers[ref]; !ok {
-			if err := c.AddBlogger(&blog.Blogger{ID: ref}); err != nil {
-				return err
-			}
+		if _, ok := c.Bloggers[ref]; ok {
+			return nil
 		}
-		neighbors = append(neighbors, ref)
-		return nil
+		return c.AddBlogger(&blog.Blogger{ID: ref})
 	}
 	for _, f := range page.Blogger.Friends {
 		if err := ensure(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for i := range page.Posts {
 		p := page.Posts[i]
 		for _, cm := range p.Comments {
 			if err := ensure(cm.Commenter); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		if _, dup := c.Posts[p.ID]; !dup {
 			if err := c.AddPost(&p); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -425,10 +414,10 @@ func integrate(c *blog.Corpus, page *blogserver.Page) ([]blog.BloggerID, error) 
 			continue
 		}
 		if err := ensure(target); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := c.AddLinkDedup(id, target); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Linkbacks discover the bloggers pointing here and record their edges.
@@ -437,11 +426,11 @@ func integrate(c *blog.Corpus, page *blogserver.Page) ([]blog.BloggerID, error) 
 			continue
 		}
 		if err := ensure(source); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := c.AddLinkDedup(source, id); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return neighbors, nil
+	return nil
 }

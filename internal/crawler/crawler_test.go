@@ -3,12 +3,14 @@ package crawler
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"mass/internal/blog"
 	"mass/internal/blogserver"
+	"mass/internal/core"
 	"mass/internal/synth"
 )
 
@@ -267,20 +269,47 @@ func TestStreamDeliversSamePagesAsCrawl(t *testing.T) {
 	if len(sink.pages) != sstats.Fetched {
 		t.Fatalf("sink saw %d pages, fetched %d", len(sink.pages), sstats.Fetched)
 	}
-	// Rebuilding a corpus from the streamed pages reproduces the crawl.
-	rebuilt := blog.NewCorpus()
+	// The streamed pages, written through the engine's page path, give
+	// the corpus Crawl assembled.
+	e, err := core.NewEngine(nil, core.EngineOptions{FlushEvery: 1 << 30, FlushInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	for _, p := range sink.pages {
-		if _, err := integrate(rebuilt, p); err != nil {
+		if err := e.Write(core.PageWrite, core.PageOps(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rebuilt.Reindex()
-	if len(rebuilt.Bloggers) != len(crawled.Bloggers) || len(rebuilt.Posts) != len(crawled.Posts) ||
-		len(rebuilt.Links) != len(crawled.Links) {
-		t.Fatalf("rebuilt %d/%d/%d, crawled %d/%d/%d",
-			len(rebuilt.Bloggers), len(rebuilt.Posts), len(rebuilt.Links),
-			len(crawled.Bloggers), len(crawled.Posts), len(crawled.Links))
+	if err := e.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
 	}
+	got := e.Current().Corpus()
+	if got.NumBloggers() != len(crawled.Bloggers) || got.NumPosts() != len(crawled.Posts) {
+		t.Fatalf("streamed %d bloggers/%d posts, crawled %d/%d",
+			got.NumBloggers(), got.NumPosts(), len(crawled.Bloggers), len(crawled.Posts))
+	}
+	for id, want := range crawled.Bloggers {
+		b := got.Blogger(id)
+		if b == nil || b.Name != want.Name || b.Profile != want.Profile || !slices.Equal(b.Friends, want.Friends) {
+			t.Fatalf("blogger %q: streamed %+v, crawled %+v", id, b, want)
+		}
+	}
+	for id, want := range crawled.Posts {
+		p := got.Post(id)
+		if p == nil || p.Author != want.Author || p.Title != want.Title || p.Body != want.Body ||
+			!p.Posted.Equal(want.Posted) || !slices.Equal(p.Tags, want.Tags) ||
+			!slices.EqualFunc(p.Comments, want.Comments, sameComment) {
+			t.Fatalf("post %q: streamed %+v, crawled %+v", id, p, want)
+		}
+	}
+	if !slices.Equal(got.Links(), crawled.Links) {
+		t.Fatalf("streamed links %v, crawled %v", got.Links(), crawled.Links)
+	}
+}
+
+func sameComment(a, b blog.Comment) bool {
+	return a.Commenter == b.Commenter && a.Text == b.Text && a.Posted.Equal(b.Posted)
 }
 
 func TestStreamSinkErrorAborts(t *testing.T) {

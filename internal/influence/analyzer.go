@@ -324,9 +324,6 @@ func (a *Analyzer) computeGL(c *blog.Frozen, ch *Cache, res *Result) []float64 {
 		return gl
 	}
 	opts := a.cfg.PageRank
-	if opts.Workers == 0 {
-		opts.Workers = a.cfg.Workers
-	}
 	// The push solver runs two orders tighter than the sweep epsilon: a
 	// sweep's truncation error is invisible because warm restarts keep
 	// contracting toward the same fixed point, but push truncation would

@@ -4,9 +4,8 @@
 //
 // The full solver is a dense kernel over a frozen graph.CSR view
 // (PageRankCSR in dense.go): interned node indexes, ping-pong score
-// buffers, zero allocations per sweep, and sweeps optionally
-// edge-partitioned across Options.Workers with bit-for-bit deterministic
-// results. Scores stay dense, aligned to the CSR's node index;
+// buffers, zero allocations per sweep, and every sweep on the caller's
+// goroutine, so results are deterministic. Scores stay dense, aligned to the CSR's node index;
 // DenseResult.Map keys them by ID where a caller needs a map. The
 // link-update path (push.go) keeps a converged PageRank current as edges
 // are inserted. There is no HITS and no personalized PageRank: GL needs
@@ -44,11 +43,6 @@ type Options struct {
 	// are clamped to the default (a solver that never sweeps returns its
 	// start vector, which no caller can want).
 	MaxIter int
-	// Workers edge-partitions each sweep across this many goroutines.
-	// Default 1 (serial). Results are bit-for-bit identical for any value:
-	// rows are pull-summed by exactly one goroutine each and every global
-	// reduction runs serially, so only wall time changes.
-	Workers int
 	// WarmDense optionally seeds the PageRank iteration with a previous
 	// score vector instead of the uniform start, aligned to the CSR node
 	// index the solver runs over (WarmDense[i] seeds CSR.IDs[i]). When the
@@ -85,9 +79,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	switch {
 	case o.FallbackMass == 0:

@@ -281,9 +281,9 @@ func (v *seedVisitor) visit(t int32) { v.st.addR(t, v.w) }
 //
 // The solver is serial and deterministic: seeds are applied in ascending
 // node order and the queue is FIFO, so identical (state, view, opts)
-// produce bit-identical scores. Options.Workers only affects the full
-// sweeps of PageRankCSR, which the delta path exists to avoid; results
-// match those sweeps to within the epsilon-level truncation both share.
+// produce bit-identical scores. Results match PageRankCSR's full sweeps,
+// which the delta path exists to avoid, to within the epsilon-level
+// truncation both share.
 func DeltaPageRankCSR(view *graph.DeltaCSR, st *PushState, opts Options) (DeltaResult, bool) {
 	opts = opts.withDefaults()
 	var res DeltaResult

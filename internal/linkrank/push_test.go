@@ -36,11 +36,10 @@ func buildCSR(t testing.TB, n int, edges [][2]int32) *graph.CSR {
 // start to the fixed point far below 1e-12 (0.85^300 ≈ 4e-22), so the
 // result is the machine-precision ground truth the push solver is compared
 // against.
-func coldReference(view *graph.DeltaCSR, workers int) []float64 {
+func coldReference(view *graph.DeltaCSR) []float64 {
 	res := PageRankCSR(view.Flatten(), Options{
 		Epsilon: ExplicitZero,
 		MaxIter: 300,
-		Workers: workers,
 	})
 	return res.Scores
 }
@@ -58,13 +57,13 @@ var pushTestOpts = Options{
 
 // assertDeltaMatchesCold runs the delta solver and compares against a cold
 // dense reference of the same effective graph.
-func assertDeltaMatchesCold(t *testing.T, view *graph.DeltaCSR, st *PushState, workers int, label string) DeltaResult {
+func assertDeltaMatchesCold(t *testing.T, view *graph.DeltaCSR, st *PushState, label string) DeltaResult {
 	t.Helper()
 	res, ok := DeltaPageRankCSR(view, st, pushTestOpts)
 	if !ok {
 		t.Fatalf("%s: delta solver refused (seeded %d, mass %v)", label, res.Seeded, st.ResidualMass())
 	}
-	want := coldReference(view, workers)
+	want := coldReference(view)
 	got := st.AppendScores(nil)
 	if len(got) != len(want) {
 		t.Fatalf("%s: score length %d vs %d", label, len(got), len(want))
@@ -90,7 +89,7 @@ func TestDeltaPageRankSingleFlush(t *testing.T) {
 		{4, 0}, // feeder; 5, 6 disconnected
 	})
 	view := graph.NewDeltaCSR(base)
-	cold := coldReference(view, 1)
+	cold := coldReference(view)
 	st := NewPushState(view, cold, pushTestOpts)
 
 	view.AddEdge(5, 2) // dangling island node joins the cycle
@@ -98,7 +97,7 @@ func TestDeltaPageRankSingleFlush(t *testing.T) {
 	view.AddEdge(3, 1) // self-link row gains a second edge
 	view.AddEdge(2, 4) // back edge
 	view.AddEdge(4, 5) // feeder fans out to the island
-	res := assertDeltaMatchesCold(t, view, st, 1, "hand-built flush")
+	res := assertDeltaMatchesCold(t, view, st, "hand-built flush")
 	if res.Seeded == 0 || res.Pushed == 0 {
 		t.Fatalf("flush must seed and push: %+v", res)
 	}
@@ -107,8 +106,7 @@ func TestDeltaPageRankSingleFlush(t *testing.T) {
 // TestDeltaPageRankRandomized is the main property test: random base graphs
 // (danglings, self-links and disconnected nodes all occur naturally),
 // random multi-flush sequences of edge insertions, checked
-// against a cold dense solve after every flush, across worker counts on the
-// reference side (the push solver itself is serial and deterministic).
+// against a cold dense solve after every flush.
 func TestDeltaPageRankRandomized(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(int64(7000 + trial)))
@@ -119,15 +117,14 @@ func TestDeltaPageRankRandomized(t *testing.T) {
 		}
 		base := buildCSR(t, n, edges)
 		view := graph.NewDeltaCSR(base)
-		workers := 1 + 2*(trial%2) // cold side alternates 1 and 3 workers
-		st := NewPushState(view, coldReference(view, workers), pushTestOpts)
+		st := NewPushState(view, coldReference(view), pushTestOpts)
 
 		flushes := 1 + rng.Intn(5)
 		for f := 0; f < flushes; f++ {
 			for m := 1 + rng.Intn(8); m > 0; m-- {
 				view.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 			}
-			assertDeltaMatchesCold(t, view, st, workers,
+			assertDeltaMatchesCold(t, view, st,
 				fmt.Sprintf("trial %d flush %d (n=%d)", trial, f, n))
 		}
 	}
@@ -140,7 +137,7 @@ func TestDeltaPageRankDeterministic(t *testing.T) {
 	run := func() []float64 {
 		base := buildCSR(t, 12, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {4, 1}, {5, 6}})
 		view := graph.NewDeltaCSR(base)
-		st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+		st := NewPushState(view, coldReference(view), pushTestOpts)
 		view.AddEdge(7, 0)
 		view.AddEdge(8, 3)
 		view.AddEdge(1, 3)
@@ -173,7 +170,7 @@ func TestNewPushStateExactResidual(t *testing.T) {
 	base := buildCSR(t, 9, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 1}, {4, 4}, {5, 0}})
 	view := graph.NewDeltaCSR(base)
 
-	tight := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	tight := NewPushState(view, coldReference(view), pushTestOpts)
 	if m := tight.ResidualMass(); m > 1e-12 {
 		t.Fatalf("residual after exact solve = %v, want ~0", m)
 	}
@@ -184,7 +181,7 @@ func TestNewPushStateExactResidual(t *testing.T) {
 		t.Fatalf("residual after 3 sweeps = %v, should be far from converged", m)
 	}
 	// No ops at all: the delta call just polishes the leftover residual.
-	assertDeltaMatchesCold(t, view, st, 1, "polish-only")
+	assertDeltaMatchesCold(t, view, st, "polish-only")
 }
 
 // TestDeltaPageRankStopsUnderEpsilon: after a successful solve the residual
@@ -193,7 +190,7 @@ func TestDeltaPageRankStopsUnderEpsilon(t *testing.T) {
 	base := buildCSR(t, 20, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {5, 0}, {6, 5}})
 	view := graph.NewDeltaCSR(base)
 	opts := Options{Epsilon: 1e-9, MaxIter: 10000, FallbackMass: 1e18}
-	st := NewPushState(view, coldReference(view, 1), opts)
+	st := NewPushState(view, coldReference(view), opts)
 	view.AddEdge(7, 2)
 	view.AddEdge(8, 2)
 	res, ok := DeltaPageRankCSR(view, st, opts)
@@ -212,7 +209,7 @@ func TestDeltaPageRankFallsBackOnMass(t *testing.T) {
 	base := buildCSR(t, 30, [][2]int32{{0, 1}, {1, 0}})
 	view := graph.NewDeltaCSR(base)
 	opts := Options{Epsilon: 1e-12, MaxIter: 10000, FallbackMass: 1e-9}
-	st := NewPushState(view, coldReference(view, 1), opts)
+	st := NewPushState(view, coldReference(view), opts)
 	if _, ok := DeltaPageRankCSR(view, st, opts); !ok {
 		t.Fatal("settle with no ops must succeed")
 	}
@@ -232,7 +229,7 @@ func TestDeltaPageRankFallsBackOnMass(t *testing.T) {
 	// non-degenerate mass bound — 1e-9 refuses even a single-edge delta.)
 	recover := opts
 	recover.FallbackMass = 0.5
-	st = NewPushState(view, coldReference(view, 1), recover)
+	st = NewPushState(view, coldReference(view), recover)
 	view.AddEdge(1, 2)
 	if _, ok := DeltaPageRankCSR(view, st, recover); !ok {
 		t.Fatal("rebuilt state must accept a small delta again")
@@ -242,7 +239,7 @@ func TestDeltaPageRankFallsBackOnMass(t *testing.T) {
 func TestDeltaPageRankDeclines(t *testing.T) {
 	base := buildCSR(t, 5, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
 	view := graph.NewDeltaCSR(base)
-	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	st := NewPushState(view, coldReference(view), pushTestOpts)
 
 	if _, ok := DeltaPageRankCSR(view, nil, pushTestOpts); ok {
 		t.Fatal("nil state must decline")
@@ -296,7 +293,7 @@ func TestPushLoopAllocFree(t *testing.T) {
 	base := buildCSR(t, n, edges)
 	view := graph.NewDeltaCSR(base)
 	opts := Options{Epsilon: 1e-12, MaxIter: 100000, FallbackMass: 1e18}
-	st := NewPushState(view, coldReference(view, 1), opts)
+	st := NewPushState(view, coldReference(view), opts)
 
 	// Every cycle inserts a fresh edge out of node 7.
 	var fresh []int32
@@ -337,12 +334,12 @@ func TestPushLoopAllocFree(t *testing.T) {
 func TestFoldFirstOutLink(t *testing.T) {
 	base := buildCSR(t, 8, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {3, 0}, {4, 3}, {5, 3}})
 	view := graph.NewDeltaCSR(base)
-	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	st := NewPushState(view, coldReference(view), pushTestOpts)
 	if view.OutDegree(6) != 0 {
 		t.Fatal("node 6 must start dangling")
 	}
 	view.AddEdge(6, 2)
-	assertDeltaMatchesCold(t, view, st, 1, "first out-link of a dangling source")
+	assertDeltaMatchesCold(t, view, st, "first out-link of a dangling source")
 	if !(st.scale < 1) {
 		t.Fatalf("scale %v after removing dangling mass, want < 1", st.scale)
 	}
@@ -359,12 +356,12 @@ func TestFoldAllButOneDangling(t *testing.T) {
 	}
 	base := buildCSR(t, n, edges)
 	view := graph.NewDeltaCSR(base)
-	st := NewPushState(view, coldReference(view, 1), pushTestOpts)
+	st := NewPushState(view, coldReference(view), pushTestOpts)
 	view.AddEdge(0, 2)
-	assertDeltaMatchesCold(t, view, st, 1, "hub gains an edge")
+	assertDeltaMatchesCold(t, view, st, "hub gains an edge")
 	view.AddEdge(0, 5)
 	view.AddEdge(0, 0)
-	assertDeltaMatchesCold(t, view, st, 1, "hub gains a self-link")
+	assertDeltaMatchesCold(t, view, st, "hub gains a self-link")
 }
 
 // TestFoldDampingOneDeclines: at damping 1, I − M is singular and the
@@ -374,7 +371,7 @@ func TestFoldDampingOneDeclines(t *testing.T) {
 	view := graph.NewDeltaCSR(base)
 	opts := pushTestOpts
 	opts.Damping = 1
-	st := NewPushState(view, coldReference(view, 1), opts)
+	st := NewPushState(view, coldReference(view), opts)
 	view.AddEdge(4, 0)
 	if _, ok := DeltaPageRankCSR(view, st, opts); ok {
 		t.Fatal("damping 1 must decline")
@@ -403,7 +400,7 @@ func TestPushWorkBlogShaped(t *testing.T) {
 	base := buildCSR(t, n, edges)
 	view := graph.NewDeltaCSR(base)
 	opts := Options{Epsilon: 1e-12, MaxIter: 100000, FallbackMass: 1e18}
-	st := NewPushState(view, coldReference(view, 1), opts)
+	st := NewPushState(view, coldReference(view), opts)
 	const flushes = 40
 	pushes := 0
 	for f := 0; f < flushes; f++ {
@@ -425,11 +422,56 @@ func TestPushWorkBlogShaped(t *testing.T) {
 	if perNode > 12 {
 		t.Fatalf("%.2f pushes per node per 3-edge flush, budget 12", perNode)
 	}
-	want := coldReference(view, 1)
+	want := coldReference(view)
 	got := st.AppendScores(nil)
 	for i := range want {
 		if d := math.Abs(got[i] - want[i]); d > 1e-10 {
 			t.Fatalf("node %d: delta %v vs cold %v (diff %.3e)", i, got[i], want[i], d)
+		}
+	}
+}
+
+// zipfGraph builds the link graph of the PageRank benchmarks at any size:
+// draws edges from a uniform source to a Zipf(1.3)-distributed target,
+// seed 2010, self-links dropped. draw keeps yielding edges of the same
+// shape from the same stream.
+func zipfGraph(t testing.TB, nodes, draws int) (base *graph.CSR, draw func() (int32, int32)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(2010))
+	zipf := rand.NewZipf(rng, 1.3, 8, uint64(nodes-1))
+	draw = func() (int32, int32) { return int32(rng.Intn(nodes)), int32(zipf.Uint64()) }
+	var edges [][2]int32
+	for k := 0; k < draws; k++ {
+		if from, to := draw(); from != to {
+			edges = append(edges, [2]int32{from, to})
+		}
+	}
+	return buildCSR(t, nodes, edges), draw
+}
+
+// TestPushWorkZipfBatch bounds the push work of a link-only flush on the
+// heavy-tailed Zipf graph: consecutive batches of 100 fresh edges, each
+// pushed back under the refresh-grade ε 1e-7 the engine's link flushes
+// run at between rebases. The budget is twice the costliest of these ten
+// batches when it was set (351 pushes; the others took 72 to 182).
+func TestPushWorkZipfBatch(t *testing.T) {
+	base, draw := zipfGraph(t, 50_000, 500_000)
+	view := graph.NewDeltaCSR(base)
+	opts := Options{Epsilon: 1e-7}
+	st := NewPushState(view, PageRankCSR(base, Options{}).Scores, opts)
+	for batch := 0; batch < 10; batch++ {
+		for added := 0; added < 100; {
+			if from, to := draw(); from != to && !view.HasEdge(from, to) {
+				view.AddEdge(from, to)
+				added++
+			}
+		}
+		res, ok := DeltaPageRankCSR(view, st, opts)
+		if !ok {
+			t.Fatalf("batch %d: delta refused", batch)
+		}
+		if res.Pushed > 702 {
+			t.Fatalf("batch %d: %d pushes, budget 702", batch, res.Pushed)
 		}
 	}
 }

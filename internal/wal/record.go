@@ -51,65 +51,6 @@ type Op struct {
 	From, To blog.BloggerID // OpLink
 }
 
-// Batch accumulates the ops of one engine mutation for a single Append
-// call. A nil *Batch is a valid no-op sink, so engine code can stage ops
-// unconditionally and skip the nil checks when durability is disabled.
-type Batch struct {
-	ops []Op
-}
-
-// Blogger stages an upsert of b.
-func (w *Batch) Blogger(b *blog.Blogger) {
-	if w != nil {
-		w.ops = append(w.ops, Op{Kind: OpBlogger, Blogger: b})
-	}
-}
-
-// Post stages an added post.
-func (w *Batch) Post(p *blog.Post) {
-	if w != nil {
-		w.ops = append(w.ops, Op{Kind: OpPost, Post: p})
-	}
-}
-
-// Comment stages a comment appended to post pid.
-func (w *Batch) Comment(pid blog.PostID, cm *blog.Comment) {
-	if w != nil {
-		w.ops = append(w.ops, Op{Kind: OpComment, PostID: pid, Comment: cm})
-	}
-}
-
-// Link stages an added link.
-func (w *Batch) Link(from, to blog.BloggerID) {
-	if w != nil {
-		w.ops = append(w.ops, Op{Kind: OpLink, From: from, To: to})
-	}
-}
-
-// Append stages an already-built op verbatim — the replay path, where ops
-// decoded from one log are re-staged into another.
-func (w *Batch) Append(op Op) {
-	if w != nil {
-		w.ops = append(w.ops, op)
-	}
-}
-
-// Len reports how many ops are staged.
-func (w *Batch) Len() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.ops)
-}
-
-// Ops returns the staged ops.
-func (w *Batch) Ops() []Op {
-	if w == nil {
-		return nil
-	}
-	return w.ops
-}
-
 // --- encoding primitives ---
 
 type encoder struct{ buf []byte }
