@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"mass/internal/blog"
+	"mass/internal/classify"
 	"mass/internal/cluster"
 	"mass/internal/core"
 	"mass/internal/lexicon"
@@ -166,11 +167,11 @@ func (s *Server) fetchInterest(v *cluster.View, iv map[string]float64, k int) ([
 	return s.fetchScored(v, query.Bloggers().OrderBy(query.DescInterest(iv)).Limit(k).Build(), k, 0)
 }
 
-// classify mines an interest vector from free text. Classification is
+// interestOf mines an interest vector from free text. Classification is
 // corpus-independent given the trained model; shard 0's classifier is the
 // cluster's designated model.
-func classify(v *cluster.View, text string) map[string]float64 {
-	return v.Snaps[0].Classifier().Classify(text)
+func interestOf(v *cluster.View, text string) map[string]float64 {
+	return classify.Classify(v.Snaps[0].Classifier(), text)
 }
 
 func (s *Server) fetchAdvert(v *cluster.View, req advertRequest) ([]scored, *Meta, *apiError) {
@@ -178,7 +179,7 @@ func (s *Server) fetchAdvert(v *cluster.View, req advertRequest) ([]scored, *Met
 	// posterior. Option 2 (dropdown): equal weight per selected domain.
 	// Both handlers reject empty text+domains before calling here.
 	if req.Text != "" {
-		return s.fetchInterest(v, classify(v, req.Text), req.K)
+		return s.fetchInterest(v, interestOf(v, req.Text), req.K)
 	}
 	return s.fetchInterest(v, query.EqualWeights(req.Domains), req.K)
 }
@@ -190,7 +191,7 @@ type profileRequest struct {
 }
 
 func (s *Server) fetchProfile(v *cluster.View, req profileRequest) ([]scored, *Meta, *apiError) {
-	return s.fetchInterest(v, classify(v, req.Text), req.K)
+	return s.fetchInterest(v, interestOf(v, req.Text), req.K)
 }
 
 // snapshotDomains is the domain list one snapshot can actually rank:

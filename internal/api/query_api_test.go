@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mass/internal/blog"
+	"mass/internal/classify"
 	"mass/internal/core"
 	"mass/internal/influence"
 	"mass/internal/lexicon"
@@ -233,7 +234,7 @@ func TestRewrittenHandlersEquivalence(t *testing.T) {
 	// interest vector.
 	adText := "the stock market and bank interest rates"
 	_, env2 := postEnvelope(t, ts.URL+"/api/v1/advert", `{"text":"`+adText+`","k":3}`)
-	iv := sys.Classifier().Classify(adText)
+	iv := classify.Classify(sys.Classifier(), adText)
 	want = mustMarshal(t, interestReference(res, iv, 3))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("advert(text) drifted:\ngot  %s\nwant %s", got, want)
@@ -271,7 +272,7 @@ func TestRewrittenHandlersEquivalence(t *testing.T) {
 	// /api/v1/profile == the reference over the profile's interest vector.
 	profile := "I love programming and databases"
 	_, env2 = postEnvelope(t, ts.URL+"/api/v1/profile", `{"text":"`+profile+`","k":3}`)
-	want = mustMarshal(t, interestReference(res, sys.Classifier().Classify(profile), 3))
+	want = mustMarshal(t, interestReference(res, classify.Classify(sys.Classifier(), profile), 3))
 	if got := compactData(t, env2.Data); got != want {
 		t.Fatalf("profile drifted:\ngot  %s\nwant %s", got, want)
 	}
@@ -338,7 +339,7 @@ func TestQueryExpressesLegacyEndpoints(t *testing.T) {
 	}
 
 	// The advert scenario: the interest vector rides in the query.
-	iv := sys.Classifier().Classify("new basketball sneakers for athletes")
+	iv := classify.Classify(sys.Classifier(), "new basketball sneakers for athletes")
 	ivJSON, err := json.Marshal(iv)
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,31 @@ import (
 	"mass/internal/textutil"
 )
 
-// Classifier estimates a probability distribution over domain labels for a
-// piece of text. Implementations must return a map whose values sum to 1
-// (within floating-point error) covering exactly the trained labels.
+// Classifier estimates a probability distribution over domain labels for
+// a text from its tokens (textutil.Tokenize, or the Scanner of a worker
+// that tokenized the text for its other facets), into the caller's
+// buffer. Implementations must be safe for concurrent use; every
+// classifier here is immutable after training.
 type Classifier interface {
-	// Classify returns the posterior P(label | text) for every label.
-	Classify(text string) map[string]float64
-	// Labels returns the trained label set in sorted order.
+	// Labels returns the trained label set in sorted order, each once.
 	Labels() []string
+	// Posterior writes P(label | text) into dst, one slot per label in
+	// Labels() order, summing to 1 (within floating-point error).
+	Posterior(tokens []string, dst []float64)
+}
+
+// Classify returns cl's posterior for text keyed by label: the map form
+// read by the callers that hold a text rather than its tokens (the API's
+// classify route, recommendations, evaluation and the experiments).
+func Classify(cl Classifier, text string) map[string]float64 {
+	labels := cl.Labels()
+	p := make([]float64, len(labels))
+	cl.Posterior(textutil.Tokenize(text), p)
+	out := make(map[string]float64, len(labels))
+	for i, l := range labels {
+		out[l] = p[i]
+	}
+	return out
 }
 
 // Example is one labeled training document.
@@ -32,14 +49,16 @@ type Example struct {
 
 // NaiveBayes is a multinomial naive Bayes text classifier with Laplace
 // smoothing, trained over the stemmed-term analyzer chain, optionally
-// augmented with bigram features.
+// augmented with bigram features. Its vocabulary is interned into dense
+// term IDs, so the likelihood tables are one slice per label.
 type NaiveBayes struct {
-	labels     []string
-	prior      map[string]float64            // log P(label)
-	condLog    map[string]map[string]float64 // label -> term -> log P(term|label)
-	defaultLog map[string]float64            // label -> log prob of unseen term
-	vocabSize  int
-	bigrams    bool
+	labels []string
+	prior  []float64 // log P(label), per label
+	// condLog holds log P(term|label) per label and term ID, plus a last
+	// slot (ID VocabularySize()) for every term outside the vocabulary.
+	condLog [][]float64
+	terms   map[string]int32 // feature (stemmed term or bigram) → ID
+	bigrams bool
 }
 
 // TrainNaiveBayes fits the classifier on the examples with unigram
@@ -61,110 +80,108 @@ func trainNB(examples []Example, bigrams bool) (*NaiveBayes, error) {
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("classify: no training examples")
 	}
-	docCount := map[string]int{}
-	termCount := map[string]map[string]float64{}
-	totalTerms := map[string]float64{}
-	vocab := map[string]struct{}{}
+	nb := &NaiveBayes{terms: map[string]int32{}, bigrams: bigrams}
+	docs := map[string]int{}
+	counts := map[string][]float64{} // label → count per term ID, grown as terms are interned
+	totals := map[string]float64{}
+	var sc textutil.Scanner
 	for i, ex := range examples {
 		if ex.Label == "" {
 			return nil, fmt.Errorf("classify: example %d has empty label", i)
 		}
-		docCount[ex.Label]++
-		if termCount[ex.Label] == nil {
-			termCount[ex.Label] = map[string]float64{}
+		if docs[ex.Label]++; docs[ex.Label] == 1 {
+			nb.labels = append(nb.labels, ex.Label)
 		}
-		for _, t := range features(ex.Text, bigrams) {
-			termCount[ex.Label][t]++
-			totalTerms[ex.Label]++
-			vocab[t] = struct{}{}
+		c := counts[ex.Label]
+		for _, t := range features(textutil.Terms(sc.Scan(ex.Text)), bigrams) {
+			id, ok := nb.terms[t]
+			if !ok {
+				id = int32(len(nb.terms))
+				nb.terms[t] = id
+			}
+			c = append(c, make([]float64, max(0, int(id)+1-len(c)))...)
+			c[id]++
+			totals[ex.Label]++
 		}
-	}
-	nb := &NaiveBayes{
-		prior:      map[string]float64{},
-		condLog:    map[string]map[string]float64{},
-		defaultLog: map[string]float64{},
-		vocabSize:  len(vocab),
-		bigrams:    bigrams,
-	}
-	v := float64(len(vocab))
-	total := float64(len(examples))
-	for label, dc := range docCount {
-		nb.labels = append(nb.labels, label)
-		nb.prior[label] = math.Log(float64(dc) / total)
-		denom := totalTerms[label] + v // Laplace smoothing
-		cond := make(map[string]float64, len(termCount[label]))
-		for t, c := range termCount[label] {
-			cond[t] = math.Log((c + 1) / denom)
-		}
-		nb.condLog[label] = cond
-		nb.defaultLog[label] = math.Log(1 / denom)
+		counts[ex.Label] = c
 	}
 	sort.Strings(nb.labels)
+	v := len(nb.terms)
+	for _, l := range nb.labels {
+		nb.prior = append(nb.prior, math.Log(float64(docs[l])/float64(len(examples))))
+		denom := totals[l] + float64(v) // Laplace smoothing
+		// A term the label never saw, known or not, gets log(1/denom).
+		cond := append(counts[l], make([]float64, v+1-len(counts[l]))...)
+		for id, c := range cond {
+			cond[id] = math.Log((c + 1) / denom)
+		}
+		nb.condLog = append(nb.condLog, cond)
+	}
 	return nb, nil
+}
+
+// features appends to terms, when bigrams is set, each adjacent pair
+// joined with '_' (terms never contain one).
+func features(terms []string, bigrams bool) []string {
+	for k, n := 1, len(terms); bigrams && k < n; k++ {
+		terms = append(terms, terms[k-1]+"_"+terms[k])
+	}
+	return terms
 }
 
 // Labels returns the trained label set in sorted order.
 func (nb *NaiveBayes) Labels() []string { return nb.labels }
 
 // VocabularySize returns the number of distinct terms seen in training.
-func (nb *NaiveBayes) VocabularySize() int { return nb.vocabSize }
+func (nb *NaiveBayes) VocabularySize() int { return len(nb.terms) }
 
-// Classify returns the posterior distribution over labels. Log-likelihoods
-// are converted back to probabilities with the log-sum-exp trick so the
-// result is a proper distribution even for long documents.
-func (nb *NaiveBayes) Classify(text string) map[string]float64 {
-	terms := features(text, nb.bigrams)
-	logp := make([]float64, len(nb.labels))
-	for i, label := range nb.labels {
-		lp := nb.prior[label]
-		cond := nb.condLog[label]
-		def := nb.defaultLog[label]
-		for _, t := range terms {
-			if c, ok := cond[t]; ok {
-				lp += c
-			} else {
-				lp += def
+// Posterior writes the posterior distribution over labels into dst. Every
+// label sums its log-likelihoods over the text's features in training
+// order — terms, then bigrams — and log-likelihoods are converted back to
+// probabilities with the log-sum-exp trick so the result is a proper
+// distribution even for long documents.
+func (nb *NaiveBayes) Posterior(tokens []string, dst []float64) {
+	copy(dst, nb.prior)
+	add := func(term string) {
+		id, ok := nb.terms[term]
+		if !ok {
+			id = int32(len(nb.terms))
+		}
+		for l, cond := range nb.condLog {
+			dst[l] += cond[id]
+		}
+	}
+	if nb.bigrams {
+		for _, t := range features(textutil.Terms(tokens), true) {
+			add(t)
+		}
+	} else { // the terms, without materializing them
+		for _, tok := range tokens {
+			if !textutil.IsStopword(tok) {
+				add(textutil.Stem(tok))
 			}
 		}
-		logp[i] = lp
 	}
-	return softmaxLogs(nb.labels, logp)
+	softmaxLogs(dst)
 }
 
-// features runs the analyzer chain and optionally appends adjacent-term
-// bigrams (joined with '_').
-func features(text string, bigrams bool) []string {
-	terms := textutil.Terms(text)
-	if !bigrams {
-		return terms
-	}
-	out := make([]string, len(terms), 2*len(terms))
-	copy(out, terms)
-	for i := 1; i < len(terms); i++ {
-		out = append(out, terms[i-1]+"_"+terms[i])
-	}
-	return out
-}
-
-// softmaxLogs converts log-probabilities to a normalized distribution.
-func softmaxLogs(labels []string, logp []float64) map[string]float64 {
+// softmaxLogs converts log-probabilities to a normalized distribution in
+// place.
+func softmaxLogs(logp []float64) {
 	maxLog := math.Inf(-1)
 	for _, lp := range logp {
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
-	out := make(map[string]float64, len(labels))
 	var sum float64
-	for i := range labels {
-		e := math.Exp(logp[i] - maxLog)
-		out[labels[i]] = e
-		sum += e
+	for i, lp := range logp {
+		logp[i] = math.Exp(lp - maxLog)
+		sum += logp[i]
 	}
-	for l := range out {
-		out[l] /= sum
+	for i := range logp {
+		logp[i] /= sum
 	}
-	return out
 }
 
 // Top returns the label with the highest posterior (ties broken

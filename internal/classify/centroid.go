@@ -29,7 +29,7 @@ func TrainCentroid(examples []Example) (*Centroid, error) {
 		if ex.Label == "" {
 			return nil, fmt.Errorf("classify: example %d has empty label", i)
 		}
-		v := textutil.NewTermVector(ex.Text)
+		v := textutil.NewTermVector(textutil.Tokenize(ex.Text))
 		docs[i] = v
 		for t := range v {
 			df[t]++
@@ -68,35 +68,28 @@ func TrainCentroid(examples []Example) (*Centroid, error) {
 // Labels returns the trained label set in sorted order.
 func (c *Centroid) Labels() []string { return c.labels }
 
-// Classify returns cosine similarities to each centroid normalized into a
-// distribution. A document with no overlap anywhere gets the uniform
-// distribution.
-func (c *Centroid) Classify(text string) map[string]float64 {
-	v := textutil.NewTermVector(text)
+// Posterior writes cosine similarities to each centroid, normalized into
+// a distribution, into dst. A document with no overlap anywhere gets the
+// uniform distribution.
+func (c *Centroid) Posterior(tokens []string, dst []float64) {
 	weighted := textutil.TermVector{}
-	for t, tf := range v {
+	for t, tf := range textutil.NewTermVector(tokens) {
 		if idf, ok := c.idf[t]; ok {
 			weighted[t] = tf * idf
 		}
 	}
-	out := make(map[string]float64, len(c.labels))
 	var sum float64
-	for _, label := range c.labels {
-		s := weighted.Cosine(c.centroids[label])
-		out[label] = s
-		sum += s
+	for i, label := range c.labels {
+		dst[i] = weighted.Cosine(c.centroids[label])
+		sum += dst[i]
 	}
-	if sum == 0 {
-		u := 1 / float64(len(c.labels))
-		for _, label := range c.labels {
-			out[label] = u
+	for i := range dst {
+		if sum == 0 {
+			dst[i] = 1 / float64(len(dst))
+		} else {
+			dst[i] /= sum
 		}
-		return out
 	}
-	for label := range out {
-		out[label] /= sum
-	}
-	return out
 }
 
 // Accuracy evaluates a classifier on labeled test examples, returning the
@@ -107,7 +100,7 @@ func Accuracy(cl Classifier, test []Example) float64 {
 	}
 	correct := 0
 	for _, ex := range test {
-		if top, _ := Top(cl.Classify(ex.Text)); top == ex.Label {
+		if top, _ := Top(Classify(cl, ex.Text)); top == ex.Label {
 			correct++
 		}
 	}

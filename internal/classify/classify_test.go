@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"mass/internal/lexicon"
+	"mass/internal/textutil"
 )
 
 // trainingSet builds a small, clearly separable corpus from the domain
@@ -46,7 +47,7 @@ func TestNaiveBayesSeparable(t *testing.T) {
 		"compiler algorithm database kernel software code":   lexicon.Computer,
 	}
 	for text, want := range cases {
-		top, p := Top(nb.Classify(text))
+		top, p := Top(Classify(nb, text))
 		if top != want {
 			t.Errorf("Classify(%q) top = %s (p=%.3f), want %s", text, top, p, want)
 		}
@@ -61,7 +62,7 @@ func TestNaiveBayesPosteriorSumsToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := nb.Classify("a mystery document about nothing in particular")
+	dist := Classify(nb, "a mystery document about nothing in particular")
 	var sum float64
 	for _, p := range dist {
 		if p < 0 {
@@ -104,7 +105,7 @@ func TestNaiveBayesPriorEffect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := nb.Classify("")
+	dist := Classify(nb, "")
 	if math.Abs(dist["X"]-2.0/3) > 1e-9 || math.Abs(dist["Y"]-1.0/3) > 1e-9 {
 		t.Fatalf("empty-doc posterior = %v, want prior (2/3, 1/3)", dist)
 	}
@@ -116,7 +117,7 @@ func TestNaiveBayesBigrams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Still separable with bigram features.
-	top, _ := Top(nb.Classify("basketball playoff stadium coach"))
+	top, _ := Top(Classify(nb, "basketball playoff stadium coach"))
 	if top != lexicon.Sports {
 		t.Fatalf("bigram NB top = %s, want Sports", top)
 	}
@@ -130,7 +131,7 @@ func TestNaiveBayesBigrams(t *testing.T) {
 			nb.VocabularySize(), uni.VocabularySize())
 	}
 	// Posterior is still a distribution.
-	dist := nb.Classify("anything at all")
+	dist := Classify(nb, "anything at all")
 	var sum float64
 	for _, p := range dist {
 		sum += p
@@ -141,7 +142,7 @@ func TestNaiveBayesBigrams(t *testing.T) {
 }
 
 func TestBigramFeatureConstruction(t *testing.T) {
-	got := features("stock market rally", true)
+	got := features(textutil.Terms(textutil.Tokenize("stock market rally")), true)
 	want := map[string]bool{"stock": true, "market": true, "rally": true,
 		"stock_market": true, "market_rally": true}
 	if len(got) != len(want) {
@@ -152,6 +153,14 @@ func TestBigramFeatureConstruction(t *testing.T) {
 			t.Fatalf("unexpected feature %q in %v", f, got)
 		}
 	}
+	// Training interns exactly those five features.
+	nb, err := TrainNaiveBayesBigrams([]Example{{Text: "stock market rally", Label: "X"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nb.VocabularySize(); got != 5 {
+		t.Fatalf("VocabularySize = %d, want 5 (3 terms + 2 bigrams)", got)
+	}
 }
 
 func TestCentroidSeparable(t *testing.T) {
@@ -159,7 +168,7 @@ func TestCentroidSeparable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top, _ := Top(c.Classify("marathon olympics athlete medal sprint"))
+	top, _ := Top(Classify(c, "marathon olympics athlete medal sprint"))
 	if top != lexicon.Sports {
 		t.Fatalf("centroid top = %s, want Sports", top)
 	}
@@ -170,7 +179,7 @@ func TestCentroidUnknownTextUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := c.Classify("zzzz qqqq wwww")
+	dist := Classify(c, "zzzz qqqq wwww")
 	for _, p := range dist {
 		if math.Abs(p-1.0/3) > 1e-9 {
 			t.Fatalf("unknown text must be uniform: %v", dist)
@@ -255,7 +264,7 @@ func TestClassifierDistributionProperty(t *testing.T) {
 	}
 	for _, cl := range []Classifier{nb, cen} {
 		f := func(text string) bool {
-			dist := cl.Classify(text)
+			dist := Classify(cl, text)
 			if len(dist) != len(cl.Labels()) {
 				return false
 			}

@@ -19,7 +19,7 @@ func ExampleTrainNaiveBayes() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	label, p := classify.Top(nb.Classify("the bank raised the interest rate again"))
+	label, p := classify.Top(classify.Classify(nb, "the bank raised the interest rate again"))
 	fmt.Printf("%s (p > 0.5: %v)\n", label, p > 0.5)
 	// Output:
 	// Economics (p > 0.5: true)

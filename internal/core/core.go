@@ -210,7 +210,7 @@ func (s *System) TopInDomain(domain string, k int) []blog.BloggerID {
 // (Scenario 1, Fig. 3 option 1): the ad's interest vector is the
 // classifier posterior over its text.
 func (s *System) AdvertiseText(adText string, k int) []recommend.Recommendation {
-	return s.rec.ForInterest(s.classifier.Classify(adText), k)
+	return s.rec.ForInterest(classify.Classify(s.classifier, adText), k)
 }
 
 // AdvertiseDomains recommends top-k bloggers for explicitly selected

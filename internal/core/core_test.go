@@ -144,10 +144,8 @@ func TestCustomClassifierPluggable(t *testing.T) {
 
 type fixedClassifier struct{ label string }
 
-func (f fixedClassifier) Classify(string) map[string]float64 {
-	return map[string]float64{f.label: 1}
-}
-func (f fixedClassifier) Labels() []string { return []string{f.label} }
+func (f fixedClassifier) Posterior(_ []string, dst []float64) { dst[0] = 1 }
+func (f fixedClassifier) Labels() []string                    { return []string{f.label} }
 
 func TestBadInfluenceConfigRejected(t *testing.T) {
 	_, err := FromCorpus(blog.Figure1Corpus(), Options{

@@ -19,8 +19,8 @@ import (
 type EngineOptions struct {
 	// Options are the analysis options, as for FromCorpus. When
 	// Options.Influence.Workers is zero the engine raises it to
-	// runtime.GOMAXPROCS(0) so the classifier pass over new posts runs on a
-	// bounded worker pool instead of serially.
+	// runtime.GOMAXPROCS(0) so the text pass over new posts (tokenize,
+	// shingle, classify) runs on a bounded worker pool instead of serially.
 	Options
 	// FlushEvery re-analyzes after this many mutations have accumulated.
 	// Default 64.

@@ -89,7 +89,7 @@ func sameRanking(t *testing.T, what string, got, want []recommend.Recommendation
 
 func TestAdvertClassifiedAsSports(t *testing.T) {
 	f := scenarioSystem(t)
-	if top, p := classify.Top(f.sys.Classifier().Classify(sportsAd)); top != lexicon.Sports {
+	if top, p := classify.Top(classify.Classify(f.sys.Classifier(), sportsAd)); top != lexicon.Sports {
 		t.Fatalf("ad classified as %s (p=%.2f), want Sports", top, p)
 	}
 }
@@ -116,7 +116,7 @@ func TestAdvertiseTextScoreIsDotProduct(t *testing.T) {
 	f := scenarioSystem(t)
 	top := f.sys.AdvertiseText(sportsAd, 1)[0]
 	var dot float64
-	for d, w := range f.sys.Classifier().Classify(sportsAd) {
+	for d, w := range classify.Classify(f.sys.Classifier(), sportsAd) {
 		dot += f.sys.Result().DomainScore(top.Blogger, d) * w
 	}
 	if diff := math.Abs(dot - top.Score); diff > 1e-12 {
@@ -190,7 +190,7 @@ func TestAdvertiseDomainsDuplicateAccumulates(t *testing.T) {
 func TestScenarioMethodsMatchReference(t *testing.T) {
 	f := scenarioSystem(t)
 	res := f.sys.Result()
-	mine := f.sys.Classifier().Classify
+	mine := func(text string) map[string]float64 { return classify.Classify(f.sys.Classifier(), text) }
 	texts := []string{sportsAd, "", "zzqx blorptastic unknownword",
 		"the stock market and bank interest rates", "I love painting and sculpture at the gallery"}
 	domainLists := [][]string{{lexicon.Sports}, {lexicon.Sports, lexicon.Art},

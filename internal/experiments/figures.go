@@ -204,7 +204,7 @@ func ExperimentFigure3(cfg Config) (*Figure3Result, error) {
 	adText := "Introducing the new running sneaker line: built for marathon " +
 		"training, basketball playoffs and every athlete chasing a medal " +
 		"this olympics season"
-	iv := w.nb.Classify(adText)
+	iv := classify.Classify(w.nb, adText)
 	res := &Figure3Result{
 		AdText:       adText,
 		MinedDomains: topDomains(iv, 2),

@@ -132,8 +132,15 @@ func (a *Analyzer) analyze(c *blog.Frozen, prev *Result, cache *Cache) (*Result,
 		res.GL[id] = gl[r]
 	}
 
+	// --- Text facets: one tokenization per fresh post feeds its word
+	// count, its novelty shingles and its classifier posterior. ---
+	if a.classifier != nil && reset {
+		ch.seedPosteriors(prev, pPrev)
+	}
+	a.analyzeText(c, ch, fresh, res)
+
 	// --- Quality facet: normalized length × novelty (Eq. 2). ---
-	quality, nov := a.computeQuality(c, ch, fresh, res)
+	quality, nov := a.computeQuality(ch, fresh, res)
 
 	// --- Comment facet: sentiment factors (cached per comment), then the
 	// (commenter row, SF/TC) pairs the solver sweeps over, as a CSR in
@@ -241,40 +248,12 @@ func (a *Analyzer) analyze(c *blog.Frozen, prev *Result, cache *Cache) (*Result,
 		res.AP[id] = ap[r]
 	}
 
-	// --- Domain facet: iv posteriors and Eq. 5 aggregation, on the dense
-	// interned core. Classification dominates analysis cost on large
-	// corpora and each call is independent, so fresh posts fan out across
-	// cfg.Workers. (Classifier implementations must be safe for concurrent
-	// reads, which holds for every classifier in this repository: they are
-	// immutable after training.)
+	// --- Domain facet: Eq. 5 aggregation of the iv posteriors, on the
+	// dense interned core. ---
 	res.domains = newDomainIndex()
 	if a.classifier == nil {
 		return res, nil
 	}
-	if reset {
-		ch.seedPosteriors(prev, pPrev)
-	}
-	var todo []int32
-	for _, s := range fresh {
-		if ch.posts[s].posterior == nil {
-			todo = append(todo, s)
-		}
-	}
-	res.ReusedPosteriors = np - len(todo)
-	dists := make([]map[string]float64, len(todo))
-	a.parallelSweep(len(todo), func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			dists[k] = a.classifier.Classify(c.Post(ch.postIDs[todo[k]]).Body)
-		}
-	})
-	// Interning mutates the shared index, so the dense conversion runs
-	// serially, in post ID order (fresh is sorted), for a deterministic
-	// slot layout.
-	for k, s := range todo {
-		f := &ch.posts[s]
-		f.posterior = ch.domains.denseRow(dists[k])
-	}
-
 	res.domains = ch.domains.clone()
 	res.hasDomains = true
 	nd := res.domains.Len()
@@ -371,43 +350,87 @@ func snapRows(vals []float64, rows []int32, old []float64, eps float64) {
 	}
 }
 
-// computeQuality scores every post, in row order: token count normalized
-// by the corpus maximum, times the novelty factor. Tokenization (word
-// counts + shingles) dominates quality scoring; only fresh posts without
-// cached facets are tokenized, in parallel. Only the fresh posts the
-// detector does not index yet are inserted, in chronological order. A
-// back-dated post is one insert like any other: it takes its own score
-// against the earlier posts and caps the later posts it resembles, and
-// since a cap never depends on the capping post's score, no other score
-// moves. It also records the corpus word total and the tokenization reuse
-// and novelty lookup counts in res.
-func (a *Analyzer) computeQuality(c *blog.Frozen, ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
-	np := len(ch.pSorted)
+// analyzeText fills the body facets of the fresh posts that lack one, in
+// parallel across cfg.Workers. Each worker owns a textutil.Scanner and
+// tokenizes a body once; the tokens give the word count, the novelty
+// shingles (Prepare is pure) and the classifier posterior, which goes
+// straight into its dense row: the classifier's labels are interned
+// first, in sorted order. It records the facet reuse counts in res.
+func (a *Analyzer) analyzeText(c *blog.Frozen, ch *Cache, fresh []int32, res *Result) {
 	needNovelty := !a.cfg.IgnoreNovelty
-	var todo []int32
+	needWords := func(f *postFacets) bool { return !f.tokenized || (needNovelty && !f.hasPrepared) }
+	needPosterior := func(f *postFacets) bool { return a.classifier != nil && f.posterior == nil }
+	var todo, slots []int32
+	tokenized, classified := 0, 0
 	for _, s := range fresh {
-		if f := &ch.posts[s]; !f.tokenized || (needNovelty && !f.hasPrepared) {
+		f := &ch.posts[s]
+		w, p := needWords(f), needPosterior(f)
+		if w {
+			tokenized++
+		}
+		if p {
+			classified++
+		}
+		if w || p {
 			todo = append(todo, s)
 		}
 	}
-	res.ReusedNovelty = np - len(todo)
+	res.ReusedNovelty = len(ch.pSorted) - tokenized
+	if a.classifier != nil {
+		res.ReusedPosteriors = len(ch.pSorted) - classified
+	}
+	if classified > 0 {
+		for _, l := range a.classifier.Labels() {
+			slots = append(slots, int32(ch.domains.intern(l)))
+		}
+	}
+	nd := ch.domains.Len()
 	a.parallelSweep(len(todo), func(lo, hi int) {
+		var sc textutil.Scanner
+		post := make([]float64, len(slots))
 		for _, s := range todo[lo:hi] {
 			f := &ch.posts[s]
 			body := c.Post(ch.postIDs[s]).Body
-			f.words, f.tokenized = float64(textutil.WordCount(body)), true
-			if needNovelty {
-				f.prepared, f.hasPrepared = ch.det.Prepare(body), true // Prepare is pure
+			tokens := sc.Scan(body)
+			if needWords(f) {
+				f.words, f.tokenized = float64(len(tokens)), true
+				if needNovelty {
+					f.prepared, f.hasPrepared = ch.det.Prepare(tokens, body), true
+				}
+			}
+			if needPosterior(f) {
+				a.classifier.Posterior(tokens, post)
+				f.posterior = make([]float64, nd)
+				for i, p := range post {
+					f.posterior[slots[i]] = p
+				}
 			}
 		}
 	})
+}
+
+// computeQuality scores every post, in row order: token count normalized
+// by the corpus maximum, times the novelty factor. Only the fresh posts
+// the detector does not index yet are inserted, in chronological order;
+// a cold analysis first sizes the detector's index for all their
+// shingles. A back-dated post is one insert like any other: it takes its
+// own score against the earlier posts and caps the later posts it
+// resembles, and since a cap never depends on the capping post's score,
+// no other score moves. It also records the corpus word total and the
+// novelty lookup count in res.
+func (a *Analyzer) computeQuality(ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
+	np := len(ch.pSorted)
+	needNovelty := !a.cfg.IgnoreNovelty
 	if needNovelty {
-		todo = todo[:0]
+		var todo []int32
+		shingles := 0
 		for _, s := range fresh {
 			if !ch.posts[s].scored {
 				todo = append(todo, s)
+				shingles += ch.posts[s].prepared.Size()
 			}
 		}
+		ch.det.Reserve(shingles)
 		slices.SortFunc(todo, ch.cmpChrono)
 		res.ScoredNovelty = len(todo)
 		var x int32 // the post being inserted
@@ -449,7 +472,8 @@ func (a *Analyzer) computeQuality(c *blog.Frozen, ch *Cache, fresh []int32, res 
 // the cache last saw them (comments are append-only per post under the
 // corpus COW contract, so a cached prefix never goes stale), in parallel
 // across posts, and returns how many comment polarities came from the
-// cache. With sentiment ignored nothing is scored or reused.
+// cache. Each worker scores a comment from the tokens of its own
+// textutil.Scanner. With sentiment ignored nothing is scored or reused.
 func (a *Analyzer) scoreSentiments(c *blog.Frozen, ch *Cache, grown []int32) (reused int) {
 	if a.cfg.IgnoreSentiment {
 		return 0
@@ -460,11 +484,12 @@ func (a *Analyzer) scoreSentiments(c *blog.Frozen, ch *Cache, grown []int32) (re
 		reused -= len(f.commenters) - len(f.sentiments)
 	}
 	a.parallelSweep(len(grown), func(lo, hi int) {
+		var sc textutil.Scanner
 		for _, s := range grown[lo:hi] {
 			f := &ch.posts[s]
 			comments := c.Post(ch.postIDs[s]).Comments
 			for _, cm := range comments[len(f.sentiments):len(f.commenters)] {
-				f.sentiments = append(f.sentiments, a.sent.Score(cm.Text))
+				f.sentiments = append(f.sentiments, sentiment.FromCounts(a.sent.Counts(sc.Scan(cm.Text))))
 			}
 		}
 	})

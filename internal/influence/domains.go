@@ -1,6 +1,9 @@
 package influence
 
-import "sort"
+import (
+	"maps"
+	"slices"
+)
 
 // DomainIndex interns domain names into dense integer slots so the hot
 // aggregation loops can work on flat []float64 slabs instead of chasing
@@ -44,35 +47,5 @@ func (d *DomainIndex) Names() []string { return d.names }
 // clone returns an independent copy, safe to freeze into a Result while
 // the original keeps interning.
 func (d *DomainIndex) clone() *DomainIndex {
-	c := &DomainIndex{
-		names: append([]string(nil), d.names...),
-		idx:   make(map[string]int, len(d.idx)),
-	}
-	for name, i := range d.idx {
-		c.idx[name] = i
-	}
-	return c
-}
-
-// denseRow converts a classifier posterior map into a dense row over the
-// index, interning unseen domains. New names are interned in sorted order
-// so the slot layout is deterministic across runs.
-func (d *DomainIndex) denseRow(dist map[string]float64) []float64 {
-	var fresh []string
-	for name := range dist {
-		if _, ok := d.idx[name]; !ok {
-			fresh = append(fresh, name)
-		}
-	}
-	if len(fresh) > 0 {
-		sort.Strings(fresh)
-		for _, name := range fresh {
-			d.intern(name)
-		}
-	}
-	row := make([]float64, len(d.names))
-	for name, p := range dist {
-		row[d.idx[name]] = p
-	}
-	return row
+	return &DomainIndex{names: slices.Clone(d.names), idx: maps.Clone(d.idx)}
 }

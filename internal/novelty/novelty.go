@@ -95,7 +95,7 @@ func (d *Detector) IndicatorScore(text string) float64 {
 // capped at MaxCopyScore even without credit phrases: the first occurrence
 // of content is original, later copies are not.
 func (d *Detector) Score(text string) float64 {
-	return d.ScorePrepared(d.Prepare(text), nil, nil)
+	return d.ScorePrepared(d.Prepare(textutil.Tokenize(text), text), nil, nil)
 }
 
 // Prepared is a document preprocessed for duplicate detection. Prepare is
@@ -111,11 +111,11 @@ type Prepared struct {
 	indicator float64
 }
 
-// Prepare tokenizes a document into shingle hashes and applies the
-// indicator rule. Safe for concurrent use.
-func (d *Detector) Prepare(text string) Prepared {
+// Prepare hashes a document's shingles from its tokens (textutil.Tokenize
+// of text) and applies the indicator rule to text. Safe for concurrent use.
+func (d *Detector) Prepare(tokens []string, text string) Prepared {
 	return Prepared{
-		shingles:  textutil.ShingleHashes(text, d.shingleK),
+		shingles:  textutil.ShingleHashes(tokens, d.shingleK),
 		indicator: d.IndicatorScore(text),
 	}
 }

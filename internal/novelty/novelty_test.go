@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mass/internal/textutil"
 )
 
 func TestIndicatorOriginal(t *testing.T) {
@@ -141,7 +143,7 @@ func TestScorePreparedAnyOrderMatchesChronological(t *testing.T) {
 				}
 				got[docs[doc]] = min(got[docs[doc]], MaxCopyScore)
 			}
-			got[rank] = d.ScorePrepared(d.Prepare(texts[rank]), earlier, later)
+			got[rank] = d.ScorePrepared(d.Prepare(textutil.Tokenize(texts[rank]), texts[rank]), earlier, later)
 			docs = append(docs, rank)
 		}
 		for i := range want {

@@ -16,12 +16,15 @@ func (p Prepared) Shingles() []uint64 {
 	return append([]uint64(nil), p.shingles...)
 }
 
+// Size returns the number of shingles in the prepared document's set.
+func (p Prepared) Size() int { return len(p.shingles) }
+
 // Indicator returns the copy-indicator score computed by Prepare.
 func (p Prepared) Indicator() float64 { return p.indicator }
 
 // Reserve pre-sizes the inverted index for about n shingle insertions, so
-// a bulk rebuild (RestoreCache replaying a checkpoint) does not pay for
-// incremental map growth. A no-op once any document has been indexed.
+// a bulk build (a cold analysis, or RestoreCache replaying a checkpoint)
+// does not pay for map growth. A no-op once any shingle is indexed.
 func (d *Detector) Reserve(n int) {
 	if len(d.first) == 0 && n > 0 {
 		d.first = make(map[uint64]int32, n)

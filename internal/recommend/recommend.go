@@ -79,7 +79,7 @@ func (r *Recommender) ForInterest(iv map[string]float64, k int) []Recommendation
 // free-text profile: the profile's domain distribution weights each
 // blogger's domain influence vector.
 func (r *Recommender) ForProfile(profile string, k int) []Recommendation {
-	return r.ForInterest(r.classifier.Classify(profile), k)
+	return r.ForInterest(classify.Classify(r.classifier, profile), k)
 }
 
 // ForBlogger recommends top-k bloggers for an existing member: interests
@@ -94,7 +94,7 @@ func (r *Recommender) ForBlogger(id blog.BloggerID, k int) ([]Recommendation, er
 		return nil, nil
 	}
 	// One extra row covers the member, who is dropped wherever they rank.
-	recs := r.ForInterest(r.classifier.Classify(b.Profile), k+1)
+	recs := r.ForInterest(classify.Classify(r.classifier, b.Profile), k+1)
 	recs = slices.DeleteFunc(recs, func(rec Recommendation) bool { return rec.Blogger == id })
 	return recs[:min(k, len(recs))], nil
 }

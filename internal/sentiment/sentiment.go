@@ -67,29 +67,11 @@ var negators = map[string]struct{}{
 
 // Score returns the polarity of text by counting lexicon hits, with
 // single-token negation flipping. Ties and zero hits are Neutral.
-func (a *Analyzer) Score(text string) Polarity {
-	toks := textutil.Tokenize(text)
-	pos, neg := 0, 0
-	negated := false
-	for _, tok := range toks {
-		if _, isNeg := negators[tok]; isNeg {
-			negated = true
-			continue
-		}
-		_, isPos := a.positive[tok]
-		_, isNegWord := a.negative[tok]
-		switch {
-		case isPos && negated:
-			neg++
-		case isPos:
-			pos++
-		case isNegWord && negated:
-			pos++
-		case isNegWord:
-			neg++
-		}
-		negated = false
-	}
+func (a *Analyzer) Score(text string) Polarity { return FromCounts(a.Counts(textutil.Tokenize(text))) }
+
+// FromCounts is the polarity of positive and negative hit counts: the
+// larger side wins, and a tie is Neutral.
+func FromCounts(pos, neg int) Polarity {
 	switch {
 	case pos > neg:
 		return Positive
@@ -100,12 +82,12 @@ func (a *Analyzer) Score(text string) Polarity {
 	}
 }
 
-// Counts returns the raw positive/negative hit counts (after negation
-// flipping), useful for diagnostics and tests.
-func (a *Analyzer) Counts(text string) (pos, neg int) {
-	toks := textutil.Tokenize(text)
+// Counts returns the positive/negative lexicon hits among a text's tokens
+// (textutil.Tokenize), after negation flipping: a negator flips the
+// polarity of the token that immediately follows it.
+func (a *Analyzer) Counts(tokens []string) (pos, neg int) {
 	negated := false
-	for _, tok := range toks {
+	for _, tok := range tokens {
 		if _, isNeg := negators[tok]; isNeg {
 			negated = true
 			continue

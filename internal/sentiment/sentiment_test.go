@@ -1,8 +1,13 @@
 package sentiment
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"mass/internal/lexicon"
+	"mass/internal/textutil"
 )
 
 func TestPaperSeedWords(t *testing.T) {
@@ -81,11 +86,11 @@ func TestCaseInsensitive(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	a := NewAnalyzer()
-	pos, neg := a.Counts("great great wrong")
+	pos, neg := a.Counts(textutil.Tokenize("great great wrong"))
 	if pos != 2 || neg != 1 {
 		t.Fatalf("Counts = (%d, %d), want (2, 1)", pos, neg)
 	}
-	pos, neg = a.Counts("")
+	pos, neg = a.Counts(textutil.Tokenize(""))
 	if pos != 0 || neg != 0 {
 		t.Fatalf("empty Counts = (%d, %d)", pos, neg)
 	}
@@ -101,7 +106,7 @@ func TestPolarityString(t *testing.T) {
 func TestScoreCountsConsistency(t *testing.T) {
 	a := NewAnalyzer()
 	f := func(text string) bool {
-		pos, neg := a.Counts(text)
+		pos, neg := a.Counts(textutil.Tokenize(text))
 		got := a.Score(text)
 		switch {
 		case pos > neg:
@@ -113,6 +118,61 @@ func TestScoreCountsConsistency(t *testing.T) {
 		}
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refScore is the polarity rule as one loop over the tokens: the oracle
+// for Score's FromCounts(Counts(tokens)).
+func refScore(a *Analyzer, text string) Polarity {
+	pos, neg := 0, 0
+	negated := false
+	for _, tok := range textutil.Tokenize(text) {
+		if _, isNeg := negators[tok]; isNeg {
+			negated = true
+			continue
+		}
+		_, isPos := a.positive[tok]
+		_, isNegWord := a.negative[tok]
+		switch {
+		case isPos && negated:
+			neg++
+		case isPos:
+			pos++
+		case isNegWord && negated:
+			pos++
+		case isNegWord:
+			neg++
+		}
+		negated = false
+	}
+	switch {
+	case pos > neg:
+		return Positive
+	case neg > pos:
+		return Negative
+	}
+	return Neutral
+}
+
+// Property: Score equals the single-loop reference on random texts and on
+// texts built from lexicon words and negators.
+func TestScoreMatchesReference(t *testing.T) {
+	a := NewAnalyzer()
+	words := append(append([]string{"not", "never", "don't", "isn't", "really", "the"},
+		lexicon.PositiveWords()...), lexicon.NegativeWords()...)
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		var sb strings.Builder
+		for n := rng.Intn(8); n >= 0; n-- {
+			sb.WriteString(words[rng.Intn(len(words))])
+			sb.WriteByte(' ')
+		}
+		if text := sb.String(); a.Score(text) != refScore(a, text) {
+			t.Fatalf("Score(%q) = %v, reference %v", text, a.Score(text), refScore(a, text))
+		}
+	}
+	if err := quick.Check(func(text string) bool { return a.Score(text) == refScore(a, text) }, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -104,7 +104,7 @@ func TestDomainTextIsClassifiable(t *testing.T) {
 	total, correct := 0, 0
 	for _, pid := range c.Snapshot().PostIDs() {
 		p := c.Posts[pid]
-		top, _ := classify.Top(nb.Classify(p.Body))
+		top, _ := classify.Top(classify.Classify(nb, p.Body))
 		total++
 		if top == p.TrueDomain {
 			correct++

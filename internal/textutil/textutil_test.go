@@ -49,10 +49,10 @@ func TestStopwords(t *testing.T) {
 	if IsStopword("basketball") {
 		t.Fatal("'basketball' must not be a stopword")
 	}
-	got := RemoveStopwords([]string{"the", "quick", "and", "lazy", "fox"})
+	got := Terms([]string{"the", "quick", "and", "lazy", "fox"})
 	want := []string{"quick", "lazy", "fox"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("RemoveStopwords = %v, want %v", got, want)
+		t.Fatalf("Terms = %v, want %v", got, want)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestStemKeepsShortTokens(t *testing.T) {
 }
 
 func TestTermsChain(t *testing.T) {
-	got := Terms("The players were running fast")
+	got := Terms(Tokenize("The players were running fast"))
 	want := []string{"player", "runn", "fast"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Terms = %v, want %v", got, want)
@@ -130,7 +130,7 @@ func TestTermVectorAdd(t *testing.T) {
 }
 
 func TestShingles(t *testing.T) {
-	s := ShingleHashes("a b c d", 2)
+	s := ShingleHashes(Tokenize("a b c d"), 2)
 	if len(s) != 3 {
 		t.Fatalf("len(ShingleHashes) = %d, want 3", len(s))
 	}
@@ -141,18 +141,18 @@ func TestShingles(t *testing.T) {
 	}
 	// Each shingle hashes as the text of that shingle alone does.
 	for _, key := range []string{"a b", "b c", "c d"} {
-		h := ShingleHashes(key, 2)
+		h := ShingleHashes(Tokenize(key), 2)
 		if len(h) != 1 || !slices.Contains(s, h[0]) {
 			t.Errorf("missing shingle %q", key)
 		}
 	}
-	if got := ShingleHashes("a b a b", 2); len(got) != 2 {
+	if got := ShingleHashes(Tokenize("a b a b"), 2); len(got) != 2 {
 		t.Fatalf("repeated shingle must be deduplicated: %v", got)
 	}
-	if len(ShingleHashes("a", 2)) != 0 {
+	if len(ShingleHashes(Tokenize("a"), 2)) != 0 {
 		t.Fatal("short text must produce no shingles")
 	}
-	if len(ShingleHashes("a b", 0)) != 0 {
+	if len(ShingleHashes(Tokenize("a b"), 0)) != 0 {
 		t.Fatal("k=0 must produce no shingles")
 	}
 }
@@ -179,7 +179,7 @@ func TestTokenizePropertyLowercaseNoSeps(t *testing.T) {
 // non-negative term frequencies (as produced by NewTermVector).
 func TestVectorPropertySymmetry(t *testing.T) {
 	f := func(a, b string) bool {
-		va, vb := NewTermVector(a), NewTermVector(b)
+		va, vb := NewTermVector(Tokenize(a)), NewTermVector(Tokenize(b))
 		if va.Dot(vb) != vb.Dot(va) {
 			return false
 		}

@@ -2,45 +2,66 @@
 // MASS: tokenization, stopword filtering, a light suffix stemmer, shingling
 // for near-duplicate detection, and sparse term-frequency vectors.
 //
-// All functions are deterministic and allocation-conscious; they operate on
-// plain strings so that higher layers (classification, sentiment, novelty)
-// stay independent of any particular corpus representation.
+// A text is tokenized once, by a Scanner that reuses its buffers (one
+// string allocation per text) or by Tokenize, and every facet reads those
+// tokens: the word count is their number, ShingleHashes hashes their
+// k-grams, and Terms is the stopword-filtered, stemmed classifier view.
 package textutil
 
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Tokenize splits text into lowercase word tokens. A token is a maximal run
+// Scanner tokenizes texts into buffers it reuses from one text to the
+// next. The zero value is ready to use. A Scanner is not safe for
+// concurrent use; each worker owns one.
+type Scanner struct {
+	buf    []byte // the current text, lowercased, separators blanked
+	tokens []string
+}
+
+// Scan splits text into lowercase word tokens. A token is a maximal run
 // of letters, digits, or apostrophes; apostrophes are stripped from the
 // edges so "don't" stays one token while quoting does not leak in.
-func Tokenize(text string) []string {
-	tokens := make([]string, 0, len(text)/6)
-	var b strings.Builder
-	flush := func() {
-		if b.Len() == 0 {
-			return
+// ASCII bytes take a fast path; other runes go through package unicode.
+// The tokens share one string allocated for this text; the returned
+// slice is reused by the next Scan.
+func (s *Scanner) Scan(text string) []string {
+	buf := s.buf[:0]
+	for i := 0; i < len(text); {
+		if c := text[i]; c < utf8.RuneSelf {
+			i++
+			switch {
+			case 'A' <= c && c <= 'Z':
+				c += 'a' - 'A'
+			case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c == '\'':
+			default:
+				c = ' '
+			}
+			buf = append(buf, c)
+			continue
 		}
-		tok := strings.Trim(b.String(), "'")
-		if tok != "" {
-			tokens = append(tokens, tok)
+		r, n := utf8.DecodeRuneInString(text[i:])
+		i += n
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			buf = utf8.AppendRune(buf, unicode.ToLower(r))
+		} else {
+			buf = append(buf, ' ')
 		}
-		b.Reset()
 	}
-	for _, r := range text {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			b.WriteRune(unicode.ToLower(r))
-		case r == '\'':
-			b.WriteRune(r)
-		default:
-			flush()
+	s.buf, s.tokens = buf, s.tokens[:0]
+	for run := range strings.FieldsSeq(string(buf)) {
+		if tok := strings.Trim(run, "'"); tok != "" {
+			s.tokens = append(s.tokens, tok)
 		}
 	}
-	flush()
-	return tokens
+	return s.tokens
 }
+
+// Tokenize returns text's tokens (see Scanner.Scan) in a slice of its own.
+func Tokenize(text string) []string { return new(Scanner).Scan(text) }
 
 // stopwords is the standard English function-word list used by the analyzer.
 // Kept small on purpose: MASS only needs it to de-noise classification and
@@ -63,18 +84,6 @@ func init() {
 func IsStopword(tok string) bool {
 	_, ok := stopwords[tok]
 	return ok
-}
-
-// RemoveStopwords returns the tokens that are not stopwords, preserving
-// order. The input slice is not modified.
-func RemoveStopwords(tokens []string) []string {
-	out := make([]string, 0, len(tokens))
-	for _, t := range tokens {
-		if !IsStopword(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // Stem applies a light suffix stemmer (a simplified Porter step-1): plural
@@ -104,18 +113,18 @@ func hasVowel(s string) bool {
 	return strings.ContainsAny(s, "aeiouy")
 }
 
-// Terms is the full analyzer chain used by the classifier: tokenize,
-// drop stopwords, stem.
-func Terms(text string) []string {
-	toks := RemoveStopwords(Tokenize(text))
-	for i, t := range toks {
-		toks[i] = Stem(t)
+// Terms is the classifiers' view of a text's tokens: the tokens that are
+// not stopwords, stemmed, in order.
+func Terms(tokens []string) []string {
+	var terms []string
+	for _, t := range tokens {
+		if !IsStopword(t) {
+			terms = append(terms, Stem(t))
+		}
 	}
-	return toks
+	return terms
 }
 
 // WordCount returns the number of word tokens in text. The paper measures
 // post quality by length; length is defined as the token count.
-func WordCount(text string) int {
-	return len(Tokenize(text))
-}
+func WordCount(text string) int { return len(Tokenize(text)) }

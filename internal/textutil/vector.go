@@ -2,17 +2,17 @@ package textutil
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // TermVector is a sparse term-frequency vector over stemmed terms.
 type TermVector map[string]float64
 
-// NewTermVector builds a term-frequency vector from raw text using the
-// standard analyzer chain (Tokenize → RemoveStopwords → Stem).
-func NewTermVector(text string) TermVector {
+// NewTermVector builds the term-frequency vector of a text's tokens over
+// their Terms.
+func NewTermVector(tokens []string) TermVector {
 	v := TermVector{}
-	for _, t := range Terms(text) {
+	for _, t := range Terms(tokens) {
 		v[t]++
 	}
 	return v
@@ -60,46 +60,37 @@ func (v TermVector) Cosine(other TermVector) float64 {
 	return v.Dot(other) / (nv * no)
 }
 
-// ShingleHashes returns the 64-bit FNV-1a hashes of the k-gram token
-// shingles of text (tokens joined by a single space), deduplicated and
+// ShingleHashes returns the 64-bit FNV-1a hashes of the k-gram shingles
+// of a text's tokens (tokens joined by a single space), deduplicated and
 // sorted ascending. Hashing shingles instead of materializing their strings
 // makes the near-duplicate detector's index an integer-keyed map and a
 // serialized shingle set a flat 8-byte-per-entry array; a 64-bit hash makes
 // cross-shingle collisions (a slightly inflated shingle overlap) vanishingly
 // rare at realistic corpus sizes. The hash is a fixed function of the text,
 // so persisted shingle sets remain comparable across processes.
-func ShingleHashes(text string, k int) []uint64 {
+func ShingleHashes(tokens []string, k int) []uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	toks := Tokenize(text)
-	if k <= 0 || len(toks) < k {
+	if k <= 0 || len(tokens) < k {
 		return nil
 	}
-	out := make([]uint64, 0, len(toks)-k+1)
-	for i := 0; i+k <= len(toks); i++ {
+	out := make([]uint64, 0, len(tokens)-k+1)
+	for i := 0; i+k <= len(tokens); i++ {
 		h := uint64(offset64)
 		for j := i; j < i+k; j++ {
 			if j > i {
 				h ^= ' '
 				h *= prime64
 			}
-			for m := 0; m < len(toks[j]); m++ {
-				h ^= uint64(toks[j][m])
+			for m := 0; m < len(tokens[j]); m++ {
+				h ^= uint64(tokens[j][m])
 				h *= prime64
 			}
 		}
 		out = append(out, h)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	dst := out[:0]
-	var last uint64
-	for i, h := range out {
-		if i == 0 || h != last {
-			dst = append(dst, h)
-			last = h
-		}
-	}
-	return dst
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -96,9 +96,9 @@ type vocabulary struct {
 	idf   []float64
 }
 
-// vector is text's sparse TF-IDF vector over the vocabulary.
-func (voc vocabulary) vector(text string) sparse {
-	tf := textutil.NewTermVector(text)
+// vector is a text's sparse TF-IDF vector over the vocabulary.
+func (voc vocabulary) vector(tokens []string) sparse {
+	tf := textutil.NewTermVector(tokens)
 	var v sparse
 	for t := range tf {
 		if i, ok := voc.index[t]; ok {
@@ -191,7 +191,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 	// TF-IDF vectors with document-frequency pruning.
 	df := map[string]int{}
 	for _, d := range docs {
-		for t := range textutil.NewTermVector(d) {
+		for t := range textutil.NewTermVector(textutil.Tokenize(d)) {
 			df[t]++
 		}
 	}
@@ -211,7 +211,7 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 	}
 	vecs := make([]sparse, len(docs))
 	for i, d := range docs {
-		vecs[i] = voc.vector(d)
+		vecs[i] = voc.vector(textutil.Tokenize(d))
 	}
 
 	// Multi-restart Lloyd: each restart seeds differently (restart 0 uses
@@ -263,38 +263,36 @@ func Discover(docs []string, cfg Config) (*Model, error) {
 }
 
 // Labels implements classify.Classifier: the discovered topic labels in
-// sorted order.
+// sorted order, each once.
 func (m *Model) Labels() []string {
 	out := make([]string, len(m.Topics))
 	for i, t := range m.Topics {
 		out[i] = t.Label
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
-// Classify implements classify.Classifier: cosine similarities to topic
+// Posterior implements classify.Classifier: cosine similarities to topic
 // centroids normalized into a distribution (uniform when no overlap).
-func (m *Model) Classify(text string) map[string]float64 {
-	v := m.vocab.vector(text)
-	out := make(map[string]float64, len(m.Topics))
+// Topics sharing a label add into that label's slot.
+func (m *Model) Posterior(tokens []string, dst []float64) {
+	v := m.vocab.vector(tokens)
+	labels := m.Labels()
+	clear(dst)
 	var sum float64
 	for _, t := range m.Topics {
 		s := cosine(v, t.centroid)
-		out[t.Label] += s // += guards against duplicate labels
+		dst[sort.SearchStrings(labels, t.Label)] += s
 		sum += s
 	}
-	if sum == 0 {
-		u := 1 / float64(len(out))
-		for l := range out {
-			out[l] = u
+	for i := range dst {
+		if sum == 0 {
+			dst[i] = 1 / float64(len(dst))
+		} else {
+			dst[i] /= sum
 		}
-		return out
 	}
-	for l := range out {
-		out[l] /= sum
-	}
-	return out
 }
 
 // Purity scores the clustering against known labels: the fraction of

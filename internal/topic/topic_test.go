@@ -113,7 +113,7 @@ func TestModelIsClassifier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cl classify.Classifier = m
-	dist := cl.Classify("the basketball stadium hosted the championship playoff")
+	dist := classify.Classify(cl, "the basketball stadium hosted the championship playoff")
 	var sum float64
 	for _, p := range dist {
 		if p < 0 {
@@ -151,7 +151,7 @@ func TestClassifyNoOverlapUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := m.Classify("zzz qqq www")
+	dist := classify.Classify(m, "zzz qqq www")
 	for _, p := range dist {
 		if math.Abs(p-1.0/float64(len(dist))) > 1e-9 {
 			t.Fatalf("no-overlap text must be uniform: %v", dist)
