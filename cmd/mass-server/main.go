@@ -93,9 +93,12 @@ func main() {
 	var corpus *blog.Corpus
 	if *corpusPath != "" {
 		var err error
+		t0 := time.Now()
 		if corpus, err = xmlstore.Load(*corpusPath); err != nil {
 			log.Fatal(err)
 		}
+		fmt.Printf("loaded %s in %s (%d bloggers, %d posts)\n", *corpusPath,
+			time.Since(t0).Round(time.Millisecond), len(corpus.Bloggers), len(corpus.Posts))
 	}
 
 	// One code path for every deployment shape: the cluster with one shard

@@ -13,9 +13,6 @@
 package novelty
 
 import (
-	"strings"
-
-	"mass/internal/lexicon"
 	"mass/internal/textutil"
 )
 
@@ -31,7 +28,7 @@ const (
 
 // Detector scores post novelty. The zero value is unusable; call New.
 type Detector struct {
-	indicators []string
+	indicators *indicatorMatcher
 	// shingleK is the shingle size for near-duplicate detection.
 	shingleK int
 	// dupThreshold is the shingle-set resemblance |A∩B| / |A∪B| above
@@ -63,7 +60,7 @@ type Detector struct {
 // 4-token shingles and a 0.7 resemblance duplicate threshold.
 func New() *Detector {
 	return &Detector{
-		indicators:   lexicon.CopyIndicators(),
+		indicators:   copyIndicators,
 		shingleK:     4,
 		dupThreshold: 0.7,
 		first:        map[uint64]int32{},
@@ -73,15 +70,10 @@ func New() *Detector {
 
 // IndicatorScore applies the paper's rule: if the text contains any copy
 // indicator, the score is in (0, 0.1], scaled down by the number of
-// distinct indicators present; otherwise 1.
+// distinct indicators present; otherwise 1. An indicator counts when it is
+// a substring of strings.ToLower(text); one pass over text finds them all.
 func (d *Detector) IndicatorScore(text string) float64 {
-	lower := strings.ToLower(text)
-	hits := 0
-	for _, ind := range d.indicators {
-		if strings.Contains(lower, ind) {
-			hits++
-		}
-	}
+	hits := d.indicators.count(text)
 	if hits == 0 {
 		return OriginalScore
 	}

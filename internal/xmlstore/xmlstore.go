@@ -6,9 +6,21 @@
 // Two layouts are supported: a single snapshot file (Save/Load) and a
 // sharded directory with one XML file per blogger (SaveShards/LoadShards),
 // which is what a multi-threaded crawler naturally produces.
+//
+// Writing goes through encoding/xml's Encoder and the struct tags of
+// fileDoc, shardDoc and the blog types. Reading does not: a boot reads the
+// whole corpus, and encoding/xml's reflection Decode spent more time on it
+// than the analysis that follows. The decoder (decode.go) scans the input
+// bytes once, driven by the two fixed schemas, and fills the blog structs
+// directly. Its contract is the same accept set as encoding/xml's strict
+// Decode into fileDoc or shardDoc: it rejects exactly the inputs that
+// Decode rejects, and where both accept, the decoded bloggers, posts and
+// links are equal. The tests keep that Decode as the oracle, on
+// hand-written documents, on synth corpora, and in FuzzRead.
 package xmlstore
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -63,11 +75,23 @@ func Write(w io.Writer, c *blog.Corpus) error {
 // Read decodes a corpus from a single XML document, rebuilding all indexes
 // and validating referential integrity.
 func Read(r io.Reader) (*blog.Corpus, error) {
-	var doc fileDoc
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+	var buf bytes.Buffer // read whole: the decoder scans bytes in memory
+	switch r := r.(type) {
+	case interface{ Len() int }: // bytes.Reader, strings.Reader, bytes.Buffer
+		buf.Grow(r.Len() + bytes.MinRead)
+	case *os.File:
+		if fi, err := r.Stat(); err == nil {
+			buf.Grow(int(fi.Size()) + bytes.MinRead)
+		}
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("xmlstore: decode: %w", err)
 	}
-	return assemble(doc.Bloggers, doc.Posts, doc.Links)
+	var p parts
+	if err := newDecoder().file(buf.Bytes(), &p); err != nil {
+		return nil, fmt.Errorf("xmlstore: decode: %w", err)
+	}
+	return assemble(p.bloggers, p.posts, p.links)
 }
 
 // Save writes the corpus snapshot to path, creating parent directories.
@@ -147,9 +171,6 @@ func LoadShards(dir string) (*blog.Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	var bloggers []blog.Blogger
-	var posts []blog.Post
-	var links []blog.Link
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() && strings.HasSuffix(e.Name(), ".xml") {
@@ -157,22 +178,18 @@ func LoadShards(dir string) (*blog.Corpus, error) {
 		}
 	}
 	sort.Strings(names)
+	var p parts
+	d := newDecoder()
 	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
+		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, err
 		}
-		var doc shardDoc
-		err = xml.NewDecoder(f).Decode(&doc)
-		f.Close()
-		if err != nil {
+		if err := d.shard(data, &p); err != nil {
 			return nil, fmt.Errorf("xmlstore: shard %s: %w", name, err)
 		}
-		bloggers = append(bloggers, doc.Blogger)
-		posts = append(posts, doc.Posts...)
-		links = append(links, doc.Links...)
 	}
-	return assemble(bloggers, posts, links)
+	return assemble(p.bloggers, p.posts, p.links)
 }
 
 // assemble builds a validated corpus from decoded parts.

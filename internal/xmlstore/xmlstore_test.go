@@ -206,11 +206,15 @@ func assertCorpusEqual(t *testing.T, want, got *blog.Corpus) {
 		if w.Title != g.Title || w.Body != g.Body || w.Author != g.Author || w.TrueDomain != g.TrueDomain {
 			t.Fatalf("post %s differs", id)
 		}
+		if !w.Posted.Equal(g.Posted) {
+			t.Fatalf("post %s timestamp differs: %v vs %v", id, w.Posted, g.Posted)
+		}
 		if !reflect.DeepEqual(w.Tags, g.Tags) {
 			t.Fatalf("post %s tags differ: %v vs %v", id, w.Tags, g.Tags)
 		}
-		if len(w.Comments) != len(g.Comments) {
-			t.Fatalf("post %s comment count differs: %d vs %d", id, len(w.Comments), len(g.Comments))
+		if len(w.Comments) != len(g.Comments) || (w.Comments == nil) != (g.Comments == nil) {
+			t.Fatalf("post %s comments differ: %d (nil %v) vs %d (nil %v)", id,
+				len(w.Comments), w.Comments == nil, len(g.Comments), g.Comments == nil)
 		}
 		for i := range w.Comments {
 			if w.Comments[i].Commenter != g.Comments[i].Commenter || w.Comments[i].Text != g.Comments[i].Text {
