@@ -28,7 +28,6 @@ const (
 
 // Detector scores post novelty. The zero value is unusable; call New.
 type Detector struct {
-	indicators *indicatorMatcher
 	// shingleK is the shingle size for near-duplicate detection.
 	shingleK int
 	// dupThreshold is the shingle-set resemblance |A∩B| / |A∪B| above
@@ -60,7 +59,6 @@ type Detector struct {
 // 4-token shingles and a 0.7 resemblance duplicate threshold.
 func New() *Detector {
 	return &Detector{
-		indicators:   copyIndicators,
 		shingleK:     4,
 		dupThreshold: 0.7,
 		first:        map[uint64]int32{},
@@ -73,7 +71,7 @@ func New() *Detector {
 // distinct indicators present; otherwise 1. An indicator counts when it is
 // a substring of strings.ToLower(text); one pass over text finds them all.
 func (d *Detector) IndicatorScore(text string) float64 {
-	hits := d.indicators.count(text)
+	hits := copyIndicators.count(text)
 	if hits == 0 {
 		return OriginalScore
 	}
