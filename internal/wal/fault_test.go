@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mass/internal/blog"
 )
 
 // faultFS wraps another FS and injects failures into files it creates.
@@ -298,6 +301,110 @@ func TestCorruptSnapshotFallsBackToOlder(t *testing.T) {
 	wantOps(t, rec.Ops, testOps(4, 6))
 	if _, err := os.Stat(filepath.Join(dir, snapName(8))); !os.IsNotExist(err) {
 		t.Fatalf("corrupt snapshot was not removed")
+	}
+}
+
+// TestSnapshotShortWriteMidStream tears a checkpoint's second payload chunk
+// and requires the failure to leave no trace: no temp file, the previous
+// snapshot still the newest, the log still taking appends, and recovery
+// returning exactly the acknowledged state.
+func TestSnapshotShortWriteMidStream(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &faultFS{FS: OSFS(), syncErrAfter: -1, shortWriteAt: -1}
+	l, _, err := Open(Options{Dir: dir, FS: ffs, SyncEvery: 1, SyncInterval: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := l.Append(testOps(0, 4)...); err != nil {
+		t.Fatal(err)
+	}
+	first := warmSnapshot(t, 4, 60, 400)
+	if err := l.WriteSnapshot(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(testOps(4, 4)...); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot's write 0 is its header and write 1 its first chunk.
+	ffs.shortWriteAt = ffs.writes + 2
+	second := *first
+	second.Index, second.Seq = 8, 2
+	if err := l.WriteSnapshot(&second); err == nil {
+		t.Fatal("torn checkpoint reported success")
+	}
+	if ffs.writes != ffs.shortWriteAt+1 {
+		t.Fatalf("checkpoint made %d writes after the torn one", ffs.writes-ffs.shortWriteAt-1)
+	}
+	names, err := OSFS().ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if filepath.Ext(n) == ".tmp" {
+			t.Fatalf("torn checkpoint left %s behind", n)
+		}
+	}
+	if snaps, _ := classifyDir(names); len(snaps) != 1 || snaps[0].idx != 4 {
+		t.Fatalf("snapshots after a torn checkpoint: %v, want only snapshot 4", names)
+	}
+	if err := l.Append(testOps(8, 2)...); err != nil {
+		t.Fatalf("Append after a torn checkpoint: %v", err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("Sync after a torn checkpoint: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	want, err := encodeSnapshotFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapName(4))); err != nil || string(got) != string(want) {
+		t.Fatalf("snapshot 4 changed on disk (err %v)", err)
+	}
+	l2, rec, err := Open(Options{Dir: dir, SyncInterval: -1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l2.Close()
+	if rec.Snapshot == nil || rec.Snapshot.Index != 4 || rec.Snapshot.Seq != 1 || rec.LastIndex != 10 {
+		t.Fatalf("recovered snapshot %v, last index %d; want snapshot 4 and 10 records", rec.Snapshot, rec.LastIndex)
+	}
+	if rec.Snapshot.Corpus.NumPosts() != first.Corpus.NumPosts() || len(rec.Snapshot.Cache.Posts) != len(first.Cache.Posts) {
+		t.Fatalf("recovered snapshot holds %d posts / %d facets, want %d / %d", rec.Snapshot.Corpus.NumPosts(),
+			len(rec.Snapshot.Cache.Posts), first.Corpus.NumPosts(), len(first.Cache.Posts))
+	}
+	wantOps(t, rec.Ops, testOps(4, 6))
+}
+
+// TestSnapshotDanglingLinkCreatesNoFile checks that a snapshot whose link
+// names a blogger outside its corpus fails before any file is created.
+func TestSnapshotDanglingLinkCreatesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	ffs := &faultFS{FS: OSFS(), syncErrAfter: -1, shortWriteAt: -1}
+	l, _, err := Open(Options{Dir: dir, FS: ffs, SyncInterval: -1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	before, err := OSFS().ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := ffs.writes
+	c := corpusForSnapshot(t)
+	c.Links = append(c.Links, blog.Link{From: "a", To: "ghost"})
+	if err := l.WriteSnapshot(&Snapshot{Index: 0, Corpus: c.Snapshot()}); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("WriteSnapshot of a dangling link: err %v, want one naming the missing blogger", err)
+	}
+	after, err := OSFS().ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(after) != fmt.Sprint(before) || ffs.writes != writes {
+		t.Fatalf("failed snapshot touched the directory: %v -> %v, %d writes", before, after, ffs.writes-writes)
 	}
 }
 

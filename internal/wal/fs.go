@@ -11,6 +11,12 @@
 //	                   then frames: [u32 len][u32 CRC32C(payload)][payload]
 //	snap-<index>.snap  "MASSSNP1", u32 version, u64 len, payload, u32 CRC
 //
+// A snapshot streams to its temp file in 64 KiB chunks and is never held
+// whole in memory. Because its length precedes its payload, the writer
+// walks the state twice — once to count the length, once to write — and
+// refuses to publish a file whose second walk's length disagrees with the
+// first's.
+//
 // Filesystem access goes through the FS interface so tests can inject
 // failing syncs, short writes, and torn tails; production uses the os
 // implementation.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"time"
 
@@ -53,7 +54,49 @@ type Op struct {
 
 // --- encoding primitives ---
 
-type encoder struct{ buf []byte }
+// encoder appends the binary encoding to buf. With a writer set it
+// streams instead: spill hands buf to w once it reaches chunkBytes, so
+// memory stays at one chunk whatever the total size, and n and crc track
+// every byte handed over. A counting encoder (count set, no writer) only
+// adds each chunk's length to n and drops it. WAL records use the plain
+// form and never spill.
+type encoder struct {
+	buf []byte
+
+	w     io.Writer
+	count bool
+	n     int64  // bytes handed over (or counted)
+	crc   uint32 // CRC32C of the bytes handed to w
+	err   error  // first write error; later chunks are dropped
+}
+
+// chunkBytes is the size at which a streaming encoder hands its buffer to
+// its writer.
+const chunkBytes = 64 << 10
+
+// spill flushes buf once it holds at least chunkBytes. Callers spill
+// between records, so a record never straddles a check.
+func (e *encoder) spill() {
+	if (e.w != nil || e.count) && len(e.buf) >= chunkBytes {
+		e.flush()
+	}
+}
+
+// flush hands everything buffered to w, or counts it; in the plain form
+// buf is the output, and flush leaves it there.
+func (e *encoder) flush() {
+	if e.w == nil && !e.count {
+		return
+	}
+	e.n += int64(len(e.buf))
+	if e.w != nil {
+		e.crc = crc32.Update(e.crc, castagnoli, e.buf)
+		if e.err == nil {
+			_, e.err = e.w.Write(e.buf)
+		}
+	}
+	e.buf = e.buf[:0]
+}
 
 func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
 func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }

@@ -19,7 +19,8 @@ import (
 // representation — bloggers and posts become sorted interned tables and
 // every cross-reference (post author, commenter, link endpoint, cached
 // vector key) is a varint index into them, the same trick the CSR graph and
-// the domain index play in memory.
+// the domain index play in memory. WriteSnapshot streams it to disk and
+// reads Corpus and Cache twice, so neither may change until it returns.
 type Snapshot struct {
 	// Index is the last WAL record index covered by this snapshot.
 	Index uint64
@@ -46,28 +47,102 @@ const (
 
 // --- payload encoding ---
 
-// encodeSnapshot encodes s's payload after snapFileHeader reserved bytes,
-// which encodeSnapshotFile fills in, so the file is framed in one buffer.
-func encodeSnapshot(s *Snapshot) ([]byte, error) {
-	c := s.Corpus
-	bids := c.BloggerIDs() // sorted
-	pids := c.PostIDs()    // sorted
-	bIdx := make(map[blog.BloggerID]uint64, len(bids))
-	for i, id := range bids {
-		bIdx[id] = uint64(i)
-	}
-	pIdx := make(map[blog.PostID]uint64, len(pids))
-	for i, id := range pids {
-		pIdx[id] = uint64(i)
-	}
+// snapshotEncoder streams one snapshot's payload through an encoder. The
+// file header carries the payload length ahead of the payload and a File
+// cannot seek, so the payload is walked twice: newSnapshotEncoder counts
+// its length (and checks every reference against the corpus), then
+// writeTo streams header, payload and trailer and fails when its walk's
+// length disagrees with the counted one. Either walk holds the interning
+// tables and one chunk, never the payload.
+type snapshotEncoder struct {
+	s     *Snapshot
+	bids  []blog.BloggerID // sorted; a blogger's position is its index
+	pids  []blog.PostID    // sorted; a post's position is its index
+	bIdx  map[blog.BloggerID]uint64
+	pIdx  map[blog.PostID]uint64
+	kept  []*influence.PostFacetsState // cache facets of posts still held
+	order []uint64                     // novelty order as post indexes
+	buf   []byte                       // chunk buffer shared by both walks
 
-	e := encoder{buf: make([]byte, snapFileHeader, 1<<20)}
+	n int64 // counted payload length
+}
+
+// newSnapshotEncoder interns s's bloggers and posts and counts its
+// payload. A snapshot that names a blogger outside its corpus fails here.
+func newSnapshotEncoder(s *Snapshot) (*snapshotEncoder, error) {
+	c := s.Corpus
+	se := &snapshotEncoder{s: s, bids: c.BloggerIDs(), pids: c.PostIDs(), buf: make([]byte, 0, 2*chunkBytes)}
+	se.bIdx = make(map[blog.BloggerID]uint64, len(se.bids))
+	for i, id := range se.bids {
+		se.bIdx[id] = uint64(i)
+	}
+	se.pIdx = make(map[blog.PostID]uint64, len(se.pids))
+	for i, id := range se.pids {
+		se.pIdx[id] = uint64(i)
+	}
+	if st := s.Cache; st != nil {
+		// Facets for posts no longer in the corpus carry no warm value;
+		// skip them rather than failing the checkpoint.
+		se.kept = make([]*influence.PostFacetsState, 0, len(st.Posts))
+		for i := range st.Posts {
+			if _, ok := se.pIdx[st.Posts[i].ID]; ok {
+				se.kept = append(se.kept, &st.Posts[i])
+			}
+		}
+		se.order = make([]uint64, 0, len(st.NovOrder))
+		for _, pid := range st.NovOrder {
+			i, ok := se.pIdx[pid]
+			if !ok {
+				// An order referencing an evicted post can't be replayed: a
+				// post it capped as a later copy would stay capped. Persist
+				// no order, so the restored cache re-scores novelty.
+				se.order = se.order[:0]
+				break
+			}
+			se.order = append(se.order, i)
+		}
+	}
+	e := encoder{buf: se.buf, count: true}
+	if err := se.payload(&e); err != nil {
+		return nil, err
+	}
+	se.n, se.buf = e.n, e.buf[:0]
+	return se, nil
+}
+
+// writeTo streams the framed snapshot file to w.
+func (se *snapshotEncoder) writeTo(w io.Writer) error {
+	hdr := make([]byte, 0, snapFileHeader)
+	hdr = append(hdr, snapMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(se.n))
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	e := encoder{buf: se.buf[:0], w: w}
+	if err := se.payload(&e); err != nil {
+		return err
+	}
+	if e.err != nil {
+		return e.err
+	}
+	if e.n != se.n {
+		return fmt.Errorf("wal: snapshot payload changed between walks: %d bytes, counted %d", e.n, se.n)
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(hdr[:0], e.crc))
+	return err
+}
+
+// payload encodes the snapshot through e, spilling between records, and
+// flushes the tail.
+func (se *snapshotEncoder) payload(e *encoder) error {
+	s, c, bIdx := se.s, se.s.Corpus, se.bIdx
 	e.u64(s.Index)
 	e.u64(s.Seq)
 	e.u64(s.Mutations)
 
-	e.uvarint(uint64(len(bids)))
-	for _, id := range bids {
+	e.uvarint(uint64(len(se.bids)))
+	for _, id := range se.bids {
 		b := c.Blogger(id)
 		e.str(string(b.ID))
 		e.str(b.Name)
@@ -76,18 +151,19 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 		for _, f := range b.Friends {
 			fi, ok := bIdx[f]
 			if !ok {
-				return nil, fmt.Errorf("wal: snapshot: blogger %q friend %q not in corpus", id, f)
+				return fmt.Errorf("wal: snapshot: blogger %q friend %q not in corpus", id, f)
 			}
 			e.uvarint(fi)
 		}
+		e.spill()
 	}
 
-	e.uvarint(uint64(len(pids)))
-	for _, id := range pids {
+	e.uvarint(uint64(len(se.pids)))
+	for _, id := range se.pids {
 		p := c.Post(id)
 		ai, ok := bIdx[p.Author]
 		if !ok {
-			return nil, fmt.Errorf("wal: snapshot: post %q author %q not in corpus", id, p.Author)
+			return fmt.Errorf("wal: snapshot: post %q author %q not in corpus", id, p.Author)
 		}
 		e.str(string(p.ID))
 		e.uvarint(ai)
@@ -104,12 +180,13 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 			cm := &p.Comments[i]
 			ci, ok := bIdx[cm.Commenter]
 			if !ok {
-				return nil, fmt.Errorf("wal: snapshot: post %q commenter %q not in corpus", id, cm.Commenter)
+				return fmt.Errorf("wal: snapshot: post %q commenter %q not in corpus", id, cm.Commenter)
 			}
 			e.uvarint(ci)
 			e.str(cm.Text)
 			e.timeVal(cm.Posted)
 		}
+		e.spill()
 	}
 
 	e.uvarint(uint64(len(c.Links())))
@@ -117,15 +194,17 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 		fi, fok := bIdx[l.From]
 		ti, tok := bIdx[l.To]
 		if !fok || !tok {
-			return nil, fmt.Errorf("wal: snapshot: link %q->%q not in corpus", l.From, l.To)
+			return fmt.Errorf("wal: snapshot: link %q->%q not in corpus", l.From, l.To)
 		}
 		e.uvarint(fi)
 		e.uvarint(ti)
+		e.spill()
 	}
 
 	if s.Cache == nil {
 		e.u8(0)
-		return e.buf, nil
+		e.flush()
+		return nil
 	}
 	e.u8(1)
 	st := s.Cache
@@ -133,17 +212,9 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	for _, d := range st.Domains {
 		e.str(d)
 	}
-	// Facets for posts no longer in the corpus carry no warm value; skip
-	// them rather than failing the checkpoint.
-	kept := make([]*influence.PostFacetsState, 0, len(st.Posts))
-	for i := range st.Posts {
-		if _, ok := pIdx[st.Posts[i].ID]; ok {
-			kept = append(kept, &st.Posts[i])
-		}
-	}
-	e.uvarint(uint64(len(kept)))
-	for _, ps := range kept {
-		e.uvarint(pIdx[ps.ID])
+	e.uvarint(uint64(len(se.kept)))
+	for _, ps := range se.kept {
+		e.uvarint(se.pIdx[ps.ID])
 		e.f64(ps.Words)
 		e.bool(ps.Tokenized)
 		e.bool(ps.HasPrepared)
@@ -169,30 +240,21 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 		for _, sp := range ps.Sentiments {
 			e.u8(uint8(sp))
 		}
+		e.spill()
 	}
-	order := make([]uint64, 0, len(st.NovOrder))
-	for _, pid := range st.NovOrder {
-		i, ok := pIdx[pid]
-		if !ok {
-			// An order referencing an evicted post can't be replayed: a
-			// post it capped as a later copy would stay capped. Persist no
-			// order, so the restored cache re-scores novelty.
-			order = order[:0]
-			break
-		}
-		order = append(order, i)
-	}
-	e.uvarint(uint64(len(order)))
-	for _, i := range order {
+	e.uvarint(uint64(len(se.order)))
+	for _, i := range se.order {
 		e.uvarint(i)
+		e.spill()
 	}
 	if err := e.bloggerVec(st.GLBloggers, st.GL, bIdx, "gl"); err != nil {
-		return nil, err
+		return err
 	}
 	if err := e.bloggerVec(st.InfBloggers, st.Influence, bIdx, "influence"); err != nil {
-		return nil, err
+		return err
 	}
-	return e.buf, nil
+	e.flush()
+	return nil
 }
 
 func (e *encoder) bool(v bool) {
@@ -215,6 +277,7 @@ func (e *encoder) bloggerVec(ids []blog.BloggerID, vals []float64, bIdx map[blog
 		}
 		e.uvarint(bi)
 		e.f64(vals[i])
+		e.spill()
 	}
 	return nil
 }
@@ -396,18 +459,6 @@ func (d *decoder) bloggerVec(bid func(uint64) blog.BloggerID) ([]blog.BloggerID,
 
 // --- file framing ---
 
-func encodeSnapshotFile(s *Snapshot) ([]byte, error) {
-	buf, err := encodeSnapshot(s)
-	if err != nil {
-		return nil, err
-	}
-	payload := buf[snapFileHeader:]
-	copy(buf, snapMagic)
-	binary.LittleEndian.PutUint32(buf[8:], snapVersion)
-	binary.LittleEndian.PutUint64(buf[12:], uint64(len(payload)))
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli)), nil
-}
-
 func decodeSnapshotFile(data []byte) (*Snapshot, error) {
 	if len(data) < snapFileHeader+4 {
 		return nil, fmt.Errorf("wal: snapshot file too short (%d bytes)", len(data))
@@ -470,39 +521,40 @@ func loadSnapshotFile(fs FS, path string) (*Snapshot, error) {
 // collects: it keeps the two newest snapshots — the extra one is the
 // fallback if the newest is later found corrupt — and removes every sealed
 // segment fully covered by the older retained snapshot.
+//
+// The file streams to its temp file in chunkBytes chunks, in two walks of
+// s (see snapshotEncoder): a snapshot naming a blogger outside its corpus
+// fails before any file exists, and a second walk whose length disagrees
+// with the first's fails rather than publishing a mis-framed file. Memory is one
+// chunk plus the interning tables, whatever the file's size. The stream,
+// its fsync and its close run without the log's lock, so appends and
+// syncs proceed while a checkpoint is written; the lock covers only the
+// state checks, the rename and the bookkeeping.
 func (l *Log) WriteSnapshot(s *Snapshot) error {
-	data, err := encodeSnapshotFile(s)
+	se, err := newSnapshotEncoder(s)
 	if err != nil {
+		return err
+	}
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	l.mu.Lock()
+	err = l.usableLocked()
+	l.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	final := filepath.Join(l.opts.Dir, snapName(s.Index))
+	tmp := final + ".tmp"
+	if err := l.streamSnapshot(tmp, se); err != nil {
+		l.opts.FS.Remove(tmp)
 		return err
 	}
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if l.failed != nil {
-		return l.failed
-	}
-	final := filepath.Join(l.opts.Dir, snapName(s.Index))
-	tmp := final + ".tmp"
-	f, err := l.opts.FS.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	if err := l.usableLocked(); err != nil {
 		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: sync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		l.opts.FS.Remove(tmp)
-		return fmt.Errorf("wal: close snapshot: %w", err)
+		return err
 	}
 	if err := l.opts.FS.Rename(tmp, final); err != nil {
 		l.opts.FS.Remove(tmp)
@@ -516,6 +568,27 @@ func (l *Log) WriteSnapshot(s *Snapshot) error {
 		l.hasSnap = true
 	}
 	l.gcLocked()
+	return nil
+}
+
+// streamSnapshot writes se's file to path and makes it durable. The caller
+// removes path on failure.
+func (l *Log) streamSnapshot(path string, se *snapshotEncoder) error {
+	f, err := l.opts.FS.Create(path)
+	if err != nil {
+		return fmt.Errorf("wal: create snapshot: %w", err)
+	}
+	if err := se.writeTo(f); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: write snapshot: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: sync snapshot: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("wal: close snapshot: %w", err)
+	}
 	return nil
 }
 

@@ -95,6 +95,10 @@ type Log struct {
 	hasSnap  bool
 	closed   bool
 
+	// snapMu serializes WriteSnapshot with itself and with Reset. It is
+	// held across a snapshot's stream to its file, which mu is not.
+	snapMu sync.Mutex
+
 	quit chan struct{}
 	done chan struct{}
 }
@@ -189,11 +193,8 @@ func (l *Log) Append(ops ...Op) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if l.failed != nil {
-		return l.failed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if _, err := l.f.Write(buf); err != nil {
 		l.failed = fmt.Errorf("wal: append: %w", err)
@@ -231,6 +232,14 @@ func (l *Log) syncLocked() error {
 	l.unsynced = 0
 	l.dirty = false
 	return nil
+}
+
+// usableLocked reports why the log can take no more writes, if it can't.
+func (l *Log) usableLocked() error {
+	if l.closed {
+		return fmt.Errorf("wal: log is closed")
+	}
+	return l.failed
 }
 
 // Sync fsyncs any buffered records, making every acknowledged append
@@ -306,13 +315,12 @@ func (l *Log) Err() error {
 // they are durable there now, and replaying them again on the next boot
 // would be wasted (if harmless, thanks to idempotent replay) work.
 func (l *Log) Reset() error {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	if l.failed != nil {
-		return l.failed
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	if err := l.f.Close(); err != nil {
 		l.failed = fmt.Errorf("wal: close segment: %w", err)

@@ -242,6 +242,20 @@ func corpusForSnapshot(t *testing.T) *blog.Corpus {
 	return c
 }
 
+// encodeSnapshotFile renders s's snapshot file in memory through the
+// streaming encoder WriteSnapshot uses.
+func encodeSnapshotFile(s *Snapshot) ([]byte, error) {
+	se, err := newSnapshotEncoder(s)
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := se.writeTo(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 func TestSnapshotAndTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	head := testOps(0, 6)
