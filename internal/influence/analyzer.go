@@ -412,27 +412,36 @@ func (a *Analyzer) analyzeText(c *blog.Frozen, ch *Cache, fresh []int32, res *Re
 // computeQuality scores every post, in row order: token count normalized
 // by the corpus maximum, times the novelty factor. Only the fresh posts
 // the detector does not index yet are inserted, in chronological order;
-// a cold analysis first sizes the detector's index for all their
-// shingles. A back-dated post is one insert like any other: it takes its
-// own score against the earlier posts and caps the later posts it
-// resembles, and since a cap never depends on the capping post's score,
-// no other score moves. It also records the corpus word total and the
-// novelty lookup count in res.
+// into an empty detector (a cold analysis) that is one bulk build. A
+// back-dated post is one insert like any other: it takes its own score
+// against the earlier posts and caps the later posts it resembles, and
+// since a cap never depends on the capping post's score, no other score
+// moves. It also records the corpus word total and the novelty lookup
+// count in res.
 func (a *Analyzer) computeQuality(ch *Cache, fresh []int32, res *Result) (quality, nov []float64) {
 	np := len(ch.pSorted)
 	needNovelty := !a.cfg.IgnoreNovelty
 	if needNovelty {
 		var todo []int32
-		shingles := 0
 		for _, s := range fresh {
 			if !ch.posts[s].scored {
 				todo = append(todo, s)
-				shingles += ch.posts[s].prepared.Size()
 			}
 		}
-		ch.det.Reserve(shingles)
 		slices.SortFunc(todo, ch.cmpChrono)
 		res.ScoredNovelty = len(todo)
+		if len(ch.novDocs) == 0 {
+			ps := make([]*novelty.Prepared, len(todo))
+			for i, s := range todo {
+				ps[i] = &ch.posts[s].prepared
+			}
+			for i, n := range ch.det.ScoreAll(ps) {
+				f := &ch.posts[todo[i]]
+				f.nov, f.scored = n, true
+			}
+			ch.novDocs = append(ch.novDocs, todo...)
+			todo = nil
+		}
 		var x int32 // the post being inserted
 		earlier := func(doc int32) bool { return ch.cmpChrono(ch.novDocs[doc], x) < 0 }
 		later := func(doc int32) {
@@ -441,7 +450,7 @@ func (a *Analyzer) computeQuality(ch *Cache, fresh []int32, res *Result) (qualit
 		}
 		for _, x = range todo {
 			f := &ch.posts[x]
-			f.nov, f.scored = ch.det.ScorePrepared(f.prepared, earlier, later), true
+			f.nov, f.scored = ch.det.ScorePrepared(&f.prepared, earlier, later), true
 			ch.novDocs = append(ch.novDocs, x)
 		}
 	}

@@ -20,9 +20,10 @@ import (
 // cache remembers its journal position, and the next analysis of the same
 // lineage reads — and hashes — only the entries past it. Per slot it keeps
 // the body-derived post facets (bodies are immutable: word count, novelty
-// shingles and score, classifier posterior), the per-comment commenter
-// and sentiment (comments are append-only), TC per blogger, the sorted-ID
-// orders, and the GL vector with its push state.
+// score, classifier posterior, and the novelty shingles until the
+// detector indexes the post, which then holds the only copy), the
+// per-comment commenter and sentiment (comments are append-only), TC per
+// blogger, the sorted-ID orders, and the GL vector with its push state.
 //
 // A lineage change (Reindex, FromParts, an unrelated corpus, a mutated
 // Corpus.Clone), journals that disagree with the corpus's maps (a direct map
@@ -31,8 +32,8 @@ import (
 // analysis runs exactly that path. A reset keeps the facets of every post
 // ID the cache holds (a post ID names one immutable body) and the novelty
 // detector while every post it indexed is still held with the same posting
-// time. Use a new Cache for a corpus that may recycle post IDs for other
-// bodies.
+// time; otherwise the held posts read their shingles back from it. Use a
+// new Cache for a corpus that may recycle post IDs for other bodies.
 //
 // Novelty is insert-only. A post is capped when an earlier post resembles
 // it, whatever that post's own score, so a new post moves only its own
@@ -96,6 +97,9 @@ type postFacets struct {
 	words     float64
 	tokenized bool // words (and prepared, unless novelty is disabled) valid
 
+	// prepared holds the post's shingles until the detector indexes the
+	// post (scored); from then on only its indicator score, and the
+	// shingles live in the detector alone.
 	prepared    novelty.Prepared
 	hasPrepared bool
 	scored      bool    // the detector indexes the post (it is in novDocs)
@@ -160,6 +164,7 @@ func (ch *Cache) sync(c *blog.Frozen) (fresh, grown []int32, reset bool, err err
 	fresh, grown, ok := ch.extend(c, j, &old)
 	if !ok {
 		ch.lineage = 0
+		ch.adoptNovelty(&old)
 		return nil, nil, false, fmt.Errorf("journal references an entity missing from the corpus")
 	}
 	ch.adopt(&old)
@@ -232,26 +237,10 @@ func (ch *Cache) extend(c *blog.Frozen, j blog.Journal, old *Cache) (fresh, grow
 	return fresh, grown, true
 }
 
-// adopt finishes a reset: it keeps the novelty detector when every post it
-// indexed is still held with the same posting time (the scores it left
-// depend only on which posts it indexed and their chronological order),
-// and carries the GL vector over by blogger ID.
+// adopt finishes a reset: it settles the novelty detector
+// (adoptNovelty) and carries the GL vector over by blogger ID.
 func (ch *Cache) adopt(old *Cache) {
-	docs := make([]int32, 0, len(old.novDocs))
-	for _, os := range old.novDocs {
-		s, held := ch.postSlot[old.postIDs[os]]
-		if !held || !ch.posts[s].posted.Equal(old.posts[os].posted) {
-			break
-		}
-		docs = append(docs, s)
-	}
-	if len(docs) == len(old.novDocs) {
-		ch.det, ch.novDocs = old.det, docs
-		for _, s := range docs {
-			ch.posts[s].scored = true
-		}
-	}
-
+	ch.adoptNovelty(old)
 	if len(old.gl) == 0 {
 		return
 	}
@@ -265,9 +254,39 @@ func (ch *Cache) adopt(old *Cache) {
 	}
 }
 
+// adoptNovelty keeps old's novelty detector when every post it indexed is
+// still held with the same posting time: the scores it left depend only on
+// which posts it indexed and their chronological order. Otherwise the held
+// posts read their shingles back from it, to be indexed anew; the posts
+// the detector indexed hold none of their own.
+func (ch *Cache) adoptNovelty(old *Cache) {
+	docs := make([]int32, 0, len(old.novDocs))
+	for _, os := range old.novDocs {
+		s, held := ch.postSlot[old.postIDs[os]]
+		if !held || !ch.posts[s].posted.Equal(old.posts[os].posted) {
+			break
+		}
+		docs = append(docs, s)
+	}
+	if len(docs) == len(old.novDocs) {
+		ch.det, ch.novDocs = old.det, docs
+		for _, s := range docs {
+			ch.posts[s].scored = true
+		}
+		return
+	}
+	flat, off := old.det.AppendDocuments(nil)
+	for k, os := range old.novDocs {
+		if s, held := ch.postSlot[old.postIDs[os]]; held {
+			f := &ch.posts[s]
+			f.prepared = novelty.RestorePrepared(flat[off[k]:off[k+1]:off[k+1]], f.prepared.Indicator())
+		}
+	}
+}
+
 // adopt takes over the body-derived facets another slot holds for the same
 // post ID; sentiments are capped to the post's current comments.
-// The scored flag is not taken: Cache.adopt sets it once it keeps the
+// The scored flag is not taken: adoptNovelty sets it once it keeps the
 // detector.
 func (f *postFacets) adopt(o *postFacets, comments int) {
 	f.words, f.tokenized = o.words, o.tokenized

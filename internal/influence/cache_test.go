@@ -4,13 +4,16 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"mass/internal/blog"
 	"mass/internal/linkrank"
+	"mass/internal/novelty"
 	"mass/internal/synth"
+	"mass/internal/textutil"
 )
 
 // tightConfig pins both solvers far below the comparison tolerance so a
@@ -596,4 +599,80 @@ func TestCacheRecoversFromFailedReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertMatchesCold(t, "after a failed reset", a, corpus, res)
+}
+
+// TestDroppedDetectorHandsShinglesBack deletes an indexed post behind the
+// journal and reindexes, so the reset cannot keep the novelty detector.
+// The held posts hold no shingles of their own once indexed; they must
+// read them back from the dropped detector, so nothing is re-tokenized
+// and the result still equals a cold analysis.
+func TestDroppedDetectorHandsShinglesBack(t *testing.T) {
+	corpus, _, err := synth.Generate(synth.Config{Seed: 98, Bloggers: 30, Posts: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAnalyzer(t, tightConfig(), nil)
+	cache := NewCache()
+	prev, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(corpus.Posts, corpus.Snapshot().PostIDs()[0])
+	corpus.Reindex()
+	res, err := a.AnalyzeCached(corpus.Snapshot(), prev, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesCold(t, "after the detector was dropped", a, corpus, res)
+	if res.ReusedNovelty != len(corpus.Posts) || res.ScoredNovelty != len(corpus.Posts) {
+		t.Fatalf("reused the shingles of %d and re-indexed %d of %d posts", res.ReusedNovelty, res.ScoredNovelty, len(corpus.Posts))
+	}
+}
+
+// TestExportStateReadsShinglesBack exports a warm cache, whose indexed
+// posts' shingles live only in its detector: every post carries its own
+// shingle set, and the restored cache exports the same state. A restore
+// whose novelty order names a post twice keeps every post's shingles in
+// its facets, with an empty detector; that cache exports them too, and
+// its next analysis equals a cold one.
+func TestExportStateReadsShinglesBack(t *testing.T) {
+	corpus, _, err := synth.Generate(synth.Config{Seed: 99, Bloggers: 30, Posts: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := mustAnalyzer(t, tightConfig(), nil)
+	cache := NewCache()
+	prev, err := a.AnalyzeCached(corpus.Snapshot(), nil, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.ExportState()
+	det := novelty.New()
+	for _, ps := range st.Posts {
+		body := corpus.Posts[ps.ID].Body
+		want := det.Prepare(textutil.Tokenize(body), body).AppendShingles(nil)
+		if !ps.HasPrepared || !ps.HasNov || !slices.Equal(ps.Shingles, want) {
+			t.Fatalf("post %s exported shingles %v, prepared %v", ps.ID, ps.Shingles, want)
+		}
+	}
+	if again := RestoreCache(st).ExportState(); !reflect.DeepEqual(again, st) {
+		t.Fatal("a restored cache exports another state")
+	}
+
+	st.NovOrder = append(st.NovOrder, st.NovOrder[0])
+	degraded := RestoreCache(st)
+	again := degraded.ExportState()
+	if len(again.NovOrder) != 0 {
+		t.Fatalf("an invalid novelty order restored %d indexed posts", len(again.NovOrder))
+	}
+	for i, ps := range again.Posts {
+		if !slices.Equal(ps.Shingles, st.Posts[i].Shingles) {
+			t.Fatalf("post %s: exported %v from its facets, restored %v", ps.ID, ps.Shingles, st.Posts[i].Shingles)
+		}
+	}
+	res, err := a.AnalyzeCached(corpus.Snapshot(), prev, degraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesCold(t, "after an invalid novelty order", a, corpus, res)
 }

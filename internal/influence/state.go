@@ -74,23 +74,42 @@ type PostFacetsState struct {
 }
 
 // ExportState snapshots the cache into its serializable form. The caller
-// owns the result; nothing is shared with the live cache. Like every cache
-// operation, it must run while no analysis is in flight.
+// owns the result; nothing is shared with the live cache. Every post's
+// shingles go into one flat array: the indexed posts' read back from the
+// detector, which alone holds them. Like every cache operation, it must
+// run while no analysis is in flight.
 func (ch *Cache) ExportState() *CacheState {
 	st := &CacheState{
 		Domains:  append([]string(nil), ch.domains.names...),
 		NovOrder: make([]blog.PostID, len(ch.novDocs)),
 		Posts:    make([]PostFacetsState, 0, len(ch.pSorted)),
 	}
+	held := 0 // shingles of prepared posts the detector does not index
+	for i := range ch.posts {
+		held += ch.posts[i].prepared.Size()
+	}
+	flat, off := ch.det.AppendDocuments(make([]uint64, 0, ch.det.Postings()+held))
+	doc := make([]int32, len(ch.posts)) // detector document per post slot
 	for k, s := range ch.novDocs {
 		st.NovOrder[k] = ch.postIDs[s]
+		doc[s] = int32(k)
 	}
 	for _, s := range ch.pSorted {
 		f := &ch.posts[s]
 		ps := PostFacetsState{ID: ch.postIDs[s], Posted: f.posted, Words: f.words, Tokenized: f.tokenized}
 		if f.hasPrepared {
+			var lo, hi int
+			if f.scored {
+				lo, hi = off[doc[s]], off[doc[s]+1]
+			} else {
+				lo = len(flat)
+				flat = f.prepared.AppendShingles(flat)
+				hi = len(flat)
+			}
 			ps.HasPrepared = true
-			ps.Shingles = f.prepared.Shingles()
+			if hi > lo {
+				ps.Shingles = flat[lo:hi:hi]
+			}
 			ps.Indicator = f.prepared.Indicator()
 		}
 		if f.scored {
@@ -134,8 +153,7 @@ func RestoreCache(st *CacheState) *Cache {
 		ch.domains.intern(d)
 	}
 	nd := ch.domains.Len()
-	var hasNov []bool // per slot: the state carries its scored novelty
-	shingles := 0
+	var src []int32 // per slot: its entry in st.Posts
 	for i := range st.Posts {
 		ps := &st.Posts[i]
 		if _, dup := ch.postSlot[ps.ID]; dup || ps.ID == "" {
@@ -143,7 +161,7 @@ func RestoreCache(st *CacheState) *Cache {
 		}
 		f := postFacets{posted: ps.Posted, words: ps.Words, tokenized: ps.Tokenized, nov: ps.Nov}
 		if ps.HasPrepared {
-			f.prepared = novelty.RestorePrepared(ps.Shingles, ps.Indicator)
+			f.prepared = novelty.RestorePrepared(nil, ps.Indicator)
 			f.hasPrepared = true
 		}
 		if ps.HasPosterior {
@@ -157,13 +175,12 @@ func RestoreCache(st *CacheState) *Cache {
 		ch.postIDs = append(ch.postIDs, ps.ID)
 		ch.posts = append(ch.posts, f)
 		ch.pSorted = append(ch.pSorted, int32(len(ch.pSorted)))
-		hasNov = append(hasNov, ps.HasNov)
-		shingles += len(ps.Shingles)
+		src = append(src, int32(i))
 	}
 	slices.SortFunc(ch.pSorted, ch.cmpPosts)
 	for _, pid := range st.NovOrder {
 		s, ok := ch.postSlot[pid]
-		if !ok || !ch.posts[s].hasPrepared || !hasNov[s] || ch.posts[s].scored {
+		if !ok || !ch.posts[s].hasPrepared || !st.Posts[src[s]].HasNov || ch.posts[s].scored {
 			for _, s := range ch.novDocs {
 				ch.posts[s].scored = false
 			}
@@ -174,12 +191,20 @@ func RestoreCache(st *CacheState) *Cache {
 		ch.novDocs = append(ch.novDocs, s)
 	}
 	// The scored values are part of the state; only the detector's
-	// inverted index needs rebuilding.
-	if len(ch.novDocs) > 0 {
-		ch.det.Reserve(shingles)
+	// inverted index needs rebuilding, straight from the state's shingle
+	// sets (the detector copies them). The other prepared posts keep a
+	// copy of their own.
+	docs := make([]novelty.Prepared, len(ch.novDocs))
+	ps := make([]*novelty.Prepared, len(ch.novDocs))
+	for k, s := range ch.novDocs {
+		docs[k] = novelty.RestorePrepared(st.Posts[src[s]].Shingles, 0)
+		ps[k] = &docs[k]
 	}
-	for _, s := range ch.novDocs {
-		ch.det.Observe(ch.posts[s].prepared)
+	ch.det.Observe(ps)
+	for s := range ch.posts {
+		if f := &ch.posts[s]; f.hasPrepared && !f.scored {
+			f.prepared = novelty.RestorePrepared(slices.Clone(st.Posts[src[s]].Shingles), f.prepared.Indicator())
+		}
 	}
 	if len(st.GLBloggers) == len(st.GL) {
 		for i, id := range st.GLBloggers {

@@ -143,7 +143,8 @@ func TestScorePreparedAnyOrderMatchesChronological(t *testing.T) {
 				}
 				got[docs[doc]] = min(got[docs[doc]], MaxCopyScore)
 			}
-			got[rank] = d.ScorePrepared(d.Prepare(textutil.Tokenize(texts[rank]), texts[rank]), earlier, later)
+			p := d.Prepare(textutil.Tokenize(texts[rank]), texts[rank])
+			got[rank] = d.ScorePrepared(&p, earlier, later)
 			docs = append(docs, rank)
 		}
 		for i := range want {
