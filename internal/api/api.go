@@ -58,7 +58,10 @@
 // carries the per-shard generation vector, the ETag becomes the dotted
 // vector, and scattered reads may come back partial (meta.degraded). Either
 // way a conditional GET with If-None-Match returns 304 until a shard
-// publishes a new generation. Standing subscriptions ride the same path
+// publishes a new generation. The view stays the same object until then,
+// and every finished 200 (routes behind v1Read, and POST /api/v1/query) is
+// memoized on it, so a repeated read is a lookup and a write of stored
+// bytes. Standing subscriptions ride the same path
 // at any shard count: an event carries what a read at the newest view
 // returns, with the same seq vector and degraded flag.
 //
@@ -69,6 +72,8 @@
 package api
 
 import (
+	"bytes"
+	"io"
 	"log"
 	"net/http"
 	"strings"
@@ -106,7 +111,7 @@ type Server struct {
 	opts    options
 
 	mux     *http.ServeMux
-	handler http.Handler // middleware chain around dispatch
+	handler http.Handler // middleware chain around mux
 	routes  []route
 	limiter *rateLimiter
 }
@@ -129,7 +134,7 @@ func NewCluster(cl *cluster.Cluster, optFns ...Option) *Server {
 	s.limiter = newRateLimiter(s.opts.rateRPS, s.opts.rateBurst)
 	s.routes = s.routeTable()
 	s.register()
-	s.handler = s.withMiddleware(http.HandlerFunc(s.dispatch))
+	s.handler = s.withMiddleware(s.mux)
 	return s
 }
 
@@ -161,10 +166,30 @@ type readHandler func(v *cluster.View, r *http.Request) (any, *Meta, *apiError)
 // before the handler runs at all — the view fully determines the response
 // for a URL, so a client that holds this generation's validator costs the
 // server nothing.
+//
+// For the same reason the finished 200 is memoized on the view, keyed by
+// the method, the request URI and (for a POST) the raw body: a repeated
+// read within one view writes the stored bytes without decoding,
+// executing or encoding anything. Errors and degraded partials are never
+// stored, so a hit is exactly what a cold read of the view returns.
 func (s *Server) v1Read(h readHandler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		v := s.cluster.View()
 		if conditionalGET(w, r, v) {
+			return
+		}
+		var body []byte
+		if r.Method == http.MethodPost {
+			var aerr *apiError
+			if body, aerr = readBody(r); aerr != nil {
+				writeAPIError(w, aerr)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		key := memoKey(r, body)
+		if hit, ok := v.Recall(key); ok {
+			writeJSONBody(w, http.StatusOK, hit.(*memoResponse).body)
 			return
 		}
 		data, meta, aerr := h(v, r)
@@ -176,8 +201,35 @@ func (s *Server) v1Read(h readHandler) http.HandlerFunc {
 			meta = &Meta{}
 		}
 		s.stamp(meta, v)
-		writeEnvelope(w, http.StatusOK, Envelope{Data: data, Meta: meta})
+		writeMemoized(w, v, key, "", Envelope{Data: data, Meta: meta})
 	}
+}
+
+// writeMemoized encodes a read's 200 envelope, memoizes it on v under key
+// (with its own validator, if any) unless it is degraded or failed to
+// encode, and writes it.
+func writeMemoized(w http.ResponseWriter, v *cluster.View, key, etag string, env Envelope) {
+	status, body := encodeEnvelope(http.StatusOK, env)
+	if status == http.StatusOK && !env.Meta.Degraded {
+		v.Memoize(key, &memoResponse{body: body, etag: etag}, len(body)+len(etag))
+	}
+	writeJSONBody(w, status, body)
+}
+
+// memoResponse is a finished 200 envelope memoized on the view that
+// answered it.
+type memoResponse struct {
+	body []byte
+	// etag is the response's own validator where it is not the view's
+	// (POST /api/v1/query), else empty.
+	etag string
+}
+
+// memoKey is the response-memo key of r: everything a v1 read's answer
+// depends on besides the pinned view. GET and HEAD handlers never read the
+// body, so only a POST's counts.
+func memoKey(r *http.Request, body []byte) string {
+	return r.Method + " " + r.URL.RequestURI() + "\n" + string(body)
 }
 
 // stamp records the view's generation in meta: the highest shard seq
@@ -235,7 +287,12 @@ func conditionalGET(w http.ResponseWriter, r *http.Request, v *cluster.View) boo
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		return false
 	}
-	etag := v.ETag()
+	return notModified(w, r, v.ETag())
+}
+
+// notModified advertises etag and reports true after writing 304 when the
+// request's If-None-Match already holds it.
+func notModified(w http.ResponseWriter, r *http.Request, etag string) bool {
 	w.Header().Set("ETag", etag)
 	if !etagMatch(r.Header.Get("If-None-Match"), etag) {
 		return false

@@ -130,6 +130,13 @@ func errParam(name, format string, args ...any) *apiError {
 // whole response to a 500 error envelope instead of corrupting a committed
 // 200 (the legacy writeJSON bug).
 func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
+	status, body := encodeEnvelope(status, env)
+	writeJSONBody(w, status, body)
+}
+
+// encodeEnvelope renders env as the response body, or, when env does not
+// encode, a 500 error envelope and its status.
+func encodeEnvelope(status int, env Envelope) (int, []byte) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(env); err != nil {
 		buf.Reset()
@@ -140,10 +147,15 @@ func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
 			Message: "encoding response: " + err.Error(),
 		}})
 	}
+	return status, buf.Bytes()
+}
+
+// writeJSONBody commits status and an already-encoded JSON body.
+func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	w.Write(buf.Bytes())
+	w.Write(body)
 }
 
 // writeAPIError writes e as an error envelope.

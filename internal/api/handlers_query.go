@@ -27,20 +27,32 @@ func queryETag(v *cluster.View, key string) string {
 // spec); anything that fails to decode or validate is 400 invalid_query.
 //
 // The whole request is answered from one pinned view, and execution goes
-// through the coordinator — a zero-copy pass-through to the shard's
-// memoized executor at one shard, routed or scattered and merged at
-// several. Deliberately, If-None-Match is honored even though this is a
-// POST: a query response is fully determined by (seq vector, normalized
-// body), the ETag encodes both, and a client re-posting the same query
-// with the validator it last saw gets a body-less 304 until a shard
-// publishes a new generation — the cheap-polling contract the GET
+// through the coordinator — the shard's executor at one shard, routed or
+// scattered and merged at several. Deliberately, If-None-Match is honored
+// even though this is a POST: a query response is fully determined by (seq
+// vector, normalized body), the ETag encodes both, and a client re-posting
+// the same query with the validator it last saw gets a body-less 304 until
+// a shard publishes a new generation — the cheap-polling contract the GET
 // endpoints already have. The body is decoded before the validator is
 // checked, so an invalid query is always a 400, never a 304.
+//
+// Like v1Read, the finished 200 is memoized on the view by raw body,
+// together with its ETag: a repeated post neither decodes, executes nor
+// encodes. Only valid, non-degraded answers are stored, so a hit (and the
+// 304 it may turn into) is what a cold request would get.
 func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 	v := s.cluster.View()
 	data, aerr := readBody(r)
 	if aerr != nil {
 		writeAPIError(w, aerr)
+		return
+	}
+	key := memoKey(r, data)
+	if hit, ok := v.Recall(key); ok {
+		resp := hit.(*memoResponse)
+		if !notModified(w, r, resp.etag) {
+			writeJSONBody(w, http.StatusOK, resp.body)
+		}
 		return
 	}
 	q, err := query.Decode(data)
@@ -56,15 +68,13 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 	if q.Limit > MaxLimit {
 		q.Limit = MaxLimit
 	}
-	key, err := q.Key()
+	qkey, err := q.Key()
 	if err != nil {
 		writeAPIError(w, errf(http.StatusBadRequest, ErrCodeInvalidQuery, "%v", err))
 		return
 	}
-	etag := queryETag(v, key)
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	etag := queryETag(v, qkey)
+	if notModified(w, r, etag) {
 		return
 	}
 	qr, degraded, err := s.cluster.Query(v, q)
@@ -82,7 +92,7 @@ func (s *Server) handleV1Query(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 	s.stamp(meta, v)
-	writeEnvelope(w, http.StatusOK, Envelope{Data: qr, Meta: meta})
+	writeMemoized(w, v, key, etag, Envelope{Data: qr, Meta: meta})
 }
 
 // healthzResponse is the liveness payload: process-level health plus

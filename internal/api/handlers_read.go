@@ -51,9 +51,9 @@ type topPost struct {
 //
 // The ranking and scenario fetchers are thin builders over the cluster
 // coordinator's Query — the composable engine is the one read path, and
-// these endpoints are just canned queries against it (a pass-through to
-// the shard's memoized executor at one shard, scattered and merged at
-// several).
+// these endpoints are just canned queries against it (the shard's
+// executor at one shard, scattered and merged at several, memoized on the
+// view either way).
 
 // rowsToScored converts query rows to the wire rows these endpoints have
 // always served.

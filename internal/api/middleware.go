@@ -2,6 +2,7 @@ package api
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"net"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -82,13 +84,24 @@ func requestIDMiddleware(next http.Handler) http.Handler {
 	})
 }
 
+// Minted request IDs are a random per-process prefix and a counter: unique
+// within the process, distinguishable across restarts, and free of a
+// system call per request.
+var (
+	requestIDPrefix = func() uint32 {
+		var b [4]byte
+		rand.Read(b[:]) // never fails: crypto/rand.Read crashes the program instead
+		return binary.BigEndian.Uint32(b[:])
+	}()
+	requestIDSeq atomic.Uint32
+)
+
+// newRequestID mints a 16-hex-digit ID: the process prefix, then the
+// request count.
 func newRequestID() string {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; a fixed ID
-		// keeps requests flowing and is still greppable.
-		return "0000000000000000"
-	}
+	binary.BigEndian.PutUint32(b[:4], requestIDPrefix)
+	binary.BigEndian.PutUint32(b[4:], requestIDSeq.Add(1))
 	return hex.EncodeToString(b[:])
 }
 

@@ -61,7 +61,7 @@ func postQuery(t *testing.T, url, body string, headers ...string) (int, http.Hea
 }
 
 func TestQueryEndpoint(t *testing.T) {
-	ts, sys := server(t)
+	ts, _, srv := v1EngineServer(t)
 	code, hdr, env := postQuery(t, ts.URL, `{
 		"entity": "bloggers",
 		"where": {"field": "posts", "op": "ge", "value": 1},
@@ -95,8 +95,10 @@ func TestQueryEndpoint(t *testing.T) {
 		t.Fatalf("page = %+v vs total %d", env.Meta.Page, qr.Total)
 	}
 
-	// Identical re-posts are memoized per snapshot generation.
+	// Identical re-posts are answered from the view's memo: no execution.
+	sys := srv.cluster.View().Snaps[0]
 	before := sys.QueryCache().Computes()
+	hits, _ := srv.cluster.MemoStats()
 	postQuery(t, ts.URL, `{
 		"entity": "bloggers",
 		"where": {"field": "posts", "op": "ge", "value": 1},
@@ -106,6 +108,9 @@ func TestQueryEndpoint(t *testing.T) {
 	}`)
 	if after := sys.QueryCache().Computes(); after != before {
 		t.Fatalf("identical query recomputed: %d -> %d", before, after)
+	}
+	if h, _ := srv.cluster.MemoStats(); h != hits+1 {
+		t.Fatalf("identical query was not a memo hit: hits %d -> %d", hits, h)
 	}
 
 	// The validator is (generation, normalized query)-specific: the same

@@ -137,9 +137,15 @@ func deprecationHeaders(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// catchAll is the mux pattern of the envelope fallback: it matches every
+// request no route does, so the mux resolves each request exactly once.
+const catchAll = "/"
+
 // register installs the route table on the mux with Go 1.22 method +
 // wildcard patterns. Deprecated aliases pick up the lifecycle headers
-// here, at the routing layer, so no alias handler can forget them.
+// here, at the routing layer, so no alias handler can forget them. The
+// catch-all answers misses in the envelope instead of the mux's
+// plain-text 404/405.
 func (s *Server) register() {
 	for _, rt := range s.routes {
 		h := rt.handler
@@ -148,19 +154,13 @@ func (s *Server) register() {
 		}
 		s.mux.HandleFunc(rt.Method+" "+rt.Pattern, h)
 	}
+	s.mux.HandleFunc(catchAll, s.notRouted)
 }
 
-// dispatch resolves r against the mux itself so misses get envelope
-// responses: a path that exists under other methods becomes a 405 with an
-// Allow header, anything else a 404 — both with machine-readable codes
-// instead of the mux's plain-text defaults.
-func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
-	// Handler only reports the match; serving through the mux again is what
-	// populates r.PathValue for the wildcards.
-	if _, pattern := s.mux.Handler(r); pattern != "" {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
+// notRouted answers a request no route matches: a path that exists under
+// other methods becomes a 405 with an Allow header, anything else a 404 —
+// both with machine-readable codes.
+func (s *Server) notRouted(w http.ResponseWriter, r *http.Request) {
 	if allowed := s.allowedMethods(r); len(allowed) > 0 {
 		w.Header().Set("Allow", strings.Join(allowed, ", "))
 		writeAPIError(w, errf(http.StatusMethodNotAllowed, ErrCodeMethodNotAllowed,
@@ -171,7 +171,8 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request) {
 		"no route for %s %s; see GET /api/v1", r.Method, r.URL.Path))
 }
 
-// allowedMethods probes which methods the mux would accept for r's path.
+// allowedMethods probes which methods a route other than the catch-all
+// would accept for r's path.
 func (s *Server) allowedMethods(r *http.Request) []string {
 	var allowed []string
 	for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
@@ -180,7 +181,7 @@ func (s *Server) allowedMethods(r *http.Request) []string {
 		}
 		probe := r.Clone(r.Context())
 		probe.Method = m
-		if _, pattern := s.mux.Handler(probe); pattern != "" {
+		if _, pattern := s.mux.Handler(probe); pattern != "" && pattern != catchAll {
 			allowed = append(allowed, m)
 		}
 	}

@@ -122,12 +122,21 @@ type Cluster struct {
 	boundary  map[blog.Link]struct{}
 	bwal      *wal.Log
 	postOwner map[blog.PostID]int
+	// boundaryGen counts boundary edges admitted, so View can tell a cut
+	// whose Stats would see a new edge from the one it pinned.
+	boundaryGen atomic.Uint64
 
 	// hub serves standing subscriptions over cluster views (publish). It
 	// is nil until New has built every shard; pubMu guards that and keeps
 	// each view handed to the hub newer than the last.
 	pubMu sync.Mutex
 	hub   *subs.Hub
+
+	// view is the current stable View (see Cluster.View); memoHits and
+	// memoMisses count lookups in the views' read memos.
+	view       atomic.Pointer[View]
+	memoHits   atomic.Uint64
+	memoMisses atomic.Uint64
 
 	scatterQueries  atomic.Uint64
 	degradedQueries atomic.Uint64
@@ -467,6 +476,7 @@ func (cl *Cluster) addBoundary(l blog.Link) error {
 		}
 	}
 	cl.boundary[l] = struct{}{}
+	cl.boundaryGen.Add(1)
 	return nil
 }
 

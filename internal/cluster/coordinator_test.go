@@ -67,8 +67,17 @@ func TestSingleShardPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
-		t.Fatal("single-shard query is not a pass-through to the engine's memoized result")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("single-shard query differs from the engine's executor:\n got %+v\nwant %+v", got, want)
+	}
+	// A repeat within the view is the memoized result, not a second run.
+	execs := v.Snaps[0].QueryCache().Computes()
+	again, _, err := cl.Query(v, q)
+	if err != nil || again != got {
+		t.Fatalf("repeated single-shard query was not served from the view memo (err %v)", err)
+	}
+	if n := v.Snaps[0].QueryCache().Computes(); n != execs {
+		t.Fatalf("repeated single-shard query executed again: %d -> %d", execs, n)
 	}
 }
 

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mass/internal/blog"
 	"mass/internal/classify"
@@ -71,13 +72,20 @@ type System struct {
 	classifier classify.Classifier
 	result     *influence.Result
 	rec        *recommend.Recommender
-	// queries and trends memoize this generation's query results and
-	// trend reports. They live and die with the System, so a reader of an
-	// older generation only ever touches that generation's memos.
-	queries *query.Cache
+	// execs counts the queries this generation has executed.
+	execs QueryCount
+	// trends memoizes this generation's trend reports. It lives and dies
+	// with the System, so a reader of an older generation only ever
+	// touches that generation's memo.
 	trendMu sync.Mutex
 	trends  map[trend.Config]*trend.Report
 }
+
+// QueryCount counts a generation's query executions.
+type QueryCount struct{ n atomic.Int64 }
+
+// Computes reports how many queries the generation has executed.
+func (c *QueryCount) Computes() int64 { return c.n.Load() }
 
 // buildClassifier resolves the classifier to use: the explicit one, or a
 // naive Bayes model trained on synthetic domain snippets.
@@ -112,7 +120,6 @@ func newSystem(c *blog.Frozen, opts Options, cl classify.Classifier, an *influen
 		classifier: cl,
 		result:     res,
 		rec:        rec,
-		queries:    query.NewCache(),
 	}, nil
 }
 
@@ -154,17 +161,18 @@ func (s *System) Classifier() classify.Classifier { return s.classifier }
 // Query executes a composable query (package query) against this
 // analyzed generation — the canonical read path: filter, order, project,
 // paginate and aggregate over the influence facets without touching the
-// result's internals. Results are memoized per normalized query on the
-// System, that is, per generation.
+// result's internals. Every call executes and returns a fresh result;
+// serving processes memoize finished reads on the cluster view that pins
+// the generation (cluster.View), which sees every shard at once.
 func (s *System) Query(q *query.Query) (*query.Result, error) {
-	return s.queries.Get(q, func(n *query.Query) (*query.Result, error) {
-		return query.Execute(s.corpus, s.result, n)
-	})
+	s.execs.n.Add(1)
+	return query.Execute(s.corpus, s.result, q)
 }
 
-// QueryCache exposes the generation's query memo (observability and
-// tests).
-func (s *System) QueryCache() *query.Cache { return s.queries }
+// QueryCache reports the generation's query executions (observability and
+// tests). The query memo itself lives on cluster.View; the accessor keeps
+// its name because perfbench's tracer counts misses through it.
+func (s *System) QueryCache() *QueryCount { return &s.execs }
 
 // Trends returns the generation's trend report for cfg (package trend),
 // computed on first use and memoized per config on the System. A failed

@@ -134,8 +134,8 @@ func ExperimentSharding(cfg Config, shardCounts []int) (*ShardingResult, error) 
 		p.FlushTime = time.Since(t0) / time.Duration(len(authors))
 
 		// Routed vs scattered reads on the settled view. The offsets and
-		// authors rotate so per-snapshot query memoization cannot answer
-		// from cache.
+		// authors rotate so the view's read memo cannot answer from
+		// cache.
 		v := cl.View()
 		t0 = time.Now()
 		for _, a := range authors {

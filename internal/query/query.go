@@ -20,9 +20,10 @@
 // per-post maps; allocation on the filtered top-k path is O(plan + k),
 // independent of corpus size.
 //
-// Results are memoized by Cache, one per analysis generation, keyed by
-// the normalized query, so repeated dashboard queries cost a map lookup
-// until the engine publishes a new generation.
+// The executors do not memoize: a serving process memoizes finished
+// results per cluster view (cluster.View), keyed by the normalized query
+// (Key), so repeated dashboard queries cost a map lookup until a shard
+// publishes a new generation.
 package query
 
 import (

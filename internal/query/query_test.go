@@ -517,63 +517,6 @@ func TestDeepNesting(t *testing.T) {
 	}
 }
 
-// TestCache: identical queries, however spelled, memoize to one entry;
-// invalid queries are never cached.
-func TestCache(t *testing.T) {
-	f := testFixture(t)
-	cache := NewCache()
-	run := func(q *Query) *Result {
-		t.Helper()
-		res, err := cache.Get(q, func(n *Query) (*Result, error) {
-			return Execute(f.c, f.res, n)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	q := Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(5).Build()
-	first := run(q)
-	if run(q) != first {
-		t.Fatal("a repeated query must return the memoized result")
-	}
-	// Spelled differently, same normalized query: limit 0 → default is
-	// distinct from limit 5, so use an equal-normalizing variant.
-	run(Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(5).OrderBy(Desc(FieldInfluence)).Build())
-	if n := cache.Computes(); n != 1 {
-		t.Fatalf("computes = %d, want 1", n)
-	}
-	run(Bloggers().Where(F(FieldInfluence).Gt(0)).Limit(6).Build())
-	if n := cache.Computes(); n != 2 {
-		t.Fatalf("computes = %d after a distinct query, want 2", n)
-	}
-	// Invalid queries are not cached and error out.
-	if _, err := cache.Get(&Query{Entity: "nope"}, nil); err == nil {
-		t.Fatal("invalid query accepted")
-	}
-}
-
-// TestCacheBounded: distinct queries cannot grow one generation's memo
-// without bound (a server taking no writes keeps one generation live).
-func TestCacheBounded(t *testing.T) {
-	f := testFixture(t)
-	cache := NewCache()
-	for i := 0; i < DefaultCacheEntries+50; i++ {
-		q := Bloggers().Where(F(FieldInfluence).Gt(float64(i) * 1e-9)).Limit(1).Build()
-		if _, err := cache.Get(q, func(n *Query) (*Result, error) {
-			return Execute(f.c, f.res, n)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cache.mu.Lock()
-	size := len(cache.entries)
-	cache.mu.Unlock()
-	if size > DefaultCacheEntries {
-		t.Fatalf("cache grew to %d entries (cap %d)", size, DefaultCacheEntries)
-	}
-}
-
 // TestScanAllocsBounded asserts the headline property of the planned
 // executor: the filtered, ordered top-k path allocates O(plan + k) —
 // no per-blogger maps or slices — so allocations do not grow with the
@@ -653,38 +596,5 @@ func TestUnknownDomainConsistency(t *testing.T) {
 	}
 	if fmt.Sprint(ranked.Rows) != fmt.Sprint(scanned.Rows) {
 		t.Fatalf("plans disagree:\nranked:  %v\nscanned: %v", ranked.Rows, scanned.Rows)
-	}
-}
-
-// TestCacheLRURecency: eviction at the cap is least-recently-used, so a
-// standing query that keeps being served survives while one-off
-// explorations age out.
-func TestCacheLRURecency(t *testing.T) {
-	f := testFixture(t)
-	cache := NewCacheSize(2)
-	run := func(q *Query) {
-		t.Helper()
-		if _, err := cache.Get(q, func(n *Query) (*Result, error) {
-			return Execute(f.c, f.res, n)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot := Bloggers().Limit(5).Build()
-	cold := Bloggers().Limit(6).Build()
-	run(hot)                         // miss: compute 1
-	run(cold)                        // miss: compute 2
-	run(hot)                         // hit, and refreshes hot's recency
-	run(Bloggers().Limit(7).Build()) // miss: compute 3, evicts cold (LRU)
-	run(hot)                         // still resident: no recompute
-	if n := cache.Computes(); n != 3 {
-		t.Fatalf("computes = %d, want 3 (hot entry evicted despite recency)", n)
-	}
-	run(cold) // was evicted: compute 4
-	if n := cache.Computes(); n != 4 {
-		t.Fatalf("computes = %d, want 4", n)
-	}
-	if got := cache.Len(); got != 2 {
-		t.Fatalf("len = %d, want cap 2", got)
 	}
 }

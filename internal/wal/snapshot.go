@@ -385,6 +385,9 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 		}
 		nf := d.count(12)
 		st.Posts = make([]influence.PostFacetsState, 0, nf)
+		// Every post's shingles are carved from one slab, as ExportState
+		// hands them out, instead of one slice per post.
+		slab := make([]uint64, 0, d.shingleTotal(nf))
 		for i := 0; i < nf && d.err == nil; i++ {
 			pi := d.uvarint()
 			ps := influence.PostFacetsState{ID: pid(pi), Words: d.f64()}
@@ -395,9 +398,12 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 			ps.HasPrepared = d.u8() == 1
 			if ps.HasPrepared {
 				ng := d.count(8)
-				ps.Shingles = make([]uint64, 0, ng)
+				lo := len(slab)
 				for j := 0; j < ng && d.err == nil; j++ {
-					ps.Shingles = append(ps.Shingles, d.u64())
+					slab = append(slab, d.u64())
+				}
+				if hi := len(slab); hi > lo {
+					ps.Shingles = slab[lo:hi:hi]
 				}
 				ps.Indicator = d.f64()
 			}
@@ -441,6 +447,32 @@ func decodeSnapshot(payload []byte) (*Snapshot, error) {
 	s.Corpus, s.corpus = c.Snapshot(), c
 	s.Cache = st
 	return s, nil
+}
+
+// shingleTotal skims the nf post-facet records ahead of d, in the layout
+// the loop in decodeSnapshot reads, and returns how many shingles they
+// hold. d is a copy, so the skim does not move the caller's decoder; a
+// corrupt record only makes the estimate short, and the decode itself
+// reports it.
+func (d decoder) shingleTotal(nf int) int {
+	total := 0
+	for i := 0; i < nf && d.err == nil; i++ {
+		d.uvarint()   // post index
+		d.take(8 + 1) // words, tokenized
+		if d.u8() == 1 {
+			ng := d.count(8)
+			total += ng
+			d.take(8*ng + 8) // shingles, indicator
+		}
+		if d.u8() == 1 {
+			d.take(8) // novelty
+		}
+		if d.u8() == 1 {
+			d.take(8 * d.count(8)) // posterior
+		}
+		d.take(d.count(1)) // sentiments
+	}
+	return total
 }
 
 func (d *decoder) bloggerVec(bid func(uint64) blog.BloggerID) ([]blog.BloggerID, []float64) {

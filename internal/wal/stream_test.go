@@ -212,3 +212,39 @@ func TestSnapshotChangedBetweenWalksPublishesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotDecodeShinglesOneSlab: decoding a checkpoint carves every
+// post's shingles from one slab, so the allocations the shingles add do
+// not grow with the post count.
+func TestSnapshotDecodeShinglesOneSlab(t *testing.T) {
+	shingleAllocs := func(posts int) float64 {
+		c, _, err := synth.Generate(synth.Config{Seed: 5, Bloggers: 20, Posts: posts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeAllocs := func(prepared bool) float64 {
+			st := &influence.CacheState{}
+			for id, p := range c.Posts {
+				ps := influence.PostFacetsState{ID: id, Posted: p.Posted, Words: 10, Tokenized: true}
+				if prepared {
+					ps.HasPrepared, ps.Shingles, ps.Indicator = true, []uint64{1, 2, 3, 5, 8}, 1
+				}
+				st.Posts = append(st.Posts, ps)
+			}
+			data, err := encodeSnapshotFile(&Snapshot{Index: 1, Corpus: c.Snapshot(), Cache: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return testing.AllocsPerRun(3, func() {
+				if _, err := decodeSnapshotFile(data); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return decodeAllocs(true) - decodeAllocs(false)
+	}
+	small, large := shingleAllocs(100), shingleAllocs(400)
+	if small > 1 || large > 1 {
+		t.Fatalf("shingles add %.0f allocations at 100 posts and %.0f at 400, want one slab", small, large)
+	}
+}
